@@ -23,10 +23,10 @@ import yaml
 from . import checks, evaluation, synth
 from .cycle import AttentionRecord
 from .data import (Vocabulary, encode_pairs, encode_triples, load_features,
-                   read_manifest)
+                   read_jsonl, read_manifest, text_field)
 from .errors import (ConfigError, CycleCapError, DataError, FormatError,
                      NumericError)
-from .inference import beam_decode, caption_image
+from .inference import beam_decode, caption_image, captioner_step_fn
 from .models import (load_bundle, load_captioner, load_checkpoint, save_bundle,
                      save_captioner, teacher_forced_record)
 from .training import TrainConfig, pretrain_part1, train_part2
@@ -288,14 +288,8 @@ def run_train(settings: dict, out_dir: Path) -> None:
 def _decode_single(captioner, grid, beam_size, max_len):
     keys = captioner.project(grid)
     dec = captioner.decoder
-
-    def step(state, prev):
-        h, c = state
-        logp, h, c, _ = dec.step(keys, h, c, prev)
-        return logp.data, (h, c), ()
-
-    return beam_decode(step, dec.initial_state(keys), beam_size=beam_size,
-                       max_len=max_len)
+    return beam_decode(captioner_step_fn(dec, keys), dec.initial_state(keys),
+                       beam_size=beam_size, max_len=max_len)
 
 
 def run_infer(settings: dict, out_dir: Path) -> None:
@@ -358,14 +352,11 @@ def run_eval(settings: dict, out_dir: Path) -> None:
     for e in read_manifest(Path(settings["manifest"])):
         refs_by_id[e.image_id] = list(e.en_tokens if field == "en" else e.de_tokens)
     candidates, references = [], []
-    for line in Path(settings["candidates"]).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        image_id = row["image_id"]
+    for where, row in read_jsonl(settings["candidates"]):
+        image_id = text_field(row, "image_id", where)
         if image_id not in refs_by_id:
             raise DataError(f"candidate {image_id!r} missing from the manifest")
-        candidates.append(row[field].split())
+        candidates.append(text_field(row, field, where).split())
         references.append([refs_by_id[image_id]])
     if not candidates:
         raise DataError("no candidates to score")

@@ -244,21 +244,54 @@ def write_manifest(entries: Iterable[ManifestEntry], path: Path | str) -> None:
             }, sort_keys=True) + "\n")
 
 
-def read_manifest(path: Path | str) -> list[ManifestEntry]:
-    entries = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+def read_jsonl(path: Path | str) -> list[tuple[str, dict]]:
+    """One (``path:line``, object) pair per non-blank line of a JSON-lines
+    file; a line that is not a JSON object is a FormatError naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at offset {exc.start}") from exc
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-            entries.append(ManifestEntry(
-                image_id=str(obj["image_id"]),
-                features_path=str(obj["features"]),
-                en_tokens=tuple(tokenize(obj["en"])),
-                de_tokens=tuple(tokenize(obj["de"])),
-            ))
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}:{lineno}: bad manifest record: {exc}") from exc
+        except ValueError as exc:
+            raise FormatError(f"{where}: not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: expected a JSON object, "
+                              f"got {type(obj).__name__}")
+        rows.append((where, obj))
+    return rows
+
+
+def text_field(obj: dict, key: str, where: str) -> str:
+    """``obj[key]``, which must be a string; otherwise a FormatError at
+    ``where``."""
+    if key not in obj:
+        raise FormatError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, str):
+        raise FormatError(f"{where}: field {key!r} must be a string, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def read_manifest(path: Path | str) -> list[ManifestEntry]:
+    entries = []
+    for where, obj in read_jsonl(path):
+        try:
+            image_id, features = obj["image_id"], obj["features"]
+        except KeyError as exc:
+            raise FormatError(f"{where}: bad manifest record: missing {exc}") from exc
+        entries.append(ManifestEntry(
+            image_id=str(image_id),
+            features_path=str(features),
+            en_tokens=tuple(tokenize(text_field(obj, "en", where))),
+            de_tokens=tuple(tokenize(text_field(obj, "de", where))),
+        ))
     return entries
 
 

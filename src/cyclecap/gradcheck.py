@@ -16,23 +16,6 @@ import numpy as np
 from .tensor import Parameter, Tape, Tensor
 
 
-def numeric_gradient(build_loss: Callable[[], Tensor], param: Parameter,
-                     h: float = 1e-5) -> np.ndarray:
-    """d(loss)/d(param) by central differences, one forward pair per element."""
-    grad = np.zeros_like(param.data)
-    flat = param.data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = build_loss().item()
-        flat[i] = orig - h
-        down = build_loss().item()
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * h)
-    return grad
-
-
 def max_rel_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     """Worst elementwise |a-b| / max(|a|, |b|, floor)."""
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)

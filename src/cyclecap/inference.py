@@ -5,6 +5,13 @@ log-probabilities (no length normalization); hypotheses that emit EOS are
 retired, and a hypothesis that hits the length cap without EOS is discarded
 unless nothing finished, in which case the best capped one is returned with
 a truncation flag.
+
+The search ends before the length cap once the best finished score is at
+least the best live score. That stop is exact: log-probs are <= 0 and float
+addition rounds monotonically, so no extension scores above its prefix, and
+any hypothesis finishing later would tie at best while being longer, which
+the (score, length, tokens) tie-break never prefers. The stop is disabled
+for the rest of a search once ``step_fn`` returns a score above 0.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from .cycle import AttentionRecord
 from .data import BOS_ID, EOS_ID, FeatureGrid
 from .errors import ConfigError
-from .models import ModelBundle
+from .models import ModelBundle, SoftAttentionDecoder
 from .tensor import Tensor
 
 StepFn = Callable[[Any, int], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
@@ -55,17 +62,26 @@ def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
     ``step_fn`` returns (log-prob vector over the vocabulary, next state,
     attention rows for this step). ``max_len`` caps generated tokens, EOS
     included. With beam_size 1 this is greedy decoding.
+
+    The search stops early once the best finished score is >= the best live
+    score, while every score ``step_fn`` has returned is <= 0. The result is
+    the one a search run to ``max_len`` returns: an extension never scores
+    above its prefix, and a later finish is longer than every finished
+    hypothesis, so it loses any tie.
     """
     if beam_size < 1 or max_len < 1:
         raise ConfigError(f"beam_size and max_len must be >= 1, "
                           f"got {beam_size}, {max_len}")
     live = [BeamHypothesis(tokens=(), logprob=0.0, state=initial_state, attn=())]
     finished: list[BeamHypothesis] = []
+    best_finished = -np.inf
+    can_stop = True
     for _ in range(max_len):
         candidates: list[BeamHypothesis] = []
         for hyp in live:
             prev = hyp.tokens[-1] if hyp.tokens else bos_id
             logprobs, state, rows = step_fn(hyp.state, prev)
+            can_stop = can_stop and logprobs.max() <= 0.0  # NaN disables it too
             top = np.argsort(-logprobs, kind="stable")[:beam_size]
             for token in top:
                 candidates.append(BeamHypothesis(
@@ -81,15 +97,30 @@ def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
                 break
             if cand.tokens[-1] == eos_id:
                 finished.append(cand)
+                best_finished = max(best_finished, cand.logprob)
             else:
                 live.append(cand)
         if not live:
+            break
+        if can_stop and finished and best_finished >= live[0].logprob:
             break
     if finished:
         best = _best(finished)
         return DecodeResult(best.tokens, best.logprob, best.attn, truncated=False)
     best = _best(live)
     return DecodeResult(best.tokens, best.logprob, best.attn, truncated=True)
+
+
+def captioner_step_fn(decoder: SoftAttentionDecoder, keys: Tensor) -> StepFn:
+    """Beam-search step of a soft-attention decoder over projected region
+    keys; each step's attention rows are its region weights."""
+
+    def step(state, prev):
+        h, c = state
+        logp, h, c, region_w = decoder.step(keys, h, c, prev)
+        return logp.data, (h, c), (region_w.data.copy(),)
+
+    return step
 
 
 def encode_pivot(bundle: ModelBundle, en_tokens: tuple[int, ...],
@@ -130,13 +161,8 @@ def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
     """
     keys = bundle.captioner.project(grid)
     decoder = bundle.captioner.decoder
-
-    def en_step(state, prev):
-        h, c = state
-        logp, h, c, region_w = decoder.step(keys, h, c, prev)
-        return logp.data, (h, c), (region_w.data.copy(),)
-
-    en_res = beam_decode(en_step, decoder.initial_state(keys),
+    en_res = beam_decode(captioner_step_fn(decoder, keys),
+                         decoder.initial_state(keys),
                          beam_size=beam_size, max_len=max_len)
     cap_states, en_to_regions, used_fallback = encode_pivot(
         bundle, en_res.tokens, en_res.attn, grid.regions)

@@ -36,8 +36,7 @@ from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Architecture sizes. Desk-scale defaults; ``full_scale`` mirrors the
-    512-unit configuration used with real CNN features."""
+    """Architecture sizes, with desk-scale defaults."""
 
     feature_dim: int
     en_vocab: int
@@ -46,11 +45,6 @@ class ModelDims:
     embed_dim: int = 64
     hidden_dim: int = 64
     attn_dim: int = 64
-
-    @classmethod
-    def full_scale(cls, feature_dim: int, en_vocab: int, de_vocab: int = 0) -> "ModelDims":
-        return cls(feature_dim=feature_dim, en_vocab=en_vocab, de_vocab=de_vocab,
-                   proj_dim=512, embed_dim=512, hidden_dim=512, attn_dim=512)
 
 
 def init_state(rows: Tensor, w: Parameter, b: Parameter) -> Tensor:
@@ -359,6 +353,26 @@ def save_checkpoint(path: Path | str, kind: str, dims: ModelDims,
             fh.write(arr.tobytes())
 
 
+def _parse_header(path: Path | str, blob: bytes) -> tuple[str, ModelDims]:
+    """The checkpoint kind and dims; any other header is a FormatError."""
+    try:
+        header = json.loads(blob)
+    except ValueError as exc:  # also covers bytes that are not UTF-8
+        raise FormatError(f"{path}: checkpoint header is not JSON: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("kind"), str) \
+            or not isinstance(header.get("dims"), dict):
+        raise FormatError(f"{path}: checkpoint header needs a string 'kind' "
+                          f"and a 'dims' object")
+    dims = header["dims"]
+    if not all(type(v) is int and v >= 0 for v in dims.values()):
+        raise FormatError(f"{path}: checkpoint dims must be non-negative "
+                          f"integers, got {dims}")
+    try:
+        return header["kind"], ModelDims(**dims)
+    except TypeError as exc:  # unknown or missing dims key
+        raise FormatError(f"{path}: bad checkpoint dims: {exc}") from exc
+
+
 def load_checkpoint(path: Path | str) -> tuple[str, ModelDims, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     off = 0
@@ -376,8 +390,7 @@ def load_checkpoint(path: Path | str) -> tuple[str, ModelDims, dict[str, np.ndar
     version, header_len = struct.unpack("<HI", take(6))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(take(header_len))
-    dims = ModelDims(**header["dims"])
+    kind, dims = _parse_header(path, take(header_len))
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -389,7 +402,7 @@ def load_checkpoint(path: Path | str) -> tuple[str, ModelDims, dict[str, np.ndar
         arrays[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes at offset {off}")
-    return header["kind"], dims, arrays
+    return kind, dims, arrays
 
 
 def load_into(params: Mapping[str, Parameter], arrays: Mapping[str, np.ndarray]) -> None:

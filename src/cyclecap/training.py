@@ -26,7 +26,7 @@ from .cycle import cycle_loss_graph
 from .data import PAD_ID, PairRecord, TripleRecord, Vocabulary
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .evaluation import cider
-from .inference import beam_decode, caption_image
+from .inference import beam_decode, caption_image, captioner_step_fn
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      unroll_captioner, unroll_german)
 from .optim import Adam
@@ -167,14 +167,8 @@ def _greedy_en(captioner: ImageCaptioner, record: PairRecord,
                max_len: int = 50) -> tuple[int, ...]:
     keys = captioner.project(record.features)
     dec = captioner.decoder
-
-    def step(state, prev):
-        h, c = state
-        logp, h, c, _ = dec.step(keys, h, c, prev)
-        return logp.data, (h, c), ()
-
-    return beam_decode(step, dec.initial_state(keys), beam_size=1,
-                       max_len=max_len).tokens
+    return beam_decode(captioner_step_fn(dec, keys), dec.initial_state(keys),
+                       beam_size=1, max_len=max_len).tokens
 
 
 def _validate_captioner(captioner: ImageCaptioner, records: Sequence[PairRecord],

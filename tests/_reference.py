@@ -146,6 +146,38 @@ def exhaustive_best(step_fn, init_state, max_len, bos_id, eos_id):
     return best
 
 
+def full_length_beam(step_fn, init_state, beam_size, max_len, bos_id, eos_id):
+    """Beam search that always runs to max_len, never stopping early.
+
+    Each step expands every live hypothesis by its beam_size best tokens
+    (stable order on ties), ranks all candidates by (score desc, tokens asc),
+    retires EOS candidates and keeps the first beam_size others live. Returns
+    (tokens, logprob, attn, truncated) of the best finished hypothesis under
+    (score desc, length asc, tokens asc), else of the best live one.
+    """
+    live = [((), 0.0, init_state, ())]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for tokens, logp, state, attn in live:
+            logprobs, new_state, rows = step_fn(state, tokens[-1] if tokens else bos_id)
+            order = sorted(range(len(logprobs)), key=lambda t: -logprobs[t])
+            for tok in order[:beam_size]:
+                candidates.append((tokens + (tok,), logp + float(logprobs[tok]),
+                                   new_state, attn + (rows,)))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for cand in candidates:
+            if len(live) == beam_size:
+                break
+            (finished if cand[0][-1] == eos_id else live).append(cand)
+        if not live:
+            break
+    pool = finished or live
+    tokens, logp, _, attn = min(pool, key=lambda c: (-c[1], len(c[0]), c[0]))
+    return tokens, logp, attn, not finished
+
+
 # ---------------------------------------------------------------------------
 # Metric oracles: same conventions, different bookkeeping
 # ---------------------------------------------------------------------------

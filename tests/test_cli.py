@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,48 @@ def test_error_categories(tmp_path):
                "--out-dir", str(tmp_path / "x")) == 5  # io
     assert run("eval", "--candidates", str(missing), "--manifest", str(missing),
                "--field", "fr", "--out-dir", str(tmp_path / "y")) == 2  # config
+
+
+def assert_clean_io_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error[io]: ")
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
+    data = pipeline / "data"
+    manifest = data / "manifest.jsonl"
+
+    bad_ckpt = tmp_path / "bad.ckpt"
+    blob = (pipeline / "part2" / "bundle.ckpt").read_bytes()
+    (header_len,) = struct.unpack("<I", blob[6:10])
+    header = b"{" + b" " * (header_len - 1)  # same length, not JSON
+    bad_ckpt.write_bytes(blob[:10] + header + blob[10 + header_len:])
+    assert run("infer", "--checkpoint", str(bad_ckpt), "--manifest", str(manifest),
+               "--out-dir", str(tmp_path / "infer")) == 5
+    assert_clean_io_error(capsys, str(bad_ckpt), "not JSON")
+
+    rows = manifest.read_text(encoding="utf-8").splitlines()
+    broken = json.loads(rows[1])
+    broken["en"] = ["a", "list"]
+    bad_manifest = tmp_path / "manifest.jsonl"
+    bad_manifest.write_text("\n".join([rows[0], json.dumps(broken)]) + "\n",
+                            encoding="utf-8")
+    assert run("pretrain", "--manifest", str(bad_manifest),
+               "--out-dir", str(tmp_path / "pretrain")) == 5
+    assert_clean_io_error(capsys, f"{bad_manifest}:2", "'en'")
+
+    candidates = tmp_path / "captions.jsonl"
+    first = json.loads(rows[0])
+    candidates.write_text(json.dumps({"image_id": first["image_id"],
+                                      "de": "ein hund"}) + "\n"
+                          + json.dumps({"image_id": first["image_id"],
+                                        "en": "a dog"}) + "\n", encoding="utf-8")
+    assert run("eval", "--candidates", str(candidates), "--manifest", str(manifest),
+               "--field", "de", "--out-dir", str(tmp_path / "eval")) == 5
+    assert_clean_io_error(capsys, f"{candidates}:2", "'de'")
 
 
 def test_config_file_feeds_defaults_and_flags_override(tmp_path):

@@ -122,6 +122,23 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(path) == entries
 
 
+@pytest.mark.parametrize("row, message", [
+    ('{"image_id": "b", "features": "f", "en": 5, "de": "x"}', "'en' must be a string"),
+    ('{"image_id": "b", "features": "f", "en": "x", "de": null}', "'de' must be a string"),
+    ('{"image_id": "b", "features": "f", "en": "x"}', "missing field 'de'"),
+    ('{"features": "f", "en": "x", "de": "y"}', "missing 'image_id'"),
+    ('["b", "f", "x", "y"]', "JSON object"),
+    ('{"image_id": "b",', "not JSON"),
+])
+def test_malformed_manifest_row_is_format_error_with_line(tmp_path, row, message):
+    path = tmp_path / "manifest.jsonl"
+    good = '{"image_id": "a", "features": "f", "en": "x", "de": "y"}'
+    path.write_text(f"{good}\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=message) as exc:
+        read_manifest(path)
+    assert f"{path}:3" in str(exc.value)
+
+
 def test_encode_triples_skips_bad_records(tmp_path, caplog):
     grid = FeatureGrid(np.zeros((2, 2)))
     save_features(grid, tmp_path / "ok.feat")

@@ -1,10 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from cyclecap.data import FeatureGrid
 from cyclecap.errors import DataError, FormatError
 from cyclecap.gradcheck import check_gradients
-from cyclecap.models import (ImageCaptioner, ModelBundle, init_state,
+from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
+                             init_state,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_record,
                              unroll_captioner, unroll_german)
@@ -225,3 +228,31 @@ def test_save_is_deterministic(tmp_path):
     save_captioner(model, tmp_path / "a.ckpt")
     save_captioner(model, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def rewrite_header(path, header: bytes):
+    """Replace a saved checkpoint's JSON header, keeping its parameters."""
+    blob = path.read_bytes()
+    version, old_len = struct.unpack("<HI", blob[4:10])
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", version, len(header))
+                     + header + blob[10 + old_len:])
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"{not json", "not JSON"),
+    (b"\xff\xfe", "not JSON"),
+    (b"[1, 2]", "'kind'"),
+    (b'{"kind": "captioner"}', "'dims'"),
+    (b'{"kind": "captioner", "dims": {"feature_dim": 3, "en_vocab": 8, '
+     b'"colour": 1}}', "dims"),
+    (b'{"kind": "captioner", "dims": {"en_vocab": 8}}', "dims"),
+    (b'{"kind": "captioner", "dims": {"feature_dim": "3", "en_vocab": 8}}',
+     "integers"),
+])
+def test_malformed_checkpoint_header_is_format_error(tmp_path, header, message):
+    path = tmp_path / "part1.ckpt"
+    save_captioner(tiny_captioner(seed=23), path)
+    rewrite_header(path, header)
+    with pytest.raises(FormatError, match=message) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
