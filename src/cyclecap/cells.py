@@ -13,10 +13,12 @@ from .errors import DimensionError
 from .tensor import Tensor, add, matmul, mul, sigmoid, sub, tanh
 
 
-class LSTMParams:
-    """Weights for one LSTM cell: input/forget/output gates and candidate."""
+class GatedParams:
+    """Per-gate input, recurrent and bias weights for one recurrent cell;
+    subclasses name the gates in ``GATES``, which also fixes the rng draw
+    order."""
 
-    GATES = ("i", "f", "o", "g")
+    GATES: tuple[str, ...] = ()
 
     def __init__(self, rng: np.random.Generator, input_size: int, hidden_size: int,
                  prefix: str):
@@ -36,6 +38,12 @@ class LSTMParams:
                 p = getattr(self, f"{kind}_{gate}")
                 out[p.name] = p
         return out
+
+
+class LSTMParams(GatedParams):
+    """Weights for one LSTM cell: input/forget/output gates and candidate."""
+
+    GATES = ("i", "f", "o", "g")
 
 
 def _gate(w, u, b, x, h):
@@ -58,29 +66,10 @@ def lstm_step(p: LSTMParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple
     return h, c
 
 
-class GRUParams:
+class GRUParams(GatedParams):
     """Weights for one GRU cell: reset gate, update gate, candidate."""
 
     GATES = ("r", "z", "n")
-
-    def __init__(self, rng: np.random.Generator, input_size: int, hidden_size: int,
-                 prefix: str):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        for gate in self.GATES:
-            setattr(self, f"w_{gate}", init.weight(rng, (hidden_size, input_size),
-                                                   f"{prefix}/w_{gate}"))
-            setattr(self, f"u_{gate}", init.weight(rng, (hidden_size, hidden_size),
-                                                   f"{prefix}/u_{gate}"))
-            setattr(self, f"b_{gate}", init.bias((hidden_size,), f"{prefix}/b_{gate}"))
-
-    def named(self) -> dict[str, Tensor]:
-        out = {}
-        for gate in self.GATES:
-            for kind in ("w", "u", "b"):
-                p = getattr(self, f"{kind}_{gate}")
-                out[p.name] = p
-        return out
 
 
 def gru_step(p: GRUParams, x: Tensor, h_prev: Tensor) -> Tensor:

@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--from-manifest", default=None,
                          help="replay a previous run's settings verbatim")
         _add_opt(sub, "seed", int, 0, "master RNG seed")
-        _add_opt(sub, "threads", int, 1, "worker threads for inference fan-out")
 
     sub = subs.add_parser("synth-data", help="generate a synthetic aligned corpus")
     common(sub)
@@ -154,20 +152,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _setting_keys(ns: dict) -> list[str]:
+    """The parsed arguments that are run settings."""
+    return [k for k in ns if k not in ("subcommand", "out_dir", "config",
+                                       "from_manifest")
+            and not k.startswith("_default_")]
+
+
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, as a flat dict."""
     ns = vars(args)
     config_values = {}
     if ns.get("config"):
-        loaded = yaml.safe_load(Path(ns["config"]).read_text(encoding="utf-8"))
+        path = ns["config"]
+        try:
+            loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError(f"{path}: not a readable YAML file: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError(f"{ns['config']}: config must be a key/value tree")
+            raise ConfigError(f"{path}: config must be a key/value tree")
         config_values = {str(k).replace("-", "_"): v for k, v in loaded.items()}
     settings = {}
-    for key, value in ns.items():
-        if key in ("subcommand", "out_dir", "config", "from_manifest") \
-                or key.startswith("_default_"):
-            continue
+    for key in _setting_keys(ns):
+        value = ns[key]
         default = ns.get(f"_default_{key}", value)
         if value is not None:
             settings[key] = value
@@ -182,12 +189,32 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _replayed_settings(args: argparse.Namespace) -> dict:
+    """The settings recorded in the ``--from-manifest`` file. Every setting
+    of the subcommand must be present; keys of removed options are ignored."""
+    path = args.from_manifest
+    try:
+        stored = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise FormatError(f"{path}: not a JSON run manifest: {exc}") from exc
+    if not isinstance(stored, dict):
+        raise FormatError(f"{path}: expected a JSON object, "
+                          f"got {type(stored).__name__}")
+    if stored.get("subcommand") != args.subcommand:
+        raise ConfigError(
+            f"{path}: manifest records subcommand {stored.get('subcommand')!r}, "
+            f"not {args.subcommand!r}")
+    settings = stored.get("settings")
+    if not isinstance(settings, dict):
+        raise FormatError(f"{path}: missing the 'settings' object")
+    missing = [k for k in _setting_keys(vars(args)) if k not in settings]
+    if missing:
+        raise FormatError(f"{path}: settings lack {', '.join(map(repr, missing))}")
+    return settings
+
+
 def _input_paths(subcommand: str, settings: dict) -> list[str]:
-    keys = {"pretrain": ["manifest"], "train": ["manifest", "part1"],
-            "infer": ["checkpoint", "manifest"],
-            "eval": ["candidates", "manifest"],
-            "attn-export": ["checkpoint", "manifest"]}
-    return [settings[k] for k in keys.get(subcommand, []) if settings.get(k)]
+    return [settings[k] for k in REQUIRED.get(subcommand, ()) if settings.get(k)]
 
 
 def write_run_manifest(subcommand: str, settings: dict, out_dir: Path) -> None:
@@ -298,7 +325,6 @@ def run_infer(settings: dict, out_dir: Path) -> None:
     manifest = Path(settings["manifest"])
     entries = read_manifest(manifest)
     beam_size, max_len = settings["beam_size"], settings["max_len"]
-    threads = max(1, settings["threads"])
 
     if kind == "bundle":
         bundle = load_bundle(ckpt)
@@ -333,11 +359,7 @@ def run_infer(settings: dict, out_dir: Path) -> None:
     else:
         raise FormatError(f"{ckpt}: unknown checkpoint kind {kind!r}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(decode, entries))
-    else:
-        rows = [decode(e) for e in entries]
+    rows = [decode(e) for e in entries]
     with open(out_dir / "captions.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -443,12 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.from_manifest:
-            stored = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
-            if stored.get("subcommand") != args.subcommand:
-                raise ConfigError(
-                    f"manifest records subcommand {stored.get('subcommand')!r}, "
-                    f"not {args.subcommand!r}")
-            settings = stored["settings"]
+            settings = _replayed_settings(args)
         else:
             settings = _resolve_settings(args)
         for key in REQUIRED.get(args.subcommand, ()):

@@ -295,59 +295,49 @@ def read_manifest(path: Path | str) -> list[ManifestEntry]:
     return entries
 
 
+def _usable(entries: Sequence[ManifestEntry], fields: Sequence[str],
+            manifest_dir: Path | str
+            ) -> Iterable[tuple[ManifestEntry, FeatureGrid]]:
+    """(entry, feature grid) for each entry whose captions in ``fields`` are
+    all usable; an entry with an empty or overlong one is skipped with a
+    warning. Each feature file is loaded once."""
+    root = Path(manifest_dir)
+    grids: dict[str, FeatureGrid] = {}
+    for e in entries:
+        captions = [getattr(e, f"{f}_tokens") for f in fields]
+        if not all(captions):
+            log.warning("skipping %s: empty caption", e.image_id)
+            continue
+        if any(len(c) > MAX_CAPTION_TOKENS for c in captions):
+            log.warning("skipping %s: caption exceeds %d tokens",
+                        e.image_id, MAX_CAPTION_TOKENS)
+            continue
+        if e.features_path not in grids:
+            grids[e.features_path] = load_features(root / e.features_path)
+        yield e, grids[e.features_path]
+
+
 def encode_triples(entries: Sequence[ManifestEntry],
                    en_vocab: Vocabulary,
                    de_vocab: Vocabulary,
                    manifest_dir: Path | str) -> list[TripleRecord]:
     """Resolve features and encode captions; unusable entries are skipped with
     a warning (empty caption, overlong caption)."""
-    root = Path(manifest_dir)
-    grids: dict[str, FeatureGrid] = {}
-    records = []
-    for e in entries:
-        if not e.en_tokens or not e.de_tokens:
-            log.warning("skipping %s: empty caption", e.image_id)
-            continue
-        if len(e.en_tokens) > MAX_CAPTION_TOKENS or len(e.de_tokens) > MAX_CAPTION_TOKENS:
-            log.warning("skipping %s: caption exceeds %d tokens",
-                        e.image_id, MAX_CAPTION_TOKENS)
-            continue
-        if e.features_path not in grids:
-            grids[e.features_path] = load_features(root / e.features_path)
-        records.append(TripleRecord(
-            image_id=e.image_id,
-            features=grids[e.features_path],
-            en_ids=tuple(en_vocab.encode(e.en_tokens)),
-            de_ids=tuple(de_vocab.encode(e.de_tokens)),
-        ))
-    return records
+    return [TripleRecord(image_id=e.image_id, features=grid,
+                         en_ids=tuple(en_vocab.encode(e.en_tokens)),
+                         de_ids=tuple(de_vocab.encode(e.de_tokens)))
+            for e, grid in _usable(entries, ("en", "de"), manifest_dir)]
 
 
 def encode_pairs(entries: Sequence[ManifestEntry], vocab: Vocabulary,
                  manifest_dir: Path | str, field: str = "en") -> list[PairRecord]:
-    """Image-caption pairs for one language; same skipping rules as triples."""
+    """Image-caption pairs for one language; same skipping rules as triples,
+    applied to that language's caption only."""
     if field not in ("en", "de"):
         raise DataError(f"caption field must be 'en' or 'de', got {field!r}")
-    root = Path(manifest_dir)
-    grids: dict[str, FeatureGrid] = {}
-    records = []
-    for e in entries:
-        tokens = e.en_tokens if field == "en" else e.de_tokens
-        if not tokens:
-            log.warning("skipping %s: empty caption", e.image_id)
-            continue
-        if len(tokens) > MAX_CAPTION_TOKENS:
-            log.warning("skipping %s: caption exceeds %d tokens",
-                        e.image_id, MAX_CAPTION_TOKENS)
-            continue
-        if e.features_path not in grids:
-            grids[e.features_path] = load_features(root / e.features_path)
-        records.append(PairRecord(
-            image_id=e.image_id,
-            features=grids[e.features_path],
-            ids=tuple(vocab.encode(tokens)),
-        ))
-    return records
+    return [PairRecord(image_id=e.image_id, features=grid,
+                       ids=tuple(vocab.encode(getattr(e, f"{field}_tokens"))))
+            for e, grid in _usable(entries, (field,), manifest_dir)]
 
 
 def pairs_from_triples(triples: Sequence[TripleRecord], field: str = "en") -> list[PairRecord]:

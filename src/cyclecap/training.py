@@ -1,5 +1,6 @@
-"""Three-stage training: pretrain the English captioner, then train the
+"""Two-stage training: pretrain the English captioner, then train the
 German stage with the summed caption likelihood and cycle-consistency losses.
+Both stages run the same epoch loop, ``_fit``.
 
 Batches are gradient-accumulation groups: records are sorted by target
 length (then image id) so similar lengths batch together, each record's
@@ -188,6 +189,64 @@ def _validate_bundle(bundle: ModelBundle, records: Sequence[TripleRecord],
     return cider(candidates, references)
 
 
+def _fit(phase: str, records: Sequence, length_of, record_loss,
+         trainable: dict, saved: dict, validate, cfg: TrainConfig) -> TrainReport:
+    """The epoch loop both stages share.
+
+    ``record_loss(record)`` builds one record's graph on the open tape and
+    returns (loss, nll value, token count, cycle value or None); the mean
+    loss of each batch drives one Adam step over ``trainable``. ``validate()``
+    scores the model, and the best-scoring snapshot of ``saved`` is restored
+    at the end.
+    """
+    adam = Adam(trainable, lr=cfg.learning_rate)
+    stopper = _EarlyStopper(cfg.patience)
+    best_params = _snapshot(saved)
+    report = TrainReport(phase=phase)
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        nll_total, token_total, cyc_total, has_cycle = 0.0, 0, 0.0, False
+        for batch in _batches(records, cfg.batch_size, length_of):
+            adam.zero_grad()
+            try:
+                with Tape() as tape:
+                    losses = []
+                    for rec in batch:
+                        loss, nll, ntok, cyc = record_loss(rec)
+                        nll_total += nll
+                        token_total += ntok
+                        if cyc is not None:
+                            cyc_total += cyc
+                            has_cycle = True
+                        losses.append(loss)
+                    tape.backward(scale(add_n(losses), 1.0 / len(batch)))
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}: {exc}") from exc
+            adam.step()
+        nll_per_token = nll_total / token_total
+        cyc_mean = cyc_total / len(records) if has_cycle else None
+
+        score, is_best = None, False
+        if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
+            score = validate()
+            is_best = stopper.update(epoch, score)
+            if is_best:
+                best_params = _snapshot(saved)
+        report.epochs.append(EpochStats(epoch, nll_per_token, cyc_mean, score, is_best))
+        if stopper.should_stop:
+            break
+        if cfg.target_nll is not None and nll_per_token < cfg.target_nll:
+            break
+
+    if stopper.best_epoch:
+        load_into(saved, best_params)
+        report.best_epoch = stopper.best_epoch
+        report.best_score = stopper.best_score
+    else:
+        report.best_epoch = report.epochs[-1].epoch if report.epochs else 0
+    return report
+
+
 def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
                    feature_dim: int, cfg: TrainConfig,
                    val_pairs: Sequence[PairRecord] | None = None
@@ -201,52 +260,17 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     val = val_pairs if val_pairs is not None else pairs
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
     params = model.named_parameters()
-    adam = Adam(params, lr=cfg.learning_rate)
     drop_rng = np.random.default_rng(cfg.seed)
-    stopper = _EarlyStopper(cfg.patience)
-    best_params = _snapshot(params)
-    report = TrainReport(phase="part1")
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        nll_total, token_total = 0.0, 0
-        for batch in _batches(pairs, cfg.batch_size, lambda r: r.steps):
-            adam.zero_grad()
-            try:
-                with Tape() as tape:
-                    losses = []
-                    for rec in batch:
-                        keys = model.project(rec.features)
-                        logps, _ = unroll_captioner(model, keys, rec.ids,
-                                                    dropout_rate=cfg.dropout,
-                                                    rng=drop_rng)
-                        loss, ntok = nll_loss(logps, rec.ids[1:])
-                        nll_total += loss.item()
-                        token_total += ntok
-                        losses.append(loss)
-                    tape.backward(scale(add_n(losses), 1.0 / len(batch)))
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}: {exc}") from exc
-            adam.step()
-        nll_per_token = nll_total / token_total
+    def record_loss(rec: PairRecord):
+        keys = model.project(rec.features)
+        logps, _ = unroll_captioner(model, keys, rec.ids,
+                                    dropout_rate=cfg.dropout, rng=drop_rng)
+        loss, ntok = nll_loss(logps, rec.ids[1:])
+        return loss, loss.item(), ntok, None
 
-        score, is_best = None, False
-        if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
-            score = _validate_captioner(model, val, vocab)
-            is_best = stopper.update(epoch, score)
-            if is_best:
-                best_params = _snapshot(params)
-        report.epochs.append(EpochStats(epoch, nll_per_token, None, score, is_best))
-        if stopper.should_stop:
-            break
-        if cfg.target_nll is not None and nll_per_token < cfg.target_nll:
-            break
-
-    if stopper.best_epoch:
-        load_into(params, best_params)
-        report.best_epoch = stopper.best_epoch
-        report.best_score = stopper.best_score
-    else:
-        report.best_epoch = report.epochs[-1].epoch if report.epochs else 0
+    report = _fit("part1", pairs, lambda r: r.steps, record_loss, params, params,
+                  lambda: _validate_captioner(model, val, vocab), cfg)
     return model, report
 
 
@@ -256,13 +280,9 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
                 ) -> tuple[ModelBundle, TrainReport]:
     """Train the German stage on triples against a pretrained captioner.
 
-    Per record: teacher-force the German decoder for its likelihood loss and
-    its two attention matrices, teacher-force the pretrained English decoder
-    on the ground-truth English caption for the third, and add
-    ``cycle_weight`` times the consistency loss. With cycle_weight 0 the
-    English pass and the consistency graph are skipped entirely. Unless
-    ``freeze_part1`` is set, the pretrained parameters stay in the optimizer
-    and keep adapting (only the consistency loss reaches them).
+    Each record's loss is :func:`_stage2_loss`. Unless ``freeze_part1`` is
+    set, the pretrained parameters stay in the optimizer and keep adapting
+    (only the consistency loss reaches them).
     """
     cfg.check()
     if not triples:
@@ -285,83 +305,54 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     trainable = dict(bundle.part2_parameters())
     if not cfg.freeze_part1:
         trainable.update(bundle.part1_parameters())
-    adam = Adam(trainable, lr=cfg.learning_rate)
     drop_rng = np.random.default_rng(cfg.seed)
-    stopper = _EarlyStopper(cfg.patience)
-    all_params = bundle.named_parameters()
-    best_params = _snapshot(all_params)
-    report = TrainReport(phase="part2")
     part1_dropout = 0.0 if cfg.freeze_part1 else cfg.dropout
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        nll_total, token_total, cyc_total = 0.0, 0, 0.0
-        for batch in _batches(triples, cfg.batch_size, lambda r: r.de_steps):
-            adam.zero_grad()
-            try:
-                with Tape() as tape:
-                    losses = []
-                    for rec in batch:
-                        keys = bundle.captioner.project(rec.features)
-                        cap_states = bundle.cap_encoder.encode(rec.en_ids[1:])
-                        de_logps, de_regions, de_caption = unroll_german(
-                            bundle, keys, cap_states, rec.de_ids,
-                            dropout_rate=cfg.dropout, rng=drop_rng)
-                        loss, ntok = nll_loss(de_logps, rec.de_ids[1:])
-                        nll_total += loss.item()
-                        token_total += ntok
-                        if cfg.cycle_weight > 0.0:
-                            _, en_regions = unroll_captioner(
-                                bundle.captioner, keys, rec.en_ids,
-                                dropout_rate=part1_dropout, rng=drop_rng)
-                            cyc = cycle_loss_graph(
-                                stack_rows(de_regions), stack_rows(de_caption),
-                                stack_rows(en_regions), squared=cfg.squared_cycle)
-                            cyc_total += cyc.item()
-                            loss = add(loss, scale(cyc, cfg.cycle_weight))
-                        losses.append(loss)
-                    tape.backward(scale(add_n(losses), 1.0 / len(batch)))
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}: {exc}") from exc
-            adam.step()
-        nll_per_token = nll_total / token_total
-        cyc_mean = cyc_total / len(triples) if cfg.cycle_weight > 0.0 else None
+    def record_loss(rec: TripleRecord):
+        return _stage2_loss(bundle, rec, cfg.cycle_weight, cfg.squared_cycle,
+                            cfg.dropout, part1_dropout, drop_rng)
 
-        score, is_best = None, False
-        if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
-            score = _validate_bundle(bundle, val, de_vocab)
-            is_best = stopper.update(epoch, score)
-            if is_best:
-                best_params = _snapshot(all_params)
-        report.epochs.append(EpochStats(epoch, nll_per_token, cyc_mean, score, is_best))
-        if stopper.should_stop:
-            break
-        if cfg.target_nll is not None and nll_per_token < cfg.target_nll:
-            break
-
-    if stopper.best_epoch:
-        load_into(all_params, best_params)
-        report.best_epoch = stopper.best_epoch
-        report.best_score = stopper.best_score
-    else:
-        report.best_epoch = report.epochs[-1].epoch if report.epochs else 0
+    report = _fit("part2", triples, lambda r: r.de_steps, record_loss, trainable,
+                  bundle.named_parameters(),
+                  lambda: _validate_bundle(bundle, val, de_vocab), cfg)
     return bundle, report
+
+
+def _stage2_loss(bundle: ModelBundle, record: TripleRecord, cycle_weight: float,
+                 squared: bool = False, dropout: float = 0.0,
+                 part1_dropout: float = 0.0,
+                 rng: np.random.Generator | None = None
+                 ) -> tuple[Tensor, float, int, float | None]:
+    """One record's stage-two loss: (loss, nll value, token count, cycle value
+    or None).
+
+    Teacher-force the German decoder for its likelihood loss and its two
+    attention matrices, teacher-force the English decoder on the ground-truth
+    English caption for the third, and add ``cycle_weight`` times the
+    consistency loss. With cycle_weight 0 the English pass and the
+    consistency graph are skipped entirely. ``dropout`` applies to the German
+    decoder and ``part1_dropout`` to the English one, both drawn from ``rng``.
+    """
+    keys = bundle.captioner.project(record.features)
+    cap_states = bundle.cap_encoder.encode(record.en_ids[1:])
+    de_logps, de_regions, de_caption = unroll_german(
+        bundle, keys, cap_states, record.de_ids, dropout_rate=dropout, rng=rng)
+    loss, ntok = nll_loss(de_logps, record.de_ids[1:])
+    if cycle_weight <= 0.0:
+        return loss, loss.item(), ntok, None
+    _, en_regions = unroll_captioner(bundle.captioner, keys, record.en_ids,
+                                     dropout_rate=part1_dropout, rng=rng)
+    cyc = cycle_loss_graph(stack_rows(de_regions), stack_rows(de_caption),
+                           stack_rows(en_regions), squared=squared)
+    return add(loss, scale(cyc, cycle_weight)), loss.item(), ntok, cyc.item()
 
 
 def stage2_loss_graph(bundle: ModelBundle, record: TripleRecord,
                       cycle_weight: float, squared: bool = False) -> Tensor:
     """Full per-record stage-two loss in evaluation mode (no dropout); the
-    gradient-check suites differentiate through this graph."""
-    keys = bundle.captioner.project(record.features)
-    cap_states = bundle.cap_encoder.encode(record.en_ids[1:])
-    de_logps, de_regions, de_caption = unroll_german(bundle, keys, cap_states,
-                                                     record.de_ids)
-    loss, _ = nll_loss(de_logps, record.de_ids[1:])
-    if cycle_weight > 0.0:
-        _, en_regions = unroll_captioner(bundle.captioner, keys, record.en_ids)
-        cyc = cycle_loss_graph(stack_rows(de_regions), stack_rows(de_caption),
-                               stack_rows(en_regions), squared=squared)
-        loss = add(loss, scale(cyc, cycle_weight))
-    return loss
+    gradient-check suites differentiate through this graph, the one
+    ``train_part2`` optimises."""
+    return _stage2_loss(bundle, record, cycle_weight, squared)[0]
 
 
 def gradient_spot_check(bundle: ModelBundle, record: TripleRecord,

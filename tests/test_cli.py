@@ -81,20 +81,6 @@ def test_infer_and_eval(pipeline, tmp_path):
     assert metrics["count"] == 8
 
 
-def test_infer_threads_match_single_thread(pipeline, tmp_path):
-    data = pipeline / "data"
-    outs = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}"
-        assert run("infer", "--checkpoint",
-                   str(pipeline / "part2" / "bundle.ckpt"),
-                   "--manifest", str(data / "manifest.jsonl"),
-                   "--out-dir", str(out), "--beam-size", "1",
-                   "--max-len", "8", "--threads", threads) == 0
-        outs.append((out / "captions.jsonl").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_attn_export(pipeline, tmp_path):
     data = pipeline / "data"
     out = tmp_path / "attn"
@@ -148,12 +134,23 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "--trials" in capsys.readouterr().err  # usage lists the valid flags
 
 
-def test_error_categories(tmp_path):
+def test_error_categories(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     assert run("pretrain", "--manifest", str(missing),
                "--out-dir", str(tmp_path / "x")) == 5  # io
     assert run("eval", "--candidates", str(missing), "--manifest", str(missing),
                "--field", "fr", "--out-dir", str(tmp_path / "y")) == 2  # config
+
+    # a --config file that is not YAML, or not UTF-8
+    for name, body in (("broken.yaml", b"a: [1,\n"), ("latin1.yaml", b"seed: \xff\n")):
+        cfg = tmp_path / name
+        cfg.write_bytes(body)
+        capsys.readouterr()
+        assert run("synth-data", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "z")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and str(cfg) in err
+        assert "Traceback" not in err
 
 
 def assert_clean_io_error(capsys, *fragments):
@@ -197,6 +194,24 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
                "--field", "de", "--out-dir", str(tmp_path / "eval")) == 5
     assert_clean_io_error(capsys, f"{candidates}:2", "'de'")
 
+    # --from-manifest files that are not a run manifest
+    stored = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
+    no_seed = {**stored, "settings": {k: v for k, v in stored["settings"].items()
+                                      if k != "seed"}}
+    for name, body, fragment in (
+            ("text.json", b"not json", "not a JSON run manifest"),
+            ("latin1.json", b'{"a": "\xff"}', "not a JSON run manifest"),
+            ("list.json", b"[1, 2]", "expected a JSON object"),
+            ("no-settings.json", b'{"subcommand": "synth-data"}', "'settings'"),
+            ("empty-settings.json",
+             b'{"subcommand": "synth-data", "settings": {}}', "'seed'"),
+            ("no-seed.json", json.dumps(no_seed).encode(), "'seed'")):
+        replay = tmp_path / name
+        replay.write_bytes(body)
+        assert run("synth-data", "--from-manifest", str(replay),
+                   "--out-dir", str(tmp_path / "replay")) == 5
+        assert_clean_io_error(capsys, str(replay), fragment)
+
 
 def test_config_file_feeds_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "run.yaml"
@@ -221,7 +236,14 @@ def compare_trees(a: Path, b: Path):
 
 def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
     part2 = pipeline / "part2"
-    rerun = tmp_path / "part2-rerun"
-    assert run("train", "--from-manifest", str(part2 / "manifest.json"),
-               "--out-dir", str(rerun)) == 0
-    compare_trees(part2, rerun)
+    # manifests written before the --threads option was removed carry it
+    stored = json.loads((part2 / "manifest.json").read_text())
+    stored["settings"]["threads"] = 1
+    with_threads = tmp_path / "threads-manifest.json"
+    with_threads.write_text(json.dumps(stored), encoding="utf-8")
+    for i, replayed in enumerate((part2 / "manifest.json", with_threads)):
+        rerun = tmp_path / f"part2-rerun{i}"
+        assert run("train", "--from-manifest", str(replayed),
+                   "--out-dir", str(rerun)) == 0
+        compare_trees(part2, rerun)
+
