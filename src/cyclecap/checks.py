@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionLayer, attend
-from .cells import GRUParams, LSTMParams, gru_step, lstm_step
+from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph,
                     factorized_joint, indirect_attention, record_from_joint,
                     toy_alignment_record)
@@ -22,7 +22,7 @@ from .data import FeatureGrid, TripleRecord, Vocabulary
 from .errors import ConfigError
 from .gradcheck import GradCheckResult, check_gradients
 from .models import ImageCaptioner, ModelBundle, init_state
-from .tensor import (Parameter, Tensor, add, add_n, concat, dropout,
+from .tensor import (Parameter, Tensor, add, add_n, column_slice, concat, dropout,
                      embedding_lookup, log_softmax, matmul, mean_rows, mul, pick,
                      scale, sigmoid, softmax, sqrt, stack_rows, sub, sum_all, tanh)
 from .training import TrainConfig, nll_loss, stage2_loss_graph, unroll_captioner
@@ -65,6 +65,9 @@ def _primitive_cases(rng: np.random.Generator):
         ("scale", lambda: sum_all(scale(v, 2.5)), {"v": v}),
         ("concat", lambda: sum_all(mul(concat([v, w]), concat([w, v]))),
          {"v": v, "w": w}),
+        ("column_slice", lambda: sum_all(mul(column_slice(m, 1, 3),
+                                             column_slice(v, 2, 4))),
+         {"m": m, "v": v}),
         ("stack_rows", lambda: sum_all(mul(stack_rows([v, w, v]),
                                            stack_rows([w, v, w]))),
          {"v": v, "w": w}),
@@ -119,7 +122,7 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     gru = GRUParams(rng, p["embed"], p["hidden"], "gru")
 
     def gru_loss():
-        return sum_all(gru_step(gru, x, h0))
+        return sum_all(gru_step(gru, gru_inputs(gru, x), h0))
 
     results.append(check_gradients("cell/gru", gru_loss,
                                    dict(gru.named(), x=x, h0=h0)))
@@ -131,7 +134,7 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     mix = Parameter(rng.standard_normal(p["proj"]), "mix")
 
     def attend_loss():
-        out = attend(layer, keys, query)
+        out = attend(layer, layer.prepare(keys), query)
         return add(pick(out.weights, 0), sum_all(mul(out.context, mix)))
 
     results.append(check_gradients(

@@ -55,13 +55,15 @@ TRAIN_OPTS = [
 def _add_opt(sub, name, typ, default, help_text, **kwargs):
     sub.add_argument(f"--{name}", type=typ, default=None,
                      help=f"{help_text} (default: {default})", **kwargs)
-    sub.set_defaults(**{f"_default_{name.replace('-', '_')}": default})
+    key = name.replace('-', '_')
+    sub.set_defaults(**{f"_default_{key}": default, f"_type_{key}": typ})
 
 
 def _add_flag(sub, name, help_text):
     sub.add_argument(f"--{name}", action="store_const", const=True, default=None,
                      help=f"{help_text} (default: off)")
-    sub.set_defaults(**{f"_default_{name.replace('-', '_')}": False})
+    key = name.replace('-', '_')
+    sub.set_defaults(**{f"_default_{key}": False, f"_type_{key}": bool})
 
 
 def _add_train_opts(sub):
@@ -156,7 +158,25 @@ def _setting_keys(ns: dict) -> list[str]:
     """The parsed arguments that are run settings."""
     return [k for k in ns if k not in ("subcommand", "out_dir", "config",
                                        "from_manifest")
-            and not k.startswith("_default_")]
+            and not k.startswith("_")]
+
+
+def _typed(ns: dict, key: str, value, path, error: type[CycleCapError]):
+    """A setting read from a file, coerced as its flag would coerce the same
+    text: with the option's declared type, a bool for an on/off flag, a
+    string for a path. None stays only where the default is None."""
+    typ = ns.get(f"_type_{key}", str)
+    if value is None and ns.get(f"_default_{key}") is None:
+        return None
+    if typ is bool:
+        if isinstance(value, bool):
+            return value
+    elif value is not None and not isinstance(value, (bool, dict, list)):
+        try:
+            return typ(str(value))
+        except ValueError:
+            pass
+    raise error(f"{path}: setting {key!r} must be {typ.__name__}, got {value!r}")
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
@@ -179,7 +199,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if value is not None:
             settings[key] = value
         elif key in config_values:
-            settings[key] = config_values[key]
+            settings[key] = _typed(ns, key, config_values[key], ns["config"],
+                                   ConfigError)
         else:
             settings[key] = default
     return settings
@@ -207,10 +228,12 @@ def _replayed_settings(args: argparse.Namespace) -> dict:
     settings = stored.get("settings")
     if not isinstance(settings, dict):
         raise FormatError(f"{path}: missing the 'settings' object")
-    missing = [k for k in _setting_keys(vars(args)) if k not in settings]
+    ns = vars(args)
+    missing = [k for k in _setting_keys(ns) if k not in settings]
     if missing:
         raise FormatError(f"{path}: settings lack {', '.join(map(repr, missing))}")
-    return settings
+    return {**settings, **{k: _typed(ns, k, settings[k], path, FormatError)
+                           for k in _setting_keys(ns)}}
 
 
 def _input_paths(subcommand: str, settings: dict) -> list[str]:

@@ -140,8 +140,26 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path | str) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        """One token per line, as ``save`` writes them. A blank line, a
+        duplicate or reserved token, or bytes that are not UTF-8 are a
+        FormatError at ``path:line``."""
+        raw = Path(path).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise FormatError(f"{path}:{line}: not UTF-8") from exc
+        first_line: dict[str, int] = {}
+        for lineno, token in enumerate(text.splitlines(), 1):
+            if not token.strip():
+                raise FormatError(f"{path}:{lineno}: blank line")
+            if token in RESERVED_TOKENS:
+                raise FormatError(f"{path}:{lineno}: token {token!r} is reserved")
+            if token in first_line:
+                raise FormatError(f"{path}:{lineno}: token {token!r} repeats "
+                                  f"line {first_line[token]}")
+            first_line[token] = lineno
+        return cls(list(first_line))
 
 
 @dataclass(frozen=True)

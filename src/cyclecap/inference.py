@@ -113,11 +113,13 @@ def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
 
 def captioner_step_fn(decoder: SoftAttentionDecoder, keys: Tensor) -> StepFn:
     """Beam-search step of a soft-attention decoder over projected region
-    keys; each step's attention rows are its region weights."""
+    keys, prepared for its attention once; each step's attention rows are
+    its region weights."""
+    att_keys = decoder.attn.prepare(keys)
 
     def step(state, prev):
         h, c = state
-        logp, h, c, region_w = decoder.step(keys, h, c, prev)
+        logp, h, c, region_w = decoder.step(att_keys, h, c, prev)
         return logp.data, (h, c), (region_w.data.copy(),)
 
     return step
@@ -168,10 +170,13 @@ def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
         bundle, en_res.tokens, en_res.attn, grid.regions)
 
     de_decoder = bundle.de_decoder
+    region_keys = de_decoder.attn_regions.prepare(keys)
+    caption_keys = de_decoder.attn_caption.prepare(cap_states)
 
     def de_step(state, prev):
         s, mem = state
-        logp, s, mem, region_w, caption_w = de_decoder.step(keys, cap_states, s, mem, prev)
+        logp, s, mem, region_w, caption_w = de_decoder.step(
+            region_keys, caption_keys, s, mem, prev)
         return logp.data, (s, mem), (region_w.data.copy(), caption_w.data.copy())
 
     de_res = beam_decode(de_step, de_decoder.initial_state(keys),

@@ -9,8 +9,12 @@ from .tensor import Parameter
 WEIGHT_RANGE = 0.08
 
 
+def uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.uniform(-WEIGHT_RANGE, WEIGHT_RANGE, size=shape)
+
+
 def weight(rng: np.random.Generator, shape: tuple[int, ...], name: str) -> Parameter:
-    return Parameter(rng.uniform(-WEIGHT_RANGE, WEIGHT_RANGE, size=shape), name)
+    return Parameter(uniform(rng, shape), name)
 
 
 def bias(shape: tuple[int, ...], name: str) -> Parameter:

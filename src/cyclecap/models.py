@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import init
-from .attention import AttentionLayer, attend
-from .cells import GRUParams, LSTMParams, gru_step, lstm_step
+from .attention import AttentionKeys, AttentionLayer, attend
+from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import FeatureGrid
 from .errors import DataError, DimensionError, FormatError
@@ -75,9 +75,10 @@ class ImageProjection:
 class SoftAttentionDecoder:
     """LSTM decoder attending over image regions.
 
-    Per step: attend with the previous hidden state as query, feed
-    [context; previous word embedding] into the LSTM, project the new hidden
-    state to vocabulary log-probabilities.
+    Per step: attend with the previous hidden state as query over the region
+    keys its attention layer prepared for the sequence, feed [context;
+    previous word embedding] into the LSTM, project the new hidden state to
+    vocabulary log-probabilities.
     """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
@@ -101,7 +102,7 @@ class SoftAttentionDecoder:
         return (init_state(keys, self.w_h0, self.b_h0),
                 init_state(keys, self.w_c0, self.b_c0))
 
-    def step(self, keys: Tensor, h: Tensor, c: Tensor, y_prev: int, *,
+    def step(self, keys: AttentionKeys, h: Tensor, c: Tensor, y_prev: int, *,
              dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None):
         """One decode step; returns (log_probs, h, c, region_weights)."""
@@ -134,21 +135,25 @@ class CaptionEncoder:
         self.bwd = GRUParams(rng, dims.embed_dim, dims.hidden_dim, f"{prefix}/bwd")
 
     def encode(self, token_ids: Sequence[int]) -> Tensor:
-        """Encode N tokens into an (N, 2*hidden) state matrix."""
+        """Encode N tokens into an (N, 2*hidden) state matrix. Each direction
+        projects all N embeddings in one matmul and steps on row t of it."""
         if len(token_ids) == 0:
             raise DataError("caption encoder: empty token sequence")
-        embeds = [embedding_lookup(self.embedding, int(t)) for t in token_ids]
+        embeds = embedding_lookup(self.embedding, [int(t) for t in token_ids])
+        fwd_inputs = gru_inputs(self.fwd, embeds)
+        bwd_inputs = gru_inputs(self.bwd, embeds)
+        n = len(token_ids)
         zeros = Tensor(np.zeros(self.hidden_dim))
         forward = []
         h = zeros
-        for e in embeds:
-            h = gru_step(self.fwd, e, h)
+        for t in range(n):
+            h = gru_step(self.fwd, embedding_lookup(fwd_inputs, t), h)
             forward.append(h)
-        backward: list[Tensor] = [zeros] * len(embeds)
+        backward: list[Tensor] = [zeros] * n
         h = zeros
-        for j in range(len(embeds) - 1, -1, -1):
-            h = gru_step(self.bwd, embeds[j], h)
-            backward[j] = h
+        for t in range(n - 1, -1, -1):
+            h = gru_step(self.bwd, embedding_lookup(bwd_inputs, t), h)
+            backward[t] = h
         return stack_rows([concat([f, b]) for f, b in zip(forward, backward)])
 
     def named(self) -> dict[str, Parameter]:
@@ -162,7 +167,8 @@ class DualAttentionDecoder:
     """LSTM decoder with attention over regions and over caption states.
 
     The step input is the concatenation [region context; caption context;
-    previous word embedding].
+    previous word embedding]; both heads attend over keys prepared once per
+    sequence by their own attention layers.
     """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
@@ -191,13 +197,13 @@ class DualAttentionDecoder:
         return (init_state(keys, self.w_s0, self.b_s0),
                 init_state(keys, self.w_m0, self.b_m0))
 
-    def step(self, region_keys: Tensor, caption_states: Tensor, s: Tensor, mem: Tensor,
-             y_prev: int, *, dropout_rate: float = 0.0,
+    def step(self, region_keys: AttentionKeys, caption_keys: AttentionKeys,
+             s: Tensor, mem: Tensor, y_prev: int, *, dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None):
         """One decode step; returns (log_probs, s, mem, region_weights,
         caption_weights)."""
         att_img = attend(self.attn_regions, region_keys, s)
-        att_cap = attend(self.attn_caption, caption_states, s)
+        att_cap = attend(self.attn_caption, caption_keys, s)
         x = concat([att_img.context, att_cap.context,
                     embedding_lookup(self.embedding, int(y_prev))])
         s, mem = lstm_step(self.lstm, x, s, mem)
@@ -281,9 +287,10 @@ def unroll_captioner(captioner: ImageCaptioner, keys: Tensor, ids: Sequence[int]
     """
     dec = captioner.decoder
     h, c = dec.initial_state(keys)
+    att_keys = dec.attn.prepare(keys)
     logp_rows, region_rows = [], []
     for t in range(len(ids) - 1):
-        logp, h, c, region_w = dec.step(keys, h, c, ids[t],
+        logp, h, c, region_w = dec.step(att_keys, h, c, ids[t],
                                         dropout_rate=dropout_rate, rng=rng)
         logp_rows.append(logp)
         region_rows.append(region_w)
@@ -298,10 +305,13 @@ def unroll_german(bundle: ModelBundle, keys: Tensor, cap_states: Tensor,
     region-attention and caption-attention rows, one triple per target."""
     dec = bundle.de_decoder
     s, mem = dec.initial_state(keys)
+    region_keys = dec.attn_regions.prepare(keys)
+    caption_keys = dec.attn_caption.prepare(cap_states)
     logp_rows, region_rows, caption_rows = [], [], []
     for t in range(len(de_ids) - 1):
         logp, s, mem, region_w, caption_w = dec.step(
-            keys, cap_states, s, mem, de_ids[t], dropout_rate=dropout_rate, rng=rng)
+            region_keys, caption_keys, s, mem, de_ids[t], dropout_rate=dropout_rate,
+            rng=rng)
         logp_rows.append(logp)
         region_rows.append(region_w)
         caption_rows.append(caption_w)
@@ -332,7 +342,7 @@ def teacher_forced_record(bundle: ModelBundle, features: FeatureGrid,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"CYCC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: fused gate weights; 1 held per-gate matrices
 
 
 def save_checkpoint(path: Path | str, kind: str, dims: ModelDims,
@@ -389,7 +399,8 @@ def load_checkpoint(path: Path | str) -> tuple[str, ModelDims, dict[str, np.ndar
         raise FormatError(f"{path}: bad checkpoint magic")
     version, header_len = struct.unpack("<HI", take(6))
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        raise FormatError(f"{path}: unsupported checkpoint version {version}; "
+                          f"this build reads version {CHECKPOINT_VERSION}")
     kind, dims = _parse_header(path, take(header_len))
     (count,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}

@@ -269,6 +269,22 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
+def column_slice(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns ``[start, stop)`` of the last axis of a vector or matrix."""
+    if a.data.ndim not in (1, 2) or not 0 <= start < stop <= a.shape[-1]:
+        raise DimensionError(f"column_slice: [{start}:{stop}) out of range for "
+                             f"shape {a.shape}")
+    out = _result("column_slice", a.data[..., start:stop])
+    shape = a.shape
+
+    def rule(g: Array) -> tuple[Array]:
+        full = np.zeros(shape)
+        full[..., start:stop] = g
+        return (full,)
+
+    return _record(out, (a,), rule)
+
+
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     """Stack equal-length vectors into a matrix, one row per input."""
     if not rows:

@@ -33,19 +33,35 @@ def ref_attend(layer, keys, query):
     return weights, weights @ keys
 
 
+def gate_blocks(a, hidden, n):
+    """The n gate blocks of a fused array: consecutive runs of ``hidden``
+    columns of its last axis."""
+    return [a[..., k * hidden:(k + 1) * hidden] for k in range(n)]
+
+
 def ref_lstm(p, x, h, c):
-    i = np_sigmoid(p.w_i.data @ x + p.u_i.data @ h + p.b_i.data)
-    f = np_sigmoid(p.w_f.data @ x + p.u_f.data @ h + p.b_f.data)
-    o = np_sigmoid(p.w_o.data @ x + p.u_o.data @ h + p.b_o.data)
-    g = np.tanh(p.w_g.data @ x + p.u_g.data @ h + p.b_g.data)
+    """Gates i, f, o, g; rows [:input] of the fused weight act on x and the
+    rest on h."""
+    n_in, hidden = p.input_size, p.hidden_size
+    wi, wf, wo, wg = gate_blocks(p.w.data[:n_in], hidden, 4)
+    ui, uf, uo, ug = gate_blocks(p.w.data[n_in:], hidden, 4)
+    bi, bf, bo, bg = gate_blocks(p.b.data, hidden, 4)
+    i = np_sigmoid(x @ wi + h @ ui + bi)
+    f = np_sigmoid(x @ wf + h @ uf + bf)
+    o = np_sigmoid(x @ wo + h @ uo + bo)
+    g = np.tanh(x @ wg + h @ ug + bg)
     c = f * c + i * g
     return o * np.tanh(c), c
 
 
 def ref_gru(p, x, h):
-    r = np_sigmoid(p.w_r.data @ x + p.u_r.data @ h + p.b_r.data)
-    z = np_sigmoid(p.w_z.data @ x + p.u_z.data @ h + p.b_z.data)
-    n = np.tanh(p.w_n.data @ x + r * (p.u_n.data @ h) + p.b_n.data)
+    """Gates r, z, n of the input-side w, hidden-side u and bias b."""
+    wr, wz, wn = gate_blocks(p.w.data, p.hidden_size, 3)
+    ur, uz, un = gate_blocks(p.u.data, p.hidden_size, 3)
+    br, bz, bn = gate_blocks(p.b.data, p.hidden_size, 3)
+    r = np_sigmoid(x @ wr + h @ ur + br)
+    z = np_sigmoid(x @ wz + h @ uz + bz)
+    n = np.tanh(x @ wn + r * (h @ un) + bn)
     return z * h + (1.0 - z) * n
 
 

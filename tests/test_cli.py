@@ -174,6 +174,13 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
                "--out-dir", str(tmp_path / "infer")) == 5
     assert_clean_io_error(capsys, str(bad_ckpt), "not JSON")
 
+    # a checkpoint written in the per-gate format of version 1
+    old_ckpt = tmp_path / "v1.ckpt"
+    old_ckpt.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+    assert run("infer", "--checkpoint", str(old_ckpt), "--manifest", str(manifest),
+               "--out-dir", str(tmp_path / "infer-v1")) == 5
+    assert_clean_io_error(capsys, str(old_ckpt), "version 1")
+
     rows = manifest.read_text(encoding="utf-8").splitlines()
     broken = json.loads(rows[1])
     broken["en"] = ["a", "list"]
@@ -211,6 +218,22 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
         assert run("synth-data", "--from-manifest", str(replay),
                    "--out-dir", str(tmp_path / "replay")) == 5
         assert_clean_io_error(capsys, str(replay), fragment)
+
+    # a setting whose value its option's type rejects
+    bad_seed = tmp_path / "bad-seed.json"
+    bad_seed.write_text(json.dumps({**stored, "settings": {**stored["settings"],
+                                                           "seed": "x"}}),
+                        encoding="utf-8")
+    assert run("synth-data", "--from-manifest", str(bad_seed),
+               "--out-dir", str(tmp_path / "replay")) == 5
+    assert_clean_io_error(capsys, str(bad_seed), "'seed'")
+    cfg = tmp_path / "bad-seed.yaml"
+    cfg.write_text("seed: x\n", encoding="utf-8")
+    assert run("synth-data", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "configured")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "Traceback" not in err
+    assert str(cfg) in err and "'seed'" in err
 
 
 def test_config_file_feeds_defaults_and_flags_override(tmp_path):

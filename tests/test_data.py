@@ -75,6 +75,20 @@ def test_vocab_file_roundtrip(tmp_path):
     assert loaded.token_to_id["dog"] == 4  # most frequent token gets the first id
 
 
+@pytest.mark.parametrize("body, line, message", [
+    (b"dog\n\ncat\n", 2, "blank line"),
+    (b"dog\ncat\nhund\xff\n", 3, "not UTF-8"),
+    (b"dog\ncat\ndog\n", 3, "repeats line 1"),
+    (b"dog\n<eos>\n", 2, "reserved"),
+])
+def test_malformed_vocab_file_is_format_error_with_line(tmp_path, body, line, message):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(body)
+    with pytest.raises(FormatError, match=message) as exc:
+        Vocabulary.load(path)
+    assert f"{path}:{line}:" in str(exc.value)
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(DataError):
         Vocabulary.build([], min_freq=1)

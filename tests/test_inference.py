@@ -161,7 +161,9 @@ def test_empty_pivot_falls_back_to_uniform_caption_attention():
     s, mem = bundle.de_decoder.initial_state(
         bundle.captioner.project(FeatureGrid(np.zeros((3, 3)))))
     keys = bundle.captioner.project(FeatureGrid(np.zeros((3, 3))))
-    _, _, _, _, caption_w = bundle.de_decoder.step(keys, cap_states, s, mem, 1)
+    dec = bundle.de_decoder
+    _, _, _, _, caption_w = dec.step(dec.attn_regions.prepare(keys),
+                                     dec.attn_caption.prepare(cap_states), s, mem, 1)
     np.testing.assert_allclose(caption_w.data, [1.0])
 
 

@@ -30,7 +30,7 @@ def test_english_step_log_probs_normalize():
     model = tiny_captioner(seed=1)
     keys = model.project(rand_grid(rng))
     h, c = model.decoder.initial_state(keys)
-    logp, h, c, weights = model.decoder.step(keys, h, c, 1)
+    logp, h, c, weights = model.decoder.step(model.decoder.attn.prepare(keys), h, c, 1)
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     assert abs(weights.data.sum() - 1.0) < 1e-12
 
@@ -40,7 +40,7 @@ def test_identical_regions_give_uniform_attention():
     grid = FeatureGrid(np.tile([0.3, -0.2, 0.9], (5, 1)))
     keys = model.project(grid)
     h, c = model.decoder.initial_state(keys)
-    _, _, _, weights = model.decoder.step(keys, h, c, 1)
+    _, _, _, weights = model.decoder.step(model.decoder.attn.prepare(keys), h, c, 1)
     np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
 
 
@@ -71,9 +71,10 @@ def test_bidirectional_symmetry_with_shared_directions():
     bundle = tiny_bundle(seed=5)
     enc = bundle.cap_encoder
     for gate in ("r", "z", "n"):
-        getattr(enc.bwd, f"w_{gate}").data = getattr(enc.fwd, f"w_{gate}").data.copy()
-        getattr(enc.bwd, f"u_{gate}").data = getattr(enc.fwd, f"u_{gate}").data.copy()
-        getattr(enc.bwd, f"b_{gate}").data = getattr(enc.fwd, f"b_{gate}").data.copy()
+        cols = enc.fwd.gate(gate)
+        for name in ("w", "u", "b"):
+            fwd, bwd = getattr(enc.fwd, name), getattr(enc.bwd, name)
+            bwd.data[..., cols] = fwd.data[..., cols]
     ids = [4, 5, 6, 7]
     forward = enc.encode(ids).data
     reverse = enc.encode(ids[::-1]).data
@@ -109,7 +110,9 @@ def test_german_step_outputs_normalize_and_single_state_beta():
     keys = bundle.captioner.project(rand_grid(rng))
     states = bundle.cap_encoder.encode([4])  # N = 1
     s, mem = bundle.de_decoder.initial_state(keys)
-    logp, s, mem, region_w, caption_w = bundle.de_decoder.step(keys, states, s, mem, 1)
+    dec = bundle.de_decoder
+    logp, s, mem, region_w, caption_w = dec.step(
+        dec.attn_regions.prepare(keys), dec.attn_caption.prepare(states), s, mem, 1)
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     np.testing.assert_allclose(caption_w.data, [1.0])
     assert abs(region_w.data.sum() - 1.0) < 1e-12

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from cyclecap.errors import DimensionError, NumericError, StateError
 from cyclecap.gradcheck import check_gradients
-from cyclecap.tensor import (Parameter, Tape, Tensor, add, add_n, concat, dropout,
+from cyclecap.tensor import (Parameter, Tape, Tensor, add, add_n, column_slice,
+                             concat, dropout,
                              embedding_lookup, log_softmax, matmul, mean_rows, mul,
                              pick, scale, softmax, sqrt, stack_rows, sub, sum_all)
 
@@ -139,6 +140,21 @@ def test_concat_and_stack_roundtrip_shapes():
     np.testing.assert_array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionError):
         stack_rows([Tensor([1.0, 2.0]), Tensor([3.0])])
+
+
+def test_column_slice_values_gradient_and_bounds():
+    m = Parameter(np.arange(12.0).reshape(3, 4), "m")
+    with Tape() as tape:
+        out = column_slice(m, 1, 3)
+        tape.backward(sum_all(out))
+    np.testing.assert_array_equal(out.data, m.data[:, 1:3])
+    np.testing.assert_array_equal(m.grad, [[0, 1, 1, 0]] * 3)
+    np.testing.assert_array_equal(column_slice(Tensor([1.0, 2.0, 3.0]), 2, 3).data, [3.0])
+    for start, stop in ((0, 0), (2, 1), (-1, 2), (0, 5)):
+        with pytest.raises(DimensionError):
+            column_slice(m, start, stop)
+    with pytest.raises(DimensionError):
+        column_slice(Tensor(1.0), 0, 1)
 
 
 def test_embedding_lookup_bounds():
