@@ -1,11 +1,24 @@
 """Operator surface: one subcommand per pipeline stage.
 
-Every run resolves its settings (built-in defaults, then the --config YAML
-file, then explicit flags), writes exactly one ``manifest.json`` into its
---out-dir recording those settings plus content hashes of the input files,
-and can be replayed byte-for-byte with ``--from-manifest``.
+``SUBCOMMANDS`` holds each subcommand's tuple of ``Option`` entries, the one
+place to add a setting: it builds the parser, types every value, names the
+input paths and fills ``TrainConfig``. A setting's key is its flag with
+``-`` replaced by ``_``.
 
-Exit codes by error category: 2 config, 3 data, 4 numeric, 5 io.
+Every run resolves its settings (defaults, then the --config YAML file,
+then explicit flags), writes exactly one ``manifest.json`` into its
+--out-dir recording those settings plus content hashes of the input files,
+and can be replayed byte-for-byte with ``--from-manifest``. A replay takes
+its settings from the manifest alone: --config or a setting flag beside it
+is a config error.
+
+A value is read with its option's type wherever it comes from: a flag
+(usage error, exit 2), a config file (exit 2) or a manifest (exit 5).
+``--seed`` is a non-negative int, ``--trials`` and ``--limit`` positive
+ints; other range checks stay with the library code that uses the value.
+
+Exit codes by error category: 2 config, 3 data, 4 numeric, 5 io (every
+OSError included).
 """
 
 from __future__ import annotations
@@ -14,13 +27,13 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
-import numpy as np
 import yaml
 
 from . import checks, evaluation, synth
-from .cycle import AttentionRecord
 from .data import (Vocabulary, encode_pairs, encode_triples, load_features,
                    read_jsonl, read_manifest, text_field)
 from .errors import (ConfigError, CycleCapError, DataError, FormatError,
@@ -32,43 +45,53 @@ from .training import TrainConfig, pretrain_part1, train_part2
 
 EXIT_CODES = {"config": 2, "data": 3, "numeric": 4, "io": 5}
 
-REQUIRED = {"pretrain": ("manifest",), "train": ("manifest", "part1"),
-            "infer": ("checkpoint", "manifest"),
-            "eval": ("candidates", "manifest"),
-            "attn-export": ("checkpoint", "manifest")}
 
-TRAIN_OPTS = [
-    ("learning-rate", float, 4e-4, "Adam learning rate"),
-    ("batch-size", int, 32, "records per optimizer step"),
-    ("max-epochs", int, 50, "maximum training epochs"),
-    ("patience", int, 20, "early-stop patience on validation CIDEr"),
-    ("dropout", float, 0.5, "dropout rate in training mode"),
-    ("proj-dim", int, 64, "projected image feature size"),
-    ("embed-dim", int, 64, "word embedding size"),
-    ("hidden-dim", int, 64, "recurrent hidden size"),
-    ("attn-dim", int, 64, "attention scorer hidden size"),
-    ("validate-every", int, 1, "epochs between validation decodes"),
-    ("target-nll", float, None, "stop once per-token train loss drops below this"),
-]
+def _int_from(low: int, name: str) -> Callable[[str], int]:
+    """An int type that rejects values below ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"{value} is below {low}")
+        return value
+    parse.__name__ = name
+    return parse
 
 
-def _add_opt(sub, name, typ, default, help_text, **kwargs):
-    sub.add_argument(f"--{name}", type=typ, default=None,
-                     help=f"{help_text} (default: {default})", **kwargs)
-    key = name.replace('-', '_')
-    sub.set_defaults(**{f"_default_{key}": default, f"_type_{key}": typ})
+non_negative_int = _int_from(0, "non-negative int")
+positive_int = _int_from(1, "positive int")
 
 
-def _add_flag(sub, name, help_text):
-    sub.add_argument(f"--{name}", action="store_const", const=True, default=None,
-                     help=f"{help_text} (default: off)")
-    key = name.replace('-', '_')
-    sub.set_defaults(**{f"_default_{key}": False, f"_type_{key}": bool})
+@dataclass(frozen=True)
+class Option:
+    """One setting of a subcommand. ``type`` reads its value from a flag, a
+    config file or a manifest; ``bool`` makes it an on/off flag. ``required``
+    marks an input path, whose content hash the run manifest records."""
 
+    flag: str
+    type: Callable
+    default: object
+    help: str
+    required: bool = False
 
-def _add_train_opts(sub):
-    for name, typ, default, help_text in TRAIN_OPTS:
-        _add_opt(sub, name, typ, default, help_text)
+    @property
+    def key(self) -> str:
+        return self.flag.replace("-", "_")
+
+    def read(self, value, path, error: type[CycleCapError]):
+        """``value`` from the file at ``path``, coerced as the flag would
+        coerce the same text; None stays only where the default is None."""
+        if value is None and self.default is None:
+            return None
+        if self.type is bool:
+            if isinstance(value, bool):
+                return value
+        elif value is not None and not isinstance(value, (bool, dict, list)):
+            try:
+                return self.type(str(value))
+            except ValueError:
+                pass
+        raise error(f"{path}: setting {self.key!r} must be "
+                    f"{self.type.__name__}, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,132 +100,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage multilingual captioning with attention-cycle "
                     "consistency.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sub):
+    for name, (_, help_text, options) in SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--out-dir", required=True, help="run output directory")
         sub.add_argument("--config", default=None,
                          help="YAML key/value file; flags override its values")
         sub.add_argument("--from-manifest", default=None,
                          help="replay a previous run's settings verbatim")
-        _add_opt(sub, "seed", int, 0, "master RNG seed")
-
-    sub = subs.add_parser("synth-data", help="generate a synthetic aligned corpus")
-    common(sub)
-    _add_opt(sub, "n-images", int, 16, "number of images")
-    _add_opt(sub, "regions", int, 16, "feature grid regions per image")
-    _add_opt(sub, "feature-dim", int, 32, "feature vector size per region")
-    _add_opt(sub, "n-object-types", int, 6, "distinct object words")
-    _add_opt(sub, "objects-per-image", int, 1, "planted objects per image")
-
-    sub = subs.add_parser("pretrain", help="train the stage-one captioner")
-    common(sub)
-    sub.add_argument("--manifest", help="dataset manifest (jsonl)")
-    _add_opt(sub, "caption-field", str, "en",
-             "which caption field to train on (en, or de for the single-stage "
-             "baseline)")
-    _add_opt(sub, "min-freq", int, 5, "vocabulary frequency cutoff")
-    _add_train_opts(sub)
-
-    sub = subs.add_parser("train", help="train the German stage against a "
-                                        "pretrained captioner")
-    common(sub)
-    sub.add_argument("--manifest", help="dataset manifest (jsonl)")
-    sub.add_argument("--part1", help="stage-one checkpoint (vocab file alongside)")
-    _add_opt(sub, "lambda", float, 1.0, "cycle-consistency loss weight")
-    _add_flag(sub, "squared-cycle", "use the squared consistency norm")
-    _add_flag(sub, "freeze-part1", "keep stage-one parameters fixed")
-    _add_opt(sub, "min-freq", int, 5, "vocabulary frequency cutoff")
-    _add_train_opts(sub)
-
-    sub = subs.add_parser("infer", help="decode captions for a manifest")
-    common(sub)
-    sub.add_argument("--checkpoint", help="bundle or captioner checkpoint")
-    sub.add_argument("--manifest", help="dataset manifest (jsonl)")
-    _add_opt(sub, "beam-size", int, 3, "beam width")
-    _add_opt(sub, "max-len", int, 50, "generated-token cap, EOS included")
-    _add_opt(sub, "caption-field", str, "en",
-             "output field for captioner-only checkpoints")
-
-    sub = subs.add_parser("eval", help="score decoded captions")
-    common(sub)
-    sub.add_argument("--candidates", help="captions.jsonl from infer")
-    sub.add_argument("--manifest", help="reference manifest")
-    _add_opt(sub, "field", str, "de", "caption field to score")
-    _add_opt(sub, "model-name", str, "model", "label for the report row")
-
-    sub = subs.add_parser("attn-export", help="export attention heatmaps")
-    common(sub)
-    sub.add_argument("--checkpoint", help="bundle checkpoint")
-    sub.add_argument("--manifest", help="dataset manifest (jsonl)")
-    _add_opt(sub, "grid-rows", int, 4, "heatmap rows (rows*cols = regions)")
-    _add_opt(sub, "grid-cols", int, 4, "heatmap cols")
-    _add_opt(sub, "beam-size", int, 3, "beam width")
-    _add_opt(sub, "max-len", int, 50, "generated-token cap")
-    _add_opt(sub, "limit", int, None, "export at most this many images")
-    _add_flag(sub, "use-gold-captions", "teacher-force ground truth instead of "
-                                        "decoding")
-
-    sub = subs.add_parser("gradcheck", help="finite-difference gradient suite")
-    common(sub)
-    _add_opt(sub, "dims", str, "tiny", "preset size (tiny or small)")
-
-    sub = subs.add_parser("oracle-check", help="composed-attention and "
-                                               "chain-identity verification")
-    common(sub)
-    _add_opt(sub, "trials", int, 100, "random factorized joints to test")
-
+        # every setting parses to None unless given, so an explicit flag shows
+        for opt in options:
+            if opt.type is bool:
+                kind, shown = {"action": "store_const", "const": True}, "off"
+            else:
+                kind, shown = {"type": opt.type}, opt.default
+            sub.add_argument(f"--{opt.flag}", default=None, **kind,
+                             help=opt.help if opt.required
+                             else f"{opt.help} (default: {shown})")
     return parser
 
 
-def _setting_keys(ns: dict) -> list[str]:
-    """The parsed arguments that are run settings."""
-    return [k for k in ns if k not in ("subcommand", "out_dir", "config",
-                                       "from_manifest")
-            and not k.startswith("_")]
-
-
-def _typed(ns: dict, key: str, value, path, error: type[CycleCapError]):
-    """A setting read from a file, coerced as its flag would coerce the same
-    text: with the option's declared type, a bool for an on/off flag, a
-    string for a path. None stays only where the default is None."""
-    typ = ns.get(f"_type_{key}", str)
-    if value is None and ns.get(f"_default_{key}") is None:
-        return None
-    if typ is bool:
-        if isinstance(value, bool):
-            return value
-    elif value is not None and not isinstance(value, (bool, dict, list)):
-        try:
-            return typ(str(value))
-        except ValueError:
-            pass
-    raise error(f"{path}: setting {key!r} must be {typ.__name__}, got {value!r}")
-
-
-def _resolve_settings(args: argparse.Namespace) -> dict:
+def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
     """defaults < config file < explicit flags, as a flat dict."""
-    ns = vars(args)
-    config_values = {}
-    if ns.get("config"):
-        path = ns["config"]
+    config = {}
+    if args.config:
+        path = args.config
         try:
             loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ConfigError(f"{path}: not a readable YAML file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config must be a key/value tree")
-        config_values = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+        config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
     settings = {}
-    for key in _setting_keys(ns):
-        value = ns[key]
-        default = ns.get(f"_default_{key}", value)
+    for opt in options:
+        value = getattr(args, opt.key)
         if value is not None:
-            settings[key] = value
-        elif key in config_values:
-            settings[key] = _typed(ns, key, config_values[key], ns["config"],
-                                   ConfigError)
+            settings[opt.key] = value
+        elif opt.key in config:
+            settings[opt.key] = opt.read(config[opt.key], args.config, ConfigError)
         else:
-            settings[key] = default
+            settings[opt.key] = opt.default
     return settings
 
 
@@ -210,9 +147,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _replayed_settings(args: argparse.Namespace) -> dict:
-    """The settings recorded in the ``--from-manifest`` file. Every setting
-    of the subcommand must be present; keys of removed options are ignored."""
+def _replayed_settings(args: argparse.Namespace,
+                       options: tuple[Option, ...]) -> dict:
+    """The settings recorded in the ``--from-manifest`` file, which must hold
+    every option of the subcommand; keys of removed options are kept as
+    recorded. --config or a setting flag beside it is a ConfigError."""
+    given = [f"--{opt.flag}" for opt in options if getattr(args, opt.key) is not None]
+    if args.config:
+        given.insert(0, "--config")
+    if given:
+        raise ConfigError(f"{', '.join(given)} cannot be combined with "
+                          "--from-manifest: a replay takes its settings from "
+                          "the manifest alone")
     path = args.from_manifest
     try:
         stored = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -228,44 +174,30 @@ def _replayed_settings(args: argparse.Namespace) -> dict:
     settings = stored.get("settings")
     if not isinstance(settings, dict):
         raise FormatError(f"{path}: missing the 'settings' object")
-    ns = vars(args)
-    missing = [k for k in _setting_keys(ns) if k not in settings]
+    missing = [opt.key for opt in options if opt.key not in settings]
     if missing:
         raise FormatError(f"{path}: settings lack {', '.join(map(repr, missing))}")
-    return {**settings, **{k: _typed(ns, k, settings[k], path, FormatError)
-                           for k in _setting_keys(ns)}}
-
-
-def _input_paths(subcommand: str, settings: dict) -> list[str]:
-    return [settings[k] for k in REQUIRED.get(subcommand, ()) if settings.get(k)]
+    return {**settings, **{opt.key: opt.read(settings[opt.key], path, FormatError)
+                           for opt in options}}
 
 
 def write_run_manifest(subcommand: str, settings: dict, out_dir: Path) -> None:
     inputs = {}
-    for raw in _input_paths(subcommand, settings):
-        p = Path(raw)
-        inputs[str(p)] = _sha256(p) if p.is_file() else "missing"
+    for opt in SUBCOMMANDS[subcommand][2]:
+        if opt.required and settings.get(opt.key):
+            p = Path(settings[opt.key])
+            inputs[str(p)] = _sha256(p) if p.is_file() else "missing"
     payload = {"subcommand": subcommand, "settings": settings, "inputs": inputs}
     (out_dir / "manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _train_config(settings: dict, **overrides) -> TrainConfig:
-    cfg = TrainConfig(
-        learning_rate=settings["learning_rate"],
-        batch_size=settings["batch_size"],
-        max_epochs=settings["max_epochs"],
-        patience=settings["patience"],
-        dropout=settings["dropout"],
-        seed=settings["seed"],
-        proj_dim=settings["proj_dim"],
-        embed_dim=settings["embed_dim"],
-        hidden_dim=settings["hidden_dim"],
-        attn_dim=settings["attn_dim"],
-        validate_every=settings["validate_every"],
-        target_nll=settings["target_nll"],
-        **overrides,
-    )
+def _train_config(settings: dict) -> TrainConfig:
+    """The settings named like ``TrainConfig`` fields (``lambda`` is
+    ``cycle_weight``), range-checked by ``TrainConfig.check``."""
+    named = {"cycle_weight" if k == "lambda" else k: v for k, v in settings.items()}
+    cfg = TrainConfig(**{f.name: named[f.name] for f in fields(TrainConfig)
+                         if f.name in named})
     cfg.check()
     return cfg
 
@@ -275,11 +207,7 @@ def _train_config(settings: dict, **overrides) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def run_synth_data(settings: dict, out_dir: Path) -> None:
-    spec = synth.SynthSpec(
-        seed=settings["seed"], n_images=settings["n_images"],
-        regions=settings["regions"], feature_dim=settings["feature_dim"],
-        n_object_types=settings["n_object_types"],
-        objects_per_image=settings["objects_per_image"])
+    spec = synth.SynthSpec(**settings)  # the options are SynthSpec's fields
     synth.write_corpus(synth.generate(spec), out_dir)
     print(f"wrote {spec.n_images} images under {out_dir}")
 
@@ -320,10 +248,7 @@ def run_train(settings: dict, out_dir: Path) -> None:
     triples = encode_triples(entries, en_vocab, de_vocab, manifest.parent)
     if not triples:
         raise DataError("no usable triples in manifest")
-    cfg = _train_config(settings,
-                        cycle_weight=settings["lambda"],
-                        squared_cycle=settings["squared_cycle"],
-                        freeze_part1=settings["freeze_part1"])
+    cfg = _train_config(settings)
     bundle, report = train_part2(triples, captioner, en_vocab, de_vocab, cfg)
     save_bundle(bundle, out_dir / "bundle.ckpt")
     en_vocab.save(out_dir / "vocab_en.txt")
@@ -335,11 +260,14 @@ def run_train(settings: dict, out_dir: Path) -> None:
           f"final nll/token {last.nll_per_token:.4f}{cyc}")
 
 
-def _decode_single(captioner, grid, beam_size, max_len):
-    keys = captioner.project(grid)
-    dec = captioner.decoder
-    return beam_decode(captioner_step_fn(dec, keys), dec.initial_state(keys),
-                       beam_size=beam_size, max_len=max_len)
+def _vocab_beside(ckpt: Path, lang: str, size: int) -> Vocabulary:
+    """``vocab_<lang>.txt`` next to ``ckpt``, which must hold the ``size`` ids
+    the checkpoint was trained with."""
+    path = ckpt.parent / f"vocab_{lang}.txt"
+    vocab = Vocabulary.load(path)
+    if len(vocab) != size:
+        raise FormatError(f"{path}: {len(vocab)} ids, but {ckpt} has {size}")
+    return vocab
 
 
 def run_infer(settings: dict, out_dir: Path) -> None:
@@ -351,8 +279,8 @@ def run_infer(settings: dict, out_dir: Path) -> None:
 
     if kind == "bundle":
         bundle = load_bundle(ckpt)
-        en_vocab = Vocabulary.load(ckpt.parent / "vocab_en.txt")
-        de_vocab = Vocabulary.load(ckpt.parent / "vocab_de.txt")
+        en_vocab = _vocab_beside(ckpt, "en", bundle.dims.en_vocab)
+        de_vocab = _vocab_beside(ckpt, "de", bundle.dims.de_vocab)
 
         def decode(entry):
             grid = load_features(manifest.parent / entry.features_path)
@@ -366,14 +294,16 @@ def run_infer(settings: dict, out_dir: Path) -> None:
     elif kind == "captioner":
         field = settings["caption_field"]
         captioner = load_captioner(ckpt)
-        vocab_path = ckpt.parent / f"vocab_{field}.txt"
-        if not vocab_path.is_file():
-            raise DataError(f"no {vocab_path.name} next to {ckpt}")
-        vocab = Vocabulary.load(vocab_path)
+        if not (ckpt.parent / f"vocab_{field}.txt").is_file():
+            raise DataError(f"no vocab_{field}.txt next to {ckpt}")
+        vocab = _vocab_beside(ckpt, field, captioner.dims.en_vocab)
 
         def decode(entry):
-            grid = load_features(manifest.parent / entry.features_path)
-            res = _decode_single(captioner, grid, beam_size, max_len)
+            keys = captioner.project(
+                load_features(manifest.parent / entry.features_path))
+            res = beam_decode(captioner_step_fn(captioner.decoder, keys),
+                              captioner.decoder.initial_state(keys),
+                              beam_size=beam_size, max_len=max_len)
             rec = {"image_id": entry.image_id, "en": "", "de": "",
                    "en_truncated": False, "de_truncated": False, "fallback": False}
             rec[field] = " ".join(vocab.decode(res.tokens))
@@ -420,16 +350,15 @@ def run_eval(settings: dict, out_dir: Path) -> None:
 
 
 def run_attn_export(settings: dict, out_dir: Path) -> None:
-    bundle = load_bundle(Path(settings["checkpoint"]))
     ckpt = Path(settings["checkpoint"])
-    en_vocab = Vocabulary.load(ckpt.parent / "vocab_en.txt")
-    de_vocab = Vocabulary.load(ckpt.parent / "vocab_de.txt")
+    bundle = load_bundle(ckpt)
+    en_vocab = _vocab_beside(ckpt, "en", bundle.dims.en_vocab)
+    de_vocab = _vocab_beside(ckpt, "de", bundle.dims.de_vocab)
     manifest = Path(settings["manifest"])
     entries = read_manifest(manifest)
     if settings["limit"] is not None:
         entries = entries[:settings["limit"]]
     rows, cols = settings["grid_rows"], settings["grid_cols"]
-    count = 0
     for entry in entries:
         grid = load_features(manifest.parent / entry.features_path)
         if settings["use_gold_captions"]:
@@ -444,8 +373,7 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
             de_tokens = [de_vocab.id_to_token[i] for i in res.de_ids]
         evaluation.export_attention_heatmaps(record, de_tokens, rows, cols,
                                              out_dir / "attn", entry.image_id)
-        count += 1
-    print(f"exported attention for {count} images under {out_dir / 'attn'}")
+    print(f"exported attention for {len(entries)} images under {out_dir / 'attn'}")
 
 
 def run_gradcheck(settings: dict, out_dir: Path) -> None:
@@ -470,38 +398,107 @@ def run_oracle_check(settings: dict, out_dir: Path) -> None:
         raise NumericError("oracle check failed")
 
 
-RUNNERS = {
-    "synth-data": run_synth_data,
-    "pretrain": run_pretrain,
-    "train": run_train,
-    "infer": run_infer,
-    "eval": run_eval,
-    "attn-export": run_attn_export,
-    "gradcheck": run_gradcheck,
-    "oracle-check": run_oracle_check,
+SEED = (Option("seed", non_negative_int, 0, "master RNG seed"),)
+TRAIN = (
+    Option("learning-rate", float, 4e-4, "Adam learning rate"),
+    Option("batch-size", int, 32, "records per optimizer step"),
+    Option("max-epochs", int, 50, "maximum training epochs"),
+    Option("patience", int, 20, "early-stop patience on validation CIDEr"),
+    Option("dropout", float, 0.5, "dropout rate in training mode"),
+    Option("proj-dim", int, 64, "projected image feature size"),
+    Option("embed-dim", int, 64, "word embedding size"),
+    Option("hidden-dim", int, 64, "recurrent hidden size"),
+    Option("attn-dim", int, 64, "attention scorer hidden size"),
+    Option("validate-every", int, 1, "epochs between validation decodes"),
+    Option("target-nll", float, None,
+           "stop once per-token train loss drops below this"),
+)
+MANIFEST = Option("manifest", str, None, "dataset manifest (jsonl)", True)
+MIN_FREQ = Option("min-freq", int, 5, "vocabulary frequency cutoff")
+
+# subcommand: (runner, help, options)
+SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
+    "synth-data": (run_synth_data, "generate a synthetic aligned corpus",
+                   SEED + (
+        Option("n-images", int, 16, "number of images"),
+        Option("regions", int, 16, "feature grid regions per image"),
+        Option("feature-dim", int, 32, "feature vector size per region"),
+        Option("n-object-types", int, 6, "distinct object words"),
+        Option("objects-per-image", int, 1, "planted objects per image"),
+    )),
+    "pretrain": (run_pretrain, "train the stage-one captioner", SEED + (
+        MANIFEST,
+        Option("caption-field", str, "en",
+               "which caption field to train on (en, or de for the "
+               "single-stage baseline)"),
+        MIN_FREQ,
+    ) + TRAIN),
+    "train": (run_train, "train the German stage against a pretrained captioner",
+              SEED + (
+        MANIFEST,
+        Option("part1", str, None, "stage-one checkpoint (vocab file alongside)",
+               True),
+        Option("lambda", float, 1.0, "cycle-consistency loss weight"),
+        Option("squared-cycle", bool, False, "use the squared consistency norm"),
+        Option("freeze-part1", bool, False, "keep stage-one parameters fixed"),
+        MIN_FREQ,
+    ) + TRAIN),
+    "infer": (run_infer, "decode captions for a manifest", SEED + (
+        Option("checkpoint", str, None, "bundle or captioner checkpoint", True),
+        MANIFEST,
+        Option("beam-size", int, 3, "beam width"),
+        Option("max-len", int, 50, "generated-token cap, EOS included"),
+        Option("caption-field", str, "en",
+               "output field for captioner-only checkpoints"),
+    )),
+    "eval": (run_eval, "score decoded captions", SEED + (
+        Option("candidates", str, None, "captions.jsonl from infer", True),
+        Option("manifest", str, None, "reference manifest", True),
+        Option("field", str, "de", "caption field to score"),
+        Option("model-name", str, "model", "label for the report row"),
+    )),
+    "attn-export": (run_attn_export, "export attention heatmaps", SEED + (
+        Option("checkpoint", str, None, "bundle checkpoint", True),
+        MANIFEST,
+        Option("grid-rows", int, 4, "heatmap rows (rows*cols = regions)"),
+        Option("grid-cols", int, 4, "heatmap cols"),
+        Option("beam-size", int, 3, "beam width"),
+        Option("max-len", int, 50, "generated-token cap"),
+        Option("limit", positive_int, None, "export at most this many images"),
+        Option("use-gold-captions", bool, False,
+               "teacher-force ground truth instead of decoding"),
+    )),
+    "gradcheck": (run_gradcheck, "finite-difference gradient suite", SEED + (
+        Option("dims", str, "tiny", "preset size (tiny or small)"),
+    )),
+    "oracle-check": (run_oracle_check,
+                     "composed-attention and chain-identity verification", SEED + (
+        Option("trials", positive_int, 100, "random factorized joints to test"),
+    )),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, options = SUBCOMMANDS[args.subcommand]
     try:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.from_manifest:
-            settings = _replayed_settings(args)
+            settings = _replayed_settings(args, options)
         else:
-            settings = _resolve_settings(args)
-        for key in REQUIRED.get(args.subcommand, ()):
-            if not settings.get(key):
-                raise ConfigError(f"--{key} is required for {args.subcommand}")
+            settings = _resolve_settings(args, options)
+        for opt in options:
+            if opt.required and not settings[opt.key]:
+                raise ConfigError(f"--{opt.flag} is required for {args.subcommand}")
         write_run_manifest(args.subcommand, settings, out_dir)
-        RUNNERS[args.subcommand](settings, out_dir)
+        run({opt.key: settings[opt.key] for opt in options}, out_dir)
         return 0
     except CycleCapError as exc:
         category = getattr(exc, "category", "config")
         print(f"error[{category}]: {exc}", file=sys.stderr)
         return EXIT_CODES.get(category, 2)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file belongs...
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_CODES["io"]
 

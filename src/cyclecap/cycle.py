@@ -29,6 +29,10 @@ ROW_SUM_TOL = 1e-6
 def _check_stochastic(name: str, m: np.ndarray) -> None:
     if m.ndim != 2:
         raise DimensionError(f"{name} must be a matrix, got shape {m.shape}")
+    if not len(m):
+        raise DataError(f"{name} has no rows")
+    if not np.isfinite(m).all():
+        raise DataError(f"{name} has non-finite entries")
     if (m < 0).any():
         raise DataError(f"{name} has negative entries")
     if np.abs(m.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
@@ -212,23 +216,36 @@ def dump_record(record: AttentionRecord) -> str:
 
 
 def parse_record(text: str) -> AttentionRecord:
+    """Inverse of ``dump_record``; a malformed dump is a DataError naming
+    its line."""
     lines = text.splitlines()
     if not lines or lines[0] != "attention-record v1":
         raise DataError("not an attention-record dump")
-    pos = 1
+    pos = 0
+
+    def next_line(what: str) -> list[str]:
+        nonlocal pos
+        pos += 1
+        if pos >= len(lines):
+            raise DataError(f"line {pos + 1}: dump ends before {what}")
+        return lines[pos].split()
+
     matrices = {}
     for name in _SECTIONS:
-        parts = lines[pos].split()
-        if len(parts) != 3 or parts[0] != name:
-            raise DataError(f"expected {name} header at line {pos + 1}")
+        parts = next_line(f"the {name} header")
+        if len(parts) != 3 or parts[0] != name \
+                or not (parts[1].isdecimal() and parts[2].isdecimal()):
+            raise DataError(f"line {pos + 1}: expected the header '{name} ROWS COLS'")
         rows, cols = int(parts[1]), int(parts[2])
-        pos += 1
-        m = np.empty((rows, cols))
+        values = []
         for r in range(rows):
-            vals = lines[pos].split()
+            vals = next_line(f"row {r} of {name}")
             if len(vals) != cols:
-                raise DataError(f"row {r} of {name} has {len(vals)} values, wanted {cols}")
-            m[r] = [float(v) for v in vals]
-            pos += 1
-        matrices[name] = m
+                raise DataError(f"line {pos + 1}: row {r} of {name} has "
+                                f"{len(vals)} values, wanted {cols}")
+            try:
+                values.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise DataError(f"line {pos + 1}: {exc}") from exc
+        matrices[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
     return AttentionRecord(**matrices)

@@ -17,6 +17,7 @@ dual-attention decoder for the full two-stage pipeline.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -29,7 +30,7 @@ from .attention import AttentionKeys, AttentionLayer, attend
 from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import FeatureGrid
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
                      log_softmax, matmul, mean_rows, stack_rows, tanh)
 
@@ -406,11 +407,20 @@ def load_checkpoint(path: Path | str) -> tuple[str, ModelDims, dict[str, np.ndar
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode()
+        try:
+            name = take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: entry name at offset {off - name_len} "
+                              f"is not UTF-8") from exc
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        arrays[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(values).all():
+            raise NumericError(f"{path}: non-finite values in entry {name!r}")
+        try:
+            arrays[name] = values.reshape(shape).copy()
+        except ValueError as exc:  # more axes or elements than numpy allows
+            raise FormatError(f"{path}: entry {name!r} has shape {shape}") from exc
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes at offset {off}")
     return kind, dims, arrays

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from cyclecap import synth
 from cyclecap.data import TripleRecord, Vocabulary, pairs_from_triples
@@ -40,3 +42,27 @@ def random_ids(rng, vocab_size, length):
 @pytest.fixture(scope="session")
 def small_corpus():
     return make_corpus(seed=7, n_images=16)
+
+
+# --- fuzzing ---------------------------------------------------------------------
+
+# deterministic examples, so a fuzz test passes or fails the same way every run
+FUZZ = settings(max_examples=30, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def flip_bit(blob: bytes, offset: int, bit: int) -> bytes:
+    return blob[:offset] + bytes([blob[offset] ^ (1 << bit)]) + blob[offset + 1:]
+
+
+def truncations(blob: bytes, offsets=None):
+    """``blob`` cut short at one of ``offsets`` (default: anywhere)."""
+    return st.sampled_from(offsets or range(len(blob))).map(lambda n: blob[:n])
+
+
+def bit_flips(blob: bytes, offsets=None, bits=range(8)):
+    """``blob`` with one bit flipped at one of ``offsets`` (default: anywhere).
+    Flipping bit 7 of an ASCII byte always leaves bytes that are not UTF-8."""
+    return st.builds(lambda at, bit: flip_bit(blob, at, bit),
+                     st.sampled_from(offsets or range(len(blob))),
+                     st.sampled_from(bits))

@@ -1,11 +1,19 @@
 import json
+import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cyclecap.cli import main
+from cyclecap.cli import SUBCOMMANDS, main
+from cyclecap.data import RESERVED_TOKENS
+from cyclecap.models import load_bundle, save_bundle
+
+from conftest import FUZZ, bit_flips, truncations
 
 
 def run(*argv):
@@ -134,6 +142,20 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "--trials" in capsys.readouterr().err  # usage lists the valid flags
 
 
+@pytest.mark.parametrize("subcommand, flag, value", [
+    *((sub, "--seed", "-1") for sub in SUBCOMMANDS),
+    ("oracle-check", "--trials", "0"),
+    ("attn-export", "--limit", "0"),
+    ("attn-export", "--limit", "-1"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, subcommand, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run(subcommand, "--out-dir", str(tmp_path), flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and "Traceback" not in err
+
+
 def test_error_categories(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     assert run("pretrain", "--manifest", str(missing),
@@ -151,6 +173,19 @@ def test_error_categories(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ") and str(cfg) in err
         assert "Traceback" not in err
+
+    # a --config value below its option's range
+    for subcommand, body, extra in (
+            ("synth-data", "seed: -1\n", []),
+            ("oracle-check", "trials: 0\n", []),
+            ("attn-export", "limit: -1\n", ["--checkpoint", "c", "--manifest", "m"])):
+        cfg = tmp_path / f"{subcommand}.yaml"
+        cfg.write_text(body, encoding="utf-8")
+        assert run(subcommand, "--config", str(cfg), *extra,
+                   "--out-dir", str(tmp_path / subcommand)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "Traceback" not in err
+        assert str(cfg) in err and repr(body.split(":")[0]) in err
 
 
 def assert_clean_io_error(capsys, *fragments):
@@ -235,6 +270,76 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
     assert err.startswith("error[config]: ") and "Traceback" not in err
     assert str(cfg) in err and "'seed'" in err
 
+    # a setting below its option's range
+    for subcommand, key, value in (("synth-data", "seed", -1),
+                                   ("oracle-check", "trials", 0),
+                                   ("attn-export", "limit", -1)):
+        replay = replay_manifest(tmp_path / f"{subcommand}.json", subcommand,
+                                 **{key: value})
+        assert run(subcommand, "--from-manifest", str(replay),
+                   "--out-dir", str(tmp_path / "replay")) == 5
+        assert_clean_io_error(capsys, str(replay), repr(key))
+
+    # a vocabulary file one token short of the checkpoint's vocabulary
+    short = copy_bundle_dir(pipeline, tmp_path / "short-vocab")
+    tokens = (short / "vocab_de.txt").read_text(encoding="utf-8").splitlines()
+    (short / "vocab_de.txt").write_text("".join(t + "\n" for t in tokens[:-1]),
+                                        encoding="utf-8")
+    for subcommand in ("infer", "attn-export"):
+        assert run(subcommand, "--checkpoint", str(short / "bundle.ckpt"),
+                   "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / f"short-{subcommand}")) == 5
+        assert_clean_io_error(capsys, str(short / "vocab_de.txt"), "ids")
+
+    # an OSError other than a missing file: a file where the output directory
+    # belongs, a directory where an input file belongs
+    assert run("synth-data", "--out-dir", str(manifest)) == 5
+    assert_clean_io_error(capsys, str(manifest), "File exists")
+    assert run("pretrain", "--manifest", str(data),
+               "--out-dir", str(tmp_path / "pretrain-dir")) == 5
+    assert_clean_io_error(capsys, str(data), "Is a directory")
+    assert run("infer", "--checkpoint", str(pipeline / "part2"),
+               "--manifest", str(manifest), "--out-dir", str(tmp_path / "infer-dir")) == 5
+    assert_clean_io_error(capsys, str(pipeline / "part2"), "Is a directory")
+
+
+def replay_manifest(path: Path, subcommand: str, **settings) -> Path:
+    """A run manifest for ``subcommand`` with its default settings, then
+    ``settings``."""
+    defaults = {opt.key: opt.default for opt in SUBCOMMANDS[subcommand][2]}
+    path.write_text(json.dumps({"subcommand": subcommand,
+                                "settings": {**defaults, **settings}}),
+                    encoding="utf-8")
+    return path
+
+
+def test_from_manifest_takes_settings_from_the_manifest_alone(pipeline, tmp_path,
+                                                              capsys):
+    stored = str(pipeline / "data" / "manifest.json")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("n-images: 2\n", encoding="utf-8")
+    for extra, named in ((["--n-images", "2"], "--n-images"),
+                         (["--config", str(cfg)], "--config"),
+                         (["--seed", "0"], "--seed")):
+        out = tmp_path / named.strip("-")
+        assert run("synth-data", "--from-manifest", stored, *extra,
+                   "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "Traceback" not in err
+        assert named in err and "--from-manifest" in err
+        assert not (out / "manifest.jsonl").exists()  # nothing generated
+
+
+def test_shipped_configs_name_known_options():
+    # a config key no option reads is ignored at run time, so catch typos here
+    known = {opt.key for _, _, options in SUBCOMMANDS.values() for opt in options}
+    shipped = sorted(Path(__file__).parents[1].glob("configs/*.yaml"))
+    assert shipped
+    for path in shipped:
+        keys = {str(k).replace("-", "_")
+                for k in yaml.safe_load(path.read_text(encoding="utf-8"))}
+        assert keys <= known, (path.name, sorted(keys - known))
+
 
 def test_config_file_feeds_defaults_and_flags_override(tmp_path):
     cfg = tmp_path / "run.yaml"
@@ -270,3 +375,147 @@ def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
                    "--out-dir", str(rerun)) == 0
         compare_trees(part2, rerun)
 
+
+
+# --- fuzzing through the command line -------------------------------------------
+# Each mutation below always leaves its input malformed, so every run must end
+# in a typed error: exit 2-5, an ``error[...]`` line and no traceback.
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+BAD_SETTING = (st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1)
+               | st.text(alphabet="xyz", min_size=1, max_size=3))
+
+
+def run_typed_failure(capsys, *argv) -> int:
+    capsys.readouterr()
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4, 5), (code, err)
+    assert err.startswith("error[") and "Traceback" not in err
+    return code
+
+
+def first_features(pipeline) -> bytes:
+    return sorted((pipeline / "data" / "features").glob("*.feat"))[0].read_bytes()
+
+
+def infer_one_image(capsys, bundle_dir: Path, work: Path, features: bytes) -> int:
+    (work / "img.feat").write_bytes(features)
+    manifest = work / "one.jsonl"
+    manifest.write_text(json.dumps({"image_id": "img", "features": "img.feat",
+                                    "en": "a dog", "de": "ein hund"}) + "\n",
+                        encoding="utf-8")
+    return run_typed_failure(capsys, "infer", "--checkpoint",
+                             str(bundle_dir / "bundle.ckpt"), "--manifest",
+                             str(manifest), "--beam-size", "1", "--max-len", "3",
+                             "--out-dir", str(work / "decoded"))
+
+
+def copy_bundle_dir(pipeline, to: Path) -> Path:
+    to.mkdir(exist_ok=True)
+    for name in ("bundle.ckpt", "vocab_en.txt", "vocab_de.txt"):
+        shutil.copy(pipeline / "part2" / name, to / name)
+    return to
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_feature_file_is_typed_error(pipeline, tmp_path, capsys, data):
+    blob = first_features(pipeline)
+    header = 14  # magic, version, region count, feature size
+    non_finite = st.builds(
+        lambda i, v: blob[:i] + struct.pack("<d", v) + blob[i + 8:],
+        st.sampled_from(range(header, len(blob), 8)), NON_FINITE)
+    mutated = data.draw(truncations(blob) | bit_flips(blob, range(header))
+                        | non_finite)
+    infer_one_image(capsys, pipeline / "part2", tmp_path, mutated)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_is_typed_error(pipeline, tmp_path, capsys, data):
+    bundle_dir = copy_bundle_dir(pipeline, tmp_path / "bundle")
+    blob = (pipeline / "part2" / "bundle.ckpt").read_bytes()
+    (header_len,) = struct.unpack("<I", blob[6:10])
+    # magic, version, header length, JSON header and entry count
+    structure = range(10 + header_len + 4)
+    kind = data.draw(st.sampled_from(["truncate", "flip", "non-finite"]))
+    if kind == "non-finite":
+        bundle = load_bundle(bundle_dir / "bundle.ckpt")
+        params = bundle.named_parameters()
+        params[data.draw(st.sampled_from(sorted(params)))].data.flat[0] = \
+            data.draw(NON_FINITE)
+        save_bundle(bundle, bundle_dir / "bundle.ckpt")
+    else:
+        (bundle_dir / "bundle.ckpt").write_bytes(data.draw(
+            truncations(blob) if kind == "truncate" else bit_flips(blob, structure)))
+    infer_one_image(capsys, bundle_dir, tmp_path, first_features(pipeline))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_vocabulary_file_is_typed_error(pipeline, tmp_path, capsys, data):
+    bundle_dir = copy_bundle_dir(pipeline, tmp_path / "bundle")
+    blob = (bundle_dir / "vocab_de.txt").read_bytes()
+    lines = blob.decode().splitlines(keepends=True)
+    inserted = st.builds(lambda at, line: "".join(lines[:at] + [line] + lines[at:]),
+                         st.integers(0, len(lines)),
+                         st.sampled_from(["\n", lines[0], f"{RESERVED_TOKENS[3]}\n"]))
+    dropped = st.integers(0, len(lines) - 1).map(
+        lambda at: "".join(lines[:at] + lines[at + 1:]))
+    mutated = data.draw(bit_flips(blob, bits=[7])
+                        | (inserted | dropped).map(str.encode))
+    (bundle_dir / "vocab_de.txt").write_bytes(mutated)
+    infer_one_image(capsys, bundle_dir, tmp_path, first_features(pipeline))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_manifest_is_typed_error(pipeline, tmp_path, capsys, data):
+    blob = (pipeline / "data" / "manifest.jsonl").read_bytes()
+    starts = [0] + [i + 1 for i, b in enumerate(blob) if b == ord("\n")][:-1]
+    ends = [i - 1 for i, b in enumerate(blob) if b == ord("\n")]  # each '}'
+    inside_a_row = [n for s, e in zip(starts, ends) for n in range(s + 1, e)]
+    rows = [json.loads(line) for line in blob.splitlines()]
+    retyped = st.builds(
+        lambda i, field, value: b"".join(
+            json.dumps({**r, field: value} if j == i else r).encode() + b"\n"
+            for j, r in enumerate(rows)),
+        st.integers(0, len(rows) - 1), st.sampled_from(["en", "de"]),
+        st.none() | st.integers() | st.lists(st.text(max_size=2), max_size=2))
+    mutated = data.draw(truncations(blob, inside_a_row)
+                        | bit_flips(blob, bits=[7])
+                        | bit_flips(blob, starts + ends)
+                        | retyped)
+    (tmp_path / "manifest.jsonl").write_bytes(mutated)
+    assert run_typed_failure(
+        capsys, "eval", "--candidates", str(tmp_path / "captions.jsonl"),
+        "--manifest", str(tmp_path / "manifest.jsonl"),
+        "--out-dir", str(tmp_path / "scores")) == 5
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_setting_value_is_typed_error(pipeline, tmp_path, capsys, data):
+    source = data.draw(st.sampled_from(["config", "data", "part2"]))
+    if source == "config":
+        subcommand = data.draw(st.sampled_from(["synth-data", "oracle-check"]))
+    else:
+        stored = json.loads((pipeline / source / "manifest.json").read_text())
+        subcommand = stored["subcommand"]
+    opt = data.draw(st.sampled_from([o for o in SUBCOMMANDS[subcommand][2]
+                                     if o.type is not str]))
+    value = data.draw(BAD_SETTING if opt.type is bool
+                      else BAD_SETTING | st.booleans())
+    if source == "config":
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump({opt.flag: value}), encoding="utf-8")
+        argv, expected = ["--config", str(cfg)], 2
+    else:
+        stored["settings"][opt.key] = value
+        replay = tmp_path / "manifest.json"
+        replay.write_text(json.dumps(stored), encoding="utf-8")
+        argv, expected = ["--from-manifest", str(replay)], 5
+    assert run_typed_failure(capsys, subcommand, *argv,
+                             "--out-dir", str(tmp_path / "out")) == expected

@@ -201,3 +201,30 @@ def test_dump_roundtrip_on_awkward_floats():
 def test_parse_rejects_garbage():
     with pytest.raises(DataError):
         parse_record("not a dump")
+
+
+@pytest.mark.parametrize("matrix", [np.array([[np.nan, 1.0]]), np.zeros((0, 2))])
+def test_non_finite_or_empty_attention_is_data_error(matrix):
+    ok = np.array([[0.5, 0.5]])
+    with pytest.raises(DataError):
+        AttentionRecord(en_to_regions=matrix, de_to_regions=ok, de_to_en=np.ones((1, 1)))
+
+
+TOY_DUMP = dump_record(toy_alignment_record()).splitlines()  # 10 lines
+
+
+def toy_dump_with(line: int, text: str) -> str:
+    return "\n".join(TOY_DUMP[:line - 1] + [text] + TOY_DUMP[line:])
+
+
+@pytest.mark.parametrize("text, line", [
+    ("\n".join(TOY_DUMP[:6]), 7),                 # cut before a header
+    ("\n".join(TOY_DUMP[:4]), 5),                 # cut inside a matrix
+    (toy_dump_with(8, "0.0 half 0.0 0.1"), 8),
+    (toy_dump_with(7, "de_to_regions one 4"), 7),
+    (toy_dump_with(7, "de_to_regions -1 4"), 7),
+], ids=["cut-before-header", "cut-inside-matrix", "word-value", "word-count",
+        "negative-count"])
+def test_malformed_dump_is_data_error_naming_the_line(text, line):
+    with pytest.raises(DataError, match=f"^line {line}: "):
+        parse_record(text)

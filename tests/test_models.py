@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclecap.data import FeatureGrid
-from cyclecap.errors import DataError, FormatError
+from cyclecap.errors import DataError, FormatError, NumericError
 from cyclecap.gradcheck import check_gradients
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              init_state,
@@ -259,3 +259,30 @@ def test_malformed_checkpoint_header_is_format_error(tmp_path, header, message):
     with pytest.raises(FormatError, match=message) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
+
+
+def corrupt_first_entry(blob: bytes, part: str) -> bytes:
+    """A saved checkpoint with its first entry's name made non-UTF-8, or its
+    first float made NaN."""
+    (header_len,) = struct.unpack("<I", blob[6:10])
+    name_at = 10 + header_len + 4 + 2
+    (name_len,) = struct.unpack("<H", blob[name_at - 2:name_at])
+    if part == "name":
+        return blob[:name_at] + b"\xff" + blob[name_at + 1:]
+    (ndim,) = struct.unpack("<B", blob[name_at + name_len:name_at + name_len + 1])
+    value_at = name_at + name_len + 1 + 4 * ndim
+    return blob[:value_at] + struct.pack("<d", np.nan) + blob[value_at + 8:]
+
+
+@pytest.mark.parametrize("part, error, fragments", [
+    ("name", FormatError, ["not UTF-8", "offset"]),
+    ("value", NumericError, ["non-finite", "'cap_encoder/bwd/b'"]),
+])
+def test_corrupt_checkpoint_entry_is_typed_error(tmp_path, part, error, fragments):
+    path = tmp_path / "bundle.ckpt"
+    save_bundle(tiny_bundle(seed=24), path)
+    path.write_bytes(corrupt_first_entry(path.read_bytes(), part))
+    with pytest.raises(error) as exc:
+        load_checkpoint(path)
+    for fragment in [str(path), *fragments]:
+        assert fragment in str(exc.value)
