@@ -38,9 +38,9 @@ from .data import (Vocabulary, encode_pairs, encode_triples, load_features,
                    read_jsonl, read_manifest, text_field)
 from .errors import (ConfigError, CycleCapError, DataError, FormatError,
                      NumericError)
-from .inference import beam_decode, caption_image, captioner_step_fn
-from .models import (load_bundle, load_captioner, load_checkpoint, save_bundle,
-                     save_captioner, teacher_forced_record)
+from .inference import beam_decode, caption_image, decoder_step_fn
+from .models import (ModelBundle, load_bundle, load_captioner, load_model,
+                     save_bundle, save_captioner, teacher_forced_record)
 from .training import TrainConfig, pretrain_part1, train_part2
 
 EXIT_CODES = {"config": 2, "data": 3, "numeric": 4, "io": 5}
@@ -119,6 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Removed on/off settings. A config or manifest may still hold one switched
+# off, which is the behaviour that remains; switched on it is a ConfigError.
+RETIRED = ("squared_cycle",)
+
+
+def _refuse_retired(values: dict, path) -> None:
+    for key in RETIRED:
+        if values.get(key, False) is not False:
+            raise ConfigError(f"{path}: setting {key!r} was removed; only "
+                              f"false is accepted, got {values[key]!r}")
+
+
 def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
     """defaults < config file < explicit flags, as a flat dict."""
     config = {}
@@ -131,6 +143,7 @@ def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> 
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config must be a key/value tree")
         config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
+        _refuse_retired(config, path)
     settings = {}
     for opt in options:
         value = getattr(args, opt.key)
@@ -151,7 +164,8 @@ def _replayed_settings(args: argparse.Namespace,
                        options: tuple[Option, ...]) -> dict:
     """The settings recorded in the ``--from-manifest`` file, which must hold
     every option of the subcommand; keys of removed options are kept as
-    recorded. --config or a setting flag beside it is a ConfigError."""
+    recorded (``RETIRED`` ones only when off). --config or a setting flag
+    beside it is a ConfigError."""
     given = [f"--{opt.flag}" for opt in options if getattr(args, opt.key) is not None]
     if args.config:
         given.insert(0, "--config")
@@ -174,6 +188,7 @@ def _replayed_settings(args: argparse.Namespace,
     settings = stored.get("settings")
     if not isinstance(settings, dict):
         raise FormatError(f"{path}: missing the 'settings' object")
+    _refuse_retired(settings, path)
     missing = [opt.key for opt in options if opt.key not in settings]
     if missing:
         raise FormatError(f"{path}: settings lack {', '.join(map(repr, missing))}")
@@ -272,45 +287,40 @@ def _vocab_beside(ckpt: Path, lang: str, size: int) -> Vocabulary:
 
 def run_infer(settings: dict, out_dir: Path) -> None:
     ckpt = Path(settings["checkpoint"])
-    kind, _, _ = load_checkpoint(ckpt)
+    model = load_model(ckpt)
     manifest = Path(settings["manifest"])
     entries = read_manifest(manifest)
     beam_size, max_len = settings["beam_size"], settings["max_len"]
 
-    if kind == "bundle":
-        bundle = load_bundle(ckpt)
-        en_vocab = _vocab_beside(ckpt, "en", bundle.dims.en_vocab)
-        de_vocab = _vocab_beside(ckpt, "de", bundle.dims.de_vocab)
+    if isinstance(model, ModelBundle):
+        en_vocab = _vocab_beside(ckpt, "en", model.dims.en_vocab)
+        de_vocab = _vocab_beside(ckpt, "de", model.dims.de_vocab)
 
         def decode(entry):
             grid = load_features(manifest.parent / entry.features_path)
-            res = caption_image(bundle, grid, beam_size=beam_size, max_len=max_len)
+            res = caption_image(model, grid, beam_size=beam_size, max_len=max_len)
             return {"image_id": entry.image_id,
                     "en": " ".join(en_vocab.decode(res.en_ids)),
                     "de": " ".join(de_vocab.decode(res.de_ids)),
                     "en_truncated": res.en_truncated,
-                    "de_truncated": res.de_truncated,
-                    "fallback": res.used_fallback}
-    elif kind == "captioner":
+                    "de_truncated": res.de_truncated}
+    else:
         field = settings["caption_field"]
-        captioner = load_captioner(ckpt)
+        decoder = model.decoder
         if not (ckpt.parent / f"vocab_{field}.txt").is_file():
             raise DataError(f"no vocab_{field}.txt next to {ckpt}")
-        vocab = _vocab_beside(ckpt, field, captioner.dims.en_vocab)
+        vocab = _vocab_beside(ckpt, field, model.dims.en_vocab)
 
         def decode(entry):
-            keys = captioner.project(
-                load_features(manifest.parent / entry.features_path))
-            res = beam_decode(captioner_step_fn(captioner.decoder, keys),
-                              captioner.decoder.initial_state(keys),
+            keys, state = decoder.start(model.project(
+                load_features(manifest.parent / entry.features_path)))
+            res = beam_decode(decoder_step_fn(decoder, keys), state,
                               beam_size=beam_size, max_len=max_len)
             rec = {"image_id": entry.image_id, "en": "", "de": "",
-                   "en_truncated": False, "de_truncated": False, "fallback": False}
+                   "en_truncated": False, "de_truncated": False}
             rec[field] = " ".join(vocab.decode(res.tokens))
             rec[f"{field}_truncated"] = res.truncated
             return rec
-    else:
-        raise FormatError(f"{ckpt}: unknown checkpoint kind {kind!r}")
 
     rows = [decode(e) for e in entries]
     with open(out_dir / "captions.jsonl", "w", encoding="utf-8") as fh:
@@ -439,7 +449,6 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
         Option("part1", str, None, "stage-one checkpoint (vocab file alongside)",
                True),
         Option("lambda", float, 1.0, "cycle-consistency loss weight"),
-        Option("squared-cycle", bool, False, "use the squared consistency norm"),
         Option("freeze-part1", bool, False, "keep stage-one parameters fixed"),
         MIN_FREQ,
     ) + TRAIN),

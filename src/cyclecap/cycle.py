@@ -75,20 +75,18 @@ def indirect_attention(record: AttentionRecord) -> np.ndarray:
     return record.de_to_en @ record.en_to_regions
 
 
-def cycle_loss(record: AttentionRecord, squared: bool = False) -> float:
+def cycle_loss(record: AttentionRecord) -> float:
     """Frobenius distance between direct and composed region attention.
 
-    Zero exactly when the two matrices agree. ``squared`` selects the smooth
-    squared variant; the default unsquared norm uses subgradient 0 at its
-    single non-smooth point.
+    Zero exactly when the two matrices agree; the norm uses subgradient 0 at
+    that single non-smooth point.
     """
     diff = record.de_to_regions - indirect_attention(record)
-    total = float((diff * diff).sum())
-    return total if squared else float(np.sqrt(total))
+    return float(np.sqrt(float((diff * diff).sum())))
 
 
-def cycle_loss_graph(de_to_regions: Tensor, de_to_en: Tensor, en_to_regions: Tensor,
-                     squared: bool = False) -> Tensor:
+def cycle_loss_graph(de_to_regions: Tensor, de_to_en: Tensor,
+                     en_to_regions: Tensor) -> Tensor:
     """Taped twin of :func:`cycle_loss` for training graphs."""
     m, l = de_to_regions.shape
     m2, n = de_to_en.shape
@@ -98,8 +96,7 @@ def cycle_loss_graph(de_to_regions: Tensor, de_to_en: Tensor, en_to_regions: Ten
             f"cycle loss shapes disagree: de_to_regions {de_to_regions.shape}, "
             f"de_to_en {de_to_en.shape}, en_to_regions {en_to_regions.shape}")
     diff = sub(de_to_regions, matmul(de_to_en, en_to_regions))
-    total = sum_all(mul(diff, diff))
-    return total if squared else sqrt(total)
+    return sqrt(sum_all(mul(diff, diff)))
 
 
 def toy_alignment_record() -> AttentionRecord:

@@ -300,13 +300,9 @@ def text_field(obj: dict, key: str, where: str) -> str:
 def read_manifest(path: Path | str) -> list[ManifestEntry]:
     entries = []
     for where, obj in read_jsonl(path):
-        try:
-            image_id, features = obj["image_id"], obj["features"]
-        except KeyError as exc:
-            raise FormatError(f"{where}: bad manifest record: missing {exc}") from exc
         entries.append(ManifestEntry(
-            image_id=str(image_id),
-            features_path=str(features),
+            image_id=text_field(obj, "image_id", where),
+            features_path=text_field(obj, "features", where),
             en_tokens=tuple(tokenize(text_field(obj, "en", where))),
             de_tokens=tuple(tokenize(text_field(obj, "de", where))),
         ))

@@ -1,10 +1,12 @@
 """Two-stage inference: image -> English caption -> German caption.
 
-Both decoders use the same beam search. Scores are plain summed token
-log-probabilities (no length normalization); hypotheses that emit EOS are
-retired, and a hypothesis that hits the length cap without EOS is discarded
-unless nothing finished, in which case the best capped one is returned with
-a truncation flag.
+Both decoders use the same beam search through the same adapter:
+``decoder_step_fn(decoder, keys)`` turns a decoder's ``step`` over the keys
+its ``start`` prepared into the search's ``step_fn``. Scores are plain
+summed token log-probabilities (no length normalization); hypotheses that
+emit EOS are retired, and a hypothesis that hits the length cap without EOS
+is discarded unless nothing finished, in which case the best capped one is
+returned with a truncation flag.
 
 The search ends before the length cap once the best finished score is at
 least the best live score. That stop is exact: log-probs are <= 0 and float
@@ -24,8 +26,7 @@ import numpy as np
 from .cycle import AttentionRecord
 from .data import BOS_ID, EOS_ID, FeatureGrid
 from .errors import ConfigError
-from .models import ModelBundle, SoftAttentionDecoder
-from .tensor import Tensor
+from .models import DualAttentionDecoder, Keys, ModelBundle, SoftAttentionDecoder
 
 StepFn = Callable[[Any, int], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
 
@@ -54,10 +55,11 @@ def _best(hyps: list[BeamHypothesis]) -> BeamHypothesis:
     return sorted(hyps, key=lambda h: (-h.logprob, len(h.tokens), h.tokens))[0]
 
 
-def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
+def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
                 max_len: int = 50, bos_id: int = BOS_ID,
                 eos_id: int = EOS_ID) -> DecodeResult:
-    """Length-capped beam search over ``step_fn(state, prev_token)``.
+    """Length-capped beam search over ``step_fn(state, prev_token)`` from
+    the decoder state ``state``.
 
     ``step_fn`` returns (log-prob vector over the vocabulary, next state,
     attention rows for this step). ``max_len`` caps generated tokens, EOS
@@ -72,7 +74,7 @@ def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
     if beam_size < 1 or max_len < 1:
         raise ConfigError(f"beam_size and max_len must be >= 1, "
                           f"got {beam_size}, {max_len}")
-    live = [BeamHypothesis(tokens=(), logprob=0.0, state=initial_state, attn=())]
+    live = [BeamHypothesis(tokens=(), logprob=0.0, state=state, attn=())]
     finished: list[BeamHypothesis] = []
     best_finished = -np.inf
     can_stop = True
@@ -111,35 +113,16 @@ def beam_decode(step_fn: StepFn, initial_state: Any, *, beam_size: int = 3,
     return DecodeResult(best.tokens, best.logprob, best.attn, truncated=True)
 
 
-def captioner_step_fn(decoder: SoftAttentionDecoder, keys: Tensor) -> StepFn:
-    """Beam-search step of a soft-attention decoder over projected region
-    keys, prepared for its attention once; each step's attention rows are
-    its region weights."""
-    att_keys = decoder.attn.prepare(keys)
+def decoder_step_fn(decoder: SoftAttentionDecoder | DualAttentionDecoder,
+                    keys: Keys) -> StepFn:
+    """Beam-search step of either decoder over the ``keys`` from its
+    ``start``; each step's attention rows are one weight row per head."""
 
     def step(state, prev):
-        h, c = state
-        logp, h, c, region_w = decoder.step(att_keys, h, c, prev)
-        return logp.data, (h, c), (region_w.data.copy(),)
+        logp, state, weights = decoder.step(keys, state, prev)
+        return logp.data, state, tuple(w.data.copy() for w in weights)
 
     return step
-
-
-def encode_pivot(bundle: ModelBundle, en_tokens: tuple[int, ...],
-                 en_attn: tuple[tuple[np.ndarray, ...], ...],
-                 regions: int) -> tuple[Tensor, np.ndarray, bool]:
-    """Encode the pivot caption for the German stage.
-
-    Returns (caption states, English region-attention matrix, fallback flag).
-    An empty pivot caption falls back to a single zero caption state with a
-    uniform synthetic region row, so the German decoder still runs on image
-    attention alone; the flag marks the record as degenerate.
-    """
-    if en_tokens:
-        cap_states = bundle.cap_encoder.encode(en_tokens)
-        return cap_states, np.stack([rows[0] for rows in en_attn]), False
-    cap_states = Tensor(np.zeros((1, 2 * bundle.dims.hidden_dim)))
-    return cap_states, np.full((1, regions), 1.0 / regions), True
 
 
 @dataclass(frozen=True)
@@ -149,44 +132,30 @@ class CaptionResult:
     record: AttentionRecord
     en_truncated: bool
     de_truncated: bool
-    used_fallback: bool
 
 
 def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
                   max_len: int = 50) -> CaptionResult:
     """Generate the English pivot caption, encode it, then decode German.
 
-    Deterministic for a given bundle and grid. If the pivot caption somehow
-    comes back empty, the German decoder runs against a single zero caption
-    state (its caption attention is then trivially uniform) and the result is
-    flagged.
+    Deterministic for a given bundle and grid. The pivot caption is never
+    empty: ``beam_decode`` returns at least one token.
     """
-    keys = bundle.captioner.project(grid)
-    decoder = bundle.captioner.decoder
-    en_res = beam_decode(captioner_step_fn(decoder, keys),
-                         decoder.initial_state(keys),
+    regions = bundle.captioner.project(grid)
+    en_decoder = bundle.captioner.decoder
+    keys, state = en_decoder.start(regions)
+    en_res = beam_decode(decoder_step_fn(en_decoder, keys), state,
                          beam_size=beam_size, max_len=max_len)
-    cap_states, en_to_regions, used_fallback = encode_pivot(
-        bundle, en_res.tokens, en_res.attn, grid.regions)
-
+    cap_states = bundle.cap_encoder.encode(en_res.tokens)
     de_decoder = bundle.de_decoder
-    region_keys = de_decoder.attn_regions.prepare(keys)
-    caption_keys = de_decoder.attn_caption.prepare(cap_states)
-
-    def de_step(state, prev):
-        s, mem = state
-        logp, s, mem, region_w, caption_w = de_decoder.step(
-            region_keys, caption_keys, s, mem, prev)
-        return logp.data, (s, mem), (region_w.data.copy(), caption_w.data.copy())
-
-    de_res = beam_decode(de_step, de_decoder.initial_state(keys),
+    keys, state = de_decoder.start(regions, cap_states)
+    de_res = beam_decode(decoder_step_fn(de_decoder, keys), state,
                          beam_size=beam_size, max_len=max_len)
 
     record = AttentionRecord(
-        en_to_regions=en_to_regions,
+        en_to_regions=np.stack([rows[0] for rows in en_res.attn]),
         de_to_regions=np.stack([rows[0] for rows in de_res.attn]),
         de_to_en=np.stack([rows[1] for rows in de_res.attn]),
     )
     return CaptionResult(en_ids=en_res.tokens, de_ids=de_res.tokens, record=record,
-                         en_truncated=en_res.truncated, de_truncated=de_res.truncated,
-                         used_fallback=used_fallback)
+                         en_truncated=en_res.truncated, de_truncated=de_res.truncated)

@@ -9,6 +9,13 @@
 * ``DualAttentionDecoder`` is the German decoder with two attention heads,
   one over image regions and one over encoded caption states.
 
+Both decoders share one interface. ``start(regions[, captions])`` returns
+``(keys, state)``: the key rows each head attends over, projected once per
+sequence, and the initial LSTM state. ``step(keys, state, y_prev)`` returns
+``(log_probs, state, weights)`` with one attention-weight row per head.
+``unroll`` teacher-forces either decoder over a caption, and
+``stage2_forward`` is the one teacher-forced pass of the German stage.
+
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
 dual-attention decoder for the full two-stage pipeline.
@@ -73,13 +80,32 @@ class ImageProjection:
         return {self.w.name: self.w, self.b.name: self.b}
 
 
+Keys = tuple[AttentionKeys, ...]   # one entry per attention head
+State = tuple[Tensor, Tensor]       # LSTM (hidden, memory)
+
+
+def _decoder_step(dec: SoftAttentionDecoder | DualAttentionDecoder,
+                  layers: tuple[AttentionLayer, ...], keys: Keys, state: State,
+                  y_prev: int, dropout_rate: float,
+                  rng: np.random.Generator | None):
+    """The step of both decoders: attend with each head in ``layers``, feed
+    [contexts; previous word embedding] into the LSTM, project to log-probs."""
+    h, c = state
+    heads = [attend(layer, k, h) for layer, k in zip(layers, keys)]
+    x = concat([a.context for a in heads]
+               + [embedding_lookup(dec.embedding, int(y_prev))])
+    h, c = lstm_step(dec.lstm, x, h, c)
+    pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
+    logits = add(matmul(pre, dec.w_out), dec.b_out)
+    return log_softmax(logits), (h, c), tuple(a.weights for a in heads)
+
+
 class SoftAttentionDecoder:
     """LSTM decoder attending over image regions.
 
     Per step: attend with the previous hidden state as query over the region
-    keys its attention layer prepared for the sequence, feed [context;
-    previous word embedding] into the LSTM, project the new hidden state to
-    vocabulary log-probabilities.
+    keys prepared by ``start``, feed [context; previous word embedding] into
+    the LSTM, project the new hidden state to vocabulary log-probabilities.
     """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
@@ -99,20 +125,17 @@ class SoftAttentionDecoder:
         self.w_c0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_c0")
         self.b_c0 = init.bias((dims.hidden_dim,), f"{prefix}/b_c0")
 
-    def initial_state(self, keys: Tensor) -> tuple[Tensor, Tensor]:
-        return (init_state(keys, self.w_h0, self.b_h0),
-                init_state(keys, self.w_c0, self.b_c0))
+    def start(self, regions: Tensor) -> tuple[Keys, State]:
+        """(region keys, initial (h, c)) for decoding over ``regions``."""
+        state = (init_state(regions, self.w_h0, self.b_h0),
+                 init_state(regions, self.w_c0, self.b_c0))
+        return (self.attn.prepare(regions),), state
 
-    def step(self, keys: AttentionKeys, h: Tensor, c: Tensor, y_prev: int, *,
-             dropout_rate: float = 0.0,
-             rng: np.random.Generator | None = None):
-        """One decode step; returns (log_probs, h, c, region_weights)."""
-        att = attend(self.attn, keys, h)
-        x = concat([att.context, embedding_lookup(self.embedding, int(y_prev))])
-        h, c = lstm_step(self.lstm, x, h, c)
-        pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
-        logits = add(matmul(pre, self.w_out), self.b_out)
-        return log_softmax(logits), h, c, att.weights
+    def step(self, keys: Keys, state: State, y_prev: int, *,
+             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+        """One decode step; returns (log_probs, (h, c), (region_weights,))."""
+        return _decoder_step(self, (self.attn,), keys, state, y_prev,
+                             dropout_rate, rng)
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}
@@ -168,8 +191,8 @@ class DualAttentionDecoder:
     """LSTM decoder with attention over regions and over caption states.
 
     The step input is the concatenation [region context; caption context;
-    previous word embedding]; both heads attend over keys prepared once per
-    sequence by their own attention layers.
+    previous word embedding]; both heads attend over keys that ``start``
+    prepared once per sequence with their own attention layers.
     """
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
@@ -194,23 +217,20 @@ class DualAttentionDecoder:
         self.w_m0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_m0")
         self.b_m0 = init.bias((dims.hidden_dim,), f"{prefix}/b_m0")
 
-    def initial_state(self, keys: Tensor) -> tuple[Tensor, Tensor]:
-        return (init_state(keys, self.w_s0, self.b_s0),
-                init_state(keys, self.w_m0, self.b_m0))
+    def start(self, regions: Tensor, captions: Tensor) -> tuple[Keys, State]:
+        """(region keys, caption keys), initial (s, mem) for decoding over
+        ``regions`` and the encoded caption states ``captions``."""
+        state = (init_state(regions, self.w_s0, self.b_s0),
+                 init_state(regions, self.w_m0, self.b_m0))
+        return (self.attn_regions.prepare(regions),
+                self.attn_caption.prepare(captions)), state
 
-    def step(self, region_keys: AttentionKeys, caption_keys: AttentionKeys,
-             s: Tensor, mem: Tensor, y_prev: int, *, dropout_rate: float = 0.0,
-             rng: np.random.Generator | None = None):
-        """One decode step; returns (log_probs, s, mem, region_weights,
-        caption_weights)."""
-        att_img = attend(self.attn_regions, region_keys, s)
-        att_cap = attend(self.attn_caption, caption_keys, s)
-        x = concat([att_img.context, att_cap.context,
-                    embedding_lookup(self.embedding, int(y_prev))])
-        s, mem = lstm_step(self.lstm, x, s, mem)
-        pre = dropout(s, dropout_rate, rng) if dropout_rate > 0.0 else s
-        logits = add(matmul(pre, self.w_out), self.b_out)
-        return log_softmax(logits), s, mem, att_img.weights, att_cap.weights
+    def step(self, keys: Keys, state: State, y_prev: int, *,
+             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+        """One decode step; returns (log_probs, (s, mem), (region_weights,
+        caption_weights))."""
+        return _decoder_step(self, (self.attn_regions, self.attn_caption), keys,
+                             state, y_prev, dropout_rate, rng)
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}
@@ -224,6 +244,8 @@ class DualAttentionDecoder:
 
 class ImageCaptioner:
     """Stage-one model: image projection plus soft-attention decoder."""
+
+    kind = "captioner"  # checkpoint header kind
 
     def __init__(self, dims: ModelDims, seed: int):
         self.dims = dims
@@ -244,6 +266,8 @@ class ImageCaptioner:
 
 class ModelBundle:
     """Full two-stage pipeline: captioner, caption encoder, dual decoder."""
+
+    kind = "bundle"
 
     def __init__(self, dims: ModelDims, seed: int, captioner: ImageCaptioner | None = None):
         if dims.de_vocab < 5:
@@ -276,65 +300,77 @@ class ModelBundle:
 # Teacher-forced unrolling
 # ---------------------------------------------------------------------------
 
-def unroll_captioner(captioner: ImageCaptioner, keys: Tensor, ids: Sequence[int], *,
-                     dropout_rate: float = 0.0,
-                     rng: np.random.Generator | None = None
-                     ) -> tuple[list[Tensor], list[Tensor]]:
-    """Teacher-force the soft-attention decoder over an encoded caption.
+def unroll(decoder: SoftAttentionDecoder | DualAttentionDecoder,
+           start: tuple[Keys, State], ids: Sequence[int], *,
+           dropout_rate: float = 0.0, rng: np.random.Generator | None = None
+           ) -> tuple[list[Tensor], list[tuple[Tensor, ...]]]:
+    """Teacher-force a decoder from ``start = decoder.start(...)`` over a
+    caption.
 
     ``ids`` is the BOS..EOS sequence; step t conditions on ids[t] and predicts
-    ids[t+1], so both returned lists have len(ids) - 1 entries (one log-prob
-    row and one region-attention row per target, EOS included).
+    ids[t+1]. Returns the len(ids) - 1 log-prob rows (EOS included) and, per
+    attention head, its len(ids) - 1 weight rows.
     """
-    dec = captioner.decoder
-    h, c = dec.initial_state(keys)
-    att_keys = dec.attn.prepare(keys)
-    logp_rows, region_rows = [], []
+    keys, state = start
+    logp_rows, weight_rows = [], []
     for t in range(len(ids) - 1):
-        logp, h, c, region_w = dec.step(att_keys, h, c, ids[t],
-                                        dropout_rate=dropout_rate, rng=rng)
+        logp, state, weights = decoder.step(keys, state, ids[t],
+                                            dropout_rate=dropout_rate, rng=rng)
         logp_rows.append(logp)
-        region_rows.append(region_w)
-    return logp_rows, region_rows
+        weight_rows.append(weights)
+    return logp_rows, list(zip(*weight_rows))
 
 
-def unroll_german(bundle: ModelBundle, keys: Tensor, cap_states: Tensor,
-                  de_ids: Sequence[int], *, dropout_rate: float = 0.0,
-                  rng: np.random.Generator | None = None
-                  ) -> tuple[list[Tensor], list[Tensor], list[Tensor]]:
-    """Teacher-force the dual-attention decoder; returns log-prob rows plus
-    region-attention and caption-attention rows, one triple per target."""
-    dec = bundle.de_decoder
-    s, mem = dec.initial_state(keys)
-    region_keys = dec.attn_regions.prepare(keys)
-    caption_keys = dec.attn_caption.prepare(cap_states)
-    logp_rows, region_rows, caption_rows = [], [], []
-    for t in range(len(de_ids) - 1):
-        logp, s, mem, region_w, caption_w = dec.step(
-            region_keys, caption_keys, s, mem, de_ids[t], dropout_rate=dropout_rate,
-            rng=rng)
-        logp_rows.append(logp)
-        region_rows.append(region_w)
-        caption_rows.append(caption_w)
-    return logp_rows, region_rows, caption_rows
+def stage2_forward(bundle: ModelBundle, features: FeatureGrid,
+                   en_ids: Sequence[int], de_ids: Sequence[int], *,
+                   english: bool = True, dropout_rate: float = 0.0,
+                   freeze_part1: bool = False,
+                   rng: np.random.Generator | None = None
+                   ) -> tuple[list[Tensor], tuple[Tensor, Tensor, Tensor] | None]:
+    """Teacher-forced stage-two pass over one image and its two captions.
+
+    The caption encoder reads the English targets (content plus EOS, BOS
+    dropped), so its state count matches the English attention rows. The
+    German decoder is unrolled over ``de_ids``; with ``english`` the English
+    decoder is then unrolled over ``en_ids``. Returns the German log-prob
+    rows and, with ``english``, the (de_to_regions, de_to_en, en_to_regions)
+    attention matrices, else None.
+
+    ``dropout_rate`` applies to both decoders, drawn from ``rng``. With
+    ``freeze_part1`` the English decoder runs without dropout, and the
+    projected regions and English attention rows enter the graph as
+    constants, so no gradient reaches part 1.
+    """
+    regions = bundle.captioner.project(features)
+    if freeze_part1:
+        regions = Tensor(regions.data)
+    cap_states = bundle.cap_encoder.encode(en_ids[1:])
+    de_decoder = bundle.de_decoder
+    de_logps, (de_regions, de_caption) = unroll(
+        de_decoder, de_decoder.start(regions, cap_states), de_ids,
+        dropout_rate=dropout_rate, rng=rng)
+    if not english:
+        return de_logps, None
+    en_decoder = bundle.captioner.decoder
+    _, (en_regions,) = unroll(
+        en_decoder, en_decoder.start(regions), en_ids,
+        dropout_rate=0.0 if freeze_part1 else dropout_rate, rng=rng)
+    de_to_regions, de_to_en = stack_rows(de_regions), stack_rows(de_caption)
+    en_to_regions = stack_rows(en_regions)
+    if freeze_part1:
+        en_to_regions = Tensor(en_to_regions.data)
+    return de_logps, (de_to_regions, de_to_en, en_to_regions)
 
 
 def teacher_forced_record(bundle: ModelBundle, features: FeatureGrid,
                           en_ids: Sequence[int],
                           de_ids: Sequence[int]) -> AttentionRecord:
     """Attention record for ground-truth captions, evaluation mode (no
-    dropout, no tape). The caption encoder consumes the English targets
-    (content plus EOS, BOS dropped) so its state count matches the English
-    attention rows."""
-    keys = bundle.captioner.project(features)
-    _, en_rows = unroll_captioner(bundle.captioner, keys, en_ids)
-    cap_states = bundle.cap_encoder.encode(en_ids[1:])
-    _, de_region_rows, de_caption_rows = unroll_german(bundle, keys, cap_states, de_ids)
-    return AttentionRecord(
-        en_to_regions=np.stack([r.data for r in en_rows]),
-        de_to_regions=np.stack([r.data for r in de_region_rows]),
-        de_to_en=np.stack([r.data for r in de_caption_rows]),
-    )
+    dropout, no tape)."""
+    _, attention = stage2_forward(bundle, features, en_ids, de_ids)
+    de_to_regions, de_to_en, en_to_regions = (m.data for m in attention)
+    return AttentionRecord(en_to_regions=en_to_regions,
+                           de_to_regions=de_to_regions, de_to_en=de_to_en)
 
 
 # ---------------------------------------------------------------------------
@@ -441,26 +477,38 @@ def load_into(params: Mapping[str, Parameter], arrays: Mapping[str, np.ndarray])
 
 
 def save_captioner(captioner: ImageCaptioner, path: Path | str) -> None:
-    save_checkpoint(path, "captioner", captioner.dims, captioner.named_parameters())
+    save_checkpoint(path, captioner.kind, captioner.dims, captioner.named_parameters())
 
 
-def load_captioner(path: Path | str) -> ImageCaptioner:
+def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
+    save_checkpoint(path, bundle.kind, bundle.dims, bundle.named_parameters())
+
+
+MODEL_KINDS = {cls.kind: cls for cls in (ImageCaptioner, ModelBundle)}
+
+
+def load_model(path: Path | str) -> ImageCaptioner | ModelBundle:
+    """The model a checkpoint holds, built as the kind its header names from
+    one read of the file."""
     kind, dims, arrays = load_checkpoint(path)
-    if kind != "captioner":
-        raise FormatError(f"{path}: expected a captioner checkpoint, found {kind!r}")
-    model = ImageCaptioner(dims, seed=0)
+    if kind not in MODEL_KINDS:
+        raise FormatError(f"{path}: unknown checkpoint kind {kind!r}")
+    model = MODEL_KINDS[kind](dims, seed=0)
     load_into(model.named_parameters(), arrays)
     return model
 
 
-def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
-    save_checkpoint(path, "bundle", bundle.dims, bundle.named_parameters())
+def _load_kind(path: Path | str, cls: type):
+    model = load_model(path)
+    if not isinstance(model, cls):
+        raise FormatError(f"{path}: expected a {cls.kind} checkpoint, "
+                          f"found {model.kind!r}")
+    return model
+
+
+def load_captioner(path: Path | str) -> ImageCaptioner:
+    return _load_kind(path, ImageCaptioner)
 
 
 def load_bundle(path: Path | str) -> ModelBundle:
-    kind, dims, arrays = load_checkpoint(path)
-    if kind != "bundle":
-        raise FormatError(f"{path}: expected a bundle checkpoint, found {kind!r}")
-    bundle = ModelBundle(dims, seed=0)
-    load_into(bundle.named_parameters(), arrays)
-    return bundle
+    return _load_kind(path, ModelBundle)

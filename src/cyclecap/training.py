@@ -27,12 +27,11 @@ from .cycle import cycle_loss_graph
 from .data import PAD_ID, PairRecord, TripleRecord, Vocabulary
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .evaluation import cider
-from .inference import beam_decode, caption_image, captioner_step_fn
+from .inference import beam_decode, caption_image, decoder_step_fn
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
-                     unroll_captioner, unroll_german)
+                     stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Tape, Tensor, add, add_n, pick, scale, stack_rows
-from .gradcheck import GradCheckResult, check_gradients
+from .tensor import Tape, Tensor, add, add_n, pick, scale
 
 
 @dataclass
@@ -53,7 +52,6 @@ class TrainConfig:
     patience: int = 20
     dropout: float = 0.5
     cycle_weight: float = 1.0
-    squared_cycle: bool = False
     freeze_part1: bool = False
     seed: int = 0
     proj_dim: int = 64
@@ -166,9 +164,9 @@ def _snapshot(params) -> dict[str, np.ndarray]:
 
 def _greedy_en(captioner: ImageCaptioner, record: PairRecord,
                max_len: int = 50) -> tuple[int, ...]:
-    keys = captioner.project(record.features)
-    dec = captioner.decoder
-    return beam_decode(captioner_step_fn(dec, keys), dec.initial_state(keys),
+    decoder = captioner.decoder
+    keys, state = decoder.start(captioner.project(record.features))
+    return beam_decode(decoder_step_fn(decoder, keys), state,
                        beam_size=1, max_len=max_len).tokens
 
 
@@ -263,9 +261,9 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     drop_rng = np.random.default_rng(cfg.seed)
 
     def record_loss(rec: PairRecord):
-        keys = model.project(rec.features)
-        logps, _ = unroll_captioner(model, keys, rec.ids,
-                                    dropout_rate=cfg.dropout, rng=drop_rng)
+        start = model.decoder.start(model.project(rec.features))
+        logps, _ = unroll(model.decoder, start, rec.ids,
+                          dropout_rate=cfg.dropout, rng=drop_rng)
         loss, ntok = nll_loss(logps, rec.ids[1:])
         return loss, loss.item(), ntok, None
 
@@ -306,11 +304,10 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     if not cfg.freeze_part1:
         trainable.update(bundle.part1_parameters())
     drop_rng = np.random.default_rng(cfg.seed)
-    part1_dropout = 0.0 if cfg.freeze_part1 else cfg.dropout
 
     def record_loss(rec: TripleRecord):
-        return _stage2_loss(bundle, rec, cfg.cycle_weight, cfg.squared_cycle,
-                            cfg.dropout, part1_dropout, drop_rng)
+        return _stage2_loss(bundle, rec, cfg.cycle_weight, cfg.dropout,
+                            cfg.freeze_part1, drop_rng)
 
     report = _fit("part2", triples, lambda r: r.de_steps, record_loss, trainable,
                   bundle.named_parameters(),
@@ -319,51 +316,32 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
 
 
 def _stage2_loss(bundle: ModelBundle, record: TripleRecord, cycle_weight: float,
-                 squared: bool = False, dropout: float = 0.0,
-                 part1_dropout: float = 0.0,
+                 dropout: float = 0.0, freeze_part1: bool = False,
                  rng: np.random.Generator | None = None
                  ) -> tuple[Tensor, float, int, float | None]:
     """One record's stage-two loss: (loss, nll value, token count, cycle value
     or None).
 
-    Teacher-force the German decoder for its likelihood loss and its two
-    attention matrices, teacher-force the English decoder on the ground-truth
-    English caption for the third, and add ``cycle_weight`` times the
-    consistency loss. With cycle_weight 0 the English pass and the
-    consistency graph are skipped entirely. ``dropout`` applies to the German
-    decoder and ``part1_dropout`` to the English one, both drawn from ``rng``.
+    The German likelihood loss plus ``cycle_weight`` times the consistency
+    loss over the three attention matrices of :func:`stage2_forward`. With
+    cycle_weight 0 the English pass and the consistency graph are skipped
+    entirely. ``dropout`` is drawn from ``rng``; ``freeze_part1`` keeps part
+    1 out of the graph's gradients.
     """
-    keys = bundle.captioner.project(record.features)
-    cap_states = bundle.cap_encoder.encode(record.en_ids[1:])
-    de_logps, de_regions, de_caption = unroll_german(
-        bundle, keys, cap_states, record.de_ids, dropout_rate=dropout, rng=rng)
+    de_logps, attention = stage2_forward(
+        bundle, record.features, record.en_ids, record.de_ids,
+        english=cycle_weight > 0.0, dropout_rate=dropout,
+        freeze_part1=freeze_part1, rng=rng)
     loss, ntok = nll_loss(de_logps, record.de_ids[1:])
-    if cycle_weight <= 0.0:
+    if attention is None:
         return loss, loss.item(), ntok, None
-    _, en_regions = unroll_captioner(bundle.captioner, keys, record.en_ids,
-                                     dropout_rate=part1_dropout, rng=rng)
-    cyc = cycle_loss_graph(stack_rows(de_regions), stack_rows(de_caption),
-                           stack_rows(en_regions), squared=squared)
+    cyc = cycle_loss_graph(*attention)
     return add(loss, scale(cyc, cycle_weight)), loss.item(), ntok, cyc.item()
 
 
 def stage2_loss_graph(bundle: ModelBundle, record: TripleRecord,
-                      cycle_weight: float, squared: bool = False) -> Tensor:
+                      cycle_weight: float) -> Tensor:
     """Full per-record stage-two loss in evaluation mode (no dropout); the
     gradient-check suites differentiate through this graph, the one
     ``train_part2`` optimises."""
-    return _stage2_loss(bundle, record, cycle_weight, squared)[0]
-
-
-def gradient_spot_check(bundle: ModelBundle, record: TripleRecord,
-                        cycle_weight: float = 1.0, sample: float = 0.01,
-                        seed: int = 0) -> GradCheckResult:
-    """Finite-difference check of the composed stage-two loss over a random
-    sample of parameter elements."""
-    return check_gradients(
-        "stage2-loss",
-        lambda: stage2_loss_graph(bundle, record, cycle_weight),
-        bundle.named_parameters(),
-        sample=sample,
-        rng=np.random.default_rng(seed),
-    )
+    return _stage2_loss(bundle, record, cycle_weight)[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cyclecap.data import BOS_ID, EOS_ID, FeatureGrid
-from cyclecap.inference import beam_decode, captioner_step_fn
+from cyclecap.inference import beam_decode, decoder_step_fn
 
 from _reference import full_length_beam
 from conftest import tiny_bundle
@@ -72,6 +72,20 @@ def test_early_stop_matches_full_length_search_on_random_tables():
     assert stopped_early > 50  # the stop is exercised, not just harmless
 
 
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_every_search_returns_at_least_one_token(max_len):
+    # caption_image feeds the English tokens to the caption encoder, which
+    # rejects an empty caption
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(2, 6))
+        tables = random_tables(rng, vocab, max_len)
+        for beam in (1, 2, 3):
+            fast, ref, _, _ = decode_both(tables, beam, max_len, eos=vocab - 1)
+            assert_same(fast, ref)
+            assert 1 <= len(fast.tokens) <= max_len
+
+
 def test_ties_end_on_the_shortest_then_smallest_caption():
     # uniform rows: equal scores at equal length, so the one-token EOS wins
     vocab = 4
@@ -125,10 +139,9 @@ def test_captioner_decoder_matches_full_length_search(beam):
     bundle = tiny_bundle(seed=31)
     decoder = bundle.captioner.decoder
     for _ in range(3):
-        keys = bundle.captioner.project(FeatureGrid(rng.standard_normal((3, 3))))
-        step = captioner_step_fn(decoder, keys)
-        fast = beam_decode(step, decoder.initial_state(keys), beam_size=beam,
-                           max_len=6)
-        ref = full_length_beam(step, decoder.initial_state(keys), beam, 6,
-                               BOS_ID, EOS_ID)
+        keys, state = decoder.start(
+            bundle.captioner.project(FeatureGrid(rng.standard_normal((3, 3)))))
+        step = decoder_step_fn(decoder, keys)
+        fast = beam_decode(step, state, beam_size=beam, max_len=6)
+        ref = full_length_beam(step, state, beam, 6, BOS_ID, EOS_ID)
         assert_same(fast, ref)

@@ -76,8 +76,8 @@ def test_infer_and_eval(pipeline, tmp_path):
     rows = [json.loads(l) for l in
             (decoded / "captions.jsonl").read_text().splitlines()]
     assert len(rows) == 8
-    assert {"image_id", "en", "de", "en_truncated", "de_truncated",
-            "fallback"} <= set(rows[0])
+    assert set(rows[0]) == {"image_id", "en", "de", "en_truncated",
+                            "de_truncated"}
 
     scored = tmp_path / "scored"
     assert run("eval", "--candidates", str(decoded / "captions.jsonl"),
@@ -225,6 +225,13 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
     assert run("pretrain", "--manifest", str(bad_manifest),
                "--out-dir", str(tmp_path / "pretrain")) == 5
     assert_clean_io_error(capsys, f"{bad_manifest}:2", "'en'")
+    no_features = tmp_path / "no-features.jsonl"
+    no_features.write_text(json.dumps({**broken, "en": "a dog", "features": None})
+                           + "\n", encoding="utf-8")
+    assert run("infer", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(no_features),
+               "--out-dir", str(tmp_path / "infer-no-features")) == 5
+    assert_clean_io_error(capsys, f"{no_features}:1", "'features'")
 
     candidates = tmp_path / "captions.jsonl"
     first = json.loads(rows[0])
@@ -364,9 +371,11 @@ def compare_trees(a: Path, b: Path):
 
 def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
     part2 = pipeline / "part2"
-    # manifests written before the --threads option was removed carry it
+    # manifests written before the --threads and --squared-cycle options were
+    # removed carry them
     stored = json.loads((part2 / "manifest.json").read_text())
     stored["settings"]["threads"] = 1
+    stored["settings"]["squared_cycle"] = False
     with_threads = tmp_path / "threads-manifest.json"
     with_threads.write_text(json.dumps(stored), encoding="utf-8")
     for i, replayed in enumerate((part2 / "manifest.json", with_threads)):
@@ -375,6 +384,44 @@ def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
                    "--out-dir", str(rerun)) == 0
         compare_trees(part2, rerun)
 
+
+
+def test_removed_squared_cycle_switched_on_is_config_error(pipeline, tmp_path,
+                                                           capsys):
+    stored = json.loads((pipeline / "part2" / "manifest.json").read_text())
+    stored["settings"]["squared_cycle"] = True
+    replay = tmp_path / "squared.json"
+    replay.write_text(json.dumps(stored), encoding="utf-8")
+    cfg = tmp_path / "squared.yaml"
+    cfg.write_text("squared-cycle: true\n", encoding="utf-8")
+    for source in (["--from-manifest", str(replay)],
+                   ["--config", str(cfg), "--manifest", "m", "--part1", "p"]):
+        capsys.readouterr()
+        assert run("train", *source, "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "Traceback" not in err
+        assert source[1] in err and "'squared_cycle'" in err
+    assert not (tmp_path / "out" / "bundle.ckpt").exists()
+
+
+def test_infer_reads_the_checkpoint_once(pipeline, tmp_path, monkeypatch):
+    from cyclecap import models
+    reads = []
+    original = models.load_checkpoint
+
+    def counted(path):
+        reads.append(path)
+        return original(path)
+
+    monkeypatch.setattr(models, "load_checkpoint", counted)
+    data = pipeline / "data"
+    for ckpt in (pipeline / "part2" / "bundle.ckpt", pipeline / "part1" / "part1.ckpt"):
+        reads.clear()
+        assert run("infer", "--checkpoint", str(ckpt),
+                   "--manifest", str(data / "manifest.jsonl"),
+                   "--out-dir", str(tmp_path / ckpt.stem), "--beam-size", "1",
+                   "--max-len", "3") == 0
+        assert reads == [ckpt]
 
 
 # --- fuzzing through the command line -------------------------------------------

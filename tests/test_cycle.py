@@ -70,7 +70,6 @@ def test_cycle_loss_hand_value_sqrt_two():
                              de_to_regions=np.array([[1.0, 0.0]]),
                              de_to_en=np.array([[1.0]]))
     assert cycle_loss(record) == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert cycle_loss(record, squared=True) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_taped_and_plain_losses_agree():
@@ -88,12 +87,9 @@ def test_cycle_loss_gradients_away_from_zero():
     a_de = Parameter(record.de_to_regions, "a_de")
     b = Parameter(record.de_to_en, "b")
     a_en = Parameter(record.en_to_regions, "a_en")
-    for squared in (False, True):
-        result = check_gradients(
-            f"cycle-{squared}",
-            lambda: cycle_loss_graph(a_de, b, a_en, squared=squared),
-            {"a_de": a_de, "b": b, "a_en": a_en})
-        assert result.max_error < 1e-3
+    result = check_gradients("cycle", lambda: cycle_loss_graph(a_de, b, a_en),
+                             {"a_de": a_de, "b": b, "a_en": a_en})
+    assert result.max_error < 1e-3
 
 
 def test_shape_mismatch_raises():

@@ -140,7 +140,11 @@ def test_manifest_roundtrip(tmp_path):
     ('{"image_id": "b", "features": "f", "en": 5, "de": "x"}', "'en' must be a string"),
     ('{"image_id": "b", "features": "f", "en": "x", "de": null}', "'de' must be a string"),
     ('{"image_id": "b", "features": "f", "en": "x"}', "missing field 'de'"),
-    ('{"features": "f", "en": "x", "de": "y"}', "missing 'image_id'"),
+    ('{"features": "f", "en": "x", "de": "y"}', "missing field 'image_id'"),
+    ('{"image_id": "b", "features": null, "en": "x", "de": "y"}',
+     "'features' must be a string"),
+    ('{"image_id": 7, "features": "f", "en": "x", "de": "y"}',
+     "'image_id' must be a string"),
     ('["b", "f", "x", "y"]', "JSON object"),
     ('{"image_id": "b",', "not JSON"),
 ])

@@ -3,8 +3,7 @@ import pytest
 
 from cyclecap.data import FeatureGrid
 from cyclecap.errors import ConfigError
-from cyclecap.inference import (BeamHypothesis, beam_decode, caption_image,
-                                encode_pivot)
+from cyclecap.inference import BeamHypothesis, beam_decode, caption_image
 
 from _reference import exhaustive_best
 from conftest import tiny_bundle
@@ -149,22 +148,6 @@ def test_caption_image_beam_sizes_both_valid():
     for beam in (1, 3):
         out = caption_image(bundle, grid, beam_size=beam, max_len=5)
         assert out.record.de_to_en.shape[0] == len(out.de_ids)
-        assert not out.used_fallback
-
-
-def test_empty_pivot_falls_back_to_uniform_caption_attention():
-    bundle = tiny_bundle(seed=16)
-    cap_states, en_rows, flagged = encode_pivot(bundle, (), (), regions=3)
-    assert flagged
-    assert cap_states.shape == (1, 2 * bundle.dims.hidden_dim)
-    np.testing.assert_allclose(en_rows, np.full((1, 3), 1.0 / 3))
-    s, mem = bundle.de_decoder.initial_state(
-        bundle.captioner.project(FeatureGrid(np.zeros((3, 3)))))
-    keys = bundle.captioner.project(FeatureGrid(np.zeros((3, 3))))
-    dec = bundle.de_decoder
-    _, _, _, _, caption_w = dec.step(dec.attn_regions.prepare(keys),
-                                     dec.attn_caption.prepare(cap_states), s, mem, 1)
-    np.testing.assert_allclose(caption_w.data, [1.0])
 
 
 def test_hypothesis_dataclass_is_immutable():

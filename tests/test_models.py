@@ -10,7 +10,7 @@ from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              init_state,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_record,
-                             unroll_captioner, unroll_german)
+                             unroll)
 from cyclecap.tensor import Parameter, Tensor, sum_all
 from cyclecap.training import nll_loss
 
@@ -28,9 +28,8 @@ def rand_grid(rng, regions=3, dim=3):
 def test_english_step_log_probs_normalize():
     rng = np.random.default_rng(0)
     model = tiny_captioner(seed=1)
-    keys = model.project(rand_grid(rng))
-    h, c = model.decoder.initial_state(keys)
-    logp, h, c, weights = model.decoder.step(model.decoder.attn.prepare(keys), h, c, 1)
+    keys, state = model.decoder.start(model.project(rand_grid(rng)))
+    logp, _, (weights,) = model.decoder.step(keys, state, 1)
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     assert abs(weights.data.sum() - 1.0) < 1e-12
 
@@ -38,9 +37,8 @@ def test_english_step_log_probs_normalize():
 def test_identical_regions_give_uniform_attention():
     model = tiny_captioner(seed=2)
     grid = FeatureGrid(np.tile([0.3, -0.2, 0.9], (5, 1)))
-    keys = model.project(grid)
-    h, c = model.decoder.initial_state(keys)
-    _, _, _, weights = model.decoder.step(model.decoder.attn.prepare(keys), h, c, 1)
+    keys, state = model.decoder.start(model.project(grid))
+    _, _, (weights,) = model.decoder.step(keys, state, 1)
     np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
 
 
@@ -49,8 +47,8 @@ def test_teacher_forced_loglik_matches_reference():
     model = tiny_captioner(seed=4)
     grid = rand_grid(rng)
     ids = random_ids(rng, 8, 4)
-    keys = model.project(grid)
-    logps, rows = unroll_captioner(model, keys, ids)
+    logps, (rows,) = unroll(model.decoder,
+                            model.decoder.start(model.project(grid)), ids)
     loss, ntok = nll_loss(logps, ids[1:])
     ref_total, ref_rows = ref_captioner_sequence(model, grid.values, ids)
     assert ntok == len(ids) - 1
@@ -107,12 +105,10 @@ def test_encoder_matches_reference_and_rejects_empty():
 def test_german_step_outputs_normalize_and_single_state_beta():
     rng = np.random.default_rng(9)
     bundle = tiny_bundle(seed=10)
-    keys = bundle.captioner.project(rand_grid(rng))
+    regions = bundle.captioner.project(rand_grid(rng))
     states = bundle.cap_encoder.encode([4])  # N = 1
-    s, mem = bundle.de_decoder.initial_state(keys)
-    dec = bundle.de_decoder
-    logp, s, mem, region_w, caption_w = dec.step(
-        dec.attn_regions.prepare(keys), dec.attn_caption.prepare(states), s, mem, 1)
+    keys, state = bundle.de_decoder.start(regions, states)
+    logp, _, (region_w, caption_w) = bundle.de_decoder.step(keys, state, 1)
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     np.testing.assert_allclose(caption_w.data, [1.0])
     assert abs(region_w.data.sum() - 1.0) < 1e-12
@@ -124,9 +120,9 @@ def test_german_sequence_matches_reference():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 4)
     de_ids = random_ids(rng, 9, 3)
-    keys = bundle.captioner.project(grid)
-    cap_states = bundle.cap_encoder.encode(en_ids[1:])
-    logps, region_rows, caption_rows = unroll_german(bundle, keys, cap_states, de_ids)
+    start = bundle.de_decoder.start(bundle.captioner.project(grid),
+                                    bundle.cap_encoder.encode(en_ids[1:]))
+    logps, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, de_ids)
     loss, _ = nll_loss(logps, de_ids[1:])
     ref_total, ref_regions, ref_captions = ref_german_sequence(
         bundle, grid.values, en_ids, de_ids)
