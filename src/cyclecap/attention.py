@@ -8,6 +8,10 @@ A decoder attends over the same key rows at every step, so the key side of
 the score, ``keys @ w_key + b``, is computed once per sequence by
 ``AttentionLayer.prepare`` (additive attention as in Bahdanau et al., 2015);
 each step adds only its query projection.
+
+Keys come batched, (B, K, key_dim), with a (B, K) mask of real rows: records
+with fewer regions or shorter captions are padded, and their padded keys get
+attention weight exactly 0.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import Parameter, Tensor, add, matmul, softmax, tanh
+from .tensor import (Parameter, Tensor, add, batch_matmul, masked_softmax, matmul,
+                     tanh, transpose)
 
 
 class AttentionLayer:
@@ -42,46 +47,59 @@ class AttentionLayer:
     def named(self) -> dict[str, Parameter]:
         return {p.name: p for p in (self.w_key, self.w_query, self.b, self.combine)}
 
-    def prepare(self, keys: Tensor) -> AttentionKeys:
-        """Check a (K, key_dim) key matrix, K >= 1, and project it once for
-        every step that attends over it."""
-        if keys.data.ndim != 2:
-            raise DimensionError(f"attend: keys must be a matrix, got {keys.shape}")
-        if keys.shape[0] == 0:
-            raise DataError("attend: need at least one key row")
-        if keys.shape[1] != self.key_dim:
-            raise DimensionError(f"attend: keys {keys.shape} do not match layer "
+    def prepare(self, rows: Tensor, mask: np.ndarray | None = None) -> AttentionKeys:
+        """Check (B, K, key_dim) key rows and their (B, K) boolean mask of
+        real rows (None: all real; each record needs at least one), and do
+        the per-sequence work of every step that attends over them: project
+        the keys, key-major, and transpose ``w_query``."""
+        if rows.data.ndim != 3:
+            raise DimensionError(f"attend: keys must be (B, K, key_dim), got {rows.shape}")
+        if rows.shape[2] != self.key_dim:
+            raise DimensionError(f"attend: keys {rows.shape} do not match layer "
                                  f"(key_dim={self.key_dim})")
-        return AttentionKeys(rows=keys, projected=add(matmul(keys, self.w_key), self.b))
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != rows.shape[:2]:
+                raise DimensionError(f"attend: mask {mask.shape} does not match "
+                                     f"keys {rows.shape}")
+        if rows.shape[1] == 0 or (mask is not None and not mask.any(axis=1).all()):
+            raise DataError("attend: need at least one key row")
+        projected = transpose(add(matmul(rows, self.w_key), self.b), (1, 0, 2))
+        return AttentionKeys(rows=rows, mask=None if mask is None or mask.all() else mask,
+                             projected=projected, w_query_t=transpose(self.w_query))
 
 
 @dataclass
 class AttentionKeys:
     """Key rows prepared by one layer, with their projection for its scores."""
 
-    rows: Tensor        # (K, key_dim)
-    projected: Tensor   # (K, attn_dim): rows @ w_key + b
+    rows: Tensor              # (B, K, key_dim)
+    mask: np.ndarray | None   # (B, K) real rows; None when all are real
+    projected: Tensor         # (K, B, attn_dim): rows @ w_key + b, key-major
+    w_query_t: Tensor         # (query_dim, attn_dim): w_query transposed
 
 
 @dataclass
 class AttentionOutput:
-    """Softmax weights over the keys and their weighted-sum context vector."""
+    """Softmax weights over the keys and their weighted-sum context vectors."""
 
-    weights: Tensor   # (K,), non-negative, sums to 1
-    context: Tensor   # (key_dim,)
+    weights: Tensor   # (B, K), non-negative, each row sums to 1, 0 on masked keys
+    context: Tensor   # (B, key_dim)
 
 
 def attend(layer: AttentionLayer, keys: AttentionKeys, query: Tensor) -> AttentionOutput:
     """Score every key row against the query and mix the rows by softmax weight.
 
-    ``keys`` comes from ``layer.prepare``; query is (query_dim,). The context
-    is a convex combination of the key rows, so it stays inside their hull.
+    ``keys`` comes from ``layer.prepare``; query is (B, query_dim), one row
+    per record. The projected keys are key-major, (K, B, attn_dim), so the
+    (B, attn_dim) query projection broadcasts onto them as it is. Each
+    context is a convex combination of its record's real key rows, so it
+    stays inside their hull.
     """
-    if query.shape != (layer.query_dim,):
+    if query.data.shape != (keys.rows.data.shape[0], layer.query_dim):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
-                             f"(query_dim={layer.query_dim})")
-    hidden = tanh(add(keys.projected, matmul(layer.w_query, query)))
-    scores = matmul(hidden, layer.combine)
-    weights = softmax(scores)
-    context = matmul(weights, keys.rows)
+                             f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
+    hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
+    weights = masked_softmax(matmul(hidden, layer.combine), keys.mask)
+    context = batch_matmul(weights, keys.rows)
     return AttentionOutput(weights=weights, context=context)

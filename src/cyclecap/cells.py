@@ -13,9 +13,14 @@ cheaper. Column block k of a fused weight or bias belongs to gate
   ``(hidden, 3 * hidden)`` weight and a ``3 * hidden`` bias; gates r, z, n.
   The hidden side stays apart because the candidate uses ``r * (U_n h)``,
   and ``gru_inputs`` projects the inputs of a whole sequence in one matmul.
+
+A step works on any leading shape: (B, input) inputs and (B, hidden) states
+step a whole batch of records through the cell at once.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -71,20 +76,24 @@ class LSTMParams(GatedParams):
         self.w = Parameter(np.vstack([w_in, w_hid]), f"{prefix}/w")
 
 
-def lstm_step(p: LSTMParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns (h, c):
+def lstm_step(p: LSTMParams, inputs: Sequence[Tensor], h_prev: Tensor,
+              c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step on the input x, the concatenation of ``inputs`` (a
+    decoder's contexts and word embedding are joined with h_prev in one
+    op); returns (h, c):
 
         a = [x; h_prev] @ w + b
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
         c = f * c_prev + i * g,  h = o * tanh(c)
     """
     size = p.hidden_size
-    if x.shape != (p.input_size,) or h_prev.shape != (size,) \
-            or c_prev.shape != (size,):
+    width = sum(x.data.shape[-1] for x in inputs)
+    state = h_prev.data.shape
+    if width != p.input_size or state[-1:] != (size,) or c_prev.data.shape != state:
         raise DimensionError(
-            f"lstm_step: got x{x.shape}, h{h_prev.shape}, c{c_prev.shape} for "
-            f"cell ({p.input_size} -> {size})")
-    a = add(matmul(concat([x, h_prev]), p.w), p.b)
+            f"lstm_step: got inputs {[x.shape for x in inputs]}, h{h_prev.shape}, "
+            f"c{c_prev.shape} for cell ({p.input_size} -> {size})")
+    a = add(matmul(concat([*inputs, h_prev]), p.w), p.b)
     ifo = sigmoid(column_slice(a, 0, 3 * size))
     g = tanh(column_slice(a, 3 * size, 4 * size))
     c = add(mul(column_slice(ifo, size, 2 * size), c_prev),
@@ -105,8 +114,8 @@ class GRUParams(GatedParams):
 
 
 def gru_inputs(p: GRUParams, x: Tensor) -> Tensor:
-    """Input-side pre-activations ``x @ w + b`` of all three gates, for one
-    input vector or for a (T, input) matrix holding a whole sequence."""
+    """Input-side pre-activations ``x @ w + b`` of all three gates, for
+    inputs of any leading shape, such as a whole (T, B, input) sequence."""
     if x.shape[-1:] != (p.input_size,):
         raise DimensionError(f"gru_inputs: got x{x.shape} for cell "
                              f"({p.input_size} -> {p.hidden_size})")
@@ -126,7 +135,7 @@ def gru_step(p: GRUParams, xw: Tensor, h_prev: Tensor) -> Tensor:
     unchanged.
     """
     size = p.hidden_size
-    if xw.shape != (3 * size,) or h_prev.shape != (size,):
+    if xw.shape[-1:] != (3 * size,) or h_prev.shape != xw.shape[:-1] + (size,):
         raise DimensionError(
             f"gru_step: got input pre-activations {xw.shape}, h{h_prev.shape} "
             f"for cell ({p.input_size} -> {size})")

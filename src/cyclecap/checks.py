@@ -1,8 +1,9 @@
 """Canned verification suites behind the gradcheck and oracle-check commands.
 
-The gradient suite drives every primitive, both recurrent cells, both
-attention paths, the consistency loss, and the fully composed stage-two loss
-through central finite differences. The oracle suite exercises the
+The gradient suite drives every primitive, both recurrent cells, the
+attention step, the consistency loss, and the composed stage-one and
+stage-two losses, at batch sizes 1 and 2, through central finite
+differences. The oracle suite exercises the
 hand-worked composed-attention example and the conditional-independence
 identity on random factorized joint tables.
 """
@@ -18,13 +19,14 @@ from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph,
                     factorized_joint, indirect_attention, record_from_joint,
                     toy_alignment_record)
-from .data import FeatureGrid, TripleRecord, Vocabulary
+from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .gradcheck import GradCheckResult, check_gradients
 from .models import ImageCaptioner, ModelBundle, init_state, unroll
-from .tensor import (Parameter, Tensor, add, add_n, column_slice, concat, dropout,
-                     embedding_lookup, log_softmax, matmul, mean_rows, mul, pick,
-                     scale, sigmoid, softmax, sqrt, stack_rows, sub, sum_all, tanh)
+from .tensor import (Parameter, add, batch_matmul, column_slice, concat,
+                     dropout, embedding_lookup, frobenius, log_softmax, masked_mean,
+                     masked_softmax, matmul, mul, pick, scale, sigmoid, stack, sub,
+                     sum_all, tanh, transpose)
 from .training import TrainConfig, nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -43,14 +45,20 @@ def _p(rng, shape, name):
 
 def _primitive_cases(rng: np.random.Generator):
     """One scalar-valued graph per primitive op, each exercised away from any
-    non-smooth point."""
+    non-smooth point. The masked ops see a masked-out key or a padded row,
+    so their zero gradients are checked too."""
     a = _p(rng, (3, 4), "a")
     b = _p(rng, (4, 2), "b")
     v = _p(rng, (4,), "v")
     w = _p(rng, (4,), "w")
     m = _p(rng, (3, 4), "m")
+    t3 = _p(rng, (2, 3, 4), "t3")   # (B, K, d)
+    u3 = _p(rng, (2, 4, 3), "u3")
+    x2 = _p(rng, (2, 4), "x2")
+    s = _p(rng, (3, 2), "s")        # key-major (K, B) scores
+    probe = _p(rng, (2, 3), "probe")
     table = _p(rng, (5, 3), "table")
-    pos = Parameter(rng.uniform(0.5, 1.5, size=(4,)), "pos")
+    real = np.array([[True, True, False], [True, True, True]])   # (B, K)
 
     def seeded_dropout():
         local = np.random.default_rng(123)
@@ -58,6 +66,16 @@ def _primitive_cases(rng: np.random.Generator):
 
     return [
         ("matmul", lambda: sum_all(matmul(a, b)), {"a": a, "b": b}),
+        ("matmul-batched", lambda: sum_all(mul(matmul(t3, b), matmul(t3, b))),
+         {"t3": t3, "b": b}),
+        ("matmul-vector", lambda: sum_all(mul(matmul(t3, v), matmul(t3, w))),
+         {"t3": t3, "v": v, "w": w}),
+        ("batch_matmul", lambda: sum_all(mul(batch_matmul(t3, u3), batch_matmul(t3, u3))),
+         {"t3": t3, "u3": u3}),
+        ("batch_matmul-rows", lambda: sum_all(mul(batch_matmul(x2, u3), probe)),
+         {"x2": x2, "u3": u3, "probe": probe}),
+        ("transpose", lambda: sum_all(mul(transpose(t3, (1, 0, 2)), transpose(t3, (1, 0, 2)))),
+         {"t3": t3}),
         ("add", lambda: sum_all(add(v, w)), {"v": v, "w": w}),
         ("add-broadcast", lambda: sum_all(add(m, v)), {"m": m, "v": v}),
         ("sub", lambda: sum_all(sub(v, w)), {"v": v, "w": w}),
@@ -65,38 +83,51 @@ def _primitive_cases(rng: np.random.Generator):
         ("scale", lambda: sum_all(scale(v, 2.5)), {"v": v}),
         ("concat", lambda: sum_all(mul(concat([v, w]), concat([w, v]))),
          {"v": v, "w": w}),
+        ("concat-last-axis", lambda: sum_all(mul(concat([m, a]), concat([a, m]))),
+         {"m": m, "a": a}),
         ("column_slice", lambda: sum_all(mul(column_slice(m, 1, 3),
                                              column_slice(v, 2, 4))),
          {"m": m, "v": v}),
-        ("stack_rows", lambda: sum_all(mul(stack_rows([v, w, v]),
-                                           stack_rows([w, v, w]))),
-         {"v": v, "w": w}),
-        ("softmax", lambda: pick(softmax(v), 1), {"v": v}),
-        ("softmax-rows", lambda: sum_all(mul(softmax(m, axis=-1), m)), {"m": m}),
+        ("stack", lambda: sum_all(mul(stack([m, a], axis=1), stack([a, m], axis=1))),
+         {"m": m, "a": a}),
+        ("masked_softmax", lambda: sum_all(mul(masked_softmax(s, None), probe)),
+         {"s": s, "probe": probe}),
+        ("masked_softmax-masked-key", lambda: sum_all(mul(masked_softmax(s, real), probe)),
+         {"s": s, "probe": probe}),
         ("log_softmax", lambda: pick(log_softmax(v), 2), {"v": v}),
         ("tanh", lambda: sum_all(mul(tanh(v), w)), {"v": v, "w": w}),
         ("sigmoid", lambda: sum_all(mul(sigmoid(v), w)), {"v": v, "w": w}),
         ("embedding-lookup", lambda: sum_all(embedding_lookup(table, [0, 2, 2, 4])),
          {"table": table}),
+        ("embedding-lookup-matrix",
+         lambda: sum_all(mul(embedding_lookup(table, [[0, 2], [2, 4]]),
+                             embedding_lookup(table, [[1, 2], [3, 0]]))),
+         {"table": table}),
         ("dropout", seeded_dropout, {"v": v}),
-        ("sum-mean-sqrt", lambda: sqrt(sum_all(mul(mean_rows(m), pos))),
-         {"m": m, "pos": pos}),
+        ("masked_mean", lambda: sum_all(mul(masked_mean(t3, None), x2)), {"t3": t3, "x2": x2}),
+        ("masked_mean-padded-row", lambda: sum_all(mul(masked_mean(t3, real), x2)),
+         {"t3": t3, "x2": x2}),
+        ("frobenius-padded-row", lambda: sum_all(frobenius(t3, real)), {"t3": t3}),
         ("pick", lambda: pick(mul(v, w), 3), {"v": v, "w": w}),
-        ("add_n", lambda: sum_all(add_n([v, w, v])), {"v": v, "w": w}),
+        ("pick-masked", lambda: sum_all(mul(pick(t3, [[0, 3, 1], [2, 2, 3]], real), probe)),
+         {"t3": t3, "probe": probe}),
     ]
 
 
-def _make_triple(rng: np.random.Generator, p: dict) -> TripleRecord:
-    grid = FeatureGrid(rng.standard_normal((p["regions"], p["feature_dim"])))
-    en = [1] + [int(x) for x in rng.integers(4, p["vocab"], size=p["seq"])] + [2]
-    de = [1] + [int(x) for x in rng.integers(4, p["vocab"], size=p["seq"])] + [2]
-    return TripleRecord(image_id="chk0", features=grid,
+def _make_triple(rng: np.random.Generator, p: dict, regions: int, seq: int,
+                 image_id: str) -> TripleRecord:
+    grid = FeatureGrid(rng.standard_normal((regions, p["feature_dim"])))
+    en = [1] + [int(x) for x in rng.integers(4, p["vocab"], size=seq)] + [2]
+    de = [1] + [int(x) for x in rng.integers(4, p["vocab"], size=seq)] + [2]
+    return TripleRecord(image_id=image_id, features=grid,
                         en_ids=tuple(en), de_ids=tuple(de))
 
 
 def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]:
     """Run every gradient check at the given preset, each over every element
-    of its parameters."""
+    of its parameters. Cells and attention step a batch of two records; the
+    composed graphs run at B = 1 and at B = 2, whose records differ in
+    caption lengths and region counts, so padding is differentiated too."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown gradcheck preset {preset!r}; "
                           f"choose from {sorted(PRESETS)}")
@@ -108,12 +139,12 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
         results.append(check_gradients(f"primitive/{name}", build, params))
 
     lstm = LSTMParams(rng, p["embed"], p["hidden"], "lstm")
-    x = Parameter(rng.standard_normal(p["embed"]), "x")
-    h0 = Parameter(rng.standard_normal(p["hidden"]), "h0")
-    c0 = Parameter(rng.standard_normal(p["hidden"]), "c0")
+    x = Parameter(rng.standard_normal((2, p["embed"])), "x")
+    h0 = Parameter(rng.standard_normal((2, p["hidden"])), "h0")
+    c0 = Parameter(rng.standard_normal((2, p["hidden"])), "c0")
 
     def lstm_loss():
-        h, c = lstm_step(lstm, x, h0, c0)
+        h, c = lstm_step(lstm, [x], h0, c0)
         return sum_all(add(h, c))
 
     lstm_params = dict(lstm.named(), x=x, h0=h0, c0=c0)
@@ -129,13 +160,16 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
 
     layer = AttentionLayer(rng, key_dim=p["proj"], query_dim=p["hidden"],
                            attn_dim=p["attn"], prefix="attn")
-    keys = Parameter(rng.standard_normal((p["regions"], p["proj"])), "keys")
-    query = Parameter(rng.standard_normal(p["hidden"]), "query")
+    keys = Parameter(rng.standard_normal((2, p["regions"], p["proj"])), "keys")
+    key_mask = np.ones((2, p["regions"]), dtype=bool)
+    key_mask[0, -1] = False
+    query = Parameter(rng.standard_normal((2, p["hidden"])), "query")
     mix = Parameter(rng.standard_normal(p["proj"]), "mix")
 
     def attend_loss():
-        out = attend(layer, layer.prepare(keys), query)
-        return add(pick(out.weights, 0), sum_all(mul(out.context, mix)))
+        out = attend(layer, layer.prepare(keys, key_mask), query)
+        return add(sum_all(column_slice(out.weights, 0, 1)),
+                   sum_all(mul(out.context, mix)))
 
     results.append(check_gradients(
         "attention/attend", attend_loss,
@@ -143,46 +177,47 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
 
     w0 = Parameter(rng.standard_normal((p["proj"], p["hidden"])), "w0")
     b0 = Parameter(rng.standard_normal(p["hidden"]), "b0")
-    rows = Parameter(rng.standard_normal((p["regions"], p["proj"])), "rows")
 
     def init_loss():
-        return sum_all(init_state(rows, w0, b0))
+        return sum_all(init_state(keys, key_mask, w0, b0))
 
     results.append(check_gradients("models/init_state", init_loss,
-                                   {"w0": w0, "b0": b0, "rows": rows}))
+                                   {"w0": w0, "b0": b0, "keys": keys}))
 
-    a_de = Parameter(rng.random((3, p["regions"])), "a_de")
-    b_mat = Parameter(rng.random((3, 4)), "b_mat")
-    a_en = Parameter(rng.random((4, p["regions"])), "a_en")
+    a_de = Parameter(rng.random((2, 3, p["regions"])), "a_de")
+    b_mat = Parameter(rng.random((2, 3, 4)), "b_mat")
+    a_en = Parameter(rng.random((2, 4, p["regions"])), "a_en")
+    de_mask = np.array([[True, True, False], [True, True, True]])
 
     def cyc_loss():
-        return cycle_loss_graph(a_de, b_mat, a_en)
+        return cycle_loss_graph(a_de, b_mat, a_en, de_mask)
 
     results.append(check_gradients("cycle/frobenius", cyc_loss,
                                    {"a_de": a_de, "b_mat": b_mat, "a_en": a_en}))
 
     cfg = TrainConfig(proj_dim=p["proj"], embed_dim=p["embed"],
                       hidden_dim=p["hidden"], attn_dim=p["attn"], seed=seed)
-    triple = _make_triple(rng, p)
+    triples = [_make_triple(rng, p, p["regions"], p["seq"], "chk0"),
+               _make_triple(rng, p, p["regions"] - 1, p["seq"] - 1, "chk1")]
     captioner = ImageCaptioner(cfg.dims(p["feature_dim"], p["vocab"]), seed)
-
-    def captioner_loss():
-        decoder = captioner.decoder
-        logps, (region_rows,) = unroll(
-            decoder, decoder.start(captioner.project(triple.features)),
-            triple.en_ids)
-        loss, _ = nll_loss(logps, triple.en_ids[1:])
-        return add(loss, sum_all(stack_rows(region_rows)))
-
-    results.append(check_gradients("models/captioner-nll", captioner_loss,
-                                   captioner.named_parameters()))
-
     bundle = ModelBundle(cfg.dims(p["feature_dim"], p["vocab"], p["vocab"]),
                          seed, captioner=captioner)
-    results.append(check_gradients(
-        "training/stage2-composed",
-        lambda: stage2_loss_graph(bundle, triple, cycle_weight=1.0),
-        bundle.named_parameters()))
+    for tag, batch in (("", make_batch(triples[:1])), ("-b2", make_batch(triples))):
+
+        def captioner_loss(batch=batch):
+            decoder = captioner.decoder
+            logps, (region_rows,) = unroll(
+                decoder, decoder.start(captioner.project(batch.features),
+                                       batch.region_mask), batch.en_ids)
+            loss, _ = nll_loss(logps, batch.en_ids[:, 1:], batch.en_mask[:, 1:])
+            return add(loss, sum_all(region_rows))
+
+        results.append(check_gradients(f"models/captioner-nll{tag}", captioner_loss,
+                                       captioner.named_parameters()))
+        results.append(check_gradients(
+            f"training/stage2-composed{tag}",
+            lambda batch=batch: stage2_loss_graph(bundle, batch, cycle_weight=1.0),
+            bundle.named_parameters()))
     return results
 
 

@@ -313,7 +313,7 @@ def run_infer(settings: dict, out_dir: Path) -> None:
 
         def decode(entry):
             keys, state = decoder.start(model.project(
-                load_features(manifest.parent / entry.features_path)))
+                load_features(manifest.parent / entry.features_path).values[None]))
             res = beam_decode(decoder_step_fn(decoder, keys), state,
                               beam_size=beam_size, max_len=max_len)
             rec = {"image_id": entry.image_id, "en": "", "de": "",

@@ -360,3 +360,69 @@ def pairs_from_triples(triples: Sequence[TripleRecord], field: str = "en") -> li
     return [PairRecord(image_id=t.image_id, features=t.features,
                        ids=t.en_ids if field == "en" else t.de_ids)
             for t in triples]
+
+
+# ---------------------------------------------------------------------------
+# Padded batches
+# ---------------------------------------------------------------------------
+
+def _pad_ids(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) ids padded with PAD to the longest sequence, and the (B, T)
+    boolean mask of real ids."""
+    width = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), width), dtype=bool)
+    for i, s in enumerate(seqs):
+        ids[i, :len(s)] = s
+        mask[i, :len(s)] = True
+    return ids, mask
+
+
+def _pad_grids(grids: Sequence[FeatureGrid]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, L, D) features padded with zero rows to the most regions, and the
+    (B, L) boolean mask of real regions. All grids must share D."""
+    dims = {g.dim for g in grids}
+    if len(dims) != 1:
+        raise DataError(f"cannot batch feature grids of dims {sorted(dims)}")
+    width = max(g.regions for g in grids)
+    features = np.zeros((len(grids), width, dims.pop()))
+    mask = np.zeros((len(grids), width), dtype=bool)
+    for i, g in enumerate(grids):
+        features[i, :g.regions] = g.values
+        mask[i, :g.regions] = True
+    return features, mask
+
+
+@dataclass(frozen=True)
+class Batch:
+    """B records padded to common shapes, with masks of their real entries.
+
+    ``en_ids`` holds the caption of the first-stage decoder: a pair's ids or
+    a triple's English ids. ``de_ids`` is None for a batch of pairs. Each
+    id matrix is BOS..EOS per row, then PAD; its mask is True on BOS..EOS.
+    Padded regions are zero rows. The masks, not the padding values, say
+    what is real, so no padded value can reach a loss.
+    """
+
+    features: np.ndarray            # (B, L, D)
+    region_mask: np.ndarray         # (B, L)
+    en_ids: np.ndarray              # (B, N + 1)
+    en_mask: np.ndarray             # (B, N + 1)
+    de_ids: np.ndarray | None = None    # (B, M + 1)
+    de_mask: np.ndarray | None = None   # (B, M + 1)
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+
+def make_batch(records: Sequence[PairRecord | TripleRecord]) -> Batch:
+    """Pad pairs or triples into one batch, in the order given."""
+    if not records:
+        raise DataError("cannot batch zero records")
+    features, region_mask = _pad_grids([r.features for r in records])
+    if isinstance(records[0], PairRecord):
+        en_ids, en_mask = _pad_ids([r.ids for r in records])
+        return Batch(features, region_mask, en_ids, en_mask)
+    en_ids, en_mask = _pad_ids([r.en_ids for r in records])
+    de_ids, de_mask = _pad_ids([r.de_ids for r in records])
+    return Batch(features, region_mask, en_ids, en_mask, de_ids, de_mask)

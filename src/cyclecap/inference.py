@@ -115,12 +115,13 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
 
 def decoder_step_fn(decoder: SoftAttentionDecoder | DualAttentionDecoder,
                     keys: Keys) -> StepFn:
-    """Beam-search step of either decoder over the ``keys`` from its
-    ``start``; each step's attention rows are one weight row per head."""
+    """Beam-search step of either decoder over the ``keys`` its ``start``
+    prepared for one image: the batched step at B = 1. Each step's attention
+    rows are one weight row per head."""
 
     def step(state, prev):
-        logp, state, weights = decoder.step(keys, state, prev)
-        return logp.data, state, tuple(w.data.copy() for w in weights)
+        logp, state, weights = decoder.step(keys, state, np.array([prev]))
+        return logp.data[0], state, tuple(w.data[0] for w in weights)
 
     return step
 
@@ -141,12 +142,12 @@ def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
     Deterministic for a given bundle and grid. The pivot caption is never
     empty: ``beam_decode`` returns at least one token.
     """
-    regions = bundle.captioner.project(grid)
+    regions = bundle.captioner.project(grid.values[None])
     en_decoder = bundle.captioner.decoder
     keys, state = en_decoder.start(regions)
     en_res = beam_decode(decoder_step_fn(en_decoder, keys), state,
                          beam_size=beam_size, max_len=max_len)
-    cap_states = bundle.cap_encoder.encode(en_res.tokens)
+    cap_states = bundle.cap_encoder.encode(np.array([en_res.tokens]))
     de_decoder = bundle.de_decoder
     keys, state = de_decoder.start(regions, cap_states)
     de_res = beam_decode(decoder_step_fn(de_decoder, keys), state,

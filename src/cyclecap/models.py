@@ -16,6 +16,17 @@ sequence, and the initial LSTM state. ``step(keys, state, y_prev)`` returns
 ``unroll`` teacher-forces either decoder over a caption, and
 ``stage2_forward`` is the one teacher-forced pass of the German stage.
 
+Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
+states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
+previous ids of B records at once; decoding one image is the same step at
+B = 1. Records of a training batch differ in region count and caption
+length, so a ``data.Batch`` pads them and carries (B, L) region and (B, T)
+caption masks. The masks travel with the keys: ``AttentionLayer.prepare``
+takes the rows' mask and gives padded rows weight exactly 0; ``init_state``
+averages real regions only; the encoder's backward direction holds its zero
+state through a record's padding. Steps past a record's EOS still run, and
+whatever they compute is masked by the losses that read it.
+
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
 dual-attention decoder for the full two-stage pipeline.
@@ -36,10 +47,10 @@ from . import init
 from .attention import AttentionKeys, AttentionLayer, attend
 from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
-from .data import FeatureGrid
+from .data import Batch, FeatureGrid, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
-                     log_softmax, matmul, mean_rows, stack_rows, tanh)
+                     log_softmax, masked_mean, matmul, mul, stack, tanh)
 
 
 @dataclass(frozen=True)
@@ -55,9 +66,11 @@ class ModelDims:
     attn_dim: int = 64
 
 
-def init_state(rows: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    """tanh-squashed projection of the row mean; permutation invariant."""
-    return tanh(add(matmul(mean_rows(rows), w), b))
+def init_state(rows: Tensor, mask: np.ndarray | None, w: Parameter,
+               b: Parameter) -> Tensor:
+    """tanh-squashed projection of the mean of each record's real rows
+    (``mask``, None: all real); permutation invariant."""
+    return tanh(add(matmul(masked_mean(rows, mask), w), b))
 
 
 class ImageProjection:
@@ -69,32 +82,33 @@ class ImageProjection:
         self.w = init.weight(rng, (feature_dim, proj_dim), f"{prefix}/w")
         self.b = init.bias((proj_dim,), f"{prefix}/b")
 
-    def project(self, grid: FeatureGrid) -> Tensor:
-        if grid.dim != self.feature_dim:
+    def project(self, features: np.ndarray) -> Tensor:
+        """(B, L, feature_dim) region features -> (B, L, proj_dim)."""
+        if features.ndim != 3 or features.shape[2] != self.feature_dim:
             raise DimensionError(
-                f"image projection expects feature dim {self.feature_dim}, "
-                f"grid has {grid.dim}")
-        return tanh(add(matmul(Tensor(grid.values), self.w), self.b))
+                f"image projection expects (B, L, {self.feature_dim}) features, "
+                f"got {features.shape}")
+        return tanh(add(matmul(Tensor(features), self.w), self.b))
 
     def named(self) -> dict[str, Parameter]:
         return {self.w.name: self.w, self.b.name: self.b}
 
 
 Keys = tuple[AttentionKeys, ...]   # one entry per attention head
-State = tuple[Tensor, Tensor]       # LSTM (hidden, memory)
+State = tuple[Tensor, Tensor]       # LSTM (hidden, memory), each (B, hidden)
 
 
 def _decoder_step(dec: SoftAttentionDecoder | DualAttentionDecoder,
                   layers: tuple[AttentionLayer, ...], keys: Keys, state: State,
-                  y_prev: int, dropout_rate: float,
+                  y_prev: np.ndarray, dropout_rate: float,
                   rng: np.random.Generator | None):
-    """The step of both decoders: attend with each head in ``layers``, feed
-    [contexts; previous word embedding] into the LSTM, project to log-probs."""
+    """The step of both decoders, for B records at once: attend with each
+    head in ``layers``, feed [contexts; previous word embeddings] into the
+    LSTM, project to log-probs."""
     h, c = state
     heads = [attend(layer, k, h) for layer, k in zip(layers, keys)]
-    x = concat([a.context for a in heads]
-               + [embedding_lookup(dec.embedding, int(y_prev))])
-    h, c = lstm_step(dec.lstm, x, h, c)
+    h, c = lstm_step(dec.lstm, [a.context for a in heads]
+                     + [embedding_lookup(dec.embedding, y_prev)], h, c)
     pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
     logits = add(matmul(pre, dec.w_out), dec.b_out)
     return log_softmax(logits), (h, c), tuple(a.weights for a in heads)
@@ -125,15 +139,18 @@ class SoftAttentionDecoder:
         self.w_c0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_c0")
         self.b_c0 = init.bias((dims.hidden_dim,), f"{prefix}/b_c0")
 
-    def start(self, regions: Tensor) -> tuple[Keys, State]:
-        """(region keys, initial (h, c)) for decoding over ``regions``."""
-        state = (init_state(regions, self.w_h0, self.b_h0),
-                 init_state(regions, self.w_c0, self.b_c0))
-        return (self.attn.prepare(regions),), state
+    def start(self, regions: Tensor, region_mask: np.ndarray | None = None
+              ) -> tuple[Keys, State]:
+        """(region keys, initial (h, c)) for decoding over (B, L, proj_dim)
+        ``regions`` and their (B, L) mask of real regions (None: all real)."""
+        state = (init_state(regions, region_mask, self.w_h0, self.b_h0),
+                 init_state(regions, region_mask, self.w_c0, self.b_c0))
+        return (self.attn.prepare(regions, region_mask),), state
 
-    def step(self, keys: Keys, state: State, y_prev: int, *,
+    def step(self, keys: Keys, state: State, y_prev: np.ndarray, *,
              dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-        """One decode step; returns (log_probs, (h, c), (region_weights,))."""
+        """One decode step from the (B,) previous ids; returns ((B, vocab)
+        log_probs, (h, c), (region_weights,))."""
         return _decoder_step(self, (self.attn,), keys, state, y_prev,
                              dropout_rate, rng)
 
@@ -158,16 +175,23 @@ class CaptionEncoder:
         self.fwd = GRUParams(rng, dims.embed_dim, dims.hidden_dim, f"{prefix}/fwd")
         self.bwd = GRUParams(rng, dims.embed_dim, dims.hidden_dim, f"{prefix}/bwd")
 
-    def encode(self, token_ids: Sequence[int]) -> Tensor:
-        """Encode N tokens into an (N, 2*hidden) state matrix. Each direction
-        projects all N embeddings in one matmul and steps on row t of it."""
-        if len(token_ids) == 0:
-            raise DataError("caption encoder: empty token sequence")
-        embeds = embedding_lookup(self.embedding, [int(t) for t in token_ids])
+    def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+        """Encode (B, N) token ids, with their (B, N) mask of real tokens
+        (None: all real), into (B, N, 2*hidden) states. Each direction
+        projects all embeddings in one matmul and steps on position t of it.
+        Real tokens come first in each row; the backward direction holds
+        its zero state through a record's padding, so it starts at the
+        record's own last token. States at padded positions are not zero but
+        are masked wherever they are read."""
+        ids = np.asarray(token_ids)
+        if ids.ndim != 2 or ids.shape[1] == 0:
+            raise DataError(f"caption encoder: need a non-empty (B, N) token "
+                            f"matrix, got shape {ids.shape}")
+        embeds = embedding_lookup(self.embedding, ids.T)     # (N, B, embed)
         fwd_inputs = gru_inputs(self.fwd, embeds)
         bwd_inputs = gru_inputs(self.bwd, embeds)
-        n = len(token_ids)
-        zeros = Tensor(np.zeros(self.hidden_dim))
+        n = ids.shape[1]
+        zeros = Tensor(np.zeros((ids.shape[0], self.hidden_dim)))
         forward = []
         h = zeros
         for t in range(n):
@@ -177,8 +201,10 @@ class CaptionEncoder:
         h = zeros
         for t in range(n - 1, -1, -1):
             h = gru_step(self.bwd, embedding_lookup(bwd_inputs, t), h)
+            if mask is not None and not mask[:, t].all():
+                h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
             backward[t] = h
-        return stack_rows([concat([f, b]) for f, b in zip(forward, backward)])
+        return concat([stack(forward, axis=1), stack(backward, axis=1)])
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}
@@ -217,15 +243,18 @@ class DualAttentionDecoder:
         self.w_m0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_m0")
         self.b_m0 = init.bias((dims.hidden_dim,), f"{prefix}/b_m0")
 
-    def start(self, regions: Tensor, captions: Tensor) -> tuple[Keys, State]:
+    def start(self, regions: Tensor, captions: Tensor,
+              region_mask: np.ndarray | None = None,
+              caption_mask: np.ndarray | None = None) -> tuple[Keys, State]:
         """(region keys, caption keys), initial (s, mem) for decoding over
-        ``regions`` and the encoded caption states ``captions``."""
-        state = (init_state(regions, self.w_s0, self.b_s0),
-                 init_state(regions, self.w_m0, self.b_m0))
-        return (self.attn_regions.prepare(regions),
-                self.attn_caption.prepare(captions)), state
+        (B, L, proj_dim) ``regions`` and the (B, N, 2*hidden) encoded caption
+        states ``captions``, with their masks of real rows (None: all real)."""
+        state = (init_state(regions, region_mask, self.w_s0, self.b_s0),
+                 init_state(regions, region_mask, self.w_m0, self.b_m0))
+        return (self.attn_regions.prepare(regions, region_mask),
+                self.attn_caption.prepare(captions, caption_mask)), state
 
-    def step(self, keys: Keys, state: State, y_prev: int, *,
+    def step(self, keys: Keys, state: State, y_prev: np.ndarray, *,
              dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
         """One decode step; returns (log_probs, (s, mem), (region_weights,
         caption_weights))."""
@@ -255,8 +284,8 @@ class ImageCaptioner:
         self.decoder = SoftAttentionDecoder(rng, dims.en_vocab, dims,
                                             "captioner/decoder")
 
-    def project(self, grid: FeatureGrid) -> Tensor:
-        return self.image_proj.project(grid)
+    def project(self, features: np.ndarray) -> Tensor:
+        return self.image_proj.project(features)
 
     def named_parameters(self) -> dict[str, Parameter]:
         out = self.image_proj.named()
@@ -301,62 +330,61 @@ class ModelBundle:
 # ---------------------------------------------------------------------------
 
 def unroll(decoder: SoftAttentionDecoder | DualAttentionDecoder,
-           start: tuple[Keys, State], ids: Sequence[int], *,
+           start: tuple[Keys, State], ids: np.ndarray, *,
            dropout_rate: float = 0.0, rng: np.random.Generator | None = None
-           ) -> tuple[list[Tensor], list[tuple[Tensor, ...]]]:
+           ) -> tuple[list[Tensor], list[Tensor]]:
     """Teacher-force a decoder from ``start = decoder.start(...)`` over a
-    caption.
+    batch of captions.
 
-    ``ids`` is the BOS..EOS sequence; step t conditions on ids[t] and predicts
-    ids[t+1]. Returns the len(ids) - 1 log-prob rows (EOS included) and, per
-    attention head, its len(ids) - 1 weight rows.
+    ``ids`` is the (B, T + 1) matrix of BOS..EOS rows, PAD-padded; step t
+    conditions on ids[:, t] and predicts ids[:, t + 1]. Returns the T
+    (B, vocab) log-prob matrices (EOS included) and, per attention head, its
+    (B, T, K) weights. Steps past a record's EOS run on padding; their
+    outputs are masked by whoever reads them.
     """
     keys, state = start
     logp_rows, weight_rows = [], []
-    for t in range(len(ids) - 1):
-        logp, state, weights = decoder.step(keys, state, ids[t],
+    for t in range(ids.shape[1] - 1):
+        logp, state, weights = decoder.step(keys, state, ids[:, t],
                                             dropout_rate=dropout_rate, rng=rng)
         logp_rows.append(logp)
         weight_rows.append(weights)
-    return logp_rows, list(zip(*weight_rows))
+    return logp_rows, [stack(rows, axis=1) for rows in zip(*weight_rows)]
 
 
-def stage2_forward(bundle: ModelBundle, features: FeatureGrid,
-                   en_ids: Sequence[int], de_ids: Sequence[int], *,
-                   english: bool = True, dropout_rate: float = 0.0,
-                   freeze_part1: bool = False,
+def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
+                   dropout_rate: float = 0.0, freeze_part1: bool = False,
                    rng: np.random.Generator | None = None
                    ) -> tuple[list[Tensor], tuple[Tensor, Tensor, Tensor] | None]:
-    """Teacher-forced stage-two pass over one image and its two captions.
+    """Teacher-forced stage-two pass over a batch of triples.
 
     The caption encoder reads the English targets (content plus EOS, BOS
     dropped), so its state count matches the English attention rows. The
     German decoder is unrolled over ``de_ids``; with ``english`` the English
     decoder is then unrolled over ``en_ids``. Returns the German log-prob
-    rows and, with ``english``, the (de_to_regions, de_to_en, en_to_regions)
-    attention matrices, else None.
+    matrices and, with ``english``, the (B, M, L) de_to_regions, (B, M, N)
+    de_to_en and (B, N, L) en_to_regions attention tensors, else None.
 
     ``dropout_rate`` applies to both decoders, drawn from ``rng``. With
     ``freeze_part1`` the English decoder runs without dropout, and the
     projected regions and English attention rows enter the graph as
     constants, so no gradient reaches part 1.
     """
-    regions = bundle.captioner.project(features)
+    regions = bundle.captioner.project(batch.features)
     if freeze_part1:
         regions = Tensor(regions.data)
-    cap_states = bundle.cap_encoder.encode(en_ids[1:])
+    cap_mask = batch.en_mask[:, 1:]
+    cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
     de_decoder = bundle.de_decoder
-    de_logps, (de_regions, de_caption) = unroll(
-        de_decoder, de_decoder.start(regions, cap_states), de_ids,
-        dropout_rate=dropout_rate, rng=rng)
+    de_logps, (de_to_regions, de_to_en) = unroll(
+        de_decoder, de_decoder.start(regions, cap_states, batch.region_mask, cap_mask),
+        batch.de_ids, dropout_rate=dropout_rate, rng=rng)
     if not english:
         return de_logps, None
     en_decoder = bundle.captioner.decoder
-    _, (en_regions,) = unroll(
-        en_decoder, en_decoder.start(regions), en_ids,
+    _, (en_to_regions,) = unroll(
+        en_decoder, en_decoder.start(regions, batch.region_mask), batch.en_ids,
         dropout_rate=0.0 if freeze_part1 else dropout_rate, rng=rng)
-    de_to_regions, de_to_en = stack_rows(de_regions), stack_rows(de_caption)
-    en_to_regions = stack_rows(en_regions)
     if freeze_part1:
         en_to_regions = Tensor(en_to_regions.data)
     return de_logps, (de_to_regions, de_to_en, en_to_regions)
@@ -366,9 +394,10 @@ def teacher_forced_record(bundle: ModelBundle, features: FeatureGrid,
                           en_ids: Sequence[int],
                           de_ids: Sequence[int]) -> AttentionRecord:
     """Attention record for ground-truth captions, evaluation mode (no
-    dropout, no tape)."""
-    _, attention = stage2_forward(bundle, features, en_ids, de_ids)
-    de_to_regions, de_to_en, en_to_regions = (m.data for m in attention)
+    dropout, no tape): ``stage2_forward`` on a batch of one."""
+    batch = make_batch([TripleRecord("", features, tuple(en_ids), tuple(de_ids))])
+    _, attention = stage2_forward(bundle, batch)
+    de_to_regions, de_to_en, en_to_regions = (m.data[0] for m in attention)
     return AttentionRecord(en_to_regions=en_to_regions,
                            de_to_regions=de_to_regions, de_to_en=de_to_en)
 

@@ -7,13 +7,20 @@ once in reverse creation order (creation order is already topological) and
 accumulates gradients into ``Tensor.grad``. Outside a tape block the same
 functions are plain forward math, which keeps inference cheap.
 
-Scalars are 0-d arrays, vectors 1-d, matrices 2-d; nothing here needs more.
-Every op validates its output for finiteness, so a NaN or overflow surfaces
-at the op that produced it rather than ten layers downstream.
+Training runs on batches, so tensors carry a leading batch axis: states are
+(B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
+take a boolean mask of real entries (``masked_softmax``, ``masked_mean``,
+``frobenius``, ``pick``); masked-out entries never reach the result and get
+exactly zero gradient, so padding cannot leak into a loss. ``matmul`` applies
+a shared weight over every leading axis, ``batch_matmul`` multiplies matrix i
+of one batch by matrix i of another. Every op validates its output for
+finiteness, so a NaN or overflow surfaces at the op that produced it rather
+than ten layers downstream.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,23 +187,53 @@ def _broadcast_shapes(op: str, a: Tensor, b: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim == 0 or b.data.ndim == 0 or a.data.ndim > 2 or b.data.ndim > 2:
+    """``a @ b`` for a shared weight ``b``: a (..., k) against a (k, n) matrix
+    or a (k,) vector, over every leading axis of ``a`` at once."""
+    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
         raise DimensionError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
     out = _result("matmul", np.matmul(a.data, b.data))
     ad, bd = a.data, b.data
+    k = bd.shape[0]
 
     def rule(g: Array) -> tuple[Array, Array]:
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), g @ ad
-        return g * bd, g * ad  # 1-d dot product
+        if bd.ndim == 2:
+            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1])
+        return g[..., None] * bd, g.reshape(-1) @ ad.reshape(-1, k)
 
     return _record(out, (a, b), rule)
+
+
+def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matmul with a leading batch axis: ``out[i] = a[i] @ b[i]`` for a
+    (B, k) or (B, m, k) against a (B, k, n)."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 3 or a.shape[0] != b.shape[0] \
+            or a.shape[-1] != b.shape[1]:
+        raise DimensionError(f"batch_matmul: cannot multiply {a.shape} by {b.shape}")
+    a3 = a.data[:, None, :] if a.data.ndim == 2 else a.data
+    out = np.matmul(a3, b.data)
+    out = _result("batch_matmul", out[:, 0, :] if a.data.ndim == 2 else out)
+    bd, a_shape = b.data, a.shape
+
+    def rule(g: Array) -> tuple[Array, Array]:
+        g3 = g.reshape(a3.shape[:2] + g.shape[-1:])
+        return (np.matmul(g3, bd.transpose(0, 2, 1)).reshape(a_shape),
+                np.matmul(a3.transpose(0, 2, 1), g3))
+
+    return _record(out, (a, b), rule)
+
+
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes of ``a`` (reverse them when ``axes`` is None)."""
+    if axes is not None and sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
+    out = _result("transpose", a.data.transpose(axes))
+
+    def rule(g: Array) -> tuple[Array]:
+        return (g.transpose(None if axes is None else np.argsort(axes)),)
+
+    return _record(out, (a,), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -239,39 +276,28 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * factor,))
 
 
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum of same-shape tensors in one node."""
-    if not tensors:
-        raise DimensionError("add_n: empty operand list")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise DimensionError(f"add_n: mixed shapes {shape} and {t.shape}")
-    out = _result("add_n", sum(t.data for t in tensors))
-    n = len(tensors)
-    return _record(out, tuple(tensors), lambda g: (g,) * n)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-d tensors."""
+    """Concatenate along the last axis; the leading axes must agree."""
     if not parts:
         raise DimensionError("concat: empty operand list")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise DimensionError(f"concat: expected vectors, got shape {p.shape}")
-    out = _result("concat", np.concatenate([p.data for p in parts]))
-    sizes = [p.data.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    arrays = [p.data for p in parts]
+    lead = arrays[0].shape[:-1]
+    for x in arrays:
+        if x.ndim == 0 or x.shape[:-1] != lead:
+            raise DimensionError(f"concat: cannot join shape {x.shape} to leading "
+                                 f"axes {lead}")
+    out = _result("concat", np.concatenate(arrays, axis=-1))
+    offsets = [0, *accumulate(x.shape[-1] for x in arrays)]
 
     def rule(g: Array) -> tuple[Array, ...]:
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _record(out, tuple(parts), rule)
 
 
 def column_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``[start, stop)`` of the last axis of a vector or matrix."""
-    if a.data.ndim not in (1, 2) or not 0 <= start < stop <= a.shape[-1]:
+    """Columns ``[start, stop)`` of the last axis."""
+    if a.data.ndim == 0 or not 0 <= start < stop <= a.shape[-1]:
         raise DimensionError(f"column_slice: [{start}:{stop}) out of range for "
                              f"shape {a.shape}")
     out = _result("column_slice", a.data[..., start:stop])
@@ -285,34 +311,48 @@ def column_slice(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(out, (a,), rule)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one row per input."""
-    if not rows:
-        raise DimensionError("stack_rows: empty operand list")
-    width = rows[0].data.size
-    for r in rows:
-        if r.data.ndim != 1 or r.data.size != width:
-            raise DimensionError(f"stack_rows: expected ({width},) vectors, got {r.shape}")
-    out = _result("stack_rows", np.stack([r.data for r in rows]))
-    n = len(rows)
+def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Stack same-shape tensors along a new axis ``axis``."""
+    if not parts:
+        raise DimensionError("stack: empty operand list")
+    shape = parts[0].shape
+    for p in parts:
+        if p.shape != shape:
+            raise DimensionError(f"stack: expected {shape} tensors, got {p.shape}")
+    if not 0 <= axis <= len(shape):
+        raise DimensionError(f"stack: axis {axis} out of range for shape {shape}")
+    out = _result("stack", np.stack([p.data for p in parts], axis=axis))
+    n = len(parts)
 
     def rule(g: Array) -> tuple[Array, ...]:
+        g = np.moveaxis(g, axis, 0)
         return tuple(g[i] for i in range(n))
 
-    return _record(out, tuple(rows), rule)
+    return _record(out, tuple(parts), rule)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max-subtracted)."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    out = _result("softmax", s)
+def masked_softmax(scores: Tensor, mask: Array | None) -> Tensor:
+    """Attention weights from key-major scores: softmax over axis 0 of a
+    (K, B) score matrix, returned batch-major as (B, K).
+
+    ``mask`` is the (B, K) boolean mask of real keys, or None when every key
+    is real. Masked-out keys get weight exactly 0 and no gradient, so their
+    scores never reach the result; each row needs at least one real key.
+    """
+    if scores.data.ndim != 2 or (mask is not None and mask.shape != scores.shape[::-1]):
+        raise DimensionError(f"masked_softmax: scores {scores.shape} need a (K, B) "
+                             f"matrix and a (B, K) mask")
+    s = scores.data.T
+    if mask is not None:
+        s = np.where(mask, s, -np.inf)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    out = _result("masked_softmax", w)
 
     def rule(g: Array) -> tuple[Array]:
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        return ((w * (g - (g * w).sum(axis=1, keepdims=True))).T,)
 
-    return _record(out, (a,), rule)
+    return _record(out, (scores,), rule)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -344,12 +384,14 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Select rows of ``table``: a single id gives a vector, a sequence a matrix."""
-    if table.data.ndim != 2:
-        raise DimensionError(f"embedding-lookup: table must be 2-d, got {table.shape}")
+    """Rows of ``table`` along its first axis: ``table[ids]`` for an int or an
+    int array of any shape."""
+    if table.data.ndim < 2:
+        raise DimensionError(f"embedding-lookup: table must be at least 2-d, "
+                             f"got {table.shape}")
     idx = np.asarray(ids)
-    if idx.ndim > 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise DimensionError("embedding-lookup: ids must be an int or a flat int sequence")
+    if idx.dtype.kind not in "iu":
+        raise DimensionError("embedding-lookup: ids must be integers")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise DimensionError(
             f"embedding-lookup: id out of range for table with {table.shape[0]} rows")
@@ -381,40 +423,67 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the rows of a matrix, yielding one vector."""
-    if a.data.ndim != 2:
-        raise DimensionError(f"mean_rows: expected a matrix, got {a.shape}")
-    out = _result("mean_rows", a.data.mean(axis=0))
-    n = a.shape[0]
-    return _record(out, (a,), lambda g: (np.tile(g / n, (n, 1)),))
+def masked_mean(a: Tensor, mask: Array | None) -> Tensor:
+    """Mean over the real rows of each record: a (B, L, d) with the (B, L)
+    boolean mask of real rows (None: all real) gives (B, d). Masked-out rows
+    are read as 0 and get no gradient; each record needs at least one real
+    row."""
+    if a.data.ndim != 3 or (mask is not None and mask.shape != a.shape[:2]):
+        raise DimensionError(f"masked_mean: need a (B, L, d) tensor and a (B, L) "
+                             f"mask, got {a.shape} and {np.shape(mask)}")
+    if mask is None:
+        n, shape = a.shape[1], a.shape
+        out = _result("masked_mean", a.data.mean(axis=1))
+        return _record(out, (a,), lambda g: (np.broadcast_to(g[:, None, :] / n, shape),))
+    counts = mask.sum(axis=1)
+    if not counts.all():
+        raise DimensionError("masked_mean: a record has no real rows")
+    weight = (mask / counts[:, None])[..., None]   # (B, L, 1)
+    out = _result("masked_mean", np.where(mask[..., None], a.data, 0.0).sum(axis=1)
+                  / counts[:, None])
+    return _record(out, (a,), lambda g: (g[:, None, :] * weight,))
 
 
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; the subgradient at 0 is taken as 0."""
-    if (a.data < 0).any():
-        raise NumericError("sqrt: negative input")
-    y = np.sqrt(a.data)
-    out = _result("sqrt", y)
+def frobenius(a: Tensor, row_mask: Array) -> Tensor:
+    """Per-record Frobenius norm over the real rows: a (B, M, L) with the
+    (B, M) boolean mask of real rows gives (B,). Masked-out rows get no
+    gradient; the subgradient of a zero norm is taken as 0."""
+    if a.data.ndim != 3 or row_mask.shape != a.shape[:2]:
+        raise DimensionError(f"frobenius: need a (B, M, L) tensor and a (B, M) "
+                             f"mask, got {a.shape} and {row_mask.shape}")
+    real = np.where(row_mask[..., None], a.data, 0.0)
+    norms = np.sqrt((real * real).sum(axis=(1, 2)))
+    out = _result("frobenius", norms)
 
     def rule(g: Array) -> tuple[Array]:
-        return (np.where(y > 0.0, 0.5 / np.where(y > 0.0, y, 1.0), 0.0) * g,)
+        per = np.where(norms > 0.0, g / np.where(norms > 0.0, norms, 1.0), 0.0)
+        return (real * per[:, None, None],)
 
     return _record(out, (a,), rule)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    """Select one element of a vector as a 0-d tensor."""
-    if a.data.ndim != 1:
-        raise DimensionError(f"pick: expected a vector, got {a.shape}")
-    if not 0 <= index < a.data.size:
-        raise DimensionError(f"pick: index {index} out of range for length {a.data.size}")
-    out = _result("pick", np.asarray(a.data[index]))
-    size = a.data.size
+def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
+    """Entry ``index[...]`` of the last axis of ``a``: a (..., V) with an int
+    array ``index`` of shape a.shape[:-1] (an int for a vector). Positions
+    where ``mask`` is False read 0 and get no gradient."""
+    idx = np.asarray(index)
+    if a.data.ndim == 0 or idx.shape != a.shape[:-1] \
+            or not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionError(f"pick: index of shape {idx.shape} does not select "
+                             f"from shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
+        raise DimensionError(f"pick: index {index} out of range for length "
+                             f"{a.shape[-1]}")
+    keep = np.ones(idx.shape, bool) if mask is None else np.asarray(mask, bool)
+    if keep.shape != idx.shape:
+        raise DimensionError(f"pick: mask {keep.shape} does not match index {idx.shape}")
+    values = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    out = _result("pick", np.where(keep, values, 0.0))
+    shape = a.shape
 
     def rule(g: Array) -> tuple[Array]:
-        z = np.zeros(size)
-        z[index] = float(g)
+        z = np.zeros(shape)
+        np.put_along_axis(z, idx[..., None], np.where(keep, g, 0.0)[..., None], axis=-1)
         return (z,)
 
     return _record(out, (a,), rule)

@@ -2,11 +2,14 @@
 German stage with the summed caption likelihood and cycle-consistency losses.
 Both stages run the same epoch loop, ``_fit``.
 
-Batches are gradient-accumulation groups: records are sorted by target
-length (then image id) so similar lengths batch together, each record's
-graph is built at its own true length, and the mean per-record loss drives
-one optimizer step. The loss masks PAD targets, so padded inputs never
-contribute.
+Records are sorted by target length (then image id) so similar lengths
+batch together, and each batch is padded once into one ``data.Batch``. Its
+graph steps all B records through every cell together, on (B, ·) matrices,
+and the mean per-record loss drives one optimizer step. Masks, not padding
+values, decide what counts: the likelihood skips PAD targets, attention
+gives padded keys weight 0, and the cycle loss skips padded German steps,
+so a batch's loss and gradients are the sums of its records' at B = 1, up
+to float summation order.
 
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
@@ -24,14 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from .cycle import cycle_loss_graph
-from .data import PAD_ID, PairRecord, TripleRecord, Vocabulary
+from .data import Batch, PairRecord, TripleRecord, Vocabulary, make_batch
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .evaluation import cider
 from .inference import beam_decode, caption_image, decoder_step_fn
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Tape, Tensor, add, add_n, pick, scale
+from .tensor import Tape, Tensor, add, pick, scale, stack, sum_all
 
 
 @dataclass
@@ -114,23 +117,37 @@ class TrainReport:
                 fh.write(e.to_json() + "\n")
 
 
-def nll_loss(logprob_rows: Sequence[Tensor], targets: Sequence[int],
-             pad_id: int = PAD_ID) -> tuple[Tensor, int]:
-    """Summed negative log-likelihood of the targets; PAD positions are
-    excluded from both the sum and the token count."""
-    if len(logprob_rows) != len(targets):
-        raise DimensionError(f"{len(logprob_rows)} log-prob rows vs "
-                             f"{len(targets)} targets")
-    picks = [pick(row, int(t)) for row, t in zip(logprob_rows, targets)
-             if int(t) != pad_id]
-    if not picks:
-        raise DataError("no non-PAD targets in sequence")
-    return scale(add_n(picks), -1.0), len(picks)
+def nll_loss(logprob_rows: Sequence[Tensor], targets: np.ndarray,
+             mask: np.ndarray) -> tuple[Tensor, int]:
+    """Summed negative log-likelihood of a batch of targets.
+
+    ``logprob_rows[t]`` is the (B, vocab) log-prob matrix of step t,
+    ``targets`` the (B, T) ids it predicts and ``mask`` the (B, T) boolean
+    mask of real targets; padded positions are excluded from both the sum
+    and the token count.
+    """
+    if len(logprob_rows) != targets.shape[1] or mask.shape != targets.shape:
+        raise DimensionError(f"{len(logprob_rows)} log-prob steps vs targets "
+                             f"{targets.shape} and mask {mask.shape}")
+    count = int(mask.sum())
+    if not count:
+        raise DataError("no real targets in batch")
+    picked = pick(stack(logprob_rows, axis=1), targets, mask)
+    return scale(sum_all(picked), -1.0), count
 
 
-def _batches(records: Sequence, batch_size: int, length_of) -> list[list]:
+def _batches(records: Sequence, batch_size: int, length_of) -> list[Batch]:
     order = sorted(records, key=lambda r: (length_of(r), r.image_id))
-    return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
+    return [make_batch(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
+
+
+def _check_feature_dims(records: Sequence, feature_dim: int) -> None:
+    """Batching stacks the feature grids, so every record must have the
+    model's feature dim; a record that has not is a DataError naming it."""
+    for r in records:
+        if r.features.dim != feature_dim:
+            raise DataError(f"image {r.image_id!r} has feature dim "
+                            f"{r.features.dim}, expected {feature_dim}")
 
 
 class _EarlyStopper:
@@ -165,7 +182,7 @@ def _snapshot(params) -> dict[str, np.ndarray]:
 def _greedy_en(captioner: ImageCaptioner, record: PairRecord,
                max_len: int = 50) -> tuple[int, ...]:
     decoder = captioner.decoder
-    keys, state = decoder.start(captioner.project(record.features))
+    keys, state = decoder.start(captioner.project(record.features.values[None]))
     return beam_decode(decoder_step_fn(decoder, keys), state,
                        beam_size=1, max_len=max_len).tokens
 
@@ -187,37 +204,35 @@ def _validate_bundle(bundle: ModelBundle, records: Sequence[TripleRecord],
     return cider(candidates, references)
 
 
-def _fit(phase: str, records: Sequence, length_of, record_loss,
+def _fit(phase: str, records: Sequence, length_of, batch_loss,
          trainable: dict, saved: dict, validate, cfg: TrainConfig) -> TrainReport:
     """The epoch loop both stages share.
 
-    ``record_loss(record)`` builds one record's graph on the open tape and
-    returns (loss, nll value, token count, cycle value or None); the mean
-    loss of each batch drives one Adam step over ``trainable``. ``validate()``
-    scores the model, and the best-scoring snapshot of ``saved`` is restored
-    at the end.
+    ``batch_loss(batch)`` builds one padded batch's graph on the open tape
+    and returns (summed loss, nll value, token count, cycle value or None);
+    the mean per-record loss drives one Adam step over ``trainable``.
+    ``validate()`` scores the model, and the best-scoring snapshot of
+    ``saved`` is restored at the end.
     """
     adam = Adam(trainable, lr=cfg.learning_rate)
     stopper = _EarlyStopper(cfg.patience)
     best_params = _snapshot(saved)
     report = TrainReport(phase=phase)
+    batches = _batches(records, cfg.batch_size, length_of)
 
     for epoch in range(1, cfg.max_epochs + 1):
         nll_total, token_total, cyc_total, has_cycle = 0.0, 0, 0.0, False
-        for batch in _batches(records, cfg.batch_size, length_of):
+        for batch in batches:
             adam.zero_grad()
             try:
                 with Tape() as tape:
-                    losses = []
-                    for rec in batch:
-                        loss, nll, ntok, cyc = record_loss(rec)
-                        nll_total += nll
-                        token_total += ntok
-                        if cyc is not None:
-                            cyc_total += cyc
-                            has_cycle = True
-                        losses.append(loss)
-                    tape.backward(scale(add_n(losses), 1.0 / len(batch)))
+                    loss, nll, ntok, cyc = batch_loss(batch)
+                    nll_total += nll
+                    token_total += ntok
+                    if cyc is not None:
+                        cyc_total += cyc
+                        has_cycle = True
+                    tape.backward(scale(loss, 1.0 / len(batch)))
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}: {exc}") from exc
             adam.step()
@@ -256,20 +271,28 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     if not pairs:
         raise DataError("pretraining needs a non-empty pair set")
     val = val_pairs if val_pairs is not None else pairs
+    _check_feature_dims(pairs, feature_dim)
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
     params = model.named_parameters()
     drop_rng = np.random.default_rng(cfg.seed)
 
-    def record_loss(rec: PairRecord):
-        start = model.decoder.start(model.project(rec.features))
-        logps, _ = unroll(model.decoder, start, rec.ids,
-                          dropout_rate=cfg.dropout, rng=drop_rng)
-        loss, ntok = nll_loss(logps, rec.ids[1:])
-        return loss, loss.item(), ntok, None
+    def batch_loss(batch: Batch):
+        return _captioner_loss(model, batch, cfg.dropout, drop_rng)
 
-    report = _fit("part1", pairs, lambda r: r.steps, record_loss, params, params,
+    report = _fit("part1", pairs, lambda r: r.steps, batch_loss, params, params,
                   lambda: _validate_captioner(model, val, vocab), cfg)
     return model, report
+
+
+def _captioner_loss(model: ImageCaptioner, batch: Batch, dropout: float = 0.0,
+                    rng: np.random.Generator | None = None
+                    ) -> tuple[Tensor, float, int, None]:
+    """A batch's summed stage-one loss: (loss, nll value, token count, None)."""
+    decoder = model.decoder
+    start = decoder.start(model.project(batch.features), batch.region_mask)
+    logps, _ = unroll(decoder, start, batch.en_ids, dropout_rate=dropout, rng=rng)
+    loss, ntok = nll_loss(logps, batch.en_ids[:, 1:], batch.en_mask[:, 1:])
+    return loss, loss.item(), ntok, None
 
 
 def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
@@ -278,7 +301,7 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
                 ) -> tuple[ModelBundle, TrainReport]:
     """Train the German stage on triples against a pretrained captioner.
 
-    Each record's loss is :func:`_stage2_loss`. Unless ``freeze_part1`` is
+    Each batch's loss is :func:`_stage2_loss`. Unless ``freeze_part1`` is
     set, the pretrained parameters stay in the optimizer and keep adapting
     (only the consistency loss reaches them).
     """
@@ -288,10 +311,8 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     if len(en_vocab) != captioner.dims.en_vocab:
         raise DataError("English vocabulary does not match the captioner")
     val = val_triples if val_triples is not None else triples
-    feature_dim = triples[0].features.dim
-    if captioner.dims.feature_dim != feature_dim:
-        raise DataError(f"captioner expects feature dim "
-                        f"{captioner.dims.feature_dim}, triples have {feature_dim}")
+    feature_dim = captioner.dims.feature_dim
+    _check_feature_dims(triples, feature_dim)
     dims = cfg.dims(feature_dim, len(en_vocab), len(de_vocab))
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical
@@ -305,43 +326,43 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
         trainable.update(bundle.part1_parameters())
     drop_rng = np.random.default_rng(cfg.seed)
 
-    def record_loss(rec: TripleRecord):
-        return _stage2_loss(bundle, rec, cfg.cycle_weight, cfg.dropout,
+    def batch_loss(batch: Batch):
+        return _stage2_loss(bundle, batch, cfg.cycle_weight, cfg.dropout,
                             cfg.freeze_part1, drop_rng)
 
-    report = _fit("part2", triples, lambda r: r.de_steps, record_loss, trainable,
+    report = _fit("part2", triples, lambda r: r.de_steps, batch_loss, trainable,
                   bundle.named_parameters(),
                   lambda: _validate_bundle(bundle, val, de_vocab), cfg)
     return bundle, report
 
 
-def _stage2_loss(bundle: ModelBundle, record: TripleRecord, cycle_weight: float,
+def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
                  dropout: float = 0.0, freeze_part1: bool = False,
                  rng: np.random.Generator | None = None
                  ) -> tuple[Tensor, float, int, float | None]:
-    """One record's stage-two loss: (loss, nll value, token count, cycle value
-    or None).
+    """A batch's summed stage-two loss: (loss, nll value, token count, cycle
+    value or None).
 
     The German likelihood loss plus ``cycle_weight`` times the consistency
-    loss over the three attention matrices of :func:`stage2_forward`. With
-    cycle_weight 0 the English pass and the consistency graph are skipped
-    entirely. ``dropout`` is drawn from ``rng``; ``freeze_part1`` keeps part
-    1 out of the graph's gradients.
+    loss over the three attention tensors of :func:`stage2_forward`, both
+    summed over the records. With cycle_weight 0 the English pass and the
+    consistency graph are skipped entirely. ``dropout`` is drawn from
+    ``rng``; ``freeze_part1`` keeps part 1 out of the graph's gradients.
     """
     de_logps, attention = stage2_forward(
-        bundle, record.features, record.en_ids, record.de_ids,
-        english=cycle_weight > 0.0, dropout_rate=dropout,
+        bundle, batch, english=cycle_weight > 0.0, dropout_rate=dropout,
         freeze_part1=freeze_part1, rng=rng)
-    loss, ntok = nll_loss(de_logps, record.de_ids[1:])
+    de_mask = batch.de_mask[:, 1:]
+    loss, ntok = nll_loss(de_logps, batch.de_ids[:, 1:], de_mask)
     if attention is None:
         return loss, loss.item(), ntok, None
-    cyc = cycle_loss_graph(*attention)
+    cyc = cycle_loss_graph(*attention, de_mask)
     return add(loss, scale(cyc, cycle_weight)), loss.item(), ntok, cyc.item()
 
 
-def stage2_loss_graph(bundle: ModelBundle, record: TripleRecord,
+def stage2_loss_graph(bundle: ModelBundle, batch: Batch,
                       cycle_weight: float) -> Tensor:
-    """Full per-record stage-two loss in evaluation mode (no dropout); the
+    """A batch's summed stage-two loss in evaluation mode (no dropout); the
     gradient-check suites differentiate through this graph, the one
     ``train_part2`` optimises."""
-    return _stage2_loss(bundle, record, cycle_weight)[0]
+    return _stage2_loss(bundle, batch, cycle_weight)[0]

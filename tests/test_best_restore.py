@@ -36,7 +36,7 @@ def assert_same_parameters(a, b):
 def stage_one(small_corpus):
     triples, en_vocab, _, _ = small_corpus
     pairs = pairs_from_triples(triples)
-    config = cfg()
+    config = cfg(max_epochs=10, patience=10)
     model, report = pretrain_part1(pairs, en_vocab, 32, config)
     return pairs, config, model, report
 

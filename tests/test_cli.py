@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecap.cli import SUBCOMMANDS, main
-from cyclecap.data import RESERVED_TOKENS
+from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
 from cyclecap.models import load_bundle, save_bundle
 
 from conftest import FUZZ, bit_flips, truncations
@@ -297,6 +297,23 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
                    "--manifest", str(manifest),
                    "--out-dir", str(tmp_path / f"short-{subcommand}")) == 5
         assert_clean_io_error(capsys, str(short / "vocab_de.txt"), "ids")
+
+    # a corpus whose grids do not share one feature dim: batching stacks
+    # the grids, so the odd one out is a data error naming the image
+    mixed_rows = [json.loads(r) for r in rows[:4]]
+    dim = load_features(data / mixed_rows[0]["features"]).dim
+    save_features(FeatureGrid(np.ones((9, dim // 2))), tmp_path / "odd.feat")
+    odd_id = mixed_rows[1]["image_id"]
+    mixed_rows[1]["features"] = str(tmp_path / "odd.feat")
+    for r in mixed_rows[:1] + mixed_rows[2:]:
+        r["features"] = str(data / r["features"])
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(json.dumps(r) + "\n" for r in mixed_rows), encoding="utf-8")
+    assert run("pretrain", "--manifest", str(mixed), "--min-freq", "1",
+               "--out-dir", str(tmp_path / "mixed-pretrain")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and "Traceback" not in err
+    assert repr(odd_id) in err and str(dim // 2) in err and str(dim) in err
 
     # an OSError other than a missing file: a file where the output directory
     # belongs, a directory where an input file belongs

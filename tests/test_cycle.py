@@ -75,19 +75,21 @@ def test_cycle_loss_hand_value_sqrt_two():
 def test_taped_and_plain_losses_agree():
     rng = np.random.default_rng(3)
     record = random_record(rng)
-    taped = cycle_loss_graph(Parameter(record.de_to_regions, "a"),
-                             Parameter(record.de_to_en, "b"),
-                             Parameter(record.en_to_regions, "c"))
+    taped = cycle_loss_graph(Parameter(record.de_to_regions[None], "a"),
+                             Parameter(record.de_to_en[None], "b"),
+                             Parameter(record.en_to_regions[None], "c"),
+                             np.ones((1, len(record.de_to_regions)), dtype=bool))
     assert taped.item() == pytest.approx(cycle_loss(record), rel=1e-14)
 
 
 def test_cycle_loss_gradients_away_from_zero():
     rng = np.random.default_rng(4)
     record = random_record(rng)
-    a_de = Parameter(record.de_to_regions, "a_de")
-    b = Parameter(record.de_to_en, "b")
-    a_en = Parameter(record.en_to_regions, "a_en")
-    result = check_gradients("cycle", lambda: cycle_loss_graph(a_de, b, a_en),
+    a_de = Parameter(record.de_to_regions[None], "a_de")
+    b = Parameter(record.de_to_en[None], "b")
+    a_en = Parameter(record.en_to_regions[None], "a_en")
+    real = np.ones((1, len(record.de_to_regions)), dtype=bool)
+    result = check_gradients("cycle", lambda: cycle_loss_graph(a_de, b, a_en, real),
                              {"a_de": a_de, "b": b, "a_en": a_en})
     assert result.max_error < 1e-3
 

@@ -28,8 +28,8 @@ def rand_grid(rng, regions=3, dim=3):
 def test_english_step_log_probs_normalize():
     rng = np.random.default_rng(0)
     model = tiny_captioner(seed=1)
-    keys, state = model.decoder.start(model.project(rand_grid(rng)))
-    logp, _, (weights,) = model.decoder.step(keys, state, 1)
+    keys, state = model.decoder.start(model.project(rand_grid(rng).values[None]))
+    logp, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     assert abs(weights.data.sum() - 1.0) < 1e-12
 
@@ -37,9 +37,9 @@ def test_english_step_log_probs_normalize():
 def test_identical_regions_give_uniform_attention():
     model = tiny_captioner(seed=2)
     grid = FeatureGrid(np.tile([0.3, -0.2, 0.9], (5, 1)))
-    keys, state = model.decoder.start(model.project(grid))
-    _, _, (weights,) = model.decoder.step(keys, state, 1)
-    np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
+    keys, state = model.decoder.start(model.project(grid.values[None]))
+    _, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
+    np.testing.assert_allclose(weights.data[0], np.full(5, 0.2), atol=1e-12)
 
 
 def test_teacher_forced_loglik_matches_reference():
@@ -47,22 +47,22 @@ def test_teacher_forced_loglik_matches_reference():
     model = tiny_captioner(seed=4)
     grid = rand_grid(rng)
     ids = random_ids(rng, 8, 4)
+    batch = np.array([ids])
     logps, (rows,) = unroll(model.decoder,
-                            model.decoder.start(model.project(grid)), ids)
-    loss, ntok = nll_loss(logps, ids[1:])
+                            model.decoder.start(model.project(grid.values[None])), batch)
+    loss, ntok = nll_loss(logps, batch[:, 1:], np.ones((1, len(ids) - 1), dtype=bool))
     ref_total, ref_rows = ref_captioner_sequence(model, grid.values, ids)
     assert ntok == len(ids) - 1
     assert loss.item() == pytest.approx(-ref_total, rel=1e-12)
-    np.testing.assert_allclose(np.stack([r.data for r in rows]), ref_rows,
-                               atol=1e-13)
+    np.testing.assert_allclose(rows.data[0], ref_rows, atol=1e-13)
 
 
 # --- caption encoder --------------------------------------------------------
 
 def test_single_token_encoding_has_one_row():
     bundle = tiny_bundle()
-    states = bundle.cap_encoder.encode([4])
-    assert states.shape == (1, 8)
+    states = bundle.cap_encoder.encode(np.array([[4]]))
+    assert states.shape == (1, 1, 8)
 
 
 def test_bidirectional_symmetry_with_shared_directions():
@@ -74,8 +74,8 @@ def test_bidirectional_symmetry_with_shared_directions():
             fwd, bwd = getattr(enc.fwd, name), getattr(enc.bwd, name)
             bwd.data[..., cols] = fwd.data[..., cols]
     ids = [4, 5, 6, 7]
-    forward = enc.encode(ids).data
-    reverse = enc.encode(ids[::-1]).data
+    forward = enc.encode(np.array([ids])).data[0]
+    reverse = enc.encode(np.array([ids[::-1]])).data[0]
     h = enc.hidden_dim
     swapped = np.concatenate([reverse[:, h:], reverse[:, :h]], axis=1)
     np.testing.assert_allclose(swapped, forward[::-1], atol=1e-12)
@@ -85,19 +85,19 @@ def test_zero_parameters_give_zero_states():
     bundle = tiny_bundle(seed=6)
     for p in bundle.cap_encoder.named().values():
         p.data = np.zeros_like(p.data)
-    states = bundle.cap_encoder.encode([4, 5, 6])
-    np.testing.assert_array_equal(states.data, np.zeros((3, 8)))
+    states = bundle.cap_encoder.encode(np.array([[4, 5, 6]]))
+    np.testing.assert_array_equal(states.data, np.zeros((1, 3, 8)))
 
 
 def test_encoder_matches_reference_and_rejects_empty():
     rng = np.random.default_rng(7)
     bundle = tiny_bundle(seed=8)
     ids = [int(x) for x in rng.integers(4, 8, size=5)]
-    np.testing.assert_allclose(bundle.cap_encoder.encode(ids).data,
+    np.testing.assert_allclose(bundle.cap_encoder.encode(np.array([ids])).data[0],
                                ref_encode_caption(bundle.cap_encoder, ids),
                                atol=1e-13)
     with pytest.raises(DataError):
-        bundle.cap_encoder.encode([])
+        bundle.cap_encoder.encode(np.zeros((1, 0), dtype=int))
 
 
 # --- dual-attention decoder --------------------------------------------------
@@ -105,12 +105,12 @@ def test_encoder_matches_reference_and_rejects_empty():
 def test_german_step_outputs_normalize_and_single_state_beta():
     rng = np.random.default_rng(9)
     bundle = tiny_bundle(seed=10)
-    regions = bundle.captioner.project(rand_grid(rng))
-    states = bundle.cap_encoder.encode([4])  # N = 1
+    regions = bundle.captioner.project(rand_grid(rng).values[None])
+    states = bundle.cap_encoder.encode(np.array([[4]]))  # N = 1
     keys, state = bundle.de_decoder.start(regions, states)
-    logp, _, (region_w, caption_w) = bundle.de_decoder.step(keys, state, 1)
+    logp, _, (region_w, caption_w) = bundle.de_decoder.step(keys, state, np.array([1]))
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
-    np.testing.assert_allclose(caption_w.data, [1.0])
+    np.testing.assert_allclose(caption_w.data, [[1.0]])
     assert abs(region_w.data.sum() - 1.0) < 1e-12
 
 
@@ -120,17 +120,16 @@ def test_german_sequence_matches_reference():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 4)
     de_ids = random_ids(rng, 9, 3)
-    start = bundle.de_decoder.start(bundle.captioner.project(grid),
-                                    bundle.cap_encoder.encode(en_ids[1:]))
-    logps, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, de_ids)
-    loss, _ = nll_loss(logps, de_ids[1:])
+    start = bundle.de_decoder.start(bundle.captioner.project(grid.values[None]),
+                                    bundle.cap_encoder.encode(np.array([en_ids[1:]])))
+    batch = np.array([de_ids])
+    logps, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, batch)
+    loss, _ = nll_loss(logps, batch[:, 1:], np.ones((1, len(de_ids) - 1), dtype=bool))
     ref_total, ref_regions, ref_captions = ref_german_sequence(
         bundle, grid.values, en_ids, de_ids)
     assert loss.item() == pytest.approx(-ref_total, rel=1e-12)
-    np.testing.assert_allclose(np.stack([r.data for r in region_rows]),
-                               ref_regions, atol=1e-13)
-    np.testing.assert_allclose(np.stack([r.data for r in caption_rows]),
-                               ref_captions, atol=1e-13)
+    np.testing.assert_allclose(region_rows.data[0], ref_regions, atol=1e-13)
+    np.testing.assert_allclose(caption_rows.data[0], ref_captions, atol=1e-13)
 
 
 def test_teacher_forced_record_shapes():
@@ -151,17 +150,17 @@ def test_init_state_zero_rows_gives_tanh_bias():
     rng = np.random.default_rng(15)
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
-    out = init_state(Tensor(np.zeros((5, 3))), w, b)
-    np.testing.assert_allclose(out.data, np.tanh(b.data), atol=1e-14)
+    out = init_state(Tensor(np.zeros((1, 5, 3))), None, w, b)
+    np.testing.assert_allclose(out.data[0], np.tanh(b.data), atol=1e-14)
 
 
 def test_init_state_permutation_invariant():
     rng = np.random.default_rng(16)
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
-    rows = rng.standard_normal((5, 3))
-    a = init_state(Tensor(rows), w, b).data
-    c = init_state(Tensor(rows[::-1].copy()), w, b).data
+    rows = rng.standard_normal((1, 5, 3))
+    a = init_state(Tensor(rows), None, w, b).data
+    c = init_state(Tensor(rows[:, ::-1].copy()), None, w, b).data
     np.testing.assert_allclose(a, c, atol=1e-14)
 
 
@@ -169,8 +168,8 @@ def test_init_state_gradients():
     rng = np.random.default_rng(17)
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
-    rows = Tensor(rng.standard_normal((5, 3)))
-    result = check_gradients("init", lambda: sum_all(init_state(rows, w, b)),
+    rows = Tensor(rng.standard_normal((1, 5, 3)))
+    result = check_gradients("init", lambda: sum_all(init_state(rows, None, w, b)),
                              {"w": w, "b": b})
     assert result.max_error < 1e-3
 

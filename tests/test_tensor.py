@@ -8,20 +8,20 @@ from hypothesis.extra.numpy import arrays
 
 from cyclecap.errors import DimensionError, NumericError, StateError
 from cyclecap.gradcheck import check_gradients
-from cyclecap.tensor import (Parameter, Tape, Tensor, add, add_n, column_slice,
-                             concat, dropout,
-                             embedding_lookup, log_softmax, matmul, mean_rows, mul,
-                             pick, scale, softmax, sqrt, stack_rows, sub, sum_all)
+from cyclecap.tensor import (Parameter, Tape, Tensor, add, column_slice,
+                             concat, dropout, embedding_lookup, frobenius,
+                             log_softmax, masked_mean, masked_softmax, matmul, mul,
+                             pick, scale, stack, sub, sum_all)
 
 
 def test_softmax_symmetry():
-    out = softmax(Tensor([0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.5])
+    out = masked_softmax(Tensor([[0.0], [0.0]]), None)
+    np.testing.assert_allclose(out.data[0], [0.5, 0.5])
 
 
 def test_softmax_direct_evaluation():
-    out = softmax(Tensor([math.log(2.0), 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [0.5, 0.25, 0.25], atol=1e-15)
+    out = masked_softmax(Tensor([[math.log(2.0)], [0.0], [0.0]]), None)
+    np.testing.assert_allclose(out.data[0], [0.5, 0.25, 0.25], atol=1e-15)
 
 
 def test_matmul_identity():
@@ -112,7 +112,7 @@ def test_grad_accumulates_over_shared_use():
 @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
               elements=st.floats(-50, 50)))
 def test_softmax_rows_are_distributions(x):
-    out = softmax(Tensor(x), axis=-1).data
+    out = masked_softmax(Tensor(x.T), None).data
     assert (out >= 0).all()
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -136,10 +136,10 @@ def test_dropout_rate_validation_and_eval_identity():
 def test_concat_and_stack_roundtrip_shapes():
     a, b = Tensor([1.0, 2.0]), Tensor([3.0])
     assert concat([a, b]).shape == (3,)
-    m = stack_rows([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
+    m = stack([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
     np.testing.assert_array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionError):
-        stack_rows([Tensor([1.0, 2.0]), Tensor([3.0])])
+        stack([Tensor([1.0, 2.0]), Tensor([3.0])])
 
 
 def test_column_slice_values_gradient_and_bounds():
@@ -164,11 +164,13 @@ def test_embedding_lookup_bounds():
         embedding_lookup(table, 3)
 
 
-def test_sqrt_subgradient_at_zero():
-    x = Parameter([0.0, 4.0], "x")
+def test_frobenius_subgradient_at_zero():
+    x = Parameter([[[0.0, 0.0]], [[3.0, 4.0]]], "x")
     with Tape() as tape:
-        tape.backward(sum_all(sqrt(x)))
-    np.testing.assert_allclose(x.grad, [0.0, 0.25])
+        norms = frobenius(x, np.ones((2, 1), dtype=bool))
+        tape.backward(sum_all(norms))
+    np.testing.assert_allclose(norms.data, [0.0, 5.0])
+    np.testing.assert_allclose(x.grad, [[[0.0, 0.0]], [[0.6, 0.8]]])
 
 
 def test_same_seed_same_graph_bit_identical():
@@ -193,31 +195,31 @@ def test_same_seed_same_graph_bit_identical():
 def test_composed_graph_matches_finite_differences():
     rng = np.random.default_rng(3)
     w = Parameter(rng.standard_normal((3, 4)), "w")
-    v = Parameter(rng.standard_normal(4), "v")
-    b = Parameter(rng.standard_normal(3), "b")
+    v = Parameter(rng.standard_normal((4, 1)), "v")
+    b = Parameter(rng.standard_normal((3, 1)), "b")
 
     def build():
-        hidden = softmax(add(matmul(w, v), b))
-        pooled = mean_rows(stack_rows([hidden, mul(hidden, hidden)]))
+        hidden = masked_softmax(add(matmul(w, v), b), None)   # (1, 3)
+        pooled = masked_mean(stack([hidden, mul(hidden, hidden)], axis=1),
+                             np.ones((1, 2), dtype=bool))
         return sum_all(mul(pooled, pooled))
 
     result = check_gradients("composed", build, {"w": w, "v": v, "b": b})
     assert result.max_error < 1e-3
 
 
-def test_add_n_and_broadcast_add():
+def test_broadcast_add():
     v = Tensor([1.0, 2.0])
-    total = add_n([v, v, v])
-    np.testing.assert_array_equal(total.data, [3.0, 6.0])
     m = Tensor(np.ones((3, 2)))
     np.testing.assert_array_equal(add(m, v).data, [[2.0, 3.0]] * 3)
     with pytest.raises(DimensionError):
         add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
 
-def test_sub_pick_mean_rows_values():
+def test_sub_pick_masked_mean_values():
     a = Tensor([5.0, 1.0])
     np.testing.assert_array_equal(sub(a, Tensor([1.0, 1.0])).data, [4.0, 0.0])
     assert pick(a, 0).item() == 5.0
-    np.testing.assert_array_equal(mean_rows(Tensor([[1.0, 3.0], [3.0, 5.0]])).data,
-                                  [2.0, 4.0])
+    np.testing.assert_array_equal(
+        masked_mean(Tensor([[[1.0, 3.0], [3.0, 5.0]]]), np.ones((1, 2), dtype=bool)).data,
+        [[2.0, 4.0]])

@@ -21,6 +21,13 @@ def quick_cfg(**kwargs):
 
 # --- loss -----------------------------------------------------------------------
 
+def batch_nll(rows, targets):
+    """nll_loss of one record: its (vocab,) log-prob rows as (1, vocab)
+    matrices, PAD targets masked."""
+    targets = np.array([targets])
+    return nll_loss([Tensor(r.data[None]) for r in rows], targets, targets != PAD_ID)
+
+
 def test_nll_zero_when_model_is_certain():
     # a log-prob row that puts probability ~1 on the target
     rows = []
@@ -28,7 +35,7 @@ def test_nll_zero_when_model_is_certain():
         logits = np.full(6, -1e3)
         logits[4] = 0.0
         rows.append(log_softmax(Tensor(logits)))
-    loss, count = nll_loss(rows, [4, 4, 4])
+    loss, count = batch_nll(rows, [4, 4, 4])
     assert count == 3
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -36,7 +43,7 @@ def test_nll_zero_when_model_is_certain():
 def test_nll_uniform_model_gives_t_log_k():
     k, t = 7, 5
     rows = [log_softmax(Tensor(np.zeros(k))) for _ in range(t)]
-    loss, _ = nll_loss(rows, [3] * t)
+    loss, _ = batch_nll(rows, [3] * t)
     assert loss.item() == pytest.approx(t * math.log(k), rel=1e-12)
 
 
@@ -51,20 +58,20 @@ def test_nll_matches_independent_summation():
         expected -= logp[target]
         rows.append(log_softmax(Tensor(logits)))
         targets.append(target)
-    loss, _ = nll_loss(rows, targets)
+    loss, _ = batch_nll(rows, targets)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_nll_excludes_pad_positions():
     rows = [log_softmax(Tensor(np.zeros(4))) for _ in range(4)]
-    full, n_full = nll_loss(rows, [1, 2, 1, 2])
-    masked, n_masked = nll_loss(rows, [1, 2, PAD_ID, PAD_ID])
+    full, n_full = batch_nll(rows, [1, 2, 1, 2])
+    masked, n_masked = batch_nll(rows, [1, 2, PAD_ID, PAD_ID])
     assert (n_full, n_masked) == (4, 2)
     assert masked.item() == pytest.approx(full.item() / 2, rel=1e-12)
     with pytest.raises(DimensionError):
-        nll_loss(rows, [1, 2])
+        batch_nll(rows, [1, 2])
     with pytest.raises(DataError):
-        nll_loss(rows, [PAD_ID] * 4)
+        batch_nll(rows, [PAD_ID] * 4)
 
 
 # --- config ----------------------------------------------------------------------
