@@ -34,7 +34,8 @@ from typing import Callable
 import yaml
 
 from . import checks, evaluation, synth
-from .data import (Vocabulary, encode_pairs, encode_triples, load_features,
+from .data import (FeatureGrid, ManifestEntry, TripleRecord, Vocabulary,
+                   check_feature_dim, encode_pairs, encode_triples, load_features,
                    read_jsonl, read_manifest, text_field)
 from .errors import (ConfigError, CycleCapError, DataError, FormatError,
                      NumericError)
@@ -285,6 +286,13 @@ def _vocab_beside(ckpt: Path, lang: str, size: int) -> Vocabulary:
     return vocab
 
 
+def _load_grid(manifest: Path, entry: ManifestEntry, feature_dim: int) -> FeatureGrid:
+    """A manifest entry's feature grid, checked against the model's dim."""
+    grid = load_features(manifest.parent / entry.features_path)
+    check_feature_dim(entry.image_id, grid, feature_dim)
+    return grid
+
+
 def run_infer(settings: dict, out_dir: Path) -> None:
     ckpt = Path(settings["checkpoint"])
     model = load_model(ckpt)
@@ -297,7 +305,7 @@ def run_infer(settings: dict, out_dir: Path) -> None:
         de_vocab = _vocab_beside(ckpt, "de", model.dims.de_vocab)
 
         def decode(entry):
-            grid = load_features(manifest.parent / entry.features_path)
+            grid = _load_grid(manifest, entry, model.dims.feature_dim)
             res = caption_image(model, grid, beam_size=beam_size, max_len=max_len)
             return {"image_id": entry.image_id,
                     "en": " ".join(en_vocab.decode(res.en_ids)),
@@ -312,8 +320,8 @@ def run_infer(settings: dict, out_dir: Path) -> None:
         vocab = _vocab_beside(ckpt, field, model.dims.en_vocab)
 
         def decode(entry):
-            keys, state = decoder.start(model.project(
-                load_features(manifest.parent / entry.features_path).values[None]))
+            grid = _load_grid(manifest, entry, model.dims.feature_dim)
+            keys, state = decoder.start([model.project(grid.values[None])])
             res = beam_decode(decoder_step_fn(decoder, keys), state,
                               beam_size=beam_size, max_len=max_len)
             rec = {"image_id": entry.image_id, "en": "", "de": "",
@@ -370,12 +378,13 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
         entries = entries[:settings["limit"]]
     rows, cols = settings["grid_rows"], settings["grid_cols"]
     for entry in entries:
-        grid = load_features(manifest.parent / entry.features_path)
+        grid = _load_grid(manifest, entry, bundle.dims.feature_dim)
         if settings["use_gold_captions"]:
-            en_ids = tuple(en_vocab.encode(entry.en_tokens))
-            de_ids = tuple(de_vocab.encode(entry.de_tokens))
-            record = teacher_forced_record(bundle, grid, en_ids, de_ids)
-            de_tokens = [de_vocab.id_to_token[i] for i in de_ids[1:]]
+            triple = TripleRecord(entry.image_id, grid,
+                                  tuple(en_vocab.encode(entry.en_tokens)),
+                                  tuple(de_vocab.encode(entry.de_tokens)))
+            record = teacher_forced_record(bundle, triple)
+            de_tokens = [de_vocab.id_to_token[i] for i in triple.de_ids[1:]]
         else:
             res = caption_image(bundle, grid, beam_size=settings["beam_size"],
                                 max_len=settings["max_len"])

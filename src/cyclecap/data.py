@@ -78,6 +78,14 @@ class FeatureGrid:
         return self.values.shape[1]
 
 
+def check_feature_dim(image_id: str, grid: FeatureGrid, feature_dim: int) -> None:
+    """A model projects (and a batch stacks) grids of one feature dim; a grid
+    of another is a DataError naming its image and both dims."""
+    if grid.dim != feature_dim:
+        raise DataError(f"image {image_id!r} has feature dim {grid.dim}, "
+                        f"expected {feature_dim}")
+
+
 class Vocabulary:
     """Token/id bijection with four reserved ids (PAD=0, BOS=1, EOS=2, UNK=3)."""
 

@@ -205,8 +205,7 @@ def alignment_score(bundle: ModelBundle, triples: Sequence[TripleRecord],
         placements = alignments.get(triple.image_id)
         if not placements:
             continue
-        record = teacher_forced_record(bundle, triple.features,
-                                       triple.en_ids, triple.de_ids)
+        record = teacher_forced_record(bundle, triple)
         for obj in placements:
             if obj.de_pos >= record.de_to_regions.shape[0] \
                     or obj.region >= record.de_to_regions.shape[1]:

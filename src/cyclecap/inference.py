@@ -26,7 +26,7 @@ import numpy as np
 from .cycle import AttentionRecord
 from .data import BOS_ID, EOS_ID, FeatureGrid
 from .errors import ConfigError
-from .models import DualAttentionDecoder, Keys, ModelBundle, SoftAttentionDecoder
+from .models import AttentionDecoder, Keys, ModelBundle
 
 StepFn = Callable[[Any, int], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
 
@@ -113,8 +113,7 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
     return DecodeResult(best.tokens, best.logprob, best.attn, truncated=True)
 
 
-def decoder_step_fn(decoder: SoftAttentionDecoder | DualAttentionDecoder,
-                    keys: Keys) -> StepFn:
+def decoder_step_fn(decoder: AttentionDecoder, keys: Keys) -> StepFn:
     """Beam-search step of either decoder over the ``keys`` its ``start``
     prepared for one image: the batched step at B = 1. Each step's attention
     rows are one weight row per head."""
@@ -144,12 +143,12 @@ def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
     """
     regions = bundle.captioner.project(grid.values[None])
     en_decoder = bundle.captioner.decoder
-    keys, state = en_decoder.start(regions)
+    keys, state = en_decoder.start([regions])
     en_res = beam_decode(decoder_step_fn(en_decoder, keys), state,
                          beam_size=beam_size, max_len=max_len)
     cap_states = bundle.cap_encoder.encode(np.array([en_res.tokens]))
     de_decoder = bundle.de_decoder
-    keys, state = de_decoder.start(regions, cap_states)
+    keys, state = de_decoder.start([regions, cap_states])
     de_res = beam_decode(decoder_step_fn(de_decoder, keys), state,
                          beam_size=beam_size, max_len=max_len)
 

@@ -2,17 +2,19 @@
 
 * ``ImageProjection`` maps raw region features into the model space (the
   stand-in for a CNN encoder, whose features arrive via feature files).
-* ``SoftAttentionDecoder`` is an LSTM captioner with one attention head over
-  image regions; with an English vocabulary it is the first-stage model,
-  with a German vocabulary it is the single-stage baseline.
+* ``AttentionDecoder`` is the one LSTM decoder, run over a tuple of
+  attention heads. ``SoftAttentionDecoder`` (one head, over image regions)
+  and ``DualAttentionDecoder`` (a second head, over encoded caption states)
+  only name their heads and initial-state projections, the checkpoint's
+  entry names. Each rebinds ``step = AttentionDecoder.step`` because the
+  benchmark tracer (``bench/spans.py``) patches each class's own ``step``.
 * ``CaptionEncoder`` is a bidirectional GRU over caption tokens.
-* ``DualAttentionDecoder`` is the German decoder with two attention heads,
-  one over image regions and one over encoded caption states.
 
-Both decoders share one interface. ``start(regions[, captions])`` returns
-``(keys, state)``: the key rows each head attends over, projected once per
-sequence, and the initial LSTM state. ``step(keys, state, y_prev)`` returns
-``(log_probs, state, weights)`` with one attention-weight row per head.
+``start(rows, masks)`` takes one row tensor and one mask per head and
+returns ``(keys, state)``: the key rows each head attends over, projected
+once per sequence, and the initial LSTM state, from head 0's rows (the
+regions). ``step(keys, state, y_prev)`` returns ``(log_probs, state,
+weights)`` with one attention-weight row per head.
 ``unroll`` teacher-forces either decoder over a caption, and
 ``stage2_forward`` is the one teacher-forced pass of the German stage.
 
@@ -47,7 +49,7 @@ from . import init
 from .attention import AttentionKeys, AttentionLayer, attend
 from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
-from .data import Batch, FeatureGrid, TripleRecord, make_batch
+from .data import Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
                      log_softmax, masked_mean, matmul, mul, stack, tanh)
@@ -98,69 +100,84 @@ Keys = tuple[AttentionKeys, ...]   # one entry per attention head
 State = tuple[Tensor, Tensor]       # LSTM (hidden, memory), each (B, hidden)
 
 
-def _decoder_step(dec: SoftAttentionDecoder | DualAttentionDecoder,
-                  layers: tuple[AttentionLayer, ...], keys: Keys, state: State,
-                  y_prev: np.ndarray, dropout_rate: float,
-                  rng: np.random.Generator | None):
-    """The step of both decoders, for B records at once: attend with each
-    head in ``layers``, feed [contexts; previous word embeddings] into the
-    LSTM, project to log-probs."""
-    h, c = state
-    heads = [attend(layer, k, h) for layer, k in zip(layers, keys)]
-    h, c = lstm_step(dec.lstm, [a.context for a in heads]
-                     + [embedding_lookup(dec.embedding, y_prev)], h, c)
-    pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
-    logits = add(matmul(pre, dec.w_out), dec.b_out)
-    return log_softmax(logits), (h, c), tuple(a.weights for a in heads)
-
-
-class SoftAttentionDecoder:
-    """LSTM decoder attending over image regions.
-
-    Per step: attend with the previous hidden state as query over the region
-    keys prepared by ``start``, feed [context; previous word embedding] into
-    the LSTM, project the new hidden state to vocabulary log-probabilities.
+class AttentionDecoder:
+    """LSTM decoder over a tuple of attention heads. Per step each head
+    attends with the previous hidden state as query, the LSTM reads [one
+    context per head; previous word embedding], and the new hidden state is
+    projected to vocabulary log-probabilities. Head 0 attends over the
+    (proj_dim) regions, any later head over the (2*hidden) caption states.
     """
+
+    HEADS: tuple[str, ...]
+    INIT: tuple[str, str]
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
                  prefix: str):
         self.vocab_size = vocab_size
         self.embedding = init.weight(rng, (vocab_size, dims.embed_dim),
                                      f"{prefix}/embedding")
-        self.attn = AttentionLayer(rng, key_dim=dims.proj_dim,
-                                   query_dim=dims.hidden_dim,
-                                   attn_dim=dims.attn_dim, prefix=f"{prefix}/attn")
-        self.lstm = LSTMParams(rng, dims.proj_dim + dims.embed_dim, dims.hidden_dim,
+        key_dims = [dims.proj_dim] + [2 * dims.hidden_dim] * (len(self.HEADS) - 1)
+        self.heads = tuple(
+            AttentionLayer(rng, key_dim=k, query_dim=dims.hidden_dim,
+                           attn_dim=dims.attn_dim, prefix=f"{prefix}/{name}")
+            for name, k in zip(self.HEADS, key_dims))
+        self.lstm = LSTMParams(rng, sum(key_dims) + dims.embed_dim, dims.hidden_dim,
                                f"{prefix}/lstm")
         self.w_out = init.weight(rng, (dims.hidden_dim, vocab_size), f"{prefix}/w_out")
         self.b_out = init.bias((vocab_size,), f"{prefix}/b_out")
-        self.w_h0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_h0")
-        self.b_h0 = init.bias((dims.hidden_dim,), f"{prefix}/b_h0")
-        self.w_c0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_c0")
-        self.b_c0 = init.bias((dims.hidden_dim,), f"{prefix}/b_c0")
+        self.initial = tuple(
+            (init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_{name}"),
+             init.bias((dims.hidden_dim,), f"{prefix}/b_{name}"))
+            for name in self.INIT)
 
-    def start(self, regions: Tensor, region_mask: np.ndarray | None = None
-              ) -> tuple[Keys, State]:
-        """(region keys, initial (h, c)) for decoding over (B, L, proj_dim)
-        ``regions`` and their (B, L) mask of real regions (None: all real)."""
-        state = (init_state(regions, region_mask, self.w_h0, self.b_h0),
-                 init_state(regions, region_mask, self.w_c0, self.b_c0))
-        return (self.attn.prepare(regions, region_mask),), state
+    def start(self, rows: Sequence[Tensor],
+              masks: Sequence[np.ndarray | None] | None = None) -> tuple[Keys, State]:
+        """(one key set per head, initial (h, c)) for decoding over one
+        (B, K, key_dim) row tensor per head, with their (B, K) masks of real
+        rows (None: all real). The state comes from head 0's rows, the
+        regions."""
+        masks = [None] * len(rows) if masks is None else masks
+        state = tuple(init_state(rows[0], masks[0], w, b) for w, b in self.initial)
+        return tuple(head.prepare(r, m) for head, r, m
+                     in zip(self.heads, rows, masks, strict=True)), state
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray, *,
              dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-        """One decode step from the (B,) previous ids; returns ((B, vocab)
-        log_probs, (h, c), (region_weights,))."""
-        return _decoder_step(self, (self.attn,), keys, state, y_prev,
-                             dropout_rate, rng)
+        """One decode step for B records from their (B,) previous ids; returns
+        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head)."""
+        h, c = state
+        attended = [attend(head, k, h) for head, k in zip(self.heads, keys)]
+        h, c = lstm_step(self.lstm, [a.context for a in attended]
+                         + [embedding_lookup(self.embedding, y_prev)], h, c)
+        pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
+        logits = add(matmul(pre, self.w_out), self.b_out)
+        return log_softmax(logits), (h, c), tuple(a.weights for a in attended)
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}
-        out.update(self.attn.named())
+        for head in self.heads:
+            out.update(head.named())
         out.update(self.lstm.named())
-        for p in (self.w_out, self.b_out, self.w_h0, self.b_h0, self.w_c0, self.b_c0):
+        for p in (self.w_out, self.b_out) + sum(self.initial, ()):
             out[p.name] = p
         return out
+
+
+class SoftAttentionDecoder(AttentionDecoder):
+    """One head over image regions: the English captioner, or with a German
+    vocabulary the single-stage baseline."""
+
+    HEADS = ("attn",)
+    INIT = ("h0", "c0")
+    step = AttentionDecoder.step  # bench/spans.py patches each class's own step
+
+
+class DualAttentionDecoder(AttentionDecoder):
+    """The German decoder: heads over image regions and English caption states."""
+
+    HEADS = ("attn_regions", "attn_caption")
+    INIT = ("s0", "m0")
+    step = AttentionDecoder.step  # bench/spans.py patches each class's own step
 
 
 class CaptionEncoder:
@@ -210,64 +227,6 @@ class CaptionEncoder:
         out = {self.embedding.name: self.embedding}
         out.update(self.fwd.named())
         out.update(self.bwd.named())
-        return out
-
-
-class DualAttentionDecoder:
-    """LSTM decoder with attention over regions and over caption states.
-
-    The step input is the concatenation [region context; caption context;
-    previous word embedding]; both heads attend over keys that ``start``
-    prepared once per sequence with their own attention layers.
-    """
-
-    def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
-                 prefix: str):
-        self.vocab_size = vocab_size
-        self.embedding = init.weight(rng, (vocab_size, dims.embed_dim),
-                                     f"{prefix}/embedding")
-        self.attn_regions = AttentionLayer(rng, key_dim=dims.proj_dim,
-                                           query_dim=dims.hidden_dim,
-                                           attn_dim=dims.attn_dim,
-                                           prefix=f"{prefix}/attn_regions")
-        self.attn_caption = AttentionLayer(rng, key_dim=2 * dims.hidden_dim,
-                                           query_dim=dims.hidden_dim,
-                                           attn_dim=dims.attn_dim,
-                                           prefix=f"{prefix}/attn_caption")
-        in_dim = dims.proj_dim + 2 * dims.hidden_dim + dims.embed_dim
-        self.lstm = LSTMParams(rng, in_dim, dims.hidden_dim, f"{prefix}/lstm")
-        self.w_out = init.weight(rng, (dims.hidden_dim, vocab_size), f"{prefix}/w_out")
-        self.b_out = init.bias((vocab_size,), f"{prefix}/b_out")
-        self.w_s0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_s0")
-        self.b_s0 = init.bias((dims.hidden_dim,), f"{prefix}/b_s0")
-        self.w_m0 = init.weight(rng, (dims.proj_dim, dims.hidden_dim), f"{prefix}/w_m0")
-        self.b_m0 = init.bias((dims.hidden_dim,), f"{prefix}/b_m0")
-
-    def start(self, regions: Tensor, captions: Tensor,
-              region_mask: np.ndarray | None = None,
-              caption_mask: np.ndarray | None = None) -> tuple[Keys, State]:
-        """(region keys, caption keys), initial (s, mem) for decoding over
-        (B, L, proj_dim) ``regions`` and the (B, N, 2*hidden) encoded caption
-        states ``captions``, with their masks of real rows (None: all real)."""
-        state = (init_state(regions, region_mask, self.w_s0, self.b_s0),
-                 init_state(regions, region_mask, self.w_m0, self.b_m0))
-        return (self.attn_regions.prepare(regions, region_mask),
-                self.attn_caption.prepare(captions, caption_mask)), state
-
-    def step(self, keys: Keys, state: State, y_prev: np.ndarray, *,
-             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-        """One decode step; returns (log_probs, (s, mem), (region_weights,
-        caption_weights))."""
-        return _decoder_step(self, (self.attn_regions, self.attn_caption), keys,
-                             state, y_prev, dropout_rate, rng)
-
-    def named(self) -> dict[str, Parameter]:
-        out = {self.embedding.name: self.embedding}
-        out.update(self.attn_regions.named())
-        out.update(self.attn_caption.named())
-        out.update(self.lstm.named())
-        for p in (self.w_out, self.b_out, self.w_s0, self.b_s0, self.w_m0, self.b_m0):
-            out[p.name] = p
         return out
 
 
@@ -329,8 +288,7 @@ class ModelBundle:
 # Teacher-forced unrolling
 # ---------------------------------------------------------------------------
 
-def unroll(decoder: SoftAttentionDecoder | DualAttentionDecoder,
-           start: tuple[Keys, State], ids: np.ndarray, *,
+def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray, *,
            dropout_rate: float = 0.0, rng: np.random.Generator | None = None
            ) -> tuple[list[Tensor], list[Tensor]]:
     """Teacher-force a decoder from ``start = decoder.start(...)`` over a
@@ -377,25 +335,23 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
     de_decoder = bundle.de_decoder
     de_logps, (de_to_regions, de_to_en) = unroll(
-        de_decoder, de_decoder.start(regions, cap_states, batch.region_mask, cap_mask),
+        de_decoder, de_decoder.start([regions, cap_states], [batch.region_mask, cap_mask]),
         batch.de_ids, dropout_rate=dropout_rate, rng=rng)
     if not english:
         return de_logps, None
     en_decoder = bundle.captioner.decoder
     _, (en_to_regions,) = unroll(
-        en_decoder, en_decoder.start(regions, batch.region_mask), batch.en_ids,
+        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids,
         dropout_rate=0.0 if freeze_part1 else dropout_rate, rng=rng)
     if freeze_part1:
         en_to_regions = Tensor(en_to_regions.data)
     return de_logps, (de_to_regions, de_to_en, en_to_regions)
 
 
-def teacher_forced_record(bundle: ModelBundle, features: FeatureGrid,
-                          en_ids: Sequence[int],
-                          de_ids: Sequence[int]) -> AttentionRecord:
-    """Attention record for ground-truth captions, evaluation mode (no
-    dropout, no tape): ``stage2_forward`` on a batch of one."""
-    batch = make_batch([TripleRecord("", features, tuple(en_ids), tuple(de_ids))])
+def teacher_forced_record(bundle: ModelBundle, triple: TripleRecord) -> AttentionRecord:
+    """Attention record for a triple's ground-truth captions, evaluation mode
+    (no dropout, no tape): ``stage2_forward`` on a batch of one."""
+    batch = make_batch([triple])
     _, attention = stage2_forward(bundle, batch)
     de_to_regions, de_to_en, en_to_regions = (m.data[0] for m in attention)
     return AttentionRecord(en_to_regions=en_to_regions,

@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .cycle import cycle_loss_graph
-from .data import Batch, PairRecord, TripleRecord, Vocabulary, make_batch
+from .data import (Batch, PairRecord, TripleRecord, Vocabulary, check_feature_dim,
+                   make_batch)
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .evaluation import cider
 from .inference import beam_decode, caption_image, decoder_step_fn
@@ -141,15 +142,6 @@ def _batches(records: Sequence, batch_size: int, length_of) -> list[Batch]:
     return [make_batch(order[i:i + batch_size]) for i in range(0, len(order), batch_size)]
 
 
-def _check_feature_dims(records: Sequence, feature_dim: int) -> None:
-    """Batching stacks the feature grids, so every record must have the
-    model's feature dim; a record that has not is a DataError naming it."""
-    for r in records:
-        if r.features.dim != feature_dim:
-            raise DataError(f"image {r.image_id!r} has feature dim "
-                            f"{r.features.dim}, expected {feature_dim}")
-
-
 class _EarlyStopper:
     """Tracks the best validation score and the stop condition: stop once the
     score has not improved for more than ``patience`` validated epochs."""
@@ -182,7 +174,7 @@ def _snapshot(params) -> dict[str, np.ndarray]:
 def _greedy_en(captioner: ImageCaptioner, record: PairRecord,
                max_len: int = 50) -> tuple[int, ...]:
     decoder = captioner.decoder
-    keys, state = decoder.start(captioner.project(record.features.values[None]))
+    keys, state = decoder.start([captioner.project(record.features.values[None])])
     return beam_decode(decoder_step_fn(decoder, keys), state,
                        beam_size=1, max_len=max_len).tokens
 
@@ -271,7 +263,8 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     if not pairs:
         raise DataError("pretraining needs a non-empty pair set")
     val = val_pairs if val_pairs is not None else pairs
-    _check_feature_dims(pairs, feature_dim)
+    for r in pairs:
+        check_feature_dim(r.image_id, r.features, feature_dim)
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
     params = model.named_parameters()
     drop_rng = np.random.default_rng(cfg.seed)
@@ -289,7 +282,7 @@ def _captioner_loss(model: ImageCaptioner, batch: Batch, dropout: float = 0.0,
                     ) -> tuple[Tensor, float, int, None]:
     """A batch's summed stage-one loss: (loss, nll value, token count, None)."""
     decoder = model.decoder
-    start = decoder.start(model.project(batch.features), batch.region_mask)
+    start = decoder.start([model.project(batch.features)], [batch.region_mask])
     logps, _ = unroll(decoder, start, batch.en_ids, dropout_rate=dropout, rng=rng)
     loss, ntok = nll_loss(logps, batch.en_ids[:, 1:], batch.en_mask[:, 1:])
     return loss, loss.item(), ntok, None
@@ -312,7 +305,8 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
         raise DataError("English vocabulary does not match the captioner")
     val = val_triples if val_triples is not None else triples
     feature_dim = captioner.dims.feature_dim
-    _check_feature_dims(triples, feature_dim)
+    for r in triples:
+        check_feature_dim(r.image_id, r.features, feature_dim)
     dims = cfg.dims(feature_dim, len(en_vocab), len(de_vocab))
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical

@@ -2,7 +2,8 @@
 
 Everything here is plain numpy / plain Python written from the formulas,
 deliberately sharing no code with the package's taped ops, so agreement is
-meaningful. Functions read parameter values straight off the model objects.
+meaningful. Functions read parameter values straight off the model objects,
+the decoders' initial-state projections by their checkpoint names.
 """
 
 import math
@@ -74,14 +75,15 @@ def ref_captioner_sequence(captioner, grid_values, ids):
     """Teacher-forced log-likelihood and region-attention matrix of the
     soft-attention captioner, re-derived step by step."""
     dec = captioner.decoder
+    p = {name: w.data for name, w in dec.named().items()}
     keys = ref_project(captioner, grid_values)
     mean = keys.mean(axis=0)
-    h = np.tanh(mean @ dec.w_h0.data + dec.b_h0.data)
-    c = np.tanh(mean @ dec.w_c0.data + dec.b_c0.data)
+    h = np.tanh(mean @ p["captioner/decoder/w_h0"] + p["captioner/decoder/b_h0"])
+    c = np.tanh(mean @ p["captioner/decoder/w_c0"] + p["captioner/decoder/b_c0"])
     total = 0.0
     rows = []
     for t in range(len(ids) - 1):
-        weights, context = ref_attend(dec.attn, keys, h)
+        weights, context = ref_attend(dec.heads[0], keys, h)
         rows.append(weights)
         x = np.concatenate([context, dec.embedding.data[ids[t]]])
         h, c = ref_lstm(dec.lstm, x, h, c)
@@ -110,16 +112,17 @@ def ref_german_sequence(bundle, grid_values, en_ids, de_ids):
     """Teacher-forced log-likelihood plus both attention matrices of the
     dual-attention decoder, re-derived step by step."""
     dec = bundle.de_decoder
+    p = {name: w.data for name, w in dec.named().items()}
     keys = ref_project(bundle.captioner, grid_values)
     states = ref_encode_caption(bundle.cap_encoder, en_ids[1:])
     mean = keys.mean(axis=0)
-    s = np.tanh(mean @ dec.w_s0.data + dec.b_s0.data)
-    mem = np.tanh(mean @ dec.w_m0.data + dec.b_m0.data)
+    s = np.tanh(mean @ p["de_decoder/w_s0"] + p["de_decoder/b_s0"])
+    mem = np.tanh(mean @ p["de_decoder/w_m0"] + p["de_decoder/b_m0"])
     total = 0.0
     region_rows, caption_rows = [], []
     for t in range(len(de_ids) - 1):
-        rw, rctx = ref_attend(dec.attn_regions, keys, s)
-        cw, cctx = ref_attend(dec.attn_caption, states, s)
+        rw, rctx = ref_attend(dec.heads[0], keys, s)
+        cw, cctx = ref_attend(dec.heads[1], states, s)
         region_rows.append(rw)
         caption_rows.append(cw)
         x = np.concatenate([rctx, cctx, dec.embedding.data[de_ids[t]]])

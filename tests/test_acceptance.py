@@ -86,7 +86,7 @@ def test_criterion_04_stochasticity_of_attention_matrices():
                 grid = FeatureGrid(rng.standard_normal((regions, 3)))
                 en = tuple([1] + [int(x) for x in rng.integers(4, 8, size=3)] + [2])
                 de = tuple([1] + [int(x) for x in rng.integers(4, 9, size=2)] + [2])
-                record = teacher_forced_record(bundle, grid, en, de)
+                record = teacher_forced_record(bundle, TripleRecord("img", grid, en, de))
                 for m in (record.en_to_regions, record.de_to_regions,
                           record.de_to_en):
                     assert (m >= 0).all()

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecap.attention import AttentionLayer, attend
+from cyclecap.checks import check_gradients
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.gradcheck import check_gradients
 from cyclecap.tensor import Parameter, Tensor, add, mul, pick, sum_all
 
 from _reference import ref_attend

@@ -140,7 +140,7 @@ def test_captioner_decoder_matches_full_length_search(beam):
     decoder = bundle.captioner.decoder
     for _ in range(3):
         keys, state = decoder.start(
-            bundle.captioner.project(FeatureGrid(rng.standard_normal((3, 3))).values[None]))
+            [bundle.captioner.project(FeatureGrid(rng.standard_normal((3, 3))).values[None])])
         step = decoder_step_fn(decoder, keys)
         fast = beam_decode(step, state, beam_size=beam, max_len=6)
         ref = full_length_beam(step, state, beam, 6, BOS_ID, EOS_ID)

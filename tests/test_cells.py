@@ -3,8 +3,8 @@ import pytest
 
 from cyclecap import init
 from cyclecap.cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
+from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.gradcheck import check_gradients
 from cyclecap.tensor import Parameter, Tensor, add, sum_all
 
 from _reference import ref_gru, ref_lstm

@@ -104,6 +104,20 @@ def test_attn_export(pipeline, tmp_path):
     assert body[0] == "attention-record v1"
 
 
+def test_attn_export_names_the_image_of_an_empty_gold_caption(pipeline, tmp_path,
+                                                              capsys):
+    data = pipeline / "data"
+    row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    manifest = data / "punctuation-only.jsonl"
+    manifest.write_text(json.dumps({**row, "en": "!!!"}) + "\n", encoding="utf-8")
+    assert run("attn-export", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(manifest), "--out-dir", str(tmp_path),
+               "--use-gold-captions") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and "Traceback" not in err
+    assert f"en caption of {row['image_id']!r} is empty" in err
+
+
 def test_captioner_only_inference(pipeline, tmp_path):
     # the single-stage baseline: pretrain on German captions, then infer
     data = pipeline / "data"
@@ -242,6 +256,24 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
     assert run("eval", "--candidates", str(candidates), "--manifest", str(manifest),
                "--field", "de", "--out-dir", str(tmp_path / "eval")) == 5
     assert_clean_io_error(capsys, f"{candidates}:2", "'de'")
+
+    # a feature grid whose dim the model does not read, at decode time
+    feature_dim = load_bundle(pipeline / "part2" / "bundle.ckpt").dims.feature_dim
+    save_features(FeatureGrid(np.ones((9, feature_dim + 1))), tmp_path / "wide.feat")
+    wide = tmp_path / "wide.jsonl"
+    wide.write_text(json.dumps({**first, "features": "wide.feat"}) + "\n",
+                    encoding="utf-8")
+    for subcommand, ckpt, extra in (
+            ("infer", pipeline / "part2" / "bundle.ckpt", []),
+            ("infer", pipeline / "part1" / "part1.ckpt", []),
+            ("attn-export", pipeline / "part2" / "bundle.ckpt", []),
+            ("attn-export", pipeline / "part2" / "bundle.ckpt", ["--use-gold-captions"])):
+        assert run(subcommand, "--checkpoint", str(ckpt), "--manifest", str(wide),
+                   "--out-dir", str(tmp_path / "wide"), *extra) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "Traceback" not in err
+        assert repr(first["image_id"]) in err
+        assert f"feature dim {feature_dim + 1}, expected {feature_dim}" in err
 
     # --from-manifest files that are not a run manifest
     stored = json.loads((data / "manifest.json").read_text(encoding="utf-8"))

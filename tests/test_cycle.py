@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecap.checks import perturb_joint
+from cyclecap.checks import check_gradients, perturb_joint
 from cyclecap.cycle import (AttentionRecord, check_conditional_independence,
                             cycle_loss, cycle_loss_graph, dump_record,
                             factorized_joint, indirect_attention, parse_record,
                             record_from_joint, toy_alignment_record)
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.gradcheck import check_gradients
 from cyclecap.tensor import Parameter
 
 

@@ -1,13 +1,14 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from cyclecap.data import FeatureGrid
+from cyclecap.checks import check_gradients
+from cyclecap.data import FeatureGrid, TripleRecord
 from cyclecap.errors import DataError, FormatError, NumericError
-from cyclecap.gradcheck import check_gradients
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
-                             init_state,
+                             ModelDims, init_state,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_record,
                              unroll)
@@ -28,7 +29,7 @@ def rand_grid(rng, regions=3, dim=3):
 def test_english_step_log_probs_normalize():
     rng = np.random.default_rng(0)
     model = tiny_captioner(seed=1)
-    keys, state = model.decoder.start(model.project(rand_grid(rng).values[None]))
+    keys, state = model.decoder.start([model.project(rand_grid(rng).values[None])])
     logp, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     assert abs(weights.data.sum() - 1.0) < 1e-12
@@ -37,7 +38,7 @@ def test_english_step_log_probs_normalize():
 def test_identical_regions_give_uniform_attention():
     model = tiny_captioner(seed=2)
     grid = FeatureGrid(np.tile([0.3, -0.2, 0.9], (5, 1)))
-    keys, state = model.decoder.start(model.project(grid.values[None]))
+    keys, state = model.decoder.start([model.project(grid.values[None])])
     _, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
     np.testing.assert_allclose(weights.data[0], np.full(5, 0.2), atol=1e-12)
 
@@ -49,7 +50,7 @@ def test_teacher_forced_loglik_matches_reference():
     ids = random_ids(rng, 8, 4)
     batch = np.array([ids])
     logps, (rows,) = unroll(model.decoder,
-                            model.decoder.start(model.project(grid.values[None])), batch)
+                            model.decoder.start([model.project(grid.values[None])]), batch)
     loss, ntok = nll_loss(logps, batch[:, 1:], np.ones((1, len(ids) - 1), dtype=bool))
     ref_total, ref_rows = ref_captioner_sequence(model, grid.values, ids)
     assert ntok == len(ids) - 1
@@ -107,7 +108,7 @@ def test_german_step_outputs_normalize_and_single_state_beta():
     bundle = tiny_bundle(seed=10)
     regions = bundle.captioner.project(rand_grid(rng).values[None])
     states = bundle.cap_encoder.encode(np.array([[4]]))  # N = 1
-    keys, state = bundle.de_decoder.start(regions, states)
+    keys, state = bundle.de_decoder.start([regions, states])
     logp, _, (region_w, caption_w) = bundle.de_decoder.step(keys, state, np.array([1]))
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     np.testing.assert_allclose(caption_w.data, [[1.0]])
@@ -120,8 +121,8 @@ def test_german_sequence_matches_reference():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 4)
     de_ids = random_ids(rng, 9, 3)
-    start = bundle.de_decoder.start(bundle.captioner.project(grid.values[None]),
-                                    bundle.cap_encoder.encode(np.array([en_ids[1:]])))
+    start = bundle.de_decoder.start([bundle.captioner.project(grid.values[None]),
+                                     bundle.cap_encoder.encode(np.array([en_ids[1:]]))])
     batch = np.array([de_ids])
     logps, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, batch)
     loss, _ = nll_loss(logps, batch[:, 1:], np.ones((1, len(de_ids) - 1), dtype=bool))
@@ -138,7 +139,7 @@ def test_teacher_forced_record_shapes():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 5)   # N = 6 targets
     de_ids = random_ids(rng, 9, 3)   # M = 4 targets
-    record = teacher_forced_record(bundle, grid, en_ids, de_ids)
+    record = teacher_forced_record(bundle, TripleRecord("img", grid, en_ids, de_ids))
     assert record.en_to_regions.shape == (6, 3)
     assert record.de_to_regions.shape == (4, 3)
     assert record.de_to_en.shape == (4, 6)
@@ -226,6 +227,20 @@ def test_save_is_deterministic(tmp_path):
     save_captioner(model, tmp_path / "a.ckpt")
     save_captioner(model, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_fresh_checkpoints_keep_their_bytes(tmp_path):
+    """Entry names, shapes and every constructor's rng draw order are part of
+    the checkpoint format: freshly built models must save to these bytes."""
+    dims = ModelDims(feature_dim=32, en_vocab=20, de_vocab=22)
+    save_bundle(ModelBundle(dims, 3), tmp_path / "bundle.ckpt")
+    save_captioner(ImageCaptioner(dims, 3), tmp_path / "captioner.ckpt")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("bundle.ckpt", "captioner.ckpt")}
+    assert digests == {
+        "bundle.ckpt": "54af9a179b58dde70880eac127d982d8af1503f45d510f5ee9601175f13ada13",
+        "captioner.ckpt":
+            "2f5a4bc557597b1d161b582a0f7a0fd03ec3887efcfcaadd17a426fd80bc27c3"}
 
 
 def rewrite_header(path, header: bytes):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.gradcheck import check_gradients
 from cyclecap.tensor import (Parameter, Tape, Tensor, add, column_slice,
                              concat, dropout, embedding_lookup, frobenius,
                              log_softmax, masked_mean, masked_softmax, matmul, mul,
