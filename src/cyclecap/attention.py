@@ -78,6 +78,15 @@ class AttentionKeys:
     projected: Tensor         # (K, B, attn_dim): rows @ w_key + b, key-major
     w_query_t: Tensor         # (query_dim, attn_dim): w_query transposed
 
+    def repeat(self, n: int) -> AttentionKeys:
+        """These keys with each record's rows, mask and projection repeated
+        n times in place, record-major: one image's keys for n hypotheses."""
+        return AttentionKeys(
+            rows=Tensor(np.repeat(self.rows.data, n, axis=0), _unchecked=True),
+            mask=None if self.mask is None else np.repeat(self.mask, n, axis=0),
+            projected=Tensor(np.repeat(self.projected.data, n, axis=1), _unchecked=True),
+            w_query_t=self.w_query_t)
+
 
 @dataclass
 class AttentionOutput:

@@ -41,7 +41,7 @@ from .errors import (ConfigError, CycleCapError, DataError, FormatError,
                      NumericError)
 from .inference import beam_decode, caption_image, decoder_step_fn
 from .models import (ModelBundle, load_bundle, load_captioner, load_model,
-                     save_bundle, save_captioner, teacher_forced_record)
+                     save_bundle, save_captioner, teacher_forced_records)
 from .training import TrainConfig, pretrain_part1, train_part2
 
 EXIT_CODES = {"config": 2, "data": 3, "numeric": 4, "io": 5}
@@ -222,6 +222,14 @@ def _train_config(settings: dict) -> TrainConfig:
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _language(settings: dict, key: str) -> str:
+    """The caption language a setting names: en or de, else a ConfigError."""
+    value = settings[key]
+    if value not in ("en", "de"):
+        raise ConfigError(f"{key.replace('_', '-')} must be en or de, got {value!r}")
+    return value
+
+
 def run_synth_data(settings: dict, out_dir: Path) -> None:
     spec = synth.SynthSpec(**settings)  # the options are SynthSpec's fields
     synth.write_corpus(synth.generate(spec), out_dir)
@@ -230,9 +238,7 @@ def run_synth_data(settings: dict, out_dir: Path) -> None:
 
 def run_pretrain(settings: dict, out_dir: Path) -> None:
     manifest = Path(settings["manifest"])
-    field = settings["caption_field"]
-    if field not in ("en", "de"):
-        raise ConfigError(f"caption-field must be en or de, got {field!r}")
+    field = _language(settings, "caption_field")
     entries = read_manifest(manifest)
     corpus = [e.en_tokens if field == "en" else e.de_tokens for e in entries]
     vocab = Vocabulary.build(corpus, min_freq=settings["min_freq"])
@@ -294,6 +300,7 @@ def _load_grid(manifest: Path, entry: ManifestEntry, feature_dim: int) -> Featur
 
 
 def run_infer(settings: dict, out_dir: Path) -> None:
+    field = _language(settings, "caption_field")
     ckpt = Path(settings["checkpoint"])
     model = load_model(ckpt)
     manifest = Path(settings["manifest"])
@@ -313,7 +320,6 @@ def run_infer(settings: dict, out_dir: Path) -> None:
                     "en_truncated": res.en_truncated,
                     "de_truncated": res.de_truncated}
     else:
-        field = settings["caption_field"]
         decoder = model.decoder
         if not (ckpt.parent / f"vocab_{field}.txt").is_file():
             raise DataError(f"no vocab_{field}.txt next to {ckpt}")
@@ -338,9 +344,7 @@ def run_infer(settings: dict, out_dir: Path) -> None:
 
 
 def run_eval(settings: dict, out_dir: Path) -> None:
-    field = settings["field"]
-    if field not in ("en", "de"):
-        raise ConfigError(f"field must be en or de, got {field!r}")
+    field = _language(settings, "field")
     refs_by_id = {}
     for e in read_manifest(Path(settings["manifest"])):
         refs_by_id[e.image_id] = list(e.en_tokens if field == "en" else e.de_tokens)
@@ -377,19 +381,20 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
     if settings["limit"] is not None:
         entries = entries[:settings["limit"]]
     rows, cols = settings["grid_rows"], settings["grid_cols"]
-    for entry in entries:
-        grid = _load_grid(manifest, entry, bundle.dims.feature_dim)
-        if settings["use_gold_captions"]:
-            triple = TripleRecord(entry.image_id, grid,
-                                  tuple(en_vocab.encode(entry.en_tokens)),
-                                  tuple(de_vocab.encode(entry.de_tokens)))
-            record = teacher_forced_record(bundle, triple)
-            de_tokens = [de_vocab.id_to_token[i] for i in triple.de_ids[1:]]
-        else:
-            res = caption_image(bundle, grid, beam_size=settings["beam_size"],
-                                max_len=settings["max_len"])
-            record = res.record
-            de_tokens = [de_vocab.id_to_token[i] for i in res.de_ids]
+    grids = [_load_grid(manifest, e, bundle.dims.feature_dim) for e in entries]
+    if settings["use_gold_captions"]:
+        triples = [TripleRecord(e.image_id, grid, tuple(en_vocab.encode(e.en_tokens)),
+                                tuple(de_vocab.encode(e.de_tokens)))
+                   for e, grid in zip(entries, grids)]
+        records = teacher_forced_records(bundle, triples)
+        de_ids = [t.de_ids[1:] for t in triples]
+    else:
+        results = [caption_image(bundle, grid, beam_size=settings["beam_size"],
+                                 max_len=settings["max_len"]) for grid in grids]
+        records = [res.record for res in results]
+        de_ids = [res.de_ids for res in results]
+    for entry, record, ids in zip(entries, records, de_ids):
+        de_tokens = [de_vocab.id_to_token[i] for i in ids]
         evaluation.export_attention_heatmaps(record, de_tokens, rows, cols,
                                              out_dir / "attn", entry.image_id)
     print(f"exported attention for {len(entries)} images under {out_dir / 'attn'}")
@@ -464,8 +469,8 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
     "infer": (run_infer, "decode captions for a manifest", SEED + (
         Option("checkpoint", str, None, "bundle or captioner checkpoint", True),
         MANIFEST,
-        Option("beam-size", int, 3, "beam width"),
-        Option("max-len", int, 50, "generated-token cap, EOS included"),
+        Option("beam-size", positive_int, 3, "beam width"),
+        Option("max-len", positive_int, 50, "generated-token cap, EOS included"),
         Option("caption-field", str, "en",
                "output field for captioner-only checkpoints"),
     )),
@@ -480,8 +485,8 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
         MANIFEST,
         Option("grid-rows", int, 4, "heatmap rows (rows*cols = regions)"),
         Option("grid-cols", int, 4, "heatmap cols"),
-        Option("beam-size", int, 3, "beam width"),
-        Option("max-len", int, 50, "generated-token cap"),
+        Option("beam-size", positive_int, 3, "beam width"),
+        Option("max-len", positive_int, 50, "generated-token cap, EOS included"),
         Option("limit", positive_int, None, "export at most this many images"),
         Option("use-gold-captions", bool, False,
                "teacher-force ground truth instead of decoding"),

@@ -20,7 +20,7 @@ import numpy as np
 from .cycle import AttentionRecord, dump_record
 from .data import TripleRecord
 from .errors import DataError, DimensionError
-from .models import ModelBundle, teacher_forced_record
+from .models import ModelBundle, teacher_forced_records
 from .synth import ObjectPlacement
 
 CIDER_SIGMA = 6.0
@@ -197,16 +197,14 @@ def alignment_score(bundle: ModelBundle, triples: Sequence[TripleRecord],
     """Mean attention mass that German object words place on their true region.
 
     Captions are teacher-forced (the fair way to compare two models on the
-    same words); the German attention row at each planted object position is
-    read off and its mass at the ground-truth region collected.
+    same words), all aligned triples in one batch; the German attention row
+    at each planted object position is read off and its mass at the
+    ground-truth region collected.
     """
+    aligned = [t for t in triples if alignments.get(t.image_id)]
     masses = []
-    for triple in triples:
-        placements = alignments.get(triple.image_id)
-        if not placements:
-            continue
-        record = teacher_forced_record(bundle, triple)
-        for obj in placements:
+    for triple, record in zip(aligned, teacher_forced_records(bundle, aligned)):
+        for obj in alignments[triple.image_id]:
             if obj.de_pos >= record.de_to_regions.shape[0] \
                     or obj.region >= record.de_to_regions.shape[1]:
                 raise DataError(f"alignment for {triple.image_id} is out of range")

@@ -2,11 +2,29 @@
 
 Both decoders use the same beam search through the same adapter:
 ``decoder_step_fn(decoder, keys)`` turns a decoder's ``step`` over the keys
-its ``start`` prepared into the search's ``step_fn``. Scores are plain
-summed token log-probabilities (no length normalization); hypotheses that
-emit EOS are retired, and a hypothesis that hits the length cap without EOS
-is discarded unless nothing finished, in which case the best capped one is
-returned with a truncation flag.
+its ``start`` prepared for one image into the search's ``step_fn``. Scores
+are plain summed token log-probabilities (no length normalization);
+hypotheses that emit EOS are retired, and a hypothesis that hits the length
+cap without EOS is discarded unless nothing finished, in which case the
+best capped one is returned with a truncation flag.
+
+Each search step is one ``step_fn`` call over every live hypothesis: it
+takes their (live,) previous ids and returns (live, vocab) log-probs, the
+next state and one (live, K) attention row per head. The adapter repeats
+the image's prepared keys once per live count and reuses them. After
+ranking, ``beam_decode`` reorders the state to the surviving rows' parents
+with one fancy index, skipped when every row keeps its place (always so at
+beam 1). Per step the search keeps only back-pointers, the parent row and
+token of each surviving row plus the step's attention rows, and rebuilds
+the winner's tokens and attention once at the end.
+
+The candidates of a step are each live row's ``beam_size`` best tokens,
+stable on ties, ranked by (score desc, tokens asc); EOS candidates retire
+and the first ``beam_size`` others stay live. A row's place in the
+lexicographic order of the live token sequences stands in for its tokens,
+so no sequence is copied. (A top k over the flattened live x vocab scores
+is a different search: it keeps fewer live hypotheses whenever an EOS
+retires.)
 
 The search ends before the length cap once the best finished score is at
 least the best live score. That stop is exact: log-probs are <= 0 and float
@@ -27,43 +45,41 @@ from .cycle import AttentionRecord
 from .data import BOS_ID, EOS_ID, FeatureGrid
 from .errors import ConfigError
 from .models import AttentionDecoder, Keys, ModelBundle
+from .tensor import Tensor
 
-StepFn = Callable[[Any, int], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
-
-
-@dataclass(frozen=True)
-class BeamHypothesis:
-    """A partial decode: generated tokens (BOS excluded), their summed
-    log-probability, the recurrent state, and one attention tuple per step."""
-
-    tokens: tuple[int, ...]
-    logprob: float
-    state: Any
-    attn: tuple[tuple[np.ndarray, ...], ...]
+StepFn = Callable[[Any, np.ndarray], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
 
 
 @dataclass(frozen=True)
 class DecodeResult:
     tokens: tuple[int, ...]   # includes the final EOS unless truncated
     logprob: float
-    attn: tuple[tuple[np.ndarray, ...], ...]
+    attn: tuple[tuple[np.ndarray, ...], ...]   # per step, one row per head
     truncated: bool
 
 
-def _best(hyps: list[BeamHypothesis]) -> BeamHypothesis:
-    # highest score, then earlier EOS (shorter), then lexicographic tokens
-    return sorted(hyps, key=lambda h: (-h.logprob, len(h.tokens), h.tokens))[0]
+def _take(state: Any, rows: np.ndarray) -> Any:
+    """The state of rows ``rows``: each Tensor or array indexed on its first
+    axis, a tuple item by item; anything else is shared by every row."""
+    if isinstance(state, tuple):
+        return tuple(_take(s, rows) for s in state)
+    if isinstance(state, Tensor):
+        return Tensor(state.data[rows], _unchecked=True)
+    if isinstance(state, np.ndarray):
+        return state[rows]
+    return state
 
 
 def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
                 max_len: int = 50, bos_id: int = BOS_ID,
                 eos_id: int = EOS_ID) -> DecodeResult:
-    """Length-capped beam search over ``step_fn(state, prev_token)`` from
-    the decoder state ``state``.
+    """Length-capped beam search over ``step_fn(state, prev)`` from the
+    decoder state ``state`` of one row.
 
-    ``step_fn`` returns (log-prob vector over the vocabulary, next state,
-    attention rows for this step). ``max_len`` caps generated tokens, EOS
-    included. With beam_size 1 this is greedy decoding.
+    ``step_fn`` takes the state of the live hypotheses and their (live,)
+    previous tokens and returns ((live, vocab) log-probs, next state, one
+    (live, K) attention row per head). ``max_len`` caps generated tokens,
+    EOS included. With beam_size 1 this is greedy decoding.
 
     The search stops early once the best finished score is >= the best live
     score, while every score ``step_fn`` has returned is <= 0. The result is
@@ -74,53 +90,76 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
     if beam_size < 1 or max_len < 1:
         raise ConfigError(f"beam_size and max_len must be >= 1, "
                           f"got {beam_size}, {max_len}")
-    live = [BeamHypothesis(tokens=(), logprob=0.0, state=state, attn=())]
-    finished: list[BeamHypothesis] = []
+    scores = [0.0]          # live rows' summed log-probs
+    ranks = [0]             # live rows' places in lexicographic token order
+    prev = np.array([bos_id])
+    attn_steps = []         # per step: one (live, K) array per head
+    back = []               # per step: the rows kept live, (-score, parent rank,
+                            # token, parent row)
+    finished = []           # (-logprob, length, parent rank, step, parent row)
     best_finished = -np.inf
     can_stop = True
-    for _ in range(max_len):
-        candidates: list[BeamHypothesis] = []
-        for hyp in live:
-            prev = hyp.tokens[-1] if hyp.tokens else bos_id
-            logprobs, state, rows = step_fn(hyp.state, prev)
-            can_stop = can_stop and logprobs.max() <= 0.0  # NaN disables it too
-            top = np.argsort(-logprobs, kind="stable")[:beam_size]
-            for token in top:
-                candidates.append(BeamHypothesis(
-                    tokens=hyp.tokens + (int(token),),
-                    logprob=hyp.logprob + float(logprobs[token]),
-                    state=state,
-                    attn=hyp.attn + (rows,),
-                ))
-        candidates.sort(key=lambda h: (-h.logprob, h.tokens))
+    for t in range(max_len):
+        logprobs, state, rows = step_fn(state, prev)
+        attn_steps.append(rows)
+        can_stop = can_stop and logprobs.max() <= 0.0  # NaN disables it too
+        top = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_size].tolist()
+        candidates = sorted(
+            (-(score + float(lps[token])), rank, token, row)
+            for row, (score, rank, lps, tokens)
+            in enumerate(zip(scores, ranks, logprobs, top))
+            for token in tokens)
         live = []
         for cand in candidates:
             if len(live) == beam_size:
                 break
-            if cand.tokens[-1] == eos_id:
-                finished.append(cand)
-                best_finished = max(best_finished, cand.logprob)
+            neg, rank, token, row = cand
+            if token == eos_id:
+                finished.append((neg, t + 1, rank, t, row))
+                best_finished = max(best_finished, -neg)
             else:
                 live.append(cand)
         if not live:
             break
-        if can_stop and finished and best_finished >= live[0].logprob:
+        back.append(live)
+        negs, parent_ranks, tokens, parents = zip(*live)
+        scores = [-neg for neg in negs]
+        ranks = [0] * len(live)
+        if len(live) > 1:  # token order: the parents' order, then the new token
+            order = sorted(range(len(live)), key=lambda i: (parent_ranks[i], tokens[i]))
+            for place, i in enumerate(order):
+                ranks[i] = place
+        if parents != tuple(range(len(prev))):
+            state = _take(state, np.array(parents))
+        prev = np.array(tokens)
+        if can_stop and finished and best_finished >= scores[0]:
             break
     if finished:
-        best = _best(finished)
-        return DecodeResult(best.tokens, best.logprob, best.attn, truncated=False)
-    best = _best(live)
-    return DecodeResult(best.tokens, best.logprob, best.attn, truncated=True)
+        neg, _, _, t, row = min(finished)
+        token, truncated = eos_id, False
+    else:  # live is sorted, and every live row has the same length
+        neg, _, token, row = live[0]
+        truncated = True
+    seq, attn = [token], [tuple(a[row] for a in attn_steps[t])]
+    for s in range(t - 1, -1, -1):
+        _, _, token, row = back[s][row]
+        seq.append(token)
+        attn.append(tuple(a[row] for a in attn_steps[s]))
+    return DecodeResult(tuple(seq[::-1]), -neg, tuple(attn[::-1]), truncated)
 
 
 def decoder_step_fn(decoder: AttentionDecoder, keys: Keys) -> StepFn:
     """Beam-search step of either decoder over the ``keys`` its ``start``
-    prepared for one image: the batched step at B = 1. Each step's attention
-    rows are one weight row per head."""
+    prepared for one image: the batched step over the live hypotheses, on
+    the image's keys repeated once per live count."""
+    by_live = {1: keys}
 
     def step(state, prev):
-        logp, state, weights = decoder.step(keys, state, np.array([prev]))
-        return logp.data[0], state, tuple(w.data[0] for w in weights)
+        live = len(prev)
+        if live not in by_live:
+            by_live[live] = tuple(k.repeat(live) for k in keys)
+        logp, state, weights = decoder.step(by_live[live], state, prev)
+        return logp.data, state, tuple(w.data for w in weights)
 
     return step
 

@@ -16,18 +16,20 @@ once per sequence, and the initial LSTM state, from head 0's rows (the
 regions). ``step(keys, state, y_prev)`` returns ``(log_probs, state,
 weights)`` with one attention-weight row per head.
 ``unroll`` teacher-forces either decoder over a caption, and
-``stage2_forward`` is the one teacher-forced pass of the German stage.
+``stage2_forward`` is the one teacher-forced pass of the German stage;
+``teacher_forced_records`` runs it over a batch of gold triples.
 
 Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
 states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
-previous ids of B records at once; decoding one image is the same step at
-B = 1. Records of a training batch differ in region count and caption
-length, so a ``data.Batch`` pads them and carries (B, L) region and (B, T)
-caption masks. The masks travel with the keys: ``AttentionLayer.prepare``
-takes the rows' mask and gives padded rows weight exactly 0; ``init_state``
-averages real regions only; the encoder's backward direction holds its zero
-state through a record's padding. Steps past a record's EOS still run, and
-whatever they compute is masked by the losses that read it.
+previous ids of B records at once; a beam search over one image steps its
+live hypotheses as the B rows. Records of a training batch differ in
+region count and caption length, so a ``data.Batch`` pads them and carries
+(B, L) region and (B, T) caption masks. The masks travel with the keys:
+``AttentionLayer.prepare`` takes the rows' mask and gives padded rows
+weight exactly 0; ``init_state`` averages real regions only; the encoder's
+backward direction holds its zero state through a record's padding. Steps
+past a record's EOS still run, and whatever they compute is masked by the
+losses that read it.
 
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
@@ -348,14 +350,22 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     return de_logps, (de_to_regions, de_to_en, en_to_regions)
 
 
-def teacher_forced_record(bundle: ModelBundle, triple: TripleRecord) -> AttentionRecord:
-    """Attention record for a triple's ground-truth captions, evaluation mode
-    (no dropout, no tape): ``stage2_forward`` on a batch of one."""
-    batch = make_batch([triple])
-    _, attention = stage2_forward(bundle, batch)
-    de_to_regions, de_to_en, en_to_regions = (m.data[0] for m in attention)
-    return AttentionRecord(en_to_regions=en_to_regions,
-                           de_to_regions=de_to_regions, de_to_en=de_to_en)
+def teacher_forced_records(bundle: ModelBundle, triples: Sequence[TripleRecord]
+                           ) -> list[AttentionRecord]:
+    """Attention records for triples' ground-truth captions, evaluation mode
+    (no dropout, no tape): one ``stage2_forward`` over one padded batch of
+    them, each record sliced to its own (M, L), (M, N) and (N, L) blocks."""
+    if not triples:
+        return []
+    _, attention = stage2_forward(bundle, make_batch(triples))
+    de_to_regions, de_to_en, en_to_regions = (m.data for m in attention)
+    records = []
+    for i, triple in enumerate(triples):
+        m, n, regions = triple.de_steps, triple.en_steps, triple.features.regions
+        records.append(AttentionRecord(en_to_regions=en_to_regions[i, :n, :regions],
+                                       de_to_regions=de_to_regions[i, :m, :regions],
+                                       de_to_en=de_to_en[i, :m, :n]))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from cyclecap.tensor import Tensor
+
 
 def np_softmax(x):
     e = np.exp(x - x.max())
@@ -165,36 +167,127 @@ def exhaustive_best(step_fn, init_state, max_len, bos_id, eos_id):
     return best
 
 
+def per_row(row_step):
+    """A batched ``step_fn`` from a toy step over one hypothesis,
+    ``row_step(state, prev) -> (log-probs, state, attention rows)``, called
+    once per live row in row order. The batched state is an object array of
+    one row state per live row; a bare state is the state of one row."""
+
+    def step(states, prev):
+        if not isinstance(states, np.ndarray):
+            states = object_rows([states])
+        outs = [row_step(s, int(p)) for s, p in zip(states, prev)]
+        return (np.stack([o[0] for o in outs]), object_rows([o[1] for o in outs]),
+                tuple(np.stack(head) for head in zip(*(o[2] for o in outs))))
+
+    return step
+
+
+def object_rows(items):
+    """A 1-D object array holding ``items`` as they are, tuples included."""
+    rows = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        rows[i] = item
+    return rows
+
+
+def take_rows(state, rows):
+    """Rows ``rows`` of a batched state: Tensors and arrays by their first
+    axis, tuples item by item, anything else as it is."""
+    if isinstance(state, tuple):
+        return tuple(take_rows(s, rows) for s in state)
+    if isinstance(state, Tensor):
+        return Tensor(state.data[rows])
+    if isinstance(state, np.ndarray):
+        return state[rows]
+    return state
+
+
+def row_step_fn(decoder, keys):
+    """The per-hypothesis decoder step: the decoder's step at B = 1."""
+
+    def step(state, prev):
+        logp, state, weights = decoder.step(keys, state, np.array([prev]))
+        return logp.data[0], state, tuple(w.data[0] for w in weights)
+
+    return step
+
+
 def full_length_beam(step_fn, init_state, beam_size, max_len, bos_id, eos_id):
     """Beam search that always runs to max_len, never stopping early.
 
-    Each step expands every live hypothesis by its beam_size best tokens
-    (stable order on ties), ranks all candidates by (score desc, tokens asc),
-    retires EOS candidates and keeps the first beam_size others live. Returns
-    (tokens, logprob, attn, truncated) of the best finished hypothesis under
-    (score desc, length asc, tokens asc), else of the best live one.
+    Each step calls the batched ``step_fn`` once on the live hypotheses, in
+    their ranked order, expands each by its beam_size best tokens (stable order on
+    ties), ranks all candidates by (score desc, tokens asc), retires EOS
+    candidates and keeps the first beam_size others live, taking their rows
+    of the new state. Returns (tokens, logprob, attn, truncated) of the best
+    finished hypothesis under (score desc, length asc, tokens asc), else of
+    the best live one.
     """
-    live = [((), 0.0, init_state, ())]
+    live = [((), 0.0, ())]
+    state = init_state
     finished = []
     for _ in range(max_len):
+        prev = np.array([tokens[-1] if tokens else bos_id for tokens, _, _ in live])
+        logprobs, new_state, rows = step_fn(state, prev)
+        candidates = []
+        for i, (tokens, logp, attn) in enumerate(live):
+            order = sorted(range(logprobs.shape[1]), key=lambda t: -logprobs[i, t])
+            for tok in order[:beam_size]:
+                candidates.append((tokens + (tok,), logp + float(logprobs[i, tok]),
+                                   attn + (tuple(r[i] for r in rows),), i))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        kept = []
+        for cand in candidates:
+            if len(kept) == beam_size:
+                break
+            (finished if cand[0][-1] == eos_id else kept).append(cand)
+        if not kept:
+            break
+        state = take_rows(new_state, np.array([c[3] for c in kept]))
+        live = [c[:3] for c in kept]
+    pool = finished or live
+    tokens, logp, attn = min((c[:3] for c in pool), key=lambda c: (-c[1], len(c[0]), c[0]))
+    return tokens, logp, attn, not finished
+
+
+def per_hypothesis_beam(row_step, init_state, beam_size, max_len, bos_id, eos_id):
+    """The beam search as it stood before steps were batched: one
+    ``row_step(state, prev)`` call per live hypothesis, each hypothesis
+    carrying its own tokens, state and attention tuples, and the same exact
+    early stop. Returns (tokens, logprob, attn, truncated, search steps)."""
+    live = [((), 0.0, init_state, ())]
+    finished = []
+    best_finished = -np.inf
+    can_stop = True
+    steps = 0
+    for _ in range(max_len):
+        steps += 1
         candidates = []
         for tokens, logp, state, attn in live:
-            logprobs, new_state, rows = step_fn(state, tokens[-1] if tokens else bos_id)
-            order = sorted(range(len(logprobs)), key=lambda t: -logprobs[t])
-            for tok in order[:beam_size]:
-                candidates.append((tokens + (tok,), logp + float(logprobs[tok]),
+            logprobs, new_state, rows = row_step(state, tokens[-1] if tokens else bos_id)
+            can_stop = can_stop and logprobs.max() <= 0.0
+            top = np.argsort(-logprobs, kind="stable")[:beam_size]
+            for tok in top:
+                candidates.append((tokens + (int(tok),), logp + float(logprobs[tok]),
                                    new_state, attn + (rows,)))
         candidates.sort(key=lambda c: (-c[1], c[0]))
         live = []
         for cand in candidates:
             if len(live) == beam_size:
                 break
-            (finished if cand[0][-1] == eos_id else live).append(cand)
+            if cand[0][-1] == eos_id:
+                finished.append(cand)
+                best_finished = max(best_finished, cand[1])
+            else:
+                live.append(cand)
         if not live:
+            break
+        if can_stop and finished and best_finished >= live[0][1]:
             break
     pool = finished or live
     tokens, logp, _, attn = min(pool, key=lambda c: (-c[1], len(c[0]), c[0]))
-    return tokens, logp, attn, not finished
+    return tokens, logp, attn, not finished, steps
 
 
 # ---------------------------------------------------------------------------

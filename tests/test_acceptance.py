@@ -20,10 +20,10 @@ from cyclecap.cycle import indirect_attention, toy_alignment_record
 from cyclecap.data import TripleRecord, Vocabulary, pairs_from_triples
 from cyclecap.evaluation import alignment_score, bleu4, cider
 from cyclecap.inference import beam_decode
-from cyclecap.models import teacher_forced_record
+from cyclecap.models import teacher_forced_records
 from cyclecap.training import TrainConfig, pretrain_part1, train_part2
 
-from _reference import exhaustive_best, ref_bleu4, ref_cider
+from _reference import exhaustive_best, per_row, ref_bleu4, ref_cider
 from conftest import make_corpus
 
 
@@ -86,7 +86,8 @@ def test_criterion_04_stochasticity_of_attention_matrices():
                 grid = FeatureGrid(rng.standard_normal((regions, 3)))
                 en = tuple([1] + [int(x) for x in rng.integers(4, 8, size=3)] + [2])
                 de = tuple([1] + [int(x) for x in rng.integers(4, 9, size=2)] + [2])
-                record = teacher_forced_record(bundle, TripleRecord("img", grid, en, de))
+                (record,) = teacher_forced_records(
+                    bundle, [TripleRecord("img", grid, en, de)])
                 for m in (record.en_to_regions, record.de_to_regions,
                           record.de_to_en):
                     assert (m >= 0).all()
@@ -231,7 +232,7 @@ def test_criterion_09_beam_search_oracle():
                     def step(state, prev):
                         return table[prev], state, ()
 
-                    wide = beam_decode(step, None, beam_size=4 ** 5,
+                    wide = beam_decode(per_row(step), None, beam_size=4 ** 5,
                                        max_len=max_len, bos_id=0, eos_id=eos)
                     oracle = exhaustive_best(step, None, max_len, 0, eos)
                     if oracle is None:
@@ -241,7 +242,7 @@ def test_criterion_09_beam_search_oracle():
                         assert wide.tokens == seq
                         assert wide.logprob == pytest.approx(lp, rel=1e-12)
 
-                    narrow = beam_decode(step, None, beam_size=1,
+                    narrow = beam_decode(per_row(step), None, beam_size=1,
                                          max_len=max_len, bos_id=0, eos_id=eos)
                     tokens, prev = [], 0
                     for _ in range(max_len):

@@ -7,7 +7,7 @@ import pytest
 from cyclecap.data import BOS_ID, EOS_ID, FeatureGrid
 from cyclecap.inference import beam_decode, decoder_step_fn
 
-from _reference import full_length_beam
+from _reference import full_length_beam, per_row
 from conftest import tiny_bundle
 
 
@@ -39,9 +39,9 @@ def counting_step(tables, calls):
 
 def decode_both(tables, beam, max_len, eos):
     fast_calls, ref_calls = [], []
-    fast = beam_decode(counting_step(tables, fast_calls), 0, beam_size=beam,
+    fast = beam_decode(per_row(counting_step(tables, fast_calls)), 0, beam_size=beam,
                        max_len=max_len, bos_id=0, eos_id=eos)
-    ref = full_length_beam(counting_step(tables, ref_calls), 0, beam, max_len, 0, eos)
+    ref = full_length_beam(per_row(counting_step(tables, ref_calls)), 0, beam, max_len, 0, eos)
     return fast, ref, len(fast_calls), len(ref_calls)
 
 

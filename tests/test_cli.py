@@ -358,6 +358,36 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
                "--manifest", str(manifest), "--out-dir", str(tmp_path / "infer-dir")) == 5
     assert_clean_io_error(capsys, str(pipeline / "part2"), "Is a directory")
 
+    # decode settings out of range: a usage error for a flag, a config
+    # error for a config file, before any image is decoded
+    bundle_ckpt = str(pipeline / "part2" / "bundle.ckpt")
+    decode_out = tmp_path / "decode-settings"
+    for subcommand in ("infer", "attn-export"):
+        for flag, value in (("--beam-size", "0"), ("--max-len", "0"),
+                            ("--beam-size", "-2"), ("--max-len", "-1")):
+            with pytest.raises(SystemExit) as exc:
+                run(subcommand, "--checkpoint", bundle_ckpt, "--manifest", str(manifest),
+                    "--out-dir", str(decode_out), flag, value)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: invalid" in err and "Traceback" not in err
+        cfg = tmp_path / f"{subcommand}-beam.yaml"
+        cfg.write_text("beam-size: 0\n", encoding="utf-8")
+        assert run(subcommand, "--checkpoint", bundle_ckpt, "--manifest", str(manifest),
+                   "--config", str(cfg), "--out-dir", str(decode_out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "'beam_size'" in err
+    assert not (decode_out / "captions.jsonl").exists()
+
+    # a caption field other than en or de, with a captioner or a bundle
+    for ckpt, field in ((pipeline / "part1" / "part1.ckpt", "fr"),
+                        (pipeline / "part2" / "bundle.ckpt", "zz")):
+        assert run("infer", "--checkpoint", str(ckpt), "--manifest", str(manifest),
+                   "--caption-field", field, "--out-dir", str(decode_out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "Traceback" not in err
+        assert f"caption-field must be en or de, got {field!r}" in err
+
 
 def replay_manifest(path: Path, subcommand: str, **settings) -> Path:
     """A run manifest for ``subcommand`` with its default settings, then

@@ -10,7 +10,7 @@ from cyclecap.errors import DataError, FormatError, NumericError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, init_state,
                              load_bundle, load_captioner, load_checkpoint,
-                             save_bundle, save_captioner, teacher_forced_record,
+                             save_bundle, save_captioner, teacher_forced_records,
                              unroll)
 from cyclecap.tensor import Parameter, Tensor, sum_all
 from cyclecap.training import nll_loss
@@ -139,10 +139,32 @@ def test_teacher_forced_record_shapes():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 5)   # N = 6 targets
     de_ids = random_ids(rng, 9, 3)   # M = 4 targets
-    record = teacher_forced_record(bundle, TripleRecord("img", grid, en_ids, de_ids))
+    (record,) = teacher_forced_records(bundle, [TripleRecord("img", grid, en_ids, de_ids)])
     assert record.en_to_regions.shape == (6, 3)
     assert record.de_to_regions.shape == (4, 3)
     assert record.de_to_en.shape == (4, 6)
+
+
+def test_batched_teacher_forced_records_equal_single_records():
+    # one padded batch mixing region counts and caption lengths gives each
+    # triple its own blocks, as a batch of one does
+    rng = np.random.default_rng(15)
+    bundle = tiny_bundle(seed=16)
+    triples = [TripleRecord(f"img{i}", FeatureGrid(rng.standard_normal((regions, 3))),
+                            random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
+               for i, (regions, en_len, de_len)
+               in enumerate([(3, 5, 2), (1, 1, 6), (5, 3, 1), (2, 7, 4)])]
+    batched = teacher_forced_records(bundle, triples)
+    assert len(batched) == len(triples)
+    for triple, got in zip(triples, batched):
+        (want,) = teacher_forced_records(bundle, [triple])
+        for name in ("en_to_regions", "de_to_regions", "de_to_en"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+    assert batched[1].en_to_regions.shape == (2, 1)
+    assert batched[2].de_to_en.shape == (2, 4)
+    assert teacher_forced_records(bundle, []) == []
 
 
 # --- init state ---------------------------------------------------------------
