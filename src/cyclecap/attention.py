@@ -7,7 +7,9 @@ decoder over English caption states), each with its own parameters.
 A decoder attends over the same key rows at every step, so the key side of
 the score, ``keys @ w_key + b``, is computed once per sequence by
 ``AttentionLayer.prepare`` (additive attention as in Bahdanau et al., 2015);
-each step adds only its query projection.
+each step adds only its query projection. The step itself, score, masked
+softmax and context, is one fused tape op, ``tensor.additive_attention``,
+with one backward rule for the weights and the context together.
 
 Keys come batched, (B, K, key_dim), with a (B, K) mask of real rows: records
 with fewer regions or shorter captions are padded, and their padded keys get
@@ -22,8 +24,7 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import (Parameter, Tensor, add, batch_matmul, masked_softmax, matmul,
-                     tanh, transpose)
+from .tensor import Parameter, Tensor, add, additive_attention, matmul, transpose
 
 
 class AttentionLayer:
@@ -108,7 +109,6 @@ def attend(layer: AttentionLayer, keys: AttentionKeys, query: Tensor) -> Attenti
     if query.data.shape != (keys.rows.data.shape[0], layer.query_dim):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
                              f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
-    hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
-    weights = masked_softmax(matmul(hidden, layer.combine), keys.mask)
-    context = batch_matmul(weights, keys.rows)
+    weights, context = additive_attention(keys.projected, keys.rows, keys.mask, query,
+                                          keys.w_query_t, layer.combine)
     return AttentionOutput(weights=weights, context=context)

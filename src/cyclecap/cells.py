@@ -1,11 +1,12 @@
-"""LSTM and GRU cells composed from the primitive ops, on fused gate weights.
+"""LSTM and GRU cells on fused gate weights, each step one fused tape op.
 
 Each cell keeps its gates side by side in one weight, so a step does one
-matmul for all gates and cuts the result into gate blocks with
-``column_slice``: the fusion of Appleyard et al., 2016. At these sizes a step
-costs per op rather than per flop, so fewer, wider ops are what make it
-cheaper. Column block k of a fused weight or bias belongs to gate
-``GATES[k]``.
+matmul for all gates, and the whole step, gates and state update, is one
+record on the tape (``tensor.lstm_cell``, ``tensor.gru_cell``) with one
+backward rule: the fusion of Appleyard et al., 2016, carried from the
+weights to the tape. At these sizes a step costs per op rather than per
+flop, so one record per step is what makes it cheap. Column block k of a
+fused weight or bias belongs to gate ``GATES[k]``.
 
 * LSTM: one ``(input + hidden, 4 * hidden)`` weight applied to ``[x; h]``
   and one ``4 * hidden`` bias; gates i, f, o, g.
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import init
 from .errors import DimensionError
-from .tensor import (Parameter, Tensor, add, column_slice, concat, matmul, mul,
-                     sigmoid, sub, tanh)
+from .tensor import Parameter, Tensor, add, gru_cell, lstm_cell, matmul
 
 
 class GatedParams:
@@ -79,27 +79,14 @@ class LSTMParams(GatedParams):
 def lstm_step(p: LSTMParams, inputs: Sequence[Tensor], h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step on the input x, the concatenation of ``inputs`` (a
-    decoder's contexts and word embedding are joined with h_prev in one
+    decoder's contexts and word embedding, joined with h_prev inside the
     op); returns (h, c):
 
         a = [x; h_prev] @ w + b
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
         c = f * c_prev + i * g,  h = o * tanh(c)
     """
-    size = p.hidden_size
-    width = sum(x.data.shape[-1] for x in inputs)
-    state = h_prev.data.shape
-    if width != p.input_size or state[-1:] != (size,) or c_prev.data.shape != state:
-        raise DimensionError(
-            f"lstm_step: got inputs {[x.shape for x in inputs]}, h{h_prev.shape}, "
-            f"c{c_prev.shape} for cell ({p.input_size} -> {size})")
-    a = add(matmul(concat([*inputs, h_prev]), p.w), p.b)
-    ifo = sigmoid(column_slice(a, 0, 3 * size))
-    g = tanh(column_slice(a, 3 * size, 4 * size))
-    c = add(mul(column_slice(ifo, size, 2 * size), c_prev),
-            mul(column_slice(ifo, 0, size), g))
-    h = mul(column_slice(ifo, 2 * size, 3 * size), tanh(c))
-    return h, c
+    return lstm_cell(inputs, h_prev, c_prev, p.w, p.b)
 
 
 class GRUParams(GatedParams):
@@ -134,13 +121,4 @@ def gru_step(p: GRUParams, xw: Tensor, h_prev: Tensor) -> Tensor:
     update-gate bias saturates the cell into carrying its state through
     unchanged.
     """
-    size = p.hidden_size
-    if xw.shape[-1:] != (3 * size,) or h_prev.shape != xw.shape[:-1] + (size,):
-        raise DimensionError(
-            f"gru_step: got input pre-activations {xw.shape}, h{h_prev.shape} "
-            f"for cell ({p.input_size} -> {size})")
-    a = matmul(h_prev, p.u)
-    rz = sigmoid(add(column_slice(xw, 0, 2 * size), column_slice(a, 0, 2 * size)))
-    n = tanh(add(column_slice(xw, 2 * size, 3 * size),
-                 mul(column_slice(rz, 0, size), column_slice(a, 2 * size, 3 * size))))
-    return add(n, mul(column_slice(rz, size, 2 * size), sub(h_prev, n)))
+    return gru_cell(xw, h_prev, p.u)

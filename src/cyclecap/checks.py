@@ -3,9 +3,10 @@ verification suites behind the gradcheck and oracle-check commands.
 
 ``check_gradients`` only ever evaluates forward passes, so it stays
 independent of the tape machinery it validates. The gradient suite drives
-every primitive, both recurrent cells, the attention step, the consistency
-loss, and the composed stage-one and stage-two losses, at batch sizes 1 and
-2, through it. The oracle suite exercises the hand-worked composed-attention
+every primitive, every fused op (each output's gradient, a zero-filled one
+included), both recurrent cells, the attention step, the consistency loss,
+and the composed stage-one and stage-two losses, at batch sizes 1 and 2,
+through it. The oracle suite exercises the hand-worked composed-attention
 example and the conditional-independence identity on random factorized
 joint tables.
 """
@@ -25,10 +26,10 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .models import ImageCaptioner, ModelBundle, init_state, unroll
-from .tensor import (Parameter, Tape, Tensor, add, batch_matmul, column_slice,
-                     concat, dropout, embedding_lookup, frobenius, log_softmax,
-                     masked_mean, masked_softmax, matmul, mul, pick, scale, sigmoid,
-                     stack, sub, sum_all, tanh, transpose)
+from .tensor import (Parameter, Tape, Tensor, add, additive_attention, batch_matmul,
+                     concat, dropout, embedding_lookup, frobenius, gru_cell,
+                     log_softmax, lstm_cell, masked_mean, masked_softmax, matmul, mul,
+                     pick, scale, stack, sub, sum_all, tanh, transpose, unstack)
 from .training import TrainConfig, nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -139,9 +140,6 @@ def _primitive_cases(rng: np.random.Generator):
          {"v": v, "w": w}),
         ("concat-last-axis", lambda: sum_all(mul(concat([m, a]), concat([a, m]))),
          {"m": m, "a": a}),
-        ("column_slice", lambda: sum_all(mul(column_slice(m, 1, 3),
-                                             column_slice(v, 2, 4))),
-         {"m": m, "v": v}),
         ("stack", lambda: sum_all(mul(stack([m, a], axis=1), stack([a, m], axis=1))),
          {"m": m, "a": a}),
         ("masked_softmax", lambda: sum_all(mul(masked_softmax(s, None), probe)),
@@ -150,7 +148,6 @@ def _primitive_cases(rng: np.random.Generator):
          {"s": s, "probe": probe}),
         ("log_softmax", lambda: pick(log_softmax(v), 2), {"v": v}),
         ("tanh", lambda: sum_all(mul(tanh(v), w)), {"v": v, "w": w}),
-        ("sigmoid", lambda: sum_all(mul(sigmoid(v), w)), {"v": v, "w": w}),
         ("embedding-lookup", lambda: sum_all(embedding_lookup(table, [0, 2, 2, 4])),
          {"table": table}),
         ("embedding-lookup-matrix",
@@ -165,6 +162,61 @@ def _primitive_cases(rng: np.random.Generator):
         ("pick", lambda: pick(mul(v, w), 3), {"v": v, "w": w}),
         ("pick-masked", lambda: sum_all(mul(pick(t3, [[0, 3, 1], [2, 2, 3]], real), probe)),
          {"t3": t3, "probe": probe}),
+    ]
+
+
+def _fused_cases(rng: np.random.Generator, p: dict):
+    """One scalar-valued graph per fused op, over a batch of two records, each
+    reading its outputs through random probes. One LSTM case reads h only,
+    so the rule sees a zero-filled gradient for c; the attention case masks
+    a key, and one ``unstack`` slice is left unused."""
+    hidden, embed = p["hidden"], p["embed"]
+    x1 = _p(rng, (2, embed), "x1")
+    x2 = _p(rng, (2, 2), "x2")
+    h = _p(rng, (2, hidden), "h")
+    c = _p(rng, (2, hidden), "c")
+    w = _p(rng, (embed + 2 + hidden, 4 * hidden), "w")
+    b = _p(rng, (4 * hidden,), "b")
+    probe_h = _p(rng, (2, hidden), "probe_h")
+    probe_c = _p(rng, (2, hidden), "probe_c")
+    xw = _p(rng, (2, 3 * hidden), "xw")
+    u = _p(rng, (hidden, 3 * hidden), "u")
+    keys, attn = p["regions"], p["attn"]
+    projected = _p(rng, (keys, 2, attn), "projected")
+    rows = _p(rng, (2, keys, p["proj"]), "rows")
+    query = _p(rng, (2, hidden), "query")
+    w_query_t = _p(rng, (hidden, attn), "w_query_t")
+    combine = _p(rng, (attn,), "combine")
+    probe_w = _p(rng, (2, keys), "probe_w")
+    probe_ctx = _p(rng, (2, p["proj"]), "probe_ctx")
+    seq = _p(rng, (3, 2, hidden), "seq")
+    mask = np.ones((2, keys), dtype=bool)
+    mask[1, 0] = False
+    lstm = dict(x1=x1, x2=x2, h=h, c=c, w=w, b=b)
+
+    def lstm_loss(read_c: bool):
+        h_new, c_new = lstm_cell([x1, x2], h, c, w, b)
+        loss = sum_all(mul(h_new, probe_h))
+        return add(loss, sum_all(mul(c_new, probe_c))) if read_c else loss
+
+    def attention_loss():
+        weights, context = additive_attention(projected, rows, mask, query, w_query_t,
+                                              combine)
+        return add(sum_all(mul(weights, probe_w)), sum_all(mul(context, probe_ctx)))
+
+    def unstack_loss():
+        first, _, last = unstack(seq)
+        return sum_all(mul(first, last))
+
+    return [
+        ("lstm_cell", lambda: lstm_loss(True), lstm),
+        ("lstm_cell-h-only", lambda: lstm_loss(False), lstm),
+        ("gru_cell", lambda: sum_all(mul(gru_cell(xw, h, u), probe_h)),
+         {"xw": xw, "h": h, "u": u}),
+        ("additive_attention-masked-key", attention_loss,
+         dict(projected=projected, rows=rows, query=query, w_query_t=w_query_t,
+              combine=combine)),
+        ("unstack-unused-slice", unstack_loss, {"seq": seq}),
     ]
 
 
@@ -222,7 +274,7 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
 
     def attend_loss():
         out = attend(layer, layer.prepare(keys, key_mask), query)
-        return add(sum_all(column_slice(out.weights, 0, 1)),
+        return add(sum_all(pick(out.weights, np.zeros(2, dtype=int))),
                    sum_all(mul(out.context, mix)))
 
     results.append(check_gradients(
@@ -272,6 +324,9 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
             f"training/stage2-composed{tag}",
             lambda batch=batch: stage2_loss_graph(bundle, batch, cycle_weight=1.0),
             bundle.named_parameters()))
+
+    for name, build, params in _fused_cases(rng, p):
+        results.append(check_gradients(f"fused/{name}", build, params))
     return results
 
 

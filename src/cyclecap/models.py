@@ -54,7 +54,7 @@ from .cycle import AttentionRecord
 from .data import Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
-                     log_softmax, masked_mean, matmul, mul, stack, tanh)
+                     log_softmax, masked_mean, matmul, mul, stack, tanh, unstack)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,8 @@ class CaptionEncoder:
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Encode (B, N) token ids, with their (B, N) mask of real tokens
         (None: all real), into (B, N, 2*hidden) states. Each direction
-        projects all embeddings in one matmul and steps on position t of it.
+        projects all embeddings in one matmul and splits the result into
+        its N positions with one ``unstack``.
         Real tokens come first in each row; the backward direction holds
         its zero state through a record's padding, so it starts at the
         record's own last token. States at padded positions are not zero but
@@ -207,19 +208,19 @@ class CaptionEncoder:
             raise DataError(f"caption encoder: need a non-empty (B, N) token "
                             f"matrix, got shape {ids.shape}")
         embeds = embedding_lookup(self.embedding, ids.T)     # (N, B, embed)
-        fwd_inputs = gru_inputs(self.fwd, embeds)
-        bwd_inputs = gru_inputs(self.bwd, embeds)
+        fwd_inputs = unstack(gru_inputs(self.fwd, embeds))
+        bwd_inputs = unstack(gru_inputs(self.bwd, embeds))
         n = ids.shape[1]
         zeros = Tensor(np.zeros((ids.shape[0], self.hidden_dim)))
         forward = []
         h = zeros
         for t in range(n):
-            h = gru_step(self.fwd, embedding_lookup(fwd_inputs, t), h)
+            h = gru_step(self.fwd, fwd_inputs[t], h)
             forward.append(h)
         backward: list[Tensor] = [zeros] * n
         h = zeros
         for t in range(n - 1, -1, -1):
-            h = gru_step(self.bwd, embedding_lookup(bwd_inputs, t), h)
+            h = gru_step(self.bwd, bwd_inputs[t], h)
             if mask is not None and not mask[:, t].all():
                 h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
             backward[t] = h

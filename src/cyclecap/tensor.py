@@ -7,15 +7,26 @@ once in reverse creation order (creation order is already topological) and
 accumulates gradients into ``Tensor.grad``. Outside a tape block the same
 functions are plain forward math, which keeps inference cheap.
 
+A record may own a tuple of outputs, such as an LSTM step's (h, c). Its one
+rule then receives one gradient per output, with zeros for an output no
+gradient reached, and the record is skipped when none did.
+
 Training runs on batches, so tensors carry a leading batch axis: states are
 (B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
 take a boolean mask of real entries (``masked_softmax``, ``masked_mean``,
-``frobenius``, ``pick``); masked-out entries never reach the result and get
-exactly zero gradient, so padding cannot leak into a loss. ``matmul`` applies
-a shared weight over every leading axis, ``batch_matmul`` multiplies matrix i
-of one batch by matrix i of another. Every op validates its output for
-finiteness, so a NaN or overflow surfaces at the op that produced it rather
-than ten layers downstream.
+``frobenius``, ``pick``, ``additive_attention``); masked-out entries never
+reach the result and get exactly zero gradient, so padding cannot leak into
+a loss. ``matmul`` applies a shared weight over every leading axis,
+``batch_matmul`` multiplies matrix i of one batch by matrix i of another.
+
+Besides the primitives there are fused ops, one record each for what would
+otherwise be 6 to 15 small ones: ``lstm_cell`` and ``gru_cell`` (one
+recurrent step on fused gate weights), ``additive_attention`` (score, masked
+softmax and context of one head) and ``unstack`` (every slice of a sequence
+at once). At these sizes an op costs per record rather than per flop, so
+fewer, wider records are what make a step cheap. Every op validates its
+output for finiteness, so a NaN or overflow surfaces at the op that
+produced it rather than ten layers downstream.
 """
 
 from __future__ import annotations
@@ -97,7 +108,8 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-BackwardRule = Callable[[Array], tuple[Array | None, ...]]
+BackwardRule = Callable[..., tuple[Array | None, ...]]
+Outputs = Tensor | tuple[Tensor, ...]
 
 
 class Tape:
@@ -105,14 +117,16 @@ class Tape:
 
     Records are appended at op creation time, so the list is topologically
     ordered by construction and the backward walk visits each node exactly
-    once. A tape is single-use: calling backward twice raises StateError.
-    Tapes do not nest; one thread drives one tape at a time.
+    once. A record's outputs are one Tensor, whose gradient its rule takes,
+    or a tuple of them, whose gradients its rule takes in order. A tape is
+    single-use: calling backward twice raises StateError. Tapes do not nest;
+    one thread drives one tape at a time.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self) -> None:
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], BackwardRule]] = []
+        self._records: list[tuple[Outputs, tuple[Tensor, ...], BackwardRule]] = []
         self._outputs: set[int] = set()
         self._spent = False
 
@@ -139,10 +153,17 @@ class Tape:
         self._spent = True
         loss.grad = np.ones_like(loss.data)
         for out, parents, rule in reversed(self._records):
-            g = out.grad
-            if g is None:
-                continue
-            for parent, pg in zip(parents, rule(g)):
+            if type(out) is tuple:
+                grads = [o.grad for o in out]
+                if all(g is None for g in grads):
+                    continue
+                parent_grads = rule(*(np.zeros_like(o.data) if g is None else g
+                                      for o, g in zip(out, grads)))
+            else:
+                if out.grad is None:
+                    continue
+                parent_grads = rule(out.grad)
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None:
                     continue
                 if parent.grad is None:
@@ -159,10 +180,28 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], rule: BackwardRule) -> Ten
     return out
 
 
+def _record_many(outs: tuple[Tensor, ...], parents: tuple[Tensor, ...],
+                 rule: BackwardRule) -> tuple[Tensor, ...]:
+    """Record one op with several outputs; ``rule`` takes one gradient per
+    output."""
+    tape = Tape._active
+    if tape is not None:
+        tape._records.append((outs, parents, rule))
+        tape._outputs.update(map(id, outs))
+    return outs
+
+
 def _result(name: str, arr: Array) -> Tensor:
     if not np.isfinite(arr).all():
         raise NumericError(f"{name}: produced non-finite values")
     return Tensor(arr, _unchecked=True)
+
+
+def _results(name: str, *arrays: Array) -> tuple[Tensor, ...]:
+    """The outputs of a fused op, with one finiteness check over all of them."""
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise NumericError(f"{name}: produced non-finite values")
+    return tuple(Tensor(x, _unchecked=True) for x in arrays)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -295,22 +334,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
-def column_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    """Columns ``[start, stop)`` of the last axis."""
-    if a.data.ndim == 0 or not 0 <= start < stop <= a.shape[-1]:
-        raise DimensionError(f"column_slice: [{start}:{stop}) out of range for "
-                             f"shape {a.shape}")
-    out = _result("column_slice", a.data[..., start:stop])
-    shape = a.shape
-
-    def rule(g: Array) -> tuple[Array]:
-        full = np.zeros(shape)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _record(out, (a,), rule)
-
-
 def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack same-shape tensors along a new axis ``axis``."""
     if not parts:
@@ -372,15 +395,6 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = _result("tanh", y)
     return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    # Split by sign so neither exp overflows.
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                 np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
-    out = _result("sigmoid", y)
-    return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -487,3 +501,158 @@ def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
         return (z,)
 
     return _record(out, (a,), rule)
+
+
+# ---------------------------------------------------------------------------
+# Fused ops: one record, one backward rule and one finiteness check each
+# ---------------------------------------------------------------------------
+
+def _sigmoid(x: Array) -> Array:
+    # exp(-|x|) never overflows; x >= 0 takes 1 / (1 + e), x < 0 takes e / (1 + e).
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _bad_shapes(op: str, **shapes) -> DimensionError:
+    listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
+    return DimensionError(f"{op}: shapes do not fit together: {listed}")
+
+
+def lstm_cell(inputs: Sequence[Tensor], h: Tensor, c: Tensor, w: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step on fused gate weights; returns (h', c').
+
+        a = [inputs...; h] @ w + b,  gate blocks i, f, o, g of width H
+        i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
+        c' = f * c + i * g,  h' = o * tanh(c')
+
+    The input parts are separate parents and are joined only inside the op.
+    Every part and the (..., H) states share their leading axes; ``w`` is
+    (input + H, 4H) and ``b`` is (4H,).
+    """
+    hd, cd, wd = h.data, c.data, w.data
+    parts = [x.data for x in inputs] + [hd]
+    size = hd.shape[-1] if hd.ndim else 0
+    width = sum(x.shape[-1] for x in parts if x.ndim)
+    if not size or cd.shape != hd.shape or wd.shape != (width, 4 * size) \
+            or b.shape != (4 * size,) \
+            or any(x.ndim != hd.ndim or x.shape[:-1] != hd.shape[:-1] for x in parts):
+        raise _bad_shapes("lstm_cell", inputs=[x.shape for x in inputs], h=h.shape,
+                          c=c.shape, w=w.shape, b=b.shape)
+    x = np.concatenate(parts, axis=-1)
+    a = np.matmul(x, wd) + b.data
+    ifo = _sigmoid(a[..., :3 * size])
+    g = np.tanh(a[..., 3 * size:])
+    i, f, o = ifo[..., :size], ifo[..., size:2 * size], ifo[..., 2 * size:]
+    c_new = f * cd + i * g
+    tc = np.tanh(c_new)
+    outs = _results("lstm_cell", o * tc, c_new)
+
+    def rule(gh: Array, gc: Array) -> tuple[Array, ...]:
+        gc = gc + gh * o * (1.0 - tc * tc)
+        ga = np.empty(a.shape)
+        ga[..., :size] = gc * g
+        ga[..., size:2 * size] = gc * cd
+        ga[..., 2 * size:3 * size] = gh * tc
+        ga[..., :3 * size] *= ifo
+        ga[..., :3 * size] *= 1.0 - ifo
+        ga[..., 3 * size:] = gc * i * (1.0 - g * g)
+        flat = ga.reshape(-1, 4 * size)
+        gx = np.split(ga @ wd.T, list(accumulate(p.shape[-1] for p in parts[:-1])),
+                      axis=-1)
+        return (*gx, gc * f, x.reshape(-1, width).T @ flat, flat.sum(axis=0))
+
+    return _record_many(outs, (*inputs, h, c, w, b), rule)
+
+
+def gru_cell(xw: Tensor, h: Tensor, u: Tensor) -> Tensor:
+    """One GRU step from the input-side pre-activations ``xw`` (x @ w + b,
+    gate blocks r, z, n of width H) and the hidden-side weight ``u``:
+
+        a = h @ u
+        r, z = sigmoid(xw[:2H] + a[:2H]) in two blocks
+        n = tanh(xw[2H:] + r * a[2H:])
+        h' = n + z * (h - n)
+
+    ``h`` is (..., H), ``xw`` has its leading axes and 3H columns, ``u`` is
+    (H, 3H).
+    """
+    xd, hd, ud = xw.data, h.data, u.data
+    size = hd.shape[-1] if hd.ndim else 0
+    if not size or xd.shape != hd.shape[:-1] + (3 * size,) or ud.shape != (size, 3 * size):
+        raise _bad_shapes("gru_cell", xw=xw.shape, h=h.shape, u=u.shape)
+    a = np.matmul(hd, ud)
+    rz = _sigmoid(xd[..., :2 * size] + a[..., :2 * size])
+    r, z = rz[..., :size], rz[..., size:]
+    an = a[..., 2 * size:]
+    n = np.tanh(xd[..., 2 * size:] + r * an)
+    out = _result("gru_cell", n + z * (hd - n))
+
+    def rule(g: Array) -> tuple[Array, Array, Array]:
+        gn = (g - g * z) * (1.0 - n * n)
+        gxw = np.empty(xd.shape)
+        gxw[..., :size] = gn * an
+        gxw[..., size:2 * size] = g * (hd - n)
+        gxw[..., :2 * size] *= rz
+        gxw[..., :2 * size] *= 1.0 - rz
+        gxw[..., 2 * size:] = gn
+        ga = gxw.copy()
+        ga[..., 2 * size:] *= r
+        return (gxw, g * z + ga @ ud.T,
+                hd.reshape(-1, size).T @ ga.reshape(-1, 3 * size))
+
+    return _record(out, (xw, h, u), rule)
+
+
+def additive_attention(projected: Tensor, rows: Tensor, mask: Array | None,
+                       query: Tensor, w_query_t: Tensor,
+                       combine: Tensor) -> tuple[Tensor, Tensor]:
+    """One additive-attention head as one record; returns (weights, context).
+
+        hidden = tanh(projected + query @ w_query_t)      (K, B, A)
+        weights = masked softmax over keys of hidden @ combine   (B, K)
+        context[b] = weights[b] @ rows[b]                  (B, d)
+
+    ``projected`` is the key-major (K, B, A) key projection, ``rows`` the
+    (B, K, d) key rows, ``mask`` their (B, K) boolean mask of real rows (None:
+    all real), ``query`` (B, Q), ``w_query_t`` (Q, A) and ``combine`` (A,).
+    Masked keys get weight exactly 0 and no gradient.
+    """
+    pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
+    if pd.ndim != 3 or rd.ndim != 3 or qd.ndim != 2 \
+            or rd.shape[:2] != (pd.shape[1], pd.shape[0]) \
+            or qd.shape[0] != pd.shape[1] or wd.shape != (qd.shape[1], pd.shape[2]) \
+            or cd.shape != pd.shape[2:] \
+            or (mask is not None and mask.shape != rd.shape[:2]):
+        raise _bad_shapes("additive_attention", projected=projected.shape,
+                          rows=rows.shape, mask=np.shape(mask), query=query.shape,
+                          w_query_t=w_query_t.shape, combine=combine.shape)
+    hidden = np.tanh(pd + np.matmul(qd, wd))
+    s = np.matmul(hidden, cd).T
+    if mask is not None:
+        s = np.where(mask, s, -np.inf)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    outs = _results("additive_attention", w, np.matmul(w[:, None, :], rd)[:, 0, :])
+
+    def rule(gw: Array, gctx: Array) -> tuple[Array, ...]:
+        gw = gw + np.matmul(gctx[:, None, :], rd.transpose(0, 2, 1))[:, 0, :]
+        gs = (w * (gw - (gw * w).sum(axis=1, keepdims=True))).T      # (K, B)
+        gpre = gs[..., None] * cd * (1.0 - hidden * hidden)          # (K, B, A)
+        gq = gpre.sum(axis=0)
+        return (gpre, w[:, :, None] * gctx[:, None, :], gq @ wd.T, qd.T @ gq,
+                gs.reshape(-1) @ hidden.reshape(-1, cd.shape[0]))
+
+    return _record_many(outs, (projected, rows, query, w_query_t, combine), rule)
+
+
+def unstack(a: Tensor) -> tuple[Tensor, ...]:
+    """The slices ``a[0], ..., a[n-1]`` along the first axis, as one record:
+    the backward stacks the slices' gradients once."""
+    if a.data.ndim == 0 or a.shape[0] == 0:
+        raise DimensionError(f"unstack: need a non-empty first axis, got {a.shape}")
+    if not np.isfinite(a.data).all():
+        raise NumericError("unstack: produced non-finite values")
+    outs = tuple(Tensor(x, _unchecked=True) for x in a.data)
+    return _record_many(outs, (a,), lambda *grads: (np.stack(grads),))

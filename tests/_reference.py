@@ -1,16 +1,24 @@
 """Independent straightforward re-implementations used as test oracles.
 
-Everything here is plain numpy / plain Python written from the formulas,
+Most of this is plain numpy / plain Python written from the formulas,
 deliberately sharing no code with the package's taped ops, so agreement is
 meaningful. Functions read parameter values straight off the model objects,
 the decoders' initial-state projections by their checkpoint names.
+
+The exception is the composed graphs: the LSTM step, GRU step and attention
+head built from the package's primitive tape ops, one small op per gate
+slice, as the package computed them before its fused ops. They are the
+gradient oracle for ``lstm_cell``, ``gru_cell`` and ``additive_attention``;
+the two ops only they need, ``column_slice`` and ``sigmoid``, are built here
+on ``tensor._record``.
 """
 
 import math
 
 import numpy as np
 
-from cyclecap.tensor import Tensor
+from cyclecap.tensor import (Tensor, _record, _result, add, batch_matmul, concat,
+                             masked_softmax, matmul, mul, sub, tanh)
 
 
 def np_softmax(x):
@@ -66,6 +74,61 @@ def ref_gru(p, x, h):
     z = np_sigmoid(x @ wz + h @ uz + bz)
     n = np.tanh(x @ wn + r * (h @ un) + bn)
     return z * h + (1.0 - z) * n
+
+
+# ---------------------------------------------------------------------------
+# Composed tape graphs: the fused ops' gradient oracle
+# ---------------------------------------------------------------------------
+
+def column_slice(a, start, stop):
+    """Columns ``[start, stop)`` of the last axis, as a tape op."""
+    out = _result("column_slice", a.data[..., start:stop])
+    shape = a.shape
+
+    def rule(g):
+        full = np.zeros(shape)
+        full[..., start:stop] = g
+        return (full,)
+
+    return _record(out, (a,), rule)
+
+
+def sigmoid(a):
+    """Logistic sigmoid as a tape op, split by sign so neither exp overflows."""
+    x = a.data
+    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+                 np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))))
+    out = _result("sigmoid", y)
+    return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
+
+
+def composed_lstm_step(p, inputs, h_prev, c_prev):
+    """``cells.lstm_step`` from primitive ops: concat, one matmul, gate slices."""
+    size = p.hidden_size
+    a = add(matmul(concat([*inputs, h_prev]), p.w), p.b)
+    ifo = sigmoid(column_slice(a, 0, 3 * size))
+    g = tanh(column_slice(a, 3 * size, 4 * size))
+    c = add(mul(column_slice(ifo, size, 2 * size), c_prev),
+            mul(column_slice(ifo, 0, size), g))
+    h = mul(column_slice(ifo, 2 * size, 3 * size), tanh(c))
+    return h, c
+
+
+def composed_gru_step(p, xw, h_prev):
+    """``cells.gru_step`` from primitive ops."""
+    size = p.hidden_size
+    a = matmul(h_prev, p.u)
+    rz = sigmoid(add(column_slice(xw, 0, 2 * size), column_slice(a, 0, 2 * size)))
+    n = tanh(add(column_slice(xw, 2 * size, 3 * size),
+                 mul(column_slice(rz, 0, size), column_slice(a, 2 * size, 3 * size))))
+    return add(n, mul(column_slice(rz, size, 2 * size), sub(h_prev, n)))
+
+
+def composed_attend(layer, keys, query):
+    """``attention.attend`` from primitive ops; returns (weights, context)."""
+    hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
+    weights = masked_softmax(matmul(hidden, layer.combine), keys.mask)
+    return weights, batch_matmul(weights, keys.rows)
 
 
 def ref_project(captioner, grid_values):

@@ -65,7 +65,9 @@ def test_criterion_03_gradient_suite():
         results = checks.gradient_suite("tiny", seed=0)
         names = {r.name for r in results}
         assert {"cell/lstm", "cell/gru", "attention/attend", "cycle/frobenius",
-                "training/stage2-composed"} <= names
+                "training/stage2-composed", "fused/lstm_cell", "fused/lstm_cell-h-only",
+                "fused/gru_cell", "fused/additive_attention-masked-key",
+                "fused/unstack-unused-slice"} <= names
         for result in results:
             assert result.ok(1e-3), (result.name, result.max_error)
         assert time.monotonic() - start < 120.0

@@ -12,7 +12,7 @@ from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tensor, sum_all
+from cyclecap.tensor import Parameter, Tape, Tensor, sum_all
 from cyclecap.training import nll_loss
 
 from _reference import (ref_captioner_sequence, ref_encode_caption,
@@ -113,6 +113,23 @@ def test_german_step_outputs_normalize_and_single_state_beta():
     assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
     np.testing.assert_allclose(caption_w.data, [[1.0]])
     assert abs(region_w.data.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("decoder", ["soft", "dual"])
+def test_one_decode_step_builds_at_most_eight_tape_ops(decoder):
+    # one record per attention head, the embedding lookup, the LSTM step and
+    # the three of the output layer: 6 (soft) and 7 (dual); 25 and 31 when
+    # cells and heads were composed from primitive ops
+    bundle = tiny_bundle(seed=13)
+    regions = bundle.captioner.project(rand_grid(np.random.default_rng(13)).values[None])
+    dec, rows = bundle.captioner.decoder, [regions]
+    if decoder == "dual":
+        dec = bundle.de_decoder
+        rows.append(bundle.cap_encoder.encode(np.array([[4, 5]])))
+    keys, state = dec.start(rows)
+    with Tape() as tape:
+        dec.step(keys, state, np.array([1]))
+    assert len(tape) <= 8
 
 
 def test_german_sequence_matches_reference():

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Parameter, Tape, Tensor, add, column_slice,
-                             concat, dropout, embedding_lookup, frobenius,
-                             log_softmax, masked_mean, masked_softmax, matmul, mul,
-                             pick, scale, stack, sub, sum_all)
+from cyclecap.tensor import (Parameter, Tape, Tensor, add, concat, dropout,
+                             embedding_lookup, frobenius, log_softmax, lstm_cell,
+                             masked_mean, masked_softmax, matmul, mul, pick, scale,
+                             stack, sub, sum_all, unstack)
 
 
 def test_softmax_symmetry():
@@ -86,6 +86,98 @@ def test_backward_requires_scalar_on_this_tape():
             tape.backward(foreign)
 
 
+def _lstm_operands(seed=0, batch=2, n_in=3, hidden=4):
+    rng = np.random.default_rng(seed)
+    return (Parameter(rng.standard_normal((batch, n_in)), "x"),
+            Parameter(rng.standard_normal((batch, hidden)), "h"),
+            Parameter(rng.standard_normal((batch, hidden)), "c"),
+            Parameter(rng.standard_normal((n_in + hidden, 4 * hidden)), "w"),
+            Parameter(rng.standard_normal(4 * hidden), "b"))
+
+
+def _lstm_grads(read):
+    """Gradients of the operands of one ``lstm_cell`` record when the loss
+    reads the outputs that ``read`` picks from (h, c)."""
+    x, h, c, w, b = _lstm_operands()
+    with Tape() as tape:
+        outs = lstm_cell([x], h, c, w, b)
+        assert len(tape) == 1
+        loss = sum_all(read(outs))
+        tape.backward(loss)
+    return [p.grad.copy() for p in (x, h, c, w, b)], outs
+
+
+def test_backward_from_either_output_of_a_multi_output_record():
+    from_h, (h_out, _) = _lstm_grads(lambda outs: outs[0])
+    from_c, (_, c_out) = _lstm_grads(lambda outs: outs[1])
+    from_both, _ = _lstm_grads(lambda outs: add(outs[0], outs[1]))
+    assert h_out.grad is not None and c_out.grad is not None
+    for gh, gc, g in zip(from_h, from_c, from_both):
+        assert np.abs(gh).sum() > 0 and np.abs(gc).sum() > 0
+        np.testing.assert_allclose(gh + gc, g, rtol=1e-12, atol=1e-14)
+
+
+def test_unused_outputs_receive_zeros():
+    seen = []
+    a = Parameter(np.arange(6.0).reshape(3, 2), "a")
+    with Tape() as tape:
+        first, _, last = unstack(a)
+        outs, parents, rule = tape._records[-1]
+
+        def spy(*grads):
+            seen.extend(g.copy() for g in grads)
+            return rule(*grads)
+
+        tape._records[-1] = (outs, parents, spy)
+        tape.backward(sum_all(mul(first, last)))
+    np.testing.assert_array_equal(seen[1], np.zeros(2))
+    np.testing.assert_array_equal(a.grad, [[4.0, 5.0], [0.0, 0.0], [0.0, 1.0]])
+
+
+def test_record_without_a_gradient_is_skipped():
+    x, h, c, w, b = _lstm_operands()
+    with Tape() as tape:
+        lstm_cell([x], h, c, w, b)
+        tape.backward(sum_all(mul(x, x)))
+    for p in (h, c, w, b):
+        np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+
+
+def test_multi_output_op_outside_a_tape_records_nothing():
+    x, h, c, w, b = _lstm_operands()
+    h_out, c_out = lstm_cell([x], h, c, w, b)
+    parts = unstack(Tensor(np.ones((2, 3))))
+    loss = sum_all(add(h_out, c_out))
+    with Tape() as tape:
+        with pytest.raises(StateError):
+            tape.backward(loss)
+    assert len(tape) == 0 and len(parts) == 2
+    assert h_out.grad is None and c_out.grad is None
+    for p in (x, h, c, w, b):
+        np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+
+
+def test_backward_twice_raises_on_multi_output_records():
+    x, h, c, w, b = _lstm_operands()
+    with Tape() as tape:
+        h_out, c_out = lstm_cell([x], h, c, w, b)
+        loss = sum_all(add(h_out, c_out))
+        tape.backward(loss)
+        with pytest.raises(StateError):
+            tape.backward(loss)
+
+
+def test_unstack_values_and_bounds():
+    a = np.arange(12.0).reshape(3, 2, 2)
+    parts = unstack(Tensor(a))
+    assert len(parts) == 3
+    for i, part in enumerate(parts):
+        np.testing.assert_array_equal(part.data, a[i])
+    for bad in (Tensor(1.0), Tensor(np.zeros((0, 2)))):
+        with pytest.raises(DimensionError):
+            unstack(bad)
+
+
 def test_tapes_do_not_nest():
     with Tape():
         with pytest.raises(StateError):
@@ -140,21 +232,6 @@ def test_concat_and_stack_roundtrip_shapes():
     np.testing.assert_array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(DimensionError):
         stack([Tensor([1.0, 2.0]), Tensor([3.0])])
-
-
-def test_column_slice_values_gradient_and_bounds():
-    m = Parameter(np.arange(12.0).reshape(3, 4), "m")
-    with Tape() as tape:
-        out = column_slice(m, 1, 3)
-        tape.backward(sum_all(out))
-    np.testing.assert_array_equal(out.data, m.data[:, 1:3])
-    np.testing.assert_array_equal(m.grad, [[0, 1, 1, 0]] * 3)
-    np.testing.assert_array_equal(column_slice(Tensor([1.0, 2.0, 3.0]), 2, 3).data, [3.0])
-    for start, stop in ((0, 0), (2, 1), (-1, 2), (0, 5)):
-        with pytest.raises(DimensionError):
-            column_slice(m, start, stop)
-    with pytest.raises(DimensionError):
-        column_slice(Tensor(1.0), 0, 1)
 
 
 def test_embedding_lookup_bounds():
