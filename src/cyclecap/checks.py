@@ -25,12 +25,12 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
                     toy_alignment_record)
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
-from .models import ImageCaptioner, ModelBundle, init_state, unroll
+from .models import ImageCaptioner, ModelBundle, ModelDims, init_state, unroll
 from .tensor import (Parameter, Tape, Tensor, add, additive_attention, batch_matmul,
                      concat, dropout, embedding_lookup, frobenius, gru_cell,
                      log_softmax, lstm_cell, masked_mean, masked_softmax, matmul, mul,
                      pick, scale, stack, sub, sum_all, tanh, transpose, unstack)
-from .training import TrainConfig, nll_loss, stage2_loss_graph
+from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
     "tiny": dict(hidden=4, embed=4, attn=4, proj=4, regions=3, feature_dim=3,
@@ -301,13 +301,12 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     results.append(check_gradients("cycle/frobenius", cyc_loss,
                                    {"a_de": a_de, "b_mat": b_mat, "a_en": a_en}))
 
-    cfg = TrainConfig(proj_dim=p["proj"], embed_dim=p["embed"],
-                      hidden_dim=p["hidden"], attn_dim=p["attn"], seed=seed)
+    dims = ModelDims(p["feature_dim"], p["vocab"], p["vocab"], p["proj"], p["embed"],
+                     p["hidden"], p["attn"])
     triples = [_make_triple(rng, p, p["regions"], p["seq"], "chk0"),
                _make_triple(rng, p, p["regions"] - 1, p["seq"] - 1, "chk1")]
-    captioner = ImageCaptioner(cfg.dims(p["feature_dim"], p["vocab"]), seed)
-    bundle = ModelBundle(cfg.dims(p["feature_dim"], p["vocab"], p["vocab"]),
-                         seed, captioner=captioner)
+    captioner = ImageCaptioner(dims, seed)
+    bundle = ModelBundle(dims, seed, captioner=captioner)
     for tag, batch in (("", make_batch(triples[:1])), ("-b2", make_batch(triples))):
 
         def captioner_loss(batch=batch):

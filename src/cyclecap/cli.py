@@ -3,7 +3,9 @@
 ``SUBCOMMANDS`` holds each subcommand's tuple of ``Option`` entries, the one
 place to add a setting: it builds the parser, types every value, names the
 input paths and fills ``TrainConfig``. A setting's key is its flag with
-``-`` replaced by ``_``.
+``-`` replaced by ``_``. A subcommand takes only the settings its run reads:
+``--seed`` only where a run draws random numbers, model sizes only on
+``pretrain`` (``train`` takes them from its ``--part1`` checkpoint).
 
 Every run resolves its settings (defaults, then the --config YAML file,
 then explicit flags), writes exactly one ``manifest.json`` into its
@@ -211,9 +213,9 @@ def write_run_manifest(subcommand: str, settings: dict, out_dir: Path) -> None:
 def _train_config(settings: dict) -> TrainConfig:
     """The settings named like ``TrainConfig`` fields (``lambda`` is
     ``cycle_weight``), range-checked by ``TrainConfig.check``."""
-    named = {"cycle_weight" if k == "lambda" else k: v for k, v in settings.items()}
-    cfg = TrainConfig(**{f.name: named[f.name] for f in fields(TrainConfig)
-                         if f.name in named})
+    keys = {f.name: f.name for f in fields(TrainConfig)} | {"cycle_weight": "lambda"}
+    cfg = TrainConfig(**{name: settings[key] for name, key in keys.items()
+                         if key in settings})
     cfg.check()
     return cfg
 
@@ -258,12 +260,8 @@ def run_pretrain(settings: dict, out_dir: Path) -> None:
 def run_train(settings: dict, out_dir: Path) -> None:
     manifest = Path(settings["manifest"])
     part1_path = Path(settings["part1"])
-    en_vocab_path = part1_path.parent / "vocab_en.txt"
-    if not en_vocab_path.is_file():
-        raise DataError(f"no vocab_en.txt next to {part1_path}; stage two needs "
-                        "an English stage-one run")
-    en_vocab = Vocabulary.load(en_vocab_path)
     captioner = load_captioner(part1_path)
+    en_vocab = _vocab_beside(part1_path, "en", captioner.dims.en_vocab)
     entries = read_manifest(manifest)
     de_vocab = Vocabulary.build([e.de_tokens for e in entries],
                                 min_freq=settings["min_freq"])
@@ -286,7 +284,10 @@ def _vocab_beside(ckpt: Path, lang: str, size: int) -> Vocabulary:
     """``vocab_<lang>.txt`` next to ``ckpt``, which must hold the ``size`` ids
     the checkpoint was trained with."""
     path = ckpt.parent / f"vocab_{lang}.txt"
-    vocab = Vocabulary.load(path)
+    try:
+        vocab = Vocabulary.load(path)
+    except FileNotFoundError as exc:
+        raise FormatError(f"{path}: no vocabulary file beside {ckpt}") from exc
     if len(vocab) != size:
         raise FormatError(f"{path}: {len(vocab)} ids, but {ckpt} has {size}")
     return vocab
@@ -321,8 +322,6 @@ def run_infer(settings: dict, out_dir: Path) -> None:
                     "de_truncated": res.de_truncated}
     else:
         decoder = model.decoder
-        if not (ckpt.parent / f"vocab_{field}.txt").is_file():
-            raise DataError(f"no vocab_{field}.txt next to {ckpt}")
         vocab = _vocab_beside(ckpt, field, model.dims.en_vocab)
 
         def decode(entry):
@@ -429,13 +428,15 @@ TRAIN = (
     Option("max-epochs", int, 50, "maximum training epochs"),
     Option("patience", int, 20, "early-stop patience on validation CIDEr"),
     Option("dropout", float, 0.5, "dropout rate in training mode"),
+    Option("validate-every", int, 1, "epochs between validation decodes"),
+    Option("target-nll", float, None,
+           "stop once per-token train loss drops below this"),
+)
+SIZES = (
     Option("proj-dim", int, 64, "projected image feature size"),
     Option("embed-dim", int, 64, "word embedding size"),
     Option("hidden-dim", int, 64, "recurrent hidden size"),
     Option("attn-dim", int, 64, "attention scorer hidden size"),
-    Option("validate-every", int, 1, "epochs between validation decodes"),
-    Option("target-nll", float, None,
-           "stop once per-token train loss drops below this"),
 )
 MANIFEST = Option("manifest", str, None, "dataset manifest (jsonl)", True)
 MIN_FREQ = Option("min-freq", int, 5, "vocabulary frequency cutoff")
@@ -456,17 +457,17 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
                "which caption field to train on (en, or de for the "
                "single-stage baseline)"),
         MIN_FREQ,
-    ) + TRAIN),
+    ) + TRAIN + SIZES),
     "train": (run_train, "train the German stage against a pretrained captioner",
               SEED + (
         MANIFEST,
-        Option("part1", str, None, "stage-one checkpoint (vocab file alongside)",
+        Option("part1", str, None, "stage-one checkpoint (sizes; vocab file alongside)",
                True),
         Option("lambda", float, 1.0, "cycle-consistency loss weight"),
         Option("freeze-part1", bool, False, "keep stage-one parameters fixed"),
         MIN_FREQ,
     ) + TRAIN),
-    "infer": (run_infer, "decode captions for a manifest", SEED + (
+    "infer": (run_infer, "decode captions for a manifest", (
         Option("checkpoint", str, None, "bundle or captioner checkpoint", True),
         MANIFEST,
         Option("beam-size", positive_int, 3, "beam width"),
@@ -474,13 +475,13 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
         Option("caption-field", str, "en",
                "output field for captioner-only checkpoints"),
     )),
-    "eval": (run_eval, "score decoded captions", SEED + (
+    "eval": (run_eval, "score decoded captions", (
         Option("candidates", str, None, "captions.jsonl from infer", True),
         Option("manifest", str, None, "reference manifest", True),
         Option("field", str, "de", "caption field to score"),
         Option("model-name", str, "model", "label for the report row"),
     )),
-    "attn-export": (run_attn_export, "export attention heatmaps", SEED + (
+    "attn-export": (run_attn_export, "export attention heatmaps", (
         Option("checkpoint", str, None, "bundle checkpoint", True),
         MANIFEST,
         Option("grid-rows", int, 4, "heatmap rows (rows*cols = regions)"),

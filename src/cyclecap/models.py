@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -265,9 +265,9 @@ class ModelBundle:
             raise DataError("bundle needs a German vocabulary (>= 4 reserved ids + 1)")
         self.dims = dims
         self.captioner = captioner if captioner is not None else ImageCaptioner(dims, seed)
-        if self.captioner.dims.proj_dim != dims.proj_dim \
-                or self.captioner.dims.hidden_dim != dims.hidden_dim:
-            raise DimensionError("captioner dims do not match bundle dims")
+        if replace(self.captioner.dims, de_vocab=dims.de_vocab) != dims:
+            raise DimensionError(f"captioner dims {self.captioner.dims} do not "
+                                 f"match bundle dims {dims}")
         rng = np.random.default_rng(seed)
         self.cap_encoder = CaptionEncoder(rng, dims.en_vocab, dims, "cap_encoder")
         self.de_decoder = DualAttentionDecoder(rng, dims.de_vocab, dims, "de_decoder")

@@ -20,7 +20,7 @@ are restored at the end.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +40,7 @@ from .tensor import Tape, Tensor, add, pick, scale, stack, sum_all
 
 @dataclass
 class TrainConfig:
-    """Optimizer, regularization and schedule knobs plus model sizes.
+    """Training knobs plus stage one's model sizes (stage two has its captioner's).
 
     ``cycle_weight`` scales the consistency penalty; 0 disables it entirely
     (the dual-attention baseline is exactly that configuration, sharing every
@@ -307,7 +307,7 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     feature_dim = captioner.dims.feature_dim
     for r in triples:
         check_feature_dim(r.image_id, r.features, feature_dim)
-    dims = cfg.dims(feature_dim, len(en_vocab), len(de_vocab))
+    dims = replace(captioner.dims, de_vocab=len(de_vocab))
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical
     part1 = ImageCaptioner(captioner.dims, cfg.seed)

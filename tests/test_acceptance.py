@@ -126,8 +126,10 @@ def test_criterion_05_overfit_reproduction():
 
 TINY_CLI = ["--min-freq", "1", "--max-epochs", "2", "--patience", "2",
             "--dropout", "0.0", "--batch-size", "8", "--learning-rate", "2e-3",
-            "--proj-dim", "16", "--embed-dim", "16", "--hidden-dim", "16",
-            "--attn-dim", "16", "--validate-every", "5"]
+            "--validate-every", "5"]
+# stage one's sizes; train builds stage two at the sizes of its --part1
+TINY_SIZES = ["--proj-dim", "16", "--embed-dim", "16", "--hidden-dim", "16",
+              "--attn-dim", "16"]
 
 
 def test_criterion_06_baseline_is_exact_special_case(tmp_path):
@@ -138,7 +140,8 @@ def test_criterion_06_baseline_is_exact_special_case(tmp_path):
                          "--n-images", "8"]) == 0
         part1 = tmp_path / "part1"
         assert cli_main(["pretrain", "--manifest", str(data / "manifest.jsonl"),
-                         "--out-dir", str(part1), "--seed", "5", *TINY_CLI]) == 0
+                         "--out-dir", str(part1), "--seed", "5", *TINY_CLI,
+                         *TINY_SIZES]) == 0
 
         def train(tag, lam):
             out = tmp_path / tag
@@ -274,7 +277,8 @@ def test_criterion_10_manifest_reruns_are_byte_identical(tmp_path):
                          "--n-images", "6"]) == 0
         part1 = tmp_path / "part1"
         assert cli_main(["pretrain", "--manifest", str(data / "manifest.jsonl"),
-                         "--out-dir", str(part1), "--seed", "2", *TINY_CLI]) == 0
+                         "--out-dir", str(part1), "--seed", "2", *TINY_CLI,
+                         *TINY_SIZES]) == 0
         part2 = tmp_path / "part2"
         assert cli_main(["train", "--manifest", str(data / "manifest.jsonl"),
                          "--part1", str(part1 / "part1.ckpt"),

@@ -1,7 +1,10 @@
 import json
 import shutil
 import struct
+from collections.abc import Mapping
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +12,10 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclecap import checks
 from cyclecap.cli import SUBCOMMANDS, main
 from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
-from cyclecap.models import load_bundle, save_bundle
+from cyclecap.models import load_bundle, load_captioner, save_bundle
 
 from conftest import FUZZ, bit_flips, truncations
 
@@ -22,8 +26,10 @@ def run(*argv):
 
 TINY_TRAIN = ["--min-freq", "1", "--max-epochs", "2", "--patience", "2",
               "--dropout", "0.0", "--batch-size", "8", "--learning-rate", "2e-3",
-              "--proj-dim", "16", "--embed-dim", "16", "--hidden-dim", "16",
-              "--attn-dim", "16", "--validate-every", "5"]
+              "--validate-every", "5"]
+# stage one's sizes; train builds stage two at the sizes of its --part1
+TINY_SIZES = ["--proj-dim", "16", "--embed-dim", "16", "--hidden-dim", "16",
+              "--attn-dim", "16"]
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +41,7 @@ def pipeline(tmp_path_factory):
                "--n-images", "8") == 0
     part1 = root / "part1"
     assert run("pretrain", "--manifest", str(data / "manifest.jsonl"),
-               "--out-dir", str(part1), "--seed", "3", *TINY_TRAIN) == 0
+               "--out-dir", str(part1), "--seed", "3", *TINY_TRAIN, *TINY_SIZES) == 0
     part2 = root / "part2"
     assert run("train", "--manifest", str(data / "manifest.jsonl"),
                "--part1", str(part1 / "part1.ckpt"),
@@ -65,6 +71,11 @@ def test_train_outputs(pipeline):
     assert (part2 / "bundle.ckpt").is_file()
     assert (part2 / "vocab_en.txt").is_file()
     assert (part2 / "vocab_de.txt").is_file()
+    # trained with no size flag, at the sizes of the 16-wide part 1
+    dims = load_bundle(part2 / "bundle.ckpt").dims
+    part1_dims = load_captioner(pipeline / "part1" / "part1.ckpt").dims
+    assert dims == replace(part1_dims, de_vocab=dims.de_vocab)
+    assert dims.hidden_dim == 16
 
 
 def test_infer_and_eval(pipeline, tmp_path):
@@ -124,7 +135,7 @@ def test_captioner_only_inference(pipeline, tmp_path):
     soft = tmp_path / "soft-attn"
     assert run("pretrain", "--manifest", str(data / "manifest.jsonl"),
                "--caption-field", "de", "--out-dir", str(soft), "--seed", "3",
-               *TINY_TRAIN) == 0
+               *TINY_TRAIN, *TINY_SIZES) == 0
     decoded = tmp_path / "decoded"
     assert run("infer", "--checkpoint", str(soft / "part1.ckpt"),
                "--manifest", str(data / "manifest.jsonl"),
@@ -157,7 +168,8 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("subcommand, flag, value", [
-    *((sub, "--seed", "-1") for sub in SUBCOMMANDS),
+    *((sub, "--seed", "-1") for sub, (_, _, options) in SUBCOMMANDS.items()
+      if any(opt.flag == "seed" for opt in options)),
     ("oracle-check", "--trials", "0"),
     ("attn-export", "--limit", "0"),
     ("attn-export", "--limit", "-1"),
@@ -168,6 +180,61 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, subcommand, flag, va
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    *(("train", f"--{size}-dim") for size in ("proj", "embed", "hidden", "attn")),
+    *((sub, "--seed") for sub in ("infer", "eval", "attn-export")),
+])
+def test_flag_the_run_would_not_read_is_usage_error(tmp_path, capsys, subcommand,
+                                                    flag):
+    with pytest.raises(SystemExit) as exc:
+        run(subcommand, "--out-dir", str(tmp_path), flag, "16")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
+
+
+class ReadRecorder(Mapping):
+    """A settings mapping that records which keys a runner reads."""
+
+    def __init__(self, values: dict):
+        self.values, self.read = values, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return self.values[key]
+
+    def __contains__(self, key):  # Mapping's would read the value
+        return key in self.values
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def test_every_subcommand_reads_every_option(pipeline, tmp_path, monkeypatch):
+    # an option no run reads is a setting no run can vary
+    monkeypatch.setattr(checks, "gradient_suite",
+                        lambda dims, seed: [checks.GradCheckResult("stub")])
+    monkeypatch.setattr(checks, "oracle_suite",
+                        lambda seed, trials: SimpleNamespace(ok=True, render=str))
+    recorded = {sub: json.loads((pipeline / run_dir / "manifest.json")
+                                .read_text())["settings"]
+                for sub, run_dir in (("synth-data", "data"), ("pretrain", "part1"),
+                                     ("train", "part2"))}
+    given = {"checkpoint": str(pipeline / "part2" / "bundle.ckpt"),
+             "manifest": str(pipeline / "data" / "manifest.jsonl"),
+             "candidates": str(tmp_path / "infer" / "captions.jsonl"),
+             "max_len": 3, "limit": 2}
+    for name, (runner, _, options) in SUBCOMMANDS.items():  # infer before eval
+        values = {opt.key: recorded.get(name, given).get(opt.key, opt.default)
+                  for opt in options}
+        settings = ReadRecorder(values)
+        (tmp_path / name).mkdir()
+        runner(settings, tmp_path / name)
+        assert settings.read == set(values), (name, set(values) - settings.read)
 
 
 def test_error_categories(tmp_path, capsys):
@@ -319,17 +386,6 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
                    "--out-dir", str(tmp_path / "replay")) == 5
         assert_clean_io_error(capsys, str(replay), repr(key))
 
-    # a vocabulary file one token short of the checkpoint's vocabulary
-    short = copy_bundle_dir(pipeline, tmp_path / "short-vocab")
-    tokens = (short / "vocab_de.txt").read_text(encoding="utf-8").splitlines()
-    (short / "vocab_de.txt").write_text("".join(t + "\n" for t in tokens[:-1]),
-                                        encoding="utf-8")
-    for subcommand in ("infer", "attn-export"):
-        assert run(subcommand, "--checkpoint", str(short / "bundle.ckpt"),
-                   "--manifest", str(manifest),
-                   "--out-dir", str(tmp_path / f"short-{subcommand}")) == 5
-        assert_clean_io_error(capsys, str(short / "vocab_de.txt"), "ids")
-
     # a corpus whose grids do not share one feature dim: batching stacks
     # the grids, so the odd one out is a data error naming the image
     mixed_rows = [json.loads(r) for r in rows[:4]]
@@ -387,6 +443,32 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ") and "Traceback" not in err
         assert f"caption-field must be en or de, got {field!r}" in err
+
+
+@pytest.mark.parametrize("subcommand, run_dir, ckpt, vocab", [
+    ("train", "part1", "--part1", "vocab_en.txt"),
+    ("infer", "part1", "--checkpoint", "vocab_en.txt"),
+    ("infer", "part2", "--checkpoint", "vocab_en.txt"),
+    ("infer", "part2", "--checkpoint", "vocab_de.txt"),
+    ("attn-export", "part2", "--checkpoint", "vocab_de.txt"),
+])
+@pytest.mark.parametrize("fault", ["missing", "one id short"])
+def test_vocabulary_beside_a_checkpoint_is_checked_alike(pipeline, tmp_path, capsys,
+                                                         subcommand, run_dir, ckpt,
+                                                         vocab, fault):
+    copy = shutil.copytree(pipeline / run_dir, tmp_path / run_dir)
+    if fault == "missing":
+        (copy / vocab).unlink()
+    else:
+        tokens = (copy / vocab).read_text(encoding="utf-8").splitlines()
+        (copy / vocab).write_text("".join(t + "\n" for t in tokens[:-1]),
+                                  encoding="utf-8")
+    checkpoint = copy / ("part1.ckpt" if run_dir == "part1" else "bundle.ckpt")
+    assert run(subcommand, ckpt, str(checkpoint),
+               "--manifest", str(pipeline / "data" / "manifest.jsonl"),
+               "--out-dir", str(tmp_path / "out")) == 5
+    assert_clean_io_error(capsys, str(copy / vocab), str(checkpoint))
+    assert not (tmp_path / "out" / "bundle.ckpt").exists()
 
 
 def replay_manifest(path: Path, subcommand: str, **settings) -> Path:
@@ -448,20 +530,38 @@ def compare_trees(a: Path, b: Path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def with_stale_keys(manifest: Path, to: Path, **stale) -> Path:
+    """A copy of the run manifest whose settings also hold ``stale``."""
+    stored = json.loads(manifest.read_text())
+    stored["settings"].update(stale)
+    to.write_text(json.dumps(stored), encoding="utf-8")
+    return to
+
+
 def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
     part2 = pipeline / "part2"
-    # manifests written before the --threads and --squared-cycle options were
-    # removed carry them
-    stored = json.loads((part2 / "manifest.json").read_text())
-    stored["settings"]["threads"] = 1
-    stored["settings"]["squared_cycle"] = False
-    with_threads = tmp_path / "threads-manifest.json"
-    with_threads.write_text(json.dumps(stored), encoding="utf-8")
-    for i, replayed in enumerate((part2 / "manifest.json", with_threads)):
+    # manifests written before options were removed carry them: --threads,
+    # --squared-cycle, train's model sizes and --seed on infer
+    stale = with_stale_keys(part2 / "manifest.json", tmp_path / "stale-train.json",
+                            threads=1, squared_cycle=False, proj_dim=64,
+                            embed_dim=8, hidden_dim=16, attn_dim=12)
+    for i, replayed in enumerate((part2 / "manifest.json", stale)):
         rerun = tmp_path / f"part2-rerun{i}"
         assert run("train", "--from-manifest", str(replayed),
                    "--out-dir", str(rerun)) == 0
         compare_trees(part2, rerun)
+
+    decoded = tmp_path / "decoded"
+    assert run("infer", "--checkpoint", str(part2 / "bundle.ckpt"),
+               "--manifest", str(pipeline / "data" / "manifest.jsonl"),
+               "--beam-size", "2", "--max-len", "5", "--out-dir", str(decoded)) == 0
+    stale = with_stale_keys(decoded / "manifest.json", tmp_path / "stale-infer.json",
+                            seed=1)
+    assert run("infer", "--from-manifest", str(stale),
+               "--out-dir", str(tmp_path / "decoded-rerun")) == 0
+    compare_trees(decoded, tmp_path / "decoded-rerun")
+    assert json.loads((tmp_path / "decoded-rerun" / "manifest.json")
+                      .read_text())["settings"]["seed"] == 1  # kept as recorded
 
 
 

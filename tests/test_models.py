@@ -1,12 +1,13 @@
 import hashlib
 import struct
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cyclecap.checks import check_gradients
 from cyclecap.data import FeatureGrid, TripleRecord
-from cyclecap.errors import DataError, FormatError, NumericError
+from cyclecap.errors import DataError, DimensionError, FormatError, NumericError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, init_state,
                              load_bundle, load_captioner, load_checkpoint,
@@ -235,6 +236,19 @@ def test_bundle_checkpoint_roundtrip_and_kind_check(tmp_path):
         np.testing.assert_array_equal(loaded.named_parameters()[name].data, p.data)
     with pytest.raises(FormatError, match="captioner"):
         load_captioner(path)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)
+                                  if f.name != "de_vocab"])
+def test_bundle_rejects_a_captioner_of_other_dims(name):
+    # one dims header rebuilds both networks on load, so every shared size
+    # must agree
+    captioner = tiny_captioner(seed=22)
+    dims = replace(captioner.dims, de_vocab=9)
+    ModelBundle(dims, 0, captioner=captioner)
+    other = replace(dims, **{name: getattr(dims, name) + 1})
+    with pytest.raises(DimensionError, match="captioner dims"):
+        ModelBundle(other, 0, captioner=captioner)
 
 
 def test_checkpoint_rejects_architecture_mismatch(tmp_path):

@@ -25,7 +25,7 @@ def test_single_step_with_unit_gradient_moves_by_learning_rate():
 
 def test_constant_gradient_hand_steps():
     p = Parameter([0.0], "p")
-    adam = Adam({"p": p}, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    adam = Adam({"p": p}, lr=0.1)  # beta1 0.9, beta2 0.999, eps 1e-8
     m = v = 0.0
     theta = 0.0
     for t in range(1, 6):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cyclecap.data import PAD_ID, Vocabulary, pairs_from_triples
 from cyclecap.errors import ConfigError, DataError, DimensionError
+from cyclecap.models import load_bundle, save_bundle
 from cyclecap.tensor import Tensor, log_softmax
 from cyclecap.training import TrainConfig, nll_loss, pretrain_part1, train_part2
 
@@ -180,6 +182,20 @@ def test_unfrozen_part1_adapts_under_cycle_loss(small_corpus):
     changed = [k for k, p in bundle.part1_parameters().items()
                if p.data.tobytes() != before[k].tobytes()]
     assert changed
+
+
+def test_stage_two_takes_its_sizes_from_the_captioner(tmp_path, small_corpus):
+    # the config's sizes are stage one's; a bundle built at others would not load
+    triples, en_vocab, de_vocab, _ = small_corpus
+    captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 32,
+                                  quick_cfg(max_epochs=1, patience=1))
+    cfg2 = quick_cfg(max_epochs=1, patience=1, embed_dim=8, attn_dim=12)
+    bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
+    assert bundle.dims == replace(captioner.dims, de_vocab=len(de_vocab))
+    save_bundle(bundle, tmp_path / "bundle.ckpt")
+    loaded = load_bundle(tmp_path / "bundle.ckpt").named_parameters()
+    for name, p in bundle.named_parameters().items():
+        assert loaded[name].data.tobytes() == p.data.tobytes(), name
 
 
 def test_patience_zero_stops_after_first_non_improving_epoch(small_corpus):
