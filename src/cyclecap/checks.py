@@ -306,15 +306,16 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     triples = [_make_triple(rng, p, p["regions"], p["seq"], "chk0"),
                _make_triple(rng, p, p["regions"] - 1, p["seq"] - 1, "chk1")]
     captioner = ImageCaptioner(dims, seed)
-    bundle = ModelBundle(dims, seed, captioner=captioner)
+    bundle = ModelBundle(captioner, p["vocab"], seed)
     for tag, batch in (("", make_batch(triples[:1])), ("-b2", make_batch(triples))):
 
         def captioner_loss(batch=batch):
             decoder = captioner.decoder
-            logps, (region_rows,) = unroll(
+            states, (region_rows,) = unroll(
                 decoder, decoder.start([captioner.project(batch.features)],
                                        [batch.region_mask]), batch.en_ids)
-            loss, _ = nll_loss(logps, batch.en_ids[:, 1:], batch.en_mask[:, 1:])
+            loss, _ = nll_loss(decoder.emit(states), batch.en_ids[:, 1:],
+                               batch.en_mask[:, 1:])
             return add(loss, sum_all(region_rows))
 
         results.append(check_gradients(f"models/captioner-nll{tag}", captioner_loss,

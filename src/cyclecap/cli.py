@@ -12,7 +12,10 @@ then explicit flags), writes exactly one ``manifest.json`` into its
 --out-dir recording those settings plus content hashes of the input files,
 and can be replayed byte-for-byte with ``--from-manifest``. A replay takes
 its settings from the manifest alone: --config or a setting flag beside it
-is a config error.
+is a config error. It re-hashes the recorded input files first: one that
+changed or went missing since the run is an io error (exit 5) naming the
+file and both digests. The vocabulary files read beside a checkpoint are
+not recorded, so a replay does not check them.
 
 A value is read with its option's type wherever it comes from: a flag
 (usage error, exit 2), a config file (exit 2) or a manifest (exit 5).
@@ -159,16 +162,34 @@ def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> 
     return settings
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _digest(path: Path) -> str:
+    """An input file's sha256, or "missing"."""
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else "missing"
+
+
+def _check_inputs(path, stored: dict) -> None:
+    """Re-hash every input file a run manifest records; one that changed or
+    went missing since is a FormatError naming the file and both digests.
+    A manifest without ``inputs`` is taken as it is."""
+    inputs = stored.get("inputs", {})
+    if not isinstance(inputs, dict) or not all(isinstance(v, str)
+                                               for v in inputs.values()):
+        raise FormatError(f"{path}: 'inputs' must map input paths to digests, "
+                          f"got {inputs!r}")
+    for name, recorded in inputs.items():
+        now = _digest(Path(name))
+        if now != recorded:
+            raise FormatError(f"{path}: input {name} has changed since the run: "
+                              f"recorded {recorded}, now {now}")
 
 
 def _replayed_settings(args: argparse.Namespace,
                        options: tuple[Option, ...]) -> dict:
     """The settings recorded in the ``--from-manifest`` file, which must hold
     every option of the subcommand; keys of removed options are kept as
-    recorded (``RETIRED`` ones only when off). --config or a setting flag
-    beside it is a ConfigError."""
+    recorded (``RETIRED`` ones only when off). Its recorded input files must
+    still hash as they did. --config or a setting flag beside it is a
+    ConfigError."""
     given = [f"--{opt.flag}" for opt in options if getattr(args, opt.key) is not None]
     if args.config:
         given.insert(0, "--config")
@@ -195,6 +216,7 @@ def _replayed_settings(args: argparse.Namespace,
     missing = [opt.key for opt in options if opt.key not in settings]
     if missing:
         raise FormatError(f"{path}: settings lack {', '.join(map(repr, missing))}")
+    _check_inputs(path, stored)
     return {**settings, **{opt.key: opt.read(settings[opt.key], path, FormatError)
                            for opt in options}}
 
@@ -204,7 +226,7 @@ def write_run_manifest(subcommand: str, settings: dict, out_dir: Path) -> None:
     for opt in SUBCOMMANDS[subcommand][2]:
         if opt.required and settings.get(opt.key):
             p = Path(settings[opt.key])
-            inputs[str(p)] = _sha256(p) if p.is_file() else "missing"
+            inputs[str(p)] = _digest(p)
     payload = {"subcommand": subcommand, "settings": settings, "inputs": inputs}
     (out_dir / "manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")

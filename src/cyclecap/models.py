@@ -13,9 +13,11 @@
 ``start(rows, masks)`` takes one row tensor and one mask per head and
 returns ``(keys, state)``: the key rows each head attends over, projected
 once per sequence, and the initial LSTM state, from head 0's rows (the
-regions). ``step(keys, state, y_prev)`` returns ``(log_probs, state,
-weights)`` with one attention-weight row per head.
-``unroll`` teacher-forces either decoder over a caption, and
+regions). ``recur(keys, state, embedded)`` runs the heads and the LSTM and
+returns ``(state, weights)``, one attention-weight row per head; ``emit(h)``
+maps hidden states of any leading shape to log-probs. The decode step
+``step(keys, state, y_prev)`` is an embedding lookup, ``recur`` and ``emit``.
+``unroll`` teacher-forces either decoder's recurrence over a caption, and
 ``stage2_forward`` is the one teacher-forced pass of the German stage;
 ``teacher_forced_records`` runs it over a batch of gold triples.
 
@@ -143,17 +145,27 @@ class AttentionDecoder:
         return tuple(head.prepare(r, m) for head, r, m
                      in zip(self.heads, rows, masks, strict=True)), state
 
-    def step(self, keys: Keys, state: State, y_prev: np.ndarray, *,
-             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
-        """One decode step for B records from their (B,) previous ids; returns
-        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head)."""
+    def recur(self, keys: Keys, state: State, embedded: Tensor
+              ) -> tuple[State, tuple[Tensor, ...]]:
+        """One step's heads and LSTM from B records' (B, embed) previous-word
+        embeddings: (new (h, c), one (B, K) weight row per head)."""
         h, c = state
         attended = [attend(head, k, h) for head, k in zip(self.heads, keys)]
-        h, c = lstm_step(self.lstm, [a.context for a in attended]
-                         + [embedding_lookup(self.embedding, y_prev)], h, c)
-        pre = dropout(h, dropout_rate, rng) if dropout_rate > 0.0 else h
-        logits = add(matmul(pre, self.w_out), self.b_out)
-        return log_softmax(logits), (h, c), tuple(a.weights for a in attended)
+        state = lstm_step(self.lstm, [a.context for a in attended] + [embedded], h, c)
+        return state, tuple(a.weights for a in attended)
+
+    def emit(self, h: Tensor, *, dropout_rate: float = 0.0,
+             rng: np.random.Generator | None = None) -> Tensor:
+        """(..., vocab) log-probs of (..., hidden) states, after dropout at
+        ``dropout_rate`` drawn from ``rng``."""
+        return log_softmax(add(matmul(dropout(h, dropout_rate, rng), self.w_out),
+                               self.b_out))
+
+    def step(self, keys: Keys, state: State, y_prev: np.ndarray):
+        """One decode step for B records from their (B,) previous ids; returns
+        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head)."""
+        state, weights = self.recur(keys, state, embedding_lookup(self.embedding, y_prev))
+        return self.emit(state[0]), state, weights
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}
@@ -260,17 +272,14 @@ class ModelBundle:
 
     kind = "bundle"
 
-    def __init__(self, dims: ModelDims, seed: int, captioner: ImageCaptioner | None = None):
-        if dims.de_vocab < 5:
+    def __init__(self, captioner: ImageCaptioner, de_vocab: int, seed: int):
+        if de_vocab < 5:
             raise DataError("bundle needs a German vocabulary (>= 4 reserved ids + 1)")
-        self.dims = dims
-        self.captioner = captioner if captioner is not None else ImageCaptioner(dims, seed)
-        if replace(self.captioner.dims, de_vocab=dims.de_vocab) != dims:
-            raise DimensionError(f"captioner dims {self.captioner.dims} do not "
-                                 f"match bundle dims {dims}")
+        self.captioner = captioner
+        self.dims = dims = replace(captioner.dims, de_vocab=de_vocab)
         rng = np.random.default_rng(seed)
         self.cap_encoder = CaptionEncoder(rng, dims.en_vocab, dims, "cap_encoder")
-        self.de_decoder = DualAttentionDecoder(rng, dims.de_vocab, dims, "de_decoder")
+        self.de_decoder = DualAttentionDecoder(rng, de_vocab, dims, "de_decoder")
 
     def named_parameters(self) -> dict[str, Parameter]:
         out = self.captioner.named_parameters()
@@ -291,45 +300,44 @@ class ModelBundle:
 # Teacher-forced unrolling
 # ---------------------------------------------------------------------------
 
-def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray, *,
-           dropout_rate: float = 0.0, rng: np.random.Generator | None = None
-           ) -> tuple[list[Tensor], list[Tensor]]:
-    """Teacher-force a decoder from ``start = decoder.start(...)`` over a
-    batch of captions.
+def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray
+           ) -> tuple[Tensor, list[Tensor]]:
+    """Teacher-force a decoder's recurrence from ``start = decoder.start(...)``
+    over a batch of captions.
 
     ``ids`` is the (B, T + 1) matrix of BOS..EOS rows, PAD-padded; step t
-    conditions on ids[:, t] and predicts ids[:, t + 1]. Returns the T
-    (B, vocab) log-prob matrices (EOS included) and, per attention head, its
-    (B, T, K) weights. Steps past a record's EOS run on padding; their
-    outputs are masked by whoever reads them.
+    conditions on ids[:, t] (all looked up at once) and its state predicts
+    ids[:, t + 1]. Returns the (T, B, hidden) states, for one ``emit``, and
+    per head its (B, T, K) weights. Steps past a record's EOS run on
+    padding; their outputs are masked by whoever reads them.
     """
     keys, state = start
-    logp_rows, weight_rows = [], []
-    for t in range(ids.shape[1] - 1):
-        logp, state, weights = decoder.step(keys, state, ids[:, t],
-                                            dropout_rate=dropout_rate, rng=rng)
-        logp_rows.append(logp)
+    embedded = unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T))
+    hidden, weight_rows = [], []
+    for x in embedded:
+        state, weights = decoder.recur(keys, state, x)
+        hidden.append(state[0])
         weight_rows.append(weights)
-    return logp_rows, [stack(rows, axis=1) for rows in zip(*weight_rows)]
+    return stack(hidden), [stack(rows, axis=1) for rows in zip(*weight_rows)]
 
 
 def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
                    dropout_rate: float = 0.0, freeze_part1: bool = False,
                    rng: np.random.Generator | None = None
-                   ) -> tuple[list[Tensor], tuple[Tensor, Tensor, Tensor] | None]:
+                   ) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor] | None]:
     """Teacher-forced stage-two pass over a batch of triples.
 
     The caption encoder reads the English targets (content plus EOS, BOS
     dropped), so its state count matches the English attention rows. The
     German decoder is unrolled over ``de_ids``; with ``english`` the English
-    decoder is then unrolled over ``en_ids``. Returns the German log-prob
-    matrices and, with ``english``, the (B, M, L) de_to_regions, (B, M, N)
-    de_to_en and (B, N, L) en_to_regions attention tensors, else None.
+    decoder's recurrence is then unrolled over ``en_ids``, for attention only.
+    Returns the (T, B, de_vocab) German log-probs and, with ``english``, the
+    (B, M, L) de_to_regions, (B, M, N) de_to_en and (B, N, L) en_to_regions
+    attention tensors, else None.
 
-    ``dropout_rate`` applies to both decoders, drawn from ``rng``. With
-    ``freeze_part1`` the English decoder runs without dropout, and the
-    projected regions and English attention rows enter the graph as
-    constants, so no gradient reaches part 1.
+    ``dropout_rate`` applies to the German output layer only, drawn from
+    ``rng``. With ``freeze_part1`` the projected regions and English
+    attention rows enter the graph as constants, so part 1 gets no gradient.
     """
     regions = bundle.captioner.project(batch.features)
     if freeze_part1:
@@ -337,15 +345,15 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     cap_mask = batch.en_mask[:, 1:]
     cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
     de_decoder = bundle.de_decoder
-    de_logps, (de_to_regions, de_to_en) = unroll(
+    de_states, (de_to_regions, de_to_en) = unroll(
         de_decoder, de_decoder.start([regions, cap_states], [batch.region_mask, cap_mask]),
-        batch.de_ids, dropout_rate=dropout_rate, rng=rng)
+        batch.de_ids)
+    de_logps = de_decoder.emit(de_states, dropout_rate=dropout_rate, rng=rng)
     if not english:
         return de_logps, None
     en_decoder = bundle.captioner.decoder
     _, (en_to_regions,) = unroll(
-        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids,
-        dropout_rate=0.0 if freeze_part1 else dropout_rate, rng=rng)
+        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids)
     if freeze_part1:
         en_to_regions = Tensor(en_to_regions.data)
     return de_logps, (de_to_regions, de_to_en, en_to_regions)
@@ -480,16 +488,15 @@ def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
     save_checkpoint(path, bundle.kind, bundle.dims, bundle.named_parameters())
 
 
-MODEL_KINDS = {cls.kind: cls for cls in (ImageCaptioner, ModelBundle)}
-
-
 def load_model(path: Path | str) -> ImageCaptioner | ModelBundle:
-    """The model a checkpoint holds, built as the kind its header names from
-    one read of the file."""
+    """The model a checkpoint holds, from one read of the file: a captioner,
+    wrapped into a bundle for kind ``bundle``."""
     kind, dims, arrays = load_checkpoint(path)
-    if kind not in MODEL_KINDS:
+    if kind not in (ImageCaptioner.kind, ModelBundle.kind):
         raise FormatError(f"{path}: unknown checkpoint kind {kind!r}")
-    model = MODEL_KINDS[kind](dims, seed=0)
+    model = ImageCaptioner(dims, seed=0)
+    if kind == ModelBundle.kind:
+        model = ModelBundle(model, dims.de_vocab, seed=0)
     load_into(model.named_parameters(), arrays)
     return model
 

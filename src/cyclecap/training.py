@@ -9,7 +9,9 @@ and the mean per-record loss drives one optimizer step. Masks, not padding
 values, decide what counts: the likelihood skips PAD targets, attention
 gives padded keys weight 0, and the cycle loss skips padded German steps,
 so a batch's loss and gradients are the sums of its records' at B = 1, up
-to float summation order.
+to float summation order. A decoder maps a batch's states to log-probs in
+one output-layer pass, where dropout acts; stage two's English pass builds
+attention only.
 
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
@@ -20,7 +22,7 @@ are restored at the end.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,7 +37,7 @@ from .inference import beam_decode, caption_image, decoder_step_fn
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Tape, Tensor, add, pick, scale, stack, sum_all
+from .tensor import Tape, Tensor, add, pick, scale, sum_all
 
 
 @dataclass
@@ -118,22 +120,22 @@ class TrainReport:
                 fh.write(e.to_json() + "\n")
 
 
-def nll_loss(logprob_rows: Sequence[Tensor], targets: np.ndarray,
+def nll_loss(log_probs: Tensor, targets: np.ndarray,
              mask: np.ndarray) -> tuple[Tensor, int]:
     """Summed negative log-likelihood of a batch of targets.
 
-    ``logprob_rows[t]`` is the (B, vocab) log-prob matrix of step t,
-    ``targets`` the (B, T) ids it predicts and ``mask`` the (B, T) boolean
-    mask of real targets; padded positions are excluded from both the sum
-    and the token count.
+    ``log_probs`` is the time-major (T, B, vocab) log-prob tensor of an
+    unroll, ``targets`` the (B, T) ids it predicts and ``mask`` the (B, T)
+    boolean mask of real targets; padded positions are excluded from both
+    the sum and the token count.
     """
-    if len(logprob_rows) != targets.shape[1] or mask.shape != targets.shape:
-        raise DimensionError(f"{len(logprob_rows)} log-prob steps vs targets "
+    if log_probs.shape[:2] != targets.shape[::-1] or mask.shape != targets.shape:
+        raise DimensionError(f"log-probs {log_probs.shape} vs targets "
                              f"{targets.shape} and mask {mask.shape}")
     count = int(mask.sum())
     if not count:
         raise DataError("no real targets in batch")
-    picked = pick(stack(logprob_rows, axis=1), targets, mask)
+    picked = pick(log_probs, targets.T, mask.T)
     return scale(sum_all(picked), -1.0), count
 
 
@@ -283,8 +285,9 @@ def _captioner_loss(model: ImageCaptioner, batch: Batch, dropout: float = 0.0,
     """A batch's summed stage-one loss: (loss, nll value, token count, None)."""
     decoder = model.decoder
     start = decoder.start([model.project(batch.features)], [batch.region_mask])
-    logps, _ = unroll(decoder, start, batch.en_ids, dropout_rate=dropout, rng=rng)
-    loss, ntok = nll_loss(logps, batch.en_ids[:, 1:], batch.en_mask[:, 1:])
+    states, _ = unroll(decoder, start, batch.en_ids)
+    loss, ntok = nll_loss(decoder.emit(states, dropout_rate=dropout, rng=rng),
+                          batch.en_ids[:, 1:], batch.en_mask[:, 1:])
     return loss, loss.item(), ntok, None
 
 
@@ -307,13 +310,12 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     feature_dim = captioner.dims.feature_dim
     for r in triples:
         check_feature_dim(r.image_id, r.features, feature_dim)
-    dims = replace(captioner.dims, de_vocab=len(de_vocab))
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical
     part1 = ImageCaptioner(captioner.dims, cfg.seed)
     load_into(part1.named_parameters(),
               {k: p.data for k, p in captioner.named_parameters().items()})
-    bundle = ModelBundle(dims, cfg.seed, captioner=part1)
+    bundle = ModelBundle(part1, len(de_vocab), cfg.seed)
 
     trainable = dict(bundle.part2_parameters())
     if not cfg.freeze_part1:
@@ -340,8 +342,9 @@ def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
     The German likelihood loss plus ``cycle_weight`` times the consistency
     loss over the three attention tensors of :func:`stage2_forward`, both
     summed over the records. With cycle_weight 0 the English pass and the
-    consistency graph are skipped entirely. ``dropout`` is drawn from
-    ``rng``; ``freeze_part1`` keeps part 1 out of the graph's gradients.
+    consistency graph are skipped entirely. ``dropout`` applies to the
+    German output layer, drawn from ``rng``; ``freeze_part1`` keeps part 1
+    out of the graph's gradients.
     """
     de_logps, attention = stage2_forward(
         bundle, batch, english=cycle_weight > 0.0, dropout_rate=dropout,

@@ -25,7 +25,8 @@ def make_corpus(seed=7, n_images=16, **kwargs):
 
 def tiny_bundle(seed=0, regions=3, feature_dim=3, en_vocab=8, de_vocab=9):
     cfg = TrainConfig(proj_dim=4, embed_dim=4, hidden_dim=4, attn_dim=4, seed=seed)
-    return ModelBundle(cfg.dims(feature_dim, en_vocab, de_vocab), seed)
+    return ModelBundle(ImageCaptioner(cfg.dims(feature_dim, en_vocab), seed), de_vocab,
+                       seed)
 
 
 def tiny_captioner(seed=0, feature_dim=3, vocab=8):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cyclecap.data import FeatureGrid, PairRecord, TripleRecord, make_batch
-from cyclecap.models import ModelBundle
+from cyclecap.models import ImageCaptioner, ModelBundle
 from cyclecap.tensor import Tape
 from cyclecap.training import TrainConfig, _captioner_loss, _stage2_loss
 
@@ -31,7 +31,7 @@ def triples(seed=0):
 
 def bundle(seed=3):
     cfg = TrainConfig(seed=seed, **DIMS)
-    return ModelBundle(cfg.dims(8, 10, 11), seed)
+    return ModelBundle(ImageCaptioner(cfg.dims(8, 10), seed), 11, seed)
 
 
 def loss_and_grads(build, params):

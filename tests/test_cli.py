@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import struct
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclecap import checks
-from cyclecap.cli import SUBCOMMANDS, main
+from cyclecap.cli import SUBCOMMANDS, main, write_run_manifest
 from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
 from cyclecap.models import load_bundle, load_captioner, save_bundle
 
@@ -562,6 +563,73 @@ def test_from_manifest_reruns_byte_identically(pipeline, tmp_path):
     compare_trees(decoded, tmp_path / "decoded-rerun")
     assert json.loads((tmp_path / "decoded-rerun" / "manifest.json")
                       .read_text())["settings"]["seed"] == 1  # kept as recorded
+    # a manifest that records no input hashes replays unchecked
+    stored = json.loads((decoded / "manifest.json").read_text())
+    del stored["inputs"]
+    unhashed = tmp_path / "unhashed-infer.json"
+    unhashed.write_text(json.dumps(stored), encoding="utf-8")
+    assert run("infer", "--from-manifest", str(unhashed),
+               "--out-dir", str(tmp_path / "decoded-unhashed")) == 0
+    compare_trees(decoded, tmp_path / "decoded-unhashed")
+
+
+REQUIRED_INPUTS = [pytest.param(name, opt.key, id=f"{name}-{opt.flag}")
+                   for name, (_, _, options) in SUBCOMMANDS.items()
+                   for opt in options if opt.required]
+
+
+@pytest.mark.parametrize("subcommand, key", REQUIRED_INPUTS)
+@pytest.mark.parametrize("fault", ["overwritten", "missing"])
+def test_replay_refuses_an_input_changed_since_the_run(pipeline, tmp_path, capsys,
+                                                       subcommand, key, fault):
+    options = SUBCOMMANDS[subcommand][2]
+    settings = {opt.key: opt.default for opt in options}
+    for opt in options:
+        if opt.required:
+            settings[opt.key] = str(shutil.copy(pipeline / "data" / "manifest.jsonl",
+                                                tmp_path / f"{opt.key}.input"))
+    write_run_manifest(subcommand, settings, tmp_path)
+    changed = Path(settings[key])
+    recorded = hashlib.sha256(changed.read_bytes()).hexdigest()
+    if fault == "missing":
+        changed.unlink()
+        now = "missing"
+    else:
+        changed.write_bytes(b"{}\n")
+        now = hashlib.sha256(b"{}\n").hexdigest()
+    out = tmp_path / "replay"
+    assert run(subcommand, "--from-manifest", str(tmp_path / "manifest.json"),
+               "--out-dir", str(out)) == 5
+    assert_clean_io_error(capsys, str(changed), recorded, now)
+    assert not (out / "manifest.json").exists()
+
+
+def test_eval_replay_after_its_candidates_changed_is_io_error(pipeline, tmp_path,
+                                                              capsys):
+    # such a replay used to score the new file: exit 0 with CIDEr 0.0
+    data = pipeline / "data"
+    assert run("infer", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(data / "manifest.jsonl"), "--beam-size", "1",
+               "--max-len", "5", "--out-dir", str(tmp_path / "decoded")) == 0
+    candidates = tmp_path / "decoded" / "captions.jsonl"
+    scored = tmp_path / "scored"
+    assert run("eval", "--candidates", str(candidates),
+               "--manifest", str(data / "manifest.jsonl"), "--out-dir", str(scored)) == 0
+    original = candidates.read_bytes()
+    rows = [json.loads(line) for line in original.splitlines()]
+    candidates.write_text("".join(json.dumps({**r, "de": ""}) + "\n" for r in rows),
+                          encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "--from-manifest", str(scored / "manifest.json"),
+               "--out-dir", str(tmp_path / "rescored")) == 5
+    assert_clean_io_error(capsys, str(candidates),
+                          hashlib.sha256(original).hexdigest(),
+                          hashlib.sha256(candidates.read_bytes()).hexdigest())
+    assert not (tmp_path / "rescored" / "metrics.json").exists()
+    candidates.write_bytes(original)
+    assert run("eval", "--from-manifest", str(scored / "manifest.json"),
+               "--out-dir", str(tmp_path / "rescored")) == 0
+    compare_trees(scored, tmp_path / "rescored")
 
 
 
@@ -611,6 +679,12 @@ NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
 BAD_SETTING = (st.lists(st.integers(), max_size=2)
                | st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=1)
                | st.text(alphabet="xyz", min_size=1, max_size=3))
+# a run manifest's ``inputs`` must map paths to digest strings
+BAD_INPUTS = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+              | st.lists(st.text(max_size=2), max_size=2)
+              | st.dictionaries(st.text(max_size=3),
+                                st.none() | st.integers() | st.lists(st.text(), max_size=1),
+                                min_size=1, max_size=2))
 
 
 def run_typed_failure(capsys, *argv) -> int:
@@ -739,7 +813,10 @@ def test_fuzzed_setting_value_is_typed_error(pipeline, tmp_path, capsys, data):
         cfg.write_text(yaml.safe_dump({opt.flag: value}), encoding="utf-8")
         argv, expected = ["--config", str(cfg)], 2
     else:
-        stored["settings"][opt.key] = value
+        if data.draw(st.booleans()):
+            stored["inputs"] = data.draw(BAD_INPUTS)
+        else:
+            stored["settings"][opt.key] = value
         replay = tmp_path / "manifest.json"
         replay.write_text(json.dumps(stored), encoding="utf-8")
         argv, expected = ["--from-manifest", str(replay)], 5

@@ -190,12 +190,12 @@ def test_geometry_and_token_validation(tmp_path):
 # --- alignment probe --------------------------------------------------------------
 
 def test_alignment_score_reads_planted_positions(small_corpus):
-    from cyclecap.models import ModelBundle
+    from cyclecap.models import ImageCaptioner, ModelBundle
     from cyclecap.training import TrainConfig
 
     triples, en_vocab, de_vocab, alignments = small_corpus
     cfg = TrainConfig(proj_dim=8, embed_dim=8, hidden_dim=8, attn_dim=8, seed=0)
-    bundle = ModelBundle(cfg.dims(32, len(en_vocab), len(de_vocab)), 0)
+    bundle = ModelBundle(ImageCaptioner(cfg.dims(32, len(en_vocab)), 0), len(de_vocab), 0)
     score = alignment_score(bundle, triples[:4], alignments)
     assert 0.0 <= score <= 1.0
     with pytest.raises(DataError):

@@ -1,20 +1,19 @@
 import hashlib
 import struct
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cyclecap.checks import check_gradients
-from cyclecap.data import FeatureGrid, TripleRecord
-from cyclecap.errors import DataError, DimensionError, FormatError, NumericError
+from cyclecap.data import PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
+from cyclecap.errors import DataError, FormatError, NumericError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, init_state,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
 from cyclecap.tensor import Parameter, Tape, Tensor, sum_all
-from cyclecap.training import nll_loss
+from cyclecap.training import _captioner_loss, nll_loss
 
 from _reference import (ref_captioner_sequence, ref_encode_caption,
                         ref_german_sequence)
@@ -50,9 +49,10 @@ def test_teacher_forced_loglik_matches_reference():
     grid = rand_grid(rng)
     ids = random_ids(rng, 8, 4)
     batch = np.array([ids])
-    logps, (rows,) = unroll(model.decoder,
-                            model.decoder.start([model.project(grid.values[None])]), batch)
-    loss, ntok = nll_loss(logps, batch[:, 1:], np.ones((1, len(ids) - 1), dtype=bool))
+    states, (rows,) = unroll(model.decoder,
+                             model.decoder.start([model.project(grid.values[None])]), batch)
+    loss, ntok = nll_loss(model.decoder.emit(states), batch[:, 1:],
+                          np.ones((1, len(ids) - 1), dtype=bool))
     ref_total, ref_rows = ref_captioner_sequence(model, grid.values, ids)
     assert ntok == len(ids) - 1
     assert loss.item() == pytest.approx(-ref_total, rel=1e-12)
@@ -142,8 +142,9 @@ def test_german_sequence_matches_reference():
     start = bundle.de_decoder.start([bundle.captioner.project(grid.values[None]),
                                      bundle.cap_encoder.encode(np.array([en_ids[1:]]))])
     batch = np.array([de_ids])
-    logps, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, batch)
-    loss, _ = nll_loss(logps, batch[:, 1:], np.ones((1, len(de_ids) - 1), dtype=bool))
+    states, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, batch)
+    loss, _ = nll_loss(bundle.de_decoder.emit(states), batch[:, 1:],
+                       np.ones((1, len(de_ids) - 1), dtype=bool))
     ref_total, ref_regions, ref_captions = ref_german_sequence(
         bundle, grid.values, en_ids, de_ids)
     assert loss.item() == pytest.approx(-ref_total, rel=1e-12)
@@ -183,6 +184,87 @@ def test_batched_teacher_forced_records_equal_single_records():
     assert batched[1].en_to_regions.shape == (2, 1)
     assert batched[2].de_to_en.shape == (2, 4)
     assert teacher_forced_records(bundle, []) == []
+
+
+# --- teacher forcing: recur per step, emit once ------------------------------
+
+def split_triples(batch_size):
+    """``batch_size`` triples; at 3 the second has fewer regions and the
+    third shorter captions, so the batch pads a region row and a caption."""
+    rng = np.random.default_rng(23)
+    shapes = [(4, 5, 4), (2, 5, 4), (4, 2, 1)][:batch_size]
+    return [TripleRecord(f"im{i}", rand_grid(rng, regions),
+                         random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
+            for i, (regions, en_len, de_len) in enumerate(shapes)]
+
+
+def decoder_setup(bundle, batch, which):
+    """(decoder, start, caption ids) of one decoder over a padded batch."""
+    regions = bundle.captioner.project(batch.features)
+    if which == "soft":
+        dec = bundle.captioner.decoder
+        return dec, dec.start([regions], [batch.region_mask]), batch.en_ids
+    cap_mask = batch.en_mask[:, 1:]
+    states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
+    dec = bundle.de_decoder
+    return (dec, dec.start([regions, states], [batch.region_mask, cap_mask]),
+            batch.de_ids)
+
+
+@pytest.mark.parametrize("which", ["soft", "dual"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_unroll_then_emit_equals_stepping(which, batch_size):
+    bundle = tiny_bundle(seed=24)
+    batch = make_batch(split_triples(batch_size))
+    if batch_size == 3:
+        assert not batch.region_mask.all() and batch.en_ids[2, -1] == PAD_ID
+    dec, start, ids = decoder_setup(bundle, batch, which)
+    states, weights = unroll(dec, start, ids)
+    log_probs = dec.emit(states)
+    assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.vocab_size)
+    keys, state = start
+    for t in range(ids.shape[1] - 1):
+        logp, state, step_weights = dec.step(keys, state, ids[:, t])
+        np.testing.assert_allclose(log_probs.data[t], logp.data, rtol=0, atol=1e-12)
+        for head, row in zip(weights, step_weights, strict=True):
+            np.testing.assert_allclose(head.data[:, t], row.data, rtol=0, atol=1e-12)
+
+
+def test_stage_one_dropout_is_one_mask_per_step():
+    # the reference steps the decoder and draws one (B, hidden) mask per
+    # step, in step order, from the same seed as the loss's one draw
+    bundle = tiny_bundle(seed=25)
+    cap = bundle.captioner
+    batch = make_batch([PairRecord(t.image_id, t.features, t.en_ids)
+                        for t in split_triples(3)])
+    loss = _captioner_loss(cap, batch, 0.5, np.random.default_rng(5))[0].item()
+    dec, rng = cap.decoder, np.random.default_rng(5)
+    keys, state = dec.start([cap.project(batch.features)], [batch.region_mask])
+    expected = 0.0
+    for t in range(batch.en_ids.shape[1] - 1):
+        _, state, _ = dec.step(keys, state, batch.en_ids[:, t])
+        h = state[0].data
+        logits = h * ((rng.random(h.shape) >= 0.5) / 0.5) @ dec.w_out.data + dec.b_out.data
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        for b in np.flatnonzero(batch.en_mask[:, t + 1]):
+            expected -= logp[b, batch.en_ids[b, t + 1]]
+    assert loss == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["soft", "dual"])
+def test_unroll_records_grow_by_heads_plus_one_per_step(which):
+    # per step one record per head and the LSTM step; the lookup, its split
+    # and the stacks are once per unroll
+    bundle = tiny_bundle(seed=26)
+    batch = make_batch(split_triples(3))
+    dec, start, _ = decoder_setup(bundle, batch, which)
+    counts = {}
+    for steps in (3, 7):
+        ids = np.random.default_rng(steps).integers(4, 8, size=(3, steps + 1))
+        with Tape() as tape:
+            unroll(dec, start, ids)
+        counts[steps] = len(tape)
+    assert counts[7] - counts[3] == 4 * (len(dec.heads) + 1)
 
 
 # --- init state ---------------------------------------------------------------
@@ -238,19 +320,6 @@ def test_bundle_checkpoint_roundtrip_and_kind_check(tmp_path):
         load_captioner(path)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(ModelDims)
-                                  if f.name != "de_vocab"])
-def test_bundle_rejects_a_captioner_of_other_dims(name):
-    # one dims header rebuilds both networks on load, so every shared size
-    # must agree
-    captioner = tiny_captioner(seed=22)
-    dims = replace(captioner.dims, de_vocab=9)
-    ModelBundle(dims, 0, captioner=captioner)
-    other = replace(dims, **{name: getattr(dims, name) + 1})
-    with pytest.raises(DimensionError, match="captioner dims"):
-        ModelBundle(other, 0, captioner=captioner)
-
-
 def test_checkpoint_rejects_architecture_mismatch(tmp_path):
     small = tiny_captioner(seed=20, vocab=8)
     big = tiny_captioner(seed=20, vocab=9)
@@ -286,7 +355,7 @@ def test_fresh_checkpoints_keep_their_bytes(tmp_path):
     """Entry names, shapes and every constructor's rng draw order are part of
     the checkpoint format: freshly built models must save to these bytes."""
     dims = ModelDims(feature_dim=32, en_vocab=20, de_vocab=22)
-    save_bundle(ModelBundle(dims, 3), tmp_path / "bundle.ckpt")
+    save_bundle(ModelBundle(ImageCaptioner(dims, 3), 22, 3), tmp_path / "bundle.ckpt")
     save_captioner(ImageCaptioner(dims, 3), tmp_path / "captioner.ckpt")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("bundle.ckpt", "captioner.ckpt")}

@@ -24,10 +24,11 @@ def quick_cfg(**kwargs):
 # --- loss -----------------------------------------------------------------------
 
 def batch_nll(rows, targets):
-    """nll_loss of one record: its (vocab,) log-prob rows as (1, vocab)
-    matrices, PAD targets masked."""
+    """nll_loss of one record: its (vocab,) log-prob rows stacked into a
+    (T, 1, vocab) tensor, PAD targets masked."""
     targets = np.array([targets])
-    return nll_loss([Tensor(r.data[None]) for r in rows], targets, targets != PAD_ID)
+    return nll_loss(Tensor(np.stack([r.data for r in rows])[:, None]), targets,
+                    targets != PAD_ID)
 
 
 def test_nll_zero_when_model_is_certain():
