@@ -7,9 +7,10 @@ decoder over English caption states), each with its own parameters.
 A decoder attends over the same key rows at every step, so the key side of
 the score, ``keys @ w_key + b``, is computed once per sequence by
 ``AttentionLayer.prepare`` (additive attention as in Bahdanau et al., 2015);
-each step adds only its query projection. The step itself, score, masked
-softmax and context, is one fused tape op, ``tensor.additive_attention``,
-with one backward rule for the weights and the context together.
+each step adds only its query projection. A decode step, score, masked
+softmax and context, is one fused op, ``tensor.additive_attention``, which
+records nothing; training attends inside ``tensor.decoder_unroll``, one
+record for every head over a whole teacher-forced caption.
 
 Keys come batched, (B, K, key_dim), with a (B, K) mask of real rows: records
 with fewer regions or shorter captions are padded, and their padded keys get
@@ -98,7 +99,8 @@ class AttentionOutput:
 
 
 def attend(layer: AttentionLayer, keys: AttentionKeys, query: Tensor) -> AttentionOutput:
-    """Score every key row against the query and mix the rows by softmax weight.
+    """Score every key row against the query and mix the rows by softmax
+    weight, for one decode step (it raises StateError under a tape).
 
     ``keys`` comes from ``layer.prepare``; query is (B, query_dim), one row
     per record. The projected keys are key-major, (K, B, attn_dim), so the

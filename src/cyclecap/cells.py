@@ -1,12 +1,20 @@
-"""LSTM and GRU cells on fused gate weights, each step one fused tape op.
+"""LSTM and GRU cells on fused gate weights, each step one fused op.
 
 Each cell keeps its gates side by side in one weight, so a step does one
 matmul for all gates, and the whole step, gates and state update, is one
-record on the tape (``tensor.lstm_cell``, ``tensor.gru_cell``) with one
-backward rule: the fusion of Appleyard et al., 2016, carried from the
-weights to the tape. At these sizes a step costs per op rather than per
-flop, so one record per step is what makes it cheap. Column block k of a
-fused weight or bias belongs to gate ``GATES[k]``.
+op: the fusion of Appleyard et al., 2016, carried from the weights to the
+tape. At these sizes a step costs per op rather than per flop, so one op
+per step is what makes it cheap. Column block k of a fused weight or bias
+belongs to gate ``GATES[k]``.
+
+* A GRU step (``tensor.gru_cell``) is one tape record with one backward
+  rule; the caption encoder trains through it.
+* An LSTM step (``lstm_step``, ``tensor.lstm_cell``) serves decoding only
+  and records nothing. Training runs the decoder's LSTM inside
+  ``tensor.decoder_unroll``, which goes one step further across time, as
+  Appleyard et al. do: the unroll is one record, its embedding inputs are
+  projected through their rows of the weight in one product, and each
+  weight gradient is one product over all T * B rows.
 
 * LSTM: one ``(input + hidden, 4 * hidden)`` weight applied to ``[x; h]``
   and one ``4 * hidden`` bias; gates i, f, o, g.
@@ -78,9 +86,9 @@ class LSTMParams(GatedParams):
 
 def lstm_step(p: LSTMParams, inputs: Sequence[Tensor], h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step on the input x, the concatenation of ``inputs`` (a
-    decoder's contexts and word embedding, joined with h_prev inside the
-    op); returns (h, c):
+    """One LSTM decode step on the input x, the concatenation of ``inputs``
+    (a decoder's contexts and word embedding, joined with h_prev inside the
+    op); returns (h, c). Decoding only: it raises StateError under a tape.
 
         a = [x; h_prev] @ w + b
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])

@@ -3,33 +3,33 @@ verification suites behind the gradcheck and oracle-check commands.
 
 ``check_gradients`` only ever evaluates forward passes, so it stays
 independent of the tape machinery it validates. The gradient suite drives
-every primitive, every fused op (each output's gradient, a zero-filled one
-included), both recurrent cells, the attention step, the consistency loss,
-and the composed stage-one and stage-two losses, at batch sizes 1 and 2,
-through it. The oracle suite exercises the hand-worked composed-attention
-example and the conditional-independence identity on random factorized
-joint tables.
+every primitive, every fused op that training records (each output's
+gradient, a zero-filled one included, and a teacher-forced unroll of each
+decoder kind), the GRU cell, the consistency loss, and the composed
+stage-one and stage-two losses, at batch sizes 1 and 2, through it. The
+oracle suite exercises the hand-worked composed-attention example and the
+conditional-independence identity on random factorized joint tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .attention import AttentionLayer, attend
-from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
+from .cells import GRUParams, gru_inputs, gru_step
 from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph,
                     factorized_joint, indirect_attention, record_from_joint,
                     toy_alignment_record)
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .models import ImageCaptioner, ModelBundle, ModelDims, init_state, unroll
-from .tensor import (Parameter, Tape, Tensor, add, additive_attention, batch_matmul,
-                     concat, dropout, embedding_lookup, frobenius, gru_cell,
-                     log_softmax, lstm_cell, masked_mean, masked_softmax, matmul, mul,
-                     pick, scale, stack, sub, sum_all, tanh, transpose, unstack)
+from .tensor import (Parameter, Tape, Tensor, add, batch_matmul, concat,
+                     decoder_unroll, dropout, embedding_lookup, frobenius, gru_cell,
+                     log_softmax, masked_mean, masked_softmax, matmul, mul, pick, scale,
+                     stack, sub, sum_all, tanh, transpose, unstack)
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -166,58 +166,54 @@ def _primitive_cases(rng: np.random.Generator):
 
 
 def _fused_cases(rng: np.random.Generator, p: dict):
-    """One scalar-valued graph per fused op, over a batch of two records, each
-    reading its outputs through random probes. One LSTM case reads h only,
-    so the rule sees a zero-filled gradient for c; the attention case masks
-    a key, and one ``unstack`` slice is left unused."""
-    hidden, embed = p["hidden"], p["embed"]
-    x1 = _p(rng, (2, embed), "x1")
-    x2 = _p(rng, (2, 2), "x2")
+    """One scalar-valued graph per fused training op, over a batch of two
+    records, each reading its outputs through random probes: the GRU step,
+    ``unstack`` with one slice left unused, and one ``decoder_unroll`` per
+    decoder kind, the soft decoder's head over regions and the dual
+    decoder's second head over caption states. In each unroll head record
+    0's last key is padding, masked out."""
+    hidden, embed, attn, steps, keys = p["hidden"], p["embed"], p["attn"], p["seq"], \
+        p["regions"]
     h = _p(rng, (2, hidden), "h")
-    c = _p(rng, (2, hidden), "c")
-    w = _p(rng, (embed + 2 + hidden, 4 * hidden), "w")
-    b = _p(rng, (4 * hidden,), "b")
     probe_h = _p(rng, (2, hidden), "probe_h")
-    probe_c = _p(rng, (2, hidden), "probe_c")
     xw = _p(rng, (2, 3 * hidden), "xw")
     u = _p(rng, (hidden, 3 * hidden), "u")
-    keys, attn = p["regions"], p["attn"]
-    projected = _p(rng, (keys, 2, attn), "projected")
-    rows = _p(rng, (2, keys, p["proj"]), "rows")
-    query = _p(rng, (2, hidden), "query")
-    w_query_t = _p(rng, (hidden, attn), "w_query_t")
-    combine = _p(rng, (attn,), "combine")
-    probe_w = _p(rng, (2, keys), "probe_w")
-    probe_ctx = _p(rng, (2, p["proj"]), "probe_ctx")
     seq = _p(rng, (3, 2, hidden), "seq")
     mask = np.ones((2, keys), dtype=bool)
-    mask[1, 0] = False
-    lstm = dict(x1=x1, x2=x2, h=h, c=c, w=w, b=b)
-
-    def lstm_loss(read_c: bool):
-        h_new, c_new = lstm_cell([x1, x2], h, c, w, b)
-        loss = sum_all(mul(h_new, probe_h))
-        return add(loss, sum_all(mul(c_new, probe_c))) if read_c else loss
-
-    def attention_loss():
-        weights, context = additive_attention(projected, rows, mask, query, w_query_t,
-                                              combine)
-        return add(sum_all(mul(weights, probe_w)), sum_all(mul(context, probe_ctx)))
+    mask[0, -1] = False
 
     def unstack_loss():
         first, _, last = unstack(seq)
         return sum_all(mul(first, last))
 
-    return [
-        ("lstm_cell", lambda: lstm_loss(True), lstm),
-        ("lstm_cell-h-only", lambda: lstm_loss(False), lstm),
+    cases = [
         ("gru_cell", lambda: sum_all(mul(gru_cell(xw, h, u), probe_h)),
          {"xw": xw, "h": h, "u": u}),
-        ("additive_attention-masked-key", attention_loss,
-         dict(projected=projected, rows=rows, query=query, w_query_t=w_query_t,
-              combine=combine)),
         ("unstack-unused-slice", unstack_loss, {"seq": seq}),
     ]
+    for kind, key_dims in (("soft", [p["proj"]]), ("dual", [p["proj"], 2 * hidden])):
+        operands = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (2, hidden), "h0"),
+                    _p(rng, (2, hidden), "c0"),
+                    _p(rng, (sum(key_dims) + embed + hidden, 4 * hidden), "w"),
+                    _p(rng, (4 * hidden,), "b")]
+        heads = [(_p(rng, (keys, 2, attn), f"projected{k}"),
+                  _p(rng, (2, keys, d), f"rows{k}"), mask,
+                  _p(rng, (hidden, attn), f"w_query_t{k}"),
+                  _p(rng, (attn,), f"combine{k}"))
+                 for k, d in enumerate(key_dims)]
+        probes = [_p(rng, (steps, 2, hidden), "probe_states")] + [
+            _p(rng, (2, steps, keys), "probe_weights") for _ in key_dims]
+
+        def unroll_loss(operands=operands, heads=heads, probes=probes):
+            outs = decoder_unroll(*operands, heads)
+            return reduce(add, [sum_all(mul(o, pr))
+                                for o, pr in zip(outs, probes, strict=True)])
+
+        params = {x.name: x for x in operands}
+        params.update((x.name, x) for head in heads for x in head
+                      if isinstance(x, Parameter))
+        cases.append((f"decoder_unroll-{kind}", unroll_loss, params))
+    return cases
 
 
 def _make_triple(rng: np.random.Generator, p: dict, regions: int, seq: int,
@@ -244,18 +240,8 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     for name, build, params in _primitive_cases(rng):
         results.append(check_gradients(f"primitive/{name}", build, params))
 
-    lstm = LSTMParams(rng, p["embed"], p["hidden"], "lstm")
     x = Parameter(rng.standard_normal((2, p["embed"])), "x")
     h0 = Parameter(rng.standard_normal((2, p["hidden"])), "h0")
-    c0 = Parameter(rng.standard_normal((2, p["hidden"])), "c0")
-
-    def lstm_loss():
-        h, c = lstm_step(lstm, [x], h0, c0)
-        return sum_all(add(h, c))
-
-    lstm_params = dict(lstm.named(), x=x, h0=h0, c0=c0)
-    results.append(check_gradients("cell/lstm", lstm_loss, lstm_params))
-
     gru = GRUParams(rng, p["embed"], p["hidden"], "gru")
 
     def gru_loss():
@@ -264,23 +250,9 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     results.append(check_gradients("cell/gru", gru_loss,
                                    dict(gru.named(), x=x, h0=h0)))
 
-    layer = AttentionLayer(rng, key_dim=p["proj"], query_dim=p["hidden"],
-                           attn_dim=p["attn"], prefix="attn")
     keys = Parameter(rng.standard_normal((2, p["regions"], p["proj"])), "keys")
     key_mask = np.ones((2, p["regions"]), dtype=bool)
     key_mask[0, -1] = False
-    query = Parameter(rng.standard_normal((2, p["hidden"])), "query")
-    mix = Parameter(rng.standard_normal(p["proj"]), "mix")
-
-    def attend_loss():
-        out = attend(layer, layer.prepare(keys, key_mask), query)
-        return add(sum_all(pick(out.weights, np.zeros(2, dtype=int))),
-                   sum_all(mul(out.context, mix)))
-
-    results.append(check_gradients(
-        "attention/attend", attend_loss,
-        dict(layer.named(), keys=keys, query=query, mix=mix)))
-
     w0 = Parameter(rng.standard_normal((p["proj"], p["hidden"])), "w0")
     b0 = Parameter(rng.standard_normal(p["hidden"]), "b0")
 

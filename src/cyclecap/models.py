@@ -13,13 +13,16 @@
 ``start(rows, masks)`` takes one row tensor and one mask per head and
 returns ``(keys, state)``: the key rows each head attends over, projected
 once per sequence, and the initial LSTM state, from head 0's rows (the
-regions). ``recur(keys, state, embedded)`` runs the heads and the LSTM and
-returns ``(state, weights)``, one attention-weight row per head; ``emit(h)``
-maps hidden states of any leading shape to log-probs. The decode step
-``step(keys, state, y_prev)`` is an embedding lookup, ``recur`` and ``emit``.
-``unroll`` teacher-forces either decoder's recurrence over a caption, and
-``stage2_forward`` is the one teacher-forced pass of the German stage;
-``teacher_forced_records`` runs it over a batch of gold triples.
+regions). ``emit(h)`` maps hidden states of any leading shape to log-probs.
+Decoding goes step by step and never runs backward: ``recur(keys, state,
+embedded)`` runs the heads (``attend``) and the LSTM (``lstm_step``) and
+returns ``(state, weights)``, one attention-weight row per head, and the
+decode step ``step(keys, state, y_prev)`` is an embedding lookup, ``recur``
+and ``emit``; both raise StateError under a tape. Training teacher-forces:
+``unroll`` runs either decoder's recurrence over a whole caption as one
+``tensor.decoder_unroll`` record, ``stage2_forward`` is the one
+teacher-forced pass of the German stage, and ``teacher_forced_records``
+runs it, attention only, over a batch of gold triples.
 
 Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
 states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
@@ -55,8 +58,9 @@ from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
-from .tensor import (Parameter, Tensor, add, concat, dropout, embedding_lookup,
-                     log_softmax, masked_mean, matmul, mul, stack, tanh, unstack)
+from .tensor import (Parameter, Tensor, add, concat, decoder_unroll, dropout,
+                     embedding_lookup, log_softmax, masked_mean, matmul, mul, stack,
+                     tanh, unstack)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,9 @@ class AttentionDecoder:
 
     def recur(self, keys: Keys, state: State, embedded: Tensor
               ) -> tuple[State, tuple[Tensor, ...]]:
-        """One step's heads and LSTM from B records' (B, embed) previous-word
-        embeddings: (new (h, c), one (B, K) weight row per head)."""
+        """One decode step's heads and LSTM from B records' (B, embed)
+        previous-word embeddings: (new (h, c), one (B, K) weight row per
+        head). Decoding only: it raises StateError under a tape."""
         h, c = state
         attended = [attend(head, k, h) for head, k in zip(self.heads, keys)]
         state = lstm_step(self.lstm, [a.context for a in attended] + [embedded], h, c)
@@ -163,7 +168,8 @@ class AttentionDecoder:
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray):
         """One decode step for B records from their (B,) previous ids; returns
-        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head)."""
+        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head).
+        Decoding only: it raises StateError under a tape."""
         state, weights = self.recur(keys, state, embedding_lookup(self.embedding, y_prev))
         return self.emit(state[0]), state, weights
 
@@ -300,44 +306,43 @@ class ModelBundle:
 # Teacher-forced unrolling
 # ---------------------------------------------------------------------------
 
-def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray
-           ) -> tuple[Tensor, list[Tensor]]:
+def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray,
+           *, states: bool = True) -> tuple[Tensor | None, list[Tensor]]:
     """Teacher-force a decoder's recurrence from ``start = decoder.start(...)``
-    over a batch of captions.
+    over a batch of captions, as one ``decoder_unroll`` record.
 
     ``ids`` is the (B, T + 1) matrix of BOS..EOS rows, PAD-padded; step t
     conditions on ids[:, t] (all looked up at once) and its state predicts
     ids[:, t + 1]. Returns the (T, B, hidden) states, for one ``emit``, and
-    per head its (B, T, K) weights. Steps past a record's EOS run on
-    padding; their outputs are masked by whoever reads them.
+    per head its (B, T, K) weights. With ``states=False`` only the weights
+    are made (for attention-only passes) and the states come back as None.
+    Steps past a record's EOS run on padding; their outputs are masked by
+    whoever reads them.
     """
-    keys, state = start
-    embedded = unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T))
-    hidden, weight_rows = [], []
-    for x in embedded:
-        state, weights = decoder.recur(keys, state, x)
-        hidden.append(state[0])
-        weight_rows.append(weights)
-    return stack(hidden), [stack(rows, axis=1) for rows in zip(*weight_rows)]
+    keys, (h, c) = start
+    heads = [(k.projected, k.rows, k.mask, k.w_query_t, head.combine)
+             for head, k in zip(decoder.heads, keys, strict=True)]
+    outs = decoder_unroll(embedding_lookup(decoder.embedding, ids[:, :-1].T), h, c,
+                          decoder.lstm.w, decoder.lstm.b, heads, states=states)
+    return (outs[0], list(outs[1:])) if states else (None, list(outs))
 
 
 def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
-                   dropout_rate: float = 0.0, freeze_part1: bool = False,
-                   rng: np.random.Generator | None = None
-                   ) -> tuple[Tensor, tuple[Tensor, Tensor, Tensor] | None]:
+                   freeze_part1: bool = False, states: bool = True
+                   ) -> tuple[Tensor | None, tuple[Tensor, Tensor, Tensor] | None]:
     """Teacher-forced stage-two pass over a batch of triples.
 
     The caption encoder reads the English targets (content plus EOS, BOS
     dropped), so its state count matches the English attention rows. The
     German decoder is unrolled over ``de_ids``; with ``english`` the English
     decoder's recurrence is then unrolled over ``en_ids``, for attention only.
-    Returns the (T, B, de_vocab) German log-probs and, with ``english``, the
-    (B, M, L) de_to_regions, (B, M, N) de_to_en and (B, N, L) en_to_regions
-    attention tensors, else None.
+    Returns the German decoder's (T, B, hidden) states, for one ``emit``
+    (None with ``states=False``), and, with ``english``, the (B, M, L)
+    de_to_regions, (B, M, N) de_to_en and (B, N, L) en_to_regions attention
+    tensors, else None.
 
-    ``dropout_rate`` applies to the German output layer only, drawn from
-    ``rng``. With ``freeze_part1`` the projected regions and English
-    attention rows enter the graph as constants, so part 1 gets no gradient.
+    With ``freeze_part1`` the projected regions and English attention rows
+    enter the graph as constants, so part 1 gets no gradient.
     """
     regions = bundle.captioner.project(batch.features)
     if freeze_part1:
@@ -347,26 +352,27 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     de_decoder = bundle.de_decoder
     de_states, (de_to_regions, de_to_en) = unroll(
         de_decoder, de_decoder.start([regions, cap_states], [batch.region_mask, cap_mask]),
-        batch.de_ids)
-    de_logps = de_decoder.emit(de_states, dropout_rate=dropout_rate, rng=rng)
+        batch.de_ids, states=states)
     if not english:
-        return de_logps, None
+        return de_states, None
     en_decoder = bundle.captioner.decoder
     _, (en_to_regions,) = unroll(
-        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids)
+        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids,
+        states=False)
     if freeze_part1:
         en_to_regions = Tensor(en_to_regions.data)
-    return de_logps, (de_to_regions, de_to_en, en_to_regions)
+    return de_states, (de_to_regions, de_to_en, en_to_regions)
 
 
 def teacher_forced_records(bundle: ModelBundle, triples: Sequence[TripleRecord]
                            ) -> list[AttentionRecord]:
     """Attention records for triples' ground-truth captions, evaluation mode
-    (no dropout, no tape): one ``stage2_forward`` over one padded batch of
-    them, each record sliced to its own (M, L), (M, N) and (N, L) blocks."""
+    (no dropout, no tape): one attention-only ``stage2_forward`` over one
+    padded batch of them, each record sliced to its own (M, L), (M, N) and
+    (N, L) blocks."""
     if not triples:
         return []
-    _, attention = stage2_forward(bundle, make_batch(triples))
+    _, attention = stage2_forward(bundle, make_batch(triples), states=False)
     de_to_regions, de_to_en, en_to_regions = (m.data for m in attention)
     records = []
     for i, triple in enumerate(triples):

@@ -20,13 +20,18 @@ a loss. ``matmul`` applies a shared weight over every leading axis,
 ``batch_matmul`` multiplies matrix i of one batch by matrix i of another.
 
 Besides the primitives there are fused ops, one record each for what would
-otherwise be 6 to 15 small ones: ``lstm_cell`` and ``gru_cell`` (one
-recurrent step on fused gate weights), ``additive_attention`` (score, masked
-softmax and context of one head) and ``unstack`` (every slice of a sequence
-at once). At these sizes an op costs per record rather than per flop, so
-fewer, wider records are what make a step cheap. Every op validates its
-output for finiteness, so a NaN or overflow surfaces at the op that
-produced it rather than ten layers downstream.
+otherwise be many small ones: ``gru_cell`` (one recurrent step on fused gate
+weights), ``unstack`` (every slice of a sequence at once) and
+``decoder_unroll`` (a whole teacher-forced decoder unroll: every attention
+head and the LSTM over all T steps, its backward BPTT written out once). At
+these sizes an op costs per record rather than per flop, so fewer, wider
+records are what make training cheap. The decode-step ops ``lstm_cell`` and
+``additive_attention`` (one LSTM step; score, masked softmax and context of
+one head) share their step math with ``decoder_unroll`` but keep no backward
+rule, because decoding never runs backward: under an active tape they raise
+StateError. Every op validates its output for finiteness, so a NaN or
+overflow surfaces at the op that produced it rather than ten layers
+downstream.
 """
 
 from __future__ import annotations
@@ -487,7 +492,8 @@ def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused ops: one record, one backward rule and one finiteness check each
+# Fused ops: one record, one backward rule and one finiteness check each; the
+# decode-step ops share their step math and record nothing
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: Array) -> Array:
@@ -502,17 +508,48 @@ def _bad_shapes(op: str, **shapes) -> DimensionError:
     return DimensionError(f"{op}: shapes do not fit together: {listed}")
 
 
+def _lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
+    """One LSTM step's gates and state update on arrays, from its (..., 4H)
+    pre-activations ``a`` (gate blocks i, f, o, g) and memory ``c``:
+    (sigmoid of the i, f, o blocks, tanh of the g block, c', tanh(c'), h')."""
+    size = c.shape[-1]
+    ifo = _sigmoid(a[..., :3 * size])
+    g = np.tanh(a[..., 3 * size:])
+    c_new = ifo[..., size:2 * size] * c + ifo[..., :size] * g
+    tc = np.tanh(c_new)
+    return ifo, g, c_new, tc, ifo[..., 2 * size:] * tc
+
+
+def _attention_arrays(projected: Array, rows: Array, mask: Array | None, query: Array,
+                      w_query_t: Array, combine: Array) -> tuple[Array, Array, Array]:
+    """One additive-attention head on arrays: (hidden, weights, context) as
+    ``additive_attention`` defines them."""
+    hidden = np.tanh(projected + np.matmul(query, w_query_t))
+    s = np.matmul(hidden, combine).T
+    if mask is not None:
+        s = np.where(mask, s, -np.inf)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    return hidden, w, np.matmul(w[:, None, :], rows)[:, 0, :]
+
+
+def _decode_only(op: str) -> None:
+    if Tape._active is not None:
+        raise StateError(f"{op}: a decode-step op has no backward rule; "
+                         f"teacher forcing runs decoder_unroll")
+
+
 def lstm_cell(inputs: Sequence[Tensor], h: Tensor, c: Tensor, w: Tensor,
               b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step on fused gate weights; returns (h', c').
+    """One LSTM decode step on fused gate weights; returns (h', c').
 
         a = [inputs...; h] @ w + b,  gate blocks i, f, o, g of width H
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
         c' = f * c + i * g,  h' = o * tanh(c')
 
-    The input parts are separate parents and are joined only inside the op.
-    Every part and the (..., H) states share their leading axes; ``w`` is
-    (input + H, 4H) and ``b`` is (4H,).
+    Every input part and the (..., H) states share their leading axes;
+    ``w`` is (input + H, 4H) and ``b`` is (4H,). Decoding only: under an
+    active tape it raises StateError.
     """
     hd, cd, wd = h.data, c.data, w.data
     parts = [x.data for x in inputs] + [hd]
@@ -523,30 +560,10 @@ def lstm_cell(inputs: Sequence[Tensor], h: Tensor, c: Tensor, w: Tensor,
             or any(x.ndim != hd.ndim or x.shape[:-1] != hd.shape[:-1] for x in parts):
         raise _bad_shapes("lstm_cell", inputs=[x.shape for x in inputs], h=h.shape,
                           c=c.shape, w=w.shape, b=b.shape)
-    x = np.concatenate(parts, axis=-1)
-    a = np.matmul(x, wd) + b.data
-    ifo = _sigmoid(a[..., :3 * size])
-    g = np.tanh(a[..., 3 * size:])
-    i, f, o = ifo[..., :size], ifo[..., size:2 * size], ifo[..., 2 * size:]
-    c_new = f * cd + i * g
-    tc = np.tanh(c_new)
-    outs = _results("lstm_cell", o * tc, c_new)
-
-    def rule(gh: Array, gc: Array) -> tuple[Array, ...]:
-        gc = gc + gh * o * (1.0 - tc * tc)
-        ga = np.empty(a.shape)
-        ga[..., :size] = gc * g
-        ga[..., size:2 * size] = gc * cd
-        ga[..., 2 * size:3 * size] = gh * tc
-        ga[..., :3 * size] *= ifo
-        ga[..., :3 * size] *= 1.0 - ifo
-        ga[..., 3 * size:] = gc * i * (1.0 - g * g)
-        flat = ga.reshape(-1, 4 * size)
-        gx = np.split(ga @ wd.T, list(accumulate(p.shape[-1] for p in parts[:-1])),
-                      axis=-1)
-        return (*gx, gc * f, x.reshape(-1, width).T @ flat, flat.sum(axis=0))
-
-    return _record_many(outs, (*inputs, h, c, w, b), rule)
+    _decode_only("lstm_cell")
+    a = np.matmul(np.concatenate(parts, axis=-1), wd) + b.data
+    _, _, c_new, _, h_new = _lstm_arrays(a, cd)
+    return _results("lstm_cell", h_new, c_new)
 
 
 def gru_cell(xw: Tensor, h: Tensor, u: Tensor) -> Tensor:
@@ -588,10 +605,21 @@ def gru_cell(xw: Tensor, h: Tensor, u: Tensor) -> Tensor:
     return _record(out, (xw, h, u), rule)
 
 
+def _attention_shapes_fit(projected: Array, rows: Array, mask: Array | None,
+                          w_query_t: Array, combine: Array, query_dim: int,
+                          batch: int) -> bool:
+    return (projected.ndim == 3 and rows.ndim == 3
+            and rows.shape[:2] == (batch, projected.shape[0])
+            and projected.shape[1] == batch
+            and w_query_t.shape == (query_dim, projected.shape[2])
+            and combine.shape == projected.shape[2:]
+            and (mask is None or mask.shape == rows.shape[:2]))
+
+
 def additive_attention(projected: Tensor, rows: Tensor, mask: Array | None,
                        query: Tensor, w_query_t: Tensor,
                        combine: Tensor) -> tuple[Tensor, Tensor]:
-    """One additive-attention head as one record; returns (weights, context).
+    """One additive-attention head's decode step; returns (weights, context).
 
         hidden = tanh(projected + query @ w_query_t)      (K, B, A)
         weights = masked softmax over keys of hidden @ combine   (B, K)
@@ -600,34 +628,156 @@ def additive_attention(projected: Tensor, rows: Tensor, mask: Array | None,
     ``projected`` is the key-major (K, B, A) key projection, ``rows`` the
     (B, K, d) key rows, ``mask`` their (B, K) boolean mask of real rows (None:
     all real), ``query`` (B, Q), ``w_query_t`` (Q, A) and ``combine`` (A,).
-    Masked keys get weight exactly 0 and no gradient.
+    Masked keys get weight exactly 0. Decoding only: under an active tape it
+    raises StateError.
     """
-    pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
-    if pd.ndim != 3 or rd.ndim != 3 or qd.ndim != 2 \
-            or rd.shape[:2] != (pd.shape[1], pd.shape[0]) \
-            or qd.shape[0] != pd.shape[1] or wd.shape != (qd.shape[1], pd.shape[2]) \
-            or cd.shape != pd.shape[2:] \
-            or (mask is not None and mask.shape != rd.shape[:2]):
+    qd = query.data
+    if qd.ndim != 2 or not _attention_shapes_fit(projected.data, rows.data, mask,
+                                                 w_query_t.data, combine.data,
+                                                 *qd.shape[::-1]):
         raise _bad_shapes("additive_attention", projected=projected.shape,
                           rows=rows.shape, mask=np.shape(mask), query=query.shape,
                           w_query_t=w_query_t.shape, combine=combine.shape)
-    hidden = np.tanh(pd + np.matmul(qd, wd))
-    s = np.matmul(hidden, cd).T
-    if mask is not None:
-        s = np.where(mask, s, -np.inf)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    w = e / e.sum(axis=1, keepdims=True)
-    outs = _results("additive_attention", w, np.matmul(w[:, None, :], rd)[:, 0, :])
+    _decode_only("additive_attention")
+    _, w, context = _attention_arrays(projected.data, rows.data, mask, qd,
+                                      w_query_t.data, combine.data)
+    return _results("additive_attention", w, context)
 
-    def rule(gw: Array, gctx: Array) -> tuple[Array, ...]:
-        gw = gw + np.matmul(gctx[:, None, :], rd.transpose(0, 2, 1))[:, 0, :]
-        gs = (w * (gw - (gw * w).sum(axis=1, keepdims=True))).T      # (K, B)
-        gpre = gs[..., None] * cd * (1.0 - hidden * hidden)          # (K, B, A)
-        gq = gpre.sum(axis=0)
-        return (gpre, w[:, :, None] * gctx[:, None, :], gq @ wd.T, qd.T @ gq,
-                gs.reshape(-1) @ hidden.reshape(-1, cd.shape[0]))
 
-    return _record_many(outs, (projected, rows, query, w_query_t, combine), rule)
+Head = tuple[Tensor, Tensor, Array | None, Tensor, Tensor]
+
+
+def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
+                   heads: Sequence[Head], *, states: bool = True) -> tuple[Tensor, ...]:
+    """A teacher-forced attention-LSTM decoder unroll over T steps, as one
+    record. Step t runs every head (``additive_attention``) with the state
+    h_t as query, then the LSTM (``lstm_cell``) on [each head's context;
+    embedded[t]] and (h_t, c_t), giving (h_t+1, c_t+1).
+
+    ``embedded`` is the (T, B, E) previous-word embeddings and ``h``, ``c``
+    the (B, H) initial state. ``w`` is the (sum of d + E + H, 4H) LSTM
+    weight, its rows in the order contexts, embedding, h; ``b`` is (4H,).
+    Each head is (projected (K, B, A), rows (B, K, d), mask (B, K) or None,
+    w_query_t (H, A), combine (A,)), as ``additive_attention`` takes them.
+
+    Returns the (T, B, H) states h_1 .. h_T, then each head's (B, T, K)
+    weights. With ``states=False`` it returns the weights alone and skips
+    the last step's LSTM update, which only the states read.
+
+    The forward projects every step's embedding through its rows of ``w``
+    in one product, then loops over the steps, keeping each step's
+    activations: the (B, ·) ones in (T, ...) buffers, each head's (K, B, A)
+    tanh layer as one array per step. The backward is BPTT: its reverse loop
+    computes what recurs (gate, context and query gradients, and the (h, c)
+    gradient carried to the step before), adding each head's projected-key
+    and ``combine`` gradients while that step's tanh layer is at hand. The
+    gradients of ``w``, ``b``, ``embedded``, the key rows and ``w_query_t``
+    are each one product over all T * B rows after the loop.
+    """
+    ed, hd, cd, wd = embedded.data, h.data, c.data, w.data
+    # key-major in memory too, so that every step's tanh layer is, and the
+    # backward reads it as (K * B, A) rows without a copy
+    arrays = [(np.ascontiguousarray(p.data), r.data, m, wq.data, cb.data)
+              for p, r, m, wq, cb in heads]
+    fits = ed.ndim == 3 and hd.ndim == 2 and bool(arrays) and all(
+        x.ndim == 3 for _, x, _, _, _ in arrays)
+    if fits:
+        (steps, batch, emb_w), size = ed.shape, hd.shape[1]
+        widths = [r.shape[-1] for _, r, _, _, _ in arrays]
+        ctx_w = sum(widths)
+        fits = steps > 0 and hd.shape[0] == batch and cd.shape == hd.shape \
+            and wd.shape == (ctx_w + emb_w + size, 4 * size) and b.shape == (4 * size,) \
+            and all(_attention_shapes_fit(*head, size, batch) for head in arrays)
+    if not fits:
+        raise _bad_shapes("decoder_unroll", embedded=embedded.shape, h=h.shape,
+                          c=c.shape, w=w.shape, b=b.shape,
+                          heads=[tuple(np.shape(x) for x in head) for head in arrays])
+    cells = steps if states else steps - 1
+    offsets = list(accumulate(widths, initial=0))
+    w_emb = wd[ctx_w:ctx_w + emb_w]
+    w_rec = np.concatenate([wd[:ctx_w], wd[ctx_w + emb_w:]])   # rows for [contexts; h]
+    pre = np.matmul(ed[:cells], w_emb) + b.data                 # (cells, B, 4H)
+    xs = np.empty((steps, batch, ctx_w + size))                 # [contexts; h_t]
+    gates = np.empty((cells, batch, 4 * size))                  # sigmoid(ifo), tanh(g)
+    mem = np.empty((cells + 1, batch, size))
+    tanh_mem = np.empty((cells, batch, size))
+    out = np.empty((cells, batch, size))
+    hiddens: list[list[Array]] = [[] for _ in arrays]          # per step (K, B, A)
+    weights = [np.empty((batch, steps, p.shape[0])) for p, _, _, _, _ in arrays]
+    mem[0], query = cd, hd
+    for t in range(steps):
+        x = xs[t]
+        x[:, ctx_w:] = query
+        for k, head in enumerate(arrays):
+            hidden, weights[k][:, t], x[:, offsets[k]:offsets[k + 1]] = _attention_arrays(
+                *head[:3], query, *head[3:])
+            hiddens[k].append(hidden)
+        if t < cells:
+            (gates[t, :, :3 * size], gates[t, :, 3 * size:], mem[t + 1], tanh_mem[t],
+             out[t]) = _lstm_arrays(pre[t] + np.matmul(x, w_rec), mem[t])
+            query = out[t]
+    outs = _results("decoder_unroll", *([out] if states else []), *weights)
+
+    def rule(*grads: Array) -> tuple[Array, ...]:
+        g_out = grads[0] if states else None
+        g_weights = grads[1:] if states else grads
+        g_gates = np.empty((cells, batch, 4 * size))
+        g_ctx = np.zeros((batch, steps, ctx_w))
+        g_query = [np.empty((steps, batch, p.shape[-1])) for p, _, _, _, _ in arrays]
+        g_pre = [np.zeros(p.shape) for p, _, _, _, _ in arrays]   # summed over steps
+        g_combine = [np.zeros(p.shape[-1]) for p, _, _, _, _ in arrays]
+        gh, gc = np.zeros((batch, size)), np.zeros((batch, size))
+        for t in reversed(range(steps)):
+            if t < cells:
+                if g_out is not None:
+                    gh = gh + g_out[t]
+                act, tc = gates[t], tanh_mem[t]
+                ifo, g = act[:, :3 * size], act[:, 3 * size:]
+                gc = gc + gh * ifo[:, 2 * size:] * (1.0 - tc * tc)
+                ga = g_gates[t]
+                ga[:, :size] = gc * g
+                ga[:, size:2 * size] = gc * mem[t]
+                ga[:, 2 * size:3 * size] = gh * tc
+                ga[:, :3 * size] *= ifo
+                ga[:, :3 * size] *= 1.0 - ifo
+                ga[:, 3 * size:] = gc * ifo[:, :size] * (1.0 - g * g)
+                gx = np.matmul(ga, w_rec.T)
+                g_ctx[:, t] = gx[:, :ctx_w]
+                gh, gc = gx[:, ctx_w:], gc * ifo[:, size:2 * size]
+            for k, (_, rows, _, w_query_t, combine) in enumerate(arrays):
+                wt = weights[k][:, t]
+                gw = g_weights[k][:, t] + np.matmul(
+                    rows, g_ctx[:, t, offsets[k]:offsets[k + 1], None])[:, :, 0]
+                gs = (wt * (gw - (gw * wt).sum(axis=1, keepdims=True))).T
+                hid = hiddens[k][t]
+                g_combine[k] += gs.reshape(-1) @ hid.reshape(-1, hid.shape[-1])
+                # the (K, B, A) pre-tanh gradient, short of its factor combine
+                gpre = np.multiply(hid, hid)
+                np.subtract(1.0, gpre, out=gpre)
+                gpre *= gs[..., None]
+                g_pre[k] += gpre
+                gq = gpre.sum(axis=0) * combine
+                g_query[k][t] = gq
+                gh = gh + np.matmul(gq, w_query_t.T)
+        flat = g_gates.reshape(-1, 4 * size)
+        g_rec = xs[:cells].reshape(-1, ctx_w + size).T @ flat
+        g_w = np.concatenate([g_rec[:ctx_w], ed[:cells].reshape(-1, emb_w).T @ flat,
+                              g_rec[ctx_w:]])
+        g_embedded = np.zeros(ed.shape)
+        g_embedded[:cells] = np.matmul(g_gates, w_emb.T)
+        queries = xs[:, :, ctx_w:].reshape(-1, size)
+        g_heads = []
+        for k, (_, _, _, _, combine) in enumerate(arrays):
+            g_heads += [g_pre[k] * combine,
+                        np.matmul(weights[k].transpose(0, 2, 1),
+                                  g_ctx[:, :, offsets[k]:offsets[k + 1]]),
+                        queries.T @ g_query[k].reshape(-1, combine.shape[0]),
+                        g_combine[k]]
+        return (g_embedded, gh, gc, g_w, flat.sum(axis=0), *g_heads)
+
+    parents = (embedded, h, c, w, b,
+               *(x for p, r, _, wq, cb in heads for x in (p, r, wq, cb)))
+    return _record_many(outs, parents, rule)
 
 
 def unstack(a: Tensor) -> tuple[Tensor, ...]:

@@ -346,9 +346,9 @@ def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
     German output layer, drawn from ``rng``; ``freeze_part1`` keeps part 1
     out of the graph's gradients.
     """
-    de_logps, attention = stage2_forward(
-        bundle, batch, english=cycle_weight > 0.0, dropout_rate=dropout,
-        freeze_part1=freeze_part1, rng=rng)
+    de_states, attention = stage2_forward(bundle, batch, english=cycle_weight > 0.0,
+                                          freeze_part1=freeze_part1)
+    de_logps = bundle.de_decoder.emit(de_states, dropout_rate=dropout, rng=rng)
     de_mask = batch.de_mask[:, 1:]
     loss, ntok = nll_loss(de_logps, batch.de_ids[:, 1:], de_mask)
     if attention is None:

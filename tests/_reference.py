@@ -5,20 +5,30 @@ deliberately sharing no code with the package's taped ops, so agreement is
 meaningful. Functions read parameter values straight off the model objects,
 the decoders' initial-state projections by their checkpoint names.
 
-The exception is the composed graphs: the LSTM step, GRU step and attention
-head built from the package's primitive tape ops, one small op per gate
-slice, as the package computed them before its fused ops. They are the
-gradient oracle for ``lstm_cell``, ``gru_cell`` and ``additive_attention``;
-the two ops only they need, ``column_slice`` and ``sigmoid``, are built here
-on ``tensor._record``.
+The exceptions are two layers of taped oracles for the package's fused ops:
+
+* the composed graphs: the LSTM step, GRU step and attention head built
+  from the package's primitive tape ops, one small op per gate slice, as
+  the package computed them before its fused ops. They are the gradient
+  oracle for ``gru_cell`` and for the per-step records below; the two ops
+  only they need, ``column_slice`` and ``sigmoid``, are built here on
+  ``tensor._record``.
+* the per-step records: one LSTM step and one attention head as one record
+  each, on the package's array-level step math, with the backward rules the
+  package's decode ops carried before a teacher-forced unroll became one
+  record. ``stepped_unroll`` chains them into the per-step graph that
+  ``tensor.decoder_unroll`` is checked against.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from cyclecap.tensor import (Tensor, _record, _result, add, batch_matmul, concat,
-                             masked_softmax, matmul, mul, sub, tanh)
+from cyclecap.tensor import (Tensor, _attention_arrays, _lstm_arrays, _record,
+                             _record_many, _result, _results, add, batch_matmul,
+                             concat, embedding_lookup, masked_softmax, matmul, mul,
+                             stack, sub, tanh, unstack)
 
 
 def np_softmax(x):
@@ -129,6 +139,75 @@ def composed_attend(layer, keys, query):
     hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
     weights = masked_softmax(matmul(hidden, layer.combine), keys.mask)
     return weights, batch_matmul(weights, keys.rows)
+
+
+# ---------------------------------------------------------------------------
+# Per-step records: the oracle of the one-record decoder unroll
+# ---------------------------------------------------------------------------
+
+def step_lstm_cell(inputs, h, c, w, b):
+    """One LSTM step as one record, as ``tensor.lstm_cell`` computes it, with
+    its per-step backward rule; returns (h', c')."""
+    hd, cd, wd = h.data, c.data, w.data
+    parts = [x.data for x in inputs] + [hd]
+    size, width = hd.shape[-1], wd.shape[0]
+    x = np.concatenate(parts, axis=-1)
+    a = np.matmul(x, wd) + b.data
+    ifo, g, c_new, tc, h_new = _lstm_arrays(a, cd)
+    i, f, o = ifo[..., :size], ifo[..., size:2 * size], ifo[..., 2 * size:]
+    outs = _results("lstm_cell", h_new, c_new)
+
+    def rule(gh, gc):
+        gc = gc + gh * o * (1.0 - tc * tc)
+        ga = np.empty(a.shape)
+        ga[..., :size] = gc * g
+        ga[..., size:2 * size] = gc * cd
+        ga[..., 2 * size:3 * size] = gh * tc
+        ga[..., :3 * size] *= ifo
+        ga[..., :3 * size] *= 1.0 - ifo
+        ga[..., 3 * size:] = gc * i * (1.0 - g * g)
+        flat = ga.reshape(-1, 4 * size)
+        gx = np.split(ga @ wd.T, list(accumulate(p.shape[-1] for p in parts[:-1])),
+                      axis=-1)
+        return (*gx, gc * f, x.reshape(-1, width).T @ flat, flat.sum(axis=0))
+
+    return _record_many(outs, (*inputs, h, c, w, b), rule)
+
+
+def step_additive_attention(projected, rows, mask, query, w_query_t, combine):
+    """One attention head's step as one record, as
+    ``tensor.additive_attention`` computes it, with its per-step backward
+    rule; returns (weights, context)."""
+    pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
+    hidden, w, context = _attention_arrays(pd, rd, mask, qd, wd, cd)
+    outs = _results("additive_attention", w, context)
+
+    def rule(gw, gctx):
+        gw = gw + np.matmul(gctx[:, None, :], rd.transpose(0, 2, 1))[:, 0, :]
+        gs = (w * (gw - (gw * w).sum(axis=1, keepdims=True))).T      # (K, B)
+        gpre = gs[..., None] * cd * (1.0 - hidden * hidden)          # (K, B, A)
+        gq = gpre.sum(axis=0)
+        return (gpre, w[:, :, None] * gctx[:, None, :], gq @ wd.T, qd.T @ gq,
+                gs.reshape(-1) @ hidden.reshape(-1, cd.shape[0]))
+
+    return _record_many(outs, (projected, rows, query, w_query_t, combine), rule)
+
+
+def stepped_unroll(decoder, start, ids):
+    """``models.unroll`` as the per-step graph: one lookup split into steps,
+    per step one record per head and one for the LSTM, then the stacks.
+    Returns the (T, B, hidden) states and each head's (B, T, K) weights."""
+    keys, (h, c) = start
+    hidden, weight_rows = [], []
+    for x in unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T)):
+        attended = [step_additive_attention(k.projected, k.rows, k.mask, h,
+                                            k.w_query_t, head.combine)
+                    for head, k in zip(decoder.heads, keys)]
+        h, c = step_lstm_cell([ctx for _, ctx in attended] + [x], h, c,
+                              decoder.lstm.w, decoder.lstm.b)
+        hidden.append(h)
+        weight_rows.append([w for w, _ in attended])
+    return stack(hidden), [stack(rows, axis=1) for rows in zip(*weight_rows)]
 
 
 def ref_project(captioner, grid_values):

@@ -1,15 +1,18 @@
-"""The fused tape ops against the composed graphs of primitive ops that they
-replace: forward values and the gradient of every parameter agree to 1e-12,
-at B = 1 and at B = 3, with a masked key and a padded (all-zero) row."""
+"""Fused records against the composed graphs of primitive ops that they
+replace: the GRU step, and the per-step LSTM and attention records that
+``tests/_reference.py`` keeps as the oracle of the one-record decoder unroll.
+Forward values and the gradient of every parameter agree to 1e-12, at B = 1
+and at B = 3, with a masked key and a padded (all-zero) row."""
 
 import numpy as np
 import pytest
 
-from cyclecap.attention import AttentionLayer, attend
-from cyclecap.cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
+from cyclecap.attention import AttentionLayer
+from cyclecap.cells import GRUParams, LSTMParams, gru_inputs, gru_step
 from cyclecap.tensor import Parameter, Tape, add, mul, sum_all
 
-from _reference import composed_attend, composed_gru_step, composed_lstm_step
+from _reference import (composed_attend, composed_gru_step, composed_lstm_step,
+                        step_additive_attention, step_lstm_cell)
 
 TOL = 1e-12
 
@@ -62,7 +65,7 @@ def test_lstm_step_matches_composed(batch):
     x2 = operand(rng, (batch, 2), "x2", pad)
     h = operand(rng, (batch, 4), "h", pad)
     c = operand(rng, (batch, 4), "c", pad)
-    assert_agree(lambda: lstm_step(cell, [x1, x2], h, c),
+    assert_agree(lambda: step_lstm_cell([x1, x2], h, c, cell.w, cell.b),
                  lambda: composed_lstm_step(cell, [x1, x2], h, c),
                  dict(cell.named(), x1=x1, x2=x2, h=h, c=c))
 
@@ -89,8 +92,9 @@ def test_attend_matches_composed(batch):
     query = operand(rng, (batch, 4), "query", batch > 1)
 
     def fused():
-        out = attend(layer, layer.prepare(rows, mask), query)
-        return out.weights, out.context
+        keys = layer.prepare(rows, mask)
+        return step_additive_attention(keys.projected, keys.rows, keys.mask, query,
+                                       keys.w_query_t, layer.combine)
 
     def composed():
         return composed_attend(layer, layer.prepare(rows, mask), query)

@@ -1,23 +1,27 @@
 import hashlib
 import struct
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from cyclecap.checks import check_gradients
 from cyclecap.data import PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
-from cyclecap.errors import DataError, FormatError, NumericError
+from cyclecap.errors import DataError, FormatError, NumericError, StateError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, init_state,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tape, Tensor, sum_all
+from cyclecap.tensor import Parameter, Tape, Tensor, add, mul, sum_all
 from cyclecap.training import _captioner_loss, nll_loss
 
 from _reference import (ref_captioner_sequence, ref_encode_caption,
-                        ref_german_sequence)
+                        ref_german_sequence, stepped_unroll)
 from conftest import random_ids, tiny_bundle, tiny_captioner
+
+
+TOL = 1e-12
 
 
 def rand_grid(rng, regions=3, dim=3):
@@ -117,10 +121,8 @@ def test_german_step_outputs_normalize_and_single_state_beta():
 
 
 @pytest.mark.parametrize("decoder", ["soft", "dual"])
-def test_one_decode_step_builds_at_most_eight_tape_ops(decoder):
-    # one record per attention head, the embedding lookup, the LSTM step and
-    # the three of the output layer: 6 (soft) and 7 (dual); 25 and 31 when
-    # cells and heads were composed from primitive ops
+def test_decode_step_refuses_an_active_tape(decoder):
+    # decoding never runs backward; teacher forcing trains through unroll
     bundle = tiny_bundle(seed=13)
     regions = bundle.captioner.project(rand_grid(np.random.default_rng(13)).values[None])
     dec, rows = bundle.captioner.decoder, [regions]
@@ -128,9 +130,9 @@ def test_one_decode_step_builds_at_most_eight_tape_ops(decoder):
         dec = bundle.de_decoder
         rows.append(bundle.cap_encoder.encode(np.array([[4, 5]])))
     keys, state = dec.start(rows)
-    with Tape() as tape:
-        dec.step(keys, state, np.array([1]))
-    assert len(tape) <= 8
+    with Tape():
+        with pytest.raises(StateError, match="decode"):
+            dec.step(keys, state, np.array([1]))
 
 
 def test_german_sequence_matches_reference():
@@ -252,19 +254,66 @@ def test_stage_one_dropout_is_one_mask_per_step():
 
 
 @pytest.mark.parametrize("which", ["soft", "dual"])
-def test_unroll_records_grow_by_heads_plus_one_per_step(which):
-    # per step one record per head and the LSTM step; the lookup, its split
-    # and the stacks are once per unroll
+def test_unroll_records_do_not_depend_on_caption_length(which):
+    # the lookup and the whole unroll, heads and LSTM over every step, are
+    # one record each
     bundle = tiny_bundle(seed=26)
     batch = make_batch(split_triples(3))
     dec, start, _ = decoder_setup(bundle, batch, which)
-    counts = {}
+    counts = set()
     for steps in (3, 7):
         ids = np.random.default_rng(steps).integers(4, 8, size=(3, steps + 1))
         with Tape() as tape:
             unroll(dec, start, ids)
-        counts[steps] = len(tape)
-    assert counts[7] - counts[3] == 4 * (len(dec.heads) + 1)
+        counts.add(len(tape))
+    assert counts == {2}
+
+
+def taped_unroll(bundle, batch, which, run):
+    """Outputs, parameter gradients and start-tensor gradients of one taped
+    ``run(decoder, start, ids) -> outputs``, read through fixed probes."""
+    params = bundle.named_parameters()
+    for p in params.values():
+        p.zero_grad()
+    with Tape() as tape:
+        dec, start, ids = decoder_setup(bundle, batch, which)
+        outputs = run(dec, start, ids)
+        probes = np.random.default_rng(99)
+        terms = [sum_all(mul(o, Tensor(probes.standard_normal(o.shape)))) for o in outputs]
+        tape.backward(reduce(add, terms))
+    keys, state = start
+    inputs = [*state, *(t for k in keys for t in (k.projected, k.rows, k.w_query_t))]
+    return ([o.data for o in outputs], {k: p.grad.copy() for k, p in params.items()},
+            [t.grad for t in inputs])
+
+
+@pytest.mark.parametrize("states", [True, False], ids=["states", "weights-only"])
+@pytest.mark.parametrize("which", ["soft", "dual"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_unroll_matches_the_per_step_graph(which, batch_size, states):
+    # the one-record unroll against the per-step records it replaced: values
+    # and the gradient of every parameter and of every input it reads
+    bundle = tiny_bundle(seed=27)
+    batch = make_batch(split_triples(batch_size))
+
+    def one_record(dec, start, ids):
+        hidden, weights = unroll(dec, start, ids, states=states)
+        return ([hidden] if states else []) + weights
+
+    def per_step(dec, start, ids):
+        hidden, weights = stepped_unroll(dec, start, ids)
+        return ([hidden] if states else []) + weights
+
+    got, want = taped_unroll(bundle, batch, which, one_record), \
+        taped_unroll(bundle, batch, which, per_step)
+    for a, b in zip(got[0], want[0], strict=True):
+        np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
+    for name in want[1]:
+        np.testing.assert_allclose(got[1][name], want[1][name], rtol=TOL, atol=TOL,
+                                   err_msg=name)
+    for a, b in zip(got[2], want[2], strict=True):
+        assert np.abs(b).sum() > 0
+        np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
 
 
 # --- init state ---------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Parameter, Tape, Tensor, add, concat, dropout,
-                             embedding_lookup, frobenius, log_softmax, lstm_cell,
+from cyclecap.tensor import (Parameter, Tape, Tensor, add, additive_attention, concat,
+                             dropout, embedding_lookup, frobenius, log_softmax, lstm_cell,
                              masked_mean, masked_softmax, matmul, mul, pick, scale,
                              stack, sub, sum_all, unstack)
+
+from _reference import step_additive_attention, step_lstm_cell
 
 
 def test_softmax_symmetry():
@@ -96,11 +98,11 @@ def _lstm_operands(seed=0, batch=2, n_in=3, hidden=4):
 
 
 def _lstm_grads(read):
-    """Gradients of the operands of one ``lstm_cell`` record when the loss
+    """Gradients of the operands of one per-step LSTM record when the loss
     reads the outputs that ``read`` picks from (h, c)."""
     x, h, c, w, b = _lstm_operands()
     with Tape() as tape:
-        outs = lstm_cell([x], h, c, w, b)
+        outs = step_lstm_cell([x], h, c, w, b)
         assert len(tape) == 1
         loss = sum_all(read(outs))
         tape.backward(loss)
@@ -137,7 +139,7 @@ def test_unused_outputs_receive_zeros():
 def test_record_without_a_gradient_is_skipped():
     x, h, c, w, b = _lstm_operands()
     with Tape() as tape:
-        lstm_cell([x], h, c, w, b)
+        step_lstm_cell([x], h, c, w, b)
         tape.backward(sum_all(mul(x, x)))
     for p in (h, c, w, b):
         np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
@@ -145,7 +147,7 @@ def test_record_without_a_gradient_is_skipped():
 
 def test_multi_output_op_outside_a_tape_records_nothing():
     x, h, c, w, b = _lstm_operands()
-    h_out, c_out = lstm_cell([x], h, c, w, b)
+    h_out, c_out = step_lstm_cell([x], h, c, w, b)
     parts = unstack(Tensor(np.ones((2, 3))))
     loss = sum_all(add(h_out, c_out))
     with Tape() as tape:
@@ -160,11 +162,30 @@ def test_multi_output_op_outside_a_tape_records_nothing():
 def test_backward_twice_raises_on_multi_output_records():
     x, h, c, w, b = _lstm_operands()
     with Tape() as tape:
-        h_out, c_out = lstm_cell([x], h, c, w, b)
+        h_out, c_out = step_lstm_cell([x], h, c, w, b)
         loss = sum_all(add(h_out, c_out))
         tape.backward(loss)
         with pytest.raises(StateError):
             tape.backward(loss)
+
+
+def test_decode_step_ops_refuse_an_active_tape():
+    # decoding never runs backward, so the per-step ops keep no rule; outside
+    # a tape they compute what their per-step records compute
+    x, h, c, w, b = _lstm_operands()
+    rng = np.random.default_rng(1)
+    projected, rows, w_query_t, combine = (
+        Tensor(rng.standard_normal(shape)) for shape in ((3, 2, 5), (2, 3, 4), (4, 5), (5,)))
+    mask = np.array([[True, True, False], [True, True, True]])
+    attention = (projected, rows, mask, h, w_query_t, combine)
+    for op, reference, args in ((lstm_cell, step_lstm_cell, ([x], h, c, w, b)),
+                                (additive_attention, step_additive_attention, attention)):
+        for got, want in zip(op(*args), reference(*args), strict=True):
+            np.testing.assert_array_equal(got.data, want.data)
+        with Tape() as tape:
+            with pytest.raises(StateError, match="decode"):
+                op(*args)
+        assert len(tape) == 0
 
 
 def test_unstack_values_and_bounds():
