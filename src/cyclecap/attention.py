@@ -7,25 +7,26 @@ decoder over English caption states), each with its own parameters.
 A decoder attends over the same key rows at every step, so the key side of
 the score, ``keys @ w_key + b``, is computed once per sequence by
 ``AttentionLayer.prepare`` (additive attention as in Bahdanau et al., 2015);
-each step adds only its query projection. A decode step, score, masked
+each step adds only its query projection. ``prepare`` returns one
+``tensor.Head`` record: the projected keys, the rows, their mask, the
+transposed query weight and the layer's ``combine``, all that scoring needs.
+Both attention ops take that record as it is: a decode step, score, masked
 softmax and context, is one fused op, ``tensor.additive_attention``, which
 records nothing; training attends inside ``tensor.decoder_unroll``, one
 record for every head over a whole teacher-forced caption.
 
-Keys come batched, (B, K, key_dim), with a (B, K) mask of real rows: records
-with fewer regions or shorter captions are padded, and their padded keys get
-attention weight exactly 0.
+Keys come batched, (B, K, key_dim), with a (B, K) boolean mask of real rows,
+all-true when none is padding: records with fewer regions or shorter
+captions are padded, and their padded keys get attention weight exactly 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import Parameter, Tensor, add, additive_attention, matmul, transpose
+from .tensor import Head, Parameter, Tensor, add, additive_attention, matmul, transpose
 
 
 class AttentionLayer:
@@ -49,58 +50,32 @@ class AttentionLayer:
     def named(self) -> dict[str, Parameter]:
         return {p.name: p for p in (self.w_key, self.w_query, self.b, self.combine)}
 
-    def prepare(self, rows: Tensor, mask: np.ndarray | None = None) -> AttentionKeys:
+    def prepare(self, rows: Tensor, mask: np.ndarray) -> Head:
         """Check (B, K, key_dim) key rows and their (B, K) boolean mask of
-        real rows (None: all real; each record needs at least one), and do
-        the per-sequence work of every step that attends over them: project
-        the keys, key-major, and transpose ``w_query``."""
+        real rows (each record needs at least one), and do the per-sequence
+        work of every step that attends over them: project the keys,
+        key-major, and transpose ``w_query``."""
         if rows.data.ndim != 3:
             raise DimensionError(f"attend: keys must be (B, K, key_dim), got {rows.shape}")
         if rows.shape[2] != self.key_dim:
             raise DimensionError(f"attend: keys {rows.shape} do not match layer "
                                  f"(key_dim={self.key_dim})")
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != rows.shape[:2]:
-                raise DimensionError(f"attend: mask {mask.shape} does not match "
-                                     f"keys {rows.shape}")
-        if rows.shape[1] == 0 or (mask is not None and not mask.any(axis=1).all()):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != rows.shape[:2]:
+            raise DimensionError(f"attend: mask {mask.shape} does not match "
+                                 f"keys {rows.shape}")
+        if rows.shape[1] == 0 or not mask.any(axis=1).all():
             raise DataError("attend: need at least one key row")
         projected = transpose(add(matmul(rows, self.w_key), self.b), (1, 0, 2))
-        return AttentionKeys(rows=rows, mask=None if mask is None or mask.all() else mask,
-                             projected=projected, w_query_t=transpose(self.w_query))
+        return Head(projected=projected, rows=rows, mask=mask,
+                    w_query_t=transpose(self.w_query), combine=self.combine)
 
 
-@dataclass
-class AttentionKeys:
-    """Key rows prepared by one layer, with their projection for its scores."""
-
-    rows: Tensor              # (B, K, key_dim)
-    mask: np.ndarray | None   # (B, K) real rows; None when all are real
-    projected: Tensor         # (K, B, attn_dim): rows @ w_key + b, key-major
-    w_query_t: Tensor         # (query_dim, attn_dim): w_query transposed
-
-    def repeat(self, n: int) -> AttentionKeys:
-        """These keys with each record's rows, mask and projection repeated
-        n times in place, record-major: one image's keys for n hypotheses."""
-        return AttentionKeys(
-            rows=Tensor(np.repeat(self.rows.data, n, axis=0), _unchecked=True),
-            mask=None if self.mask is None else np.repeat(self.mask, n, axis=0),
-            projected=Tensor(np.repeat(self.projected.data, n, axis=1), _unchecked=True),
-            w_query_t=self.w_query_t)
-
-
-@dataclass
-class AttentionOutput:
-    """Softmax weights over the keys and their weighted-sum context vectors."""
-
-    weights: Tensor   # (B, K), non-negative, each row sums to 1, 0 on masked keys
-    context: Tensor   # (B, key_dim)
-
-
-def attend(layer: AttentionLayer, keys: AttentionKeys, query: Tensor) -> AttentionOutput:
+def attend(layer: AttentionLayer, keys: Head, query: Tensor) -> tuple[Tensor, Tensor]:
     """Score every key row against the query and mix the rows by softmax
-    weight, for one decode step (it raises StateError under a tape).
+    weight, for one decode step (it raises StateError under a tape); returns
+    the (B, K) weights, 0 on masked keys and each row summing to 1, and the
+    (B, key_dim) contexts.
 
     ``keys`` comes from ``layer.prepare``; query is (B, query_dim), one row
     per record. The projected keys are key-major, (K, B, attn_dim), so the
@@ -111,6 +86,4 @@ def attend(layer: AttentionLayer, keys: AttentionKeys, query: Tensor) -> Attenti
     if query.data.shape != (keys.rows.data.shape[0], layer.query_dim):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
                              f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
-    weights, context = additive_attention(keys.projected, keys.rows, keys.mask, query,
-                                          keys.w_query_t, layer.combine)
-    return AttentionOutput(weights=weights, context=context)
+    return additive_attention(keys, query)

@@ -26,10 +26,10 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .models import ImageCaptioner, ModelBundle, ModelDims, init_state, unroll
-from .tensor import (Parameter, Tape, Tensor, add, batch_matmul, concat,
+from .tensor import (Head, Parameter, Tape, Tensor, add, batch_matmul, concat,
                      decoder_unroll, dropout, embedding_lookup, frobenius, gru_cell,
-                     log_softmax, masked_mean, masked_softmax, matmul, mul, pick, scale,
-                     stack, sub, sum_all, tanh, transpose, unstack)
+                     log_softmax, masked_mean, matmul, mul, pick, scale, stack, sub,
+                     sum_all, tanh, transpose, unstack)
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -100,8 +100,8 @@ def _p(rng, shape, name):
 
 def _primitive_cases(rng: np.random.Generator):
     """One scalar-valued graph per primitive op, each exercised away from any
-    non-smooth point. The masked ops see a masked-out key or a padded row,
-    so their zero gradients are checked too."""
+    non-smooth point. The masked ops see a padded row, so their zero
+    gradients are checked too."""
     a = _p(rng, (3, 4), "a")
     b = _p(rng, (4, 2), "b")
     v = _p(rng, (4,), "v")
@@ -110,7 +110,6 @@ def _primitive_cases(rng: np.random.Generator):
     t3 = _p(rng, (2, 3, 4), "t3")   # (B, K, d)
     u3 = _p(rng, (2, 4, 3), "u3")
     x2 = _p(rng, (2, 4), "x2")
-    s = _p(rng, (3, 2), "s")        # key-major (K, B) scores
     probe = _p(rng, (2, 3), "probe")
     table = _p(rng, (5, 3), "table")
     real = np.array([[True, True, False], [True, True, True]])   # (B, K)
@@ -142,10 +141,6 @@ def _primitive_cases(rng: np.random.Generator):
          {"m": m, "a": a}),
         ("stack", lambda: sum_all(mul(stack([m, a], axis=1), stack([a, m], axis=1))),
          {"m": m, "a": a}),
-        ("masked_softmax", lambda: sum_all(mul(masked_softmax(s, None), probe)),
-         {"s": s, "probe": probe}),
-        ("masked_softmax-masked-key", lambda: sum_all(mul(masked_softmax(s, real), probe)),
-         {"s": s, "probe": probe}),
         ("log_softmax", lambda: pick(log_softmax(v), 2), {"v": v}),
         ("tanh", lambda: sum_all(mul(tanh(v), w)), {"v": v, "w": w}),
         ("embedding-lookup", lambda: sum_all(embedding_lookup(table, [0, 2, 2, 4])),
@@ -155,7 +150,6 @@ def _primitive_cases(rng: np.random.Generator):
                              embedding_lookup(table, [[1, 2], [3, 0]]))),
          {"table": table}),
         ("dropout", seeded_dropout, {"v": v}),
-        ("masked_mean", lambda: sum_all(mul(masked_mean(t3, None), x2)), {"t3": t3, "x2": x2}),
         ("masked_mean-padded-row", lambda: sum_all(mul(masked_mean(t3, real), x2)),
          {"t3": t3, "x2": x2}),
         ("frobenius-padded-row", lambda: sum_all(frobenius(t3, real)), {"t3": t3}),
@@ -196,10 +190,10 @@ def _fused_cases(rng: np.random.Generator, p: dict):
                     _p(rng, (2, hidden), "c0"),
                     _p(rng, (sum(key_dims) + embed + hidden, 4 * hidden), "w"),
                     _p(rng, (4 * hidden,), "b")]
-        heads = [(_p(rng, (keys, 2, attn), f"projected{k}"),
-                  _p(rng, (2, keys, d), f"rows{k}"), mask,
-                  _p(rng, (hidden, attn), f"w_query_t{k}"),
-                  _p(rng, (attn,), f"combine{k}"))
+        heads = [Head(_p(rng, (keys, 2, attn), f"projected{k}"),
+                      _p(rng, (2, keys, d), f"rows{k}"), mask,
+                      _p(rng, (hidden, attn), f"w_query_t{k}"),
+                      _p(rng, (attn,), f"combine{k}"))
                  for k, d in enumerate(key_dims)]
         probes = [_p(rng, (steps, 2, hidden), "probe_states")] + [
             _p(rng, (2, steps, keys), "probe_weights") for _ in key_dims]

@@ -14,8 +14,10 @@ and can be replayed byte-for-byte with ``--from-manifest``. A replay takes
 its settings from the manifest alone: --config or a setting flag beside it
 is a config error. It re-hashes the recorded input files first: one that
 changed or went missing since the run is an io error (exit 5) naming the
-file and both digests. The vocabulary files read beside a checkpoint are
-not recorded, so a replay does not check them.
+file and both digests. The inputs recorded are the required options' files
+and the vocabulary files ``train``, ``infer`` and ``attn-export`` read
+beside their checkpoint (``VOCAB_BESIDE``), those that exist when the run
+starts.
 
 A value is read with its option's type wherever it comes from: a flag
 (usage error, exit 2), a config file (exit 2) or a manifest (exit 5).
@@ -227,6 +229,11 @@ def write_run_manifest(subcommand: str, settings: dict, out_dir: Path) -> None:
         if opt.required and settings.get(opt.key):
             p = Path(settings[opt.key])
             inputs[str(p)] = _digest(p)
+    key, langs = VOCAB_BESIDE.get(subcommand, (None, ()))
+    for lang in langs:
+        p = _vocab_path(Path(settings[key]), lang)
+        if p.is_file():
+            inputs[str(p)] = _digest(p)
     payload = {"subcommand": subcommand, "settings": settings, "inputs": inputs}
     (out_dir / "manifest.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -302,10 +309,23 @@ def run_train(settings: dict, out_dir: Path) -> None:
           f"final nll/token {last.nll_per_token:.4f}{cyc}")
 
 
+# subcommand: (the setting naming its checkpoint, the languages whose
+# vocabulary file it may read beside it). A run manifest records those that
+# exist: which ones ``infer`` reads depends on the checkpoint's kind, and a
+# run that needs a missing one fails.
+VOCAB_BESIDE = {"train": ("part1", ("en",)),
+                "infer": ("checkpoint", ("en", "de")),
+                "attn-export": ("checkpoint", ("en", "de"))}
+
+
+def _vocab_path(ckpt: Path, lang: str) -> Path:
+    return ckpt.parent / f"vocab_{lang}.txt"
+
+
 def _vocab_beside(ckpt: Path, lang: str, size: int) -> Vocabulary:
     """``vocab_<lang>.txt`` next to ``ckpt``, which must hold the ``size`` ids
     the checkpoint was trained with."""
-    path = ckpt.parent / f"vocab_{lang}.txt"
+    path = _vocab_path(ckpt, lang)
     try:
         vocab = Vocabulary.load(path)
     except FileNotFoundError as exc:

@@ -170,6 +170,17 @@ class Vocabulary:
         return cls(list(first_line))
 
 
+def _check_caption(ids: Sequence[int], what: str) -> None:
+    """A record's caption ids: BOS, 1 to MAX_CAPTION_TOKENS tokens, EOS;
+    ``what`` names the caption in the DataError."""
+    if len(ids) < 3:
+        raise DataError(f"{what} is empty")
+    if ids[0] != BOS_ID or ids[-1] != EOS_ID:
+        raise DataError(f"{what} must be BOS..EOS")
+    if len(ids) - 2 > MAX_CAPTION_TOKENS:
+        raise DataError(f"{what} exceeds {MAX_CAPTION_TOKENS} tokens")
+
+
 @dataclass(frozen=True)
 class TripleRecord:
     """One training example: image features plus encoded EN and DE captions.
@@ -185,14 +196,8 @@ class TripleRecord:
     de_ids: tuple[int, ...]
 
     def __post_init__(self):
-        for label, ids in (("en", self.en_ids), ("de", self.de_ids)):
-            if len(ids) < 3:
-                raise DataError(f"{label} caption of {self.image_id!r} is empty")
-            if ids[0] != BOS_ID or ids[-1] != EOS_ID:
-                raise DataError(f"{label} ids of {self.image_id!r} must be BOS..EOS")
-            if len(ids) - 2 > MAX_CAPTION_TOKENS:
-                raise DataError(f"{label} caption of {self.image_id!r} exceeds "
-                                f"{MAX_CAPTION_TOKENS} tokens")
+        _check_caption(self.en_ids, f"en caption of {self.image_id!r}")
+        _check_caption(self.de_ids, f"de caption of {self.image_id!r}")
 
     @property
     def en_steps(self) -> int:
@@ -212,10 +217,7 @@ class PairRecord:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.ids) < 3:
-            raise DataError(f"caption of {self.image_id!r} is empty")
-        if self.ids[0] != BOS_ID or self.ids[-1] != EOS_ID:
-            raise DataError(f"ids of {self.image_id!r} must be BOS..EOS")
+        _check_caption(self.ids, f"caption of {self.image_id!r}")
 
     @property
     def steps(self) -> int:

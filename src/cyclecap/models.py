@@ -11,18 +11,17 @@
 * ``CaptionEncoder`` is a bidirectional GRU over caption tokens.
 
 ``start(rows, masks)`` takes one row tensor and one mask per head and
-returns ``(keys, state)``: the key rows each head attends over, projected
-once per sequence, and the initial LSTM state, from head 0's rows (the
-regions). ``emit(h)`` maps hidden states of any leading shape to log-probs.
-Decoding goes step by step and never runs backward: ``recur(keys, state,
-embedded)`` runs the heads (``attend``) and the LSTM (``lstm_step``) and
-returns ``(state, weights)``, one attention-weight row per head, and the
-decode step ``step(keys, state, y_prev)`` is an embedding lookup, ``recur``
-and ``emit``; both raise StateError under a tape. Training teacher-forces:
-``unroll`` runs either decoder's recurrence over a whole caption as one
-``tensor.decoder_unroll`` record, ``stage2_forward`` is the one
-teacher-forced pass of the German stage, and ``teacher_forced_records``
-runs it, attention only, over a batch of gold triples.
+returns ``(keys, state)``: one ``tensor.Head`` per head, its key rows
+projected once per sequence, and the initial LSTM state, from head 0's rows
+(the regions). ``emit(h)`` maps hidden states of any leading shape to
+log-probs. Decoding goes step by step and never runs backward: the decode
+step ``step(keys, state, y_prev)`` looks up the previous words, runs the
+heads (``attend``) and the LSTM (``lstm_step``) and ``emit``s, and raises
+StateError under a tape. Training teacher-forces: ``unroll`` hands the
+heads as they are to one ``tensor.decoder_unroll`` record over a whole
+caption, ``stage2_forward`` is the one teacher-forced pass of the German
+stage, and ``teacher_forced_records`` runs it, attention only, over a batch
+of gold triples.
 
 Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
 states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
@@ -32,9 +31,11 @@ region count and caption length, so a ``data.Batch`` pads them and carries
 (B, L) region and (B, T) caption masks. The masks travel with the keys:
 ``AttentionLayer.prepare`` takes the rows' mask and gives padded rows
 weight exactly 0; ``init_state`` averages real regions only; the encoder's
-backward direction holds its zero state through a record's padding. Steps
-past a record's EOS still run, and whatever they compute is masked by the
-losses that read it.
+backward direction holds its zero state through a record's padding. Every
+mask is a boolean array; ``start`` and ``encode`` are the two places where
+an omitted mask becomes an all-true one, for callers with unpadded rows.
+Steps past a record's EOS still run, and whatever they compute is masked by
+the losses that read it.
 
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
@@ -53,12 +54,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import init
-from .attention import AttentionKeys, AttentionLayer, attend
+from .attention import AttentionLayer, attend
 from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
-from .tensor import (Parameter, Tensor, add, concat, decoder_unroll, dropout,
+from .tensor import (Head, Parameter, Tensor, add, concat, decoder_unroll, dropout,
                      embedding_lookup, log_softmax, masked_mean, matmul, mul, stack,
                      tanh, unstack)
 
@@ -76,10 +77,9 @@ class ModelDims:
     attn_dim: int = 64
 
 
-def init_state(rows: Tensor, mask: np.ndarray | None, w: Parameter,
-               b: Parameter) -> Tensor:
+def init_state(rows: Tensor, mask: np.ndarray, w: Parameter, b: Parameter) -> Tensor:
     """tanh-squashed projection of the mean of each record's real rows
-    (``mask``, None: all real); permutation invariant."""
+    (``mask``); permutation invariant."""
     return tanh(add(matmul(masked_mean(rows, mask), w), b))
 
 
@@ -104,8 +104,8 @@ class ImageProjection:
         return {self.w.name: self.w, self.b.name: self.b}
 
 
-Keys = tuple[AttentionKeys, ...]   # one entry per attention head
-State = tuple[Tensor, Tensor]       # LSTM (hidden, memory), each (B, hidden)
+Keys = tuple[Head, ...]         # one entry per attention head
+State = tuple[Tensor, Tensor]   # LSTM (hidden, memory), each (B, hidden)
 
 
 class AttentionDecoder:
@@ -139,25 +139,16 @@ class AttentionDecoder:
             for name in self.INIT)
 
     def start(self, rows: Sequence[Tensor],
-              masks: Sequence[np.ndarray | None] | None = None) -> tuple[Keys, State]:
+              masks: Sequence[np.ndarray] | None = None) -> tuple[Keys, State]:
         """(one key set per head, initial (h, c)) for decoding over one
         (B, K, key_dim) row tensor per head, with their (B, K) masks of real
-        rows (None: all real). The state comes from head 0's rows, the
+        rows (omitted: all real). The state comes from head 0's rows, the
         regions."""
-        masks = [None] * len(rows) if masks is None else masks
+        if masks is None:
+            masks = [np.ones(r.shape[:2], dtype=bool) for r in rows]
         state = tuple(init_state(rows[0], masks[0], w, b) for w, b in self.initial)
         return tuple(head.prepare(r, m) for head, r, m
                      in zip(self.heads, rows, masks, strict=True)), state
-
-    def recur(self, keys: Keys, state: State, embedded: Tensor
-              ) -> tuple[State, tuple[Tensor, ...]]:
-        """One decode step's heads and LSTM from B records' (B, embed)
-        previous-word embeddings: (new (h, c), one (B, K) weight row per
-        head). Decoding only: it raises StateError under a tape."""
-        h, c = state
-        attended = [attend(head, k, h) for head, k in zip(self.heads, keys)]
-        state = lstm_step(self.lstm, [a.context for a in attended] + [embedded], h, c)
-        return state, tuple(a.weights for a in attended)
 
     def emit(self, h: Tensor, *, dropout_rate: float = 0.0,
              rng: np.random.Generator | None = None) -> Tensor:
@@ -167,10 +158,15 @@ class AttentionDecoder:
                                self.b_out))
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray):
-        """One decode step for B records from their (B,) previous ids; returns
-        ((B, vocab) log_probs, (h, c), one (B, K) weight row per head).
-        Decoding only: it raises StateError under a tape."""
-        state, weights = self.recur(keys, state, embedding_lookup(self.embedding, y_prev))
+        """One decode step for B records from their (B,) previous ids: every
+        head attends with h as query, then the LSTM reads [one context per
+        head; the previous word embedding]. Returns ((B, vocab) log_probs,
+        (h, c), one (B, K) weight row per head). Decoding only: it raises
+        StateError under a tape."""
+        h, c = state
+        weights, contexts = zip(*(attend(head, k, h) for head, k in zip(self.heads, keys)))
+        state = lstm_step(self.lstm, [*contexts, embedding_lookup(self.embedding, y_prev)],
+                          h, c)
         return self.emit(state[0]), state, weights
 
     def named(self) -> dict[str, Parameter]:
@@ -214,7 +210,7 @@ class CaptionEncoder:
 
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Encode (B, N) token ids, with their (B, N) mask of real tokens
-        (None: all real), into (B, N, 2*hidden) states. Each direction
+        (omitted: all real), into (B, N, 2*hidden) states. Each direction
         projects all embeddings in one matmul and splits the result into
         its N positions with one ``unstack``.
         Real tokens come first in each row; the backward direction holds
@@ -225,6 +221,9 @@ class CaptionEncoder:
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise DataError(f"caption encoder: need a non-empty (B, N) token "
                             f"matrix, got shape {ids.shape}")
+        if mask is None:
+            mask = np.ones(ids.shape, dtype=bool)
+        padded = ~mask.all(axis=0)                           # (N,) columns with padding
         embeds = embedding_lookup(self.embedding, ids.T)     # (N, B, embed)
         fwd_inputs = unstack(gru_inputs(self.fwd, embeds))
         bwd_inputs = unstack(gru_inputs(self.bwd, embeds))
@@ -239,7 +238,7 @@ class CaptionEncoder:
         h = zeros
         for t in range(n - 1, -1, -1):
             h = gru_step(self.bwd, bwd_inputs[t], h)
-            if mask is not None and not mask[:, t].all():
+            if padded[t]:
                 h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
             backward[t] = h
         return concat([stack(forward, axis=1), stack(backward, axis=1)])
@@ -320,10 +319,8 @@ def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray
     whoever reads them.
     """
     keys, (h, c) = start
-    heads = [(k.projected, k.rows, k.mask, k.w_query_t, head.combine)
-             for head, k in zip(decoder.heads, keys, strict=True)]
     outs = decoder_unroll(embedding_lookup(decoder.embedding, ids[:, :-1].T), h, c,
-                          decoder.lstm.w, decoder.lstm.b, heads, states=states)
+                          decoder.lstm.w, decoder.lstm.b, keys, states=states)
     return (outs[0], list(outs[1:])) if states else (None, list(outs))
 
 

@@ -13,11 +13,13 @@ gradient reached, and the record is skipped when none did.
 
 Training runs on batches, so tensors carry a leading batch axis: states are
 (B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
-take a boolean mask of real entries (``masked_softmax``, ``masked_mean``,
-``frobenius``, ``pick``, ``additive_attention``); masked-out entries never
-reach the result and get exactly zero gradient, so padding cannot leak into
-a loss. ``matmul`` applies a shared weight over every leading axis,
-``batch_matmul`` multiplies matrix i of one batch by matrix i of another.
+take a boolean mask of real entries (``masked_mean``, ``frobenius``,
+``pick``, and the attention ops through their ``Head``); masked-out entries
+never reach the result and get exactly zero gradient, so padding cannot leak
+into a loss. A pooling or attention mask is always a (B, ·) array, all-true
+when every entry is real. ``matmul`` applies a shared weight over every
+leading axis, ``batch_matmul`` multiplies matrix i of one batch by matrix i
+of another.
 
 Besides the primitives there are fused ops, one record each for what would
 otherwise be many small ones: ``gru_cell`` (one recurrent step on fused gate
@@ -25,19 +27,20 @@ weights), ``unstack`` (every slice of a sequence at once) and
 ``decoder_unroll`` (a whole teacher-forced decoder unroll: every attention
 head and the LSTM over all T steps, its backward BPTT written out once). At
 these sizes an op costs per record rather than per flop, so fewer, wider
-records are what make training cheap. The decode-step ops ``lstm_cell`` and
-``additive_attention`` (one LSTM step; score, masked softmax and context of
-one head) share their step math with ``decoder_unroll`` but keep no backward
-rule, because decoding never runs backward: under an active tape they raise
-StateError. Every op validates its output for finiteness, so a NaN or
-overflow surfaces at the op that produced it rather than ten layers
-downstream.
+records are what make training cheap. Both attention ops take each head as
+one ``Head`` record, the prepared keys and the scorer's weights. The
+decode-step ops ``lstm_cell`` and ``additive_attention`` (one LSTM step;
+score, masked softmax and context of one head) share their step math with
+``decoder_unroll`` but keep no backward rule, because decoding never runs
+backward: under an active tape they raise StateError. Every op validates its
+output for finiteness, so a NaN or overflow surfaces at the op that produced
+it rather than ten layers downstream.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -342,39 +345,16 @@ def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
-def masked_softmax(scores: Tensor, mask: Array | None) -> Tensor:
-    """Attention weights from key-major scores: softmax over axis 0 of a
-    (K, B) score matrix, returned batch-major as (B, K).
-
-    ``mask`` is the (B, K) boolean mask of real keys, or None when every key
-    is real. Masked-out keys get weight exactly 0 and no gradient, so their
-    scores never reach the result; each row needs at least one real key.
-    """
-    if scores.data.ndim != 2 or (mask is not None and mask.shape != scores.shape[::-1]):
-        raise DimensionError(f"masked_softmax: scores {scores.shape} need a (K, B) "
-                             f"matrix and a (B, K) mask")
-    s = scores.data.T
-    if mask is not None:
-        s = np.where(mask, s, -np.inf)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    w = e / e.sum(axis=1, keepdims=True)
-    out = _result("masked_softmax", w)
-
-    def rule(g: Array) -> tuple[Array]:
-        return ((w * (g - (g * w).sum(axis=1, keepdims=True))).T,)
-
-    return _record(out, (scores,), rule)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = _result("log_softmax", y)
     probs = np.exp(y)
 
     def rule(g: Array) -> tuple[Array]:
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
 
     return _record(out, (a,), rule)
 
@@ -425,25 +405,18 @@ def sum_all(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (np.full(shape, float(g)),))
 
 
-def masked_mean(a: Tensor, mask: Array | None) -> Tensor:
+def masked_mean(a: Tensor, mask: Array) -> Tensor:
     """Mean over the real rows of each record: a (B, L, d) with the (B, L)
-    boolean mask of real rows (None: all real) gives (B, d). Masked-out rows
-    are read as 0 and get no gradient; each record needs at least one real
-    row."""
-    if a.data.ndim != 3 or (mask is not None and mask.shape != a.shape[:2]):
+    boolean mask of real rows gives (B, d). Masked-out rows are read as 0 and
+    get no gradient; each record needs at least one real row."""
+    if a.data.ndim != 3 or mask.shape != a.shape[:2]:
         raise DimensionError(f"masked_mean: need a (B, L, d) tensor and a (B, L) "
-                             f"mask, got {a.shape} and {np.shape(mask)}")
-    if mask is None:
-        n, shape = a.shape[1], a.shape
-        out = _result("masked_mean", a.data.mean(axis=1))
-        return _record(out, (a,), lambda g: (np.broadcast_to(g[:, None, :] / n, shape),))
+                             f"mask, got {a.shape} and {mask.shape}")
     counts = mask.sum(axis=1)
     if not counts.all():
         raise DimensionError("masked_mean: a record has no real rows")
-    weight = (mask / counts[:, None])[..., None]   # (B, L, 1)
-    out = _result("masked_mean", np.where(mask[..., None], a.data, 0.0).sum(axis=1)
-                  / counts[:, None])
-    return _record(out, (a,), lambda g: (g[:, None, :] * weight,))
+    out = _result("masked_mean", a.data.sum(axis=1, where=mask[..., None]) / counts[:, None])
+    return _record(out, (a,), lambda g: (g[:, None, :] * (mask / counts[:, None])[..., None],))
 
 
 def frobenius(a: Tensor, row_mask: Array) -> Tensor:
@@ -520,14 +493,35 @@ def _lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
     return ifo, g, c_new, tc, ifo[..., 2 * size:] * tc
 
 
-def _attention_arrays(projected: Array, rows: Array, mask: Array | None, query: Array,
-                      w_query_t: Array, combine: Array) -> tuple[Array, Array, Array]:
-    """One additive-attention head on arrays: (hidden, weights, context) as
-    ``additive_attention`` defines them."""
+class Head(NamedTuple):
+    """One attention head over a sequence's keys, as both attention ops take
+    it: the key side prepared once per sequence
+    (``attention.AttentionLayer.prepare``) and the scorer's ``combine``."""
+
+    projected: Tensor   # (K, B, A): key rows @ w_key + b, key-major
+    rows: Tensor        # (B, K, d) key rows
+    mask: Array         # (B, K) boolean, True on real rows
+    w_query_t: Tensor   # (Q, A): the query weight, transposed
+    combine: Tensor     # (A,): the score's output weight
+
+    def repeat(self, n: int) -> Head:
+        """This head with each record's rows, mask and projection repeated n
+        times in place, record-major: one image's keys for n hypotheses."""
+        return self._replace(
+            projected=Tensor(np.repeat(self.projected.data, n, axis=1), _unchecked=True),
+            rows=Tensor(np.repeat(self.rows.data, n, axis=0), _unchecked=True),
+            mask=np.repeat(self.mask, n, axis=0))
+
+
+def _attention_arrays(head: Sequence[Array], query: Array) -> tuple[Array, Array, Array]:
+    """One additive-attention head on arrays, ``head`` holding a ``Head``'s
+    fields as arrays: (hidden, weights, context) as ``additive_attention``
+    defines them."""
+    projected, rows, mask, w_query_t, combine = head
     hidden = np.tanh(projected + np.matmul(query, w_query_t))
-    s = np.matmul(hidden, combine).T
-    if mask is not None:
-        s = np.where(mask, s, -np.inf)
+    # masked while key-major, as the scores come, and read batch-major as a
+    # view: every head's softmax sums run over that one layout
+    s = np.where(mask.T, np.matmul(hidden, combine), -np.inf).T
     e = np.exp(s - s.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     return hidden, w, np.matmul(w[:, None, :], rows)[:, 0, :]
@@ -605,46 +599,38 @@ def gru_cell(xw: Tensor, h: Tensor, u: Tensor) -> Tensor:
     return _record(out, (xw, h, u), rule)
 
 
-def _attention_shapes_fit(projected: Array, rows: Array, mask: Array | None,
-                          w_query_t: Array, combine: Array, query_dim: int,
-                          batch: int) -> bool:
+def _attention_shapes_fit(head: Sequence[Array], query_dim: int, batch: int) -> bool:
+    projected, rows, mask, w_query_t, combine = head
     return (projected.ndim == 3 and rows.ndim == 3
             and rows.shape[:2] == (batch, projected.shape[0])
             and projected.shape[1] == batch
             and w_query_t.shape == (query_dim, projected.shape[2])
             and combine.shape == projected.shape[2:]
-            and (mask is None or mask.shape == rows.shape[:2]))
+            and mask.shape == rows.shape[:2])
 
 
-def additive_attention(projected: Tensor, rows: Tensor, mask: Array | None,
-                       query: Tensor, w_query_t: Tensor,
-                       combine: Tensor) -> tuple[Tensor, Tensor]:
+def additive_attention(head: Head, query: Tensor) -> tuple[Tensor, Tensor]:
     """One additive-attention head's decode step; returns (weights, context).
 
         hidden = tanh(projected + query @ w_query_t)      (K, B, A)
         weights = masked softmax over keys of hidden @ combine   (B, K)
         context[b] = weights[b] @ rows[b]                  (B, d)
 
-    ``projected`` is the key-major (K, B, A) key projection, ``rows`` the
-    (B, K, d) key rows, ``mask`` their (B, K) boolean mask of real rows (None:
-    all real), ``query`` (B, Q), ``w_query_t`` (Q, A) and ``combine`` (A,).
-    Masked keys get weight exactly 0. Decoding only: under an active tape it
-    raises StateError.
+    ``head`` holds the key-major (K, B, A) key projection, the (B, K, d) key
+    rows, their (B, K) boolean mask of real rows, ``w_query_t`` (Q, A) and
+    ``combine`` (A,); ``query`` is (B, Q). Masked keys get weight exactly 0.
+    Decoding only: under an active tape it raises StateError.
     """
+    projected, rows, mask, w_query_t, combine = head
+    arrays = (projected.data, rows.data, mask, w_query_t.data, combine.data)
     qd = query.data
-    if qd.ndim != 2 or not _attention_shapes_fit(projected.data, rows.data, mask,
-                                                 w_query_t.data, combine.data,
-                                                 *qd.shape[::-1]):
+    if qd.ndim != 2 or not _attention_shapes_fit(arrays, *qd.shape[::-1]):
         raise _bad_shapes("additive_attention", projected=projected.shape,
                           rows=rows.shape, mask=np.shape(mask), query=query.shape,
                           w_query_t=w_query_t.shape, combine=combine.shape)
     _decode_only("additive_attention")
-    _, w, context = _attention_arrays(projected.data, rows.data, mask, qd,
-                                      w_query_t.data, combine.data)
+    _, w, context = _attention_arrays(arrays, qd)
     return _results("additive_attention", w, context)
-
-
-Head = tuple[Tensor, Tensor, Array | None, Tensor, Tensor]
 
 
 def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
@@ -657,8 +643,8 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     ``embedded`` is the (T, B, E) previous-word embeddings and ``h``, ``c``
     the (B, H) initial state. ``w`` is the (sum of d + E + H, 4H) LSTM
     weight, its rows in the order contexts, embedding, h; ``b`` is (4H,).
-    Each head is (projected (K, B, A), rows (B, K, d), mask (B, K) or None,
-    w_query_t (H, A), combine (A,)), as ``additive_attention`` takes them.
+    Each ``Head`` is as ``additive_attention`` takes it, its ``w_query_t``
+    (H, A).
 
     Returns the (T, B, H) states h_1 .. h_T, then each head's (B, T, K)
     weights. With ``states=False`` it returns the weights alone and skips
@@ -687,7 +673,7 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         ctx_w = sum(widths)
         fits = steps > 0 and hd.shape[0] == batch and cd.shape == hd.shape \
             and wd.shape == (ctx_w + emb_w + size, 4 * size) and b.shape == (4 * size,) \
-            and all(_attention_shapes_fit(*head, size, batch) for head in arrays)
+            and all(_attention_shapes_fit(head, size, batch) for head in arrays)
     if not fits:
         raise _bad_shapes("decoder_unroll", embedded=embedded.shape, h=h.shape,
                           c=c.shape, w=w.shape, b=b.shape,
@@ -710,7 +696,7 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         x[:, ctx_w:] = query
         for k, head in enumerate(arrays):
             hidden, weights[k][:, t], x[:, offsets[k]:offsets[k + 1]] = _attention_arrays(
-                *head[:3], query, *head[3:])
+                head, query)
             hiddens[k].append(hidden)
         if t < cells:
             (gates[t, :, :3 * size], gates[t, :, 3 * size:], mem[t + 1], tanh_mem[t],

@@ -10,9 +10,9 @@ The exceptions are two layers of taped oracles for the package's fused ops:
 * the composed graphs: the LSTM step, GRU step and attention head built
   from the package's primitive tape ops, one small op per gate slice, as
   the package computed them before its fused ops. They are the gradient
-  oracle for ``gru_cell`` and for the per-step records below; the two ops
-  only they need, ``column_slice`` and ``sigmoid``, are built here on
-  ``tensor._record``.
+  oracle for ``gru_cell`` and for the per-step records below; the three ops
+  only they need, ``column_slice``, ``sigmoid`` and ``masked_softmax``, are
+  built here on ``tensor._record``.
 * the per-step records: one LSTM step and one attention head as one record
   each, on the package's array-level step math, with the backward rules the
   package's decode ops carried before a teacher-forced unroll became one
@@ -27,8 +27,8 @@ import numpy as np
 
 from cyclecap.tensor import (Tensor, _attention_arrays, _lstm_arrays, _record,
                              _record_many, _result, _results, add, batch_matmul,
-                             concat, embedding_lookup, masked_softmax, matmul, mul,
-                             stack, sub, tanh, unstack)
+                             concat, embedding_lookup, matmul, mul, stack, sub, tanh,
+                             unstack)
 
 
 def np_softmax(x):
@@ -112,6 +112,22 @@ def sigmoid(a):
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 
 
+def masked_softmax(scores, mask):
+    """Attention weights from key-major scores as a tape op: softmax over
+    axis 0 of a (K, B) score matrix, returned batch-major as (B, K), with
+    ``mask`` the (B, K) boolean mask of real keys. Masked-out keys get weight
+    exactly 0 and no gradient; each row needs at least one real key."""
+    s = np.where(mask, scores.data.T, -np.inf)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    out = _result("masked_softmax", w)
+
+    def rule(g):
+        return ((w * (g - (g * w).sum(axis=1, keepdims=True))).T,)
+
+    return _record(out, (scores,), rule)
+
+
 def composed_lstm_step(p, inputs, h_prev, c_prev):
     """``cells.lstm_step`` from primitive ops: concat, one matmul, gate slices."""
     size = p.hidden_size
@@ -134,10 +150,10 @@ def composed_gru_step(p, xw, h_prev):
     return add(n, mul(column_slice(rz, size, 2 * size), sub(h_prev, n)))
 
 
-def composed_attend(layer, keys, query):
+def composed_attend(keys, query):
     """``attention.attend`` from primitive ops; returns (weights, context)."""
     hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
-    weights = masked_softmax(matmul(hidden, layer.combine), keys.mask)
+    weights = masked_softmax(matmul(hidden, keys.combine), keys.mask)
     return weights, batch_matmul(weights, keys.rows)
 
 
@@ -174,12 +190,13 @@ def step_lstm_cell(inputs, h, c, w, b):
     return _record_many(outs, (*inputs, h, c, w, b), rule)
 
 
-def step_additive_attention(projected, rows, mask, query, w_query_t, combine):
+def step_additive_attention(head, query):
     """One attention head's step as one record, as
     ``tensor.additive_attention`` computes it, with its per-step backward
     rule; returns (weights, context)."""
+    projected, rows, mask, w_query_t, combine = head
     pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
-    hidden, w, context = _attention_arrays(pd, rd, mask, qd, wd, cd)
+    hidden, w, context = _attention_arrays((pd, rd, mask, wd, cd), qd)
     outs = _results("additive_attention", w, context)
 
     def rule(gw, gctx):
@@ -200,9 +217,7 @@ def stepped_unroll(decoder, start, ids):
     keys, (h, c) = start
     hidden, weight_rows = [], []
     for x in unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T)):
-        attended = [step_additive_attention(k.projected, k.rows, k.mask, h,
-                                            k.w_query_t, head.combine)
-                    for head, k in zip(decoder.heads, keys)]
+        attended = [step_additive_attention(k, h) for k in keys]
         h, c = step_lstm_cell([ctx for _, ctx in attended] + [x], h, c,
                               decoder.lstm.w, decoder.lstm.b)
         hidden.append(h)

@@ -16,11 +16,16 @@ def make_layer(seed=0, key_dim=5, query_dim=4, attn_dim=6):
                           query_dim=query_dim, attn_dim=attn_dim, prefix="attn")
 
 
+def all_real(rows):
+    """The (B, K) mask of (B, K, d) key rows none of which is padding."""
+    return np.ones(rows.shape[:2], dtype=bool)
+
+
 def test_identical_keys_give_uniform_weights():
     layer = make_layer()
     keys = Tensor(np.tile(np.linspace(-1, 1, 5), (1, 7, 1)))
-    out = attend(layer, layer.prepare(keys), Tensor(np.ones((1, 4))))
-    np.testing.assert_allclose(out.weights.data[0], np.full(7, 1.0 / 7), atol=1e-12)
+    weights, _ = attend(layer, layer.prepare(keys, all_real(keys)), Tensor(np.ones((1, 4))))
+    np.testing.assert_allclose(weights.data[0], np.full(7, 1.0 / 7), atol=1e-12)
 
 
 def test_dominant_score_selects_its_key():
@@ -33,9 +38,11 @@ def test_dominant_score_selects_its_key():
     keys = np.zeros((4, 5))
     keys[2] = 0.2  # only key 2 produces a positive score
     layer.w_key.data[:, :] = np.eye(5, layer.attn_dim)
-    out = attend(layer, layer.prepare(Tensor(keys[None])), Tensor(np.zeros((1, 4))))
-    assert out.weights.data[0, 2] > 0.999
-    np.testing.assert_allclose(out.context.data[0], keys[2], atol=1e-3)
+    rows = Tensor(keys[None])
+    weights, context = attend(layer, layer.prepare(rows, all_real(rows)),
+                              Tensor(np.zeros((1, 4))))
+    assert weights.data[0, 2] > 0.999
+    np.testing.assert_allclose(context.data[0], keys[2], atol=1e-3)
 
 
 def test_matches_independent_formula_evaluation():
@@ -43,22 +50,24 @@ def test_matches_independent_formula_evaluation():
     layer = make_layer(seed=3)
     keys = rng.standard_normal((6, 5))
     query = rng.standard_normal(4)
-    out = attend(layer, layer.prepare(Tensor(keys[None])), Tensor(query[None]))
+    rows = Tensor(keys[None])
+    weights, context = attend(layer, layer.prepare(rows, all_real(rows)), Tensor(query[None]))
     ref_w, ref_ctx = ref_attend(layer, keys, query)
-    np.testing.assert_allclose(out.weights.data[0], ref_w, atol=1e-14)
-    np.testing.assert_allclose(out.context.data[0], ref_ctx, atol=1e-14)
+    np.testing.assert_allclose(weights.data[0], ref_w, atol=1e-14)
+    np.testing.assert_allclose(context.data[0], ref_ctx, atol=1e-14)
 
 
 def test_input_validation():
     layer = make_layer()
     with pytest.raises(DataError):
-        layer.prepare(Tensor(np.zeros((1, 0, 5))))
+        layer.prepare(Tensor(np.zeros((1, 0, 5))), np.ones((1, 0), dtype=bool))
     with pytest.raises(DimensionError):
-        layer.prepare(Tensor(np.zeros((1, 3, 4))))
+        layer.prepare(Tensor(np.zeros((1, 3, 4))), np.ones((1, 3), dtype=bool))
     with pytest.raises(DimensionError):
-        layer.prepare(Tensor(np.zeros(5)))
+        layer.prepare(Tensor(np.zeros(5)), np.ones(5, dtype=bool))
     with pytest.raises(DimensionError):
-        attend(layer, layer.prepare(Tensor(np.zeros((1, 3, 5)))), Tensor(np.zeros((1, 5))))
+        attend(layer, layer.prepare(Tensor(np.zeros((1, 3, 5))), np.ones((1, 3), dtype=bool)),
+               Tensor(np.zeros((1, 5))))
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,12 +76,13 @@ def test_weights_are_distribution_and_context_in_hull(seed, n_keys):
     rng = np.random.default_rng(seed)
     layer = make_layer(seed=seed)
     keys = rng.uniform(-5, 5, size=(n_keys, 5))
-    out = attend(layer, layer.prepare(Tensor(keys[None])),
-                 Tensor(rng.uniform(-5, 5, size=(1, 4))))
-    w = out.weights.data[0]
+    rows = Tensor(keys[None])
+    weights, context = attend(layer, layer.prepare(rows, all_real(rows)),
+                              Tensor(rng.uniform(-5, 5, size=(1, 4))))
+    w = weights.data[0]
     assert (w >= 0).all()
     assert abs(w.sum() - 1.0) < 1e-6
-    ctx = out.context.data[0]
+    ctx = context.data[0]
     assert (ctx >= keys.min(axis=0) - 1e-9).all()
     assert (ctx <= keys.max(axis=0) + 1e-9).all()
 
@@ -87,9 +97,8 @@ def test_gradients_of_weights_and_context():
     probe = Parameter(rng.standard_normal(5), "probe")
 
     def build():
-        k = layer.prepare(keys)
-        weights, context = step_additive_attention(k.projected, k.rows, k.mask, query,
-                                                   k.w_query_t, layer.combine)
+        weights, context = step_additive_attention(layer.prepare(keys, all_real(keys)),
+                                                   query)
         return add(sum_all(pick(weights, [2])), sum_all(mul(context, probe)))
 
     result = check_gradients("attend", build,

@@ -604,6 +604,39 @@ def test_replay_refuses_an_input_changed_since_the_run(pipeline, tmp_path, capsy
     assert not (out / "manifest.json").exists()
 
 
+def test_replay_refuses_a_vocabulary_changed_since_the_run(pipeline, tmp_path, capsys):
+    # train, infer and attn-export read vocabulary files beside a checkpoint,
+    # which no option names; their run manifests record them all the same
+    part1 = tmp_path / "part1"
+    shutil.copytree(pipeline / "part1", part1)
+    part2 = tmp_path / "part2"
+    assert run("train", "--manifest", str(pipeline / "data" / "manifest.jsonl"),
+               "--part1", str(part1 / "part1.ckpt"), "--out-dir", str(part2),
+               "--seed", "3", *TINY_TRAIN) == 0
+    vocab = part1 / "vocab_en.txt"
+    recorded = hashlib.sha256(vocab.read_bytes()).hexdigest()
+    assert json.loads((part2 / "manifest.json").read_text())["inputs"][str(vocab)] == recorded
+    for subcommand, ckpt, langs in (("infer", part2 / "bundle.ckpt", ("en", "de")),
+                                    ("infer", part1 / "part1.ckpt", ("en",)),
+                                    ("attn-export", part2 / "bundle.ckpt", ("en", "de"))):
+        settings = {opt.key: opt.default for opt in SUBCOMMANDS[subcommand][2]}
+        settings.update(checkpoint=str(ckpt), manifest=str(pipeline / "data" / "manifest.jsonl"))
+        write_run_manifest(subcommand, settings, tmp_path)
+        inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+        assert sorted(inputs) == sorted([settings["checkpoint"], settings["manifest"],
+                                         *(str(ckpt.parent / f"vocab_{lang}.txt")
+                                           for lang in langs)]), subcommand
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(reversed(lines)) + "\n", encoding="utf-8")
+    now = hashlib.sha256(vocab.read_bytes()).hexdigest()
+    capsys.readouterr()
+    out = tmp_path / "replay"
+    assert run("train", "--from-manifest", str(part2 / "manifest.json"),
+               "--out-dir", str(out)) == 5
+    assert_clean_io_error(capsys, str(vocab), recorded, now)
+    assert not (out / "bundle.ckpt").exists()
+
+
 def test_eval_replay_after_its_candidates_changed_is_io_error(pipeline, tmp_path,
                                                               capsys):
     # such a replay used to score the new file: exit 0 with CIDEr 0.0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecap.data import (BOS_ID, EOS_ID, PAD_ID, UNK_ID, FeatureGrid,
-                           ManifestEntry, TripleRecord, Vocabulary, encode_pairs,
+from cyclecap.data import (BOS_ID, EOS_ID, MAX_CAPTION_TOKENS, PAD_ID, UNK_ID,
+                           FeatureGrid, ManifestEntry, PairRecord, TripleRecord,
+                           Vocabulary, encode_pairs,
                            encode_triples, load_features, read_manifest,
                            save_features, tokenize, write_manifest)
 from cyclecap.errors import DataError, FormatError, NumericError
@@ -193,6 +194,23 @@ def test_triple_record_invariants():
         TripleRecord("x", grid, (4, 5, EOS_ID), (BOS_ID, 4, EOS_ID))
     record = TripleRecord("x", grid, (BOS_ID, 4, EOS_ID), (BOS_ID, 4, 5, EOS_ID))
     assert record.en_steps == 2 and record.de_steps == 3
+
+
+def test_both_record_types_check_caption_length_alike():
+    # a pair used to take a caption of any length, which encode_pairs skips
+    grid = FeatureGrid(np.zeros((2, 2)))
+    longest = (BOS_ID, *[4] * MAX_CAPTION_TOKENS, EOS_ID)
+    over = (BOS_ID, *[4] * (MAX_CAPTION_TOKENS + 1), EOS_ID)
+    assert PairRecord("x", grid, longest).steps == MAX_CAPTION_TOKENS + 1
+    TripleRecord("x", grid, longest, longest)
+    message = f"caption of 'x' exceeds {MAX_CAPTION_TOKENS} tokens"
+    with pytest.raises(DataError, match=f"^{message}$"):
+        PairRecord("x", grid, over)
+    for en, de, lang in ((over, longest, "en"), (longest, over, "de")):
+        with pytest.raises(DataError, match=f"^{lang} {message}$"):
+            TripleRecord("x", grid, en, de)
+    with pytest.raises(DataError, match="^caption of 'x' must be BOS..EOS$"):
+        PairRecord("x", grid, (4, 5, EOS_ID))
 
 
 def test_counter_agreement_sanity():

@@ -92,12 +92,10 @@ def test_attend_matches_composed(batch):
     query = operand(rng, (batch, 4), "query", batch > 1)
 
     def fused():
-        keys = layer.prepare(rows, mask)
-        return step_additive_attention(keys.projected, keys.rows, keys.mask, query,
-                                       keys.w_query_t, layer.combine)
+        return step_additive_attention(layer.prepare(rows, mask), query)
 
     def composed():
-        return composed_attend(layer, layer.prepare(rows, mask), query)
+        return composed_attend(layer.prepare(rows, mask), query)
 
     assert_agree(fused, composed, dict(layer.named(), rows=rows, query=query))
     weights, _ = fused()

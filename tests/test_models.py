@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclecap.checks import check_gradients
-from cyclecap.data import PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
+from cyclecap.data import BOS_ID, PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.errors import DataError, FormatError, NumericError, StateError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, init_state,
@@ -316,13 +316,39 @@ def test_unroll_matches_the_per_step_graph(which, batch_size, states):
         np.testing.assert_allclose(a, b, rtol=TOL, atol=TOL)
 
 
+# --- omitted masks ----------------------------------------------------------------
+
+def test_omitted_masks_decode_as_all_true_masks():
+    # start and encode are the two places an omitted mask becomes all-true:
+    # greedy decoding either way gives the same tokens, log-probs and weights
+    bundle = tiny_bundle(seed=31, regions=4)
+    rng = np.random.default_rng(32)
+    regions = bundle.captioner.project(rng.standard_normal((2, 4, 3)))
+    en_ids = np.array([[4, 5, 6, 2], [7, 4, 2, 5]])
+    encoded = bundle.cap_encoder.encode(en_ids)
+    assert encoded.data.tobytes() == bundle.cap_encoder.encode(
+        en_ids, np.ones(en_ids.shape, dtype=bool)).data.tobytes()
+    for decoder, rows in ((bundle.captioner.decoder, [regions]),
+                          (bundle.de_decoder, [regions, encoded])):
+        runs = []
+        for masks in (None, [np.ones(r.shape[:2], dtype=bool) for r in rows]):
+            keys, state = decoder.start(rows, masks)
+            y, out = np.full(2, BOS_ID), []
+            for _ in range(4):
+                logp, state, weights = decoder.step(keys, state, y)
+                y = logp.data.argmax(axis=1)
+                out += [y.tobytes(), logp.data.tobytes(), *(w.data.tobytes() for w in weights)]
+            runs.append(out)
+        assert runs[0] == runs[1]
+
+
 # --- init state ---------------------------------------------------------------
 
 def test_init_state_zero_rows_gives_tanh_bias():
     rng = np.random.default_rng(15)
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
-    out = init_state(Tensor(np.zeros((1, 5, 3))), None, w, b)
+    out = init_state(Tensor(np.zeros((1, 5, 3))), np.ones((1, 5), dtype=bool), w, b)
     np.testing.assert_allclose(out.data[0], np.tanh(b.data), atol=1e-14)
 
 
@@ -331,8 +357,9 @@ def test_init_state_permutation_invariant():
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
     rows = rng.standard_normal((1, 5, 3))
-    a = init_state(Tensor(rows), None, w, b).data
-    c = init_state(Tensor(rows[:, ::-1].copy()), None, w, b).data
+    real = np.ones((1, 5), dtype=bool)
+    a = init_state(Tensor(rows), real, w, b).data
+    c = init_state(Tensor(rows[:, ::-1].copy()), real, w, b).data
     np.testing.assert_allclose(a, c, atol=1e-14)
 
 
@@ -341,7 +368,8 @@ def test_init_state_gradients():
     w = Parameter(rng.standard_normal((3, 4)), "w")
     b = Parameter(rng.standard_normal(4), "b")
     rows = Tensor(rng.standard_normal((1, 5, 3)))
-    result = check_gradients("init", lambda: sum_all(init_state(rows, None, w, b)),
+    real = np.ones((1, 5), dtype=bool)
+    result = check_gradients("init", lambda: sum_all(init_state(rows, real, w, b)),
                              {"w": w, "b": b})
     assert result.max_error < 1e-3
 
