@@ -1,30 +1,29 @@
-"""LSTM and GRU cells on fused gate weights, each step one fused op.
+"""LSTM and GRU cells on fused gate weights, run as fused ops.
 
 Each cell keeps its gates side by side in one weight, so a step does one
 matmul for all gates, and the whole step, gates and state update, is one
 op: the fusion of Appleyard et al., 2016, carried from the weights to the
-tape. At these sizes a step costs per op rather than per flop, so one op
-per step is what makes it cheap. Column block k of a fused weight or bias
-belongs to gate ``GATES[k]``.
+tape. At these sizes an op costs per record rather than per flop, so fewer
+records are what make training cheap. Column block k of a fused weight or
+bias belongs to gate ``GATES[k]``.
 
-* A GRU step (``tensor.gru_cell``) is one tape record with one backward
-  rule; the caption encoder trains through it.
+* A GRU direction (``gru_step``, ``tensor.gru_unroll``) goes one step further
+  across time, as Appleyard et al. do: a whole (T, B, input) sequence is one
+  tape record, its inputs are projected through ``w`` in one product, and
+  each weight gradient is one product over all T * B rows. The caption
+  encoder calls it once per direction.
 * An LSTM step (``lstm_step``, ``tensor.lstm_cell``) serves decoding only
   and records nothing. Training runs the decoder's LSTM inside
-  ``tensor.decoder_unroll``, which goes one step further across time, as
-  Appleyard et al. do: the unroll is one record, its embedding inputs are
-  projected through their rows of the weight in one product, and each
-  weight gradient is one product over all T * B rows.
+  ``tensor.decoder_unroll``, which is one record per unroll in the same way.
 
 * LSTM: one ``(input + hidden, 4 * hidden)`` weight applied to ``[x; h]``
   and one ``4 * hidden`` bias; gates i, f, o, g.
 * GRU: an input-side ``(input, 3 * hidden)`` weight, a hidden-side
   ``(hidden, 3 * hidden)`` weight and a ``3 * hidden`` bias; gates r, z, n.
-  The hidden side stays apart because the candidate uses ``r * (U_n h)``,
-  and ``gru_inputs`` projects the inputs of a whole sequence in one matmul.
+  The hidden side stays apart because the candidate uses ``r * (U_n h)``.
 
-A step works on any leading shape: (B, input) inputs and (B, hidden) states
-step a whole batch of records through the cell at once.
+An LSTM step works on any leading shape: (B, input) inputs and (B, hidden)
+states step a whole batch of records through the cell at once.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import init
-from .errors import DimensionError
-from .tensor import Parameter, Tensor, add, gru_cell, lstm_cell, matmul
+from .tensor import Parameter, Tensor, gru_unroll, lstm_cell
 
 
 class GatedParams:
@@ -108,25 +106,19 @@ class GRUParams(GatedParams):
         self.u = Parameter(w_hid, f"{prefix}/u")
 
 
-def gru_inputs(p: GRUParams, x: Tensor) -> Tensor:
-    """Input-side pre-activations ``x @ w + b`` of all three gates, for
-    inputs of any leading shape, such as a whole (T, B, input) sequence."""
-    if x.shape[-1:] != (p.input_size,):
-        raise DimensionError(f"gru_inputs: got x{x.shape} for cell "
-                             f"({p.input_size} -> {p.hidden_size})")
-    return add(matmul(x, p.w), p.b)
+def gru_step(p: GRUParams, embedded: Tensor, mask: np.ndarray, *,
+             reverse: bool = False) -> Tensor:
+    """One GRU direction over a (T, B, input) sequence from a zero state, as
+    one record (``tensor.gru_unroll``); returns the (B, T, hidden) states.
+    ``mask`` is the (B, T) boolean mask of real positions. Each step is
 
+        r, z = sigmoid(x @ w + h @ u + b)[:2H] in two blocks
+        n = tanh((x @ w + b)[2H:] + r * (h @ u)[2H:])
+        h' = z * h + (1 - z) * n,  taken as n + z * (h - n)
 
-def gru_step(p: GRUParams, xw: Tensor, h_prev: Tensor) -> Tensor:
-    """One GRU step from ``xw``, one step's row of ``gru_inputs``:
-
-        a = h_prev @ u
-        r, z = sigmoid(xw[:2H] + a[:2H]) in two blocks
-        n = tanh(xw[2H:] + r * a[2H:])
-        h = z * h_prev + (1 - z) * n,  taken as n + z * (h_prev - n)
-
-    The update gate z interpolates toward keeping h_prev, so a large positive
-    update-gate bias saturates the cell into carrying its state through
-    unchanged.
+    stepping forward in time, or backward with ``reverse``, which holds the
+    zero state through each record's padding. The update gate z interpolates
+    toward keeping h, so a large positive update-gate bias saturates the cell
+    into carrying its state through unchanged.
     """
-    return gru_cell(xw, h_prev, p.u)
+    return gru_unroll(embedded, p.w, p.u, p.b, mask, reverse=reverse)

@@ -3,10 +3,10 @@ verification suites behind the gradcheck and oracle-check commands.
 
 ``check_gradients`` only ever evaluates forward passes, so it stays
 independent of the tape machinery it validates. The gradient suite drives
-every primitive, every fused op that training records (each output's
-gradient, a zero-filled one included, and a teacher-forced unroll of each
-decoder kind), the GRU cell, the consistency loss, and the composed
-stage-one and stage-two losses, at batch sizes 1 and 2, through it. The
+every primitive, every fused op that training records (each GRU direction
+and a teacher-forced unroll of each decoder kind, over padding), the
+decoders' initial state, the consistency loss, and the composed stage-one
+and stage-two losses, at batch sizes 1 and 2, through it. The
 oracle suite exercises the hand-worked composed-attention example and the
 conditional-independence identity on random factorized joint tables.
 """
@@ -19,7 +19,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .cells import GRUParams, gru_inputs, gru_step
 from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph,
                     factorized_joint, indirect_attention, record_from_joint,
                     toy_alignment_record)
@@ -27,9 +26,9 @@ from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .models import ImageCaptioner, ModelBundle, ModelDims, init_state, unroll
 from .tensor import (Head, Parameter, Tape, Tensor, add, batch_matmul, concat,
-                     decoder_unroll, dropout, embedding_lookup, frobenius, gru_cell,
-                     log_softmax, masked_mean, matmul, mul, pick, scale, stack, sub,
-                     sum_all, tanh, transpose, unstack)
+                     decoder_unroll, dropout, embedding_lookup, frobenius, gru_unroll,
+                     log_softmax, masked_mean, matmul, mul, pick, scale, sub, sum_all,
+                     tanh, transpose)
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -139,8 +138,6 @@ def _primitive_cases(rng: np.random.Generator):
          {"v": v, "w": w}),
         ("concat-last-axis", lambda: sum_all(mul(concat([m, a]), concat([a, m]))),
          {"m": m, "a": a}),
-        ("stack", lambda: sum_all(mul(stack([m, a], axis=1), stack([a, m], axis=1))),
-         {"m": m, "a": a}),
         ("log_softmax", lambda: pick(log_softmax(v), 2), {"v": v}),
         ("tanh", lambda: sum_all(mul(tanh(v), w)), {"v": v, "w": w}),
         ("embedding-lookup", lambda: sum_all(embedding_lookup(table, [0, 2, 2, 4])),
@@ -161,30 +158,25 @@ def _primitive_cases(rng: np.random.Generator):
 
 def _fused_cases(rng: np.random.Generator, p: dict):
     """One scalar-valued graph per fused training op, over a batch of two
-    records, each reading its outputs through random probes: the GRU step,
-    ``unstack`` with one slice left unused, and one ``decoder_unroll`` per
-    decoder kind, the soft decoder's head over regions and the dual
-    decoder's second head over caption states. In each unroll head record
-    0's last key is padding, masked out."""
+    records, each reading its outputs through random probes: one
+    ``gru_unroll`` per direction, and one ``decoder_unroll`` per decoder
+    kind, the soft decoder's head over regions and the dual decoder's second
+    head over caption states. Record 0's last step, or in each unroll head
+    its last key, is padding, masked out."""
     hidden, embed, attn, steps, keys = p["hidden"], p["embed"], p["attn"], p["seq"], \
         p["regions"]
-    h = _p(rng, (2, hidden), "h")
-    probe_h = _p(rng, (2, hidden), "probe_h")
-    xw = _p(rng, (2, 3 * hidden), "xw")
-    u = _p(rng, (hidden, 3 * hidden), "u")
-    seq = _p(rng, (3, 2, hidden), "seq")
     mask = np.ones((2, keys), dtype=bool)
     mask[0, -1] = False
-
-    def unstack_loss():
-        first, _, last = unstack(seq)
-        return sum_all(mul(first, last))
-
-    cases = [
-        ("gru_cell", lambda: sum_all(mul(gru_cell(xw, h, u), probe_h)),
-         {"xw": xw, "h": h, "u": u}),
-        ("unstack-unused-slice", unstack_loss, {"seq": seq}),
-    ]
+    gru = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (embed, 3 * hidden), "w"),
+           _p(rng, (hidden, 3 * hidden), "u"), _p(rng, (3 * hidden,), "b")]
+    probe_gru = _p(rng, (2, steps, hidden), "probe_states")
+    step_mask = np.ones((2, steps), dtype=bool)
+    step_mask[0, -1] = False
+    cases = [(f"gru_unroll{tag}",
+              lambda reverse=reverse: sum_all(mul(
+                  gru_unroll(*gru, step_mask, reverse=reverse), probe_gru)),
+              {x.name: x for x in gru})
+             for tag, reverse in (("", False), ("-reverse", True))]
     for kind, key_dims in (("soft", [p["proj"]]), ("dual", [p["proj"], 2 * hidden])):
         operands = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (2, hidden), "h0"),
                     _p(rng, (2, hidden), "c0"),
@@ -234,27 +226,20 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     for name, build, params in _primitive_cases(rng):
         results.append(check_gradients(f"primitive/{name}", build, params))
 
-    x = Parameter(rng.standard_normal((2, p["embed"])), "x")
-    h0 = Parameter(rng.standard_normal((2, p["hidden"])), "h0")
-    gru = GRUParams(rng, p["embed"], p["hidden"], "gru")
-
-    def gru_loss():
-        return sum_all(gru_step(gru, gru_inputs(gru, x), h0))
-
-    results.append(check_gradients("cell/gru", gru_loss,
-                                   dict(gru.named(), x=x, h0=h0)))
-
     keys = Parameter(rng.standard_normal((2, p["regions"], p["proj"])), "keys")
     key_mask = np.ones((2, p["regions"]), dtype=bool)
     key_mask[0, -1] = False
-    w0 = Parameter(rng.standard_normal((p["proj"], p["hidden"])), "w0")
-    b0 = Parameter(rng.standard_normal(p["hidden"]), "b0")
+    initial = [(Parameter(rng.standard_normal((p["proj"], p["hidden"])), f"w{k}"),
+                Parameter(rng.standard_normal(p["hidden"]), f"b{k}")) for k in range(2)]
+    probe_c = Tensor(rng.standard_normal((2, p["hidden"])))
 
     def init_loss():
-        return sum_all(init_state(keys, key_mask, w0, b0))
+        h, c = init_state(keys, key_mask, initial)
+        return add(sum_all(h), sum_all(mul(c, probe_c)))
 
+    params = {x.name: x for pair in initial for x in pair}
     results.append(check_gradients("models/init_state", init_loss,
-                                   {"w0": w0, "b0": b0, "keys": keys}))
+                                   dict(params, keys=keys)))
 
     a_de = Parameter(rng.random((2, 3, p["regions"])), "a_de")
     b_mat = Parameter(rng.random((2, 3, 4)), "b_mat")

@@ -308,10 +308,18 @@ def text_field(obj: dict, key: str, where: str) -> str:
 
 
 def read_manifest(path: Path | str) -> list[ManifestEntry]:
+    """The entries of a manifest. An ``image_id`` names output files, such
+    as ``attn-export``'s ``attn/<image_id>.pgm``, so an id that could leave
+    their directory (empty, ``.``, ``..``, or holding ``/``, ``\\`` or NUL)
+    is a FormatError at ``path:line``."""
     entries = []
     for where, obj in read_jsonl(path):
+        image_id = text_field(obj, "image_id", where)
+        if image_id in ("", ".", "..") or any(c in image_id for c in "/\\\0"):
+            raise FormatError(f"{where}: image_id {image_id!r} is not a plain "
+                              f"file name")
         entries.append(ManifestEntry(
-            image_id=text_field(obj, "image_id", where),
+            image_id=image_id,
             features_path=text_field(obj, "features", where),
             en_tokens=tuple(tokenize(text_field(obj, "en", where))),
             de_tokens=tuple(tokenize(text_field(obj, "de", where))),

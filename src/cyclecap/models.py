@@ -8,16 +8,18 @@
   only name their heads and initial-state projections, the checkpoint's
   entry names. Each rebinds ``step = AttentionDecoder.step`` because the
   benchmark tracer (``bench/spans.py``) patches each class's own ``step``.
-* ``CaptionEncoder`` is a bidirectional GRU over caption tokens.
+* ``CaptionEncoder`` is a bidirectional GRU over caption tokens. Each
+  direction is one ``gru_step`` call, one ``tensor.gru_unroll`` record over
+  the whole caption; the benchmark tracer patches ``models.gru_step``.
 
 ``start(rows, masks)`` takes one row tensor and one mask per head and
 returns ``(keys, state)``: one ``tensor.Head`` per head, its key rows
-projected once per sequence, and the initial LSTM state, from head 0's rows
-(the regions). ``emit(h)`` maps hidden states of any leading shape to
-log-probs. Decoding goes step by step and never runs backward: the decode
-step ``step(keys, state, y_prev)`` looks up the previous words, runs the
-heads (``attend``) and the LSTM (``lstm_step``) and ``emit``s, and raises
-StateError under a tape. Training teacher-forces: ``unroll`` hands the
+projected once per sequence, and the initial LSTM state, both halves from
+one mean of head 0's rows (the regions). ``emit(h)`` maps hidden states of
+any leading shape to log-probs. Decoding goes step by step and never runs
+backward: the decode step ``step(keys, state, y_prev)`` looks up the
+previous words, runs the heads (``attend``) and the LSTM (``lstm_step``)
+and ``emit``s, and raises StateError under a tape. Training teacher-forces: ``unroll`` hands the
 heads as they are to one ``tensor.decoder_unroll`` record over a whole
 caption, ``stage2_forward`` is the one teacher-forced pass of the German
 stage, and ``teacher_forced_records`` runs it, attention only, over a batch
@@ -55,13 +57,12 @@ import numpy as np
 
 from . import init
 from .attention import AttentionLayer, attend
-from .cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
+from .cells import GRUParams, LSTMParams, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Head, Parameter, Tensor, add, concat, decoder_unroll, dropout,
-                     embedding_lookup, log_softmax, masked_mean, matmul, mul, stack,
-                     tanh, unstack)
+                     embedding_lookup, log_softmax, masked_mean, matmul, tanh)
 
 
 @dataclass(frozen=True)
@@ -77,10 +78,12 @@ class ModelDims:
     attn_dim: int = 64
 
 
-def init_state(rows: Tensor, mask: np.ndarray, w: Parameter, b: Parameter) -> Tensor:
-    """tanh-squashed projection of the mean of each record's real rows
-    (``mask``); permutation invariant."""
-    return tanh(add(matmul(masked_mean(rows, mask), w), b))
+def init_state(rows: Tensor, mask: np.ndarray,
+               initial: Sequence[tuple[Parameter, Parameter]]) -> tuple[Tensor, ...]:
+    """One tanh-squashed projection per (w, b) pair of ``initial``, all of
+    one mean of each record's real rows (``mask``); permutation invariant."""
+    mean = masked_mean(rows, mask)
+    return tuple(tanh(add(matmul(mean, w), b)) for w, b in initial)
 
 
 class ImageProjection:
@@ -146,7 +149,7 @@ class AttentionDecoder:
         regions."""
         if masks is None:
             masks = [np.ones(r.shape[:2], dtype=bool) for r in rows]
-        state = tuple(init_state(rows[0], masks[0], w, b) for w, b in self.initial)
+        state = init_state(rows[0], masks[0], self.initial)
         return tuple(head.prepare(r, m) for head, r, m
                      in zip(self.heads, rows, masks, strict=True)), state
 
@@ -210,9 +213,8 @@ class CaptionEncoder:
 
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Encode (B, N) token ids, with their (B, N) mask of real tokens
-        (omitted: all real), into (B, N, 2*hidden) states. Each direction
-        projects all embeddings in one matmul and splits the result into
-        its N positions with one ``unstack``.
+        (omitted: all real), into (B, N, 2*hidden) states: one lookup, then
+        each direction as one ``gru_step`` record over all N positions.
         Real tokens come first in each row; the backward direction holds
         its zero state through a record's padding, so it starts at the
         record's own last token. States at padded positions are not zero but
@@ -223,25 +225,9 @@ class CaptionEncoder:
                             f"matrix, got shape {ids.shape}")
         if mask is None:
             mask = np.ones(ids.shape, dtype=bool)
-        padded = ~mask.all(axis=0)                           # (N,) columns with padding
         embeds = embedding_lookup(self.embedding, ids.T)     # (N, B, embed)
-        fwd_inputs = unstack(gru_inputs(self.fwd, embeds))
-        bwd_inputs = unstack(gru_inputs(self.bwd, embeds))
-        n = ids.shape[1]
-        zeros = Tensor(np.zeros((ids.shape[0], self.hidden_dim)))
-        forward = []
-        h = zeros
-        for t in range(n):
-            h = gru_step(self.fwd, fwd_inputs[t], h)
-            forward.append(h)
-        backward: list[Tensor] = [zeros] * n
-        h = zeros
-        for t in range(n - 1, -1, -1):
-            h = gru_step(self.bwd, bwd_inputs[t], h)
-            if padded[t]:
-                h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
-            backward[t] = h
-        return concat([stack(forward, axis=1), stack(backward, axis=1)])
+        return concat([gru_step(self.fwd, embeds, mask),
+                       gru_step(self.bwd, embeds, mask, reverse=True)])
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}

@@ -21,16 +21,15 @@ when every entry is real. ``matmul`` applies a shared weight over every
 leading axis, ``batch_matmul`` multiplies matrix i of one batch by matrix i
 of another.
 
-Besides the primitives there are fused ops, one record each for what would
-otherwise be many small ones: ``gru_cell`` (one recurrent step on fused gate
-weights), ``unstack`` (every slice of a sequence at once) and
-``decoder_unroll`` (a whole teacher-forced decoder unroll: every attention
-head and the LSTM over all T steps, its backward BPTT written out once). At
-these sizes an op costs per record rather than per flop, so fewer, wider
-records are what make training cheap. Both attention ops take each head as
-one ``Head`` record, the prepared keys and the scorer's weights. The
-decode-step ops ``lstm_cell`` and ``additive_attention`` (one LSTM step;
-score, masked softmax and context of one head) share their step math with
+Besides the primitives there are two fused ops, each a whole sequence as
+one record, its backward BPTT written out once: ``gru_unroll`` (one GRU
+direction over all T steps) and ``decoder_unroll`` (a teacher-forced decoder
+unroll: every attention head and the LSTM over all T steps). At these sizes
+an op costs per record rather than per flop, so fewer, wider records are
+what make training cheap. Both attention ops take each head as one ``Head``
+record, the prepared keys and the scorer's weights. The decode-step ops
+``lstm_cell`` and ``additive_attention`` (one LSTM step; score, masked
+softmax and context of one head) share their step math with
 ``decoder_unroll`` but keep no backward rule, because decoding never runs
 backward: under an active tape they raise StateError. Every op validates its
 output for finiteness, so a NaN or overflow surfaces at the op that produced
@@ -325,26 +324,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
-def stack(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack same-shape tensors along a new axis ``axis``."""
-    if not parts:
-        raise DimensionError("stack: empty operand list")
-    shape = parts[0].shape
-    for p in parts:
-        if p.shape != shape:
-            raise DimensionError(f"stack: expected {shape} tensors, got {p.shape}")
-    if not 0 <= axis <= len(shape):
-        raise DimensionError(f"stack: axis {axis} out of range for shape {shape}")
-    out = _result("stack", np.stack([p.data for p in parts], axis=axis))
-    n = len(parts)
-
-    def rule(g: Array) -> tuple[Array, ...]:
-        g = np.moveaxis(g, axis, 0)
-        return tuple(g[i] for i in range(n))
-
-    return _record(out, tuple(parts), rule)
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis."""
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
@@ -560,43 +539,82 @@ def lstm_cell(inputs: Sequence[Tensor], h: Tensor, c: Tensor, w: Tensor,
     return _results("lstm_cell", h_new, c_new)
 
 
-def gru_cell(xw: Tensor, h: Tensor, u: Tensor) -> Tensor:
-    """One GRU step from the input-side pre-activations ``xw`` (x @ w + b,
-    gate blocks r, z, n of width H) and the hidden-side weight ``u``:
+def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *,
+               reverse: bool = False) -> Tensor:
+    """One GRU direction over a (T, B, E) sequence from a zero state, as one
+    record; returns the (B, T, H) states. Step t reads embedded[t], with
+    gate blocks r, z, n of width H:
 
-        a = h @ u
+        xw = embedded[t] @ w + b,  a = h @ u
         r, z = sigmoid(xw[:2H] + a[:2H]) in two blocks
         n = tanh(xw[2H:] + r * a[2H:])
         h' = n + z * (h - n)
 
-    ``h`` is (..., H), ``xw`` has its leading axes and 3H columns, ``u`` is
-    (H, 3H).
+    ``w`` is (E, 3H), ``u`` (H, 3H), ``b`` (3H,) and ``mask`` the (B, T)
+    boolean mask of real positions. The forward direction steps t = 0 .. T-1
+    and leaves its states at padded positions as they come. With
+    ``reverse`` it steps t = T-1 .. 0 and zeroes the state at every padded
+    position, so each record's pass starts from zero at its own last token.
+
+    The forward projects every input in one product, then loops over the
+    steps, keeping each step's gates. The backward is BPTT: its reverse loop
+    carries the state gradient, and the gradients of ``embedded``, ``w``,
+    ``u`` and ``b`` are each one product over all T * B rows after it.
     """
-    xd, hd, ud = xw.data, h.data, u.data
-    size = hd.shape[-1] if hd.ndim else 0
-    if not size or xd.shape != hd.shape[:-1] + (3 * size,) or ud.shape != (size, 3 * size):
-        raise _bad_shapes("gru_cell", xw=xw.shape, h=h.shape, u=u.shape)
-    a = np.matmul(hd, ud)
-    rz = _sigmoid(xd[..., :2 * size] + a[..., :2 * size])
-    r, z = rz[..., :size], rz[..., size:]
-    an = a[..., 2 * size:]
-    n = np.tanh(xd[..., 2 * size:] + r * an)
-    out = _result("gru_cell", n + z * (hd - n))
+    ed, wd, ud = embedded.data, w.data, u.data
+    size = ud.shape[0] if ud.ndim == 2 else 0
+    if ed.ndim != 3 or not ed.shape[0] or not size or ud.shape != (size, 3 * size) \
+            or wd.shape != (ed.shape[2], 3 * size) or b.shape != (3 * size,) \
+            or np.shape(mask) != ed.shape[1::-1]:
+        raise _bad_shapes("gru_unroll", embedded=embedded.shape, w=w.shape, u=u.shape,
+                          b=b.shape, mask=np.shape(mask))
+    steps, batch, emb_w = ed.shape
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    keep = mask.T[..., None].astype(np.float64)       # (T, B, 1)
+    xw = np.matmul(ed, wd) + b.data                   # (T, B, 3H)
+    prev = np.empty((steps, batch, size))             # the state step t reads
+    rz = np.empty((steps, batch, 2 * size))
+    an = np.empty((steps, batch, size))               # (h @ u)[2H:]
+    n = np.empty((steps, batch, size))
+    states = np.empty((batch, steps, size))
+    h = np.zeros((batch, size))
+    for t in order:
+        prev[t] = h
+        a = np.matmul(h, ud)
+        rz[t] = _sigmoid(xw[t, :, :2 * size] + a[:, :2 * size])
+        an[t] = a[:, 2 * size:]
+        n[t] = np.tanh(xw[t, :, 2 * size:] + rz[t, :, :size] * an[t])
+        h = n[t] + rz[t, :, size:] * (h - n[t])
+        if reverse:
+            h = h * keep[t]
+        states[:, t] = h
+    out = _result("gru_unroll", states)
 
-    def rule(g: Array) -> tuple[Array, Array, Array]:
-        gn = (g - g * z) * (1.0 - n * n)
-        gxw = np.empty(xd.shape)
-        gxw[..., :size] = gn * an
-        gxw[..., size:2 * size] = g * (hd - n)
-        gxw[..., :2 * size] *= rz
-        gxw[..., :2 * size] *= 1.0 - rz
-        gxw[..., 2 * size:] = gn
-        ga = gxw.copy()
-        ga[..., 2 * size:] *= r
-        return (gxw, g * z + ga @ ud.T,
-                hd.reshape(-1, size).T @ ga.reshape(-1, 3 * size))
+    def rule(g: Array) -> tuple[Array, Array, Array, Array]:
+        g_xw = np.empty((steps, batch, 3 * size))
+        g_a = np.empty((steps, batch, 3 * size))      # of h @ u
+        gh = np.zeros((batch, size))
+        for t in reversed(order):
+            gh = gh + g[:, t]
+            if reverse:
+                gh = gh * keep[t]
+            z = rz[t, :, size:]
+            gn = (gh - gh * z) * (1.0 - n[t] * n[t])
+            gx = g_xw[t]
+            gx[:, :size] = gn * an[t]
+            gx[:, size:2 * size] = gh * (prev[t] - n[t])
+            gx[:, :2 * size] *= rz[t]
+            gx[:, :2 * size] *= 1.0 - rz[t]
+            gx[:, 2 * size:] = gn
+            ga = g_a[t]
+            ga[:] = gx
+            ga[:, 2 * size:] *= rz[t, :, :size]
+            gh = gh * z + np.matmul(ga, ud.T)
+        flat = g_xw.reshape(-1, 3 * size)
+        return (np.matmul(g_xw, wd.T), ed.reshape(-1, emb_w).T @ flat,
+                prev.reshape(-1, size).T @ g_a.reshape(-1, 3 * size), flat.sum(axis=0))
 
-    return _record(out, (xw, h, u), rule)
+    return _record(out, (embedded, w, u, b), rule)
 
 
 def _attention_shapes_fit(head: Sequence[Array], query_dim: int, batch: int) -> bool:
@@ -765,13 +783,3 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
                *(x for p, r, _, wq, cb in heads for x in (p, r, wq, cb)))
     return _record_many(outs, parents, rule)
 
-
-def unstack(a: Tensor) -> tuple[Tensor, ...]:
-    """The slices ``a[0], ..., a[n-1]`` along the first axis, as one record:
-    the backward stacks the slices' gradients once."""
-    if a.data.ndim == 0 or a.shape[0] == 0:
-        raise DimensionError(f"unstack: need a non-empty first axis, got {a.shape}")
-    if not np.isfinite(a.data).all():
-        raise NumericError("unstack: produced non-finite values")
-    outs = tuple(Tensor(x, _unchecked=True) for x in a.data)
-    return _record_many(outs, (a,), lambda *grads: (np.stack(grads),))

@@ -9,10 +9,13 @@ The exceptions are two layers of taped oracles for the package's fused ops:
 
 * the composed graphs: the LSTM step, GRU step and attention head built
   from the package's primitive tape ops, one small op per gate slice, as
-  the package computed them before its fused ops. They are the gradient
-  oracle for ``gru_cell`` and for the per-step records below; the three ops
-  only they need, ``column_slice``, ``sigmoid`` and ``masked_softmax``, are
-  built here on ``tensor._record``.
+  the package computed them before its fused ops. ``stepped_gru`` chains
+  the GRU step into the per-step graph that ``tensor.gru_unroll`` is
+  checked against, and ``stepped_encode`` runs it in both directions; the
+  LSTM step and the head are the oracle of the per-step records below. The
+  ops only they need, ``column_slice``, ``sigmoid``, ``masked_softmax``,
+  ``stack`` and ``unstack``, are built here on ``tensor._record`` and
+  ``tensor._record_many``.
 * the per-step records: one LSTM step and one attention head as one record
   each, on the package's array-level step math, with the backward rules the
   package's decode ops carried before a teacher-forced unroll became one
@@ -25,10 +28,10 @@ from itertools import accumulate
 
 import numpy as np
 
+from cyclecap.errors import DimensionError
 from cyclecap.tensor import (Tensor, _attention_arrays, _lstm_arrays, _record,
                              _record_many, _result, _results, add, batch_matmul,
-                             concat, embedding_lookup, matmul, mul, stack, sub, tanh,
-                             unstack)
+                             concat, embedding_lookup, matmul, mul, sub, tanh)
 
 
 def np_softmax(x):
@@ -128,6 +131,29 @@ def masked_softmax(scores, mask):
     return _record(out, (scores,), rule)
 
 
+def stack(parts, axis=0):
+    """Stack same-shape tensors along a new axis ``axis``, as a tape op."""
+    if not parts or any(p.shape != parts[0].shape for p in parts):
+        raise DimensionError(f"stack: need same-shape tensors, got "
+                             f"{[p.shape for p in parts]}")
+    out = _result("stack", np.stack([p.data for p in parts], axis=axis))
+
+    def rule(g):
+        g = np.moveaxis(g, axis, 0)
+        return tuple(g[i] for i in range(len(parts)))
+
+    return _record(out, tuple(parts), rule)
+
+
+def unstack(a):
+    """The slices ``a[0], ..., a[n-1]`` along the first axis, as one record:
+    the backward stacks the slices' gradients once."""
+    if a.data.ndim == 0 or a.shape[0] == 0:
+        raise DimensionError(f"unstack: need a non-empty first axis, got {a.shape}")
+    outs = tuple(Tensor(x) for x in a.data)
+    return _record_many(outs, (a,), lambda *grads: (np.stack(grads),))
+
+
 def composed_lstm_step(p, inputs, h_prev, c_prev):
     """``cells.lstm_step`` from primitive ops: concat, one matmul, gate slices."""
     size = p.hidden_size
@@ -141,13 +167,38 @@ def composed_lstm_step(p, inputs, h_prev, c_prev):
 
 
 def composed_gru_step(p, xw, h_prev):
-    """``cells.gru_step`` from primitive ops."""
+    """One step of ``cells.gru_step`` from primitive ops, on the input-side
+    pre-activations ``xw = x @ w + b``."""
     size = p.hidden_size
     a = matmul(h_prev, p.u)
     rz = sigmoid(add(column_slice(xw, 0, 2 * size), column_slice(a, 0, 2 * size)))
     n = tanh(add(column_slice(xw, 2 * size, 3 * size),
                  mul(column_slice(rz, 0, size), column_slice(a, 2 * size, 3 * size))))
     return add(n, mul(column_slice(rz, size, 2 * size), sub(h_prev, n)))
+
+
+def stepped_gru(p, embedded, mask, reverse=False):
+    """``cells.gru_step`` as the per-step graph: the (T, B, input) inputs
+    projected in one matmul and split into steps, then ``composed_gru_step``
+    per step from a zero state; with ``reverse`` the state is multiplied by
+    the mask at every padded position. Returns the (B, T, hidden) states."""
+    steps = embedded.shape[0]
+    inputs = unstack(add(matmul(embedded, p.w), p.b))
+    h, states = Tensor(np.zeros((embedded.shape[1], p.hidden_size))), [None] * steps
+    for t in reversed(range(steps)) if reverse else range(steps):
+        h = composed_gru_step(p, inputs[t], h)
+        if reverse and not mask[:, t].all():
+            h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
+        states[t] = h
+    return stack(states, axis=1)
+
+
+def stepped_encode(encoder, ids, mask):
+    """``CaptionEncoder.encode`` as the per-step graph: one lookup, then
+    ``stepped_gru`` per direction. Returns the (B, N, 2*hidden) states."""
+    embeds = embedding_lookup(encoder.embedding, ids.T)
+    return concat([stepped_gru(encoder.fwd, embeds, mask),
+                   stepped_gru(encoder.bwd, embeds, mask, reverse=True)])
 
 
 def composed_attend(keys, query):

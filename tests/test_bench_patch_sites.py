@@ -50,7 +50,8 @@ def test_tracer_install_uninstall_round_trips():
     try:
         for (site, owner, attr), original in zip(sites, originals):
             assert owner.__dict__[attr] is not original, site
-        # each decoder's steps reach its own patched entry
+        # each decoder's steps reach its own patched entry, and the encoder
+        # its GRU directions
         bundle = tiny_bundle(seed=1)
         regions = bundle.captioner.project(np.ones((1, 3, 3)))
         captions = bundle.cap_encoder.encode(np.array([[4, 2]]))
@@ -64,3 +65,6 @@ def test_tracer_install_uninstall_round_trips():
         assert owner.__dict__[attr] is original, site
     assert tracer.calls_by_site["cyclecap.models.SoftAttentionDecoder.step"] == 1
     assert tracer.calls_by_site["cyclecap.models.DualAttentionDecoder.step"] == 1
+    # one encode reaches the GRU once per direction
+    assert tracer.calls_by_site["cyclecap.models.CaptionEncoder.encode"] == 1
+    assert tracer.calls_by_site["cyclecap.models.gru_step"] == 2

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cyclecap import init
-from cyclecap.cells import GRUParams, LSTMParams, gru_inputs, gru_step, lstm_step
+from cyclecap.cells import GRUParams, LSTMParams, gru_step, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import Parameter, Tensor, add, sum_all
+from cyclecap.tensor import Parameter, Tensor, add, mul, sum_all
 
 from _reference import ref_gru, ref_lstm, step_lstm_cell
 
@@ -90,32 +90,50 @@ def test_lstm_gradients_match_finite_differences():
 
 def test_gru_all_zero_gives_zero_state():
     p = zeroed(GRUParams(np.random.default_rng(0), 3, 4, "gru"))
-    h = gru_step(p, gru_inputs(p, Tensor(np.zeros(3))), Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(h.data, np.zeros(4))
+    h = gru_step(p, Tensor(np.zeros((5, 2, 3))), np.ones((2, 5), dtype=bool))
+    np.testing.assert_array_equal(h.data, np.zeros((2, 5, 4)))
 
 
 def test_gru_saturated_update_gate_keeps_state():
+    # saturated, the cell carries its zero start state through every input
     rng = np.random.default_rng(4)
     p = GRUParams(rng, 3, 4, "gru")
     p.b.data[p.gate("z")] = 25.0
-    h_prev = rng.standard_normal(4)
-    h = gru_step(p, gru_inputs(p, Tensor(rng.standard_normal(3))), Tensor(h_prev))
-    np.testing.assert_allclose(h.data, h_prev, atol=1e-8)
+    x = Tensor(rng.standard_normal((6, 2, 3)))
+    for reverse in (False, True):
+        h = gru_step(p, x, np.ones((2, 6), dtype=bool), reverse=reverse)
+        np.testing.assert_allclose(h.data, np.zeros((2, 6, 4)), atol=1e-8)
 
 
 def test_gru_matches_reference():
     rng = np.random.default_rng(5)
     p = GRUParams(rng, 3, 4, "gru")
-    x, h0 = rng.standard_normal(3), rng.standard_normal(4)
-    h = gru_step(p, gru_inputs(p, Tensor(x)), Tensor(h0))
-    np.testing.assert_allclose(h.data, ref_gru(p, x, h0), atol=1e-14)
+    x = rng.standard_normal((4, 2, 3))
+    mask = np.array([[True] * 4, [True, True, False, False]])
+    forward = gru_step(p, Tensor(x), mask).data
+    reverse = gru_step(p, Tensor(x), mask, reverse=True).data
+    for b in range(2):
+        h = np.zeros(4)
+        for t in range(4):
+            h = ref_gru(p, x[t, b], h)
+            np.testing.assert_allclose(forward[b, t], h, atol=1e-14)
+        h = np.zeros(4)
+        for t in reversed(range(4)):
+            h = ref_gru(p, x[t, b], h) if mask[b, t] else np.zeros(4)
+            np.testing.assert_allclose(reverse[b, t], h, atol=1e-14)
+    for bad_x, bad_mask in ((x[..., :2], mask), (x, mask.T), (x[:0], mask[:, :0])):
+        with pytest.raises(DimensionError, match="gru_unroll"):
+            gru_step(p, Tensor(bad_x), bad_mask)
 
 
 def test_gru_gradients_match_finite_differences():
     rng = np.random.default_rng(6)
     p = GRUParams(rng, 3, 4, "gru")
-    x = Parameter(rng.standard_normal(3), "x")
-    h0 = Parameter(rng.standard_normal(4), "h0")
-    result = check_gradients("gru", lambda: sum_all(gru_step(p, gru_inputs(p, x), h0)),
-                             dict(p.named(), x=x, h0=h0))
-    assert result.max_error < 1e-3
+    x = Parameter(rng.standard_normal((3, 2, 3)), "x")
+    mask = np.array([[True] * 3, [True, True, False]])
+    probe = Tensor(rng.standard_normal((2, 3, 4)))
+    for reverse in (False, True):
+        result = check_gradients(
+            "gru", lambda: sum_all(mul(gru_step(p, x, mask, reverse=reverse), probe)),
+            dict(p.named(), x=x))
+        assert result.max_error < 1e-3, (reverse, result.errors)

@@ -130,6 +130,25 @@ def test_attn_export_names_the_image_of_an_empty_gold_caption(pipeline, tmp_path
     assert f"en caption of {row['image_id']!r} is empty" in err
 
 
+def test_attn_export_refuses_an_image_id_that_leaves_the_out_dir(pipeline, tmp_path,
+                                                                   capsys):
+    data = pipeline / "data"
+    row = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({**row, "image_id": "../../escaped",
+                                    "features": str(data / row["features"])}) + "\n",
+                        encoding="utf-8")
+    out = tmp_path / "out" / "run"
+    assert run("attn-export", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(manifest), "--out-dir", str(out),
+               "--use-gold-captions") == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error[io]: ") and f"{manifest}:1" in err
+    outside = [p for p in tmp_path.rglob("*") if p != manifest and out not in p.parents
+               and p not in (out, out.parent)]
+    assert outside == []
+
+
 def test_captioner_only_inference(pipeline, tmp_path):
     # the single-stage baseline: pretrain on German captions, then infer
     data = pipeline / "data"

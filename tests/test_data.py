@@ -1,4 +1,5 @@
 from collections import Counter
+import json
 
 import numpy as np
 import pytest
@@ -148,6 +149,9 @@ def test_manifest_roundtrip(tmp_path):
      "'image_id' must be a string"),
     ('["b", "f", "x", "y"]', "JSON object"),
     ('{"image_id": "b",', "not JSON"),
+    *((json.dumps({"image_id": bad, "features": "f", "en": "x", "de": "y"}),
+       "not a plain file name")
+      for bad in ("", ".", "..", "../../escaped", "a/b", "/abs", "a\\b", "a\0b")),
 ])
 def test_malformed_manifest_row_is_format_error_with_line(tmp_path, row, message):
     path = tmp_path / "manifest.jsonl"

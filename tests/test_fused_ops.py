@@ -1,18 +1,19 @@
 """Fused records against the composed graphs of primitive ops that they
-replace: the GRU step, and the per-step LSTM and attention records that
-``tests/_reference.py`` keeps as the oracle of the one-record decoder unroll.
-Forward values and the gradient of every parameter agree to 1e-12, at B = 1
-and at B = 3, with a masked key and a padded (all-zero) row."""
+replace: one GRU direction against its per-step graph, and the per-step LSTM
+and attention records that ``tests/_reference.py`` keeps as the oracle of
+the one-record decoder unroll. Forward values and the gradient of every
+parameter agree to 1e-12, at B = 1 and at B = 3, with a masked key or step
+and a padded (all-zero) row."""
 
 import numpy as np
 import pytest
 
 from cyclecap.attention import AttentionLayer
-from cyclecap.cells import GRUParams, LSTMParams, gru_inputs, gru_step
+from cyclecap.cells import GRUParams, LSTMParams, gru_step
 from cyclecap.tensor import Parameter, Tape, add, mul, sum_all
 
-from _reference import (composed_attend, composed_gru_step, composed_lstm_step,
-                        step_additive_attention, step_lstm_cell)
+from _reference import (composed_attend, composed_lstm_step, step_additive_attention,
+                        step_lstm_cell, stepped_gru)
 
 TOL = 1e-12
 
@@ -72,13 +73,18 @@ def test_lstm_step_matches_composed(batch):
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_gru_step_matches_composed(batch):
+    # each direction over a sequence, against its per-step graph
     rng = np.random.default_rng(10 + batch)
     cell = GRUParams(rng, 3, 4, "gru")
-    x = operand(rng, (batch, 3), "x", batch > 1)
-    h = operand(rng, (batch, 4), "h", batch > 1)
-    assert_agree(lambda: (gru_step(cell, gru_inputs(cell, x), h),),
-                 lambda: (composed_gru_step(cell, gru_inputs(cell, x), h),),
-                 dict(cell.named(), x=x, h=h))
+    x = operand(rng, (4, batch, 3), "x")
+    mask = np.ones((batch, 4), dtype=bool)
+    if batch > 1:                      # the last record ends after two steps
+        x.data[2:, -1] = 0.0
+        mask[-1, 2:] = False
+    for reverse in (False, True):
+        assert_agree(lambda: (gru_step(cell, x, mask, reverse=reverse),),
+                     lambda: (stepped_gru(cell, x, mask, reverse),),
+                     dict(cell.named(), x=x))
 
 
 @pytest.mark.parametrize("batch", [1, 3])

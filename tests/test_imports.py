@@ -1,0 +1,41 @@
+"""Every name a ``cyclecap`` module imports is used there or re-exported in
+its ``__all__``, so a deletion cannot leave an import behind."""
+
+import ast
+from pathlib import Path
+
+import cyclecap
+
+PACKAGE = Path(cyclecap.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module's imports bind that nothing in it reads and its
+    ``__all__`` does not list."""
+    tree = ast.parse(source)
+    bound = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read and name not in exported)
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.zeros(1)\n"
+    assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused for path in sorted(PACKAGE.glob("*.py"))
+             if (unused := unused_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}

