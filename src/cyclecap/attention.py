@@ -10,10 +10,10 @@ the score, ``keys @ w_key + b``, is computed once per sequence by
 each step adds only its query projection. ``prepare`` returns one
 ``tensor.Head`` record: the projected keys, the rows, their mask, the
 transposed query weight and the layer's ``combine``, all that scoring needs.
-Both attention ops take that record as it is: a decode step, score, masked
-softmax and context, is one fused op, ``tensor.additive_attention``, which
+A decode step, score, masked softmax and context, is ``attend``, which
 records nothing; training attends inside ``tensor.decoder_unroll``, one
-record for every head over a whole teacher-forced caption.
+record for every head over a whole teacher-forced caption. Both run the
+same step math, ``tensor.attention_arrays``.
 
 Keys come batched, (B, K, key_dim), with a (B, K) boolean mask of real rows,
 all-true when none is padding: records with fewer regions or shorter
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import Head, Parameter, Tensor, add, additive_attention, matmul, transpose
+from .tensor import (Head, Parameter, Tensor, add, attention_arrays, finite, matmul,
+                     refuse_tape, transpose)
 
 
 class AttentionLayer:
@@ -73,17 +74,22 @@ class AttentionLayer:
 
 def attend(layer: AttentionLayer, keys: Head, query: Tensor) -> tuple[Tensor, Tensor]:
     """Score every key row against the query and mix the rows by softmax
-    weight, for one decode step (it raises StateError under a tape); returns
-    the (B, K) weights, 0 on masked keys and each row summing to 1, and the
-    (B, key_dim) contexts.
+    weight, for one decode step of L query rows (it raises StateError under
+    a tape); returns the (L, K) weights, 0 on masked keys and each row
+    summing to 1, and the (L, key_dim) contexts, each inside the hull of its
+    record's real key rows.
 
-    ``keys`` comes from ``layer.prepare``; query is (B, query_dim), one row
-    per record. The projected keys are key-major, (K, B, attn_dim), so the
-    (B, attn_dim) query projection broadcasts onto them as it is. Each
-    context is a convex combination of its record's real key rows, so it
-    stays inside their hull.
+    ``keys`` comes from ``layer.prepare`` over L records, one per query row,
+    or over one record that every row reads (one image's keys for a beam's
+    live hypotheses), which numpy broadcasts over the rows.
     """
-    if query.data.shape != (keys.rows.data.shape[0], layer.query_dim):
+    qd = query.data
+    if qd.ndim != 2 or qd.shape[1] != layer.query_dim \
+            or keys.rows.data.shape[0] not in (1, qd.shape[0]):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
                              f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
-    return additive_attention(keys, query)
+    refuse_tape("attend")
+    _, weights, context = attention_arrays(
+        (keys.projected.data, keys.rows.data, keys.mask, keys.w_query_t.data,
+         keys.combine.data), qd)
+    return finite("attend", weights, context)

@@ -1,10 +1,10 @@
-"""LSTM and GRU cells on fused gate weights, run as fused ops.
+"""LSTM and GRU cells on fused gate weights.
 
 Each cell keeps its gates side by side in one weight, so a step does one
-matmul for all gates, and the whole step, gates and state update, is one
-op: the fusion of Appleyard et al., 2016, carried from the weights to the
-tape. At these sizes an op costs per record rather than per flop, so fewer
-records are what make training cheap. Column block k of a fused weight or
+matmul for all gates, and on a tape the whole step, gates and state update,
+is one record: the fusion of Appleyard et al., 2016, carried from the
+weights to the tape. At these sizes an op costs per record rather than per
+flop, so fewer records are what make training cheap. Column block k of a fused weight or
 bias belongs to gate ``GATES[k]``.
 
 * A GRU direction (``gru_step``, ``tensor.gru_unroll``) goes one step further
@@ -12,9 +12,9 @@ bias belongs to gate ``GATES[k]``.
   tape record, its inputs are projected through ``w`` in one product, and
   each weight gradient is one product over all T * B rows. The caption
   encoder calls it once per direction.
-* An LSTM step (``lstm_step``, ``tensor.lstm_cell``) serves decoding only
-  and records nothing. Training runs the decoder's LSTM inside
-  ``tensor.decoder_unroll``, which is one record per unroll in the same way.
+* An LSTM step (``lstm_step``) serves decoding only and records nothing.
+  Training runs the decoder's LSTM inside ``tensor.decoder_unroll``, one
+  record per unroll in the same way, on the same ``tensor.lstm_arrays``.
 
 * LSTM: one ``(input + hidden, 4 * hidden)`` weight applied to ``[x; h]``
   and one ``4 * hidden`` bias; gates i, f, o, g.
@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from . import init
-from .tensor import Parameter, Tensor, gru_unroll, lstm_cell
+from .errors import DimensionError
+from .tensor import Parameter, Tensor, finite, gru_unroll, lstm_arrays, refuse_tape
 
 
 class GatedParams:
@@ -85,14 +86,24 @@ class LSTMParams(GatedParams):
 def lstm_step(p: LSTMParams, inputs: Sequence[Tensor], h_prev: Tensor,
               c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM decode step on the input x, the concatenation of ``inputs``
-    (a decoder's contexts and word embedding, joined with h_prev inside the
-    op); returns (h, c). Decoding only: it raises StateError under a tape.
+    (a decoder's contexts and word embedding) on the leading axes of the
+    states; returns (h, c). Decoding only: it raises StateError under a tape.
 
         a = [x; h_prev] @ w + b
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
         c = f * c_prev + i * g,  h = o * tanh(c)
     """
-    return lstm_cell(inputs, h_prev, c_prev, p.w, p.b)
+    hd, cd = h_prev.data, c_prev.data
+    parts = [x.data for x in inputs] + [hd]
+    if cd.shape != hd.shape or hd.shape[-1:] != (p.hidden_size,) \
+            or any(x.ndim != hd.ndim or x.shape[:-1] != hd.shape[:-1] for x in parts) \
+            or sum(x.shape[-1] for x in parts) != p.w.shape[0]:
+        raise DimensionError(f"lstm_step: inputs {[x.shape for x in inputs]}, h "
+                             f"{h_prev.shape} and c {c_prev.shape} misfit {p.w.shape}")
+    refuse_tape("lstm_step")
+    _, _, c, _, h = lstm_arrays(np.matmul(np.concatenate(parts, axis=-1), p.w.data)
+                                + p.b.data, cd)
+    return finite("lstm_step", h, c)
 
 
 class GRUParams(GatedParams):

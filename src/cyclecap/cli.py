@@ -386,16 +386,18 @@ def run_infer(settings: dict, out_dir: Path) -> None:
 
 def run_eval(settings: dict, out_dir: Path) -> None:
     field = _language(settings, "field")
-    refs_by_id = {}
+    refs_by_id = {}     # every non-empty caption of an image, in manifest order
     for e in read_manifest(Path(settings["manifest"])):
-        refs_by_id[e.image_id] = list(e.en_tokens if field == "en" else e.de_tokens)
+        if caption := getattr(e, f"{field}_tokens"):
+            refs_by_id.setdefault(e.image_id, []).append(list(caption))
     candidates, references = [], []
     for where, row in read_jsonl(settings["candidates"]):
         image_id = text_field(row, "image_id", where)
-        if image_id not in refs_by_id:
-            raise DataError(f"candidate {image_id!r} missing from the manifest")
+        if not refs_by_id.get(image_id):
+            raise DataError(f"candidate {image_id!r} has no {field} reference "
+                            f"caption in the manifest")
         candidates.append(text_field(row, field, where).split())
-        references.append([refs_by_id[image_id]])
+        references.append(refs_by_id[image_id])
     if not candidates:
         raise DataError("no candidates to score")
     report = evaluation.MetricReport(
@@ -423,6 +425,10 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
         entries = entries[:settings["limit"]]
     rows, cols = settings["grid_rows"], settings["grid_cols"]
     grids = [_load_grid(manifest, e, bundle.dims.feature_dim) for e in entries]
+    for e, grid in zip(entries, grids):   # before any decode or export
+        if rows * cols != grid.regions:
+            raise DataError(f"grid {rows}x{cols} does not cover the {grid.regions} "
+                            f"regions of image {e.image_id!r}")
     if settings["use_gold_captions"]:
         triples = [TripleRecord(e.image_id, grid, tuple(en_vocab.encode(e.en_tokens)),
                                 tuple(de_vocab.encode(e.de_tokens)))

@@ -10,8 +10,8 @@ best capped one is returned with a truncation flag.
 
 Each search step is one ``step_fn`` call over every live hypothesis: it
 takes their (live,) previous ids and returns (live, vocab) log-probs, the
-next state and one (live, K) attention row per head. The adapter repeats
-the image's prepared keys once per live count and reuses them. After
+next state and one (live, K) attention row per head; every row reads the
+image's one-record keys, which ``attention.attend`` broadcasts. After
 ranking, ``beam_decode`` reorders the state to the surviving rows' parents
 with one fancy index, skipped when every row keeps its place (always so at
 beam 1). Per step the search keeps only back-pointers, the parent row and
@@ -150,15 +150,11 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
 
 def decoder_step_fn(decoder: AttentionDecoder, keys: Keys) -> StepFn:
     """Beam-search step of either decoder over the ``keys`` its ``start``
-    prepared for one image: the batched step over the live hypotheses, on
-    the image's keys repeated once per live count."""
-    by_live = {1: keys}
+    prepared for one image: the batched step over the live hypotheses, each
+    reading the image's keys."""
 
     def step(state, prev):
-        live = len(prev)
-        if live not in by_live:
-            by_live[live] = tuple(k.repeat(live) for k in keys)
-        logp, state, weights = decoder.step(by_live[live], state, prev)
+        logp, state, weights = decoder.step(keys, state, prev)
         return logp.data, state, tuple(w.data for w in weights)
 
     return step

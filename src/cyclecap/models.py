@@ -161,11 +161,11 @@ class AttentionDecoder:
                                self.b_out))
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray):
-        """One decode step for B records from their (B,) previous ids: every
-        head attends with h as query, then the LSTM reads [one context per
-        head; the previous word embedding]. Returns ((B, vocab) log_probs,
-        (h, c), one (B, K) weight row per head). Decoding only: it raises
-        StateError under a tape."""
+        """One decode step for B rows from their (B,) previous ids, over keys
+        of B records or of one that all rows read: each head attends with h
+        as query, then the LSTM reads [one context per head; the previous
+        word embedding]. Returns ((B, vocab) log_probs, (h, c), one (B, K)
+        weight row per head). Decoding only: it raises StateError under a tape."""
         h, c = state
         weights, contexts = zip(*(attend(head, k, h) for head, k in zip(self.heads, keys)))
         state = lstm_step(self.lstm, [*contexts, embedding_lookup(self.embedding, y_prev)],

@@ -14,7 +14,7 @@ gradient reached, and the record is skipped when none did.
 Training runs on batches, so tensors carry a leading batch axis: states are
 (B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
 take a boolean mask of real entries (``masked_mean``, ``frobenius``,
-``pick``, and the attention ops through their ``Head``); masked-out entries
+``pick``, and ``decoder_unroll`` through each ``Head``); masked-out entries
 never reach the result and get exactly zero gradient, so padding cannot leak
 into a loss. A pooling or attention mask is always a (B, ·) array, all-true
 when every entry is real. ``matmul`` applies a shared weight over every
@@ -26,14 +26,13 @@ one record, its backward BPTT written out once: ``gru_unroll`` (one GRU
 direction over all T steps) and ``decoder_unroll`` (a teacher-forced decoder
 unroll: every attention head and the LSTM over all T steps). At these sizes
 an op costs per record rather than per flop, so fewer, wider records are
-what make training cheap. Both attention ops take each head as one ``Head``
-record, the prepared keys and the scorer's weights. The decode-step ops
-``lstm_cell`` and ``additive_attention`` (one LSTM step; score, masked
-softmax and context of one head) share their step math with
-``decoder_unroll`` but keep no backward rule, because decoding never runs
-backward: under an active tape they raise StateError. Every op validates its
-output for finiteness, so a NaN or overflow surfaces at the op that produced
-it rather than ten layers downstream.
+what make training cheap. ``decoder_unroll`` takes each head as one ``Head``
+record, the prepared keys and the scorer's weights. The decode step
+(``attention.attend``, ``cells.lstm_step``) runs its step math,
+``attention_arrays`` and ``lstm_arrays``, outside the engine and refuses a
+tape (``refuse_tape``): decoding never runs backward. Every op validates its
+output for finiteness (``finite`` for several), so a NaN or overflow
+surfaces at the op that produced it rather than ten layers downstream.
 """
 
 from __future__ import annotations
@@ -187,11 +186,19 @@ def _result(name: str, arr: Array) -> Tensor:
     return Tensor(arr, _unchecked=True)
 
 
-def _results(name: str, *arrays: Array) -> tuple[Tensor, ...]:
-    """The outputs of a fused op, with one finiteness check over all of them."""
+def finite(name: str, *arrays: Array) -> tuple[Tensor, ...]:
+    """The outputs of a fused op or a decode step, with one finiteness check
+    over all of them."""
     if not all(np.isfinite(x).all() for x in arrays):
         raise NumericError(f"{name}: produced non-finite values")
     return tuple(Tensor(x, _unchecked=True) for x in arrays)
+
+
+def refuse_tape(op: str) -> None:
+    """Raise StateError under an active tape: decode steps record nothing."""
+    if Tape._active is not None:
+        raise StateError(f"{op}: a decode step keeps no backward rule; "
+                         f"teacher forcing runs decoder_unroll")
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -444,8 +451,7 @@ def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused ops: one record, one backward rule and one finiteness check each; the
-# decode-step ops share their step math and record nothing
+# Fused ops: one record, one backward rule and one finiteness check each
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: Array) -> Array:
@@ -460,10 +466,11 @@ def _bad_shapes(op: str, **shapes) -> DimensionError:
     return DimensionError(f"{op}: shapes do not fit together: {listed}")
 
 
-def _lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
-    """One LSTM step's gates and state update on arrays, from its (..., 4H)
-    pre-activations ``a`` (gate blocks i, f, o, g) and memory ``c``:
-    (sigmoid of the i, f, o blocks, tanh of the g block, c', tanh(c'), h')."""
+def lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
+    """One LSTM step's gates and state update on arrays (as ``cells.lstm_step``
+    defines them), from its (..., 4H) pre-activations ``a`` (gate blocks i,
+    f, o, g) and memory ``c``: (sigmoid of the i, f, o blocks, tanh of the g
+    block, c', tanh(c'), h')."""
     size = c.shape[-1]
     ifo = _sigmoid(a[..., :3 * size])
     g = np.tanh(a[..., 3 * size:])
@@ -473,8 +480,8 @@ def _lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
 
 
 class Head(NamedTuple):
-    """One attention head over a sequence's keys, as both attention ops take
-    it: the key side prepared once per sequence
+    """One attention head over a sequence's keys, as ``decoder_unroll`` and
+    ``attention.attend`` take it: the key side prepared once per sequence
     (``attention.AttentionLayer.prepare``) and the scorer's ``combine``."""
 
     projected: Tensor   # (K, B, A): key rows @ w_key + b, key-major
@@ -483,19 +490,18 @@ class Head(NamedTuple):
     w_query_t: Tensor   # (Q, A): the query weight, transposed
     combine: Tensor     # (A,): the score's output weight
 
-    def repeat(self, n: int) -> Head:
-        """This head with each record's rows, mask and projection repeated n
-        times in place, record-major: one image's keys for n hypotheses."""
-        return self._replace(
-            projected=Tensor(np.repeat(self.projected.data, n, axis=1), _unchecked=True),
-            rows=Tensor(np.repeat(self.rows.data, n, axis=0), _unchecked=True),
-            mask=np.repeat(self.mask, n, axis=0))
 
+def attention_arrays(head: Sequence[Array], query: Array) -> tuple[Array, Array, Array]:
+    """One additive-attention head's step on arrays, ``head`` holding a
+    ``Head``'s fields as arrays; returns (hidden, weights, context):
 
-def _attention_arrays(head: Sequence[Array], query: Array) -> tuple[Array, Array, Array]:
-    """One additive-attention head on arrays, ``head`` holding a ``Head``'s
-    fields as arrays: (hidden, weights, context) as ``additive_attention``
-    defines them."""
+        hidden = tanh(projected + query @ w_query_t)      (K, B, A)
+        weights = masked softmax over keys of hidden @ combine   (B, K)
+        context[b] = weights[b] @ rows[b]                  (B, d)
+
+    ``query`` is (B, Q). Masked keys get weight exactly 0. A head of one
+    record broadcasts over B query rows, as if repeated once per row.
+    """
     projected, rows, mask, w_query_t, combine = head
     hidden = np.tanh(projected + np.matmul(query, w_query_t))
     # masked while key-major, as the scores come, and read batch-major as a
@@ -504,39 +510,6 @@ def _attention_arrays(head: Sequence[Array], query: Array) -> tuple[Array, Array
     e = np.exp(s - s.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
     return hidden, w, np.matmul(w[:, None, :], rows)[:, 0, :]
-
-
-def _decode_only(op: str) -> None:
-    if Tape._active is not None:
-        raise StateError(f"{op}: a decode-step op has no backward rule; "
-                         f"teacher forcing runs decoder_unroll")
-
-
-def lstm_cell(inputs: Sequence[Tensor], h: Tensor, c: Tensor, w: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM decode step on fused gate weights; returns (h', c').
-
-        a = [inputs...; h] @ w + b,  gate blocks i, f, o, g of width H
-        i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
-        c' = f * c + i * g,  h' = o * tanh(c')
-
-    Every input part and the (..., H) states share their leading axes;
-    ``w`` is (input + H, 4H) and ``b`` is (4H,). Decoding only: under an
-    active tape it raises StateError.
-    """
-    hd, cd, wd = h.data, c.data, w.data
-    parts = [x.data for x in inputs] + [hd]
-    size = hd.shape[-1] if hd.ndim else 0
-    width = sum(x.shape[-1] for x in parts if x.ndim)
-    if not size or cd.shape != hd.shape or wd.shape != (width, 4 * size) \
-            or b.shape != (4 * size,) \
-            or any(x.ndim != hd.ndim or x.shape[:-1] != hd.shape[:-1] for x in parts):
-        raise _bad_shapes("lstm_cell", inputs=[x.shape for x in inputs], h=h.shape,
-                          c=c.shape, w=w.shape, b=b.shape)
-    _decode_only("lstm_cell")
-    a = np.matmul(np.concatenate(parts, axis=-1), wd) + b.data
-    _, _, c_new, _, h_new = _lstm_arrays(a, cd)
-    return _results("lstm_cell", h_new, c_new)
 
 
 def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *,
@@ -617,52 +590,17 @@ def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *
     return _record(out, (embedded, w, u, b), rule)
 
 
-def _attention_shapes_fit(head: Sequence[Array], query_dim: int, batch: int) -> bool:
-    projected, rows, mask, w_query_t, combine = head
-    return (projected.ndim == 3 and rows.ndim == 3
-            and rows.shape[:2] == (batch, projected.shape[0])
-            and projected.shape[1] == batch
-            and w_query_t.shape == (query_dim, projected.shape[2])
-            and combine.shape == projected.shape[2:]
-            and mask.shape == rows.shape[:2])
-
-
-def additive_attention(head: Head, query: Tensor) -> tuple[Tensor, Tensor]:
-    """One additive-attention head's decode step; returns (weights, context).
-
-        hidden = tanh(projected + query @ w_query_t)      (K, B, A)
-        weights = masked softmax over keys of hidden @ combine   (B, K)
-        context[b] = weights[b] @ rows[b]                  (B, d)
-
-    ``head`` holds the key-major (K, B, A) key projection, the (B, K, d) key
-    rows, their (B, K) boolean mask of real rows, ``w_query_t`` (Q, A) and
-    ``combine`` (A,); ``query`` is (B, Q). Masked keys get weight exactly 0.
-    Decoding only: under an active tape it raises StateError.
-    """
-    projected, rows, mask, w_query_t, combine = head
-    arrays = (projected.data, rows.data, mask, w_query_t.data, combine.data)
-    qd = query.data
-    if qd.ndim != 2 or not _attention_shapes_fit(arrays, *qd.shape[::-1]):
-        raise _bad_shapes("additive_attention", projected=projected.shape,
-                          rows=rows.shape, mask=np.shape(mask), query=query.shape,
-                          w_query_t=w_query_t.shape, combine=combine.shape)
-    _decode_only("additive_attention")
-    _, w, context = _attention_arrays(arrays, qd)
-    return _results("additive_attention", w, context)
-
-
 def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
                    heads: Sequence[Head], *, states: bool = True) -> tuple[Tensor, ...]:
     """A teacher-forced attention-LSTM decoder unroll over T steps, as one
-    record. Step t runs every head (``additive_attention``) with the state
-    h_t as query, then the LSTM (``lstm_cell``) on [each head's context;
+    record. Step t runs every head (``attention_arrays``) with the state
+    h_t as query, then the LSTM (``lstm_arrays``) on [each head's context;
     embedded[t]] and (h_t, c_t), giving (h_t+1, c_t+1).
 
     ``embedded`` is the (T, B, E) previous-word embeddings and ``h``, ``c``
     the (B, H) initial state. ``w`` is the (sum of d + E + H, 4H) LSTM
     weight, its rows in the order contexts, embedding, h; ``b`` is (4H,).
-    Each ``Head`` is as ``additive_attention`` takes it, its ``w_query_t``
-    (H, A).
+    Each ``Head`` holds the keys of all B records, its ``w_query_t`` (H, A).
 
     Returns the (T, B, H) states h_1 .. h_T, then each head's (B, T, K)
     weights. With ``states=False`` it returns the weights alone and skips
@@ -691,7 +629,9 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         ctx_w = sum(widths)
         fits = steps > 0 and hd.shape[0] == batch and cd.shape == hd.shape \
             and wd.shape == (ctx_w + emb_w + size, 4 * size) and b.shape == (4 * size,) \
-            and all(_attention_shapes_fit(head, size, batch) for head in arrays)
+            and all(p.ndim == 3 and p.shape[1] == batch and r.shape[:2] == (batch, len(p))
+                    and m.shape == r.shape[:2] and wq.shape == (size, p.shape[2])
+                    and cb.shape == p.shape[2:] for p, r, m, wq, cb in arrays)
     if not fits:
         raise _bad_shapes("decoder_unroll", embedded=embedded.shape, h=h.shape,
                           c=c.shape, w=w.shape, b=b.shape,
@@ -713,14 +653,14 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         x = xs[t]
         x[:, ctx_w:] = query
         for k, head in enumerate(arrays):
-            hidden, weights[k][:, t], x[:, offsets[k]:offsets[k + 1]] = _attention_arrays(
+            hidden, weights[k][:, t], x[:, offsets[k]:offsets[k + 1]] = attention_arrays(
                 head, query)
             hiddens[k].append(hidden)
         if t < cells:
             (gates[t, :, :3 * size], gates[t, :, 3 * size:], mem[t + 1], tanh_mem[t],
-             out[t]) = _lstm_arrays(pre[t] + np.matmul(x, w_rec), mem[t])
+             out[t]) = lstm_arrays(pre[t] + np.matmul(x, w_rec), mem[t])
             query = out[t]
-    outs = _results("decoder_unroll", *([out] if states else []), *weights)
+    outs = finite("decoder_unroll", *([out] if states else []), *weights)
 
     def rule(*grads: Array) -> tuple[Array, ...]:
         g_out = grads[0] if states else None

@@ -29,9 +29,9 @@ from itertools import accumulate
 import numpy as np
 
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import (Tensor, _attention_arrays, _lstm_arrays, _record,
-                             _record_many, _result, _results, add, batch_matmul,
-                             concat, embedding_lookup, matmul, mul, sub, tanh)
+from cyclecap.tensor import (Tensor, _record, _record_many, _result, add,
+                             attention_arrays, batch_matmul, concat, embedding_lookup,
+                             finite, lstm_arrays, matmul, mul, sub, tanh)
 
 
 def np_softmax(x):
@@ -213,16 +213,16 @@ def composed_attend(keys, query):
 # ---------------------------------------------------------------------------
 
 def step_lstm_cell(inputs, h, c, w, b):
-    """One LSTM step as one record, as ``tensor.lstm_cell`` computes it, with
+    """One LSTM step as one record, as ``cells.lstm_step`` computes it, with
     its per-step backward rule; returns (h', c')."""
     hd, cd, wd = h.data, c.data, w.data
     parts = [x.data for x in inputs] + [hd]
     size, width = hd.shape[-1], wd.shape[0]
     x = np.concatenate(parts, axis=-1)
     a = np.matmul(x, wd) + b.data
-    ifo, g, c_new, tc, h_new = _lstm_arrays(a, cd)
+    ifo, g, c_new, tc, h_new = lstm_arrays(a, cd)
     i, f, o = ifo[..., :size], ifo[..., size:2 * size], ifo[..., 2 * size:]
-    outs = _results("lstm_cell", h_new, c_new)
+    outs = finite("lstm_cell", h_new, c_new)
 
     def rule(gh, gc):
         gc = gc + gh * o * (1.0 - tc * tc)
@@ -242,13 +242,13 @@ def step_lstm_cell(inputs, h, c, w, b):
 
 
 def step_additive_attention(head, query):
-    """One attention head's step as one record, as
-    ``tensor.additive_attention`` computes it, with its per-step backward
-    rule; returns (weights, context)."""
+    """One attention head's step as one record, as ``attention.attend``
+    computes it, with its per-step backward rule; returns (weights,
+    context)."""
     projected, rows, mask, w_query_t, combine = head
     pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
-    hidden, w, context = _attention_arrays((pd, rd, mask, wd, cd), qd)
-    outs = _results("additive_attention", w, context)
+    hidden, w, context = attention_arrays((pd, rd, mask, wd, cd), qd)
+    outs = finite("additive_attention", w, context)
 
     def rule(gw, gctx):
         gw = gw + np.matmul(gctx[:, None, :], rd.transpose(0, 2, 1))[:, 0, :]

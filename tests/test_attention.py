@@ -70,6 +70,24 @@ def test_input_validation():
                Tensor(np.zeros((1, 5))))
 
 
+def test_one_record_of_keys_broadcasts_over_query_rows():
+    # a beam's live hypotheses read one image's keys as they are
+    rng = np.random.default_rng(6)
+    layer = make_layer(seed=6)
+    keys = layer.prepare(Tensor(rng.standard_normal((1, 4, 5))),
+                         np.array([[True, False, True, True]]))
+    queries = rng.standard_normal((3, 4))
+    weights, context = attend(layer, keys, Tensor(queries))
+    for row, query in enumerate(queries):
+        one_w, one_ctx = attend(layer, keys, Tensor(query[None]))
+        np.testing.assert_array_equal(weights.data[row], one_w.data[0])
+        np.testing.assert_array_equal(context.data[row], one_ctx.data[0])
+    assert (weights.data[:, 1] == 0.0).all()
+    two = layer.prepare(Tensor(rng.standard_normal((2, 4, 5))), np.ones((2, 4), dtype=bool))
+    with pytest.raises(DimensionError, match="attend"):
+        attend(layer, two, Tensor(queries))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000), st.integers(1, 8))
 def test_weights_are_distribution_and_context_in_hull(seed, n_keys):

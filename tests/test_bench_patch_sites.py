@@ -68,3 +68,8 @@ def test_tracer_install_uninstall_round_trips():
     # one encode reaches the GRU once per direction
     assert tracer.calls_by_site["cyclecap.models.CaptionEncoder.encode"] == 1
     assert tracer.calls_by_site["cyclecap.models.gru_step"] == 2
+    # the two steps reach every head (one soft, two dual), the LSTM and the
+    # output layer through the names the tracer patches
+    assert tracer.calls_by_site["cyclecap.models.attend"] == 3
+    assert tracer.calls_by_site["cyclecap.models.lstm_step"] == 2
+    assert tracer.calls_by_site["cyclecap.models.log_softmax"] == 2

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclecap import checks
+from cyclecap import checks, cli, evaluation
 from cyclecap.cli import SUBCOMMANDS, main, write_run_manifest
 from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
 from cyclecap.models import load_bundle, load_captioner, save_bundle
@@ -101,6 +101,34 @@ def test_infer_and_eval(pipeline, tmp_path):
     assert metrics["count"] == 8
 
 
+def test_eval_scores_against_every_reference_of_an_image(tmp_path, capsys):
+    rows = [("a", "ein hund"), ("a", "der hund rennt"), ("b", "!!!"),
+            ("c", "eine katze sitzt")]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps({"image_id": i, "features": f"{i}.feat",
+                                            "en": "x", "de": de}) + "\n"
+                                for i, de in rows), encoding="utf-8")
+    candidates = tmp_path / "captions.jsonl"
+
+    def score(*rows):
+        candidates.write_text("".join(json.dumps({"image_id": i, "de": de}) + "\n"
+                                      for i, de in rows), encoding="utf-8")
+        capsys.readouterr()
+        return run("eval", "--candidates", str(candidates), "--manifest", str(manifest),
+                   "--out-dir", str(tmp_path / "scored"))
+
+    assert score(("a", "ein hund"), ("c", "eine katze")) == 0
+    cider = json.loads((tmp_path / "scored" / "metrics.json").read_text())["cider"]
+    said = [["ein", "hund"], ["eine", "katze"]]
+    c_refs = [["eine", "katze", "sitzt"]]
+    both = evaluation.cider(said, [[["ein", "hund"], ["der", "hund", "rennt"]], c_refs])
+    assert cider == both != evaluation.cider(said, [[["der", "hund", "rennt"]], c_refs])
+    # image b's only caption is empty: it has no reference to score against
+    assert score(("b", "ein hund")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and "'b' has no de reference" in err
+
+
 def test_attn_export(pipeline, tmp_path):
     data = pipeline / "data"
     out = tmp_path / "attn"
@@ -128,6 +156,20 @@ def test_attn_export_names_the_image_of_an_empty_gold_caption(pipeline, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error[data]: ") and "Traceback" not in err
     assert f"en caption of {row['image_id']!r} is empty" in err
+
+
+def test_attn_export_checks_the_grid_before_decoding(pipeline, tmp_path, capsys,
+                                                  monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "caption_image", lambda *a, **k: calls.append(a))
+    data = pipeline / "data"
+    first = json.loads((data / "manifest.jsonl").read_text().splitlines()[0])
+    assert run("attn-export", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(data / "manifest.jsonl"), "--out-dir", str(tmp_path),
+               "--grid-rows", "3", "--grid-cols", "5") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and "does not cover the 16 regions" in err
+    assert repr(first["image_id"]) in err and calls == []
 
 
 def test_attn_export_refuses_an_image_id_that_leaves_the_out_dir(pipeline, tmp_path,

@@ -1,5 +1,7 @@
 """Every name a ``cyclecap`` module imports is used there or re-exported in
-its ``__all__``, so a deletion cannot leave an import behind."""
+its ``__all__``, so a deletion cannot leave an import behind; and none is a
+``_``-prefixed name of another package module, so what modules share is
+public."""
 
 import ast
 from pathlib import Path
@@ -38,4 +40,28 @@ def test_unused_imports_are_found():
 def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused for path in sorted(PACKAGE.glob("*.py"))
              if (unused := unused_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """``_``-prefixed names a module imports from a package module, by a
+    relative import or by the package's name."""
+    tree = ast.parse(source)
+    return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == PACKAGE.name)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_imports_are_found():
+    source = ("from __future__ import annotations\nfrom os import _exit\n"
+              "from .tensor import _record, add\nfrom cyclecap.data import _usable\n"
+              "from . import _hidden\n")
+    assert private_imports(source) == ["_hidden (line 5)", "_record (line 3)",
+                                       "_usable (line 4)"]
+
+
+def test_no_module_imports_a_private_name():
+    found = {path.name: private for path in sorted(PACKAGE.glob("*.py"))
+             if (private := private_imports(path.read_text(encoding="utf-8")))}
     assert found == {}

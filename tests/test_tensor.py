@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecap.attention import AttentionLayer, attend
+from cyclecap.cells import LSTMParams, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Head, Parameter, Tape, Tensor, add, additive_attention,
-                             concat, dropout, embedding_lookup, frobenius, log_softmax,
-                             lstm_cell, masked_mean, matmul, mul, pick, scale, sub,
-                             sum_all)
+from cyclecap.tensor import (Parameter, Tape, Tensor, add, concat, dropout,
+                             embedding_lookup, frobenius, log_softmax, masked_mean,
+                             matmul, mul, pick, scale, sub, sum_all)
 
 from _reference import (masked_softmax, stack, step_additive_attention, step_lstm_cell,
                         unstack)
@@ -158,22 +159,30 @@ def test_backward_twice_raises_on_multi_output_records():
 
 
 def test_decode_step_ops_refuse_an_active_tape():
-    # decoding never runs backward, so the per-step ops keep no rule; outside
-    # a tape they compute what their per-step records compute
-    x, h, c, w, b = _lstm_operands()
+    # decoding never runs backward, so the decode steps keep no rule; outside
+    # a tape they compute what their per-step records compute, and a
+    # non-finite output is a NumericError
     rng = np.random.default_rng(1)
-    projected, rows, w_query_t, combine = (
-        Tensor(rng.standard_normal(shape)) for shape in ((3, 2, 5), (2, 3, 4), (4, 5), (5,)))
-    mask = np.array([[True, True, False], [True, True, True]])
-    attention = (Head(projected, rows, mask, w_query_t, combine), h)
-    for op, reference, args in ((lstm_cell, step_lstm_cell, ([x], h, c, w, b)),
-                                (additive_attention, step_additive_attention, attention)):
+    cell = LSTMParams(rng, 3, 4, "lstm")
+    layer = AttentionLayer(rng, key_dim=4, query_dim=4, attn_dim=5, prefix="attn")
+    x, h, c = (Tensor(rng.standard_normal((2, n))) for n in (3, 4, 4))
+    corrupt = Tensor(h.data)
+    corrupt.data = np.where(np.eye(2, 4) > 0, np.nan, h.data)  # as if from downstream
+    keys = layer.prepare(Tensor(rng.standard_normal((2, 3, 4))),
+                         np.array([[True, True, False], [True, True, True]]))
+    for op, reference, args, bad in (
+            (lambda *a: lstm_step(cell, *a), lambda *a: step_lstm_cell(*a, cell.w, cell.b),
+             ([x], h, c), ([x], corrupt, c)),
+            (lambda *a: attend(layer, *a), step_additive_attention, (keys, h),
+             (keys, corrupt))):
         for got, want in zip(op(*args), reference(*args), strict=True):
             np.testing.assert_array_equal(got.data, want.data)
         with Tape() as tape:
             with pytest.raises(StateError, match="decode"):
                 op(*args)
         assert len(tape) == 0
+        with pytest.raises(NumericError):
+            op(*bad)
 
 
 def test_tapes_do_not_nest():
