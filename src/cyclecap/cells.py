@@ -121,15 +121,17 @@ def gru_step(p: GRUParams, embedded: Tensor, mask: np.ndarray, *,
              reverse: bool = False) -> Tensor:
     """One GRU direction over a (T, B, input) sequence from a zero state, as
     one record (``tensor.gru_unroll``); returns the (B, T, hidden) states.
-    ``mask`` is the (B, T) boolean mask of real positions. Each step is
+    ``mask`` is the (B, T) boolean mask of real positions, real ones first
+    in each row. Each step is
 
         r, z = sigmoid(x @ w + h @ u + b)[:2H] in two blocks
         n = tanh((x @ w + b)[2H:] + r * (h @ u)[2H:])
         h' = z * h + (1 - z) * n,  taken as n + z * (h - n)
 
-    stepping forward in time, or backward with ``reverse``, which holds the
-    zero state through each record's padding. The update gate z interpolates
-    toward keeping h, so a large positive update-gate bias saturates the cell
-    into carrying its state through unchanged.
+    stepping forward in time, or backward with ``reverse``, over each
+    record's real positions only, so the backward pass starts from zero at
+    the record's last token; padded states are exactly 0. The update gate z
+    interpolates toward keeping h, so a large positive update-gate bias
+    saturates the cell into carrying its state through unchanged.
     """
     return gru_unroll(embedded, p.w, p.u, p.b, mask, reverse=reverse)

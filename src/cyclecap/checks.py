@@ -161,7 +161,7 @@ def _fused_cases(rng: np.random.Generator, p: dict):
     records, each reading its outputs through random probes: one
     ``gru_unroll`` per direction, and one ``decoder_unroll`` per decoder
     kind, the soft decoder's head over regions and the dual decoder's second
-    head over caption states. Record 0's last step, or in each unroll head
+    head over caption states. Record 0's last step, and in each unroll head
     its last key, is padding, masked out."""
     hidden, embed, attn, steps, keys = p["hidden"], p["embed"], p["attn"], p["seq"], \
         p["regions"]
@@ -191,7 +191,7 @@ def _fused_cases(rng: np.random.Generator, p: dict):
             _p(rng, (2, steps, keys), "probe_weights") for _ in key_dims]
 
         def unroll_loss(operands=operands, heads=heads, probes=probes):
-            outs = decoder_unroll(*operands, heads)
+            outs = decoder_unroll(*operands, heads, step_mask)
             return reduce(add, [sum_all(mul(o, pr))
                                 for o, pr in zip(outs, probes, strict=True)])
 

@@ -32,12 +32,12 @@ live hypotheses as the B rows. Records of a training batch differ in
 region count and caption length, so a ``data.Batch`` pads them and carries
 (B, L) region and (B, T) caption masks. The masks travel with the keys:
 ``AttentionLayer.prepare`` takes the rows' mask and gives padded rows
-weight exactly 0; ``init_state`` averages real regions only; the encoder's
-backward direction holds its zero state through a record's padding. Every
-mask is a boolean array; ``start`` and ``encode`` are the two places where
-an omitted mask becomes an all-true one, for callers with unpadded rows.
-Steps past a record's EOS still run, and whatever they compute is masked by
-the losses that read it.
+weight exactly 0; ``init_state`` averages real regions only; the encoder
+runs each direction over a record's real tokens only. Every mask is a
+boolean array; ``start`` and ``encode`` are the two places where an omitted
+mask becomes an all-true one, for callers with unpadded rows. Teacher
+forcing computes no step past a record's EOS: its states and attention
+weights there are exactly 0, and the losses that read them mask them.
 
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
@@ -59,7 +59,7 @@ from . import init
 from .attention import AttentionLayer, attend
 from .cells import GRUParams, LSTMParams, gru_step, lstm_step
 from .cycle import AttentionRecord
-from .data import Batch, TripleRecord, make_batch
+from .data import EOS_ID, Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Head, Parameter, Tensor, add, concat, decoder_unroll, dropout,
                      embedding_lookup, log_softmax, masked_mean, matmul, tanh)
@@ -215,10 +215,9 @@ class CaptionEncoder:
         """Encode (B, N) token ids, with their (B, N) mask of real tokens
         (omitted: all real), into (B, N, 2*hidden) states: one lookup, then
         each direction as one ``gru_step`` record over all N positions.
-        Real tokens come first in each row; the backward direction holds
-        its zero state through a record's padding, so it starts at the
-        record's own last token. States at padded positions are not zero but
-        are masked wherever they are read."""
+        Real tokens come first in each row; each direction runs over a
+        record's real tokens only, so the backward one starts at the
+        record's own last token. States at padded positions are exactly 0."""
         ids = np.asarray(token_ids)
         if ids.ndim != 2 or ids.shape[1] == 0:
             raise DataError(f"caption encoder: need a non-empty (B, N) token "
@@ -301,12 +300,14 @@ def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray
     ids[:, t + 1]. Returns the (T, B, hidden) states, for one ``emit``, and
     per head its (B, T, K) weights. With ``states=False`` only the weights
     are made (for attention-only passes) and the states come back as None.
-    Steps past a record's EOS run on padding; their outputs are masked by
-    whoever reads them.
+    A record's steps end at its first EOS target, not at PAD: no step past
+    it is computed and its outputs there are exactly 0, so ids written over
+    the padding change nothing.
     """
     keys, (h, c) = start
+    real = ~np.logical_or.accumulate(ids[:, :-1] == EOS_ID, axis=1)   # EOS not yet read
     outs = decoder_unroll(embedding_lookup(decoder.embedding, ids[:, :-1].T), h, c,
-                          decoder.lstm.w, decoder.lstm.b, keys, states=states)
+                          decoder.lstm.w, decoder.lstm.b, keys, real, states=states)
     return (outs[0], list(outs[1:])) if states else (None, list(outs))
 
 

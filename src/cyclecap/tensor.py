@@ -26,8 +26,11 @@ one record, its backward BPTT written out once: ``gru_unroll`` (one GRU
 direction over all T steps) and ``decoder_unroll`` (a teacher-forced decoder
 unroll: every attention head and the LSTM over all T steps). At these sizes
 an op costs per record rather than per flop, so fewer, wider records are
-what make training cheap. ``decoder_unroll`` takes each head as one ``Head``
-record, the prepared keys and the scorer's weights. The decode step
+what make training cheap. Both pack their (B, T) mask of real steps, as
+cuDNN and PyTorch pack padded sequences: step t runs forward and backward on
+the rows still real at t, and outputs at padded steps are exactly 0.
+``decoder_unroll`` takes each head as one ``Head`` record, the prepared keys
+and the scorer's weights. The decode step
 (``attention.attend``, ``cells.lstm_step``) runs its step math,
 ``attention_arrays`` and ``lstm_arrays``, outside the engine and refuses a
 tape (``refuse_tape``): decoding never runs backward. Every op validates its
@@ -455,15 +458,33 @@ def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: Array) -> Array:
-    # exp(-|x|) never overflows; x >= 0 takes 1 / (1 + e), x < 0 takes e / (1 + e).
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # 0.5 * tanh(x / 2) + 0.5: four passes over one new array, and tanh never
+    # overflows
+    y = np.multiply(x, 0.5)
+    np.tanh(y, out=y)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def _bad_shapes(op: str, **shapes) -> DimensionError:
     listed = ", ".join(f"{name} {shape}" for name, shape in shapes.items())
     return DimensionError(f"{op}: shapes do not fit together: {listed}")
+
+
+def _packing(op: str, mask: Array, steps: int, batch: int
+             ) -> tuple[Array, Array, list[int]]:
+    """A (B, T) boolean mask of real steps, real ones first, packed: the rows
+    in stable descending order of length, the inverse order, and the count
+    of real rows per step: step t runs on the prefix ``[:live[t]]``."""
+    if np.shape(mask) != (batch, steps):
+        raise DimensionError(f"{op}: step mask has shape {np.shape(mask)}, "
+                             f"not {(batch, steps)}")
+    if (mask[:, 1:] > mask[:, :-1]).any():
+        raise DimensionError(f"{op}: step mask is not a prefix: a real step "
+                             f"follows a padded one")
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    return order, np.argsort(order), mask.sum(axis=0).tolist()
 
 
 def lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
@@ -524,74 +545,80 @@ def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *
         h' = n + z * (h - n)
 
     ``w`` is (E, 3H), ``u`` (H, 3H), ``b`` (3H,) and ``mask`` the (B, T)
-    boolean mask of real positions. The forward direction steps t = 0 .. T-1
-    and leaves its states at padded positions as they come. With
-    ``reverse`` it steps t = T-1 .. 0 and zeroes the state at every padded
-    position, so each record's pass starts from zero at its own last token.
+    boolean mask of real positions, real ones first in each row. The forward
+    direction steps t = 0 .. T-1; with ``reverse`` it steps t = T-1 .. 0,
+    each record's pass starting from zero at its own last token. States at
+    padded positions are exactly 0 and pass no gradient back.
 
-    The forward projects every input in one product, then loops over the
-    steps, keeping each step's gates. The backward is BPTT: its reverse loop
-    carries the state gradient, and the gradients of ``embedded``, ``w``,
-    ``u`` and ``b`` are each one product over all T * B rows after it.
+    The batch is packed (``_packing``), so each step runs on the prefix of
+    rows still real there. The forward projects every input in one product,
+    then loops over the steps, keeping each step's gates under a tape. The
+    backward is BPTT: its reverse loop carries the state gradient, and the
+    gradients of ``embedded``, ``w``, ``u`` and ``b`` are each one product
+    over all T * B rows after it, padded rows adding zeros.
     """
     ed, wd, ud = embedded.data, w.data, u.data
     size = ud.shape[0] if ud.ndim == 2 else 0
     if ed.ndim != 3 or not ed.shape[0] or not size or ud.shape != (size, 3 * size) \
-            or wd.shape != (ed.shape[2], 3 * size) or b.shape != (3 * size,) \
-            or np.shape(mask) != ed.shape[1::-1]:
+            or wd.shape != (ed.shape[2], 3 * size) or b.shape != (3 * size,):
         raise _bad_shapes("gru_unroll", embedded=embedded.shape, w=w.shape, u=u.shape,
                           b=b.shape, mask=np.shape(mask))
     steps, batch, emb_w = ed.shape
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    keep = mask.T[..., None].astype(np.float64)       # (T, B, 1)
-    xw = np.matmul(ed, wd) + b.data                   # (T, B, 3H)
-    prev = np.empty((steps, batch, size))             # the state step t reads
-    rz = np.empty((steps, batch, 2 * size))
-    an = np.empty((steps, batch, size))               # (h @ u)[2H:]
-    n = np.empty((steps, batch, size))
-    states = np.empty((batch, steps, size))
-    h = np.zeros((batch, size))
-    for t in order:
-        prev[t] = h
+    order, restore, live = _packing("gru_unroll", mask, steps, batch)
+    xw = np.matmul(ed[:, order], wd) + b.data         # (T, B, 3H), rows packed
+    # step t reads slot t + read and writes slot t + write; the slot no step
+    # writes is the zero initial state, and a row that joins the prefix late
+    # reads the zeros of its padded positions
+    read, write = (1, 0) if reverse else (0, 1)
+    slots = np.zeros((steps + 1, batch, size))
+    order_t = range(steps - 1, -1, -1) if reverse else range(steps)
+    taped, kept = Tape._active is not None, [None] * steps   # each step's gates
+    for t in order_t:
+        k = live[t]
+        h = slots[t + read, :k]
         a = np.matmul(h, ud)
-        rz[t] = _sigmoid(xw[t, :, :2 * size] + a[:, :2 * size])
-        an[t] = a[:, 2 * size:]
-        n[t] = np.tanh(xw[t, :, 2 * size:] + rz[t, :, :size] * an[t])
-        h = n[t] + rz[t, :, size:] * (h - n[t])
-        if reverse:
-            h = h * keep[t]
-        states[:, t] = h
-    out = _result("gru_unroll", states)
+        rz = _sigmoid(xw[t, :k, :2 * size] + a[:, :2 * size])
+        an = a[:, 2 * size:]                          # (h @ u)[2H:]
+        n = np.tanh(xw[t, :k, 2 * size:] + rz[:, :size] * an)
+        slots[t + write, :k] = n + rz[:, size:] * (h - n)
+        if taped:
+            kept[t] = rz, an.copy(), n                # a copy keeps not all of a
+    prev = slots[read:read + steps]                   # the state step t reads
+    out = _result("gru_unroll", slots[write:write + steps].transpose(1, 0, 2)[restore])
 
     def rule(g: Array) -> tuple[Array, Array, Array, Array]:
-        g_xw = np.empty((steps, batch, 3 * size))
-        g_a = np.empty((steps, batch, 3 * size))      # of h @ u
-        gh = np.zeros((batch, size))
-        for t in reversed(order):
-            gh = gh + g[:, t]
-            if reverse:
-                gh = gh * keep[t]
-            z = rz[t, :, size:]
-            gn = (gh - gh * z) * (1.0 - n[t] * n[t])
-            gx = g_xw[t]
-            gx[:, :size] = gn * an[t]
-            gx[:, size:2 * size] = gh * (prev[t] - n[t])
-            gx[:, :2 * size] *= rz[t]
-            gx[:, :2 * size] *= 1.0 - rz[t]
+        g = g[order]
+        g_xw = np.zeros((steps, batch, 3 * size))
+        g_a = np.zeros((steps, batch, 3 * size))      # of h @ u
+        g_h = np.zeros((batch, size))                 # carried to the step before
+        u_t = np.ascontiguousarray(ud.T)              # BLAS is faster on it than on ud.T
+        for t in reversed(order_t):
+            k = live[t]
+            rz, an, n = kept[t]
+            gh = g_h[:k] + g[:k, t]
+            z = rz[:, size:]
+            gn = (gh - gh * z) * (1.0 - n * n)
+            gx = g_xw[t, :k]
+            gx[:, :size] = gn * an
+            gx[:, size:2 * size] = gh * (prev[t, :k] - n)
+            gx[:, :2 * size] *= rz
+            gx[:, :2 * size] *= 1.0 - rz
             gx[:, 2 * size:] = gn
-            ga = g_a[t]
+            ga = g_a[t, :k]
             ga[:] = gx
-            ga[:, 2 * size:] *= rz[t, :, :size]
-            gh = gh * z + np.matmul(ga, ud.T)
+            ga[:, 2 * size:] *= rz[:, :size]
+            g_h[:k] = gh * z + np.matmul(ga, u_t)
         flat = g_xw.reshape(-1, 3 * size)
-        return (np.matmul(g_xw, wd.T), ed.reshape(-1, emb_w).T @ flat,
+        return (np.matmul(g_xw, wd.T)[:, restore],
+                ed[:, order].reshape(-1, emb_w).T @ flat,
                 prev.reshape(-1, size).T @ g_a.reshape(-1, 3 * size), flat.sum(axis=0))
 
     return _record(out, (embedded, w, u, b), rule)
 
 
 def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
-                   heads: Sequence[Head], *, states: bool = True) -> tuple[Tensor, ...]:
+                   heads: Sequence[Head], mask: Array, *,
+                   states: bool = True) -> tuple[Tensor, ...]:
     """A teacher-forced attention-LSTM decoder unroll over T steps, as one
     record. Step t runs every head (``attention_arrays``) with the state
     h_t as query, then the LSTM (``lstm_arrays``) on [each head's context;
@@ -601,26 +628,27 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     the (B, H) initial state. ``w`` is the (sum of d + E + H, 4H) LSTM
     weight, its rows in the order contexts, embedding, h; ``b`` is (4H,).
     Each ``Head`` holds the keys of all B records, its ``w_query_t`` (H, A).
+    ``mask`` is the (B, T) boolean mask of real steps, real ones first in
+    each row.
 
     Returns the (T, B, H) states h_1 .. h_T, then each head's (B, T, K)
-    weights. With ``states=False`` it returns the weights alone and skips
-    the last step's LSTM update, which only the states read.
+    weights, exactly 0 at padded steps, which pass no gradient back. With
+    ``states=False`` it returns the weights alone, and the LSTM of step t
+    runs only on the rows that attend at step t + 1.
 
-    The forward projects every step's embedding through its rows of ``w``
-    in one product, then loops over the steps, keeping each step's
-    activations: the (B, ·) ones in (T, ...) buffers, each head's (K, B, A)
-    tanh layer as one array per step. The backward is BPTT: its reverse loop
+    The batch is packed (``_packing``), so each step runs on the prefix of
+    rows still real there. The forward projects every step's embedding
+    through its rows of ``w`` in one product, then loops over the steps,
+    keeping each step's activations. The backward is BPTT: its reverse loop
     computes what recurs (gate, context and query gradients, and the (h, c)
     gradient carried to the step before), adding each head's projected-key
     and ``combine`` gradients while that step's tanh layer is at hand. The
     gradients of ``w``, ``b``, ``embedded``, the key rows and ``w_query_t``
-    are each one product over all T * B rows after the loop.
+    are each one product over all T * B rows after the loop, padded rows
+    adding zeros.
     """
     ed, hd, cd, wd = embedded.data, h.data, c.data, w.data
-    # key-major in memory too, so that every step's tanh layer is, and the
-    # backward reads it as (K * B, A) rows without a copy
-    arrays = [(np.ascontiguousarray(p.data), r.data, m, wq.data, cb.data)
-              for p, r, m, wq, cb in heads]
+    arrays = [(p.data, r.data, m, wq.data, cb.data) for p, r, m, wq, cb in heads]
     fits = ed.ndim == 3 and hd.ndim == 2 and bool(arrays) and all(
         x.ndim == 3 for _, x, _, _, _ in arrays)
     if fits:
@@ -636,90 +664,98 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         raise _bad_shapes("decoder_unroll", embedded=embedded.shape, h=h.shape,
                           c=c.shape, w=w.shape, b=b.shape,
                           heads=[tuple(np.shape(x) for x in head) for head in arrays])
-    cells = steps if states else steps - 1
+    order, restore, live = _packing("decoder_unroll", mask, steps, batch)
+    hd, cd = hd[order], cd[order]
+    # the projected keys key-major in memory too, so that every step's tanh
+    # layer is, and the backward reads it as (K * k, A) rows without a copy
+    arrays = [(np.ascontiguousarray(p[:, order]), r[order], m[order], wq, cb)
+              for p, r, m, wq, cb in arrays]
+    # the rows whose LSTM step t runs: those whose h_t+1 is read
+    cell_rows = live if states else live[1:] + [0]
     offsets = list(accumulate(widths, initial=0))
     w_emb = wd[ctx_w:ctx_w + emb_w]
     w_rec = np.concatenate([wd[:ctx_w], wd[ctx_w + emb_w:]])   # rows for [contexts; h]
-    pre = np.matmul(ed[:cells], w_emb) + b.data                 # (cells, B, 4H)
-    xs = np.empty((steps, batch, ctx_w + size))                 # [contexts; h_t]
-    gates = np.empty((cells, batch, 4 * size))                  # sigmoid(ifo), tanh(g)
-    mem = np.empty((cells + 1, batch, size))
-    tanh_mem = np.empty((cells, batch, size))
-    out = np.empty((cells, batch, size))
-    hiddens: list[list[Array]] = [[] for _ in arrays]          # per step (K, B, A)
-    weights = [np.empty((batch, steps, p.shape[0])) for p, _, _, _, _ in arrays]
-    mem[0], query = cd, hd
+    pre = np.matmul(ed[:, order], w_emb) + b.data               # (T, B, 4H)
+    xs = np.zeros((steps, batch, ctx_w + size))                 # [contexts; h_t]
+    out = np.zeros((steps, batch, size))                        # h_t+1
+    cells: list[tuple[Array, ...]] = []                 # per step: ifo, g, tanh c', c
+    hiddens: list[list[Array]] = [[] for _ in arrays]          # per step (K, k, A)
+    weights = [np.zeros((batch, steps, p.shape[0])) for p, _, _, _, _ in arrays]
+    query, mem = hd, cd
     for t in range(steps):
-        x = xs[t]
+        k, m = live[t], cell_rows[t]
+        x, query = xs[t, :k], query[:k]
         x[:, ctx_w:] = query
-        for k, head in enumerate(arrays):
-            hidden, weights[k][:, t], x[:, offsets[k]:offsets[k + 1]] = attention_arrays(
-                head, query)
-            hiddens[k].append(hidden)
-        if t < cells:
-            (gates[t, :, :3 * size], gates[t, :, 3 * size:], mem[t + 1], tanh_mem[t],
-             out[t]) = lstm_arrays(pre[t] + np.matmul(x, w_rec), mem[t])
-            query = out[t]
-    outs = finite("decoder_unroll", *([out] if states else []), *weights)
+        for j, (p, r, msk, wq, cb) in enumerate(arrays):
+            hidden, weights[j][:k, t], x[:, offsets[j]:offsets[j + 1]] = attention_arrays(
+                (p[:, :k], r[:k], msk[:k], wq, cb), query)
+            hiddens[j].append(hidden)
+        if m:
+            mem = mem[:m]
+            ifo, g, c_new, tc, query = lstm_arrays(pre[t, :m] + np.matmul(x[:m], w_rec), mem)
+            cells.append((ifo, g, tc, mem))
+            out[t, :m], mem = query, c_new
+    outs = finite("decoder_unroll", *([out[:, restore]] if states else []),
+                  *(x[restore] for x in weights))
 
     def rule(*grads: Array) -> tuple[Array, ...]:
-        g_out = grads[0] if states else None
-        g_weights = grads[1:] if states else grads
-        g_gates = np.empty((cells, batch, 4 * size))
+        g_out = grads[0][:, order] if states else None
+        g_weights = [g[order] for g in (grads[1:] if states else grads)]
+        g_gates = np.zeros((steps, batch, 4 * size))
         g_ctx = np.zeros((batch, steps, ctx_w))
-        g_query = [np.empty((steps, batch, p.shape[-1])) for p, _, _, _, _ in arrays]
+        g_query = [np.zeros((steps, batch, p.shape[-1])) for p, _, _, _, _ in arrays]
         g_pre = [np.zeros(p.shape) for p, _, _, _, _ in arrays]   # summed over steps
         g_combine = [np.zeros(p.shape[-1]) for p, _, _, _, _ in arrays]
-        gh, gc = np.zeros((batch, size)), np.zeros((batch, size))
+        g_h, g_c = np.zeros((batch, size)), np.zeros((batch, size))
+        # transposed weights copied once: BLAS is faster on them than on views
+        w_rec_t = np.ascontiguousarray(w_rec.T)
+        w_query = [np.ascontiguousarray(wq.T) for _, _, _, wq, _ in arrays]
         for t in reversed(range(steps)):
-            if t < cells:
-                if g_out is not None:
-                    gh = gh + g_out[t]
-                act, tc = gates[t], tanh_mem[t]
-                ifo, g = act[:, :3 * size], act[:, 3 * size:]
-                gc = gc + gh * ifo[:, 2 * size:] * (1.0 - tc * tc)
-                ga = g_gates[t]
+            k, m = live[t], cell_rows[t]
+            if m:
+                ifo, g, tc, c_prev = cells[t]
+                gh = g_h[:m] if g_out is None else g_h[:m] + g_out[t, :m]
+                gc = g_c[:m] + gh * ifo[:, 2 * size:] * (1.0 - tc * tc)
+                ga = g_gates[t, :m]
                 ga[:, :size] = gc * g
-                ga[:, size:2 * size] = gc * mem[t]
+                ga[:, size:2 * size] = gc * c_prev
                 ga[:, 2 * size:3 * size] = gh * tc
                 ga[:, :3 * size] *= ifo
                 ga[:, :3 * size] *= 1.0 - ifo
                 ga[:, 3 * size:] = gc * ifo[:, :size] * (1.0 - g * g)
-                gx = np.matmul(ga, w_rec.T)
-                g_ctx[:, t] = gx[:, :ctx_w]
-                gh, gc = gx[:, ctx_w:], gc * ifo[:, size:2 * size]
-            for k, (_, rows, _, w_query_t, combine) in enumerate(arrays):
-                wt = weights[k][:, t]
-                gw = g_weights[k][:, t] + np.matmul(
-                    rows, g_ctx[:, t, offsets[k]:offsets[k + 1], None])[:, :, 0]
+                gx = np.matmul(ga, w_rec_t)
+                g_ctx[:m, t] = gx[:, :ctx_w]
+                g_h[:m], g_c[:m] = gx[:, ctx_w:], gc * ifo[:, size:2 * size]
+            for j, (_, rows, _, _, combine) in enumerate(arrays):
+                wt = weights[j][:k, t]
+                gw = g_weights[j][:k, t] + np.matmul(
+                    rows[:k], g_ctx[:k, t, offsets[j]:offsets[j + 1], None])[:, :, 0]
                 gs = (wt * (gw - (gw * wt).sum(axis=1, keepdims=True))).T
-                hid = hiddens[k][t]
-                g_combine[k] += gs.reshape(-1) @ hid.reshape(-1, hid.shape[-1])
-                # the (K, B, A) pre-tanh gradient, short of its factor combine
+                hid = hiddens[j][t]
+                g_combine[j] += gs.reshape(-1) @ hid.reshape(-1, hid.shape[-1])
+                # the (K, k, A) pre-tanh gradient, short of its factor combine
                 gpre = np.multiply(hid, hid)
                 np.subtract(1.0, gpre, out=gpre)
                 gpre *= gs[..., None]
-                g_pre[k] += gpre
+                g_pre[j][:, :k] += gpre
                 gq = gpre.sum(axis=0) * combine
-                g_query[k][t] = gq
-                gh = gh + np.matmul(gq, w_query_t.T)
+                g_query[j][t, :k] = gq
+                g_h[:k] += np.matmul(gq, w_query[j])
         flat = g_gates.reshape(-1, 4 * size)
-        g_rec = xs[:cells].reshape(-1, ctx_w + size).T @ flat
-        g_w = np.concatenate([g_rec[:ctx_w], ed[:cells].reshape(-1, emb_w).T @ flat,
+        g_rec = xs.reshape(-1, ctx_w + size).T @ flat
+        g_w = np.concatenate([g_rec[:ctx_w], ed[:, order].reshape(-1, emb_w).T @ flat,
                               g_rec[ctx_w:]])
-        g_embedded = np.zeros(ed.shape)
-        g_embedded[:cells] = np.matmul(g_gates, w_emb.T)
         queries = xs[:, :, ctx_w:].reshape(-1, size)
         g_heads = []
-        for k, (_, _, _, _, combine) in enumerate(arrays):
-            g_heads += [g_pre[k] * combine,
-                        np.matmul(weights[k].transpose(0, 2, 1),
-                                  g_ctx[:, :, offsets[k]:offsets[k + 1]]),
-                        queries.T @ g_query[k].reshape(-1, combine.shape[0]),
-                        g_combine[k]]
-        return (g_embedded, gh, gc, g_w, flat.sum(axis=0), *g_heads)
+        for j, (_, _, _, _, combine) in enumerate(arrays):
+            g_heads += [(g_pre[j] * combine)[:, restore],
+                        np.matmul(weights[j].transpose(0, 2, 1),
+                                  g_ctx[:, :, offsets[j]:offsets[j + 1]])[restore],
+                        queries.T @ g_query[j].reshape(-1, combine.shape[0]),
+                        g_combine[j]]
+        return (np.matmul(g_gates, w_emb.T)[:, restore], g_h[restore], g_c[restore], g_w,
+                flat.sum(axis=0), *g_heads)
 
     parents = (embedded, h, c, w, b,
                *(x for p, r, _, wq, cb in heads for x in (p, r, wq, cb)))
     return _record_many(outs, parents, rule)
-

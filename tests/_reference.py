@@ -48,6 +48,15 @@ def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def split_sigmoid(x):
+    """The logistic sigmoid split by sign, the oracle of ``tensor._sigmoid``:
+    exp(-|x|) never overflows; x >= 0 takes 1 / (1 + e), x < 0 takes
+    e / (1 + e)."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def ref_attend(layer, keys, query):
     """Additive attention directly from the formulas."""
     hidden = np.tanh(keys @ layer.w_key.data + layer.w_query.data @ query
@@ -180,14 +189,16 @@ def composed_gru_step(p, xw, h_prev):
 def stepped_gru(p, embedded, mask, reverse=False):
     """``cells.gru_step`` as the per-step graph: the (T, B, input) inputs
     projected in one matmul and split into steps, then ``composed_gru_step``
-    per step from a zero state; with ``reverse`` the state is multiplied by
-    the mask at every padded position. Returns the (B, T, hidden) states."""
+    per step from a zero state, the state multiplied by the (B, T) mask at
+    every padded position, so that padded states are 0 and the reverse
+    direction starts from zero at each record's last token. Returns the
+    (B, T, hidden) states."""
     steps = embedded.shape[0]
     inputs = unstack(add(matmul(embedded, p.w), p.b))
     h, states = Tensor(np.zeros((embedded.shape[1], p.hidden_size))), [None] * steps
     for t in reversed(range(steps)) if reverse else range(steps):
         h = composed_gru_step(p, inputs[t], h)
-        if reverse and not mask[:, t].all():
+        if not mask[:, t].all():
             h = mul(h, Tensor(mask[:, t, None].astype(np.float64)))
         states[t] = h
     return stack(states, axis=1)
@@ -261,18 +272,24 @@ def step_additive_attention(head, query):
     return _record_many(outs, (projected, rows, query, w_query_t, combine), rule)
 
 
-def stepped_unroll(decoder, start, ids):
+def stepped_unroll(decoder, start, ids, mask):
     """``models.unroll`` as the per-step graph: one lookup split into steps,
-    per step one record per head and one for the LSTM, then the stacks.
-    Returns the (T, B, hidden) states and each head's (B, T, K) weights."""
+    per step one record per head and one for the LSTM, each output
+    multiplied by the (B, T) mask of real steps where a step has padding,
+    then the stacks. Returns the (T, B, hidden) states and each head's (B,
+    T, K) weights, 0 at padded steps."""
     keys, (h, c) = start
     hidden, weight_rows = [], []
-    for x in unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T)):
+    for t, x in enumerate(unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T))):
         attended = [step_additive_attention(k, h) for k in keys]
         h, c = step_lstm_cell([ctx for _, ctx in attended] + [x], h, c,
                               decoder.lstm.w, decoder.lstm.b)
+        rows = [w for w, _ in attended]
+        if not mask[:, t].all():
+            real = mask[:, t, None].astype(np.float64)
+            h, rows = mul(h, Tensor(real)), [mul(w, Tensor(real)) for w in rows]
         hidden.append(h)
-        weight_rows.append([w for w, _ in attended])
+        weight_rows.append(rows)
     return stack(hidden), [stack(rows, axis=1) for rows in zip(*weight_rows)]
 
 

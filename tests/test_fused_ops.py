@@ -3,14 +3,20 @@ replace: one GRU direction against its per-step graph, and the per-step LSTM
 and attention records that ``tests/_reference.py`` keeps as the oracle of
 the one-record decoder unroll. Forward values and the gradient of every
 parameter agree to 1e-12, at B = 1 and at B = 3, with a masked key or step
-and a padded (all-zero) row."""
+and a padded (all-zero) row.
+
+The two unroll ops compute only the real steps of a batch: their outputs at
+padded steps are exactly 0 and pass no gradient back, and a step mask that
+is misshapen or not a prefix is a DimensionError."""
 
 import numpy as np
 import pytest
 
 from cyclecap.attention import AttentionLayer
 from cyclecap.cells import GRUParams, LSTMParams, gru_step
-from cyclecap.tensor import Parameter, Tape, add, mul, sum_all
+from cyclecap.errors import DimensionError
+from cyclecap.tensor import (Head, Parameter, Tape, add, decoder_unroll, gru_unroll, mul,
+                             sum_all)
 
 from _reference import (composed_attend, composed_lstm_step, step_additive_attention,
                         step_lstm_cell, stepped_gru)
@@ -26,23 +32,27 @@ def operand(rng, shape, name, padded_row=False):
     return Parameter(data, name)
 
 
-def probed_loss(outputs, rng):
-    """A scalar reading every output through its own fixed random probe."""
-    probes = [rng.standard_normal(o.shape) for o in outputs]
-    terms = [sum_all(mul(o, Parameter(pr, "probe"))) for o, pr in zip(outputs, probes)]
+def probed_loss(outputs, probes):
+    """A scalar reading every output through its own probe array."""
+    terms = [sum_all(mul(o, Parameter(pr, "probe")))
+             for o, pr in zip(outputs, probes, strict=True)]
     loss = terms[0]
     for term in terms[1:]:
         loss = add(loss, term)
     return loss
 
 
-def run(build, params):
-    """Forward values and every parameter's gradient of one taped pass."""
+def run(build, params, probes=None):
+    """Forward values and every parameter's gradient of one taped pass that
+    reads each output through its probe, by default a fixed random one."""
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
         outputs = build()
-        tape.backward(probed_loss(outputs, np.random.default_rng(99)))
+        if probes is None:
+            rng = np.random.default_rng(99)
+            probes = [rng.standard_normal(o.shape) for o in outputs]
+        tape.backward(probed_loss(outputs, probes))
     return [o.data.copy() for o in outputs], {k: p.grad.copy() for k, p in params.items()}
 
 
@@ -106,3 +116,67 @@ def test_attend_matches_composed(batch):
     assert_agree(fused, composed, dict(layer.named(), rows=rows, query=query))
     weights, _ = fused()
     assert weights.data[0, -1] == 0.0
+
+
+# --- packed steps: padding is never computed ------------------------------------
+
+LENGTHS = [1, 3, 4]   # distinct, shortest first, as training batches come
+
+
+def unroll_case(kind, mask):
+    """(build, params, padded): one unroll op over three records and four
+    steps under the step ``mask``; ``build()`` returns its outputs and
+    ``padded`` gives, per output, the boolean index of its padded steps."""
+    rng, batch, steps = np.random.default_rng(40), 3, 4
+    embedded = operand(rng, (steps, batch, 3), "embedded")
+    if kind.startswith("gru"):
+        cell = GRUParams(rng, 3, 4, "gru")
+        return (lambda: [gru_unroll(embedded, cell.w, cell.u, cell.b, mask,
+                                    reverse=kind == "gru-reverse")],
+                dict(cell.named(), embedded=embedded), [~mask])
+    keys = np.ones((batch, 3), dtype=bool)
+    keys[0, -1] = False
+    h, c = operand(rng, (batch, 4), "h"), operand(rng, (batch, 4), "c")
+    w, b = operand(rng, (5 + 2 + 3 + 4, 16), "w"), operand(rng, (16,), "b")
+    heads = [Head(operand(rng, (3, batch, 6), f"projected{k}"),
+                  operand(rng, (batch, 3, d), f"rows{k}"), keys,
+                  operand(rng, (4, 6), f"w_query_t{k}"), operand(rng, (6,), f"combine{k}"))
+             for k, d in enumerate((5, 2))]
+    params = dict(embedded=embedded, h=h, c=c, w=w, b=b)
+    params.update((x.name, x) for head in heads for x in head if isinstance(x, Parameter))
+    states = kind == "decoder"
+    return (lambda: list(decoder_unroll(embedded, h, c, w, b, heads, mask, states=states)),
+            params, ([~mask.T] if states else []) + [~mask, ~mask])
+
+
+@pytest.mark.parametrize("kind", ["gru", "gru-reverse", "decoder", "decoder-weights-only"])
+def test_padded_steps_are_zero_and_pass_no_gradient(kind):
+    # outputs at padded steps are exactly 0, and a probe changed only there
+    # leaves every gradient bit-identical
+    mask = np.arange(4) < np.array(LENGTHS)[:, None]
+    build, params, padded = unroll_case(kind, mask)
+    rng = np.random.default_rng(41)
+    probes = [rng.standard_normal(o.shape) for o in build()]
+    outputs, grads = run(build, params, probes)
+    for out, pad in zip(outputs, padded, strict=True):
+        assert pad.any() and not out[pad].any()
+    for pr, pad in zip(probes, padded):
+        pr[pad] = rng.uniform(-50.0, 50.0, size=pr[pad].shape)
+    _, changed = run(build, params, probes)
+    for name, g in grads.items():
+        assert np.abs(g).sum() > 0, name
+        assert g.tobytes() == changed[name].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["gru", "decoder"])
+def test_unroll_ops_reject_a_bad_step_mask(kind):
+    # packing needs each row's real steps first, and one mask entry per step
+    op = "gru_unroll" if kind == "gru" else "decoder_unroll"
+    gap = np.ones((3, 4), dtype=bool)
+    gap[1, 1] = False                  # a real step after a padded one
+    with pytest.raises(DimensionError, match=f"{op}: step mask is not a prefix"):
+        unroll_case(kind, gap)[0]()
+    for bad in (np.ones((3, 5), dtype=bool), np.ones((4, 3), dtype=bool),
+                np.ones(4, dtype=bool)):
+        with pytest.raises(DimensionError, match=f"{op}: step mask has shape"):
+            unroll_case(kind, bad)[0]()

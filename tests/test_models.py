@@ -119,16 +119,20 @@ def test_encode_records_do_not_depend_on_caption_length():
     assert counts == {4}
 
 
-@pytest.mark.parametrize("batch_size", [1, 3])
+ENCODE_LENGTHS = {1: [5], 3: [5, 5, 3], "3-ascending": [2, 4, 5]}
+
+
+@pytest.mark.parametrize("batch_size", list(ENCODE_LENGTHS))
 def test_encode_matches_the_per_step_graph(batch_size):
-    # the one-record directions against the per-step composed graph, with the
-    # backward direction's padding: values and every encoder gradient
+    # the one-record directions against the per-step composed graph, with
+    # padding: values, zeros at padded positions, and every encoder gradient.
+    # At 3 the last caption ends after three tokens; "3-ascending" gives three
+    # distinct lengths shortest first, so the packed order reverses the rows
     enc = tiny_bundle(seed=29).cap_encoder
-    ids = np.random.default_rng(30).integers(4, 8, size=(batch_size, 5))
-    mask = np.ones(ids.shape, dtype=bool)
-    if batch_size > 1:                 # the last caption ends after three tokens
-        mask[-1, 3:] = False
-        ids[-1, 3:] = PAD_ID
+    lengths = ENCODE_LENGTHS[batch_size]
+    ids = np.random.default_rng(30).integers(4, 8, size=(len(lengths), 5))
+    mask = np.arange(5) < np.array(lengths)[:, None]
+    ids[~mask] = PAD_ID
     params = enc.named()
     runs = []
     for encode in (enc.encode, lambda ids, mask: stepped_encode(enc, ids, mask)):
@@ -233,9 +237,15 @@ def test_batched_teacher_forced_records_equal_single_records():
 
 def split_triples(batch_size):
     """``batch_size`` triples; at 3 the second has fewer regions and the
-    third shorter captions, so the batch pads a region row and a caption."""
+    third shorter captions, so the batch pads a region row and a caption.
+    "3-ascending" gives three triples whose captions take three distinct
+    lengths, shortest first, the order ``training._batches`` produces, so
+    that the unroll's packed order reverses the rows."""
     rng = np.random.default_rng(23)
-    shapes = [(4, 5, 4), (2, 5, 4), (4, 2, 1)][:batch_size]
+    if batch_size == "3-ascending":
+        shapes = [(3, 1, 2), (4, 3, 3), (2, 5, 4)]
+    else:
+        shapes = [(4, 5, 4), (2, 5, 4), (4, 2, 1)][:batch_size]
     return [TripleRecord(f"im{i}", rand_grid(rng, regions),
                          random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
             for i, (regions, en_len, de_len) in enumerate(shapes)]
@@ -266,11 +276,15 @@ def test_unroll_then_emit_equals_stepping(which, batch_size):
     log_probs = dec.emit(states)
     assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.vocab_size)
     keys, state = start
+    # stepping runs through padding and the unroll does not: real steps only
     for t in range(ids.shape[1] - 1):
+        real = ids[:, t + 1] != PAD_ID
         logp, state, step_weights = dec.step(keys, state, ids[:, t])
-        np.testing.assert_allclose(log_probs.data[t], logp.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(log_probs.data[t, real], logp.data[real], rtol=0,
+                                   atol=1e-12)
         for head, row in zip(weights, step_weights, strict=True):
-            np.testing.assert_allclose(head.data[:, t], row.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(head.data[real, t], row.data[real], rtol=0,
+                                       atol=1e-12)
 
 
 def test_stage_one_dropout_is_one_mask_per_step():
@@ -330,10 +344,11 @@ def taped_unroll(bundle, batch, which, run):
 
 @pytest.mark.parametrize("states", [True, False], ids=["states", "weights-only"])
 @pytest.mark.parametrize("which", ["soft", "dual"])
-@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("batch_size", [1, 3, "3-ascending"])
 def test_unroll_matches_the_per_step_graph(which, batch_size, states):
-    # the one-record unroll against the per-step records it replaced: values
-    # and the gradient of every parameter and of every input it reads
+    # the one-record unroll against the per-step records it replaced, their
+    # outputs zeroed at padded steps: values and the gradient of every
+    # parameter and of every input it reads
     bundle = tiny_bundle(seed=27)
     batch = make_batch(split_triples(batch_size))
 
@@ -342,7 +357,7 @@ def test_unroll_matches_the_per_step_graph(which, batch_size, states):
         return ([hidden] if states else []) + weights
 
     def per_step(dec, start, ids):
-        hidden, weights = stepped_unroll(dec, start, ids)
+        hidden, weights = stepped_unroll(dec, start, ids, ids[:, 1:] != PAD_ID)
         return ([hidden] if states else []) + weights
 
     got, want = taped_unroll(bundle, batch, which, one_record), \

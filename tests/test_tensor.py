@@ -7,12 +7,12 @@ from cyclecap.attention import AttentionLayer, attend
 from cyclecap.cells import LSTMParams, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Parameter, Tape, Tensor, add, concat, dropout,
+from cyclecap.tensor import (Parameter, Tape, Tensor, _sigmoid, add, concat, dropout,
                              embedding_lookup, frobenius, log_softmax, masked_mean,
                              matmul, mul, pick, scale, sub, sum_all)
 
-from _reference import (masked_softmax, stack, step_additive_attention, step_lstm_cell,
-                        unstack)
+from _reference import (masked_softmax, split_sigmoid, stack, step_additive_attention,
+                        step_lstm_cell, unstack)
 
 
 def test_matmul_identity():
@@ -298,3 +298,15 @@ def test_sub_pick_masked_mean_values():
     np.testing.assert_array_equal(
         masked_mean(Tensor([[[1.0, 3.0], [3.0, 5.0]]]), np.ones((1, 2), dtype=bool)).data,
         [[2.0, 4.0]])
+
+
+def test_sigmoid_matches_the_split_form():
+    # the tanh form against exp(-|x|) split by sign, at zero, the smallest
+    # magnitudes, saturation and far beyond it
+    edges = np.array([0.0, 1e-300, 30.0, 40.0, 1e3])
+    x = np.concatenate([edges, -edges, np.linspace(-50.0, 50.0, 20001)])
+    with np.errstate(all="raise"):
+        got = _sigmoid(x)
+    np.testing.assert_allclose(got, split_sigmoid(x), rtol=0, atol=1e-15)
+    assert got.shape == x.shape and ((got >= 0.0) & (got <= 1.0)).all()
+    assert _sigmoid(np.zeros((2, 3))).tolist() == [[0.5] * 3] * 2

@@ -4,13 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclecap.data import PAD_ID, Vocabulary, pairs_from_triples
+from cyclecap import tensor
+from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_batch,
+                           pairs_from_triples)
 from cyclecap.errors import ConfigError, DataError, DimensionError
 from cyclecap.models import load_bundle, save_bundle
-from cyclecap.tensor import Tensor, log_softmax
-from cyclecap.training import TrainConfig, nll_loss, pretrain_part1, train_part2
+from cyclecap.tensor import Tape, Tensor, log_softmax
+from cyclecap.training import (TrainConfig, _stage2_loss, nll_loss, pretrain_part1,
+                               train_part2)
 
-from conftest import make_corpus
+from conftest import make_corpus, random_ids, tiny_bundle
 
 
 def quick_cfg(**kwargs):
@@ -19,6 +22,36 @@ def quick_cfg(**kwargs):
                     hidden_dim=16, embed_dim=16, attn_dim=16, proj_dim=16)
     defaults.update(kwargs)
     return TrainConfig(**defaults)
+
+
+# --- padding costs no work -------------------------------------------------------
+
+def test_a_taped_stage_two_loss_computes_only_real_steps(monkeypatch):
+    # count the rows that the step math receives, looked up through the
+    # tensor module's globals, over one taped stage-two loss and backward of
+    # a mixed-length batch: exactly what the records' lengths predict
+    rng = np.random.default_rng(0)
+    triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
+                            random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
+               for i, (regions, en_len, de_len) in enumerate([(2, 4, 1), (3, 1, 3),
+                                                              (1, 6, 5)])]
+    rows = dict.fromkeys(("attention_arrays", "lstm_arrays", "_sigmoid"), 0)
+    for name, rows_of in (("attention_arrays", lambda head, query: query),
+                          ("lstm_arrays", lambda a, c: a), ("_sigmoid", lambda x: x)):
+        def counted(*args, name=name, rows_of=rows_of, real=getattr(tensor, name)):
+            rows[name] += len(rows_of(*args))
+            return real(*args)
+
+        monkeypatch.setattr(tensor, name, counted)
+    with Tape() as tape:
+        tape.backward(_stage2_loss(tiny_bundle(seed=4), make_batch(triples), 1.0)[0])
+    # targets per record: content and EOS; the English decoder runs for
+    # attention only, so its LSTM skips each record's last step
+    en = sum(len(t.en_ids) - 1 for t in triples)
+    de = sum(len(t.de_ids) - 1 for t in triples)
+    lstm = de + en - len(triples)
+    assert rows == {"attention_arrays": 2 * de + en, "lstm_arrays": lstm,
+                    "_sigmoid": lstm + 2 * en}
 
 
 # --- loss -----------------------------------------------------------------------
