@@ -6,14 +6,15 @@ decoder over English caption states), each with its own parameters.
 
 A decoder attends over the same key rows at every step, so the key side of
 the score, ``keys @ w_key + b``, is computed once per sequence by
-``AttentionLayer.prepare`` (additive attention as in Bahdanau et al., 2015);
-each step adds only its query projection. ``prepare`` returns one
-``tensor.Head`` record: the projected keys, the rows, their mask, the
-transposed query weight and the layer's ``combine``, all that scoring needs.
-A decode step, score, masked softmax and context, is ``attend``, which
-records nothing; training attends inside ``tensor.decoder_unroll``, one
-record for every head over a whole teacher-forced caption. Both run the
-same step math, ``tensor.attention_arrays``.
+``tensor.prepare`` (additive attention as in Bahdanau et al., 2015); each
+step adds only its query projection. ``AttentionLayer.keys`` checks the
+rows and hands them on with the layer's parameters as one
+``tensor.HeadKeys``. Training passes that to ``tensor.decoder_unroll``, one
+record for every head over a whole teacher-forced caption, which prepares
+it inside. Decoding prepares it once (``tensor.prepare``) into a
+``tensor.Head`` of arrays, and a decode step, score, masked softmax and
+context, is ``attend``, which records nothing. Both run the same step math,
+``tensor.attention_arrays``.
 
 Keys come batched, (B, K, key_dim), with a (B, K) boolean mask of real rows,
 all-true when none is padding: records with fewer regions or shorter
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import (Head, Parameter, Tensor, add, attention_arrays, finite, matmul,
-                     refuse_tape, transpose)
+from .tensor import Head, HeadKeys, Parameter, Tensor, attention_arrays, finite, refuse_tape
 
 
 class AttentionLayer:
@@ -51,11 +51,10 @@ class AttentionLayer:
     def named(self) -> dict[str, Parameter]:
         return {p.name: p for p in (self.w_key, self.w_query, self.b, self.combine)}
 
-    def prepare(self, rows: Tensor, mask: np.ndarray) -> Head:
+    def keys(self, rows: Tensor, mask: np.ndarray) -> HeadKeys:
         """Check (B, K, key_dim) key rows and their (B, K) boolean mask of
-        real rows (each record needs at least one), and do the per-sequence
-        work of every step that attends over them: project the keys,
-        key-major, and transpose ``w_query``."""
+        real rows (each record needs at least one), and pair them with this
+        layer's parameters."""
         if rows.data.ndim != 3:
             raise DimensionError(f"attend: keys must be (B, K, key_dim), got {rows.shape}")
         if rows.shape[2] != self.key_dim:
@@ -67,9 +66,7 @@ class AttentionLayer:
                                  f"keys {rows.shape}")
         if rows.shape[1] == 0 or not mask.any(axis=1).all():
             raise DataError("attend: need at least one key row")
-        projected = transpose(add(matmul(rows, self.w_key), self.b), (1, 0, 2))
-        return Head(projected=projected, rows=rows, mask=mask,
-                    w_query_t=transpose(self.w_query), combine=self.combine)
+        return HeadKeys(rows, mask, self.w_key, self.b, self.w_query, self.combine)
 
 
 def attend(layer: AttentionLayer, keys: Head, query: Tensor) -> tuple[Tensor, Tensor]:
@@ -79,17 +76,15 @@ def attend(layer: AttentionLayer, keys: Head, query: Tensor) -> tuple[Tensor, Te
     summing to 1, and the (L, key_dim) contexts, each inside the hull of its
     record's real key rows.
 
-    ``keys`` comes from ``layer.prepare`` over L records, one per query row,
-    or over one record that every row reads (one image's keys for a beam's
-    live hypotheses), which numpy broadcasts over the rows.
+    ``keys`` is ``tensor.prepare`` of ``layer.keys`` over L records, one per
+    query row, or over one record that every row reads (one image's keys for
+    a beam's live hypotheses), which numpy broadcasts over the rows.
     """
     qd = query.data
     if qd.ndim != 2 or qd.shape[1] != layer.query_dim \
-            or keys.rows.data.shape[0] not in (1, qd.shape[0]):
+            or keys.rows.shape[0] not in (1, qd.shape[0]):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
                              f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
     refuse_tape("attend")
-    _, weights, context = attention_arrays(
-        (keys.projected.data, keys.rows.data, keys.mask, keys.w_query_t.data,
-         keys.combine.data), qd)
+    _, weights, context = attention_arrays(keys, qd)
     return finite("attend", weights, context)

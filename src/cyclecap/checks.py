@@ -3,19 +3,20 @@ verification suites behind the gradcheck and oracle-check commands.
 
 ``check_gradients`` only ever evaluates forward passes, so it stays
 independent of the tape machinery it validates. The gradient suite drives
-every primitive, every fused op that training records (each GRU direction
-and a teacher-forced unroll of each decoder kind, over padding), the
-decoders' initial state, the consistency loss, and the composed stage-one
-and stage-two losses, at batch sizes 1 and 2, through it. The
-oracle suite exercises the hand-worked composed-attention example and the
+every primitive, every fused op that training records (each GRU direction,
+a teacher-forced unroll of each decoder kind from its raw key rows over
+padding, and the output layer's likelihood under dropout), the consistency
+loss, and the composed stage-one and stage-two losses, at batch sizes 1 and
+2, through it. Each graph is read through fixed random probes
+(``_probed``), so that every output's gradient is checked. The oracle suite
+exercises the hand-worked composed-attention example and the
 conditional-independence identity on random factorized joint tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,11 +25,10 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
                     toy_alignment_record)
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
-from .models import ImageCaptioner, ModelBundle, ModelDims, init_state, unroll
-from .tensor import (Head, Parameter, Tape, Tensor, add, batch_matmul, concat,
-                     decoder_unroll, dropout, embedding_lookup, frobenius, gru_unroll,
-                     log_softmax, masked_mean, matmul, mul, pick, scale, sub, sum_all,
-                     tanh, transpose)
+from .models import ImageCaptioner, ModelBundle, ModelDims, unroll
+from .tensor import (HeadKeys, Parameter, Tape, Tensor, add, concat,
+                     decoder_unroll, embedding_lookup, gru_unroll, log_softmax, matmul,
+                     scale, tanh)
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -97,108 +97,99 @@ def _p(rng, shape, name):
     return Parameter(rng.uniform(-0.8, 0.8, size=shape), name)
 
 
+def _probed(outputs: Sequence[Tensor], seed: int = 7) -> Tensor:
+    """A scalar that reads every entry of every output: each output scaled
+    by a random factor and contracted with one random vector per axis,
+    drawn from ``seed`` in the outputs' shapes, so every rebuild of a graph
+    reads it through the same probes, then the sum."""
+    rng = np.random.default_rng(seed)
+    total = None
+    for out in outputs:
+        x = scale(out, rng.uniform(0.5, 1.5))
+        while x.data.ndim:
+            x = matmul(x, Tensor(rng.uniform(-1.0, 1.0, size=x.shape[-1])))
+        total = x if total is None else add(total, x)
+    return total
+
+
 def _primitive_cases(rng: np.random.Generator):
-    """One scalar-valued graph per primitive op, each exercised away from any
-    non-smooth point. The masked ops see a padded row, so their zero
-    gradients are checked too."""
+    """One probed graph per primitive op, each exercised away from any
+    non-smooth point."""
     a = _p(rng, (3, 4), "a")
     b = _p(rng, (4, 2), "b")
     v = _p(rng, (4,), "v")
     w = _p(rng, (4,), "w")
     m = _p(rng, (3, 4), "m")
     t3 = _p(rng, (2, 3, 4), "t3")   # (B, K, d)
-    u3 = _p(rng, (2, 4, 3), "u3")
-    x2 = _p(rng, (2, 4), "x2")
-    probe = _p(rng, (2, 3), "probe")
     table = _p(rng, (5, 3), "table")
-    real = np.array([[True, True, False], [True, True, True]])   # (B, K)
-
-    def seeded_dropout():
-        local = np.random.default_rng(123)
-        return sum_all(dropout(v, 0.5, local))
 
     return [
-        ("matmul", lambda: sum_all(matmul(a, b)), {"a": a, "b": b}),
-        ("matmul-batched", lambda: sum_all(mul(matmul(t3, b), matmul(t3, b))),
-         {"t3": t3, "b": b}),
-        ("matmul-vector", lambda: sum_all(mul(matmul(t3, v), matmul(t3, w))),
-         {"t3": t3, "v": v, "w": w}),
-        ("batch_matmul", lambda: sum_all(mul(batch_matmul(t3, u3), batch_matmul(t3, u3))),
-         {"t3": t3, "u3": u3}),
-        ("batch_matmul-rows", lambda: sum_all(mul(batch_matmul(x2, u3), probe)),
-         {"x2": x2, "u3": u3, "probe": probe}),
-        ("transpose", lambda: sum_all(mul(transpose(t3, (1, 0, 2)), transpose(t3, (1, 0, 2)))),
-         {"t3": t3}),
-        ("add", lambda: sum_all(add(v, w)), {"v": v, "w": w}),
-        ("add-broadcast", lambda: sum_all(add(m, v)), {"m": m, "v": v}),
-        ("sub", lambda: sum_all(sub(v, w)), {"v": v, "w": w}),
-        ("mul", lambda: sum_all(mul(v, w)), {"v": v, "w": w}),
-        ("scale", lambda: sum_all(scale(v, 2.5)), {"v": v}),
-        ("concat", lambda: sum_all(mul(concat([v, w]), concat([w, v]))),
-         {"v": v, "w": w}),
-        ("concat-last-axis", lambda: sum_all(mul(concat([m, a]), concat([a, m]))),
-         {"m": m, "a": a}),
-        ("log_softmax", lambda: pick(log_softmax(v), 2), {"v": v}),
-        ("tanh", lambda: sum_all(mul(tanh(v), w)), {"v": v, "w": w}),
-        ("embedding-lookup", lambda: sum_all(embedding_lookup(table, [0, 2, 2, 4])),
+        ("matmul", lambda: _probed([matmul(a, b)]), {"a": a, "b": b}),
+        ("matmul-batched", lambda: _probed([matmul(t3, b)]), {"t3": t3, "b": b}),
+        ("matmul-vector", lambda: _probed([matmul(t3, v)]), {"t3": t3, "v": v}),
+        ("add", lambda: _probed([add(v, w)]), {"v": v, "w": w}),
+        ("add-broadcast", lambda: _probed([add(m, v)]), {"m": m, "v": v}),
+        ("scale", lambda: _probed([scale(v, 2.5)]), {"v": v}),
+        ("concat", lambda: _probed([concat([v, w])]), {"v": v, "w": w}),
+        ("concat-last-axis", lambda: _probed([concat([m, a])]), {"m": m, "a": a}),
+        ("log_softmax", lambda: _probed([log_softmax(m)]), {"m": m}),
+        ("tanh", lambda: _probed([tanh(v)]), {"v": v}),
+        ("embedding-lookup", lambda: _probed([embedding_lookup(table, [0, 2, 2, 4])]),
          {"table": table}),
         ("embedding-lookup-matrix",
-         lambda: sum_all(mul(embedding_lookup(table, [[0, 2], [2, 4]]),
-                             embedding_lookup(table, [[1, 2], [3, 0]]))),
-         {"table": table}),
-        ("dropout", seeded_dropout, {"v": v}),
-        ("masked_mean-padded-row", lambda: sum_all(mul(masked_mean(t3, real), x2)),
-         {"t3": t3, "x2": x2}),
-        ("frobenius-padded-row", lambda: sum_all(frobenius(t3, real)), {"t3": t3}),
-        ("pick", lambda: pick(mul(v, w), 3), {"v": v, "w": w}),
-        ("pick-masked", lambda: sum_all(mul(pick(t3, [[0, 3, 1], [2, 2, 3]], real), probe)),
-         {"t3": t3, "probe": probe}),
+         lambda: _probed([embedding_lookup(table, [[0, 2], [2, 4]])]), {"table": table}),
     ]
 
 
 def _fused_cases(rng: np.random.Generator, p: dict):
-    """One scalar-valued graph per fused training op, over a batch of two
-    records, each reading its outputs through random probes: one
-    ``gru_unroll`` per direction, and one ``decoder_unroll`` per decoder
-    kind, the soft decoder's head over regions and the dual decoder's second
-    head over caption states. Record 0's last step, and in each unroll head
-    its last key, is padding, masked out."""
-    hidden, embed, attn, steps, keys = p["hidden"], p["embed"], p["attn"], p["seq"], \
-        p["regions"]
+    """One probed graph per fused training op, over a batch of two records:
+    one ``gru_unroll`` per direction; one ``decoder_unroll`` per decoder
+    kind, from the embedding table, the initial-state projections and each
+    head's raw key rows and scorer, the soft decoder's head over regions and
+    the dual decoder's second head over caption states; and the output
+    layer's likelihood (``training.nll_loss``) under dropout. Record 0's
+    last step, and in each unroll head its last key, is padding, masked
+    out."""
+    hidden, embed, attn, steps, keys, vocab = p["hidden"], p["embed"], p["attn"], \
+        p["seq"], p["regions"], p["vocab"]
     mask = np.ones((2, keys), dtype=bool)
     mask[0, -1] = False
     gru = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (embed, 3 * hidden), "w"),
            _p(rng, (hidden, 3 * hidden), "u"), _p(rng, (3 * hidden,), "b")]
-    probe_gru = _p(rng, (2, steps, hidden), "probe_states")
     step_mask = np.ones((2, steps), dtype=bool)
     step_mask[0, -1] = False
     cases = [(f"gru_unroll{tag}",
-              lambda reverse=reverse: sum_all(mul(
-                  gru_unroll(*gru, step_mask, reverse=reverse), probe_gru)),
+              lambda reverse=reverse: _probed([gru_unroll(*gru, step_mask, reverse=reverse)]),
               {x.name: x for x in gru})
              for tag, reverse in (("", False), ("-reverse", True))]
+    ids = rng.integers(0, vocab, size=(2, steps))
     for kind, key_dims in (("soft", [p["proj"]]), ("dual", [p["proj"], 2 * hidden])):
-        operands = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (2, hidden), "h0"),
-                    _p(rng, (2, hidden), "c0"),
-                    _p(rng, (sum(key_dims) + embed + hidden, 4 * hidden), "w"),
-                    _p(rng, (4 * hidden,), "b")]
-        heads = [Head(_p(rng, (keys, 2, attn), f"projected{k}"),
-                      _p(rng, (2, keys, d), f"rows{k}"), mask,
-                      _p(rng, (hidden, attn), f"w_query_t{k}"),
-                      _p(rng, (attn,), f"combine{k}"))
+        table = _p(rng, (vocab, embed), "table")
+        initial = [(_p(rng, (key_dims[0], hidden), f"w_{half}"), _p(rng, (hidden,), f"b_{half}"))
+                   for half in ("h0", "c0")]
+        lstm = [_p(rng, (sum(key_dims) + embed + hidden, 4 * hidden), "w"),
+                _p(rng, (4 * hidden,), "b")]
+        heads = [HeadKeys(_p(rng, (2, keys, d), f"rows{k}"), mask,
+                          _p(rng, (d, attn), f"w_key{k}"), _p(rng, (attn,), f"b{k}"),
+                          _p(rng, (attn, hidden), f"w_query{k}"), _p(rng, (attn,), f"combine{k}"))
                  for k, d in enumerate(key_dims)]
-        probes = [_p(rng, (steps, 2, hidden), "probe_states")] + [
-            _p(rng, (2, steps, keys), "probe_weights") for _ in key_dims]
 
-        def unroll_loss(operands=operands, heads=heads, probes=probes):
-            outs = decoder_unroll(*operands, heads, step_mask)
-            return reduce(add, [sum_all(mul(o, pr))
-                                for o, pr in zip(outs, probes, strict=True)])
+        def unroll_loss(table=table, initial=initial, lstm=lstm, heads=heads):
+            return _probed(decoder_unroll(table, ids, initial, *lstm, heads, step_mask))
 
-        params = {x.name: x for x in operands}
+        params = {x.name: x for x in (table, *lstm, *sum(initial, ()))}
         params.update((x.name, x) for head in heads for x in head
                       if isinstance(x, Parameter))
         cases.append((f"decoder_unroll-{kind}", unroll_loss, params))
+    states = _p(rng, (steps, 2, hidden), "states")
+    w_out, b_out = _p(rng, (hidden, vocab), "w_out"), _p(rng, (vocab,), "b_out")
+
+    def nll():
+        loss, _ = nll_loss(states, w_out, b_out, ids, step_mask, 0.5,
+                           np.random.default_rng(123))
+        return loss
+
+    cases.append(("nll-dropout", nll, {x.name: x for x in (states, w_out, b_out)}))
     return cases
 
 
@@ -226,21 +217,6 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     for name, build, params in _primitive_cases(rng):
         results.append(check_gradients(f"primitive/{name}", build, params))
 
-    keys = Parameter(rng.standard_normal((2, p["regions"], p["proj"])), "keys")
-    key_mask = np.ones((2, p["regions"]), dtype=bool)
-    key_mask[0, -1] = False
-    initial = [(Parameter(rng.standard_normal((p["proj"], p["hidden"])), f"w{k}"),
-                Parameter(rng.standard_normal(p["hidden"]), f"b{k}")) for k in range(2)]
-    probe_c = Tensor(rng.standard_normal((2, p["hidden"])))
-
-    def init_loss():
-        h, c = init_state(keys, key_mask, initial)
-        return add(sum_all(h), sum_all(mul(c, probe_c)))
-
-    params = {x.name: x for pair in initial for x in pair}
-    results.append(check_gradients("models/init_state", init_loss,
-                                   dict(params, keys=keys)))
-
     a_de = Parameter(rng.random((2, 3, p["regions"])), "a_de")
     b_mat = Parameter(rng.random((2, 3, 4)), "b_mat")
     a_en = Parameter(rng.random((2, 4, p["regions"])), "a_en")
@@ -262,12 +238,11 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
 
         def captioner_loss(batch=batch):
             decoder = captioner.decoder
-            states, (region_rows,) = unroll(
-                decoder, decoder.start([captioner.project(batch.features)],
-                                       [batch.region_mask]), batch.en_ids)
-            loss, _ = nll_loss(decoder.emit(states), batch.en_ids[:, 1:],
+            states, region_rows = unroll(decoder, [captioner.project(batch.features)],
+                                         [batch.region_mask], batch.en_ids)
+            loss, _ = nll_loss(states, decoder.w_out, decoder.b_out, batch.en_ids[:, 1:],
                                batch.en_mask[:, 1:])
-            return add(loss, sum_all(region_rows))
+            return _probed([loss, *region_rows])
 
         results.append(check_gradients(f"models/captioner-nll{tag}", captioner_loss,
                                        captioner.named_parameters()))

@@ -532,8 +532,8 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
     "attn-export": (run_attn_export, "export attention heatmaps", (
         Option("checkpoint", str, None, "bundle checkpoint", True),
         MANIFEST,
-        Option("grid-rows", int, 4, "heatmap rows (rows*cols = regions)"),
-        Option("grid-cols", int, 4, "heatmap cols"),
+        Option("grid-rows", positive_int, 4, "heatmap rows (rows*cols = regions)"),
+        Option("grid-cols", positive_int, 4, "heatmap cols"),
         Option("beam-size", positive_int, 3, "beam width"),
         Option("max-len", positive_int, 50, "generated-token cap, EOS included"),
         Option("limit", positive_int, None, "export at most this many images"),

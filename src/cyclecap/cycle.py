@@ -4,7 +4,8 @@ A German word attends to image regions directly (one row of the German
 word-to-region matrix) and indirectly, by chaining its attention over English
 words with each English word's attention over regions. If all three
 attentions were perfect the two views would coincide; the training penalty is
-the Frobenius distance between them.
+the Frobenius distance between them, taped for a whole batch as one record
+(``cycle_loss_graph``).
 
 The identity has a probabilistic reading: treating attention rows as
 conditional distributions with regions X, English words Y, German words Z,
@@ -21,7 +22,7 @@ from io import StringIO
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .tensor import Tensor, batch_matmul, frobenius, sub, sum_all
+from .tensor import Tensor, cycle_distance
 
 ROW_SUM_TOL = 1e-6
 
@@ -87,24 +88,16 @@ def cycle_loss(record: AttentionRecord) -> float:
 
 def cycle_loss_graph(de_to_regions: Tensor, de_to_en: Tensor,
                      en_to_regions: Tensor, de_mask: np.ndarray) -> Tensor:
-    """Taped twin of :func:`cycle_loss` for a batch: the sum over records of
-    each record's Frobenius distance.
+    """Taped twin of :func:`cycle_loss` for a batch, as one record
+    (``tensor.cycle_distance``): the sum over records of each record's
+    Frobenius distance, with subgradient 0 at a zero distance.
 
     Takes (B, M, L) de_to_regions, (B, M, N) de_to_en and (B, N, L)
     en_to_regions with the (B, M) mask of real German steps. Padded regions
     and English positions need no mask: attention gives them weight 0, so
     they add nothing to either side.
     """
-    shapes = (de_to_regions.shape, de_to_en.shape, en_to_regions.shape)
-    if any(len(s) != 3 for s in shapes) or shapes[1][2] != shapes[2][1] \
-            or shapes[0] != shapes[1][:2] + shapes[2][2:] \
-            or shapes[2][0] != shapes[0][0] or de_mask.shape != shapes[0][:2]:
-        raise DimensionError(
-            f"cycle loss shapes disagree: de_to_regions {de_to_regions.shape}, "
-            f"de_to_en {de_to_en.shape}, en_to_regions {en_to_regions.shape}, "
-            f"mask {de_mask.shape}")
-    diff = sub(de_to_regions, batch_matmul(de_to_en, en_to_regions))
-    return sum_all(frobenius(diff, de_mask))
+    return cycle_distance(de_to_regions, de_to_en, en_to_regions, de_mask)
 
 
 def toy_alignment_record() -> AttentionRecord:

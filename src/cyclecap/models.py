@@ -12,18 +12,21 @@
   direction is one ``gru_step`` call, one ``tensor.gru_unroll`` record over
   the whole caption; the benchmark tracer patches ``models.gru_step``.
 
-``start(rows, masks)`` takes one row tensor and one mask per head and
-returns ``(keys, state)``: one ``tensor.Head`` per head, its key rows
-projected once per sequence, and the initial LSTM state, both halves from
-one mean of head 0's rows (the regions). ``emit(h)`` maps hidden states of
-any leading shape to log-probs. Decoding goes step by step and never runs
-backward: the decode step ``step(keys, state, y_prev)`` looks up the
+A decoder reads one row tensor and one mask per head. ``keys(rows,
+masks)`` checks them and pairs each with its head's scorer, one
+``tensor.HeadKeys`` per head. Training teacher-forces: ``unroll`` hands
+those keys, the embedding table and the initial-state projections to one
+``tensor.decoder_unroll`` record over a whole caption, which prepares the
+keys, pools the initial state and looks up the previous words inside it.
+``stage2_forward`` is the one teacher-forced pass of the German stage, and
+``teacher_forced_records`` runs it, attention only, over a batch of gold
+triples. Decoding goes step by step and never runs backward: ``start(rows,
+masks)`` prepares the keys once and pools the initial LSTM state, with the
+array functions the unroll runs (``tensor.prepare``, ``tensor.pool``,
+``tensor.initial_state``), and ``step(keys, state, y_prev)`` looks up the
 previous words, runs the heads (``attend``) and the LSTM (``lstm_step``)
-and ``emit``s, and raises StateError under a tape. Training teacher-forces: ``unroll`` hands the
-heads as they are to one ``tensor.decoder_unroll`` record over a whole
-caption, ``stage2_forward`` is the one teacher-forced pass of the German
-stage, and ``teacher_forced_records`` runs it, attention only, over a batch
-of gold triples.
+and ``emit``s log-probs; it raises StateError under a tape. The training
+loss reads the output layer inside its own record (``training.nll_loss``).
 
 Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
 states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
@@ -31,13 +34,13 @@ previous ids of B records at once; a beam search over one image steps its
 live hypotheses as the B rows. Records of a training batch differ in
 region count and caption length, so a ``data.Batch`` pads them and carries
 (B, L) region and (B, T) caption masks. The masks travel with the keys:
-``AttentionLayer.prepare`` takes the rows' mask and gives padded rows
-weight exactly 0; ``init_state`` averages real regions only; the encoder
-runs each direction over a record's real tokens only. Every mask is a
-boolean array; ``start`` and ``encode`` are the two places where an omitted
-mask becomes an all-true one, for callers with unpadded rows. Teacher
-forcing computes no step past a record's EOS: its states and attention
-weights there are exactly 0, and the losses that read them mask them.
+padded rows get attention weight exactly 0, the initial state averages
+real regions only, and the encoder runs each direction over a record's
+real tokens only. Every mask is a boolean array; ``keys`` and ``encode``
+are the two places where an omitted mask becomes an all-true one, for
+callers with unpadded rows. Teacher forcing computes no step past a
+record's EOS: its states and attention weights there are exactly 0, and
+the losses that read them mask them.
 
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
@@ -61,8 +64,9 @@ from .cells import GRUParams, LSTMParams, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import EOS_ID, Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
-from .tensor import (Head, Parameter, Tensor, add, concat, decoder_unroll, dropout,
-                     embedding_lookup, log_softmax, masked_mean, matmul, tanh)
+from .tensor import (Head, HeadKeys, Parameter, Tensor, add, concat, decoder_unroll,
+                     embedding_lookup, finite, initial_state, log_softmax, matmul, pool,
+                     prepare, tanh)
 
 
 @dataclass(frozen=True)
@@ -76,14 +80,6 @@ class ModelDims:
     embed_dim: int = 64
     hidden_dim: int = 64
     attn_dim: int = 64
-
-
-def init_state(rows: Tensor, mask: np.ndarray,
-               initial: Sequence[tuple[Parameter, Parameter]]) -> tuple[Tensor, ...]:
-    """One tanh-squashed projection per (w, b) pair of ``initial``, all of
-    one mean of each record's real rows (``mask``); permutation invariant."""
-    mean = masked_mean(rows, mask)
-    return tuple(tanh(add(matmul(mean, w), b)) for w, b in initial)
 
 
 class ImageProjection:
@@ -141,24 +137,30 @@ class AttentionDecoder:
              init.bias((dims.hidden_dim,), f"{prefix}/b_{name}"))
             for name in self.INIT)
 
-    def start(self, rows: Sequence[Tensor],
-              masks: Sequence[np.ndarray] | None = None) -> tuple[Keys, State]:
-        """(one key set per head, initial (h, c)) for decoding over one
-        (B, K, key_dim) row tensor per head, with their (B, K) masks of real
-        rows (omitted: all real). The state comes from head 0's rows, the
-        regions."""
+    def keys(self, rows: Sequence[Tensor],
+             masks: Sequence[np.ndarray] | None = None) -> tuple[HeadKeys, ...]:
+        """One checked ``HeadKeys`` per head, of one (B, K, key_dim) row
+        tensor per head with their (B, K) masks of real rows (omitted: all
+        real)."""
         if masks is None:
             masks = [np.ones(r.shape[:2], dtype=bool) for r in rows]
-        state = init_state(rows[0], masks[0], self.initial)
-        return tuple(head.prepare(r, m) for head, r, m
-                     in zip(self.heads, rows, masks, strict=True)), state
+        return tuple(head.keys(r, m) for head, r, m
+                     in zip(self.heads, rows, masks, strict=True))
 
-    def emit(self, h: Tensor, *, dropout_rate: float = 0.0,
-             rng: np.random.Generator | None = None) -> Tensor:
-        """(..., vocab) log-probs of (..., hidden) states, after dropout at
-        ``dropout_rate`` drawn from ``rng``."""
-        return log_softmax(add(matmul(dropout(h, dropout_rate, rng), self.w_out),
-                               self.b_out))
+    def start(self, rows: Sequence[Tensor],
+              masks: Sequence[np.ndarray] | None = None) -> tuple[Keys, State]:
+        """(one prepared key set per head, initial (h, c)) for decoding over
+        ``keys(rows, masks)``. The state comes from head 0's rows, the
+        regions."""
+        keys = self.keys(rows, masks)
+        state = finite("start", *initial_state(pool(keys[0].rows.data, keys[0].mask),
+                                               self.initial))
+        return tuple(map(prepare, keys)), state
+
+    def emit(self, h: Tensor) -> Tensor:
+        """(..., vocab) log-probs of (..., hidden) states, for decoding; the
+        training loss runs the output layer inside its own record."""
+        return log_softmax(add(matmul(h, self.w_out), self.b_out))
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray):
         """One decode step for B rows from their (B,) previous ids, over keys
@@ -290,24 +292,26 @@ class ModelBundle:
 # Teacher-forced unrolling
 # ---------------------------------------------------------------------------
 
-def unroll(decoder: AttentionDecoder, start: tuple[Keys, State], ids: np.ndarray,
-           *, states: bool = True) -> tuple[Tensor | None, list[Tensor]]:
-    """Teacher-force a decoder's recurrence from ``start = decoder.start(...)``
-    over a batch of captions, as one ``decoder_unroll`` record.
+def unroll(decoder: AttentionDecoder, rows: Sequence[Tensor],
+           masks: Sequence[np.ndarray] | None, ids: np.ndarray, *,
+           states: bool = True) -> tuple[Tensor | None, list[Tensor]]:
+    """Teacher-force a decoder over a batch of captions, attending over one
+    (B, K, key_dim) row tensor per head with their (B, K) masks (None: all
+    real), as one ``decoder_unroll`` record: keys, initial state and lookups
+    included.
 
     ``ids`` is the (B, T + 1) matrix of BOS..EOS rows, PAD-padded; step t
-    conditions on ids[:, t] (all looked up at once) and its state predicts
-    ids[:, t + 1]. Returns the (T, B, hidden) states, for one ``emit``, and
-    per head its (B, T, K) weights. With ``states=False`` only the weights
-    are made (for attention-only passes) and the states come back as None.
-    A record's steps end at its first EOS target, not at PAD: no step past
-    it is computed and its outputs there are exactly 0, so ids written over
-    the padding change nothing.
+    conditions on ids[:, t] and its state predicts ids[:, t + 1]. Returns
+    the (T, B, hidden) states, for the loss's output layer, and per head its
+    (B, T, K) weights. With ``states=False`` only the weights are made (for
+    attention-only passes) and the states come back as None. A record's
+    steps end at its first EOS target, not at PAD: no step past it is
+    computed and its outputs there are exactly 0, so ids written over the
+    padding change nothing.
     """
-    keys, (h, c) = start
     real = ~np.logical_or.accumulate(ids[:, :-1] == EOS_ID, axis=1)   # EOS not yet read
-    outs = decoder_unroll(embedding_lookup(decoder.embedding, ids[:, :-1].T), h, c,
-                          decoder.lstm.w, decoder.lstm.b, keys, real, states=states)
+    outs = decoder_unroll(decoder.embedding, ids[:, :-1], decoder.initial, decoder.lstm.w,
+                          decoder.lstm.b, decoder.keys(rows, masks), real, states=states)
     return (outs[0], list(outs[1:])) if states else (None, list(outs))
 
 
@@ -320,8 +324,8 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     dropped), so its state count matches the English attention rows. The
     German decoder is unrolled over ``de_ids``; with ``english`` the English
     decoder's recurrence is then unrolled over ``en_ids``, for attention only.
-    Returns the German decoder's (T, B, hidden) states, for one ``emit``
-    (None with ``states=False``), and, with ``english``, the (B, M, L)
+    Returns the German decoder's (T, B, hidden) states, for the loss's output
+    layer (None with ``states=False``), and, with ``english``, the (B, M, L)
     de_to_regions, (B, M, N) de_to_en and (B, N, L) en_to_regions attention
     tensors, else None.
 
@@ -333,16 +337,13 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
         regions = Tensor(regions.data)
     cap_mask = batch.en_mask[:, 1:]
     cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
-    de_decoder = bundle.de_decoder
     de_states, (de_to_regions, de_to_en) = unroll(
-        de_decoder, de_decoder.start([regions, cap_states], [batch.region_mask, cap_mask]),
+        bundle.de_decoder, [regions, cap_states], [batch.region_mask, cap_mask],
         batch.de_ids, states=states)
     if not english:
         return de_states, None
-    en_decoder = bundle.captioner.decoder
-    _, (en_to_regions,) = unroll(
-        en_decoder, en_decoder.start([regions], [batch.region_mask]), batch.en_ids,
-        states=False)
+    _, (en_to_regions,) = unroll(bundle.captioner.decoder, [regions], [batch.region_mask],
+                                 batch.en_ids, states=False)
     if freeze_part1:
         en_to_regions = Tensor(en_to_regions.data)
     return de_states, (de_to_regions, de_to_en, en_to_regions)

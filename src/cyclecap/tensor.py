@@ -7,35 +7,35 @@ once in reverse creation order (creation order is already topological) and
 accumulates gradients into ``Tensor.grad``. Outside a tape block the same
 functions are plain forward math, which keeps inference cheap.
 
-A record may own a tuple of outputs, such as an LSTM step's (h, c). Its one
-rule then receives one gradient per output, with zeros for an output no
-gradient reached, and the record is skipped when none did.
+A record may own a tuple of outputs, such as a decoder unroll's states and
+attention weights. Its one rule then receives one gradient per output, with
+zeros for an output no gradient reached, and the record is skipped when
+none did.
 
 Training runs on batches, so tensors carry a leading batch axis: states are
 (B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
-take a boolean mask of real entries (``masked_mean``, ``frobenius``,
-``pick``, and ``decoder_unroll`` through each ``Head``); masked-out entries
-never reach the result and get exactly zero gradient, so padding cannot leak
-into a loss. A pooling or attention mask is always a (B, ·) array, all-true
-when every entry is real. ``matmul`` applies a shared weight over every
-leading axis, ``batch_matmul`` multiplies matrix i of one batch by matrix i
-of another.
+take a boolean mask of real entries, always a (B, ·) array; masked-out
+entries never reach the result and get exactly zero gradient, so padding
+cannot leak into a loss. ``matmul`` applies a shared weight over every
+leading axis.
 
-Besides the primitives there are two fused ops, each a whole sequence as
-one record, its backward BPTT written out once: ``gru_unroll`` (one GRU
-direction over all T steps) and ``decoder_unroll`` (a teacher-forced decoder
-unroll: every attention head and the LSTM over all T steps). At these sizes
-an op costs per record rather than per flop, so fewer, wider records are
-what make training cheap. Both pack their (B, T) mask of real steps, as
-cuDNN and PyTorch pack padded sequences: step t runs forward and backward on
-the rows still real at t, and outputs at padded steps are exactly 0.
-``decoder_unroll`` takes each head as one ``Head`` record, the prepared keys
-and the scorer's weights. The decode step
-(``attention.attend``, ``cells.lstm_step``) runs its step math,
-``attention_arrays`` and ``lstm_arrays``, outside the engine and refuses a
-tape (``refuse_tape``): decoding never runs backward. Every op validates its
-output for finiteness (``finite`` for several), so a NaN or overflow
-surfaces at the op that produced it rather than ten layers downstream.
+Besides a few primitives there are four fused ops, each one record with
+its backward written out once: at these sizes an op costs per record
+rather than per flop, so fewer, wider records are what make training
+cheap. ``gru_unroll`` is one GRU direction over all T steps;
+``decoder_unroll`` a teacher-forced decoder from its raw key rows, initial
+state projections and embedding table to its last state; ``output_nll``
+the likelihood from a decoder's states; ``cycle_distance`` the cycle loss.
+
+The two unrolls pack their (B, T) mask of real steps, as cuDNN and PyTorch
+pack padded sequences: step t runs forward and backward on the rows still
+real at t, and outputs at padded steps are exactly 0. Decoding never runs
+backward: ``attention.attend`` and ``cells.lstm_step`` run the step math,
+``attention_arrays`` and ``lstm_arrays``, outside the engine, over keys
+that the same ``prepare`` and ``initial_state`` made, and refuse a tape
+(``refuse_tape``). Every op validates its output for finiteness
+(``finite`` for several), so a NaN or overflow surfaces at the op that
+produced it rather than ten layers downstream.
 """
 
 from __future__ import annotations
@@ -244,37 +244,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def batch_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matmul with a leading batch axis: ``out[i] = a[i] @ b[i]`` for a
-    (B, k) or (B, m, k) against a (B, k, n)."""
-    if a.data.ndim not in (2, 3) or b.data.ndim != 3 or a.shape[0] != b.shape[0] \
-            or a.shape[-1] != b.shape[1]:
-        raise DimensionError(f"batch_matmul: cannot multiply {a.shape} by {b.shape}")
-    a3 = a.data[:, None, :] if a.data.ndim == 2 else a.data
-    out = np.matmul(a3, b.data)
-    out = _result("batch_matmul", out[:, 0, :] if a.data.ndim == 2 else out)
-    bd, a_shape = b.data, a.shape
-
-    def rule(g: Array) -> tuple[Array, Array]:
-        g3 = g.reshape(a3.shape[:2] + g.shape[-1:])
-        return (np.matmul(g3, bd.transpose(0, 2, 1)).reshape(a_shape),
-                np.matmul(a3.transpose(0, 2, 1), g3))
-
-    return _record(out, (a, b), rule)
-
-
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute the axes of ``a`` (reverse them when ``axes`` is None)."""
-    if axes is not None and sorted(axes) != list(range(a.data.ndim)):
-        raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
-    out = _result("transpose", a.data.transpose(axes))
-
-    def rule(g: Array) -> tuple[Array]:
-        return (g.transpose(None if axes is None else np.argsort(axes)),)
-
-    return _record(out, (a,), rule)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_shapes("add", a, b)
     out = _result("add", a.data + b.data)
@@ -282,28 +251,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def rule(g: Array) -> tuple[Array, Array]:
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return _record(out, (a, b), rule)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes("sub", a, b)
-    out = _result("sub", a.data - b.data)
-    a_shape, b_shape = a.shape, b.shape
-
-    def rule(g: Array) -> tuple[Array, Array]:
-        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
-
-    return _record(out, (a, b), rule)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes("mul", a, b)
-    out = _result("mul", a.data * b.data)
-    ad, bd = a.data, b.data
-
-    def rule(g: Array) -> tuple[Array, Array]:
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return _record(out, (a, b), rule)
 
@@ -377,82 +324,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), rule)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout. Callers apply it in training mode only."""
-    if not 0.0 <= rate < 1.0:
-        raise NumericError(f"dropout: rate {rate!r} outside [0, 1)")
-    if rate == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = _result("dropout", a.data * keep)
-    return _record(out, (a,), lambda g: (g * keep,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = _result("sum_all", np.asarray(a.data.sum()))
-    shape = a.shape
-    return _record(out, (a,), lambda g: (np.full(shape, float(g)),))
-
-
-def masked_mean(a: Tensor, mask: Array) -> Tensor:
-    """Mean over the real rows of each record: a (B, L, d) with the (B, L)
-    boolean mask of real rows gives (B, d). Masked-out rows are read as 0 and
-    get no gradient; each record needs at least one real row."""
-    if a.data.ndim != 3 or mask.shape != a.shape[:2]:
-        raise DimensionError(f"masked_mean: need a (B, L, d) tensor and a (B, L) "
-                             f"mask, got {a.shape} and {mask.shape}")
-    counts = mask.sum(axis=1)
-    if not counts.all():
-        raise DimensionError("masked_mean: a record has no real rows")
-    out = _result("masked_mean", a.data.sum(axis=1, where=mask[..., None]) / counts[:, None])
-    return _record(out, (a,), lambda g: (g[:, None, :] * (mask / counts[:, None])[..., None],))
-
-
-def frobenius(a: Tensor, row_mask: Array) -> Tensor:
-    """Per-record Frobenius norm over the real rows: a (B, M, L) with the
-    (B, M) boolean mask of real rows gives (B,). Masked-out rows get no
-    gradient; the subgradient of a zero norm is taken as 0."""
-    if a.data.ndim != 3 or row_mask.shape != a.shape[:2]:
-        raise DimensionError(f"frobenius: need a (B, M, L) tensor and a (B, M) "
-                             f"mask, got {a.shape} and {row_mask.shape}")
-    real = np.where(row_mask[..., None], a.data, 0.0)
-    norms = np.sqrt((real * real).sum(axis=(1, 2)))
-    out = _result("frobenius", norms)
-
-    def rule(g: Array) -> tuple[Array]:
-        per = np.where(norms > 0.0, g / np.where(norms > 0.0, norms, 1.0), 0.0)
-        return (real * per[:, None, None],)
-
-    return _record(out, (a,), rule)
-
-
-def pick(a: Tensor, index, mask: Array | None = None) -> Tensor:
-    """Entry ``index[...]`` of the last axis of ``a``: a (..., V) with an int
-    array ``index`` of shape a.shape[:-1] (an int for a vector). Positions
-    where ``mask`` is False read 0 and get no gradient."""
-    idx = np.asarray(index)
-    if a.data.ndim == 0 or idx.shape != a.shape[:-1] \
-            or not np.issubdtype(idx.dtype, np.integer):
-        raise DimensionError(f"pick: index of shape {idx.shape} does not select "
-                             f"from shape {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
-        raise DimensionError(f"pick: index {index} out of range for length "
-                             f"{a.shape[-1]}")
-    keep = np.ones(idx.shape, bool) if mask is None else np.asarray(mask, bool)
-    if keep.shape != idx.shape:
-        raise DimensionError(f"pick: mask {keep.shape} does not match index {idx.shape}")
-    values = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-    out = _result("pick", np.where(keep, values, 0.0))
-    shape = a.shape
-
-    def rule(g: Array) -> tuple[Array]:
-        z = np.zeros(shape)
-        np.put_along_axis(z, idx[..., None], np.where(keep, g, 0.0)[..., None], axis=-1)
-        return (z,)
-
-    return _record(out, (a,), rule)
-
-
 # ---------------------------------------------------------------------------
 # Fused ops: one record, one backward rule and one finiteness check each
 # ---------------------------------------------------------------------------
@@ -500,21 +371,55 @@ def lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
     return ifo, g, c_new, tc, ifo[..., 2 * size:] * tc
 
 
-class Head(NamedTuple):
-    """One attention head over a sequence's keys, as ``decoder_unroll`` and
-    ``attention.attend`` take it: the key side prepared once per sequence
-    (``attention.AttentionLayer.prepare``) and the scorer's ``combine``."""
+class HeadKeys(NamedTuple):
+    """One attention head's key side as ``decoder_unroll`` takes it: the key
+    rows, their mask and the scorer's parameters
+    (``attention.AttentionLayer.keys``)."""
 
-    projected: Tensor   # (K, B, A): key rows @ w_key + b, key-major
     rows: Tensor        # (B, K, d) key rows
     mask: Array         # (B, K) boolean, True on real rows
-    w_query_t: Tensor   # (Q, A): the query weight, transposed
+    w_key: Tensor       # (d, A)
+    b: Tensor           # (A,)
+    w_query: Tensor     # (A, Q)
     combine: Tensor     # (A,): the score's output weight
 
 
-def attention_arrays(head: Sequence[Array], query: Array) -> tuple[Array, Array, Array]:
-    """One additive-attention head's step on arrays, ``head`` holding a
-    ``Head``'s fields as arrays; returns (hidden, weights, context):
+class Head(NamedTuple):
+    """One attention head's keys prepared once per sequence (``prepare``),
+    as ``attention_arrays`` reads them: arrays, never taped."""
+
+    projected: Array    # (K, B, A): key rows @ w_key + b, key-major
+    rows: Array         # (B, K, d) key rows
+    mask: Array         # (B, K) boolean, True on real rows
+    w_query_t: Array    # (Q, A): the query weight, transposed
+    combine: Array      # (A,)
+
+
+def prepare(keys: HeadKeys) -> Head:
+    """The per-sequence work of every step that attends over ``keys``
+    (additive attention as in Bahdanau et al., 2015): project the rows,
+    key-major, and transpose ``w_query``. Decoding and ``decoder_unroll``
+    both start from it."""
+    rows = keys.rows.data
+    return Head((np.matmul(rows, keys.w_key.data) + keys.b.data).transpose(1, 0, 2), rows,
+                keys.mask, keys.w_query.data.T, keys.combine.data)
+
+
+def pool(rows: Array, mask: Array) -> Array:
+    """The mean of each record's real rows: a (B, K, d) with its (B, K)
+    boolean mask gives (B, d). Each record needs at least one real row."""
+    return rows.sum(axis=1, where=mask[..., None]) / mask.sum(axis=1)[:, None]
+
+
+def initial_state(mean: Array, initial: Sequence[tuple[Tensor, Tensor]]) -> list[Array]:
+    """A decoder's initial state: one ``tanh(mean @ w + b)`` per (w, b) pair
+    of ``initial``, all of one ``pool``ed mean, so permutation invariant."""
+    return [np.tanh(np.matmul(mean, w.data) + b.data) for w, b in initial]
+
+
+def attention_arrays(head: Head, query: Array) -> tuple[Array, Array, Array]:
+    """One additive-attention head's step; returns (hidden, weights,
+    context):
 
         hidden = tanh(projected + query @ w_query_t)      (K, B, A)
         weights = masked softmax over keys of hidden @ combine   (B, K)
@@ -616,18 +521,22 @@ def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *
     return _record(out, (embedded, w, u, b), rule)
 
 
-def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
-                   heads: Sequence[Head], mask: Array, *,
+def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Tensor]],
+                   w: Tensor, b: Tensor, heads: Sequence[HeadKeys], mask: Array, *,
                    states: bool = True) -> tuple[Tensor, ...]:
     """A teacher-forced attention-LSTM decoder unroll over T steps, as one
-    record. Step t runs every head (``attention_arrays``) with the state
-    h_t as query, then the LSTM (``lstm_arrays``) on [each head's context;
-    embedded[t]] and (h_t, c_t), giving (h_t+1, c_t+1).
+    record, from the raw key rows to the last state. It ``prepare``s each
+    head's keys, pools head 0's real rows once into the initial state (h_0,
+    c_0) (``initial_state``) and looks up the previous words in ``table``.
+    Step t then runs every head (``attention_arrays``) with h_t as query,
+    then the LSTM (``lstm_arrays``) on [each head's context; table[ids[:,
+    t]]] and (h_t, c_t), giving (h_t+1, c_t+1).
 
-    ``embedded`` is the (T, B, E) previous-word embeddings and ``h``, ``c``
-    the (B, H) initial state. ``w`` is the (sum of d + E + H, 4H) LSTM
-    weight, its rows in the order contexts, embedding, h; ``b`` is (4H,).
-    Each ``Head`` holds the keys of all B records, its ``w_query_t`` (H, A).
+    ``table`` is the (vocab, E) embedding and ``ids`` the (B, T) previous
+    ids; ``initial`` is the (h, c) pair of (d_0, H) weights and (H,) biases.
+    ``w`` is the (sum of d + E + H, 4H) LSTM weight, its rows in the order
+    contexts, embedding, h; ``b`` is (4H,). Each ``HeadKeys`` holds the key
+    rows of all B records and that head's scorer, its ``w_query`` (A, H).
     ``mask`` is the (B, T) boolean mask of real steps, real ones first in
     each row.
 
@@ -642,53 +551,64 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
     keeping each step's activations. The backward is BPTT: its reverse loop
     computes what recurs (gate, context and query gradients, and the (h, c)
     gradient carried to the step before), adding each head's projected-key
-    and ``combine`` gradients while that step's tanh layer is at hand. The
-    gradients of ``w``, ``b``, ``embedded``, the key rows and ``w_query_t``
-    are each one product over all T * B rows after the loop, padded rows
-    adding zeros.
+    and ``combine`` gradients while that step's tanh layer is at hand. After
+    the loop, the gradients of ``w``, ``b``, the key rows and each scorer's
+    weights are each one product over all T * B rows or K * B keys, the
+    initial state's go back through its two projections and the mean, and
+    the embedding's are one scatter of the real steps' rows into the table.
     """
-    ed, hd, cd, wd = embedded.data, h.data, c.data, w.data
-    arrays = [(p.data, r.data, m, wq.data, cb.data) for p, r, m, wq, cb in heads]
-    fits = ed.ndim == 3 and hd.ndim == 2 and bool(arrays) and all(
-        x.ndim == 3 for _, x, _, _, _ in arrays)
+    td, wd, ids = table.data, w.data, np.asarray(ids)
+    size = b.shape[0] // 4 if b.data.ndim == 1 else 0
+    widths = [k.rows.shape[-1] for k in heads]
+    ctx_w = sum(widths)
+    fits = td.ndim == 2 and ids.ndim == 2 and ids.dtype.kind in "iu" and ids.shape[1] > 0 \
+        and size > 0 and b.shape == (4 * size,) and bool(heads) and len(initial) == 2
     if fits:
-        (steps, batch, emb_w), size = ed.shape, hd.shape[1]
-        widths = [r.shape[-1] for _, r, _, _, _ in arrays]
-        ctx_w = sum(widths)
-        fits = steps > 0 and hd.shape[0] == batch and cd.shape == hd.shape \
-            and wd.shape == (ctx_w + emb_w + size, 4 * size) and b.shape == (4 * size,) \
-            and all(p.ndim == 3 and p.shape[1] == batch and r.shape[:2] == (batch, len(p))
-                    and m.shape == r.shape[:2] and wq.shape == (size, p.shape[2])
-                    and cb.shape == p.shape[2:] for p, r, m, wq, cb in arrays)
+        (batch, steps), emb_w = ids.shape, td.shape[1]
+        fits = wd.shape == (ctx_w + emb_w + size, 4 * size) and all(
+            iw.shape == (widths[0], size) and ib.shape == (size,) for iw, ib in initial) \
+            and all(k.rows.data.ndim == 3 and k.rows.shape[0] == batch
+                    and np.shape(k.mask) == k.rows.shape[:2]
+                    and k.w_key.data.ndim == 2 and k.w_key.shape[0] == k.rows.shape[2]
+                    and k.b.shape == k.w_key.shape[1:] == k.combine.shape
+                    and k.w_query.shape == (k.w_key.shape[1], size) for k in heads)
     if not fits:
-        raise _bad_shapes("decoder_unroll", embedded=embedded.shape, h=h.shape,
-                          c=c.shape, w=w.shape, b=b.shape,
-                          heads=[tuple(np.shape(x) for x in head) for head in arrays])
+        raise _bad_shapes("decoder_unroll", table=table.shape, ids=ids.shape,
+                          initial=[(iw.shape, ib.shape) for iw, ib in initial], w=w.shape,
+                          b=b.shape, heads=[tuple(np.shape(getattr(x, "data", x)) for x in k)
+                                 for k in heads])
+    if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
+        raise DimensionError(f"decoder_unroll: id out of range for table with "
+                             f"{td.shape[0]} rows")
     order, restore, live = _packing("decoder_unroll", mask, steps, batch)
-    hd, cd = hd[order], cd[order]
+    rows0, mask0 = heads[0].rows.data, heads[0].mask
+    mean = pool(rows0, mask0)
+    init = initial_state(mean, initial)
+    query, mem = init[0][order], init[1][order]
     # the projected keys key-major in memory too, so that every step's tanh
     # layer is, and the backward reads it as (K * k, A) rows without a copy
-    arrays = [(np.ascontiguousarray(p[:, order]), r[order], m[order], wq, cb)
-              for p, r, m, wq, cb in arrays]
+    arrays = [Head(np.ascontiguousarray(p[:, order]), r[order], m[order], wq, cb)
+              for p, r, m, wq, cb in map(prepare, heads)]
     # the rows whose LSTM step t runs: those whose h_t+1 is read
     cell_rows = live if states else live[1:] + [0]
     offsets = list(accumulate(widths, initial=0))
     w_emb = wd[ctx_w:ctx_w + emb_w]
     w_rec = np.concatenate([wd[:ctx_w], wd[ctx_w + emb_w:]])   # rows for [contexts; h]
-    pre = np.matmul(ed[:, order], w_emb) + b.data               # (T, B, 4H)
+    prev_ids = ids[order].T                                     # (T, B), rows packed
+    embedded = td[prev_ids]
+    pre = np.matmul(embedded, w_emb) + b.data                   # (T, B, 4H)
     xs = np.zeros((steps, batch, ctx_w + size))                 # [contexts; h_t]
     out = np.zeros((steps, batch, size))                        # h_t+1
     cells: list[tuple[Array, ...]] = []                 # per step: ifo, g, tanh c', c
     hiddens: list[list[Array]] = [[] for _ in arrays]          # per step (K, k, A)
-    weights = [np.zeros((batch, steps, p.shape[0])) for p, _, _, _, _ in arrays]
-    query, mem = hd, cd
+    weights = [np.zeros((batch, steps, head.projected.shape[0])) for head in arrays]
     for t in range(steps):
         k, m = live[t], cell_rows[t]
         x, query = xs[t, :k], query[:k]
         x[:, ctx_w:] = query
         for j, (p, r, msk, wq, cb) in enumerate(arrays):
             hidden, weights[j][:k, t], x[:, offsets[j]:offsets[j + 1]] = attention_arrays(
-                (p[:, :k], r[:k], msk[:k], wq, cb), query)
+                Head(p[:, :k], r[:k], msk[:k], wq, cb), query)
             hiddens[j].append(hidden)
         if m:
             mem = mem[:m]
@@ -703,13 +623,13 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
         g_weights = [g[order] for g in (grads[1:] if states else grads)]
         g_gates = np.zeros((steps, batch, 4 * size))
         g_ctx = np.zeros((batch, steps, ctx_w))
-        g_query = [np.zeros((steps, batch, p.shape[-1])) for p, _, _, _, _ in arrays]
-        g_pre = [np.zeros(p.shape) for p, _, _, _, _ in arrays]   # summed over steps
-        g_combine = [np.zeros(p.shape[-1]) for p, _, _, _, _ in arrays]
+        g_query = [np.zeros((steps, batch, head.combine.shape[0])) for head in arrays]
+        g_pre = [np.zeros(head.projected.shape) for head in arrays]   # summed over steps
+        g_combine = [np.zeros(head.combine.shape) for head in arrays]
         g_h, g_c = np.zeros((batch, size)), np.zeros((batch, size))
         # transposed weights copied once: BLAS is faster on them than on views
         w_rec_t = np.ascontiguousarray(w_rec.T)
-        w_query = [np.ascontiguousarray(wq.T) for _, _, _, wq, _ in arrays]
+        w_query = [k.w_query.data for k in heads]
         for t in reversed(range(steps)):
             k, m = live[t], cell_rows[t]
             if m:
@@ -743,19 +663,107 @@ def decoder_unroll(embedded: Tensor, h: Tensor, c: Tensor, w: Tensor, b: Tensor,
                 g_h[:k] += np.matmul(gq, w_query[j])
         flat = g_gates.reshape(-1, 4 * size)
         g_rec = xs.reshape(-1, ctx_w + size).T @ flat
-        g_w = np.concatenate([g_rec[:ctx_w], ed[:, order].reshape(-1, emb_w).T @ flat,
+        g_w = np.concatenate([g_rec[:ctx_w], embedded.reshape(-1, emb_w).T @ flat,
                               g_rec[ctx_w:]])
+        real = mask[order].T                                   # (T, B), rows packed
+        g_table = np.zeros(td.shape)
+        np.add.at(g_table, prev_ids[real], np.matmul(g_gates[real], w_emb.T))
+        # the initial state: each half back through its tanh projection, both
+        # into the one mean, and the mean into head 0's real rows
+        g_init, g_mean = [], 0.0
+        for (iw, _), y, g in zip(initial, init, (g_h[restore], g_c[restore])):
+            g_a = g * (1.0 - y * y)
+            g_init += [mean.T @ g_a, g_a.sum(axis=0)]
+            g_mean = g_mean + g_a @ iw.data.T
         queries = xs[:, :, ctx_w:].reshape(-1, size)
         g_heads = []
-        for j, (_, _, _, _, combine) in enumerate(arrays):
-            g_heads += [(g_pre[j] * combine)[:, restore],
-                        np.matmul(weights[j].transpose(0, 2, 1),
-                                  g_ctx[:, :, offsets[j]:offsets[j + 1]])[restore],
-                        queries.T @ g_query[j].reshape(-1, combine.shape[0]),
+        for j, (key, head) in enumerate(zip(heads, arrays)):
+            g_keys = (g_pre[j] * head.combine).transpose(1, 0, 2)   # (k, K, A) packed
+            g_rows = (np.matmul(g_keys, key.w_key.data.T) + np.matmul(
+                weights[j].transpose(0, 2, 1), g_ctx[:, :, offsets[j]:offsets[j + 1]]))[restore]
+            if j == 0:
+                g_rows += g_mean[:, None, :] * (mask0 / mask0.sum(axis=1)[:, None])[..., None]
+            attn_w = head.combine.shape[0]
+            g_heads += [g_rows, head.rows.reshape(-1, key.rows.shape[2]).T
+                        @ g_keys.reshape(-1, attn_w),
+                        g_keys.sum(axis=(0, 1)), g_query[j].reshape(-1, attn_w).T @ queries,
                         g_combine[j]]
-        return (np.matmul(g_gates, w_emb.T)[:, restore], g_h[restore], g_c[restore], g_w,
-                flat.sum(axis=0), *g_heads)
+        return (g_table, *g_init, g_w, flat.sum(axis=0), *g_heads)
 
-    parents = (embedded, h, c, w, b,
-               *(x for p, r, _, wq, cb in heads for x in (p, r, wq, cb)))
+    parents = (table, *(x for pair in initial for x in pair), w, b,
+               *(x for k in heads for x in (k.rows, k.w_key, k.b, k.w_query, k.combine)))
     return _record_many(outs, parents, rule)
+
+
+def output_nll(states: Tensor, w: Tensor, b: Tensor, targets: Array, mask: Array,
+               keep: Array | None = None) -> Tensor:
+    """A decoder's summed negative log-likelihood of its targets, as one
+    record from its (T, B, H) states: with ``x = states * keep`` (inverted
+    dropout; ``keep`` None for none),
+
+        log_probs = log_softmax(x @ w + b)        over the vocabulary
+        loss = -sum of log_probs[t, b, targets[b, t]] over the real (b, t)
+
+    ``w`` is (H, vocab), ``b`` (vocab,), and ``targets`` and ``mask`` are
+    (B, T), the ids and the boolean mask of real targets. Padded positions
+    are never computed and pass no gradient back."""
+    if states.data.ndim != 3 or w.data.ndim != 2 or w.shape[0] != states.shape[2] \
+            or b.shape != w.shape[1:] or np.shape(targets) != states.shape[1::-1] \
+            or np.shape(mask) != np.shape(targets) \
+            or (keep is not None and keep.shape != states.shape):
+        raise _bad_shapes("output_nll", states=states.shape, w=w.shape, b=b.shape,
+                          targets=np.shape(targets), mask=np.shape(mask))
+    real = mask.T
+    picked = targets.T[real]
+    x = states.data[real]                                     # (N, H)
+    if keep is not None:
+        keep = keep[real]
+        x = x * keep
+    if picked.size and (picked.min() < 0 or picked.max() >= w.shape[1]):
+        raise DimensionError(f"output_nll: target out of range for {w.shape[1]} classes")
+    logits = np.matmul(x, w.data) + b.data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(picked))
+    out = _result("output_nll", np.asarray(-log_probs[rows, picked].sum()))
+
+    def rule(g: Array) -> tuple[Array, Array, Array]:
+        g_logits = np.exp(log_probs)
+        g_logits[rows, picked] -= 1.0
+        g_logits *= g
+        g_states = np.zeros(states.shape)
+        g_x = np.matmul(g_logits, w.data.T)
+        g_states[real] = g_x if keep is None else g_x * keep
+        return g_states, x.T @ g_logits, g_logits.sum(axis=0)
+
+    return _record(out, (states, w, b), rule)
+
+
+def cycle_distance(direct: Tensor, pivot: Tensor, via: Tensor, row_mask: Array) -> Tensor:
+    """The summed Frobenius distance between direct and composed attention,
+    as one record: over records i,
+
+        loss = sum_i ||(direct[i] - pivot[i] @ via[i])[row_mask[i]]||_F
+
+    for a (B, M, L) ``direct``, (B, M, N) ``pivot``, (B, N, L) ``via`` and the
+    (B, M) boolean mask of real rows. Masked rows get no gradient, and the
+    subgradient of a zero norm is taken as 0."""
+    if direct.data.ndim != 3 or pivot.data.ndim != 3 or via.data.ndim != 3 \
+            or pivot.shape[2] != via.shape[1] \
+            or direct.shape != pivot.shape[:2] + via.shape[2:] \
+            or via.shape[0] != direct.shape[0] or np.shape(row_mask) != direct.shape[:2]:
+        raise _bad_shapes("cycle_distance", direct=direct.shape, pivot=pivot.shape,
+                          via=via.shape, mask=np.shape(row_mask))
+    pd, vd = pivot.data, via.data
+    diff = np.where(row_mask[..., None], direct.data - np.matmul(pd, vd), 0.0)
+    norms = np.sqrt((diff * diff).sum(axis=(1, 2)))
+    out = _result("cycle_distance", np.asarray(norms.sum()))
+
+    def rule(g: Array) -> tuple[Array, Array, Array]:
+        per = np.where(norms > 0.0, g / np.where(norms > 0.0, norms, 1.0), 0.0)
+        g_direct = diff * per[:, None, None]
+        g_composed = -g_direct
+        return (g_direct, np.matmul(g_composed, vd.transpose(0, 2, 1)),
+                np.matmul(pd.transpose(0, 2, 1), g_composed))
+
+    return _record(out, (direct, pivot, via), rule)

@@ -9,9 +9,12 @@ and the mean per-record loss drives one optimizer step. Masks, not padding
 values, decide what counts: the likelihood skips PAD targets, attention
 gives padded keys weight 0, and the cycle loss skips padded German steps,
 so a batch's loss and gradients are the sums of its records' at B = 1, up
-to float summation order. A decoder maps a batch's states to log-probs in
-one output-layer pass, where dropout acts; stage two's English pass builds
-attention only.
+to float summation order. Each network is one tape record per batch, and
+so is each loss: ``nll_loss`` runs dropout, the output layer, the
+log-softmax and the masked sum over a decoder's states in one
+(``tensor.output_nll``), and the cycle loss is one more
+(``cycle.cycle_loss_graph``). Stage two's English pass builds attention
+only.
 
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
@@ -22,6 +25,7 @@ are restored at the end.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -31,13 +35,13 @@ import numpy as np
 from .cycle import cycle_loss_graph
 from .data import (Batch, PairRecord, TripleRecord, Vocabulary, check_feature_dim,
                    make_batch)
-from .errors import ConfigError, DataError, DimensionError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import cider
 from .inference import beam_decode, caption_image, decoder_step_fn
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Tape, Tensor, add, pick, scale, sum_all
+from .tensor import Parameter, Tape, Tensor, add, output_nll, scale
 
 
 @dataclass
@@ -78,6 +82,10 @@ class TrainConfig:
             raise ConfigError(f"dropout {self.dropout} outside [0, 1)")
         if self.patience < 0 or self.patience > self.max_epochs:
             raise ConfigError("need 0 <= patience <= max_epochs")
+        for name in ("learning_rate", "cycle_weight", "target_nll"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.cycle_weight < 0.0:
             raise ConfigError("cycle_weight must be non-negative")
 
@@ -120,23 +128,26 @@ class TrainReport:
                 fh.write(e.to_json() + "\n")
 
 
-def nll_loss(log_probs: Tensor, targets: np.ndarray,
-             mask: np.ndarray) -> tuple[Tensor, int]:
-    """Summed negative log-likelihood of a batch of targets.
+def nll_loss(states: Tensor, w_out: Parameter, b_out: Parameter, targets: np.ndarray,
+             mask: np.ndarray, dropout: float = 0.0,
+             rng: np.random.Generator | None = None) -> tuple[Tensor, int]:
+    """Summed negative log-likelihood of a batch of targets, and its token
+    count, as one record (``tensor.output_nll``).
 
-    ``log_probs`` is the time-major (T, B, vocab) log-prob tensor of an
-    unroll, ``targets`` the (B, T) ids it predicts and ``mask`` the (B, T)
-    boolean mask of real targets; padded positions are excluded from both
-    the sum and the token count.
+    ``states`` is the time-major (T, B, hidden) state tensor of an unroll,
+    ``w_out`` and ``b_out`` the decoder's output layer, ``targets`` the
+    (B, T) ids it predicts and ``mask`` the (B, T) boolean mask of real
+    targets; padded positions are excluded from both the sum and the token
+    count. At a positive ``dropout`` rate the states first pass inverted
+    dropout, one (T, B, hidden) keep mask drawn from ``rng``.
     """
-    if log_probs.shape[:2] != targets.shape[::-1] or mask.shape != targets.shape:
-        raise DimensionError(f"log-probs {log_probs.shape} vs targets "
-                             f"{targets.shape} and mask {mask.shape}")
     count = int(mask.sum())
     if not count:
         raise DataError("no real targets in batch")
-    picked = pick(log_probs, targets.T, mask.T)
-    return scale(sum_all(picked), -1.0), count
+    keep = None
+    if dropout:
+        keep = (rng.random(states.shape) >= dropout) / (1.0 - dropout)
+    return output_nll(states, w_out, b_out, targets, mask, keep), count
 
 
 def _batches(records: Sequence, batch_size: int, length_of) -> list[Batch]:
@@ -284,10 +295,10 @@ def _captioner_loss(model: ImageCaptioner, batch: Batch, dropout: float = 0.0,
                     ) -> tuple[Tensor, float, int, None]:
     """A batch's summed stage-one loss: (loss, nll value, token count, None)."""
     decoder = model.decoder
-    start = decoder.start([model.project(batch.features)], [batch.region_mask])
-    states, _ = unroll(decoder, start, batch.en_ids)
-    loss, ntok = nll_loss(decoder.emit(states, dropout_rate=dropout, rng=rng),
-                          batch.en_ids[:, 1:], batch.en_mask[:, 1:])
+    states, _ = unroll(decoder, [model.project(batch.features)], [batch.region_mask],
+                       batch.en_ids)
+    loss, ntok = nll_loss(states, decoder.w_out, decoder.b_out, batch.en_ids[:, 1:],
+                          batch.en_mask[:, 1:], dropout, rng)
     return loss, loss.item(), ntok, None
 
 
@@ -348,9 +359,9 @@ def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
     """
     de_states, attention = stage2_forward(bundle, batch, english=cycle_weight > 0.0,
                                           freeze_part1=freeze_part1)
-    de_logps = bundle.de_decoder.emit(de_states, dropout_rate=dropout, rng=rng)
-    de_mask = batch.de_mask[:, 1:]
-    loss, ntok = nll_loss(de_logps, batch.de_ids[:, 1:], de_mask)
+    de_decoder, de_mask = bundle.de_decoder, batch.de_mask[:, 1:]
+    loss, ntok = nll_loss(de_states, de_decoder.w_out, de_decoder.b_out,
+                          batch.de_ids[:, 1:], de_mask, dropout, rng)
     if attention is None:
         return loss, loss.item(), ntok, None
     cyc = cycle_loss_graph(*attention, de_mask)

@@ -5,21 +5,29 @@ deliberately sharing no code with the package's taped ops, so agreement is
 meaningful. Functions read parameter values straight off the model objects,
 the decoders' initial-state projections by their checkpoint names.
 
-The exceptions are two layers of taped oracles for the package's fused ops:
+The exceptions are three layers of taped oracles for the package's fused ops:
 
+* the primitives the package no longer carries, each one tape op with its
+  own backward rule, as the package defined them before its fused ops took
+  their work in: ``mul``, ``sub``, ``sum_all``, ``transpose``,
+  ``batch_matmul``, ``masked_mean``, ``frobenius``, ``pick`` and
+  ``dropout``; ``tests/test_reference.py`` checks their gradients.
 * the composed graphs: the LSTM step, GRU step and attention head built
-  from the package's primitive tape ops, one small op per gate slice, as
-  the package computed them before its fused ops. ``stepped_gru`` chains
-  the GRU step into the per-step graph that ``tensor.gru_unroll`` is
-  checked against, and ``stepped_encode`` runs it in both directions; the
-  LSTM step and the head are the oracle of the per-step records below. The
-  ops only they need, ``column_slice``, ``sigmoid``, ``masked_softmax``,
-  ``stack`` and ``unstack``, are built here on ``tensor._record`` and
-  ``tensor._record_many``.
+  from primitive tape ops, one small op per gate slice, as the package
+  computed them before its fused ops, and so are the key projection
+  (``composed_prepare``), the initial state (``composed_init_state``), the
+  likelihood (``composed_nll``) and the cycle loss (``composed_cycle``).
+  ``stepped_gru`` chains the GRU step into the per-step graph that
+  ``tensor.gru_unroll`` is checked against, and ``stepped_encode`` runs it
+  in both directions; the LSTM step and the head are the oracle of the
+  per-step records below. The ops only they need, ``column_slice``,
+  ``sigmoid``, ``masked_softmax``, ``stack`` and ``unstack``, are built here
+  on ``tensor._record`` and ``tensor._record_many``.
 * the per-step records: one LSTM step and one attention head as one record
   each, on the package's array-level step math, with the backward rules the
   package's decode ops carried before a teacher-forced unroll became one
-  record. ``stepped_unroll`` chains them into the per-step graph that
+  record. ``composed_decoder_unroll`` chains them, after the composed key
+  projection, initial state and lookup, into the graph that
   ``tensor.decoder_unroll`` is checked against.
 """
 
@@ -28,10 +36,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from cyclecap.errors import DimensionError
-from cyclecap.tensor import (Tensor, _record, _record_many, _result, add,
-                             attention_arrays, batch_matmul, concat, embedding_lookup,
-                             finite, lstm_arrays, matmul, mul, sub, tanh)
+from cyclecap.errors import DimensionError, NumericError
+from cyclecap.tensor import (Head, Tensor, _broadcast_shapes, _record, _record_many,
+                             _result, _unbroadcast, add, attention_arrays, concat,
+                             embedding_lookup, finite, log_softmax, lstm_arrays, matmul,
+                             scale, tanh)
 
 
 def np_softmax(x):
@@ -96,6 +105,137 @@ def ref_gru(p, x, h):
     z = np_sigmoid(x @ wz + h @ uz + bz)
     n = np.tanh(x @ wn + r * (h @ un) + bn)
     return z * h + (1.0 - z) * n
+
+
+# ---------------------------------------------------------------------------
+# Primitives the package no longer carries
+# ---------------------------------------------------------------------------
+
+def mul(a, b):
+    _broadcast_shapes("mul", a, b)
+    out = _result("mul", a.data * b.data)
+    ad, bd = a.data, b.data
+
+    def rule(g):
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+
+    return _record(out, (a, b), rule)
+
+
+def sub(a, b):
+    _broadcast_shapes("sub", a, b)
+    out = _result("sub", a.data - b.data)
+    a_shape, b_shape = a.shape, b.shape
+
+    def rule(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
+
+    return _record(out, (a, b), rule)
+
+
+def sum_all(a):
+    out = _result("sum_all", np.asarray(a.data.sum()))
+    shape = a.shape
+    return _record(out, (a,), lambda g: (np.full(shape, float(g)),))
+
+
+def transpose(a, axes=None):
+    """Permute the axes of ``a`` (reverse them when ``axes`` is None)."""
+    if axes is not None and sorted(axes) != list(range(a.data.ndim)):
+        raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
+    out = _result("transpose", a.data.transpose(axes))
+
+    def rule(g):
+        return (g.transpose(None if axes is None else np.argsort(axes)),)
+
+    return _record(out, (a,), rule)
+
+
+def batch_matmul(a, b):
+    """Matmul with a leading batch axis: ``out[i] = a[i] @ b[i]`` for a
+    (B, k) or (B, m, k) against a (B, k, n)."""
+    if a.data.ndim not in (2, 3) or b.data.ndim != 3 or a.shape[0] != b.shape[0] \
+            or a.shape[-1] != b.shape[1]:
+        raise DimensionError(f"batch_matmul: cannot multiply {a.shape} by {b.shape}")
+    a3 = a.data[:, None, :] if a.data.ndim == 2 else a.data
+    out = np.matmul(a3, b.data)
+    out = _result("batch_matmul", out[:, 0, :] if a.data.ndim == 2 else out)
+    bd, a_shape = b.data, a.shape
+
+    def rule(g):
+        g3 = g.reshape(a3.shape[:2] + g.shape[-1:])
+        return (np.matmul(g3, bd.transpose(0, 2, 1)).reshape(a_shape),
+                np.matmul(a3.transpose(0, 2, 1), g3))
+
+    return _record(out, (a, b), rule)
+
+
+def masked_mean(a, mask):
+    """Mean over the real rows of each record: a (B, L, d) with the (B, L)
+    boolean mask of real rows gives (B, d). Masked-out rows are read as 0 and
+    get no gradient; each record needs at least one real row."""
+    if a.data.ndim != 3 or mask.shape != a.shape[:2]:
+        raise DimensionError(f"masked_mean: need a (B, L, d) tensor and a (B, L) "
+                             f"mask, got {a.shape} and {mask.shape}")
+    counts = mask.sum(axis=1)
+    if not counts.all():
+        raise DimensionError("masked_mean: a record has no real rows")
+    out = _result("masked_mean", a.data.sum(axis=1, where=mask[..., None]) / counts[:, None])
+    return _record(out, (a,), lambda g: (g[:, None, :] * (mask / counts[:, None])[..., None],))
+
+
+def frobenius(a, row_mask):
+    """Per-record Frobenius norm over the real rows: a (B, M, L) with the
+    (B, M) boolean mask of real rows gives (B,). Masked-out rows get no
+    gradient; the subgradient of a zero norm is taken as 0."""
+    if a.data.ndim != 3 or row_mask.shape != a.shape[:2]:
+        raise DimensionError(f"frobenius: need a (B, M, L) tensor and a (B, M) "
+                             f"mask, got {a.shape} and {row_mask.shape}")
+    real = np.where(row_mask[..., None], a.data, 0.0)
+    norms = np.sqrt((real * real).sum(axis=(1, 2)))
+    out = _result("frobenius", norms)
+
+    def rule(g):
+        per = np.where(norms > 0.0, g / np.where(norms > 0.0, norms, 1.0), 0.0)
+        return (real * per[:, None, None],)
+
+    return _record(out, (a,), rule)
+
+
+def pick(a, index, mask=None):
+    """Entry ``index[...]`` of the last axis of ``a``: a (..., V) with an int
+    array ``index`` of shape a.shape[:-1] (an int for a vector). Positions
+    where ``mask`` is False read 0 and get no gradient."""
+    idx = np.asarray(index)
+    if a.data.ndim == 0 or idx.shape != a.shape[:-1] \
+            or not np.issubdtype(idx.dtype, np.integer):
+        raise DimensionError(f"pick: index of shape {idx.shape} does not select "
+                             f"from shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
+        raise DimensionError(f"pick: index {index} out of range for length "
+                             f"{a.shape[-1]}")
+    keep = np.ones(idx.shape, bool) if mask is None else np.asarray(mask, bool)
+    values = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    out = _result("pick", np.where(keep, values, 0.0))
+    shape = a.shape
+
+    def rule(g):
+        z = np.zeros(shape)
+        np.put_along_axis(z, idx[..., None], np.where(keep, g, 0.0)[..., None], axis=-1)
+        return (z,)
+
+    return _record(out, (a,), rule)
+
+
+def dropout(a, rate, rng):
+    """Inverted dropout, one keep mask drawn as ``rng.random(shape) >= rate``."""
+    if not 0.0 <= rate < 1.0:
+        raise NumericError(f"dropout: rate {rate!r} outside [0, 1)")
+    if rate == 0.0:
+        return a
+    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    out = _result("dropout", a.data * keep)
+    return _record(out, (a,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +352,33 @@ def stepped_encode(encoder, ids, mask):
                    stepped_gru(encoder.bwd, embeds, mask, reverse=True)])
 
 
+def composed_prepare(keys):
+    """``tensor.prepare`` from primitive ops, of a ``tensor.HeadKeys``: a
+    ``tensor.Head`` holding Tensors, the key side of the graph."""
+    projected = transpose(add(matmul(keys.rows, keys.w_key), keys.b), (1, 0, 2))
+    return Head(projected, keys.rows, keys.mask, transpose(keys.w_query), keys.combine)
+
+
+def composed_init_state(rows, mask, initial):
+    """A decoder's initial state from primitive ops: one tanh-squashed
+    projection per (w, b) pair of ``initial``, all of one ``masked_mean``."""
+    mean = masked_mean(rows, mask)
+    return tuple(tanh(add(matmul(mean, w), b)) for w, b in initial)
+
+
+def composed_nll(states, w, b, targets, mask, rate=0.0, rng=None):
+    """``tensor.output_nll`` from primitive ops, its dropout drawn as
+    ``training.nll_loss`` draws it: the summed NLL of the (B, T) targets."""
+    log_probs = log_softmax(add(matmul(dropout(states, rate, rng), w), b))
+    return scale(sum_all(pick(log_probs, targets.T, mask.T)), -1.0)
+
+
+def composed_cycle(de_to_regions, de_to_en, en_to_regions, de_mask):
+    """``tensor.cycle_distance`` from primitive ops."""
+    return sum_all(frobenius(sub(de_to_regions, batch_matmul(de_to_en, en_to_regions)),
+                             de_mask))
+
+
 def composed_attend(keys, query):
     """``attention.attend`` from primitive ops; returns (weights, context)."""
     hidden = tanh(add(keys.projected, matmul(query, keys.w_query_t)))
@@ -272,25 +439,35 @@ def step_additive_attention(head, query):
     return _record_many(outs, (projected, rows, query, w_query_t, combine), rule)
 
 
-def stepped_unroll(decoder, start, ids, mask):
-    """``models.unroll`` as the per-step graph: one lookup split into steps,
-    per step one record per head and one for the LSTM, each output
-    multiplied by the (B, T) mask of real steps where a step has padding,
-    then the stacks. Returns the (T, B, hidden) states and each head's (B,
-    T, K) weights, 0 at padded steps."""
-    keys, (h, c) = start
+def composed_decoder_unroll(table, ids, initial, w, b, heads, mask):
+    """``tensor.decoder_unroll`` as the per-step graph: each head's keys
+    ``composed_prepare``d, the ``composed_init_state`` of head 0's rows, one
+    lookup of the (B, T) ``ids`` split into steps, then per step one record
+    per head and one for the LSTM, each output multiplied by the (B, T) mask
+    of real steps where a step has padding, then the stacks. Returns the (T,
+    B, hidden) states and each head's (B, T, K) weights, 0 at padded
+    steps."""
+    keys = [composed_prepare(k) for k in heads]
+    h, c = composed_init_state(heads[0].rows, heads[0].mask, initial)
     hidden, weight_rows = [], []
-    for t, x in enumerate(unstack(embedding_lookup(decoder.embedding, ids[:, :-1].T))):
+    for t, x in enumerate(unstack(embedding_lookup(table, ids.T))):
         attended = [step_additive_attention(k, h) for k in keys]
-        h, c = step_lstm_cell([ctx for _, ctx in attended] + [x], h, c,
-                              decoder.lstm.w, decoder.lstm.b)
-        rows = [w for w, _ in attended]
+        h, c = step_lstm_cell([ctx for _, ctx in attended] + [x], h, c, w, b)
+        rows = [weights for weights, _ in attended]
         if not mask[:, t].all():
             real = mask[:, t, None].astype(np.float64)
-            h, rows = mul(h, Tensor(real)), [mul(w, Tensor(real)) for w in rows]
+            h, rows = mul(h, Tensor(real)), [mul(r, Tensor(real)) for r in rows]
         hidden.append(h)
         weight_rows.append(rows)
     return stack(hidden), [stack(rows, axis=1) for rows in zip(*weight_rows)]
+
+
+def stepped_unroll(decoder, rows, masks, ids, mask):
+    """``models.unroll`` as the per-step graph (``composed_decoder_unroll``)
+    over the (B, T + 1) ``ids`` and the (B, T) mask of real steps."""
+    return composed_decoder_unroll(decoder.embedding, ids[:, :-1], decoder.initial,
+                                   decoder.lstm.w, decoder.lstm.b,
+                                   decoder.keys(rows, masks), mask)
 
 
 def ref_project(captioner, grid_values):

@@ -6,14 +6,20 @@ from hypothesis import strategies as st
 from cyclecap.attention import AttentionLayer, attend
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.tensor import Parameter, Tensor, add, mul, pick, sum_all
+from cyclecap.tensor import Parameter, Tensor, add, prepare
 
-from _reference import ref_attend, step_additive_attention
+from _reference import (composed_prepare, mul, pick, ref_attend, step_additive_attention,
+                        sum_all)
 
 
 def make_layer(seed=0, key_dim=5, query_dim=4, attn_dim=6):
     return AttentionLayer(np.random.default_rng(seed), key_dim=key_dim,
                           query_dim=query_dim, attn_dim=attn_dim, prefix="attn")
+
+
+def prepared(layer, rows, mask):
+    """The layer's checked keys over ``rows``, prepared for decoding."""
+    return prepare(layer.keys(rows, mask))
 
 
 def all_real(rows):
@@ -24,7 +30,7 @@ def all_real(rows):
 def test_identical_keys_give_uniform_weights():
     layer = make_layer()
     keys = Tensor(np.tile(np.linspace(-1, 1, 5), (1, 7, 1)))
-    weights, _ = attend(layer, layer.prepare(keys, all_real(keys)), Tensor(np.ones((1, 4))))
+    weights, _ = attend(layer, prepared(layer, keys, all_real(keys)), Tensor(np.ones((1, 4))))
     np.testing.assert_allclose(weights.data[0], np.full(7, 1.0 / 7), atol=1e-12)
 
 
@@ -39,7 +45,7 @@ def test_dominant_score_selects_its_key():
     keys[2] = 0.2  # only key 2 produces a positive score
     layer.w_key.data[:, :] = np.eye(5, layer.attn_dim)
     rows = Tensor(keys[None])
-    weights, context = attend(layer, layer.prepare(rows, all_real(rows)),
+    weights, context = attend(layer, prepared(layer, rows, all_real(rows)),
                               Tensor(np.zeros((1, 4))))
     assert weights.data[0, 2] > 0.999
     np.testing.assert_allclose(context.data[0], keys[2], atol=1e-3)
@@ -51,7 +57,7 @@ def test_matches_independent_formula_evaluation():
     keys = rng.standard_normal((6, 5))
     query = rng.standard_normal(4)
     rows = Tensor(keys[None])
-    weights, context = attend(layer, layer.prepare(rows, all_real(rows)), Tensor(query[None]))
+    weights, context = attend(layer, prepared(layer, rows, all_real(rows)), Tensor(query[None]))
     ref_w, ref_ctx = ref_attend(layer, keys, query)
     np.testing.assert_allclose(weights.data[0], ref_w, atol=1e-14)
     np.testing.assert_allclose(context.data[0], ref_ctx, atol=1e-14)
@@ -60,13 +66,13 @@ def test_matches_independent_formula_evaluation():
 def test_input_validation():
     layer = make_layer()
     with pytest.raises(DataError):
-        layer.prepare(Tensor(np.zeros((1, 0, 5))), np.ones((1, 0), dtype=bool))
+        prepared(layer, Tensor(np.zeros((1, 0, 5))), np.ones((1, 0), dtype=bool))
     with pytest.raises(DimensionError):
-        layer.prepare(Tensor(np.zeros((1, 3, 4))), np.ones((1, 3), dtype=bool))
+        prepared(layer, Tensor(np.zeros((1, 3, 4))), np.ones((1, 3), dtype=bool))
     with pytest.raises(DimensionError):
-        layer.prepare(Tensor(np.zeros(5)), np.ones(5, dtype=bool))
+        prepared(layer, Tensor(np.zeros(5)), np.ones(5, dtype=bool))
     with pytest.raises(DimensionError):
-        attend(layer, layer.prepare(Tensor(np.zeros((1, 3, 5))), np.ones((1, 3), dtype=bool)),
+        attend(layer, prepared(layer, Tensor(np.zeros((1, 3, 5))), np.ones((1, 3), dtype=bool)),
                Tensor(np.zeros((1, 5))))
 
 
@@ -74,7 +80,7 @@ def test_one_record_of_keys_broadcasts_over_query_rows():
     # a beam's live hypotheses read one image's keys as they are
     rng = np.random.default_rng(6)
     layer = make_layer(seed=6)
-    keys = layer.prepare(Tensor(rng.standard_normal((1, 4, 5))),
+    keys = prepared(layer, Tensor(rng.standard_normal((1, 4, 5))),
                          np.array([[True, False, True, True]]))
     queries = rng.standard_normal((3, 4))
     weights, context = attend(layer, keys, Tensor(queries))
@@ -83,7 +89,7 @@ def test_one_record_of_keys_broadcasts_over_query_rows():
         np.testing.assert_array_equal(weights.data[row], one_w.data[0])
         np.testing.assert_array_equal(context.data[row], one_ctx.data[0])
     assert (weights.data[:, 1] == 0.0).all()
-    two = layer.prepare(Tensor(rng.standard_normal((2, 4, 5))), np.ones((2, 4), dtype=bool))
+    two = prepared(layer, Tensor(rng.standard_normal((2, 4, 5))), np.ones((2, 4), dtype=bool))
     with pytest.raises(DimensionError, match="attend"):
         attend(layer, two, Tensor(queries))
 
@@ -95,7 +101,7 @@ def test_weights_are_distribution_and_context_in_hull(seed, n_keys):
     layer = make_layer(seed=seed)
     keys = rng.uniform(-5, 5, size=(n_keys, 5))
     rows = Tensor(keys[None])
-    weights, context = attend(layer, layer.prepare(rows, all_real(rows)),
+    weights, context = attend(layer, prepared(layer, rows, all_real(rows)),
                               Tensor(rng.uniform(-5, 5, size=(1, 4))))
     w = weights.data[0]
     assert (w >= 0).all()
@@ -115,8 +121,8 @@ def test_gradients_of_weights_and_context():
     probe = Parameter(rng.standard_normal(5), "probe")
 
     def build():
-        weights, context = step_additive_attention(layer.prepare(keys, all_real(keys)),
-                                                   query)
+        weights, context = step_additive_attention(
+            composed_prepare(layer.keys(keys, all_real(keys))), query)
         return add(sum_all(pick(weights, [2])), sum_all(mul(context, probe)))
 
     result = check_gradients("attend", build,

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cyclecap.data import BOS_ID
+from cyclecap.data import BOS_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
+from cyclecap.tensor import Tape
+from cyclecap.training import _captioner_loss, _stage2_loss
 
-from conftest import tiny_bundle
+from conftest import random_ids, tiny_bundle
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -59,17 +61,29 @@ def test_tracer_install_uninstall_round_trips():
                               (bundle.de_decoder, [regions, captions])):
             keys, state = decoder.start(rows)
             decoder.step(keys, state, np.array([BOS_ID]))
+        decode_calls = tracer.calls_by_site.copy()
+        # the taped losses reach the loss sites, so the per-layer loss
+        # metrics cannot silently read 0
+        rng = np.random.default_rng(2)
+        triple = TripleRecord("im", FeatureGrid(rng.standard_normal((3, 3))),
+                              random_ids(rng, 8, 3), random_ids(rng, 9, 2))
+        with Tape():
+            _stage2_loss(bundle, make_batch([triple]), 1.0)
+            _captioner_loss(bundle.captioner, make_batch(
+                [PairRecord(triple.image_id, triple.features, triple.en_ids)]))
     finally:
         tracer.uninstall()
     for (site, owner, attr), original in zip(sites, originals):
         assert owner.__dict__[attr] is original, site
-    assert tracer.calls_by_site["cyclecap.models.SoftAttentionDecoder.step"] == 1
-    assert tracer.calls_by_site["cyclecap.models.DualAttentionDecoder.step"] == 1
+    assert decode_calls["cyclecap.models.SoftAttentionDecoder.step"] == 1
+    assert decode_calls["cyclecap.models.DualAttentionDecoder.step"] == 1
     # one encode reaches the GRU once per direction
-    assert tracer.calls_by_site["cyclecap.models.CaptionEncoder.encode"] == 1
-    assert tracer.calls_by_site["cyclecap.models.gru_step"] == 2
+    assert decode_calls["cyclecap.models.CaptionEncoder.encode"] == 1
+    assert decode_calls["cyclecap.models.gru_step"] == 2
     # the two steps reach every head (one soft, two dual), the LSTM and the
     # output layer through the names the tracer patches
-    assert tracer.calls_by_site["cyclecap.models.attend"] == 3
-    assert tracer.calls_by_site["cyclecap.models.lstm_step"] == 2
-    assert tracer.calls_by_site["cyclecap.models.log_softmax"] == 2
+    assert decode_calls["cyclecap.models.attend"] == 3
+    assert decode_calls["cyclecap.models.lstm_step"] == 2
+    assert decode_calls["cyclecap.models.log_softmax"] == 2
+    assert tracer.calls_by_site["cyclecap.training.nll_loss"] == 2
+    assert tracer.calls_by_site["cyclecap.training.cycle_loss_graph"] == 1

@@ -5,9 +5,9 @@ from cyclecap import init
 from cyclecap.cells import GRUParams, LSTMParams, gru_step, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import Parameter, Tensor, add, mul, sum_all
+from cyclecap.tensor import Parameter, Tensor, add
 
-from _reference import ref_gru, ref_lstm, step_lstm_cell
+from _reference import mul, ref_gru, ref_lstm, step_lstm_cell, sum_all
 
 
 def zeroed(params):

@@ -172,6 +172,23 @@ def test_attn_export_checks_the_grid_before_decoding(pipeline, tmp_path, capsys,
     assert repr(first["image_id"]) in err and calls == []
 
 
+def test_attn_export_refuses_a_negative_grid(pipeline, tmp_path, capsys):
+    # (-4) x (-4) covers the 16 regions, but no heatmap has negative sides
+    data = pipeline / "data"
+    common = ["--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+              "--manifest", str(data / "manifest.jsonl"), "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        run("attn-export", *common, "--grid-rows", "-4", "--grid-cols", "-4")
+    assert exc.value.code == 2
+    assert "argument --grid-rows: invalid" in capsys.readouterr().err
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text("grid-rows: -4\ngrid-cols: -4\n", encoding="utf-8")
+    assert run("attn-export", *common, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "Traceback" not in err
+    assert not (tmp_path / "attn").exists()
+
+
 def test_attn_export_refuses_an_image_id_that_leaves_the_out_dir(pipeline, tmp_path,
                                                                    capsys):
     data = pipeline / "data"
@@ -725,6 +742,29 @@ def test_eval_replay_after_its_candidates_changed_is_io_error(pipeline, tmp_path
                "--out-dir", str(tmp_path / "rescored")) == 0
     compare_trees(scored, tmp_path / "rescored")
 
+
+
+@pytest.mark.parametrize("flag, value", [("lambda", "nan"), ("lambda", "inf"),
+                                         ("learning-rate", "nan"), ("target-nll", "nan")])
+def test_non_finite_training_setting_is_config_error(pipeline, tmp_path, capsys, flag,
+                                                     value):
+    # NaN compares false with everything, so no range check would catch it
+    data = pipeline / "data"
+    inputs = ["--manifest", str(data / "manifest.jsonl"),
+              "--part1", str(pipeline / "part1" / "part1.ckpt")]
+    # a flag would override the config file's value
+    others = [x for pair in zip(TINY_TRAIN[::2], TINY_TRAIN[1::2])
+              if pair[0] != f"--{flag}" for x in pair]
+    cfg = tmp_path / "settings.yaml"
+    cfg.write_text(f"{flag}: {value}\n", encoding="utf-8")
+    for i, source in enumerate(([f"--{flag}", value], ["--config", str(cfg)])):
+        out = tmp_path / f"out{i}"
+        capsys.readouterr()
+        assert run("train", *inputs, "--out-dir", str(out), *others, *source) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and "Traceback" not in err
+        assert flag.replace("-", "_").replace("lambda", "cycle_weight") in err
+        assert not (out / "bundle.ckpt").exists()
 
 
 def test_removed_squared_cycle_switched_on_is_config_error(pipeline, tmp_path,

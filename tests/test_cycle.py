@@ -11,7 +11,7 @@ from cyclecap.cycle import (AttentionRecord, check_conditional_independence,
                             factorized_joint, indirect_attention, parse_record,
                             record_from_joint, toy_alignment_record)
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.tensor import Parameter
+from cyclecap.tensor import Parameter, Tape
 
 
 def stochastic(rng, rows, cols):
@@ -79,6 +79,27 @@ def test_taped_and_plain_losses_agree():
                              Parameter(record.en_to_regions[None], "c"),
                              np.ones((1, len(record.de_to_regions)), dtype=bool))
     assert taped.item() == pytest.approx(cycle_loss(record), rel=1e-14)
+
+
+def test_cycle_record_takes_subgradient_zero_at_a_zero_distance():
+    # record 0 agrees with its composed attention, record 1 does not; a
+    # padded German row of record 1 is left out of its norm
+    rng = np.random.default_rng(6)
+    record = random_record(rng)
+    b = Parameter(np.stack([record.de_to_en] * 2), "b")
+    a_en = Parameter(np.stack([record.en_to_regions] * 2), "a_en")
+    agree = np.matmul(b.data, a_en.data)[0]   # as the loss composes it
+    a_de = Parameter(np.stack([agree, record.de_to_regions]), "a_de")
+    real = np.ones(a_de.shape[:2], dtype=bool)
+    real[1, -1] = False
+    with Tape() as tape:
+        loss = cycle_loss_graph(a_de, b, a_en, real)
+        tape.backward(loss)
+    diff = record.de_to_regions[:-1] - agree[:-1]
+    assert loss.item() == pytest.approx(np.sqrt((diff * diff).sum()), rel=1e-14)
+    for p in (a_de, b, a_en):
+        assert not p.grad[0].any() and p.grad[1].any()
+    assert not a_de.grad[1, -1].any()
 
 
 def test_cycle_loss_gradients_away_from_zero():

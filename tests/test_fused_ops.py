@@ -1,9 +1,12 @@
 """Fused records against the composed graphs of primitive ops that they
-replace: one GRU direction against its per-step graph, and the per-step LSTM
+replace: one GRU direction against its per-step graph; the per-step LSTM
 and attention records that ``tests/_reference.py`` keeps as the oracle of
-the one-record decoder unroll. Forward values and the gradient of every
-parameter agree to 1e-12, at B = 1 and at B = 3, with a masked key or step
-and a padded (all-zero) row.
+the one-record decoder unroll; the decoder unroll from its raw key rows,
+initial-state projections and embedding table against its composed graph;
+and the two loss records, the likelihood under dropout and the cycle loss,
+against theirs. Forward values and the gradient of every parameter agree to
+1e-12, at B = 1 and at B = 3, with a masked key or step and a padded
+(all-zero) row; at B = 3 the records take three distinct lengths.
 
 The two unroll ops compute only the real steps of a batch: their outputs at
 padded steps are exactly 0 and pass no gradient back, and a step mask that
@@ -15,11 +18,13 @@ import pytest
 from cyclecap.attention import AttentionLayer
 from cyclecap.cells import GRUParams, LSTMParams, gru_step
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import (Head, Parameter, Tape, add, decoder_unroll, gru_unroll, mul,
-                             sum_all)
+from cyclecap.cycle import cycle_loss_graph
+from cyclecap.tensor import HeadKeys, Parameter, Tape, add, decoder_unroll, gru_unroll
+from cyclecap.training import nll_loss
 
-from _reference import (composed_attend, composed_lstm_step, step_additive_attention,
-                        step_lstm_cell, stepped_gru)
+from _reference import (composed_attend, composed_cycle, composed_decoder_unroll,
+                        composed_lstm_step, composed_nll, composed_prepare, mul,
+                        step_additive_attention, step_lstm_cell, stepped_gru, sum_all)
 
 TOL = 1e-12
 
@@ -108,44 +113,112 @@ def test_attend_matches_composed(batch):
     query = operand(rng, (batch, 4), "query", batch > 1)
 
     def fused():
-        return step_additive_attention(layer.prepare(rows, mask), query)
+        return step_additive_attention(composed_prepare(layer.keys(rows, mask)), query)
 
     def composed():
-        return composed_attend(layer.prepare(rows, mask), query)
+        return composed_attend(composed_prepare(layer.keys(rows, mask)), query)
 
     assert_agree(fused, composed, dict(layer.named(), rows=rows, query=query))
     weights, _ = fused()
     assert weights.data[0, -1] == 0.0
 
 
-# --- packed steps: padding is never computed ------------------------------------
+# --- the decoder unroll and the losses, each one record ----------------------------
 
 LENGTHS = [1, 3, 4]   # distinct, shortest first, as training batches come
 
+
+def step_mask(batch, steps=4):
+    """The (B, T) mask of real steps: all four at B = 1, else ``LENGTHS``."""
+    return np.arange(steps) < np.array([steps] if batch == 1 else LENGTHS)[:, None]
+
+
+def decoder_operands(rng, batch, steps=4):
+    """(table, ids, initial, w, b, heads, params): a two-head decoder unroll's
+    operands over ``batch`` records, head 0 over 5-wide rows and head 1 over
+    2-wide ones, record 0's last key padding (its row all zero)."""
+    keys = np.ones((batch, 3), dtype=bool)
+    keys[0, -1] = False
+    table = operand(rng, (7, 3), "table")
+    ids = rng.integers(0, 7, size=(batch, steps))
+    initial = [(operand(rng, (5, 4), f"w_{half}"), operand(rng, (4,), f"b_{half}"))
+               for half in ("h0", "c0")]
+    w, b = operand(rng, (5 + 2 + 3 + 4, 16), "w"), operand(rng, (16,), "b")
+    heads = []
+    for k, d in enumerate((5, 2)):
+        rows = operand(rng, (batch, 3, d), f"rows{k}")
+        rows.data[0, -1] = 0.0
+        heads.append(HeadKeys(rows, keys, operand(rng, (d, 6), f"w_key{k}"),
+                              operand(rng, (6,), f"b{k}"), operand(rng, (6, 4), f"w_query{k}"),
+                              operand(rng, (6,), f"combine{k}")))
+    params = {x.name: x for x in (table, w, b, *sum(initial, ()))}
+    params.update((x.name, x) for head in heads for x in head if isinstance(x, Parameter))
+    return table, ids, initial, w, b, heads, params
+
+
+@pytest.mark.parametrize("states", [True, False], ids=["states", "weights-only"])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_decoder_unroll_matches_composed(batch, states):
+    # key projection, initial state, lookups, heads and LSTM in one record
+    # against the composed key side, initial state and lookup and the
+    # per-step records
+    *operands, params = decoder_operands(np.random.default_rng(50 + batch), batch)
+    mask = step_mask(batch)
+
+    def fused():
+        return decoder_unroll(*operands, mask, states=states)
+
+    def composed():
+        hidden, weights = composed_decoder_unroll(*operands, mask)
+        return ([hidden] if states else []) + weights
+
+    assert_agree(fused, composed, params)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_nll_record_matches_composed(batch):
+    # dropout, output layer, log-softmax, masked pick, sum and negation in one
+    # record, the keep mask drawn alike
+    rng = np.random.default_rng(60 + batch)
+    states = operand(rng, (4, batch, 5), "states")
+    w_out, b_out = operand(rng, (5, 9), "w_out"), operand(rng, (9,), "b_out")
+    targets, mask = rng.integers(0, 9, size=(batch, 4)), step_mask(batch)
+    assert_agree(
+        lambda: (nll_loss(states, w_out, b_out, targets, mask, 0.5,
+                          np.random.default_rng(7))[0],),
+        lambda: (composed_nll(states, w_out, b_out, targets, mask, 0.5,
+                              np.random.default_rng(7)),),
+        dict(states=states, w_out=w_out, b_out=b_out))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_cycle_record_matches_composed(batch):
+    rng = np.random.default_rng(70 + batch)
+    attention = [operand(rng, shape, name) for shape, name in (
+        ((batch, 4, 3), "de_to_regions"), ((batch, 4, 5), "de_to_en"),
+        ((batch, 5, 3), "en_to_regions"))]
+    mask = step_mask(batch)
+    assert_agree(lambda: (cycle_loss_graph(*attention, mask),),
+                 lambda: (composed_cycle(*attention, mask),),
+                 {x.name: x for x in attention})
+
+
+# --- packed steps: padding is never computed ------------------------------------
 
 def unroll_case(kind, mask):
     """(build, params, padded): one unroll op over three records and four
     steps under the step ``mask``; ``build()`` returns its outputs and
     ``padded`` gives, per output, the boolean index of its padded steps."""
     rng, batch, steps = np.random.default_rng(40), 3, 4
-    embedded = operand(rng, (steps, batch, 3), "embedded")
     if kind.startswith("gru"):
+        embedded = operand(rng, (steps, batch, 3), "embedded")
         cell = GRUParams(rng, 3, 4, "gru")
         return (lambda: [gru_unroll(embedded, cell.w, cell.u, cell.b, mask,
                                     reverse=kind == "gru-reverse")],
                 dict(cell.named(), embedded=embedded), [~mask])
-    keys = np.ones((batch, 3), dtype=bool)
-    keys[0, -1] = False
-    h, c = operand(rng, (batch, 4), "h"), operand(rng, (batch, 4), "c")
-    w, b = operand(rng, (5 + 2 + 3 + 4, 16), "w"), operand(rng, (16,), "b")
-    heads = [Head(operand(rng, (3, batch, 6), f"projected{k}"),
-                  operand(rng, (batch, 3, d), f"rows{k}"), keys,
-                  operand(rng, (4, 6), f"w_query_t{k}"), operand(rng, (6,), f"combine{k}"))
-             for k, d in enumerate((5, 2))]
-    params = dict(embedded=embedded, h=h, c=c, w=w, b=b)
-    params.update((x.name, x) for head in heads for x in head if isinstance(x, Parameter))
+    *operands, params = decoder_operands(rng, batch, steps)
     states = kind == "decoder"
-    return (lambda: list(decoder_unroll(embedded, h, c, w, b, heads, mask, states=states)),
+    return (lambda: list(decoder_unroll(*operands, mask, states=states)),
             params, ([~mask.T] if states else []) + [~mask, ~mask])
 
 

@@ -10,15 +10,15 @@ from cyclecap.checks import check_gradients
 from cyclecap.data import BOS_ID, PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.errors import DataError, FormatError, NumericError, StateError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
-                             ModelDims, init_state,
-                             load_bundle, load_captioner, load_checkpoint,
+                             ModelDims, load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tape, Tensor, add, masked_mean, mul, sum_all
+from cyclecap.tensor import Parameter, Tape, Tensor, add, initial_state, pool
 from cyclecap.training import _captioner_loss, nll_loss
 
-from _reference import (ref_captioner_sequence, ref_encode_caption,
-                        ref_german_sequence, stepped_encode, stepped_unroll)
+from _reference import (composed_init_state, mul, ref_captioner_sequence,
+                        ref_encode_caption, ref_german_sequence, stepped_encode,
+                        stepped_unroll, sum_all)
 from conftest import random_ids, tiny_bundle, tiny_captioner
 
 
@@ -54,9 +54,9 @@ def test_teacher_forced_loglik_matches_reference():
     grid = rand_grid(rng)
     ids = random_ids(rng, 8, 4)
     batch = np.array([ids])
-    states, (rows,) = unroll(model.decoder,
-                             model.decoder.start([model.project(grid.values[None])]), batch)
-    loss, ntok = nll_loss(model.decoder.emit(states), batch[:, 1:],
+    dec = model.decoder
+    states, (rows,) = unroll(dec, [model.project(grid.values[None])], None, batch)
+    loss, ntok = nll_loss(states, dec.w_out, dec.b_out, batch[:, 1:],
                           np.ones((1, len(ids) - 1), dtype=bool))
     ref_total, ref_rows = ref_captioner_sequence(model, grid.values, ids)
     assert ntok == len(ids) - 1
@@ -186,11 +186,11 @@ def test_german_sequence_matches_reference():
     grid = rand_grid(rng)
     en_ids = random_ids(rng, 8, 4)
     de_ids = random_ids(rng, 9, 3)
-    start = bundle.de_decoder.start([bundle.captioner.project(grid.values[None]),
-                                     bundle.cap_encoder.encode(np.array([en_ids[1:]]))])
-    batch = np.array([de_ids])
-    states, (region_rows, caption_rows) = unroll(bundle.de_decoder, start, batch)
-    loss, _ = nll_loss(bundle.de_decoder.emit(states), batch[:, 1:],
+    rows = [bundle.captioner.project(grid.values[None]),
+            bundle.cap_encoder.encode(np.array([en_ids[1:]]))]
+    batch, dec = np.array([de_ids]), bundle.de_decoder
+    states, (region_rows, caption_rows) = unroll(dec, rows, None, batch)
+    loss, _ = nll_loss(states, dec.w_out, dec.b_out, batch[:, 1:],
                        np.ones((1, len(de_ids) - 1), dtype=bool))
     ref_total, ref_regions, ref_captions = ref_german_sequence(
         bundle, grid.values, en_ids, de_ids)
@@ -252,15 +252,14 @@ def split_triples(batch_size):
 
 
 def decoder_setup(bundle, batch, which):
-    """(decoder, start, caption ids) of one decoder over a padded batch."""
+    """(decoder, key rows, their masks, caption ids) of one decoder over a
+    padded batch."""
     regions = bundle.captioner.project(batch.features)
     if which == "soft":
-        dec = bundle.captioner.decoder
-        return dec, dec.start([regions], [batch.region_mask]), batch.en_ids
+        return bundle.captioner.decoder, [regions], [batch.region_mask], batch.en_ids
     cap_mask = batch.en_mask[:, 1:]
     states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
-    dec = bundle.de_decoder
-    return (dec, dec.start([regions, states], [batch.region_mask, cap_mask]),
+    return (bundle.de_decoder, [regions, states], [batch.region_mask, cap_mask],
             batch.de_ids)
 
 
@@ -271,11 +270,11 @@ def test_unroll_then_emit_equals_stepping(which, batch_size):
     batch = make_batch(split_triples(batch_size))
     if batch_size == 3:
         assert not batch.region_mask.all() and batch.en_ids[2, -1] == PAD_ID
-    dec, start, ids = decoder_setup(bundle, batch, which)
-    states, weights = unroll(dec, start, ids)
+    dec, rows, masks, ids = decoder_setup(bundle, batch, which)
+    states, weights = unroll(dec, rows, masks, ids)
     log_probs = dec.emit(states)
     assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.vocab_size)
-    keys, state = start
+    keys, state = dec.start(rows, masks)
     # stepping runs through padding and the unroll does not: real steps only
     for t in range(ids.shape[1] - 1):
         real = ids[:, t + 1] != PAD_ID
@@ -310,54 +309,54 @@ def test_stage_one_dropout_is_one_mask_per_step():
 
 @pytest.mark.parametrize("which", ["soft", "dual"])
 def test_unroll_records_do_not_depend_on_caption_length(which):
-    # the lookup and the whole unroll, heads and LSTM over every step, are
-    # one record each
+    # the whole unroll, key projection, initial state, lookups, heads and
+    # LSTM over every step, is one record
     bundle = tiny_bundle(seed=26)
     batch = make_batch(split_triples(3))
-    dec, start, _ = decoder_setup(bundle, batch, which)
+    dec, rows, masks, _ = decoder_setup(bundle, batch, which)
     counts = set()
     for steps in (3, 7):
         ids = np.random.default_rng(steps).integers(4, 8, size=(3, steps + 1))
         with Tape() as tape:
-            unroll(dec, start, ids)
+            unroll(dec, rows, masks, ids)
         counts.add(len(tape))
-    assert counts == {2}
+    assert counts == {1}
 
 
 def taped_unroll(bundle, batch, which, run):
-    """Outputs, parameter gradients and start-tensor gradients of one taped
-    ``run(decoder, start, ids) -> outputs``, read through fixed probes."""
+    """Outputs, parameter gradients and key-row gradients of one taped
+    ``run(decoder, rows, masks, ids) -> outputs``, read through fixed
+    probes."""
     params = bundle.named_parameters()
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
-        dec, start, ids = decoder_setup(bundle, batch, which)
-        outputs = run(dec, start, ids)
+        dec, rows, masks, ids = decoder_setup(bundle, batch, which)
+        outputs = run(dec, rows, masks, ids)
         probes = np.random.default_rng(99)
         terms = [sum_all(mul(o, Tensor(probes.standard_normal(o.shape)))) for o in outputs]
         tape.backward(reduce(add, terms))
-    keys, state = start
-    inputs = [*state, *(t for k in keys for t in (k.projected, k.rows, k.w_query_t))]
     return ([o.data for o in outputs], {k: p.grad.copy() for k, p in params.items()},
-            [t.grad for t in inputs])
+            [r.grad for r in rows])
 
 
 @pytest.mark.parametrize("states", [True, False], ids=["states", "weights-only"])
 @pytest.mark.parametrize("which", ["soft", "dual"])
 @pytest.mark.parametrize("batch_size", [1, 3, "3-ascending"])
 def test_unroll_matches_the_per_step_graph(which, batch_size, states):
-    # the one-record unroll against the per-step records it replaced, their
-    # outputs zeroed at padded steps: values and the gradient of every
-    # parameter and of every input it reads
+    # the one-record unroll against the composed key projection, initial
+    # state and lookup and the per-step records it replaced, their outputs
+    # zeroed at padded steps: values and the gradient of every parameter and
+    # of the key rows it reads
     bundle = tiny_bundle(seed=27)
     batch = make_batch(split_triples(batch_size))
 
-    def one_record(dec, start, ids):
-        hidden, weights = unroll(dec, start, ids, states=states)
+    def one_record(dec, rows, masks, ids):
+        hidden, weights = unroll(dec, rows, masks, ids, states=states)
         return ([hidden] if states else []) + weights
 
-    def per_step(dec, start, ids):
-        hidden, weights = stepped_unroll(dec, start, ids, ids[:, 1:] != PAD_ID)
+    def per_step(dec, rows, masks, ids):
+        hidden, weights = stepped_unroll(dec, rows, masks, ids, ids[:, 1:] != PAD_ID)
         return ([hidden] if states else []) + weights
 
     got, want = taped_unroll(bundle, batch, which, one_record), \
@@ -409,10 +408,10 @@ def initial_pairs(rng):
 def test_init_state_zero_rows_gives_tanh_bias():
     rng = np.random.default_rng(15)
     initial = initial_pairs(rng)
-    out = init_state(Tensor(np.zeros((1, 5, 3))), np.ones((1, 5), dtype=bool), initial)
+    out = initial_state(pool(np.zeros((1, 5, 3)), np.ones((1, 5), dtype=bool)), initial)
     assert len(out) == 2
     for half, (_, b) in zip(out, initial):
-        np.testing.assert_allclose(half.data[0], np.tanh(b.data), atol=1e-14)
+        np.testing.assert_allclose(half[0], np.tanh(b.data), atol=1e-14)
 
 
 def test_init_state_permutation_invariant():
@@ -420,25 +419,32 @@ def test_init_state_permutation_invariant():
     initial = initial_pairs(rng)
     rows = rng.standard_normal((1, 5, 3))
     real = np.ones((1, 5), dtype=bool)
-    a = init_state(Tensor(rows), real, initial)
-    c = init_state(Tensor(rows[:, ::-1].copy()), real, initial)
+    a = initial_state(pool(rows, real), initial)
+    c = initial_state(pool(rows[:, ::-1].copy(), real), initial)
     for x, y in zip(a, c, strict=True):
-        np.testing.assert_allclose(x.data, y.data, atol=1e-14)
+        np.testing.assert_allclose(x, y, atol=1e-14)
 
 
 def test_init_state_gradients():
+    # the composed initial state is the oracle of the unroll's, so check it
+    # against finite differences, over a padded row
     rng = np.random.default_rng(17)
     initial = initial_pairs(rng)
-    rows = Parameter(rng.standard_normal((1, 5, 3)), "rows")
-    real = np.ones((1, 5), dtype=bool)
+    rows = Parameter(rng.standard_normal((2, 5, 3)), "rows")
+    real = np.ones((2, 5), dtype=bool)
+    real[0, -2:] = False
 
     def build():
-        h, c = init_state(rows, real, initial)
+        h, c = composed_init_state(rows, real, initial)
         return add(sum_all(h), sum_all(mul(c, c)))
 
     params = {x.name: x for pair in initial for x in pair}
     result = check_gradients("init", build, dict(params, rows=rows))
     assert result.max_error < 1e-3
+    assert not rows.grad[0, -2:].any()
+    np.testing.assert_allclose(
+        composed_init_state(rows, real, initial)[0].data,
+        initial_state(pool(rows.data, real), initial)[0], rtol=0, atol=1e-15)
 
 
 def test_start_pools_the_regions_once(monkeypatch):
@@ -446,8 +452,7 @@ def test_start_pools_the_regions_once(monkeypatch):
     bundle = tiny_bundle(seed=33)
     regions = bundle.captioner.project(np.ones((2, 3, 3)))
     calls = []
-    monkeypatch.setattr(models, "masked_mean",
-                        lambda *args: calls.append(args) or masked_mean(*args))
+    monkeypatch.setattr(models, "pool", lambda *args: calls.append(args) or pool(*args))
     captions = bundle.cap_encoder.encode(np.array([[4, 5], [6, 2]]))
     for decoder, rows in ((bundle.captioner.decoder, [regions]),
                           (bundle.de_decoder, [regions, captions])):

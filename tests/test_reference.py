@@ -1,8 +1,10 @@
 """The oracles in ``tests/_reference.py`` that the package no longer
 carries are checked here, so that what the fused ops are compared against
 stays verified: ``masked_softmax``, which the composed attention graph is
-built from, and ``stack`` and ``unstack``, which the per-step graphs are
-built from, against hand values and central finite differences."""
+built from, ``stack`` and ``unstack``, which the per-step graphs are built
+from, and the primitives that the composed key side, initial state and
+losses are built from, against hand values and central finite
+differences."""
 
 import math
 
@@ -14,9 +16,10 @@ from hypothesis.extra.numpy import arrays
 
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import Parameter, Tape, Tensor, mul, sum_all
+from cyclecap.tensor import Parameter, Tape, Tensor
 
-from _reference import masked_softmax, stack, unstack
+from _reference import (batch_matmul, dropout, frobenius, masked_mean, masked_softmax, mul,
+                        pick, stack, sub, sum_all, transpose, unstack)
 
 
 def all_real(scores):
@@ -99,3 +102,41 @@ def test_stack_and_unstack_gradients_match_finite_differences():
             ("unstack-unused-slice", unstack_loss, {"seq": seq})):
         result = check_gradients(name, build, params)
         assert result.max_error < 1e-3, (name, result.errors)
+
+
+def test_moved_primitive_gradients_match_finite_differences():
+    # each away from any non-smooth point; the masked ops see a padded row,
+    # so their zero gradients are checked too
+    rng = np.random.default_rng(2)
+
+    def p(shape, name):
+        return Parameter(rng.uniform(-0.8, 0.8, size=shape), name)
+
+    v, w, t3, u3, x2, probe = p((4,), "v"), p((4,), "w"), p((2, 3, 4), "t3"), \
+        p((2, 4, 3), "u3"), p((2, 4), "x2"), p((2, 3), "probe")
+    real = np.array([[True, True, False], [True, True, True]])   # (B, K)
+
+    def seeded_dropout():
+        return sum_all(mul(dropout(v, 0.5, np.random.default_rng(123)), w))
+
+    cases = [
+        ("mul", lambda: sum_all(mul(v, w)), {"v": v, "w": w}),
+        ("sub", lambda: sum_all(mul(sub(v, w), sub(v, w))), {"v": v, "w": w}),
+        ("batch_matmul", lambda: sum_all(mul(batch_matmul(t3, u3), batch_matmul(t3, u3))),
+         {"t3": t3, "u3": u3}),
+        ("batch_matmul-rows", lambda: sum_all(mul(batch_matmul(x2, u3), probe)),
+         {"x2": x2, "u3": u3, "probe": probe}),
+        ("transpose", lambda: sum_all(mul(transpose(t3, (1, 0, 2)), transpose(t3, (1, 0, 2)))),
+         {"t3": t3}),
+        ("dropout", seeded_dropout, {"v": v, "w": w}),
+        ("masked_mean-padded-row", lambda: sum_all(mul(masked_mean(t3, real), x2)),
+         {"t3": t3, "x2": x2}),
+        ("frobenius-padded-row", lambda: sum_all(frobenius(t3, real)), {"t3": t3}),
+        ("pick", lambda: pick(mul(v, w), 3), {"v": v, "w": w}),
+        ("pick-masked", lambda: sum_all(mul(pick(t3, [[0, 3, 1], [2, 2, 3]], real), probe)),
+         {"t3": t3, "probe": probe}),
+    ]
+    for name, build, params in cases:
+        result = check_gradients(name, build, params)
+        assert result.max_error < 1e-3, (name, result.errors)
+    assert not t3.grad[0, 2].any()   # pick-masked: the padded row of record 0

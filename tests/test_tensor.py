@@ -7,12 +7,12 @@ from cyclecap.attention import AttentionLayer, attend
 from cyclecap.cells import LSTMParams, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Parameter, Tape, Tensor, _sigmoid, add, concat, dropout,
-                             embedding_lookup, frobenius, log_softmax, masked_mean,
-                             matmul, mul, pick, scale, sub, sum_all)
+from cyclecap.tensor import (Parameter, Tape, Tensor, _sigmoid, add, concat,
+                             embedding_lookup, log_softmax, matmul, prepare, scale)
 
-from _reference import (masked_softmax, split_sigmoid, stack, step_additive_attention,
-                        step_lstm_cell, unstack)
+from _reference import (composed_prepare, dropout, frobenius, masked_mean, masked_softmax,
+                        mul, pick, split_sigmoid, stack, step_additive_attention,
+                        step_lstm_cell, sub, sum_all, unstack)
 
 
 def test_matmul_identity():
@@ -168,13 +168,14 @@ def test_decode_step_ops_refuse_an_active_tape():
     x, h, c = (Tensor(rng.standard_normal((2, n))) for n in (3, 4, 4))
     corrupt = Tensor(h.data)
     corrupt.data = np.where(np.eye(2, 4) > 0, np.nan, h.data)  # as if from downstream
-    keys = layer.prepare(Tensor(rng.standard_normal((2, 3, 4))),
-                         np.array([[True, True, False], [True, True, True]]))
+    keys = layer.keys(Tensor(rng.standard_normal((2, 3, 4))),
+                      np.array([[True, True, False], [True, True, True]]))
+    head = prepare(keys)
     for op, reference, args, bad in (
             (lambda *a: lstm_step(cell, *a), lambda *a: step_lstm_cell(*a, cell.w, cell.b),
              ([x], h, c), ([x], corrupt, c)),
-            (lambda *a: attend(layer, *a), step_additive_attention, (keys, h),
-             (keys, corrupt))):
+            (lambda q: attend(layer, head, q),
+             lambda q: step_additive_attention(composed_prepare(keys), q), (h,), (corrupt,))):
         for got, want in zip(op(*args), reference(*args), strict=True):
             np.testing.assert_array_equal(got.data, want.data)
         with Tape() as tape:

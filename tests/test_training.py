@@ -9,7 +9,7 @@ from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_b
                            pairs_from_triples)
 from cyclecap.errors import ConfigError, DataError, DimensionError
 from cyclecap.models import load_bundle, save_bundle
-from cyclecap.tensor import Tape, Tensor, log_softmax
+from cyclecap.tensor import Parameter, Tape, Tensor
 from cyclecap.training import (TrainConfig, _stage2_loss, nll_loss, pretrain_part1,
                                train_part2)
 
@@ -54,23 +54,52 @@ def test_a_taped_stage_two_loss_computes_only_real_steps(monkeypatch):
                     "_sigmoid": lstm + 2 * en}
 
 
+def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch):
+    # each unroll, key projection, initial state and lookups included, is one
+    # record, and so is each loss; counted at _fit's backward over a
+    # mixed-length batch at lambda 1 with dropout, part 1 unfrozen. Stage two
+    # records the projection (3), the encoder (lookup, two GRU directions,
+    # concat), the two unrolls, the two losses, lambda's scale and add, and
+    # the mean's scale; stage one the projection, its unroll, its loss and
+    # the mean's scale.
+    rng = np.random.default_rng(5)
+    triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
+                            random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
+               for i, (regions, en_len, de_len) in enumerate([(4, 9, 7), (4, 3, 2),
+                                                              (4, 6, 10), (4, 1, 4)])]
+    taped = []
+    backward = tensor.Tape.backward
+    monkeypatch.setattr(tensor.Tape, "backward",
+                        lambda tape, loss: taped.append(len(tape)) or backward(tape, loss))
+    cfg = quick_cfg(max_epochs=1, patience=1, batch_size=4, dropout=0.5, cycle_weight=1.0,
+                    hidden_dim=4, embed_dim=4, attn_dim=4, proj_dim=4)
+    en_vocab, de_vocab = Vocabulary([f"e{i}" for i in range(4)]), \
+        Vocabulary([f"d{i}" for i in range(5)])
+    captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 3, cfg)
+    train_part2(triples, captioner, en_vocab, de_vocab, cfg)
+    stage1, stage2 = taped
+    assert stage1 <= 8 and stage2 <= 15, taped
+
+
 # --- loss -----------------------------------------------------------------------
 
 def batch_nll(rows, targets):
-    """nll_loss of one record: its (vocab,) log-prob rows stacked into a
-    (T, 1, vocab) tensor, PAD targets masked."""
+    """nll_loss of one record whose states are its (vocab,) logit rows,
+    stacked into a (T, 1, vocab) tensor, through an identity output layer;
+    PAD targets masked."""
     targets = np.array([targets])
-    return nll_loss(Tensor(np.stack([r.data for r in rows])[:, None]), targets,
-                    targets != PAD_ID)
+    vocab = len(rows[0])
+    return nll_loss(Tensor(np.stack(rows)[:, None]), Parameter(np.eye(vocab), "w_out"),
+                    Parameter(np.zeros(vocab), "b_out"), targets, targets != PAD_ID)
 
 
 def test_nll_zero_when_model_is_certain():
-    # a log-prob row that puts probability ~1 on the target
+    # a logit row that puts probability ~1 on the target
     rows = []
     for _ in range(3):
         logits = np.full(6, -1e3)
         logits[4] = 0.0
-        rows.append(log_softmax(Tensor(logits)))
+        rows.append(logits)
     loss, count = batch_nll(rows, [4, 4, 4])
     assert count == 3
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
@@ -78,7 +107,7 @@ def test_nll_zero_when_model_is_certain():
 
 def test_nll_uniform_model_gives_t_log_k():
     k, t = 7, 5
-    rows = [log_softmax(Tensor(np.zeros(k))) for _ in range(t)]
+    rows = [np.zeros(k) for _ in range(t)]
     loss, _ = batch_nll(rows, [3] * t)
     assert loss.item() == pytest.approx(t * math.log(k), rel=1e-12)
 
@@ -92,14 +121,14 @@ def test_nll_matches_independent_summation():
         shifted = logits - logits.max()
         logp = shifted - np.log(np.exp(shifted).sum())
         expected -= logp[target]
-        rows.append(log_softmax(Tensor(logits)))
+        rows.append(logits)
         targets.append(target)
     loss, _ = batch_nll(rows, targets)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_nll_excludes_pad_positions():
-    rows = [log_softmax(Tensor(np.zeros(4))) for _ in range(4)]
+    rows = [np.zeros(4) for _ in range(4)]
     full, n_full = batch_nll(rows, [1, 2, 1, 2])
     masked, n_masked = batch_nll(rows, [1, 2, PAD_ID, PAD_ID])
     assert (n_full, n_masked) == (4, 2)
@@ -120,6 +149,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(cycle_weight=-1.0).check()
     TrainConfig().check()
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "cycle_weight", "target_nll"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_settings_are_config_errors(name, value):
+    # NaN compares false with everything: a NaN lambda would silently train
+    # the lambda-0 baseline, a NaN learning rate fail mid-epoch
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value}).check()
 
 
 # --- pretraining -------------------------------------------------------------------
