@@ -13,7 +13,7 @@ rows and hands them on with the layer's parameters as one
 record for every head over a whole teacher-forced caption, which prepares
 it inside. Decoding prepares it once (``tensor.prepare``) into a
 ``tensor.Head`` of arrays, and a decode step, score, masked softmax and
-context, is ``attend``, which records nothing. Both run the same step math,
+context, is ``attend``, on arrays in and out. Both run the same step math,
 ``tensor.attention_arrays``.
 
 Keys come batched, (B, K, key_dim), with a (B, K) boolean mask of real rows,
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import Head, HeadKeys, Parameter, Tensor, attention_arrays, finite, refuse_tape
+from .tensor import Head, HeadKeys, Parameter, Tensor, attention_arrays, finite
 
 
 class AttentionLayer:
@@ -69,22 +69,21 @@ class AttentionLayer:
         return HeadKeys(rows, mask, self.w_key, self.b, self.w_query, self.combine)
 
 
-def attend(layer: AttentionLayer, keys: Head, query: Tensor) -> tuple[Tensor, Tensor]:
-    """Score every key row against the query and mix the rows by softmax
-    weight, for one decode step of L query rows (it raises StateError under
-    a tape); returns the (L, K) weights, 0 on masked keys and each row
-    summing to 1, and the (L, key_dim) contexts, each inside the hull of its
-    record's real key rows.
+def attend(layer: AttentionLayer, keys: Head,
+           query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score every key row against the (L, query_dim) query array and mix
+    the rows by softmax weight, for one decode step of L query rows; returns
+    the (L, K) weights, 0 on masked keys and each row summing to 1, and the
+    (L, key_dim) contexts, each inside the hull of its record's real key
+    rows.
 
     ``keys`` is ``tensor.prepare`` of ``layer.keys`` over L records, one per
     query row, or over one record that every row reads (one image's keys for
     a beam's live hypotheses), which numpy broadcasts over the rows.
     """
-    qd = query.data
-    if qd.ndim != 2 or qd.shape[1] != layer.query_dim \
-            or keys.rows.shape[0] not in (1, qd.shape[0]):
+    if query.ndim != 2 or query.shape[1] != layer.query_dim \
+            or keys.rows.shape[0] not in (1, query.shape[0]):
         raise DimensionError(f"attend: query {query.shape} does not match layer "
                              f"(query_dim={layer.query_dim}) and keys {keys.rows.shape}")
-    refuse_tape("attend")
-    _, weights, context = attention_arrays(keys, qd)
+    _, weights, context = attention_arrays(keys, query)
     return finite("attend", weights, context)

@@ -12,7 +12,7 @@ bias belongs to gate ``GATES[k]``.
   tape record, its inputs are projected through ``w`` in one product, and
   each weight gradient is one product over all T * B rows. The caption
   encoder calls it once per direction.
-* An LSTM step (``lstm_step``) serves decoding only and records nothing.
+* An LSTM step (``lstm_step``) serves decoding only, on arrays in and out.
   Training runs the decoder's LSTM inside ``tensor.decoder_unroll``, one
   record per unroll in the same way, on the same ``tensor.lstm_arrays``.
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import init
 from .errors import DimensionError
-from .tensor import Parameter, Tensor, finite, gru_unroll, lstm_arrays, refuse_tape
+from .tensor import Parameter, Tensor, finite, gru_unroll, lstm_arrays
 
 
 class GatedParams:
@@ -83,26 +83,24 @@ class LSTMParams(GatedParams):
         self.w = Parameter(np.vstack([w_in, w_hid]), f"{prefix}/w")
 
 
-def lstm_step(p: LSTMParams, inputs: Sequence[Tensor], h_prev: Tensor,
-              c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM decode step on the input x, the concatenation of ``inputs``
-    (a decoder's contexts and word embedding) on the leading axes of the
-    states; returns (h, c). Decoding only: it raises StateError under a tape.
+def lstm_step(p: LSTMParams, inputs: Sequence[np.ndarray], h_prev: np.ndarray,
+              c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM decode step on the input x, the concatenation of the arrays
+    ``inputs`` (a decoder's contexts and word embedding) on the leading axes
+    of the states; returns the arrays (h, c).
 
         a = [x; h_prev] @ w + b
         i, f, o = sigmoid(a[:3H]) in three blocks,  g = tanh(a[3H:])
         c = f * c_prev + i * g,  h = o * tanh(c)
     """
-    hd, cd = h_prev.data, c_prev.data
-    parts = [x.data for x in inputs] + [hd]
-    if cd.shape != hd.shape or hd.shape[-1:] != (p.hidden_size,) \
-            or any(x.ndim != hd.ndim or x.shape[:-1] != hd.shape[:-1] for x in parts) \
+    parts = [*inputs, h_prev]
+    if c_prev.shape != h_prev.shape or h_prev.shape[-1:] != (p.hidden_size,) \
+            or any(x.ndim != h_prev.ndim or x.shape[:-1] != h_prev.shape[:-1] for x in parts) \
             or sum(x.shape[-1] for x in parts) != p.w.shape[0]:
         raise DimensionError(f"lstm_step: inputs {[x.shape for x in inputs]}, h "
                              f"{h_prev.shape} and c {c_prev.shape} misfit {p.w.shape}")
-    refuse_tape("lstm_step")
     _, _, c, _, h = lstm_arrays(np.matmul(np.concatenate(parts, axis=-1), p.w.data)
-                                + p.b.data, cd)
+                                + p.b.data, c_prev)
     return finite("lstm_step", h, c)
 
 

@@ -27,8 +27,7 @@ from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
 from .models import ImageCaptioner, ModelBundle, ModelDims, unroll
 from .tensor import (HeadKeys, Parameter, Tape, Tensor, add, concat,
-                     decoder_unroll, embedding_lookup, gru_unroll, log_softmax, matmul,
-                     scale, tanh)
+                     decoder_unroll, embedding_lookup, gru_unroll, matmul, scale, tanh)
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -132,7 +131,6 @@ def _primitive_cases(rng: np.random.Generator):
         ("scale", lambda: _probed([scale(v, 2.5)]), {"v": v}),
         ("concat", lambda: _probed([concat([v, w])]), {"v": v, "w": w}),
         ("concat-last-axis", lambda: _probed([concat([m, a])]), {"m": m, "a": a}),
-        ("log_softmax", lambda: _probed([log_softmax(m)]), {"m": m}),
         ("tanh", lambda: _probed([tanh(v)]), {"v": v}),
         ("embedding-lookup", lambda: _probed([embedding_lookup(table, [0, 2, 2, 4])]),
          {"table": table}),

@@ -35,6 +35,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -46,7 +47,7 @@ from .data import (FeatureGrid, ManifestEntry, TripleRecord, Vocabulary,
                    read_jsonl, read_manifest, text_field)
 from .errors import (ConfigError, CycleCapError, DataError, FormatError,
                      NumericError)
-from .inference import beam_decode, caption_image, decoder_step_fn
+from .inference import beam_decode, caption_image
 from .models import (ModelBundle, load_bundle, load_captioner, load_model,
                      save_bundle, save_captioner, teacher_forced_records)
 from .training import TrainConfig, pretrain_part1, train_part2
@@ -140,7 +141,9 @@ def _refuse_retired(values: dict, path) -> None:
 
 
 def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
-    """defaults < config file < explicit flags, as a flat dict."""
+    """defaults < config file < explicit flags, as a flat dict. A config key
+    that no subcommand has an option for is a ConfigError; one that only
+    other subcommands read is ignored."""
     config = {}
     if args.config:
         path = args.config
@@ -152,6 +155,11 @@ def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> 
             raise ConfigError(f"{path}: config must be a key/value tree")
         config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
         _refuse_retired(config, path)
+        known = {opt.key for _, _, opts in SUBCOMMANDS.values() for opt in opts}
+        unknown = sorted(set(config) - known - set(RETIRED))
+        if unknown:
+            raise ConfigError(f"{path}: no subcommand has a setting "
+                              f"{', '.join(map(repr, unknown))}")
     settings = {}
     for opt in options:
         value = getattr(args, opt.key)
@@ -369,7 +377,7 @@ def run_infer(settings: dict, out_dir: Path) -> None:
         def decode(entry):
             grid = _load_grid(manifest, entry, model.dims.feature_dim)
             keys, state = decoder.start([model.project(grid.values[None])])
-            res = beam_decode(decoder_step_fn(decoder, keys), state,
+            res = beam_decode(partial(decoder.step, keys), state,
                               beam_size=beam_size, max_len=max_len)
             rec = {"image_id": entry.image_id, "en": "", "de": "",
                    "en_truncated": False, "de_truncated": False}

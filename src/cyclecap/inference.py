@@ -1,8 +1,8 @@
 """Two-stage inference: image -> English caption -> German caption.
 
-Both decoders use the same beam search through the same adapter:
-``decoder_step_fn(decoder, keys)`` turns a decoder's ``step`` over the keys
-its ``start`` prepared for one image into the search's ``step_fn``. Scores
+Both decoders use the same beam search: a decoder's ``step`` over the keys
+its ``start`` prepared for one image, ``functools.partial(decoder.step,
+keys)``, is the search's ``step_fn``, arrays in and out. Scores
 are plain summed token log-probabilities (no length normalization);
 hypotheses that emit EOS are retired, and a hypothesis that hits the length
 cap without EOS is discarded unless nothing finished, in which case the
@@ -37,6 +37,7 @@ for the rest of a search once ``step_fn`` returns a score above 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -44,8 +45,7 @@ import numpy as np
 from .cycle import AttentionRecord
 from .data import BOS_ID, EOS_ID, FeatureGrid
 from .errors import ConfigError
-from .models import AttentionDecoder, Keys, ModelBundle
-from .tensor import Tensor
+from .models import ModelBundle
 
 StepFn = Callable[[Any, np.ndarray], tuple[np.ndarray, Any, tuple[np.ndarray, ...]]]
 
@@ -59,12 +59,10 @@ class DecodeResult:
 
 
 def _take(state: Any, rows: np.ndarray) -> Any:
-    """The state of rows ``rows``: each Tensor or array indexed on its first
-    axis, a tuple item by item; anything else is shared by every row."""
+    """The state of rows ``rows``: each array indexed on its first axis, a
+    tuple item by item; anything else is shared by every row."""
     if isinstance(state, tuple):
         return tuple(_take(s, rows) for s in state)
-    if isinstance(state, Tensor):
-        return Tensor(state.data[rows], _unchecked=True)
     if isinstance(state, np.ndarray):
         return state[rows]
     return state
@@ -148,18 +146,6 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
     return DecodeResult(tuple(seq[::-1]), -neg, tuple(attn[::-1]), truncated)
 
 
-def decoder_step_fn(decoder: AttentionDecoder, keys: Keys) -> StepFn:
-    """Beam-search step of either decoder over the ``keys`` its ``start``
-    prepared for one image: the batched step over the live hypotheses, each
-    reading the image's keys."""
-
-    def step(state, prev):
-        logp, state, weights = decoder.step(keys, state, prev)
-        return logp.data, state, tuple(w.data for w in weights)
-
-    return step
-
-
 @dataclass(frozen=True)
 class CaptionResult:
     en_ids: tuple[int, ...]
@@ -179,12 +165,12 @@ def caption_image(bundle: ModelBundle, grid: FeatureGrid, *, beam_size: int = 3,
     regions = bundle.captioner.project(grid.values[None])
     en_decoder = bundle.captioner.decoder
     keys, state = en_decoder.start([regions])
-    en_res = beam_decode(decoder_step_fn(en_decoder, keys), state,
+    en_res = beam_decode(partial(en_decoder.step, keys), state,
                          beam_size=beam_size, max_len=max_len)
     cap_states = bundle.cap_encoder.encode(np.array([en_res.tokens]))
     de_decoder = bundle.de_decoder
     keys, state = de_decoder.start([regions, cap_states])
-    de_res = beam_decode(decoder_step_fn(de_decoder, keys), state,
+    de_res = beam_decode(partial(de_decoder.step, keys), state,
                          beam_size=beam_size, max_len=max_len)
 
     record = AttentionRecord(

@@ -20,13 +20,14 @@ those keys, the embedding table and the initial-state projections to one
 keys, pools the initial state and looks up the previous words inside it.
 ``stage2_forward`` is the one teacher-forced pass of the German stage, and
 ``teacher_forced_records`` runs it, attention only, over a batch of gold
-triples. Decoding goes step by step and never runs backward: ``start(rows,
-masks)`` prepares the keys once and pools the initial LSTM state, with the
-array functions the unroll runs (``tensor.prepare``, ``tensor.pool``,
-``tensor.initial_state``), and ``step(keys, state, y_prev)`` looks up the
-previous words, runs the heads (``attend``) and the LSTM (``lstm_step``)
-and ``emit``s log-probs; it raises StateError under a tape. The training
-loss reads the output layer inside its own record (``training.nll_loss``).
+triples. Decoding goes step by step and never runs backward, so it runs
+on arrays and builds no Tensor: ``start(rows, masks)`` prepares the keys
+once and pools the initial LSTM state, with the array functions the unroll
+runs (``tensor.prepare``, ``tensor.pool``, ``tensor.initial_state``), and
+``step(keys, state, y_prev)`` looks up the previous words, runs the heads
+(``attend``) and the LSTM (``lstm_step``) and ``emit``s log-probs. The
+training loss reads the output layer inside its own record
+(``training.nll_loss``); both run ``tensor.log_softmax``.
 
 Everything runs on a batch axis. Regions are (B, L, proj_dim), caption
 states (B, N, 2*hidden), LSTM states (B, hidden), and a step takes the (B,)
@@ -104,7 +105,7 @@ class ImageProjection:
 
 
 Keys = tuple[Head, ...]         # one entry per attention head
-State = tuple[Tensor, Tensor]   # LSTM (hidden, memory), each (B, hidden)
+State = tuple[np.ndarray, np.ndarray]   # LSTM (hidden, memory), each (B, hidden)
 
 
 class AttentionDecoder:
@@ -149,29 +150,29 @@ class AttentionDecoder:
 
     def start(self, rows: Sequence[Tensor],
               masks: Sequence[np.ndarray] | None = None) -> tuple[Keys, State]:
-        """(one prepared key set per head, initial (h, c)) for decoding over
-        ``keys(rows, masks)``. The state comes from head 0's rows, the
-        regions."""
+        """(one prepared key set per head, the initial (h, c) arrays) for
+        decoding over ``keys(rows, masks)``. The state comes from head 0's
+        rows, the regions."""
         keys = self.keys(rows, masks)
         state = finite("start", *initial_state(pool(keys[0].rows.data, keys[0].mask),
                                                self.initial))
         return tuple(map(prepare, keys)), state
 
-    def emit(self, h: Tensor) -> Tensor:
+    def emit(self, h: np.ndarray) -> np.ndarray:
         """(..., vocab) log-probs of (..., hidden) states, for decoding; the
         training loss runs the output layer inside its own record."""
-        return log_softmax(add(matmul(h, self.w_out), self.b_out))
+        return finite("emit", log_softmax(np.matmul(h, self.w_out.data)
+                                          + self.b_out.data))[0]
 
     def step(self, keys: Keys, state: State, y_prev: np.ndarray):
         """One decode step for B rows from their (B,) previous ids, over keys
         of B records or of one that all rows read: each head attends with h
         as query, then the LSTM reads [one context per head; the previous
         word embedding]. Returns ((B, vocab) log_probs, (h, c), one (B, K)
-        weight row per head). Decoding only: it raises StateError under a tape."""
+        weight row per head), all arrays."""
         h, c = state
         weights, contexts = zip(*(attend(head, k, h) for head, k in zip(self.heads, keys)))
-        state = lstm_step(self.lstm, [*contexts, embedding_lookup(self.embedding, y_prev)],
-                          h, c)
+        state = lstm_step(self.lstm, [*contexts, self.embedding.data[y_prev]], h, c)
         return self.emit(state[0]), state, weights
 
     def named(self) -> dict[str, Parameter]:

@@ -30,12 +30,13 @@ the likelihood from a decoder's states; ``cycle_distance`` the cycle loss.
 The two unrolls pack their (B, T) mask of real steps, as cuDNN and PyTorch
 pack padded sequences: step t runs forward and backward on the rows still
 real at t, and outputs at padded steps are exactly 0. Decoding never runs
-backward: ``attention.attend`` and ``cells.lstm_step`` run the step math,
-``attention_arrays`` and ``lstm_arrays``, outside the engine, over keys
-that the same ``prepare`` and ``initial_state`` made, and refuse a tape
-(``refuse_tape``). Every op validates its output for finiteness
-(``finite`` for several), so a NaN or overflow surfaces at the op that
-produced it rather than ten layers downstream.
+backward, so it never enters the engine: ``attention.attend`` and
+``cells.lstm_step`` run the step math, ``attention_arrays`` and
+``lstm_arrays``, and the decoder's output layer runs ``log_softmax``, all on
+arrays, over keys that the same ``prepare`` and ``initial_state`` made.
+``output_nll`` runs the same ``log_softmax``. Every op and decode step
+validates its output for finiteness (``finite``), so a NaN or overflow
+surfaces at the op that produced it rather than ten layers downstream.
 """
 
 from __future__ import annotations
@@ -183,25 +184,16 @@ def _record_many(outs: tuple[Tensor, ...], parents: tuple[Tensor, ...],
     return outs
 
 
-def _result(name: str, arr: Array) -> Tensor:
-    if not np.isfinite(arr).all():
-        raise NumericError(f"{name}: produced non-finite values")
-    return Tensor(arr, _unchecked=True)
-
-
-def finite(name: str, *arrays: Array) -> tuple[Tensor, ...]:
-    """The outputs of a fused op or a decode step, with one finiteness check
-    over all of them."""
+def finite(name: str, *arrays: Array) -> tuple[Array, ...]:
+    """``arrays``, the outputs of op or decode step ``name``, after one
+    finiteness check over all of them."""
     if not all(np.isfinite(x).all() for x in arrays):
         raise NumericError(f"{name}: produced non-finite values")
-    return tuple(Tensor(x, _unchecked=True) for x in arrays)
+    return arrays
 
 
-def refuse_tape(op: str) -> None:
-    """Raise StateError under an active tape: decode steps record nothing."""
-    if Tape._active is not None:
-        raise StateError(f"{op}: a decode step keeps no backward rule; "
-                         f"teacher forcing runs decoder_unroll")
+def _result(name: str, arr: Array) -> Tensor:
+    return Tensor(finite(name, arr)[0], _unchecked=True)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -281,20 +273,6 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), rule)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log-softmax over the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
-    out = _result("log_softmax", y)
-    probs = np.exp(y)
-
-    def rule(g: Array) -> tuple[Array]:
-        return (g - probs * g.sum(axis=-1, keepdims=True),)
-
-    return _record(out, (a,), rule)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = _result("tanh", y)
@@ -327,6 +305,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 # Fused ops: one record, one backward rule and one finiteness check each
 # ---------------------------------------------------------------------------
+
+def log_softmax(a: Array) -> Array:
+    """Log-softmax over the last axis of an array: the output layer of
+    decoding and of ``output_nll``."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
 
 def _sigmoid(x: Array) -> Array:
     # 0.5 * tanh(x / 2) + 0.5: four passes over one new array, and tanh never
@@ -615,8 +600,8 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
             ifo, g, c_new, tc, query = lstm_arrays(pre[t, :m] + np.matmul(x[:m], w_rec), mem)
             cells.append((ifo, g, tc, mem))
             out[t, :m], mem = query, c_new
-    outs = finite("decoder_unroll", *([out[:, restore]] if states else []),
-                  *(x[restore] for x in weights))
+    outs = tuple(Tensor(x, _unchecked=True) for x in finite(
+        "decoder_unroll", *([out[:, restore]] if states else []), *(x[restore] for x in weights)))
 
     def rule(*grads: Array) -> tuple[Array, ...]:
         g_out = grads[0][:, order] if states else None
@@ -721,9 +706,7 @@ def output_nll(states: Tensor, w: Tensor, b: Tensor, targets: Array, mask: Array
         x = x * keep
     if picked.size and (picked.min() < 0 or picked.max() >= w.shape[1]):
         raise DimensionError(f"output_nll: target out of range for {w.shape[1]} classes")
-    logits = np.matmul(x, w.data) + b.data
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(np.matmul(x, w.data) + b.data)
     rows = np.arange(len(picked))
     out = _result("output_nll", np.asarray(-log_probs[rows, picked].sum()))
 

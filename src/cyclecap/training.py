@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +38,7 @@ from .data import (Batch, PairRecord, TripleRecord, Vocabulary, check_feature_di
                    make_batch)
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import cider
-from .inference import beam_decode, caption_image, decoder_step_fn
+from .inference import beam_decode, caption_image
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
@@ -188,7 +189,7 @@ def _greedy_en(captioner: ImageCaptioner, record: PairRecord,
                max_len: int = 50) -> tuple[int, ...]:
     decoder = captioner.decoder
     keys, state = decoder.start([captioner.project(record.features.values[None])])
-    return beam_decode(decoder_step_fn(decoder, keys), state,
+    return beam_decode(partial(decoder.step, keys), state,
                        beam_size=1, max_len=max_len).tokens
 
 
@@ -275,6 +276,8 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     cfg.check()
     if not pairs:
         raise DataError("pretraining needs a non-empty pair set")
+    if len(vocab) < 5:
+        raise DataError("captioner needs a vocabulary (>= 4 reserved ids + 1)")
     val = val_pairs if val_pairs is not None else pairs
     for r in pairs:
         check_feature_dim(r.image_id, r.features, feature_dim)

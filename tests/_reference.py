@@ -10,8 +10,8 @@ The exceptions are three layers of taped oracles for the package's fused ops:
 * the primitives the package no longer carries, each one tape op with its
   own backward rule, as the package defined them before its fused ops took
   their work in: ``mul``, ``sub``, ``sum_all``, ``transpose``,
-  ``batch_matmul``, ``masked_mean``, ``frobenius``, ``pick`` and
-  ``dropout``; ``tests/test_reference.py`` checks their gradients.
+  ``batch_matmul``, ``masked_mean``, ``frobenius``, ``pick``, ``dropout``
+  and ``log_softmax``; ``tests/test_reference.py`` checks their gradients.
 * the composed graphs: the LSTM step, GRU step and attention head built
   from primitive tape ops, one small op per gate slice, as the package
   computed them before its fused ops, and so are the key projection
@@ -39,8 +39,7 @@ import numpy as np
 from cyclecap.errors import DimensionError, NumericError
 from cyclecap.tensor import (Head, Tensor, _broadcast_shapes, _record, _record_many,
                              _result, _unbroadcast, add, attention_arrays, concat,
-                             embedding_lookup, finite, log_softmax, lstm_arrays, matmul,
-                             scale, tanh)
+                             embedding_lookup, finite, lstm_arrays, matmul, scale, tanh)
 
 
 def np_softmax(x):
@@ -227,6 +226,20 @@ def pick(a, index, mask=None):
     return _record(out, (a,), rule)
 
 
+def log_softmax(a):
+    """Log-softmax over the last axis, as a tape op."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = shifted - lse
+    out = _result("log_softmax", y)
+    probs = np.exp(y)
+
+    def rule(g):
+        return (g - probs * g.sum(axis=-1, keepdims=True),)
+
+    return _record(out, (a,), rule)
+
+
 def dropout(a, rate, rng):
     """Inverted dropout, one keep mask drawn as ``rng.random(shape) >= rate``."""
     if not 0.0 <= rate < 1.0:
@@ -400,7 +413,7 @@ def step_lstm_cell(inputs, h, c, w, b):
     a = np.matmul(x, wd) + b.data
     ifo, g, c_new, tc, h_new = lstm_arrays(a, cd)
     i, f, o = ifo[..., :size], ifo[..., size:2 * size], ifo[..., 2 * size:]
-    outs = finite("lstm_cell", h_new, c_new)
+    outs = tuple(Tensor(x, _unchecked=True) for x in finite("lstm_cell", h_new, c_new))
 
     def rule(gh, gc):
         gc = gc + gh * o * (1.0 - tc * tc)
@@ -426,7 +439,7 @@ def step_additive_attention(head, query):
     projected, rows, mask, w_query_t, combine = head
     pd, rd, qd, wd, cd = projected.data, rows.data, query.data, w_query_t.data, combine.data
     hidden, w, context = attention_arrays((pd, rd, mask, wd, cd), qd)
-    outs = finite("additive_attention", w, context)
+    outs = tuple(Tensor(x, _unchecked=True) for x in finite("additive_attention", w, context))
 
     def rule(gw, gctx):
         gw = gw + np.matmul(gctx[:, None, :], rd.transpose(0, 2, 1))[:, 0, :]
@@ -594,12 +607,10 @@ def object_rows(items):
 
 
 def take_rows(state, rows):
-    """Rows ``rows`` of a batched state: Tensors and arrays by their first
-    axis, tuples item by item, anything else as it is."""
+    """Rows ``rows`` of a batched state: arrays by their first axis, tuples
+    item by item, anything else as it is."""
     if isinstance(state, tuple):
         return tuple(take_rows(s, rows) for s in state)
-    if isinstance(state, Tensor):
-        return Tensor(state.data[rows])
     if isinstance(state, np.ndarray):
         return state[rows]
     return state
@@ -610,7 +621,7 @@ def row_step_fn(decoder, keys):
 
     def step(state, prev):
         logp, state, weights = decoder.step(keys, state, np.array([prev]))
-        return logp.data[0], state, tuple(w.data[0] for w in weights)
+        return logp[0], state, tuple(w[0] for w in weights)
 
     return step
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cyclecap import synth
 from cyclecap.data import TripleRecord, Vocabulary, pairs_from_triples
 from cyclecap.models import ImageCaptioner, ModelBundle
+from cyclecap.tensor import Tensor
 from cyclecap.training import TrainConfig
 
 
@@ -38,6 +39,19 @@ def random_ids(rng, vocab_size, length):
     """A BOS..EOS id sequence over the non-reserved vocabulary."""
     body = [int(x) for x in rng.integers(4, vocab_size, size=length)]
     return tuple([1] + body + [2])
+
+
+def count_tensors(monkeypatch):
+    """A list that gets the type of every Tensor built from here on,
+    Parameters included, until ``monkeypatch`` undoes it."""
+    made, init = [], Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return made
 
 
 @pytest.fixture(scope="session")

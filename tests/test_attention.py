@@ -30,8 +30,8 @@ def all_real(rows):
 def test_identical_keys_give_uniform_weights():
     layer = make_layer()
     keys = Tensor(np.tile(np.linspace(-1, 1, 5), (1, 7, 1)))
-    weights, _ = attend(layer, prepared(layer, keys, all_real(keys)), Tensor(np.ones((1, 4))))
-    np.testing.assert_allclose(weights.data[0], np.full(7, 1.0 / 7), atol=1e-12)
+    weights, _ = attend(layer, prepared(layer, keys, all_real(keys)), np.ones((1, 4)))
+    np.testing.assert_allclose(weights[0], np.full(7, 1.0 / 7), atol=1e-12)
 
 
 def test_dominant_score_selects_its_key():
@@ -46,9 +46,9 @@ def test_dominant_score_selects_its_key():
     layer.w_key.data[:, :] = np.eye(5, layer.attn_dim)
     rows = Tensor(keys[None])
     weights, context = attend(layer, prepared(layer, rows, all_real(rows)),
-                              Tensor(np.zeros((1, 4))))
-    assert weights.data[0, 2] > 0.999
-    np.testing.assert_allclose(context.data[0], keys[2], atol=1e-3)
+                              np.zeros((1, 4)))
+    assert weights[0, 2] > 0.999
+    np.testing.assert_allclose(context[0], keys[2], atol=1e-3)
 
 
 def test_matches_independent_formula_evaluation():
@@ -57,10 +57,10 @@ def test_matches_independent_formula_evaluation():
     keys = rng.standard_normal((6, 5))
     query = rng.standard_normal(4)
     rows = Tensor(keys[None])
-    weights, context = attend(layer, prepared(layer, rows, all_real(rows)), Tensor(query[None]))
+    weights, context = attend(layer, prepared(layer, rows, all_real(rows)), query[None])
     ref_w, ref_ctx = ref_attend(layer, keys, query)
-    np.testing.assert_allclose(weights.data[0], ref_w, atol=1e-14)
-    np.testing.assert_allclose(context.data[0], ref_ctx, atol=1e-14)
+    np.testing.assert_allclose(weights[0], ref_w, atol=1e-14)
+    np.testing.assert_allclose(context[0], ref_ctx, atol=1e-14)
 
 
 def test_input_validation():
@@ -73,7 +73,7 @@ def test_input_validation():
         prepared(layer, Tensor(np.zeros(5)), np.ones(5, dtype=bool))
     with pytest.raises(DimensionError):
         attend(layer, prepared(layer, Tensor(np.zeros((1, 3, 5))), np.ones((1, 3), dtype=bool)),
-               Tensor(np.zeros((1, 5))))
+               np.zeros((1, 5)))
 
 
 def test_one_record_of_keys_broadcasts_over_query_rows():
@@ -83,15 +83,15 @@ def test_one_record_of_keys_broadcasts_over_query_rows():
     keys = prepared(layer, Tensor(rng.standard_normal((1, 4, 5))),
                          np.array([[True, False, True, True]]))
     queries = rng.standard_normal((3, 4))
-    weights, context = attend(layer, keys, Tensor(queries))
+    weights, context = attend(layer, keys, queries)
     for row, query in enumerate(queries):
-        one_w, one_ctx = attend(layer, keys, Tensor(query[None]))
-        np.testing.assert_array_equal(weights.data[row], one_w.data[0])
-        np.testing.assert_array_equal(context.data[row], one_ctx.data[0])
-    assert (weights.data[:, 1] == 0.0).all()
+        one_w, one_ctx = attend(layer, keys, query[None])
+        np.testing.assert_array_equal(weights[row], one_w[0])
+        np.testing.assert_array_equal(context[row], one_ctx[0])
+    assert (weights[:, 1] == 0.0).all()
     two = prepared(layer, Tensor(rng.standard_normal((2, 4, 5))), np.ones((2, 4), dtype=bool))
     with pytest.raises(DimensionError, match="attend"):
-        attend(layer, two, Tensor(queries))
+        attend(layer, two, queries)
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,11 +102,11 @@ def test_weights_are_distribution_and_context_in_hull(seed, n_keys):
     keys = rng.uniform(-5, 5, size=(n_keys, 5))
     rows = Tensor(keys[None])
     weights, context = attend(layer, prepared(layer, rows, all_real(rows)),
-                              Tensor(rng.uniform(-5, 5, size=(1, 4))))
-    w = weights.data[0]
+                              rng.uniform(-5, 5, size=(1, 4)))
+    w = weights[0]
     assert (w >= 0).all()
     assert abs(w.sum() - 1.0) < 1e-6
-    ctx = context.data[0]
+    ctx = context[0]
     assert (ctx >= keys.min(axis=0) - 1e-9).all()
     assert (ctx <= keys.max(axis=0) + 1e-9).all()
 

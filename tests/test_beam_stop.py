@@ -1,11 +1,13 @@
 """The early stop in beam search returns exactly what a search run to the
 length cap returns, with fewer decoder steps when EOS dominates."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cyclecap.data import BOS_ID, EOS_ID, FeatureGrid
-from cyclecap.inference import beam_decode, decoder_step_fn
+from cyclecap.inference import beam_decode
 
 from _reference import full_length_beam, per_row
 from conftest import tiny_bundle
@@ -141,7 +143,7 @@ def test_captioner_decoder_matches_full_length_search(beam):
     for _ in range(3):
         keys, state = decoder.start(
             [bundle.captioner.project(FeatureGrid(rng.standard_normal((3, 3))).values[None])])
-        step = decoder_step_fn(decoder, keys)
+        step = partial(decoder.step, keys)
         fast = beam_decode(step, state, beam_size=beam, max_len=6)
         ref = full_length_beam(step, state, beam, 6, BOS_ID, EOS_ID)
         assert_same(fast, ref)

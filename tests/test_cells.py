@@ -42,9 +42,9 @@ def test_fused_gate_blocks_equal_per_gate_draws(cls, gates, shapes):
 
 def test_lstm_all_zero_gives_zero_state():
     p = zeroed(LSTMParams(np.random.default_rng(0), 3, 4, "lstm"))
-    h, c = lstm_step(p, [Tensor(np.zeros(3))], Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-    np.testing.assert_array_equal(h.data, np.zeros(4))
-    np.testing.assert_array_equal(c.data, np.zeros(4))
+    h, c = lstm_step(p, [np.zeros(3)], np.zeros(4), np.zeros(4))
+    np.testing.assert_array_equal(h, np.zeros(4))
+    np.testing.assert_array_equal(c, np.zeros(4))
 
 
 def test_lstm_saturated_gates_carry_cell_state():
@@ -54,21 +54,20 @@ def test_lstm_saturated_gates_carry_cell_state():
     p.b.data[p.gate("f")] = 25.0
     p.b.data[p.gate("i")] = -25.0
     c_prev = rng.standard_normal(4)
-    _, c = lstm_step(p, [Tensor(rng.standard_normal(3))],
-                     Tensor(rng.standard_normal(4)), Tensor(c_prev))
-    np.testing.assert_allclose(c.data, c_prev, atol=1e-8)
+    _, c = lstm_step(p, [rng.standard_normal(3)], rng.standard_normal(4), c_prev)
+    np.testing.assert_allclose(c, c_prev, atol=1e-8)
 
 
 def test_lstm_matches_reference_and_shapes_checked():
     rng = np.random.default_rng(2)
     p = LSTMParams(rng, 3, 4, "lstm")
     x, h0, c0 = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(4)
-    h, c = lstm_step(p, [Tensor(x)], Tensor(h0), Tensor(c0))
+    h, c = lstm_step(p, [x], h0, c0)
     rh, rc = ref_lstm(p, x, h0, c0)
-    np.testing.assert_allclose(h.data, rh, atol=1e-14)
-    np.testing.assert_allclose(c.data, rc, atol=1e-14)
+    np.testing.assert_allclose(h, rh, atol=1e-14)
+    np.testing.assert_allclose(c, rc, atol=1e-14)
     with pytest.raises(DimensionError):
-        lstm_step(p, [Tensor(np.zeros(5))], Tensor(h0), Tensor(c0))
+        lstm_step(p, [np.zeros(5)], h0, c0)
 
 
 def test_lstm_gradients_match_finite_differences():

@@ -578,7 +578,7 @@ def test_from_manifest_takes_settings_from_the_manifest_alone(pipeline, tmp_path
 
 
 def test_shipped_configs_name_known_options():
-    # a config key no option reads is ignored at run time, so catch typos here
+    # an unknown config key is a config error at run time, so catch typos here
     known = {opt.key for _, _, options in SUBCOMMANDS.values() for opt in options}
     shipped = sorted(Path(__file__).parents[1].glob("configs/*.yaml"))
     assert shipped
@@ -586,6 +586,38 @@ def test_shipped_configs_name_known_options():
         keys = {str(k).replace("-", "_")
                 for k in yaml.safe_load(path.read_text(encoding="utf-8"))}
         assert keys <= known, (path.name, sorted(keys - known))
+
+
+def test_unknown_config_key_is_config_error(pipeline, tmp_path, capsys):
+    # a misspelled key would otherwise leave its setting at the default; a
+    # key only another subcommand reads stays ignored
+    common = ["--manifest", str(pipeline / "data" / "manifest.jsonl"),
+              "--part1", str(pipeline / "part1" / "part1.ckpt"), *TINY_TRAIN]
+    typo, other = tmp_path / "typo.yaml", tmp_path / "other.yaml"
+    typo.write_text("lamda: 0.0\n", encoding="utf-8")
+    other.write_text("beam_size: 3\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("train", "--config", str(typo), *common,
+               "--out-dir", str(tmp_path / "typo")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and "Traceback" not in err
+    assert "'lamda'" in err and str(typo) in err
+    assert not (tmp_path / "typo" / "bundle.ckpt").exists()
+    assert run("train", "--config", str(other), *common,
+               "--out-dir", str(tmp_path / "other")) == 0
+    assert (tmp_path / "other" / "bundle.ckpt").is_file()
+
+
+def test_pretrain_refuses_a_vocabulary_with_no_word(pipeline, tmp_path, capsys):
+    manifest = str(pipeline / "data" / "manifest.jsonl")
+    for field in ("en", "de"):
+        out = tmp_path / field
+        capsys.readouterr()
+        assert run("pretrain", "--manifest", manifest, "--caption-field", field,
+                   "--out-dir", str(out), *TINY_TRAIN, "--min-freq", "1000") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "vocabulary" in err
+        assert not (out / "part1.ckpt").exists()
 
 
 def test_config_file_feeds_defaults_and_flags_override(tmp_path):

@@ -1,13 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from cyclecap.data import BOS_ID, EOS_ID, FeatureGrid
 from cyclecap.errors import ConfigError
-from cyclecap.inference import beam_decode, caption_image, decoder_step_fn
+from cyclecap.inference import beam_decode, caption_image
+from cyclecap.models import CaptionEncoder, ImageProjection
 
 from _reference import (exhaustive_best, per_hypothesis_beam, per_row,
                         row_step_fn)
-from conftest import random_ids, tiny_bundle
+from conftest import count_tensors, random_ids, tiny_bundle
 
 EOS = 2
 
@@ -142,6 +145,28 @@ def test_caption_image_record_shapes_and_determinism():
     assert a.record.de_to_en.shape == (m, n)
 
 
+def test_caption_image_builds_tensors_only_in_project_and_encode(monkeypatch):
+    # the two networks it runs forward are taped ops; decoding is arrays
+    rng = np.random.default_rng(16)
+    bundle = tiny_bundle(seed=17)
+    grid = FeatureGrid(rng.standard_normal((3, 3)))
+    made, inside = count_tensors(monkeypatch), []
+
+    def counting(fn):
+        def run(*args, **kwargs):
+            before = len(made)
+            out = fn(*args, **kwargs)
+            inside.append(len(made) - before)
+            return out
+        return run
+
+    for owner, name in ((ImageProjection, "project"), (CaptionEncoder, "encode")):
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    out = caption_image(bundle, grid, beam_size=3, max_len=6)
+    assert len(out.en_ids) + len(out.de_ids) > 2   # the decoders ran several steps
+    assert len(inside) == 2 and all(inside) and len(made) == sum(inside)
+
+
 def test_caption_image_beam_sizes_both_valid():
     rng = np.random.default_rng(14)
     bundle = tiny_bundle(seed=15)
@@ -192,7 +217,7 @@ def test_batched_search_matches_per_hypothesis_search(beam):
                 (bundle.de_decoder, [regions, bundle.cap_encoder.encode(en_ids)])):
             keys, state = decoder.start(rows)
             calls = []
-            fast = beam_decode(counted(decoder_step_fn(decoder, keys), calls), state,
+            fast = beam_decode(counted(partial(decoder.step, keys), calls), state,
                                beam_size=beam, max_len=max_len)
             oracle = per_hypothesis_beam(row_step_fn(decoder, keys), state, beam,
                                          max_len, BOS_ID, EOS_ID)

@@ -8,7 +8,7 @@ import pytest
 from cyclecap import models
 from cyclecap.checks import check_gradients
 from cyclecap.data import BOS_ID, PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
-from cyclecap.errors import DataError, FormatError, NumericError, StateError
+from cyclecap.errors import DataError, FormatError, NumericError
 from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
@@ -19,7 +19,7 @@ from cyclecap.training import _captioner_loss, nll_loss
 from _reference import (composed_init_state, mul, ref_captioner_sequence,
                         ref_encode_caption, ref_german_sequence, stepped_encode,
                         stepped_unroll, sum_all)
-from conftest import random_ids, tiny_bundle, tiny_captioner
+from conftest import count_tensors, random_ids, tiny_bundle, tiny_captioner
 
 
 TOL = 1e-12
@@ -36,8 +36,8 @@ def test_english_step_log_probs_normalize():
     model = tiny_captioner(seed=1)
     keys, state = model.decoder.start([model.project(rand_grid(rng).values[None])])
     logp, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
-    assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
-    assert abs(weights.data.sum() - 1.0) < 1e-12
+    assert abs(np.log(np.exp(logp).sum())) < 1e-12
+    assert abs(weights.sum() - 1.0) < 1e-12
 
 
 def test_identical_regions_give_uniform_attention():
@@ -45,7 +45,7 @@ def test_identical_regions_give_uniform_attention():
     grid = FeatureGrid(np.tile([0.3, -0.2, 0.9], (5, 1)))
     keys, state = model.decoder.start([model.project(grid.values[None])])
     _, _, (weights,) = model.decoder.step(keys, state, np.array([1]))
-    np.testing.assert_allclose(weights.data[0], np.full(5, 0.2), atol=1e-12)
+    np.testing.assert_allclose(weights[0], np.full(5, 0.2), atol=1e-12)
 
 
 def test_teacher_forced_loglik_matches_reference():
@@ -160,24 +160,26 @@ def test_german_step_outputs_normalize_and_single_state_beta():
     states = bundle.cap_encoder.encode(np.array([[4]]))  # N = 1
     keys, state = bundle.de_decoder.start([regions, states])
     logp, _, (region_w, caption_w) = bundle.de_decoder.step(keys, state, np.array([1]))
-    assert abs(np.log(np.exp(logp.data).sum())) < 1e-12
-    np.testing.assert_allclose(caption_w.data, [[1.0]])
-    assert abs(region_w.data.sum() - 1.0) < 1e-12
+    assert abs(np.log(np.exp(logp).sum())) < 1e-12
+    np.testing.assert_allclose(caption_w, [[1.0]])
+    assert abs(region_w.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("decoder", ["soft", "dual"])
-def test_decode_step_refuses_an_active_tape(decoder):
-    # decoding never runs backward; teacher forcing trains through unroll
+def test_decode_start_and_step_build_no_tensor(decoder, monkeypatch):
+    # decoding never runs backward, so it runs on arrays alone; teacher
+    # forcing trains through unroll
     bundle = tiny_bundle(seed=13)
     regions = bundle.captioner.project(rand_grid(np.random.default_rng(13)).values[None])
     dec, rows = bundle.captioner.decoder, [regions]
     if decoder == "dual":
         dec = bundle.de_decoder
         rows.append(bundle.cap_encoder.encode(np.array([[4, 5]])))
+    made = count_tensors(monkeypatch)
     keys, state = dec.start(rows)
-    with Tape():
-        with pytest.raises(StateError, match="decode"):
-            dec.step(keys, state, np.array([1]))
+    logp, state, weights = dec.step(keys, state, np.array([1]))
+    assert made == []
+    assert all(type(x) is np.ndarray for x in (logp, *state, *weights))
 
 
 def test_german_sequence_matches_reference():
@@ -272,17 +274,17 @@ def test_unroll_then_emit_equals_stepping(which, batch_size):
         assert not batch.region_mask.all() and batch.en_ids[2, -1] == PAD_ID
     dec, rows, masks, ids = decoder_setup(bundle, batch, which)
     states, weights = unroll(dec, rows, masks, ids)
-    log_probs = dec.emit(states)
+    log_probs = dec.emit(states.data)
     assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.vocab_size)
     keys, state = dec.start(rows, masks)
     # stepping runs through padding and the unroll does not: real steps only
     for t in range(ids.shape[1] - 1):
         real = ids[:, t + 1] != PAD_ID
         logp, state, step_weights = dec.step(keys, state, ids[:, t])
-        np.testing.assert_allclose(log_probs.data[t, real], logp.data[real], rtol=0,
+        np.testing.assert_allclose(log_probs[t, real], logp[real], rtol=0,
                                    atol=1e-12)
         for head, row in zip(weights, step_weights, strict=True):
-            np.testing.assert_allclose(head.data[real, t], row.data[real], rtol=0,
+            np.testing.assert_allclose(head.data[real, t], row[real], rtol=0,
                                        atol=1e-12)
 
 
@@ -299,7 +301,7 @@ def test_stage_one_dropout_is_one_mask_per_step():
     expected = 0.0
     for t in range(batch.en_ids.shape[1] - 1):
         _, state, _ = dec.step(keys, state, batch.en_ids[:, t])
-        h = state[0].data
+        h = state[0]
         logits = h * ((rng.random(h.shape) >= 0.5) / 0.5) @ dec.w_out.data + dec.b_out.data
         logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         for b in np.flatnonzero(batch.en_mask[:, t + 1]):
@@ -391,8 +393,8 @@ def test_omitted_masks_decode_as_all_true_masks():
             y, out = np.full(2, BOS_ID), []
             for _ in range(4):
                 logp, state, weights = decoder.step(keys, state, y)
-                y = logp.data.argmax(axis=1)
-                out += [y.tobytes(), logp.data.tobytes(), *(w.data.tobytes() for w in weights)]
+                y = logp.argmax(axis=1)
+                out += [y.tobytes(), logp.tobytes(), *(w.tobytes() for w in weights)]
             runs.append(out)
         assert runs[0] == runs[1]
 
@@ -457,7 +459,7 @@ def test_start_pools_the_regions_once(monkeypatch):
     for decoder, rows in ((bundle.captioner.decoder, [regions]),
                           (bundle.de_decoder, [regions, captions])):
         _, state = decoder.start(rows)
-        assert len(state) == 2 and state[0].data.tobytes() != state[1].data.tobytes()
+        assert len(state) == 2 and state[0].tobytes() != state[1].tobytes()
     assert len(calls) == 2
 
 

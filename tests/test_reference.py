@@ -18,8 +18,8 @@ from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
 from cyclecap.tensor import Parameter, Tape, Tensor
 
-from _reference import (batch_matmul, dropout, frobenius, masked_mean, masked_softmax, mul,
-                        pick, stack, sub, sum_all, transpose, unstack)
+from _reference import (batch_matmul, dropout, frobenius, log_softmax, masked_mean,
+                        masked_softmax, mul, pick, stack, sub, sum_all, transpose, unstack)
 
 
 def all_real(scores):
@@ -114,6 +114,7 @@ def test_moved_primitive_gradients_match_finite_differences():
 
     v, w, t3, u3, x2, probe = p((4,), "v"), p((4,), "w"), p((2, 3, 4), "t3"), \
         p((2, 4, 3), "u3"), p((2, 4), "x2"), p((2, 3), "probe")
+    m, probe_m = p((3, 4), "m"), p((3, 4), "probe_m")
     real = np.array([[True, True, False], [True, True, True]])   # (B, K)
 
     def seeded_dropout():
@@ -135,6 +136,8 @@ def test_moved_primitive_gradients_match_finite_differences():
         ("pick", lambda: pick(mul(v, w), 3), {"v": v, "w": w}),
         ("pick-masked", lambda: sum_all(mul(pick(t3, [[0, 3, 1], [2, 2, 3]], real), probe)),
          {"t3": t3, "probe": probe}),
+        ("log_softmax", lambda: sum_all(mul(log_softmax(m), probe_m)),
+         {"m": m, "probe_m": probe_m}),
     ]
     for name, build, params in cases:
         result = check_gradients(name, build, params)
