@@ -7,11 +7,12 @@ weights to the tape. At these sizes an op costs per record rather than per
 flop, so fewer records are what make training cheap. Column block k of a fused weight or
 bias belongs to gate ``GATES[k]``.
 
-* A GRU direction (``gru_step``, ``tensor.gru_unroll``) goes one step further
-  across time, as Appleyard et al. do: a whole (T, B, input) sequence is one
-  tape record, its inputs are projected through ``w`` in one product, and
-  each weight gradient is one product over all T * B rows. The caption
-  encoder calls it once per direction.
+* The caption encoder's GRU (``gru_step``, ``tensor.encoder_unroll``) goes
+  one step further across time, as Appleyard et al. do: the lookup and both
+  directions over a whole (B, T) caption batch are one tape record, each
+  direction's inputs are projected through ``w`` in one product, and each
+  weight gradient is one product over all T * B rows. The caption encoder
+  calls it once.
 * An LSTM step (``lstm_step``) serves decoding only, on arrays in and out.
   Training runs the decoder's LSTM inside ``tensor.decoder_unroll``, one
   record per unroll in the same way, on the same ``tensor.lstm_arrays``.
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import init
 from .errors import DimensionError
-from .tensor import Parameter, Tensor, finite, gru_unroll, lstm_arrays
+from .tensor import Parameter, Tensor, encoder_unroll, finite, lstm_arrays
 
 
 class GatedParams:
@@ -115,21 +116,22 @@ class GRUParams(GatedParams):
         self.u = Parameter(w_hid, f"{prefix}/u")
 
 
-def gru_step(p: GRUParams, embedded: Tensor, mask: np.ndarray, *,
-             reverse: bool = False) -> Tensor:
-    """One GRU direction over a (T, B, input) sequence from a zero state, as
-    one record (``tensor.gru_unroll``); returns the (B, T, hidden) states.
+def gru_step(embedding: Parameter, ids: np.ndarray, fwd: GRUParams, bwd: GRUParams,
+             mask: np.ndarray) -> Tensor:
+    """A bidirectional GRU over the (B, T) ids, looked up in ``embedding``,
+    from zero states, as one record (``tensor.encoder_unroll``); returns
+    the (B, T, 2 * hidden) states, [forward; backward] at each position.
     ``mask`` is the (B, T) boolean mask of real positions, real ones first
-    in each row. Each step is
+    in each row. Each step of a direction, ``fwd`` or ``bwd``, is
 
         r, z = sigmoid(x @ w + h @ u + b)[:2H] in two blocks
         n = tanh((x @ w + b)[2H:] + r * (h @ u)[2H:])
         h' = z * h + (1 - z) * n,  taken as n + z * (h - n)
 
-    stepping forward in time, or backward with ``reverse``, over each
-    record's real positions only, so the backward pass starts from zero at
-    the record's last token; padded states are exactly 0. The update gate z
-    interpolates toward keeping h, so a large positive update-gate bias
+    stepping forward in time with ``fwd`` and backward with ``bwd``, over
+    each record's real positions only, so the backward pass starts from zero
+    at the record's last token; padded states are exactly 0. The update gate
+    z interpolates toward keeping h, so a large positive update-gate bias
     saturates the cell into carrying its state through unchanged.
     """
-    return gru_unroll(embedded, p.w, p.u, p.b, mask, reverse=reverse)
+    return encoder_unroll(embedding, ids, [(p.w, p.u, p.b) for p in (fwd, bwd)], mask)

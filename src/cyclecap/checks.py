@@ -1,16 +1,17 @@
 """Central finite-difference gradient checking, and the canned
 verification suites behind the gradcheck and oracle-check commands.
 
-``check_gradients`` only ever evaluates forward passes, so it stays
+``check_gradients`` differences forward passes only, so it stays
 independent of the tape machinery it validates. The gradient suite drives
-every primitive, every fused op that training records (each GRU direction,
-a teacher-forced unroll of each decoder kind from its raw key rows over
-padding, and the output layer's likelihood under dropout), the consistency
-loss, and the composed stage-one and stage-two losses, at batch sizes 1 and
-2, through it. Each graph is read through fixed random probes
-(``_probed``), so that every output's gradient is checked. The oracle suite
-exercises the hand-worked composed-attention example and the
-conditional-independence identity on random factorized joint tables.
+every op that training records (the image projection, the caption encoder
+over padding, a teacher-forced unroll of each decoder kind from its raw key
+rows over padding, and the output layer's likelihood under dropout), the
+consistency loss, and the composed stage-one and stage-two losses, at batch
+sizes 1 and 2, through it. Each graph's outputs are read through fixed
+random probes (``_probes``), which seed the taped backward, so that every
+output's gradient is checked. The oracle suite exercises the hand-worked
+composed-attention example and the conditional-independence identity on
+random factorized joint tables.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
                     toy_alignment_record)
 from .data import FeatureGrid, TripleRecord, make_batch
 from .errors import ConfigError
-from .models import ImageCaptioner, ModelBundle, ModelDims, unroll
-from .tensor import (HeadKeys, Parameter, Tape, Tensor, add, concat,
-                     decoder_unroll, embedding_lookup, gru_unroll, matmul, scale, tanh)
+from .models import (CaptionEncoder, ImageCaptioner, ImageProjection, ModelBundle, ModelDims,
+                     unroll)
+from .tensor import HeadKeys, Parameter, Tape, Tensor, decoder_unroll
 from .training import nll_loss, stage2_loss_graph
 
 PRESETS = {
@@ -61,20 +62,46 @@ class GradCheckResult:
         return self.max_error < tol
 
 
+def _probes(shapes: Sequence[tuple[int, ...]], seed: int = 7) -> list[np.ndarray]:
+    """One fixed random probe array per output shape, drawn from ``seed``:
+    a random factor times the outer product of one random vector per axis,
+    the last axis's drawn first, so every rebuild of a graph reads it
+    through the same probes."""
+    rng = np.random.default_rng(seed)
+    probes = []
+    for shape in shapes:
+        probe = np.asarray(rng.uniform(0.5, 1.5))
+        for dim in reversed(shape):
+            probe = np.multiply.outer(rng.uniform(-1.0, 1.0, size=dim), probe)
+        probes.append(probe)
+    return probes
+
+
 def check_gradients(name: str,
-                    build_loss: Callable[[], Tensor],
+                    build: Callable[[], Tensor | Sequence[Tensor]],
                     params: Mapping[str, Parameter],
                     h: float = 1e-5) -> GradCheckResult:
     """Compare taped gradients against central differences, element by
-    element of every parameter. ``build_loss`` must rebuild the graph from
-    scratch on every call and be deterministic (seed any dropout rng inside
-    the closure)."""
+    element of every parameter, of the sum of ``build()``'s outputs (one
+    Tensor or a sequence of them) each read through its ``_probes`` array:
+    the taped backward takes the probes as its seeds, and the differences
+    read the same probed sum in plain numpy. ``build`` must rebuild the
+    graph from scratch on every call and be deterministic (seed any dropout
+    rng inside the closure)."""
+    def outputs() -> list[Tensor]:
+        out = build()
+        return [out] if isinstance(out, Tensor) else list(out)
+
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
-        loss = build_loss()
-        tape.backward(loss)
+        outs = outputs()
+        probes = _probes([o.shape for o in outs])
+        tape.backward(list(zip(outs, probes)))
     taped = {k: p.grad.copy() for k, p in params.items()}
+
+    def probed() -> float:
+        return sum(float((pr * o.data).sum()) for o, pr in zip(outputs(), probes))
 
     result = GradCheckResult(name)
     for key, p in params.items():
@@ -83,9 +110,9 @@ def check_gradients(name: str,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = build_loss().item()
+            up = probed()
             flat[i] = orig - h
-            down = build_loss().item()
+            down = probed()
             flat[i] = orig
             fd[i] = (up - down) / (2.0 * h)
         result.errors[key] = max_rel_error(taped[key].reshape(-1), fd)
@@ -96,71 +123,31 @@ def _p(rng, shape, name):
     return Parameter(rng.uniform(-0.8, 0.8, size=shape), name)
 
 
-def _probed(outputs: Sequence[Tensor], seed: int = 7) -> Tensor:
-    """A scalar that reads every entry of every output: each output scaled
-    by a random factor and contracted with one random vector per axis,
-    drawn from ``seed`` in the outputs' shapes, so every rebuild of a graph
-    reads it through the same probes, then the sum."""
-    rng = np.random.default_rng(seed)
-    total = None
-    for out in outputs:
-        x = scale(out, rng.uniform(0.5, 1.5))
-        while x.data.ndim:
-            x = matmul(x, Tensor(rng.uniform(-1.0, 1.0, size=x.shape[-1])))
-        total = x if total is None else add(total, x)
-    return total
-
-
-def _primitive_cases(rng: np.random.Generator):
-    """One probed graph per primitive op, each exercised away from any
-    non-smooth point."""
-    a = _p(rng, (3, 4), "a")
-    b = _p(rng, (4, 2), "b")
-    v = _p(rng, (4,), "v")
-    w = _p(rng, (4,), "w")
-    m = _p(rng, (3, 4), "m")
-    t3 = _p(rng, (2, 3, 4), "t3")   # (B, K, d)
-    table = _p(rng, (5, 3), "table")
-
-    return [
-        ("matmul", lambda: _probed([matmul(a, b)]), {"a": a, "b": b}),
-        ("matmul-batched", lambda: _probed([matmul(t3, b)]), {"t3": t3, "b": b}),
-        ("matmul-vector", lambda: _probed([matmul(t3, v)]), {"t3": t3, "v": v}),
-        ("add", lambda: _probed([add(v, w)]), {"v": v, "w": w}),
-        ("add-broadcast", lambda: _probed([add(m, v)]), {"m": m, "v": v}),
-        ("scale", lambda: _probed([scale(v, 2.5)]), {"v": v}),
-        ("concat", lambda: _probed([concat([v, w])]), {"v": v, "w": w}),
-        ("concat-last-axis", lambda: _probed([concat([m, a])]), {"m": m, "a": a}),
-        ("tanh", lambda: _probed([tanh(v)]), {"v": v}),
-        ("embedding-lookup", lambda: _probed([embedding_lookup(table, [0, 2, 2, 4])]),
-         {"table": table}),
-        ("embedding-lookup-matrix",
-         lambda: _probed([embedding_lookup(table, [[0, 2], [2, 4]])]), {"table": table}),
-    ]
-
-
 def _fused_cases(rng: np.random.Generator, p: dict):
-    """One probed graph per fused training op, over a batch of two records:
-    one ``gru_unroll`` per direction; one ``decoder_unroll`` per decoder
-    kind, from the embedding table, the initial-state projections and each
-    head's raw key rows and scorer, the soft decoder's head over regions and
-    the dual decoder's second head over caption states; and the output
-    layer's likelihood (``training.nll_loss``) under dropout. Record 0's
-    last step, and in each unroll head its last key, is padding, masked
-    out."""
+    """One graph per training op, over a batch of two records: the image
+    projection; the caption encoder, both GRU directions from the embedding
+    table; one ``decoder_unroll`` per decoder kind, from the embedding
+    table, the initial-state projections and each head's raw key rows and
+    scorer, the soft decoder's head over regions and the dual decoder's
+    second head over caption states; and the output layer's likelihood
+    (``training.nll_loss``) under dropout. Record 0's last region (all
+    zero), its last step, and in each unroll head its last key, is padding,
+    masked out."""
     hidden, embed, attn, steps, keys, vocab = p["hidden"], p["embed"], p["attn"], \
         p["seq"], p["regions"], p["vocab"]
     mask = np.ones((2, keys), dtype=bool)
     mask[0, -1] = False
-    gru = [_p(rng, (steps, 2, embed), "embedded"), _p(rng, (embed, 3 * hidden), "w"),
-           _p(rng, (hidden, 3 * hidden), "u"), _p(rng, (3 * hidden,), "b")]
     step_mask = np.ones((2, steps), dtype=bool)
     step_mask[0, -1] = False
-    cases = [(f"gru_unroll{tag}",
-              lambda reverse=reverse: _probed([gru_unroll(*gru, step_mask, reverse=reverse)]),
-              {x.name: x for x in gru})
-             for tag, reverse in (("", False), ("-reverse", True))]
+    dims = ModelDims(p["feature_dim"], vocab, proj_dim=p["proj"], embed_dim=embed,
+                     hidden_dim=hidden)
+    proj = ImageProjection(rng, dims.feature_dim, dims.proj_dim, "proj")
+    features = rng.standard_normal((2, keys, dims.feature_dim))
+    features[0, -1] = 0.0
+    encoder = CaptionEncoder(rng, vocab, dims, "encoder")
     ids = rng.integers(0, vocab, size=(2, steps))
+    cases = [("project", lambda: proj.project(features), proj.named()),
+             ("encode", lambda: encoder.encode(ids, step_mask), encoder.named())]
     for kind, key_dims in (("soft", [p["proj"]]), ("dual", [p["proj"], 2 * hidden])):
         table = _p(rng, (vocab, embed), "table")
         initial = [(_p(rng, (key_dims[0], hidden), f"w_{half}"), _p(rng, (hidden,), f"b_{half}"))
@@ -173,7 +160,7 @@ def _fused_cases(rng: np.random.Generator, p: dict):
                  for k, d in enumerate(key_dims)]
 
         def unroll_loss(table=table, initial=initial, lstm=lstm, heads=heads):
-            return _probed(decoder_unroll(table, ids, initial, *lstm, heads, step_mask))
+            return decoder_unroll(table, ids, initial, *lstm, heads, step_mask)
 
         params = {x.name: x for x in (table, *lstm, *sum(initial, ()))}
         params.update((x.name, x) for head in heads for x in head
@@ -202,7 +189,7 @@ def _make_triple(rng: np.random.Generator, p: dict, regions: int, seq: int,
 
 def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]:
     """Run every gradient check at the given preset, each over every element
-    of its parameters. Cells and attention step a batch of two records; the
+    of its parameters. The fused ops run over a batch of two records; the
     composed graphs run at B = 1 and at B = 2, whose records differ in
     caption lengths and region counts, so padding is differentiated too."""
     if preset not in PRESETS:
@@ -211,9 +198,6 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
     p = PRESETS[preset]
     rng = np.random.default_rng(seed)
     results = []
-
-    for name, build, params in _primitive_cases(rng):
-        results.append(check_gradients(f"primitive/{name}", build, params))
 
     a_de = Parameter(rng.random((2, 3, p["regions"])), "a_de")
     b_mat = Parameter(rng.random((2, 3, 4)), "b_mat")
@@ -240,13 +224,13 @@ def gradient_suite(preset: str = "tiny", seed: int = 0) -> list[GradCheckResult]
                                          [batch.region_mask], batch.en_ids)
             loss, _ = nll_loss(states, decoder.w_out, decoder.b_out, batch.en_ids[:, 1:],
                                batch.en_mask[:, 1:])
-            return _probed([loss, *region_rows])
+            return [loss, *region_rows]
 
         results.append(check_gradients(f"models/captioner-nll{tag}", captioner_loss,
                                        captioner.named_parameters()))
         results.append(check_gradients(
             f"training/stage2-composed{tag}",
-            lambda batch=batch: stage2_loss_graph(bundle, batch, cycle_weight=1.0),
+            lambda batch=batch: [out for out, _ in stage2_loss_graph(bundle, batch, 1.0)],
             bundle.named_parameters()))
 
     for name, build, params in _fused_cases(rng, p):

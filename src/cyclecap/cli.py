@@ -21,8 +21,9 @@ starts.
 
 A value is read with its option's type wherever it comes from: a flag
 (usage error, exit 2), a config file (exit 2) or a manifest (exit 5).
-``--seed`` is a non-negative int, ``--trials`` and ``--limit`` positive
-ints; other range checks stay with the library code that uses the value.
+``--seed`` is a non-negative int, ``--trials``, ``--limit`` and
+``--min-freq`` positive ints; other range checks stay with the library code
+that uses the value.
 
 Exit codes by error category: 2 config, 3 data, 4 numeric, 5 io (every
 OSError included).
@@ -495,7 +496,7 @@ SIZES = (
     Option("attn-dim", int, 64, "attention scorer hidden size"),
 )
 MANIFEST = Option("manifest", str, None, "dataset manifest (jsonl)", True)
-MIN_FREQ = Option("min-freq", int, 5, "vocabulary frequency cutoff")
+MIN_FREQ = Option("min-freq", positive_int, 5, "vocabulary frequency cutoff")
 
 # subcommand: (runner, help, options)
 SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {

@@ -1,16 +1,18 @@
 """The four networks and their checkpoint format.
 
 * ``ImageProjection`` maps raw region features into the model space (the
-  stand-in for a CNN encoder, whose features arrive via feature files).
+  stand-in for a CNN encoder, whose features arrive via feature files), as
+  one ``tensor.projection`` record from the feature array.
 * ``AttentionDecoder`` is the one LSTM decoder, run over a tuple of
   attention heads. ``SoftAttentionDecoder`` (one head, over image regions)
   and ``DualAttentionDecoder`` (a second head, over encoded caption states)
   only name their heads and initial-state projections, the checkpoint's
   entry names. Each rebinds ``step = AttentionDecoder.step`` because the
   benchmark tracer (``bench/spans.py``) patches each class's own ``step``.
-* ``CaptionEncoder`` is a bidirectional GRU over caption tokens. Each
-  direction is one ``gru_step`` call, one ``tensor.gru_unroll`` record over
-  the whole caption; the benchmark tracer patches ``models.gru_step``.
+* ``CaptionEncoder`` is a bidirectional GRU over caption tokens: its
+  lookup, both directions and their concatenation are one ``gru_step``
+  call, one ``tensor.encoder_unroll`` record over the whole caption; the
+  benchmark tracer patches ``models.gru_step``.
 
 A decoder reads one row tensor and one mask per head. ``keys(rows,
 masks)`` checks them and pairs each with its head's scorer, one
@@ -65,9 +67,8 @@ from .cells import GRUParams, LSTMParams, gru_step, lstm_step
 from .cycle import AttentionRecord
 from .data import EOS_ID, Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
-from .tensor import (Head, HeadKeys, Parameter, Tensor, add, concat, decoder_unroll,
-                     embedding_lookup, finite, initial_state, log_softmax, matmul, pool,
-                     prepare, tanh)
+from .tensor import (Head, HeadKeys, Parameter, Tensor, decoder_unroll, finite,
+                     initial_state, log_softmax, pool, prepare, projection)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ class ImageProjection:
             raise DimensionError(
                 f"image projection expects (B, L, {self.feature_dim}) features, "
                 f"got {features.shape}")
-        return tanh(add(matmul(Tensor(features), self.w), self.b))
+        return projection(features, self.w, self.b)
 
     def named(self) -> dict[str, Parameter]:
         return {self.w.name: self.w, self.b.name: self.b}
@@ -216,10 +217,10 @@ class CaptionEncoder:
 
     def encode(self, token_ids: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
         """Encode (B, N) token ids, with their (B, N) mask of real tokens
-        (omitted: all real), into (B, N, 2*hidden) states: one lookup, then
-        each direction as one ``gru_step`` record over all N positions.
-        Real tokens come first in each row; each direction runs over a
-        record's real tokens only, so the backward one starts at the
+        (omitted: all real), into (B, N, 2*hidden) states, as one
+        ``gru_step`` record: the lookup and both directions over all N
+        positions. Real tokens come first in each row; each direction runs
+        over a record's real tokens only, so the backward one starts at the
         record's own last token. States at padded positions are exactly 0."""
         ids = np.asarray(token_ids)
         if ids.ndim != 2 or ids.shape[1] == 0:
@@ -227,9 +228,7 @@ class CaptionEncoder:
                             f"matrix, got shape {ids.shape}")
         if mask is None:
             mask = np.ones(ids.shape, dtype=bool)
-        embeds = embedding_lookup(self.embedding, ids.T)     # (N, B, embed)
-        return concat([gru_step(self.fwd, embeds, mask),
-                       gru_step(self.bwd, embeds, mask, reverse=True)])
+        return gru_step(self.embedding, ids, self.fwd, self.bwd, mask)
 
     def named(self) -> dict[str, Parameter]:
         out = {self.embedding.name: self.embedding}

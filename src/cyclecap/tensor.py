@@ -2,10 +2,12 @@
 
 The engine is deliberately small: eager numpy forward evaluation plus an
 operation tape for gradients. Ops executed inside a ``with Tape():`` block
-record one backward rule each; ``tape.backward(loss)`` walks those records
+record one backward rule each; ``tape.backward(roots)`` walks those records
 once in reverse creation order (creation order is already topological) and
-accumulates gradients into ``Tensor.grad``. Outside a tape block the same
-functions are plain forward math, which keeps inference cheap.
+accumulates gradients into ``Tensor.grad``. The roots are a scalar loss, or
+(output, seed) pairs whose seeds weigh each output, so that a loss's
+weights and a gradient check's probes need no op of their own. Outside a
+tape block the same functions are plain forward math.
 
 A record may own a tuple of outputs, such as a decoder unroll's states and
 attention weights. Its one rule then receives one gradient per output, with
@@ -16,16 +18,16 @@ Training runs on batches, so tensors carry a leading batch axis: states are
 (B, H), key rows (B, K, d), attention weights (B, K). The ops that need it
 take a boolean mask of real entries, always a (B, ·) array; masked-out
 entries never reach the result and get exactly zero gradient, so padding
-cannot leak into a loss. ``matmul`` applies a shared weight over every
-leading axis.
+cannot leak into a loss.
 
-Besides a few primitives there are four fused ops, each one record with
-its backward written out once: at these sizes an op costs per record
-rather than per flop, so fewer, wider records are what make training
-cheap. ``gru_unroll`` is one GRU direction over all T steps;
-``decoder_unroll`` a teacher-forced decoder from its raw key rows, initial
-state projections and embedding table to its last state; ``output_nll``
-the likelihood from a decoder's states; ``cycle_distance`` the cycle loss.
+There are five ops, each one record with its backward written out once:
+at these sizes an op costs per record rather than per flop, so fewer,
+wider records are what make training cheap. ``projection`` is the image
+projection; ``encoder_unroll`` the caption encoder, its lookup and both GRU
+directions over all T steps; ``decoder_unroll`` a teacher-forced decoder
+from its raw key rows, initial state projections and embedding table to
+its last state; ``output_nll`` the likelihood from a decoder's states;
+``cycle_distance`` the cycle loss.
 
 The two unrolls pack their (B, T) mask of real steps, as cuDNN and PyTorch
 pack padded sequences: step t runs forward and backward on the rows still
@@ -135,16 +137,31 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(node) into .grad for every recorded node."""
+    def backward(self, roots: Tensor | Sequence[tuple[Tensor, float | Array]]) -> None:
+        """Accumulate the gradient of sum(seed * output) over ``roots`` into
+        .grad for every recorded node. ``roots`` is (output, seed) pairs,
+        each seed an array of its output's shape (a float for a scalar), or
+        a scalar loss alone, seeded with 1."""
         if self._spent:
             raise StateError("backward already ran on this tape; build a new tape")
-        if loss.data.size != 1:
-            raise DimensionError(f"backward: loss has shape {loss.shape}, not scalar")
-        if id(loss) not in self._outputs:
-            raise StateError("backward: loss was not produced on this tape")
+        if isinstance(roots, Tensor):
+            if roots.data.size != 1:
+                raise DimensionError(f"backward: loss has shape {roots.shape}, not scalar")
+            roots = [(roots, np.ones_like(roots.data))]
+        seeded = []
+        for out, seed in roots:
+            seed = np.array(seed, dtype=np.float64)
+            if seed.shape != out.shape:
+                raise DimensionError(f"backward: seed of shape {seed.shape} for an "
+                                     f"output of shape {out.shape}")
+            if not np.isfinite(seed).all():
+                raise NumericError("backward: non-finite seed")
+            if id(out) not in self._outputs:
+                raise StateError("backward: root was not produced on this tape")
+            seeded.append((out, seed))
         self._spent = True
-        loss.grad = np.ones_like(loss.data)
+        for out, seed in seeded:
+            out.grad = seed if out.grad is None else out.grad + seed
         for out, parents, rule in reversed(self._records):
             if type(out) is tuple:
                 grads = [o.grad for o in out]
@@ -194,112 +211,6 @@ def finite(name: str, *arrays: Array) -> tuple[Array, ...]:
 
 def _result(name: str, arr: Array) -> Tensor:
     return Tensor(finite(name, arr)[0], _unchecked=True)
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _broadcast_shapes(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-# ---------------------------------------------------------------------------
-# Primitive ops
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a shared weight ``b``: a (..., k) against a (k, n) matrix
-    or a (k,) vector, over every leading axis of ``a`` at once."""
-    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
-        raise DimensionError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
-    out = _result("matmul", np.matmul(a.data, b.data))
-    ad, bd = a.data, b.data
-    k = bd.shape[0]
-
-    def rule(g: Array) -> tuple[Array, Array]:
-        if bd.ndim == 2:
-            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1])
-        return g[..., None] * bd, g.reshape(-1) @ ad.reshape(-1, k)
-
-    return _record(out, (a, b), rule)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _broadcast_shapes("add", a, b)
-    out = _result("add", a.data + b.data)
-    a_shape, b_shape = a.shape, b.shape
-
-    def rule(g: Array) -> tuple[Array, Array]:
-        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
-
-    return _record(out, (a, b), rule)
-
-
-def scale(a: Tensor, factor: float) -> Tensor:
-    if not np.isfinite(factor):
-        raise NumericError(f"scale: non-finite factor {factor!r}")
-    out = _result("scale", a.data * factor)
-    return _record(out, (a,), lambda g: (g * factor,))
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis; the leading axes must agree."""
-    if not parts:
-        raise DimensionError("concat: empty operand list")
-    arrays = [p.data for p in parts]
-    lead = arrays[0].shape[:-1]
-    for x in arrays:
-        if x.ndim == 0 or x.shape[:-1] != lead:
-            raise DimensionError(f"concat: cannot join shape {x.shape} to leading "
-                                 f"axes {lead}")
-    out = _result("concat", np.concatenate(arrays, axis=-1))
-    offsets = [0, *accumulate(x.shape[-1] for x in arrays)]
-
-    def rule(g: Array) -> tuple[Array, ...]:
-        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return _record(out, tuple(parts), rule)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    out = _result("tanh", y)
-    return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Rows of ``table`` along its first axis: ``table[ids]`` for an int or an
-    int array of any shape."""
-    if table.data.ndim < 2:
-        raise DimensionError(f"embedding-lookup: table must be at least 2-d, "
-                             f"got {table.shape}")
-    idx = np.asarray(ids)
-    if idx.dtype.kind not in "iu":
-        raise DimensionError("embedding-lookup: ids must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise DimensionError(
-            f"embedding-lookup: id out of range for table with {table.shape[0]} rows")
-    out = _result("embedding-lookup", table.data[idx])
-    shape = table.shape
-
-    def rule(g: Array) -> tuple[Array]:
-        gt = np.zeros(shape)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _record(out, (table,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -423,50 +334,50 @@ def attention_arrays(head: Head, query: Array) -> tuple[Array, Array, Array]:
     return hidden, w, np.matmul(w[:, None, :], rows)[:, 0, :]
 
 
-def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *,
-               reverse: bool = False) -> Tensor:
-    """One GRU direction over a (T, B, E) sequence from a zero state, as one
-    record; returns the (B, T, H) states. Step t reads embedded[t], with
-    gate blocks r, z, n of width H:
+def projection(features: Array, w: Tensor, b: Tensor) -> Tensor:
+    """``tanh(features @ w + b)`` over every leading axis of a (..., k)
+    feature array, as one record: the image projection, with ``w`` (k, n)
+    and ``b`` (n,). The features are data, not a parent: they get no
+    gradient. The backward forms ``w``'s gradient as one product over all
+    rows, and ``b``'s by summing the leading axes one at a time, the order
+    in which a broadcast add reduces it; one sum over all of them may round
+    differently."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim == 0 or w.data.ndim != 2 or features.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise _bad_shapes("projection", features=features.shape, w=w.shape, b=b.shape)
+    y = np.tanh(finite("projection", np.matmul(features, w.data) + b.data)[0])
+    k, n = w.shape
 
-        xw = embedded[t] @ w + b,  a = h @ u
-        r, z = sigmoid(xw[:2H] + a[:2H]) in two blocks
-        n = tanh(xw[2H:] + r * a[2H:])
-        h' = n + z * (h - n)
+    def rule(g: Array) -> tuple[Array, Array]:
+        g = g * (1.0 - y * y)
+        g_b = g
+        while g_b.ndim > 1:
+            g_b = g_b.sum(axis=0)
+        return features.reshape(-1, k).T @ g.reshape(-1, n), g_b
 
-    ``w`` is (E, 3H), ``u`` (H, 3H), ``b`` (3H,) and ``mask`` the (B, T)
-    boolean mask of real positions, real ones first in each row. The forward
-    direction steps t = 0 .. T-1; with ``reverse`` it steps t = T-1 .. 0,
-    each record's pass starting from zero at its own last token. States at
-    padded positions are exactly 0 and pass no gradient back.
+    return _record(Tensor(y, _unchecked=True), (w, b), rule)
 
-    The batch is packed (``_packing``), so each step runs on the prefix of
-    rows still real there. The forward projects every input in one product,
-    then loops over the steps, keeping each step's gates under a tape. The
-    backward is BPTT: its reverse loop carries the state gradient, and the
-    gradients of ``embedded``, ``w``, ``u`` and ``b`` are each one product
-    over all T * B rows after it, padded rows adding zeros.
-    """
-    ed, wd, ud = embedded.data, w.data, u.data
-    size = ud.shape[0] if ud.ndim == 2 else 0
-    if ed.ndim != 3 or not ed.shape[0] or not size or ud.shape != (size, 3 * size) \
-            or wd.shape != (ed.shape[2], 3 * size) or b.shape != (3 * size,):
-        raise _bad_shapes("gru_unroll", embedded=embedded.shape, w=w.shape, u=u.shape,
-                          b=b.shape, mask=np.shape(mask))
-    steps, batch, emb_w = ed.shape
-    order, restore, live = _packing("gru_unroll", mask, steps, batch)
-    xw = np.matmul(ed[:, order], wd) + b.data         # (T, B, 3H), rows packed
+
+def _gru_pass(xw: Array, u: Array, live: list[int], reverse: bool, taped: bool
+              ) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
+    """One GRU direction of ``encoder_unroll`` from a zero state, over the
+    packed (T, B, 3H) input pre-activations ``xw = x @ w + b``, step t on the
+    prefix ``[:live[t]]``; returns the packed (T, B, H) states and, when
+    ``taped``, its BPTT: a function from their gradient to those of ``xw``
+    and of ``u``."""
+    steps, batch, size = xw.shape[0], xw.shape[1], u.shape[0]
     # step t reads slot t + read and writes slot t + write; the slot no step
     # writes is the zero initial state, and a row that joins the prefix late
     # reads the zeros of its padded positions
     read, write = (1, 0) if reverse else (0, 1)
     slots = np.zeros((steps + 1, batch, size))
     order_t = range(steps - 1, -1, -1) if reverse else range(steps)
-    taped, kept = Tape._active is not None, [None] * steps   # each step's gates
+    kept = [None] * steps                             # each step's gates
     for t in order_t:
         k = live[t]
         h = slots[t + read, :k]
-        a = np.matmul(h, ud)
+        a = np.matmul(h, u)
         rz = _sigmoid(xw[t, :k, :2 * size] + a[:, :2 * size])
         an = a[:, 2 * size:]                          # (h @ u)[2H:]
         n = np.tanh(xw[t, :k, 2 * size:] + rz[:, :size] * an)
@@ -474,14 +385,12 @@ def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *
         if taped:
             kept[t] = rz, an.copy(), n                # a copy keeps not all of a
     prev = slots[read:read + steps]                   # the state step t reads
-    out = _result("gru_unroll", slots[write:write + steps].transpose(1, 0, 2)[restore])
 
-    def rule(g: Array) -> tuple[Array, Array, Array, Array]:
-        g = g[order]
+    def backward(g: Array) -> tuple[Array, Array]:
         g_xw = np.zeros((steps, batch, 3 * size))
         g_a = np.zeros((steps, batch, 3 * size))      # of h @ u
         g_h = np.zeros((batch, size))                 # carried to the step before
-        u_t = np.ascontiguousarray(ud.T)              # BLAS is faster on it than on ud.T
+        u_t = np.ascontiguousarray(u.T)               # BLAS is faster on it than on u.T
         for t in reversed(order_t):
             k = live[t]
             rz, an, n = kept[t]
@@ -498,12 +407,75 @@ def gru_unroll(embedded: Tensor, w: Tensor, u: Tensor, b: Tensor, mask: Array, *
             ga[:] = gx
             ga[:, 2 * size:] *= rz[:, :size]
             g_h[:k] = gh * z + np.matmul(ga, u_t)
-        flat = g_xw.reshape(-1, 3 * size)
-        return (np.matmul(g_xw, wd.T)[:, restore],
-                ed[:, order].reshape(-1, emb_w).T @ flat,
-                prev.reshape(-1, size).T @ g_a.reshape(-1, 3 * size), flat.sum(axis=0))
+        return g_xw, prev.reshape(-1, size).T @ g_a.reshape(-1, 3 * size)
 
-    return _record(out, (embedded, w, u, b), rule)
+    return slots[write:write + steps], backward
+
+
+def encoder_unroll(table: Tensor, ids: Array,
+                   directions: Sequence[tuple[Tensor, Tensor, Tensor]], mask: Array) -> Tensor:
+    """A bidirectional GRU encoder over (B, T) ids, as one record from its
+    embedding table: the lookup, a forward and a backward direction, each
+    from a zero state, and their concatenation. Returns the (B, T, 2H)
+    states, row t being [forward_t; backward_t]. Step t of a direction reads
+    x = table[ids[:, t]], with gate blocks r, z, n of width H:
+
+        xw = x @ w + b,  a = h @ u
+        r, z = sigmoid(xw[:2H] + a[:2H]) in two blocks
+        n = tanh(xw[2H:] + r * a[2H:])
+        h' = n + z * (h - n)
+
+    ``directions`` holds the forward, then the backward direction's (w, u,
+    b): ``w`` is (E, 3H), ``u`` (H, 3H) and ``b`` (3H,). ``mask`` is the
+    (B, T) boolean mask of real positions, real ones first in each row. The
+    forward direction steps t = 0 .. T-1 and the backward one t = T-1 .. 0,
+    each record's pass starting from zero at its own last token. States at
+    padded positions are exactly 0 and pass no gradient back.
+
+    The batch is packed once (``_packing``) for both directions, so each
+    step runs on the prefix of rows still real there (``_gru_pass``). The
+    forward projects every input in one product per direction, then loops
+    over the steps. The backward is BPTT per direction; the gradients of
+    ``w``, ``u`` and ``b`` are each one product over all T * B rows after
+    it, padded rows adding zeros, and the table's is one scatter of the real
+    positions' rows, summed over both directions.
+    """
+    td, ids = table.data, np.asarray(ids)
+    size = directions[0][1].shape[0] if len(directions) == 2 \
+        and directions[0][1].data.ndim == 2 else 0
+    if td.ndim != 2 or ids.ndim != 2 or ids.dtype.kind not in "iu" or not ids.shape[1] \
+            or not size or not all(w.shape == (td.shape[1], 3 * size)
+                                   and u.shape == (size, 3 * size) and b.shape == (3 * size,)
+                                   for w, u, b in directions):
+        raise _bad_shapes("encoder_unroll", table=table.shape, ids=ids.shape,
+                          directions=[tuple(x.shape for x in d) for d in directions],
+                          mask=np.shape(mask))
+    if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
+        raise DimensionError(f"encoder_unroll: id out of range for table with "
+                             f"{td.shape[0]} rows")
+    (batch, steps), emb_w = ids.shape, td.shape[1]
+    order, restore, live = _packing("encoder_unroll", mask, steps, batch)
+    embedded = td[ids.T][:, order]                    # (T, B, E), rows packed
+    taped = Tape._active is not None
+    passes = [_gru_pass(np.matmul(embedded, w.data) + b.data, u.data, live, reverse, taped)
+              for (w, u, b), reverse in zip(directions, (False, True))]
+    out = _result("encoder_unroll", np.concatenate(
+        [states for states, _ in passes], axis=-1).transpose(1, 0, 2)[restore])
+
+    def rule(g: Array) -> tuple[Array, ...]:
+        g = g[order]
+        g_x, g_params = [], []
+        for j, ((w, _, _), (_, backward)) in enumerate(zip(directions, passes)):
+            g_xw, g_u = backward(g[:, :, j * size:(j + 1) * size])
+            flat = g_xw.reshape(-1, 3 * size)
+            g_x.append(np.matmul(g_xw, w.data.T))
+            g_params += [embedded.reshape(-1, emb_w).T @ flat, g_u, flat.sum(axis=0)]
+        real = np.asarray(mask, dtype=bool).T          # (T, B), the caller's order
+        g_table = np.zeros(td.shape)
+        np.add.at(g_table, ids.T[real], (g_x[0] + g_x[1])[:, restore][real])
+        return (g_table, *g_params)
+
+    return _record(out, (table, *(x for d in directions for x in d)), rule)
 
 
 def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Tensor]],

@@ -14,7 +14,9 @@ so is each loss: ``nll_loss`` runs dropout, the output layer, the
 log-softmax and the masked sum over a decoder's states in one
 (``tensor.output_nll``), and the cycle loss is one more
 (``cycle.cycle_loss_graph``). Stage two's English pass builds attention
-only.
+only. The losses' weights, the cycle weight and the batch mean's 1/B, are
+no records: they seed the backward (``Tape.backward``), so a stage-two step
+with the cycle loss builds six records and a stage-one step three.
 
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
@@ -42,7 +44,7 @@ from .inference import beam_decode, caption_image
 from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Parameter, Tape, Tensor, add, output_nll, scale
+from .tensor import Parameter, Tape, Tensor, output_nll
 
 
 @dataclass
@@ -215,8 +217,10 @@ def _fit(phase: str, records: Sequence, length_of, batch_loss,
     """The epoch loop both stages share.
 
     ``batch_loss(batch)`` builds one padded batch's graph on the open tape
-    and returns (summed loss, nll value, token count, cycle value or None);
-    the mean per-record loss drives one Adam step over ``trainable``.
+    and returns (loss terms, nll value, token count, cycle value or None),
+    the terms (record, weight) pairs whose weighted sum is the summed loss;
+    the mean per-record loss, each term seeded with its weight over B,
+    drives one Adam step over ``trainable``.
     ``validate()`` scores the model, and the best-scoring snapshot of
     ``saved`` is restored at the end.
     """
@@ -232,13 +236,14 @@ def _fit(phase: str, records: Sequence, length_of, batch_loss,
             adam.zero_grad()
             try:
                 with Tape() as tape:
-                    loss, nll, ntok, cyc = batch_loss(batch)
+                    terms, nll, ntok, cyc = batch_loss(batch)
                     nll_total += nll
                     token_total += ntok
                     if cyc is not None:
                         cyc_total += cyc
                         has_cycle = True
-                    tape.backward(scale(loss, 1.0 / len(batch)))
+                    mean = 1.0 / len(batch)
+                    tape.backward([(out, mean * weight) for out, weight in terms])
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}: {exc}") from exc
             adam.step()
@@ -295,14 +300,15 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
 
 def _captioner_loss(model: ImageCaptioner, batch: Batch, dropout: float = 0.0,
                     rng: np.random.Generator | None = None
-                    ) -> tuple[Tensor, float, int, None]:
-    """A batch's summed stage-one loss: (loss, nll value, token count, None)."""
+                    ) -> tuple[list[tuple[Tensor, float]], float, int, None]:
+    """A batch's summed stage-one loss: ([(likelihood record, 1)], nll
+    value, token count, None)."""
     decoder = model.decoder
     states, _ = unroll(decoder, [model.project(batch.features)], [batch.region_mask],
                        batch.en_ids)
     loss, ntok = nll_loss(states, decoder.w_out, decoder.b_out, batch.en_ids[:, 1:],
                           batch.en_mask[:, 1:], dropout, rng)
-    return loss, loss.item(), ntok, None
+    return [(loss, 1.0)], loss.item(), ntok, None
 
 
 def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
@@ -349,13 +355,14 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
 def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
                  dropout: float = 0.0, freeze_part1: bool = False,
                  rng: np.random.Generator | None = None
-                 ) -> tuple[Tensor, float, int, float | None]:
-    """A batch's summed stage-two loss: (loss, nll value, token count, cycle
-    value or None).
+                 ) -> tuple[list[tuple[Tensor, float]], float, int, float | None]:
+    """A batch's summed stage-two loss: (terms, nll value, token count,
+    cycle value or None).
 
     The German likelihood loss plus ``cycle_weight`` times the consistency
     loss over the three attention tensors of :func:`stage2_forward`, both
-    summed over the records. With cycle_weight 0 the English pass and the
+    summed over the records: the terms are [(likelihood record, 1), (cycle
+    record, cycle_weight)]. With cycle_weight 0 the English pass and the
     consistency graph are skipped entirely. ``dropout`` applies to the
     German output layer, drawn from ``rng``; ``freeze_part1`` keeps part 1
     out of the graph's gradients.
@@ -366,14 +373,14 @@ def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
     loss, ntok = nll_loss(de_states, de_decoder.w_out, de_decoder.b_out,
                           batch.de_ids[:, 1:], de_mask, dropout, rng)
     if attention is None:
-        return loss, loss.item(), ntok, None
+        return [(loss, 1.0)], loss.item(), ntok, None
     cyc = cycle_loss_graph(*attention, de_mask)
-    return add(loss, scale(cyc, cycle_weight)), loss.item(), ntok, cyc.item()
+    return [(loss, 1.0), (cyc, cycle_weight)], loss.item(), ntok, cyc.item()
 
 
 def stage2_loss_graph(bundle: ModelBundle, batch: Batch,
-                      cycle_weight: float) -> Tensor:
-    """A batch's summed stage-two loss in evaluation mode (no dropout); the
+                      cycle_weight: float) -> list[tuple[Tensor, float]]:
+    """A batch's stage-two loss terms in evaluation mode (no dropout); the
     gradient-check suites differentiate through this graph, the one
     ``train_part2`` optimises."""
     return _stage2_loss(bundle, batch, cycle_weight)[0]

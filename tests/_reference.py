@@ -9,17 +9,20 @@ The exceptions are three layers of taped oracles for the package's fused ops:
 
 * the primitives the package no longer carries, each one tape op with its
   own backward rule, as the package defined them before its fused ops took
-  their work in: ``mul``, ``sub``, ``sum_all``, ``transpose``,
+  their work in: ``matmul``, ``add``, ``scale``, ``concat``, ``tanh``,
+  ``embedding_lookup``, ``mul``, ``sub``, ``sum_all``, ``transpose``,
   ``batch_matmul``, ``masked_mean``, ``frobenius``, ``pick``, ``dropout``
   and ``log_softmax``; ``tests/test_reference.py`` checks their gradients.
 * the composed graphs: the LSTM step, GRU step and attention head built
   from primitive tape ops, one small op per gate slice, as the package
   computed them before its fused ops, and so are the key projection
-  (``composed_prepare``), the initial state (``composed_init_state``), the
-  likelihood (``composed_nll``) and the cycle loss (``composed_cycle``).
-  ``stepped_gru`` chains the GRU step into the per-step graph that
-  ``tensor.gru_unroll`` is checked against, and ``stepped_encode`` runs it
-  in both directions; the LSTM step and the head are the oracle of the
+  (``composed_prepare``), the image projection (``composed_project``), the
+  initial state (``composed_init_state``), the likelihood
+  (``composed_nll``) and the cycle loss (``composed_cycle``).
+  ``stepped_gru`` chains the GRU step into the per-step graph of one
+  direction, and ``stepped_encode`` runs it in both directions after one
+  lookup, the graph that ``tensor.encoder_unroll`` is checked against; the
+  LSTM step and the head are the oracle of the
   per-step records below. The ops only they need, ``column_slice``,
   ``sigmoid``, ``masked_softmax``, ``stack`` and ``unstack``, are built here
   on ``tensor._record`` and ``tensor._record_many``.
@@ -37,9 +40,8 @@ from itertools import accumulate
 import numpy as np
 
 from cyclecap.errors import DimensionError, NumericError
-from cyclecap.tensor import (Head, Tensor, _broadcast_shapes, _record, _record_many,
-                             _result, _unbroadcast, add, attention_arrays, concat,
-                             embedding_lookup, finite, lstm_arrays, matmul, scale, tanh)
+from cyclecap.tensor import (Head, Tensor, _record, _record_many, _result, attention_arrays,
+                             finite, lstm_arrays)
 
 
 def np_softmax(x):
@@ -109,6 +111,108 @@ def ref_gru(p, x, h):
 # ---------------------------------------------------------------------------
 # Primitives the package no longer carries
 # ---------------------------------------------------------------------------
+
+def _unbroadcast(g, shape):
+    """Reduce a broadcast gradient back to the operand's shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def _broadcast_shapes(op, a, b):
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+
+
+def matmul(a, b):
+    """``a @ b`` for a shared weight ``b``: a (..., k) against a (k, n) matrix
+    or a (k,) vector, over every leading axis of ``a`` at once."""
+    if a.data.ndim == 0 or b.data.ndim not in (1, 2):
+        raise DimensionError(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
+        raise DimensionError(f"matmul: inner dims disagree, {a.shape} @ {b.shape}")
+    out = _result("matmul", np.matmul(a.data, b.data))
+    ad, bd = a.data, b.data
+    k = bd.shape[0]
+
+    def rule(g):
+        if bd.ndim == 2:
+            return g @ bd.T, ad.reshape(-1, k).T @ g.reshape(-1, bd.shape[1])
+        return g[..., None] * bd, g.reshape(-1) @ ad.reshape(-1, k)
+
+    return _record(out, (a, b), rule)
+
+
+def add(a, b):
+    _broadcast_shapes("add", a, b)
+    out = _result("add", a.data + b.data)
+    a_shape, b_shape = a.shape, b.shape
+
+    def rule(g):
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
+
+    return _record(out, (a, b), rule)
+
+
+def scale(a, factor):
+    if not np.isfinite(factor):
+        raise NumericError(f"scale: non-finite factor {factor!r}")
+    out = _result("scale", a.data * factor)
+    return _record(out, (a,), lambda g: (g * factor,))
+
+
+def concat(parts):
+    """Concatenate along the last axis; the leading axes must agree."""
+    if not parts:
+        raise DimensionError("concat: empty operand list")
+    arrays = [p.data for p in parts]
+    lead = arrays[0].shape[:-1]
+    for x in arrays:
+        if x.ndim == 0 or x.shape[:-1] != lead:
+            raise DimensionError(f"concat: cannot join shape {x.shape} to leading "
+                                 f"axes {lead}")
+    out = _result("concat", np.concatenate(arrays, axis=-1))
+    offsets = [0, *accumulate(x.shape[-1] for x in arrays)]
+
+    def rule(g):
+        return tuple(g[..., offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+
+    return _record(out, tuple(parts), rule)
+
+
+def tanh(a):
+    y = np.tanh(a.data)
+    out = _result("tanh", y)
+    return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def embedding_lookup(table, ids):
+    """Rows of ``table`` along its first axis: ``table[ids]`` for an int or an
+    int array of any shape."""
+    if table.data.ndim < 2:
+        raise DimensionError(f"embedding-lookup: table must be at least 2-d, "
+                             f"got {table.shape}")
+    idx = np.asarray(ids)
+    if idx.dtype.kind not in "iu":
+        raise DimensionError("embedding-lookup: ids must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise DimensionError(
+            f"embedding-lookup: id out of range for table with {table.shape[0]} rows")
+    out = _result("embedding-lookup", table.data[idx])
+    shape = table.shape
+
+    def rule(g):
+        gt = np.zeros(shape)
+        np.add.at(gt, idx, g)
+        return (gt,)
+
+    return _record(out, (table,), rule)
+
 
 def mul(a, b):
     _broadcast_shapes("mul", a, b)
@@ -359,7 +463,8 @@ def stepped_gru(p, embedded, mask, reverse=False):
 
 def stepped_encode(encoder, ids, mask):
     """``CaptionEncoder.encode`` as the per-step graph: one lookup, then
-    ``stepped_gru`` per direction. Returns the (B, N, 2*hidden) states."""
+    ``stepped_gru`` per direction, then the concat. Returns the (B, N,
+    2*hidden) states."""
     embeds = embedding_lookup(encoder.embedding, ids.T)
     return concat([stepped_gru(encoder.fwd, embeds, mask),
                    stepped_gru(encoder.bwd, embeds, mask, reverse=True)])
@@ -370,6 +475,12 @@ def composed_prepare(keys):
     ``tensor.Head`` holding Tensors, the key side of the graph."""
     projected = transpose(add(matmul(keys.rows, keys.w_key), keys.b), (1, 0, 2))
     return Head(projected, keys.rows, keys.mask, transpose(keys.w_query), keys.combine)
+
+
+def composed_project(proj, features):
+    """``ImageProjection.project`` from primitive ops, the features entering
+    as a constant: ``tanh(features @ w + b)``."""
+    return tanh(add(matmul(Tensor(features), proj.w), proj.b))
 
 
 def composed_init_state(rows, mask, initial):

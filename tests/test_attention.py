@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from cyclecap.attention import AttentionLayer, attend
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.tensor import Parameter, Tensor, add, prepare
+from cyclecap.tensor import Parameter, Tensor, prepare
 
-from _reference import (composed_prepare, mul, pick, ref_attend, step_additive_attention,
-                        sum_all)
+from _reference import (add, composed_prepare, mul, pick, ref_attend,
+                        step_additive_attention, sum_all)
 
 
 def make_layer(seed=0, key_dim=5, query_dim=4, attn_dim=6):

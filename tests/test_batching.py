@@ -35,12 +35,15 @@ def bundle(seed=3):
 
 
 def loss_and_grads(build, params):
+    """The loss of the (record, weight) terms ``build()`` returns first, and
+    every parameter's gradient of it: the terms seed the backward."""
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
-        loss = build()[0]
-        tape.backward(loss)
-    return loss.item(), {k: p.grad.copy() for k, p in params.items()}
+        terms = build()[0]
+        tape.backward(terms)
+    return (sum(weight * out.item() for out, weight in terms),
+            {k: p.grad.copy() for k, p in params.items()})
 
 
 def stage_losses(model, cycle_weight, freeze_part1):

@@ -53,7 +53,7 @@ def test_tracer_install_uninstall_round_trips():
         for (site, owner, attr), original in zip(sites, originals):
             assert owner.__dict__[attr] is not original, site
         # each decoder's steps reach its own patched entry, and the encoder
-        # its GRU directions
+        # its GRU
         bundle = tiny_bundle(seed=1)
         regions = bundle.captioner.project(np.ones((1, 3, 3)))
         captions = bundle.cap_encoder.encode(np.array([[4, 2]]))
@@ -77,9 +77,9 @@ def test_tracer_install_uninstall_round_trips():
         assert owner.__dict__[attr] is original, site
     assert decode_calls["cyclecap.models.SoftAttentionDecoder.step"] == 1
     assert decode_calls["cyclecap.models.DualAttentionDecoder.step"] == 1
-    # one encode reaches the GRU once per direction
+    # one encode reaches the GRU once, both directions in one record
     assert decode_calls["cyclecap.models.CaptionEncoder.encode"] == 1
-    assert decode_calls["cyclecap.models.gru_step"] == 2
+    assert decode_calls["cyclecap.models.gru_step"] == 1
     # the two steps reach every head (one soft, two dual), the LSTM and the
     # output layer through the names the tracer patches
     assert decode_calls["cyclecap.models.attend"] == 3

@@ -5,9 +5,9 @@ from cyclecap import init
 from cyclecap.cells import GRUParams, LSTMParams, gru_step, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import Parameter, Tensor, add
+from cyclecap.tensor import Parameter, Tensor
 
-from _reference import mul, ref_gru, ref_lstm, step_lstm_cell, sum_all
+from _reference import add, ref_gru, ref_lstm, step_lstm_cell, sum_all
 
 
 def zeroed(params):
@@ -87,30 +87,39 @@ def test_lstm_gradients_match_finite_differences():
     assert result.max_error < 1e-3
 
 
+def as_lookup(x):
+    """A (T, B, input) sequence as an embedding table with one row per
+    position, and the (B, T) ids that look the sequence up in it."""
+    steps, batch, width = x.shape
+    return x.reshape(-1, width), np.arange(steps * batch).reshape(steps, batch).T
+
+
 def test_gru_all_zero_gives_zero_state():
     p = zeroed(GRUParams(np.random.default_rng(0), 3, 4, "gru"))
-    h = gru_step(p, Tensor(np.zeros((5, 2, 3))), np.ones((2, 5), dtype=bool))
-    np.testing.assert_array_equal(h.data, np.zeros((2, 5, 4)))
+    table, ids = as_lookup(np.zeros((5, 2, 3)))
+    h = gru_step(Tensor(table), ids, p, p, np.ones((2, 5), dtype=bool))
+    np.testing.assert_array_equal(h.data, np.zeros((2, 5, 8)))
 
 
 def test_gru_saturated_update_gate_keeps_state():
-    # saturated, the cell carries its zero start state through every input
+    # saturated, the cell carries its zero start state through every input,
+    # in either direction
     rng = np.random.default_rng(4)
     p = GRUParams(rng, 3, 4, "gru")
     p.b.data[p.gate("z")] = 25.0
-    x = Tensor(rng.standard_normal((6, 2, 3)))
-    for reverse in (False, True):
-        h = gru_step(p, x, np.ones((2, 6), dtype=bool), reverse=reverse)
-        np.testing.assert_allclose(h.data, np.zeros((2, 6, 4)), atol=1e-8)
+    table, ids = as_lookup(rng.standard_normal((6, 2, 3)))
+    h = gru_step(Tensor(table), ids, p, p, np.ones((2, 6), dtype=bool))
+    np.testing.assert_allclose(h.data, np.zeros((2, 6, 8)), atol=1e-8)
 
 
 def test_gru_matches_reference():
     rng = np.random.default_rng(5)
-    p = GRUParams(rng, 3, 4, "gru")
+    p, q = GRUParams(rng, 3, 4, "fwd"), GRUParams(rng, 3, 4, "bwd")
     x = rng.standard_normal((4, 2, 3))
     mask = np.array([[True] * 4, [True, True, False, False]])
-    forward = gru_step(p, Tensor(x), mask).data
-    reverse = gru_step(p, Tensor(x), mask, reverse=True).data
+    table, ids = as_lookup(x)
+    states = gru_step(Tensor(table), ids, p, q, mask).data
+    forward, reverse = states[..., :4], states[..., 4:]
     for b in range(2):
         h = np.zeros(4)
         for t in range(4):   # padded states are exactly 0
@@ -119,21 +128,20 @@ def test_gru_matches_reference():
                                        atol=1e-14)
         h = np.zeros(4)
         for t in reversed(range(4)):
-            h = ref_gru(p, x[t, b], h) if mask[b, t] else np.zeros(4)
+            h = ref_gru(q, x[t, b], h) if mask[b, t] else np.zeros(4)
             np.testing.assert_allclose(reverse[b, t], h, atol=1e-14)
     for bad_x, bad_mask in ((x[..., :2], mask), (x, mask.T), (x[:0], mask[:, :0])):
-        with pytest.raises(DimensionError, match="gru_unroll"):
-            gru_step(p, Tensor(bad_x), bad_mask)
+        with pytest.raises(DimensionError, match="encoder_unroll"):
+            gru_step(Tensor(as_lookup(bad_x)[0]), as_lookup(bad_x)[1], p, q, bad_mask)
 
 
 def test_gru_gradients_match_finite_differences():
+    # both directions and the lookup, from the table, over a padded record
     rng = np.random.default_rng(6)
-    p = GRUParams(rng, 3, 4, "gru")
-    x = Parameter(rng.standard_normal((3, 2, 3)), "x")
+    p, q = GRUParams(rng, 3, 4, "fwd"), GRUParams(rng, 3, 4, "bwd")
+    x = Parameter(rng.standard_normal((5, 3)), "x")
+    ids = np.array([[0, 3, 3], [4, 1, 0]])
     mask = np.array([[True] * 3, [True, True, False]])
-    probe = Tensor(rng.standard_normal((2, 3, 4)))
-    for reverse in (False, True):
-        result = check_gradients(
-            "gru", lambda: sum_all(mul(gru_step(p, x, mask, reverse=reverse), probe)),
-            dict(p.named(), x=x))
-        assert result.max_error < 1e-3, (reverse, result.errors)
+    result = check_gradients("gru", lambda: gru_step(x, ids, p, q, mask),
+                             dict(p.named(), **q.named(), x=x))
+    assert result.max_error < 1e-3, result.errors

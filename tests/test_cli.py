@@ -252,6 +252,8 @@ def test_unknown_flag_is_usage_error(capsys):
     ("oracle-check", "--trials", "0"),
     ("attn-export", "--limit", "0"),
     ("attn-export", "--limit", "-1"),
+    ("pretrain", "--min-freq", "0"),
+    ("train", "--min-freq", "-3"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, subcommand, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -338,7 +340,8 @@ def test_error_categories(tmp_path, capsys):
     for subcommand, body, extra in (
             ("synth-data", "seed: -1\n", []),
             ("oracle-check", "trials: 0\n", []),
-            ("attn-export", "limit: -1\n", ["--checkpoint", "c", "--manifest", "m"])):
+            ("attn-export", "limit: -1\n", ["--checkpoint", "c", "--manifest", "m"]),
+            ("pretrain", "min_freq: 0\n", ["--manifest", "m"])):
         cfg = tmp_path / f"{subcommand}.yaml"
         cfg.write_text(body, encoding="utf-8")
         assert run(subcommand, "--config", str(cfg), *extra,
@@ -458,7 +461,8 @@ def test_malformed_inputs_exit_with_their_category(pipeline, tmp_path, capsys):
     # a setting below its option's range
     for subcommand, key, value in (("synth-data", "seed", -1),
                                    ("oracle-check", "trials", 0),
-                                   ("attn-export", "limit", -1)):
+                                   ("attn-export", "limit", -1),
+                                   ("pretrain", "min_freq", 0)):
         replay = replay_manifest(tmp_path / f"{subcommand}.json", subcommand,
                                  **{key: value})
         assert run(subcommand, "--from-manifest", str(replay),

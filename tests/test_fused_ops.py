@@ -1,12 +1,14 @@
 """Fused records against the composed graphs of primitive ops that they
-replace: one GRU direction against its per-step graph; the per-step LSTM
-and attention records that ``tests/_reference.py`` keeps as the oracle of
-the one-record decoder unroll; the decoder unroll from its raw key rows,
-initial-state projections and embedding table against its composed graph;
-and the two loss records, the likelihood under dropout and the cycle loss,
-against theirs. Forward values and the gradient of every parameter agree to
-1e-12, at B = 1 and at B = 3, with a masked key or step and a padded
-(all-zero) row; at B = 3 the records take three distinct lengths.
+replace: the image projection against its matmul, add and tanh; the
+caption encoder, lookup and both GRU directions, against its per-step
+graph; the per-step LSTM and attention records that ``tests/_reference.py``
+keeps as the oracle of the one-record decoder unroll; the decoder unroll
+from its raw key rows, initial-state projections and embedding table
+against its composed graph; and the two loss records, the likelihood under
+dropout and the cycle loss, against theirs. Forward values and the gradient
+of every parameter agree to 1e-12, at B = 1 and at B = 3, with a masked key
+or step and a padded (all-zero) row; at B = 3 the records take three
+distinct lengths.
 
 The two unroll ops compute only the real steps of a batch: their outputs at
 padded steps are exactly 0 and pass no gradient back, and a step mask that
@@ -16,15 +18,17 @@ import numpy as np
 import pytest
 
 from cyclecap.attention import AttentionLayer
-from cyclecap.cells import GRUParams, LSTMParams, gru_step
+from cyclecap.cells import LSTMParams, gru_step
 from cyclecap.errors import DimensionError
 from cyclecap.cycle import cycle_loss_graph
-from cyclecap.tensor import HeadKeys, Parameter, Tape, add, decoder_unroll, gru_unroll
+from cyclecap.data import PAD_ID
+from cyclecap.models import CaptionEncoder, ImageProjection, ModelDims
+from cyclecap.tensor import HeadKeys, Parameter, Tape, decoder_unroll
 from cyclecap.training import nll_loss
 
 from _reference import (composed_attend, composed_cycle, composed_decoder_unroll,
-                        composed_lstm_step, composed_nll, composed_prepare, mul,
-                        step_additive_attention, step_lstm_cell, stepped_gru, sum_all)
+                        composed_lstm_step, composed_nll, composed_prepare, composed_project,
+                        step_additive_attention, step_lstm_cell, stepped_encode)
 
 TOL = 1e-12
 
@@ -37,19 +41,10 @@ def operand(rng, shape, name, padded_row=False):
     return Parameter(data, name)
 
 
-def probed_loss(outputs, probes):
-    """A scalar reading every output through its own probe array."""
-    terms = [sum_all(mul(o, Parameter(pr, "probe")))
-             for o, pr in zip(outputs, probes, strict=True)]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = add(loss, term)
-    return loss
-
-
 def run(build, params, probes=None):
     """Forward values and every parameter's gradient of one taped pass that
-    reads each output through its probe, by default a fixed random one."""
+    reads each output through its probe, by default a fixed random one: the
+    probes seed the backward."""
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
@@ -57,7 +52,7 @@ def run(build, params, probes=None):
         if probes is None:
             rng = np.random.default_rng(99)
             probes = [rng.standard_normal(o.shape) for o in outputs]
-        tape.backward(probed_loss(outputs, probes))
+        tape.backward(list(zip(outputs, probes, strict=True)))
     return [o.data.copy() for o in outputs], {k: p.grad.copy() for k, p in params.items()}
 
 
@@ -86,20 +81,37 @@ def test_lstm_step_matches_composed(batch):
                  dict(cell.named(), x1=x1, x2=x2, h=h, c=c))
 
 
+def encoder(rng):
+    """A caption encoder over a 7-word vocabulary, 3-wide embeddings and a
+    4-wide GRU per direction."""
+    return CaptionEncoder(rng, 7, ModelDims(1, 7, embed_dim=3, hidden_dim=4), "enc")
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_project_matches_composed(batch):
+    # matmul, bias and tanh over every region in one record; the features
+    # are data, with a padded (all-zero) region in the last record
+    rng = np.random.default_rng(5 + batch)
+    proj = ImageProjection(rng, 3, 4, "proj")
+    features = rng.standard_normal((batch, 5, 3))
+    features[-1, -1] = 0.0
+    assert_agree(lambda: (proj.project(features),),
+                 lambda: (composed_project(proj, features),), proj.named())
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 def test_gru_step_matches_composed(batch):
-    # each direction over a sequence, against its per-step graph
+    # the lookup and both directions over a caption batch, against the
+    # per-step graph of each direction
     rng = np.random.default_rng(10 + batch)
-    cell = GRUParams(rng, 3, 4, "gru")
-    x = operand(rng, (4, batch, 3), "x")
+    enc = encoder(rng)
+    ids = rng.integers(4, 7, size=(batch, 4))
     mask = np.ones((batch, 4), dtype=bool)
     if batch > 1:                      # the last record ends after two steps
-        x.data[2:, -1] = 0.0
+        ids[-1, 2:] = PAD_ID
         mask[-1, 2:] = False
-    for reverse in (False, True):
-        assert_agree(lambda: (gru_step(cell, x, mask, reverse=reverse),),
-                     lambda: (stepped_gru(cell, x, mask, reverse),),
-                     dict(cell.named(), x=x))
+    assert_agree(lambda: (gru_step(enc.embedding, ids, enc.fwd, enc.bwd, mask),),
+                 lambda: (stepped_encode(enc, ids, mask),), enc.named())
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -210,19 +222,16 @@ def unroll_case(kind, mask):
     steps under the step ``mask``; ``build()`` returns its outputs and
     ``padded`` gives, per output, the boolean index of its padded steps."""
     rng, batch, steps = np.random.default_rng(40), 3, 4
-    if kind.startswith("gru"):
-        embedded = operand(rng, (steps, batch, 3), "embedded")
-        cell = GRUParams(rng, 3, 4, "gru")
-        return (lambda: [gru_unroll(embedded, cell.w, cell.u, cell.b, mask,
-                                    reverse=kind == "gru-reverse")],
-                dict(cell.named(), embedded=embedded), [~mask])
+    if kind == "gru":                  # the caption encoder, both directions
+        enc, ids = encoder(rng), rng.integers(0, 7, size=(batch, steps))
+        return (lambda: [enc.encode(ids, mask)], enc.named(), [~mask])
     *operands, params = decoder_operands(rng, batch, steps)
     states = kind == "decoder"
     return (lambda: list(decoder_unroll(*operands, mask, states=states)),
             params, ([~mask.T] if states else []) + [~mask, ~mask])
 
 
-@pytest.mark.parametrize("kind", ["gru", "gru-reverse", "decoder", "decoder-weights-only"])
+@pytest.mark.parametrize("kind", ["gru", "decoder", "decoder-weights-only"])
 def test_padded_steps_are_zero_and_pass_no_gradient(kind):
     # outputs at padded steps are exactly 0, and a probe changed only there
     # leaves every gradient bit-identical
@@ -244,7 +253,7 @@ def test_padded_steps_are_zero_and_pass_no_gradient(kind):
 @pytest.mark.parametrize("kind", ["gru", "decoder"])
 def test_unroll_ops_reject_a_bad_step_mask(kind):
     # packing needs each row's real steps first, and one mask entry per step
-    op = "gru_unroll" if kind == "gru" else "decoder_unroll"
+    op = "encoder_unroll" if kind == "gru" else "decoder_unroll"
     gap = np.ones((3, 4), dtype=bool)
     gap[1, 1] = False                  # a real step after a padded one
     with pytest.raises(DimensionError, match=f"{op}: step mask is not a prefix"):

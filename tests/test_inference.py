@@ -146,7 +146,8 @@ def test_caption_image_record_shapes_and_determinism():
 
 
 def test_caption_image_builds_tensors_only_in_project_and_encode(monkeypatch):
-    # the two networks it runs forward are taped ops; decoding is arrays
+    # the two networks it runs forward are one record, so one Tensor, each;
+    # decoding is arrays
     rng = np.random.default_rng(16)
     bundle = tiny_bundle(seed=17)
     grid = FeatureGrid(rng.standard_normal((3, 3)))
@@ -164,7 +165,7 @@ def test_caption_image_builds_tensors_only_in_project_and_encode(monkeypatch):
         monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
     out = caption_image(bundle, grid, beam_size=3, max_len=6)
     assert len(out.en_ids) + len(out.de_ids) > 2   # the decoders ran several steps
-    assert len(inside) == 2 and all(inside) and len(made) == sum(inside)
+    assert inside == [1, 1] and len(made) == 2
 
 
 def test_caption_image_beam_sizes_both_valid():

@@ -13,10 +13,10 @@ from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tape, Tensor, add, initial_state, pool
+from cyclecap.tensor import Parameter, Tape, Tensor, initial_state, pool
 from cyclecap.training import _captioner_loss, nll_loss
 
-from _reference import (composed_init_state, mul, ref_captioner_sequence,
+from _reference import (add, composed_init_state, mul, ref_captioner_sequence,
                         ref_encode_caption, ref_german_sequence, stepped_encode,
                         stepped_unroll, sum_all)
 from conftest import count_tensors, random_ids, tiny_bundle, tiny_captioner
@@ -108,7 +108,7 @@ def test_encoder_matches_reference_and_rejects_empty():
 
 
 def test_encode_records_do_not_depend_on_caption_length():
-    # the lookup, one record per direction and the concat
+    # the lookup and both directions are one record
     enc = tiny_bundle(seed=28).cap_encoder
     counts = set()
     for n in (2, 12):
@@ -116,7 +116,7 @@ def test_encode_records_do_not_depend_on_caption_length():
         with Tape() as tape:
             enc.encode(ids)
         counts.add(len(tape))
-    assert counts == {4}
+    assert counts == {1}
 
 
 ENCODE_LENGTHS = {1: [5], 3: [5, 5, 3], "3-ascending": [2, 4, 5]}
@@ -124,7 +124,7 @@ ENCODE_LENGTHS = {1: [5], 3: [5, 5, 3], "3-ascending": [2, 4, 5]}
 
 @pytest.mark.parametrize("batch_size", list(ENCODE_LENGTHS))
 def test_encode_matches_the_per_step_graph(batch_size):
-    # the one-record directions against the per-step composed graph, with
+    # the one-record encoder against the per-step composed graph, with
     # padding: values, zeros at padded positions, and every encoder gradient.
     # At 3 the last caption ends after three tokens; "3-ascending" gives three
     # distinct lengths shortest first, so the packed order reverses the rows
@@ -295,7 +295,7 @@ def test_stage_one_dropout_is_one_mask_per_step():
     cap = bundle.captioner
     batch = make_batch([PairRecord(t.image_id, t.features, t.en_ids)
                         for t in split_triples(3)])
-    loss = _captioner_loss(cap, batch, 0.5, np.random.default_rng(5))[0].item()
+    loss = _captioner_loss(cap, batch, 0.5, np.random.default_rng(5))[1]
     dec, rng = cap.decoder, np.random.default_rng(5)
     keys, state = dec.start([cap.project(batch.features)], [batch.region_mask])
     expected = 0.0

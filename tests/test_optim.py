@@ -3,9 +3,9 @@ import pytest
 
 from cyclecap.errors import NumericError
 from cyclecap.optim import Adam
-from cyclecap.tensor import Parameter, Tape, scale
+from cyclecap.tensor import Parameter, Tape
 
-from _reference import mul, sum_all
+from _reference import mul, scale, sum_all
 
 
 def test_zero_gradient_leaves_parameters_unchanged():

@@ -2,9 +2,9 @@
 carries are checked here, so that what the fused ops are compared against
 stays verified: ``masked_softmax``, which the composed attention graph is
 built from, ``stack`` and ``unstack``, which the per-step graphs are built
-from, and the primitives that the composed key side, initial state and
-losses are built from, against hand values and central finite
-differences."""
+from, and the primitives that the composed key side, image projection,
+encoder lookup, initial state and losses are built from, against hand
+values and central finite differences."""
 
 import math
 
@@ -18,8 +18,9 @@ from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
 from cyclecap.tensor import Parameter, Tape, Tensor
 
-from _reference import (batch_matmul, dropout, frobenius, log_softmax, masked_mean,
-                        masked_softmax, mul, pick, stack, sub, sum_all, transpose, unstack)
+from _reference import (add, batch_matmul, concat, dropout, embedding_lookup, frobenius,
+                        log_softmax, masked_mean, masked_softmax, matmul, mul, pick, scale,
+                        stack, sub, sum_all, tanh, transpose, unstack)
 
 
 def all_real(scores):
@@ -115,12 +116,27 @@ def test_moved_primitive_gradients_match_finite_differences():
     v, w, t3, u3, x2, probe = p((4,), "v"), p((4,), "w"), p((2, 3, 4), "t3"), \
         p((2, 4, 3), "u3"), p((2, 4), "x2"), p((2, 3), "probe")
     m, probe_m = p((3, 4), "m"), p((3, 4), "probe_m")
+    a, b, table = p((3, 4), "a"), p((4, 2), "b"), p((5, 3), "table")
     real = np.array([[True, True, False], [True, True, True]])   # (B, K)
 
     def seeded_dropout():
         return sum_all(mul(dropout(v, 0.5, np.random.default_rng(123)), w))
 
     cases = [
+        # the ops read through check_gradients' own probes
+        ("matmul", lambda: matmul(a, b), {"a": a, "b": b}),
+        ("matmul-batched", lambda: matmul(t3, b), {"t3": t3, "b": b}),
+        ("matmul-vector", lambda: matmul(t3, v), {"t3": t3, "v": v}),
+        ("add", lambda: add(v, w), {"v": v, "w": w}),
+        ("add-broadcast", lambda: add(m, v), {"m": m, "v": v}),
+        ("scale", lambda: scale(v, 2.5), {"v": v}),
+        ("concat", lambda: concat([v, w]), {"v": v, "w": w}),
+        ("concat-last-axis", lambda: concat([m, a]), {"m": m, "a": a}),
+        ("tanh", lambda: tanh(v), {"v": v}),
+        ("embedding-lookup", lambda: embedding_lookup(table, [0, 2, 2, 4]),
+         {"table": table}),
+        ("embedding-lookup-matrix", lambda: embedding_lookup(table, [[0, 2], [2, 4]]),
+         {"table": table}),
         ("mul", lambda: sum_all(mul(v, w)), {"v": v, "w": w}),
         ("sub", lambda: sum_all(mul(sub(v, w), sub(v, w))), {"v": v, "w": w}),
         ("batch_matmul", lambda: sum_all(mul(batch_matmul(t3, u3), batch_matmul(t3, u3))),

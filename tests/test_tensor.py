@@ -7,12 +7,12 @@ from cyclecap.attention import AttentionLayer, attend
 from cyclecap.cells import LSTMParams, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import (Parameter, Tape, Tensor, _sigmoid, add, concat,
-                             embedding_lookup, matmul, prepare, scale)
+from cyclecap.tensor import Parameter, Tape, Tensor, _sigmoid, prepare
 
-from _reference import (composed_prepare, dropout, frobenius, log_softmax, masked_mean,
-                        masked_softmax, mul, pick, split_sigmoid, stack,
-                        step_additive_attention, step_lstm_cell, sub, sum_all, unstack)
+from _reference import (add, composed_prepare, concat, dropout, embedding_lookup, frobenius,
+                        log_softmax, masked_mean, masked_softmax, matmul, mul, pick, scale,
+                        split_sigmoid, stack, step_additive_attention, step_lstm_cell, sub,
+                        sum_all, unstack)
 
 
 def test_matmul_identity():
@@ -75,6 +75,28 @@ def test_backward_requires_scalar_on_this_tape():
         foreign = Tensor(np.asarray(3.0))
         with pytest.raises(StateError):
             tape.backward(foreign)
+
+
+def test_seeded_backward_weighs_each_root_and_checks_it():
+    # the gradient of sum(seed * output) over the roots, a seed of each
+    # root's shape, finite, on an output of this tape, once per tape
+    x = Parameter([1.0, 2.0], "x")
+    with Tape() as tape:
+        y, total = mul(x, x), sum_all(x)
+        tape.backward([(y, [3.0, -1.0]), (total, 0.5)])
+        with pytest.raises(StateError):
+            tape.backward([(y, [3.0, -1.0])])
+    np.testing.assert_array_equal(x.grad, [6.5, -3.5])
+    for seed, error in ((np.ones(3), DimensionError), (np.ones((2, 1)), DimensionError),
+                        ([1.0, np.nan], NumericError), ([np.inf, 1.0], NumericError)):
+        with Tape() as tape:
+            y = mul(x, x)
+            with pytest.raises(error):
+                tape.backward([(y, seed)])
+    with Tape() as tape:
+        mul(x, x)
+        with pytest.raises(StateError):
+            tape.backward([(Tensor([1.0, 2.0]), np.ones(2))])
 
 
 def _lstm_operands(seed=0, batch=2, n_in=3, hidden=4):

@@ -8,11 +8,12 @@ from cyclecap import tensor
 from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_batch,
                            pairs_from_triples)
 from cyclecap.errors import ConfigError, DataError, DimensionError
-from cyclecap.models import load_bundle, save_bundle
+from cyclecap.models import ImageCaptioner, ModelBundle, load_bundle, save_bundle
 from cyclecap.tensor import Parameter, Tape, Tensor
-from cyclecap.training import (TrainConfig, _stage2_loss, nll_loss, pretrain_part1,
+from cyclecap.training import (TrainConfig, _batches, _stage2_loss, nll_loss, pretrain_part1,
                                train_part2)
 
+from _reference import add, scale
 from conftest import make_corpus, random_ids, tiny_bundle
 
 
@@ -55,13 +56,13 @@ def test_a_taped_stage_two_loss_computes_only_real_steps(monkeypatch):
 
 
 def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch):
-    # each unroll, key projection, initial state and lookups included, is one
-    # record, and so is each loss; counted at _fit's backward over a
-    # mixed-length batch at lambda 1 with dropout, part 1 unfrozen. Stage two
-    # records the projection (3), the encoder (lookup, two GRU directions,
-    # concat), the two unrolls, the two losses, lambda's scale and add, and
-    # the mean's scale; stage one the projection, its unroll, its loss and
-    # the mean's scale.
+    # each network is one record, the projection, the encoder (lookup and
+    # both GRU directions) and each unroll (key projection, initial state and
+    # lookups included), and so is each loss; lambda and the mean's 1/B seed
+    # the backward. Counted at _fit's backward over a mixed-length batch at
+    # lambda 1 with dropout, part 1 unfrozen: stage two records the
+    # projection, the encoder, the two unrolls and the two losses; stage one
+    # the projection, its unroll and its loss.
     rng = np.random.default_rng(5)
     triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
                             random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
@@ -70,7 +71,7 @@ def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch)
     taped = []
     backward = tensor.Tape.backward
     monkeypatch.setattr(tensor.Tape, "backward",
-                        lambda tape, loss: taped.append(len(tape)) or backward(tape, loss))
+                        lambda tape, roots: taped.append(len(tape)) or backward(tape, roots))
     cfg = quick_cfg(max_epochs=1, patience=1, batch_size=4, dropout=0.5, cycle_weight=1.0,
                     hidden_dim=4, embed_dim=4, attn_dim=4, proj_dim=4)
     en_vocab, de_vocab = Vocabulary([f"e{i}" for i in range(4)]), \
@@ -78,7 +79,38 @@ def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch)
     captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 3, cfg)
     train_part2(triples, captioner, en_vocab, de_vocab, cfg)
     stage1, stage2 = taped
-    assert stage1 <= 8 and stage2 <= 15, taped
+    assert stage1 == 3 and stage2 == 6, taped
+
+
+@pytest.mark.parametrize("cycle_weight", [0.5, 1.0])
+def test_fit_seeds_the_backward_with_the_loss_weights(cycle_weight):
+    # _fit seeds the likelihood with 1/B and the cycle loss with lambda/B:
+    # the gradients of one step over a mixed-length batch with dropout are
+    # the bits of a backward of scale(add(nll, scale(cyc, lambda)), 1/B),
+    # the mean loss built from the primitive oracles
+    rng = np.random.default_rng(9)
+    triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
+                            random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
+               for i, (regions, en_len, de_len) in enumerate([(4, 5, 3), (2, 2, 6),
+                                                              (3, 7, 1)])]
+    cfg = quick_cfg(max_epochs=1, patience=1, batch_size=3, dropout=0.5,
+                    cycle_weight=cycle_weight, hidden_dim=4, embed_dim=4, attn_dim=4,
+                    proj_dim=4)
+    en_vocab, de_vocab = Vocabulary([f"e{i}" for i in range(4)]), \
+        Vocabulary([f"d{i}" for i in range(5)])
+    dims = cfg.dims(3, len(en_vocab))
+    trained, _ = train_part2(triples, ImageCaptioner(dims, cfg.seed), en_vocab, de_vocab, cfg)
+    oracle = ModelBundle(ImageCaptioner(dims, cfg.seed), len(de_vocab), cfg.seed)
+    (batch,) = _batches(triples, cfg.batch_size, lambda r: r.de_steps)
+    with Tape() as tape:
+        (nll, _), (cyc, _) = _stage2_loss(oracle, batch, cycle_weight, cfg.dropout,
+                                          rng=np.random.default_rng(cfg.seed))[0]
+        tape.backward(scale(add(nll, scale(cyc, cycle_weight)), 1.0 / len(batch)))
+    want = oracle.named_parameters()
+    for name in ("captioner/proj/w", "cap_encoder/embedding", "de_decoder/w_out"):
+        assert want[name].grad.any(), name
+    for name, p in trained.named_parameters().items():
+        assert p.grad.tobytes() == want[name].grad.tobytes(), name
 
 
 # --- loss -----------------------------------------------------------------------
