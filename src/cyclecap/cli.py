@@ -21,9 +21,11 @@ starts.
 
 A value is read with its option's type wherever it comes from: a flag
 (usage error, exit 2), a config file (exit 2) or a manifest (exit 5).
-``--seed`` is a non-negative int, ``--trials``, ``--limit`` and
-``--min-freq`` positive ints; other range checks stay with the library code
-that uses the value.
+``--seed`` is a non-negative int; ``synth-data``'s five counts,
+``--beam-size``, ``--max-len``, ``--grid-rows``, ``--grid-cols``,
+``--trials``, ``--limit`` and ``--min-freq`` are positive ints. Other
+ranges (``TrainConfig.check``, ``SynthSpec``'s cross-field limits) stay
+with the library code that uses the value, and are config errors too.
 
 Exit codes by error category: 2 config, 3 data, 4 numeric, 5 io (every
 OSError included).
@@ -129,16 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Removed on/off settings. A config or manifest may still hold one switched
-# off, which is the behaviour that remains; switched on it is a ConfigError.
-RETIRED = ("squared_cycle",)
+# Removed settings, each with the value whose behaviour remains. A config or
+# manifest may still hold that value (of its type: 0 is not false); any
+# other is a ConfigError.
+RETIRED = {"squared_cycle": False, "dims": "tiny"}
 
 
 def _refuse_retired(values: dict, path) -> None:
-    for key in RETIRED:
-        if values.get(key, False) is not False:
+    for key, kept in RETIRED.items():
+        value = values.get(key, kept)
+        if type(value) is not type(kept) or value != kept:
             raise ConfigError(f"{path}: setting {key!r} was removed; only "
-                              f"false is accepted, got {values[key]!r}")
+                              f"{json.dumps(kept)} is accepted, got {value!r}")
 
 
 def _resolve_settings(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
@@ -198,9 +202,9 @@ def _replayed_settings(args: argparse.Namespace,
                        options: tuple[Option, ...]) -> dict:
     """The settings recorded in the ``--from-manifest`` file, which must hold
     every option of the subcommand; keys of removed options are kept as
-    recorded (``RETIRED`` ones only when off). Its recorded input files must
-    still hash as they did. --config or a setting flag beside it is a
-    ConfigError."""
+    recorded (``RETIRED`` ones only at the value that remains). Its recorded
+    input files must still hash as they did. --config or a setting flag
+    beside it is a ConfigError."""
     given = [f"--{opt.flag}" for opt in options if getattr(args, opt.key) is not None]
     if args.config:
         given.insert(0, "--config")
@@ -457,7 +461,7 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
 
 
 def run_gradcheck(settings: dict, out_dir: Path) -> None:
-    results = checks.gradient_suite(settings["dims"], settings["seed"])
+    results = checks.gradient_suite(settings["seed"])
     lines = [f"{r.name:<28} max rel err {r.max_error:.3e} "
              f"{'ok' if r.ok(checks.GRAD_TOL) else 'FAILED'}" for r in results]
     worst = max(r.max_error for r in results)
@@ -502,11 +506,11 @@ MIN_FREQ = Option("min-freq", positive_int, 5, "vocabulary frequency cutoff")
 SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
     "synth-data": (run_synth_data, "generate a synthetic aligned corpus",
                    SEED + (
-        Option("n-images", int, 16, "number of images"),
-        Option("regions", int, 16, "feature grid regions per image"),
-        Option("feature-dim", int, 32, "feature vector size per region"),
-        Option("n-object-types", int, 6, "distinct object words"),
-        Option("objects-per-image", int, 1, "planted objects per image"),
+        Option("n-images", positive_int, 16, "number of images"),
+        Option("regions", positive_int, 16, "feature grid regions per image"),
+        Option("feature-dim", positive_int, 32, "feature vector size per region"),
+        Option("n-object-types", positive_int, 6, "distinct object words"),
+        Option("objects-per-image", positive_int, 1, "planted objects per image"),
     )),
     "pretrain": (run_pretrain, "train the stage-one captioner", SEED + (
         MANIFEST,
@@ -549,9 +553,7 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
         Option("use-gold-captions", bool, False,
                "teacher-force ground truth instead of decoding"),
     )),
-    "gradcheck": (run_gradcheck, "finite-difference gradient suite", SEED + (
-        Option("dims", str, "tiny", "preset size (tiny or small)"),
-    )),
+    "gradcheck": (run_gradcheck, "finite-difference gradient suite", SEED),
     "oracle-check": (run_oracle_check,
                      "composed-attention and chain-identity verification", SEED + (
         Option("trials", positive_int, 100, "random factorized joints to test"),

@@ -14,17 +14,14 @@ next state and one (live, K) attention row per head; every row reads the
 image's one-record keys, which ``attention.attend`` broadcasts. After
 ranking, ``beam_decode`` reorders the state to the surviving rows' parents
 with one fancy index, skipped when every row keeps its place (always so at
-beam 1). Per step the search keeps only back-pointers, the parent row and
-token of each surviving row plus the step's attention rows, and rebuilds
-the winner's tokens and attention once at the end.
+beam 1). Hypotheses are explicit: each live row carries its summed
+log-prob, its token tuple and its attention rows per step.
 
 The candidates of a step are each live row's ``beam_size`` best tokens,
 stable on ties, ranked by (score desc, tokens asc); EOS candidates retire
-and the first ``beam_size`` others stay live. A row's place in the
-lexicographic order of the live token sequences stands in for its tokens,
-so no sequence is copied. (A top k over the flattened live x vocab scores
-is a different search: it keeps fewer live hypotheses whenever an EOS
-retires.)
+and the first ``beam_size`` others stay live. (A top k over the flattened
+live x vocab scores is a different search: it keeps fewer live hypotheses
+whenever an EOS retires.)
 
 The search ends before the length cap once the best finished score is at
 least the best live score. That stop is exact: log-probs are <= 0 and float
@@ -88,62 +85,43 @@ def beam_decode(step_fn: StepFn, state: Any, *, beam_size: int = 3,
     if beam_size < 1 or max_len < 1:
         raise ConfigError(f"beam_size and max_len must be >= 1, "
                           f"got {beam_size}, {max_len}")
-    scores = [0.0]          # live rows' summed log-probs
-    ranks = [0]             # live rows' places in lexicographic token order
+    live = [(0.0, (), ())]  # (summed log-prob, tokens, attention rows per step)
     prev = np.array([bos_id])
-    attn_steps = []         # per step: one (live, K) array per head
-    back = []               # per step: the rows kept live, (-score, parent rank,
-                            # token, parent row)
-    finished = []           # (-logprob, length, parent rank, step, parent row)
+    finished = []           # (-logprob, length, tokens, attention rows per step)
     best_finished = -np.inf
     can_stop = True
     for t in range(max_len):
         logprobs, state, rows = step_fn(state, prev)
-        attn_steps.append(rows)
         can_stop = can_stop and logprobs.max() <= 0.0  # NaN disables it too
         top = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_size].tolist()
         candidates = sorted(
-            (-(score + float(lps[token])), rank, token, row)
-            for row, (score, rank, lps, tokens)
-            in enumerate(zip(scores, ranks, logprobs, top))
-            for token in tokens)
-        live = []
-        for cand in candidates:
-            if len(live) == beam_size:
+            (-(score + float(lps[token])), tokens + (token,), row)
+            for row, ((score, tokens, _), lps, best) in enumerate(zip(live, logprobs, top))
+            for token in best)
+        kept, parents = [], []
+        for neg, tokens, row in candidates:
+            if len(kept) == beam_size:
                 break
-            neg, rank, token, row = cand
-            if token == eos_id:
-                finished.append((neg, t + 1, rank, t, row))
+            attn = live[row][2] + (tuple(a[row] for a in rows),)
+            if tokens[-1] == eos_id:
+                finished.append((neg, t + 1, tokens, attn))
                 best_finished = max(best_finished, -neg)
             else:
-                live.append(cand)
-        if not live:
+                kept.append((-neg, tokens, attn))
+                parents.append(row)
+        if not kept:
             break
-        back.append(live)
-        negs, parent_ranks, tokens, parents = zip(*live)
-        scores = [-neg for neg in negs]
-        ranks = [0] * len(live)
-        if len(live) > 1:  # token order: the parents' order, then the new token
-            order = sorted(range(len(live)), key=lambda i: (parent_ranks[i], tokens[i]))
-            for place, i in enumerate(order):
-                ranks[i] = place
-        if parents != tuple(range(len(prev))):
+        if parents != list(range(len(live))):
             state = _take(state, np.array(parents))
-        prev = np.array(tokens)
-        if can_stop and finished and best_finished >= scores[0]:
+        live = kept
+        prev = np.array([tokens[-1] for _, tokens, _ in live])
+        if can_stop and finished and best_finished >= live[0][0]:
             break
     if finished:
-        neg, _, _, t, row = min(finished)
-        token, truncated = eos_id, False
-    else:  # live is sorted, and every live row has the same length
-        neg, _, token, row = live[0]
-        truncated = True
-    seq, attn = [token], [tuple(a[row] for a in attn_steps[t])]
-    for s in range(t - 1, -1, -1):
-        _, _, token, row = back[s][row]
-        seq.append(token)
-        attn.append(tuple(a[row] for a in attn_steps[s]))
-    return DecodeResult(tuple(seq[::-1]), -neg, tuple(attn[::-1]), truncated)
+        neg, _, tokens, attn = min(finished, key=lambda f: f[:3])
+        return DecodeResult(tokens, -neg, attn, False)
+    score, tokens, attn = live[0]  # live is sorted, and all have one length
+    return DecodeResult(tokens, score, attn, True)
 
 
 @dataclass(frozen=True)

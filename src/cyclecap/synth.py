@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureGrid, ManifestEntry, save_features, write_manifest
-from .errors import DataError
+from .errors import ConfigError
 
 EN_OBJECT_WORDS = ("dog", "cat", "car", "tree", "bird", "house", "boat", "horse",
                    "fish", "lamp")
@@ -44,16 +44,17 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.n_images, self.regions, self.feature_dim,
                self.n_object_types, self.objects_per_image) < 1:
-            raise DataError("all synthesis counts must be positive")
+            raise ConfigError("all synthesis counts must be positive")
         if self.objects_per_image > self.regions:
-            raise DataError(
+            raise ConfigError(
                 f"{self.objects_per_image} objects cannot fit {self.regions} regions")
         if self.objects_per_image > self.n_object_types:
-            raise DataError("objects per image exceeds distinct object types")
+            raise ConfigError(f"{self.objects_per_image} objects per image exceed "
+                              f"{self.n_object_types} object types")
         if self.n_object_types > len(EN_OBJECT_WORDS):
-            raise DataError(f"at most {len(EN_OBJECT_WORDS)} object types supported")
+            raise ConfigError(f"at most {len(EN_OBJECT_WORDS)} object types supported")
         if self.extra_fillers[0] < 0 or self.extra_fillers[0] > self.extra_fillers[1]:
-            raise DataError("bad filler range")
+            raise ConfigError(f"bad filler range {self.extra_fillers}")
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,18 @@ def _fit(phase: str, records: Sequence, length_of, batch_loss,
     return report
 
 
+def _validation_set(records: Sequence, val: Sequence | None, feature_dim: int
+                    ) -> Sequence:
+    """``val``, or the training ``records`` when it is None. An empty
+    validation set, or a grid of either set whose feature dim is not
+    ``feature_dim``, is a DataError before any model is built."""
+    if val is not None and not val:
+        raise DataError("validation needs a non-empty record set")
+    for r in (*records, *(val or ())):
+        check_feature_dim(r.image_id, r.features, feature_dim)
+    return records if val is None else val
+
+
 def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
                    feature_dim: int, cfg: TrainConfig,
                    val_pairs: Sequence[PairRecord] | None = None
@@ -283,9 +295,7 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
         raise DataError("pretraining needs a non-empty pair set")
     if len(vocab) < 5:
         raise DataError("captioner needs a vocabulary (>= 4 reserved ids + 1)")
-    val = val_pairs if val_pairs is not None else pairs
-    for r in pairs:
-        check_feature_dim(r.image_id, r.features, feature_dim)
+    val = _validation_set(pairs, val_pairs, feature_dim)
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
     params = model.named_parameters()
     drop_rng = np.random.default_rng(cfg.seed)
@@ -326,10 +336,7 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
         raise DataError("stage-two training needs a non-empty triple set")
     if len(en_vocab) != captioner.dims.en_vocab:
         raise DataError("English vocabulary does not match the captioner")
-    val = val_triples if val_triples is not None else triples
-    feature_dim = captioner.dims.feature_dim
-    for r in triples:
-        check_feature_dim(r.image_id, r.features, feature_dim)
+    val = _validation_set(triples, val_triples, captioner.dims.feature_dim)
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical
     part1 = ImageCaptioner(captioner.dims, cfg.seed)

@@ -62,7 +62,7 @@ def test_criterion_03_gradient_suite():
     with criterion(3, "finite-difference suite over the fused ops, decoder "
                       "unrolls, losses, composed graph"):
         start = time.monotonic()
-        results = checks.gradient_suite("tiny", seed=0)
+        results = checks.gradient_suite(seed=0)
         names = {r.name for r in results}
         assert {"cycle/frobenius", "training/stage2-composed",
                 "fused/decoder_unroll-soft", "fused/decoder_unroll-dual",

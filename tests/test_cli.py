@@ -3,7 +3,7 @@ import json
 import shutil
 import struct
 from collections.abc import Mapping
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,10 +13,11 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclecap import checks, cli, evaluation
+from cyclecap import checks, cli, evaluation, synth
 from cyclecap.cli import SUBCOMMANDS, main, write_run_manifest
 from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
 from cyclecap.models import load_bundle, load_captioner, save_bundle
+from cyclecap.training import TrainConfig
 
 from conftest import FUZZ, bit_flips, truncations
 
@@ -233,7 +234,7 @@ def test_oracle_check(tmp_path, capsys):
 
 
 def test_gradcheck_tiny(tmp_path, capsys):
-    assert run("gradcheck", "--out-dir", str(tmp_path), "--dims", "tiny") == 0
+    assert run("gradcheck", "--out-dir", str(tmp_path)) == 0
     out = capsys.readouterr().out
     assert "worst" in out
     assert "FAILED" not in out
@@ -254,6 +255,8 @@ def test_unknown_flag_is_usage_error(capsys):
     ("attn-export", "--limit", "-1"),
     ("pretrain", "--min-freq", "0"),
     ("train", "--min-freq", "-3"),
+    *(("synth-data", f"--{count}", "0") for count in ("n-images", "regions", "feature-dim",
+                                                      "n-object-types", "objects-per-image")),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, subcommand, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -273,6 +276,23 @@ def test_flag_the_run_would_not_read_is_usage_error(tmp_path, capsys, subcommand
         run(subcommand, "--out-dir", str(tmp_path), flag, "16")
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
+
+
+def test_every_option_default_is_its_library_field_default():
+    # the options repeat the defaults of the fields they fill, so a run
+    # without flags is the library call without arguments
+    compared = 0
+    for subcommand, spec in (("pretrain", TrainConfig), ("train", TrainConfig),
+                             ("synth-data", synth.SynthSpec)):
+        defaults = {f.name: f.default for f in fields(spec) if f.default is not MISSING}
+        for opt in SUBCOMMANDS[subcommand][2]:
+            name = "cycle_weight" if opt.key == "lambda" else opt.key
+            if name in defaults:
+                expected = defaults[name]
+                assert (type(opt.default), opt.default) == (type(expected), expected), \
+                    (subcommand, opt.flag)
+                compared += 1
+    assert compared == 12 + 10 + 4
 
 
 class ReadRecorder(Mapping):
@@ -298,7 +318,7 @@ class ReadRecorder(Mapping):
 def test_every_subcommand_reads_every_option(pipeline, tmp_path, monkeypatch):
     # an option no run reads is a setting no run can vary
     monkeypatch.setattr(checks, "gradient_suite",
-                        lambda dims, seed: [checks.GradCheckResult("stub")])
+                        lambda seed: [checks.GradCheckResult("stub")])
     monkeypatch.setattr(checks, "oracle_suite",
                         lambda seed, trials: SimpleNamespace(ok=True, render=str))
     recorded = {sub: json.loads((pipeline / run_dir / "manifest.json")
@@ -339,6 +359,7 @@ def test_error_categories(tmp_path, capsys):
     # a --config value below its option's range
     for subcommand, body, extra in (
             ("synth-data", "seed: -1\n", []),
+            ("synth-data", "n_images: 0\n", []),
             ("oracle-check", "trials: 0\n", []),
             ("attn-export", "limit: -1\n", ["--checkpoint", "c", "--manifest", "m"]),
             ("pretrain", "min_freq: 0\n", ["--manifest", "m"])):
@@ -349,6 +370,15 @@ def test_error_categories(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error[config]: ") and "Traceback" not in err
         assert str(cfg) in err and repr(body.split(":")[0]) in err
+
+    # synth-data limits between settings, which no option type can express
+    for flags, message in ((["--objects-per-image", "7"], "exceed 6 object types"),
+                           (["--objects-per-image", "3", "--regions", "2"], "cannot fit"),
+                           (["--n-object-types", "11"], "at most 10 object types")):
+        assert run("synth-data", *flags, "--out-dir", str(tmp_path / "synth")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: ") and message in err
+        assert "Traceback" not in err
 
 
 def assert_clean_io_error(capsys, *fragments):
@@ -819,6 +849,33 @@ def test_removed_squared_cycle_switched_on_is_config_error(pipeline, tmp_path,
         assert err.startswith("error[config]: ") and "Traceback" not in err
         assert source[1] in err and "'squared_cycle'" in err
     assert not (tmp_path / "out" / "bundle.ckpt").exists()
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("dims", "tiny", 0), ("dims", "small", 2), ("dims", 0, 2),
+    ("squared_cycle", False, 0), ("squared_cycle", 0, 2),
+])
+def test_removed_setting_is_accepted_only_at_its_remaining_value(tmp_path, capsys,
+                                                                 monkeypatch, key, value,
+                                                                 code):
+    # gradcheck runs one set of sizes, the tiny ones, and stage two the plain
+    # norm: any other value of a removed setting would replay as those
+    monkeypatch.setattr(checks, "gradient_suite",
+                        lambda seed: [checks.GradCheckResult("stub")])
+    assert run("gradcheck", "--out-dir", str(tmp_path / "gc")) == 0
+    stored = json.loads((tmp_path / "gc" / "manifest.json").read_text())
+    stored["settings"][key] = value
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(stored), encoding="utf-8")
+    cfg = tmp_path / "retired.yaml"
+    cfg.write_text(f"{key}: {json.dumps(value)}\n", encoding="utf-8")
+    for i, source in enumerate((["--from-manifest", str(replay)], ["--config", str(cfg)])):
+        capsys.readouterr()
+        assert run("gradcheck", *source, "--out-dir", str(tmp_path / f"out{i}")) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error[config]: ") and "Traceback" not in err
+            assert source[1] in err and repr(key) in err
 
 
 def test_infer_reads_the_checkpoint_once(pipeline, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cyclecap import synth
 from cyclecap.data import TripleRecord, Vocabulary, read_manifest
-from cyclecap.errors import DataError
+from cyclecap.errors import ConfigError
 
 
 def test_single_object_captions_mention_exactly_one_object_word():
@@ -39,7 +39,7 @@ def test_alignment_pairs_words_to_the_same_region():
 
 
 def test_object_count_cannot_exceed_regions():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         synth.SynthSpec(seed=0, n_images=2, regions=2, objects_per_image=3,
                         n_object_types=4)
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclecap import tensor
+from cyclecap import tensor, training
 from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_batch,
                            pairs_from_triples)
 from cyclecap.errors import ConfigError, DataError, DimensionError
@@ -226,6 +226,31 @@ def test_pretrain_accepts_superset_pair_collections(small_corpus):
                                    quick_cfg(max_epochs=2, patience=2))
     assert len(report.epochs) == 2
     assert model.dims.en_vocab == len(en_vocab)
+
+
+@pytest.mark.parametrize("stage", ["part1", "part2"])
+@pytest.mark.parametrize("case", ["empty", "feature-dim"])
+def test_a_bad_validation_set_is_refused_before_any_model_is_built(small_corpus,
+                                                                  monkeypatch, stage, case):
+    # either would otherwise fail only at the first validation, after
+    # training: an empty set in the metric, an odd grid in the projection
+    triples, en_vocab, de_vocab, _ = small_corpus
+    cfg = quick_cfg()
+    captioner = ImageCaptioner(cfg.dims(32, len(en_vocab)), 0)
+    odd = replace(triples[0], image_id="odd", features=FeatureGrid(np.zeros((4, 5))))
+    val = [] if case == "empty" else [triples[1], odd]
+
+    def built(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(training, "ImageCaptioner", built)
+    message = "non-empty" if case == "empty" else "'odd' has feature dim 5, expected 32"
+    with pytest.raises(DataError, match=message):
+        if stage == "part1":
+            pretrain_part1(pairs_from_triples(triples), en_vocab, 32, cfg,
+                           val_pairs=pairs_from_triples(val))
+        else:
+            train_part2(triples, captioner, en_vocab, de_vocab, cfg, val_triples=val)
 
 
 # --- stage two ----------------------------------------------------------------------
