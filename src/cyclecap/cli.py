@@ -8,8 +8,9 @@ input paths and fills ``TrainConfig``. A setting's key is its flag with
 ``pretrain`` (``train`` takes them from its ``--part1`` checkpoint).
 
 Every run resolves its settings (defaults, then the --config YAML file,
-then explicit flags), writes exactly one ``manifest.json`` into its
---out-dir recording those settings plus content hashes of the input files,
+then explicit flags), checks them (``SETTINGS_CHECKS``), and only then
+writes exactly one ``manifest.json`` into its --out-dir, recording those
+settings plus content hashes of the input files taken before the run,
 and can be replayed byte-for-byte with ``--from-manifest``. A replay takes
 its settings from the manifest alone: --config or a setting flag beside it
 is a config error. It re-hashes the recorded input files first: one that
@@ -561,6 +562,19 @@ SUBCOMMANDS: dict[str, tuple[Callable, str, tuple[Option, ...]]] = {
 }
 
 
+# subcommand: the check its settings pass before the manifest is written, so
+# that a refused run leaves none behind: the ranges library code checks
+# (``SynthSpec``, ``TrainConfig.check``) and the caption languages. Each run
+# still makes the same check where it uses the value.
+SETTINGS_CHECKS: dict[str, Callable[[dict], object]] = {
+    "synth-data": lambda s: synth.SynthSpec(**s),
+    "pretrain": lambda s: (_language(s, "caption_field"), _train_config(s)),
+    "train": _train_config,
+    "infer": partial(_language, key="caption_field"),
+    "eval": partial(_language, key="field"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     run, _, options = SUBCOMMANDS[args.subcommand]
@@ -574,8 +588,11 @@ def main(argv: list[str] | None = None) -> int:
         for opt in options:
             if opt.required and not settings[opt.key]:
                 raise ConfigError(f"--{opt.flag} is required for {args.subcommand}")
+        run_settings = {opt.key: settings[opt.key] for opt in options}
+        if check := SETTINGS_CHECKS.get(args.subcommand):
+            check(run_settings)
         write_run_manifest(args.subcommand, settings, out_dir)
-        run({opt.key: settings[opt.key] for opt in options}, out_dir)
+        run(run_settings, out_dir)
         return 0
     except CycleCapError as exc:
         category = getattr(exc, "category", "config")

@@ -20,7 +20,9 @@ masks)`` checks them and pairs each with its head's scorer, one
 those keys, the embedding table and the initial-state projections to one
 ``tensor.decoder_unroll`` record over a whole caption, which prepares the
 keys, pools the initial state and looks up the previous words inside it.
-``stage2_forward`` is the one teacher-forced pass of the German stage, and
+``stage2_forward`` is the one teacher-forced pass of the German stage; a
+frozen part 1 enters it as the arrays ``frozen_part1`` computed once per
+fit, so its projection and English unroll are not rerun at each step.
 ``teacher_forced_records`` runs it, attention only, over a batch of gold
 triples. Decoding goes step by step and never runs backward, so it runs
 on arrays and builds no Tensor: ``start(rows, masks)`` prepares the keys
@@ -315,8 +317,30 @@ def unroll(decoder: AttentionDecoder, rows: Sequence[Tensor],
     return (outs[0], list(outs[1:])) if states else (None, list(outs))
 
 
+def english_attention(captioner: ImageCaptioner, regions: Tensor, batch: Batch) -> Tensor:
+    """The English decoder's (B, N, L) en_to_regions weights over a batch's
+    projected ``regions``: its recurrence teacher-forced over ``en_ids``,
+    for attention only."""
+    _, (en_to_regions,) = unroll(captioner.decoder, [regions], [batch.region_mask],
+                                 batch.en_ids, states=False)
+    return en_to_regions
+
+
+def frozen_part1(captioner: ImageCaptioner, batch: Batch, *, english: bool
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Part 1's outputs for a stage-two batch as arrays: the projected
+    regions and, with ``english``, the en_to_regions weights, else None.
+    Computed outside a tape, they are the constants a frozen stage-two step
+    reads (``stage2_forward``'s ``part1``), the bits the per-step calls
+    would give."""
+    regions = captioner.project(batch.features)
+    return regions.data, (english_attention(captioner, regions, batch).data
+                          if english else None)
+
+
 def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
-                   freeze_part1: bool = False, states: bool = True
+                   part1: tuple[np.ndarray, np.ndarray | None] | None = None,
+                   states: bool = True
                    ) -> tuple[Tensor | None, tuple[Tensor, Tensor, Tensor] | None]:
     """Teacher-forced stage-two pass over a batch of triples.
 
@@ -329,12 +353,13 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
     de_to_regions, (B, M, N) de_to_en and (B, N, L) en_to_regions attention
     tensors, else None.
 
-    With ``freeze_part1`` the projected regions and English attention rows
-    enter the graph as constants, so part 1 gets no gradient.
+    ``part1`` is a frozen part 1's arrays for this batch (``frozen_part1``,
+    at the same ``english``): the projected regions and en_to_regions then
+    enter the graph as constants, so part 1 gets no gradient and is not
+    computed again. None computes part 1 on the tape.
     """
-    regions = bundle.captioner.project(batch.features)
-    if freeze_part1:
-        regions = Tensor(regions.data)
+    captioner = bundle.captioner
+    regions = captioner.project(batch.features) if part1 is None else Tensor(part1[0])
     cap_mask = batch.en_mask[:, 1:]
     cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
     de_states, (de_to_regions, de_to_en) = unroll(
@@ -342,10 +367,8 @@ def stage2_forward(bundle: ModelBundle, batch: Batch, *, english: bool = True,
         batch.de_ids, states=states)
     if not english:
         return de_states, None
-    _, (en_to_regions,) = unroll(bundle.captioner.decoder, [regions], [batch.region_mask],
-                                 batch.en_ids, states=False)
-    if freeze_part1:
-        en_to_regions = Tensor(en_to_regions.data)
+    en_to_regions = english_attention(captioner, regions, batch) if part1 is None \
+        else Tensor(part1[1])
     return de_states, (de_to_regions, de_to_en, en_to_regions)
 
 

@@ -16,7 +16,11 @@ log-softmax and the masked sum over a decoder's states in one
 (``cycle.cycle_loss_graph``). Stage two's English pass builds attention
 only. The losses' weights, the cycle weight and the batch mean's 1/B, are
 no records: they seed the backward (``Tape.backward``), so a stage-two step
-with the cycle loss builds six records and a stage-one step three.
+with the cycle loss builds six records and a stage-one step three. With
+``freeze_part1`` part 1 is computed once per fit: each batch's projected
+regions (and its en_to_regions, with the cycle loss) are made before the
+first epoch, outside any tape, and every step reads them as constants, so a
+frozen stage-two step builds four records (three without the cycle loss).
 
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
@@ -41,7 +45,7 @@ from .data import (Batch, PairRecord, TripleRecord, Vocabulary, check_feature_di
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import cider
 from .inference import beam_decode, caption_image
-from .models import (ImageCaptioner, ModelBundle, ModelDims, load_into,
+from .models import (ImageCaptioner, ModelBundle, ModelDims, frozen_part1, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
 from .tensor import Parameter, Tape, Tensor, output_nll
@@ -212,11 +216,12 @@ def _validate_bundle(bundle: ModelBundle, records: Sequence[TripleRecord],
     return cider(candidates, references)
 
 
-def _fit(phase: str, records: Sequence, length_of, batch_loss,
-         trainable: dict, saved: dict, validate, cfg: TrainConfig) -> TrainReport:
-    """The epoch loop both stages share.
+def _fit(phase: str, batches: Sequence[Batch], batch_loss, trainable: dict,
+         saved: dict, validate, cfg: TrainConfig) -> TrainReport:
+    """The epoch loop both stages share, over the padded ``batches`` its
+    caller built once for the fit (``_batches``).
 
-    ``batch_loss(batch)`` builds one padded batch's graph on the open tape
+    ``batch_loss(k)`` builds ``batches[k]``'s graph on the open tape
     and returns (loss terms, nll value, token count, cycle value or None),
     the terms (record, weight) pairs whose weighted sum is the summed loss;
     the mean per-record loss, each term seeded with its weight over B,
@@ -228,15 +233,15 @@ def _fit(phase: str, records: Sequence, length_of, batch_loss,
     stopper = _EarlyStopper(cfg.patience)
     best_params = _snapshot(saved)
     report = TrainReport(phase=phase)
-    batches = _batches(records, cfg.batch_size, length_of)
+    record_count = sum(map(len, batches))
 
     for epoch in range(1, cfg.max_epochs + 1):
         nll_total, token_total, cyc_total, has_cycle = 0.0, 0, 0.0, False
-        for batch in batches:
+        for k, batch in enumerate(batches):
             adam.zero_grad()
             try:
                 with Tape() as tape:
-                    terms, nll, ntok, cyc = batch_loss(batch)
+                    terms, nll, ntok, cyc = batch_loss(k)
                     nll_total += nll
                     token_total += ntok
                     if cyc is not None:
@@ -248,7 +253,7 @@ def _fit(phase: str, records: Sequence, length_of, batch_loss,
                 raise NumericError(f"epoch {epoch}: {exc}") from exc
             adam.step()
         nll_per_token = nll_total / token_total
-        cyc_mean = cyc_total / len(records) if has_cycle else None
+        cyc_mean = cyc_total / record_count if has_cycle else None
 
         score, is_best = None, False
         if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
@@ -299,11 +304,12 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
     params = model.named_parameters()
     drop_rng = np.random.default_rng(cfg.seed)
+    batches = _batches(pairs, cfg.batch_size, lambda r: r.steps)
 
-    def batch_loss(batch: Batch):
-        return _captioner_loss(model, batch, cfg.dropout, drop_rng)
+    def batch_loss(k: int):
+        return _captioner_loss(model, batches[k], cfg.dropout, drop_rng)
 
-    report = _fit("part1", pairs, lambda r: r.steps, batch_loss, params, params,
+    report = _fit("part1", batches, batch_loss, params, params,
                   lambda: _validate_captioner(model, val, vocab), cfg)
     return model, report
 
@@ -329,7 +335,9 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
 
     Each batch's loss is :func:`_stage2_loss`. Unless ``freeze_part1`` is
     set, the pretrained parameters stay in the optimizer and keep adapting
-    (only the consistency loss reaches them).
+    (only the consistency loss reaches them). With it, part 1 is computed
+    once per fit: each batch's ``frozen_part1`` arrays, made here before the
+    first epoch, are the constants every epoch's step reads.
     """
     cfg.check()
     if not triples:
@@ -348,20 +356,23 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     if not cfg.freeze_part1:
         trainable.update(bundle.part1_parameters())
     drop_rng = np.random.default_rng(cfg.seed)
+    batches = _batches(triples, cfg.batch_size, lambda r: r.de_steps)
+    english = cfg.cycle_weight > 0.0
+    part1_arrays = [frozen_part1(part1, b, english=english) if cfg.freeze_part1 else None
+                    for b in batches]
 
-    def batch_loss(batch: Batch):
-        return _stage2_loss(bundle, batch, cfg.cycle_weight, cfg.dropout,
-                            cfg.freeze_part1, drop_rng)
+    def batch_loss(k: int):
+        return _stage2_loss(bundle, batches[k], cfg.cycle_weight, cfg.dropout, drop_rng,
+                            part1_arrays[k])
 
-    report = _fit("part2", triples, lambda r: r.de_steps, batch_loss, trainable,
-                  bundle.named_parameters(),
+    report = _fit("part2", batches, batch_loss, trainable, bundle.named_parameters(),
                   lambda: _validate_bundle(bundle, val, de_vocab), cfg)
     return bundle, report
 
 
 def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
-                 dropout: float = 0.0, freeze_part1: bool = False,
-                 rng: np.random.Generator | None = None
+                 dropout: float = 0.0, rng: np.random.Generator | None = None,
+                 part1: tuple[np.ndarray, np.ndarray | None] | None = None
                  ) -> tuple[list[tuple[Tensor, float]], float, int, float | None]:
     """A batch's summed stage-two loss: (terms, nll value, token count,
     cycle value or None).
@@ -371,11 +382,12 @@ def _stage2_loss(bundle: ModelBundle, batch: Batch, cycle_weight: float,
     summed over the records: the terms are [(likelihood record, 1), (cycle
     record, cycle_weight)]. With cycle_weight 0 the English pass and the
     consistency graph are skipped entirely. ``dropout`` applies to the
-    German output layer, drawn from ``rng``; ``freeze_part1`` keeps part 1
-    out of the graph's gradients.
+    German output layer, drawn from ``rng``. ``part1``, a frozen part 1's
+    arrays for this batch (``models.frozen_part1``), enters the graph as
+    constants in place of part 1's records, so part 1 gets no gradient.
     """
     de_states, attention = stage2_forward(bundle, batch, english=cycle_weight > 0.0,
-                                          freeze_part1=freeze_part1)
+                                          part1=part1)
     de_decoder, de_mask = bundle.de_decoder, batch.de_mask[:, 1:]
     loss, ntok = nll_loss(de_states, de_decoder.w_out, de_decoder.b_out,
                           batch.de_ids[:, 1:], de_mask, dropout, rng)

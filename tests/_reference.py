@@ -32,6 +32,11 @@ The exceptions are three layers of taped oracles for the package's fused ops:
   record. ``composed_decoder_unroll`` chains them, after the composed key
   projection, initial state and lookup, into the graph that
   ``tensor.decoder_unroll`` is checked against.
+
+Last, ``recomputing_stage2_forward`` is the stage-two forward as it was
+before a frozen part 1 was computed once per fit: part 1 runs on the tape
+at every step, from the package's own networks, and a frozen one is cut off
+into constants there. The fit that uses it is the oracle of the cached one.
 """
 
 import math
@@ -39,6 +44,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from cyclecap import models
 from cyclecap.errors import DimensionError, NumericError
 from cyclecap.tensor import (Head, Tensor, _record, _record_many, _result, attention_arrays,
                              finite, lstm_arrays)
@@ -880,3 +886,25 @@ def ref_cider(candidates, references, sigma=6.0):
             by_n.append(acc / len(refs))
         per_candidate.append(sum(by_n) / 4.0)
     return 100.0 * sum(per_candidate) / len(per_candidate)
+
+
+def recomputing_stage2_forward(bundle, batch, *, english=True, part1=None, states=True):
+    """``models.stage2_forward`` that projects the regions and unrolls the
+    English decoder on the tape at every call. A given ``part1`` marks part
+    1 frozen, and its values are not read: the projected regions and
+    en_to_regions are then cut off into constants, ``Tensor(x.data)``."""
+    regions = bundle.captioner.project(batch.features)
+    if part1 is not None:
+        regions = Tensor(regions.data)
+    cap_mask = batch.en_mask[:, 1:]
+    cap_states = bundle.cap_encoder.encode(batch.en_ids[:, 1:], cap_mask)
+    de_states, (de_to_regions, de_to_en) = models.unroll(
+        bundle.de_decoder, [regions, cap_states], [batch.region_mask, cap_mask],
+        batch.de_ids, states=states)
+    if not english:
+        return de_states, None
+    _, (en_to_regions,) = models.unroll(bundle.captioner.decoder, [regions],
+                                        [batch.region_mask], batch.en_ids, states=False)
+    if part1 is not None:
+        en_to_regions = Tensor(en_to_regions.data)
+    return de_states, (de_to_regions, de_to_en, en_to_regions)

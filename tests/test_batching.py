@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cyclecap.data import FeatureGrid, PairRecord, TripleRecord, make_batch
-from cyclecap.models import ImageCaptioner, ModelBundle
+from cyclecap.models import ImageCaptioner, ModelBundle, frozen_part1
 from cyclecap.tensor import Tape
 from cyclecap.training import TrainConfig, _captioner_loss, _stage2_loss
 
@@ -55,8 +55,10 @@ def stage_losses(model, cycle_weight, freeze_part1):
     params = dict(model.part2_parameters())
     if not freeze_part1:
         params.update(model.part1_parameters())
-    return (lambda b: _stage2_loss(model, b, cycle_weight, freeze_part1=freeze_part1),
-            params)
+        return lambda b: _stage2_loss(model, b, cycle_weight), params
+    english = cycle_weight > 0.0
+    return (lambda b: _stage2_loss(model, b, cycle_weight, part1=frozen_part1(
+        model.captioner, b, english=english)), params)
 
 
 SETUPS = [

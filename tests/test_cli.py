@@ -381,6 +381,30 @@ def test_error_categories(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand, flags, message", [
+    ("synth-data", ["--objects-per-image", "7"], "exceed 6 object types"),
+    ("pretrain", ["--max-epochs", "2", "--patience", "5"],
+     "need 0 <= patience <= max_epochs"),
+    ("pretrain", ["--caption-field", "fr"], "caption-field must be en or de"),
+    ("train", ["--lambda", "-1"], "cycle_weight must be non-negative"),
+    ("infer", ["--caption-field", "fr"], "caption-field must be en or de"),
+])
+def test_a_refused_run_leaves_no_manifest(pipeline, tmp_path, capsys, subcommand, flags,
+                                          message):
+    # settings are checked before the manifest records them: a run refused
+    # for its settings leaves no record of a run that never happened
+    inputs = {"pretrain": ["--manifest", str(pipeline / "data" / "manifest.jsonl")],
+              "train": ["--manifest", str(pipeline / "data" / "manifest.jsonl"),
+                        "--part1", str(pipeline / "part1" / "part1.ckpt")],
+              "infer": ["--manifest", str(pipeline / "data" / "manifest.jsonl"),
+                        "--checkpoint", str(pipeline / "part2" / "bundle.ckpt")]}
+    out = tmp_path / "out"
+    assert run(subcommand, *inputs.get(subcommand, []), *flags, "--out-dir", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[config]: ") and message in err
+    assert not (out / "manifest.json").exists()
+
+
 def assert_clean_io_error(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error[io]: ")

@@ -4,16 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclecap import tensor, training
+from cyclecap import models, tensor, training
 from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_batch,
                            pairs_from_triples)
 from cyclecap.errors import ConfigError, DataError, DimensionError
-from cyclecap.models import ImageCaptioner, ModelBundle, load_bundle, save_bundle
+from cyclecap.models import (ImageCaptioner, ModelBundle, SoftAttentionDecoder, load_bundle,
+                             save_bundle)
 from cyclecap.tensor import Parameter, Tape, Tensor
 from cyclecap.training import (TrainConfig, _batches, _stage2_loss, nll_loss, pretrain_part1,
                                train_part2)
 
-from _reference import add, scale
+from _reference import add, recomputing_stage2_forward, scale
 from conftest import make_corpus, random_ids, tiny_bundle
 
 
@@ -55,14 +56,11 @@ def test_a_taped_stage_two_loss_computes_only_real_steps(monkeypatch):
                     "_sigmoid": lstm + 2 * en}
 
 
-def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch):
-    # each network is one record, the projection, the encoder (lookup and
-    # both GRU directions) and each unroll (key projection, initial state and
-    # lookups included), and so is each loss; lambda and the mean's 1/B seed
-    # the backward. Counted at _fit's backward over a mixed-length batch at
-    # lambda 1 with dropout, part 1 unfrozen: stage two records the
-    # projection, the encoder, the two unrolls and the two losses; stage one
-    # the projection, its unroll and its loss.
+def mixed_length_fit(monkeypatch, **settings):
+    """(records per taped step, in order, and the count of English decoder
+    unrolls in stage two) of a stage-one fit and then a stage-two fit over
+    four mixed-length records in batches of ``batch_size`` (default 4), with
+    dropout; ``settings`` override the config."""
     rng = np.random.default_rng(5)
     triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
                             random_ids(rng, 8, en_len), random_ids(rng, 9, de_len))
@@ -72,14 +70,73 @@ def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch)
     backward = tensor.Tape.backward
     monkeypatch.setattr(tensor.Tape, "backward",
                         lambda tape, roots: taped.append(len(tape)) or backward(tape, roots))
-    cfg = quick_cfg(max_epochs=1, patience=1, batch_size=4, dropout=0.5, cycle_weight=1.0,
-                    hidden_dim=4, embed_dim=4, attn_dim=4, proj_dim=4)
+    cfg = quick_cfg(**{**dict(max_epochs=1, patience=1, batch_size=4, dropout=0.5,
+                              cycle_weight=1.0, hidden_dim=4, embed_dim=4, attn_dim=4,
+                              proj_dim=4), **settings})
     en_vocab, de_vocab = Vocabulary([f"e{i}" for i in range(4)]), \
         Vocabulary([f"d{i}" for i in range(5)])
-    captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 3, cfg)
+    captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 3,
+                                  replace(cfg, max_epochs=1, patience=1))
+    english, unroll = [], models.unroll
+    monkeypatch.setattr(models, "unroll", lambda decoder, *args, **kwargs: english.append(
+        isinstance(decoder, SoftAttentionDecoder)) or unroll(decoder, *args, **kwargs))
     train_part2(triples, captioner, en_vocab, de_vocab, cfg)
-    stage1, stage2 = taped
-    assert stage1 == 3 and stage2 == 6, taped
+    return taped, sum(english)
+
+
+def test_a_training_step_builds_one_record_per_network_and_per_loss(monkeypatch):
+    # each network is one record, the projection, the encoder (lookup and
+    # both GRU directions) and each unroll (key projection, initial state and
+    # lookups included), and so is each loss; lambda and the mean's 1/B seed
+    # the backward. Counted at _fit's backward over a mixed-length batch at
+    # lambda 1 with dropout, part 1 unfrozen: stage two records the
+    # projection, the encoder, the two unrolls and the two losses; stage one
+    # the projection, its unroll and its loss.
+    taped, english = mixed_length_fit(monkeypatch)
+    assert taped == [3, 6] and english == 1, taped
+
+
+@pytest.mark.parametrize("cycle_weight, records", [(1.0, 4), (0.0, 3)])
+def test_a_frozen_stage_two_step_reads_part_one_computed_once(monkeypatch, cycle_weight,
+                                                              records):
+    # a frozen part 1 is projected and, with the cycle loss, unrolled once
+    # per batch before the first epoch and off the tape: every step, the
+    # first epoch's too, records only the encoder, the German unroll and the
+    # losses, and a fit of 3 epochs over 2 batches unrolls the English
+    # decoder twice at lambda 1 (never at lambda 0), not 6 times
+    taped, english = mixed_length_fit(monkeypatch, max_epochs=3, patience=3, batch_size=2,
+                                      cycle_weight=cycle_weight, freeze_part1=True)
+    assert taped == [3, 3] + [records] * 6, taped
+    assert english == (2 if cycle_weight else 0)
+
+
+@pytest.mark.parametrize("cycle_weight, dropout", [(0.0, 0.0), (1.0, 0.3)])
+def test_frozen_part1_computed_once_trains_as_recomputing_it_each_step(
+        small_corpus, tmp_path, monkeypatch, cycle_weight, dropout):
+    # a frozen fit reads each batch's part-1 arrays, made before the first
+    # epoch, where the stage-two forward used to recompute part 1 on the
+    # tape at every step: over 3 epochs and 3 batches, with validation every
+    # epoch, both fits end with the same bits in every parameter and write
+    # the same report
+    triples, en_vocab, de_vocab, _ = small_corpus
+    captioner, _ = pretrain_part1(pairs_from_triples(triples), en_vocab, 32,
+                                  quick_cfg(max_epochs=1, patience=1))
+    cfg = quick_cfg(max_epochs=3, patience=3, batch_size=6, dropout=dropout,
+                    cycle_weight=cycle_weight, freeze_part1=True, validate_every=1)
+    assert len(triples) == 16  # three batches
+
+    def fit(name):
+        bundle, report = train_part2(triples, captioner, en_vocab, de_vocab, cfg)
+        report.write(tmp_path / name)
+        return ({k: p.data.tobytes() for k, p in bundle.named_parameters().items()},
+                (tmp_path / name).read_bytes())
+
+    cached = fit("cached.jsonl")
+    calls = []
+    monkeypatch.setattr(training, "stage2_forward", lambda *args, **kwargs: calls.append(
+        1) or recomputing_stage2_forward(*args, **kwargs))
+    assert fit("recomputed.jsonl") == cached
+    assert len(calls) == 3 * 3
 
 
 @pytest.mark.parametrize("cycle_weight", [0.5, 1.0])
@@ -273,13 +330,17 @@ def test_lambda_zero_matches_dual_attention_baseline(small_corpus):
     assert any(dual_attn[k].tobytes() != with_cycle[k].tobytes() for k in dual_attn)
 
 
-def test_freeze_part1_keeps_stage_one_parameters_bit_identical(small_corpus):
+@pytest.mark.parametrize("cycle_weight", [pytest.param(0.0, id="lambda0"),
+                                          pytest.param(1.0, id="lambda1")])
+def test_freeze_part1_keeps_stage_one_parameters_bit_identical(small_corpus, cycle_weight):
+    # at lambda 1 the cycle loss, the one path that could reach part 1, is on
     triples, en_vocab, de_vocab, _ = small_corpus
     pairs = pairs_from_triples(triples)
     cfg = quick_cfg(max_epochs=2, patience=2)
     captioner, _ = pretrain_part1(pairs, en_vocab, 32, cfg)
     before = {k: p.data.copy() for k, p in captioner.named_parameters().items()}
-    cfg2 = quick_cfg(max_epochs=3, patience=3, cycle_weight=0.0, freeze_part1=True)
+    cfg2 = quick_cfg(max_epochs=3, patience=3, cycle_weight=cycle_weight, dropout=0.3,
+                     freeze_part1=True)
     bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
     for k, p in bundle.part1_parameters().items():
         assert p.data.tobytes() == before[k].tobytes()
