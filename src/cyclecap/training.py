@@ -22,6 +22,11 @@ regions (and its en_to_regions, with the cycle loss) are made before the
 first epoch, outside any tape, and every step reads them as constants, so a
 frozen stage-two step builds four records (three without the cycle loss).
 
+Each step frees its tape's arrays, and glibc by default hands the freed top of
+the heap back to the kernel, so the next step faults the same pages in again.
+The first fit in a process therefore sets glibc's mmap and trim thresholds
+(``_keep_heap``), and from then on the process keeps its peak heap.
+
 Early stopping follows validation CIDEr computed with greedy (beam 1)
 decoding: training stops once the score has failed to improve for more than
 ``patience`` consecutive validated epochs, and the best-scoring parameters
@@ -30,6 +35,7 @@ are restored at the end.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import dataclass, field
@@ -216,6 +222,34 @@ def _validate_bundle(bundle: ModelBundle, records: Sequence[TripleRecord],
     return cider(candidates, references)
 
 
+# glibc's mallopt parameters (malloc.h) and the values ``_keep_heap`` fixes.
+# 32 MiB is the ceiling glibc's dynamic mmap threshold climbs to on 64-bit
+# hosts, so no array it would serve from the heap is mapped instead; the trim
+# threshold is twice that, the ratio its dynamic rule keeps.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap() -> None:
+    """Keep freed step memory in the process's heap, so that a training step
+    reuses the pages the one before it touched instead of faulting them in.
+
+    Fixes glibc's mmap threshold, the size from which an array is mapped on
+    its own and unmapped when freed, and its trim threshold, the free space at
+    the heap's top beyond which it is returned to the kernel. Both act on this
+    process only. Where the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def _fit(phase: str, batches: Sequence[Batch], batch_loss, trainable: dict,
          saved: dict, validate, cfg: TrainConfig) -> TrainReport:
     """The epoch loop both stages share, over the padded ``batches`` its
@@ -227,8 +261,10 @@ def _fit(phase: str, batches: Sequence[Batch], batch_loss, trainable: dict,
     the mean per-record loss, each term seeded with its weight over B,
     drives one Adam step over ``trainable``.
     ``validate()`` scores the model, and the best-scoring snapshot of
-    ``saved`` is restored at the end.
+    ``saved`` is restored at the end. A NumericError raised in an epoch's
+    steps or its validation is re-raised with the epoch's number in front.
     """
+    _keep_heap()
     adam = Adam(trainable, lr=cfg.learning_rate)
     stopper = _EarlyStopper(cfg.patience)
     best_params = _snapshot(saved)
@@ -237,9 +273,10 @@ def _fit(phase: str, batches: Sequence[Batch], batch_loss, trainable: dict,
 
     for epoch in range(1, cfg.max_epochs + 1):
         nll_total, token_total, cyc_total, has_cycle = 0.0, 0, 0.0, False
-        for k, batch in enumerate(batches):
-            adam.zero_grad()
-            try:
+        score = None
+        try:
+            for k, batch in enumerate(batches):
+                adam.zero_grad()
                 with Tape() as tape:
                     terms, nll, ntok, cyc = batch_loss(k)
                     nll_total += nll
@@ -249,18 +286,17 @@ def _fit(phase: str, batches: Sequence[Batch], batch_loss, trainable: dict,
                         has_cycle = True
                     mean = 1.0 / len(batch)
                     tape.backward([(out, mean * weight) for out, weight in terms])
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}: {exc}") from exc
-            adam.step()
+                adam.step()
+            if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
+                score = validate()
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from exc
         nll_per_token = nll_total / token_total
         cyc_mean = cyc_total / record_count if has_cycle else None
 
-        score, is_best = None, False
-        if epoch % cfg.validate_every == 0 or epoch == cfg.max_epochs:
-            score = validate()
-            is_best = stopper.update(epoch, score)
-            if is_best:
-                best_params = _snapshot(saved)
+        is_best = score is not None and stopper.update(epoch, score)
+        if is_best:
+            best_params = _snapshot(saved)
         report.epochs.append(EpochStats(epoch, nll_per_token, cyc_mean, score, is_best))
         if stopper.should_stop:
             break
