@@ -27,7 +27,7 @@ import numpy as np
 
 from . import init
 from .errors import DataError, DimensionError
-from .tensor import Head, HeadKeys, Parameter, Tensor, attention_arrays, finite
+from .tensor import Head, HeadKeys, Tensor, attention_arrays, finite
 
 
 class AttentionLayer:
@@ -42,14 +42,10 @@ class AttentionLayer:
                  attn_dim: int, prefix: str):
         self.key_dim = key_dim
         self.query_dim = query_dim
-        self.attn_dim = attn_dim
         self.w_key = init.weight(rng, (key_dim, attn_dim), f"{prefix}/w_key")
         self.w_query = init.weight(rng, (attn_dim, query_dim), f"{prefix}/w_query")
         self.b = init.bias((attn_dim,), f"{prefix}/b")
         self.combine = init.weight(rng, (attn_dim,), f"{prefix}/combine")
-
-    def named(self) -> dict[str, Parameter]:
-        return {p.name: p for p in (self.w_key, self.w_query, self.b, self.combine)}
 
     def keys(self, rows: Tensor, mask: np.ndarray) -> HeadKeys:
         """Check (B, K, key_dim) key rows and their (B, K) boolean mask of

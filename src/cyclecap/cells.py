@@ -70,9 +70,6 @@ class GatedParams:
         k = self.GATES.index(name)
         return slice(k * self.hidden_size, (k + 1) * self.hidden_size)
 
-    def named(self) -> dict[str, Parameter]:
-        return {p.name: p for p in vars(self).values() if isinstance(p, Parameter)}
-
 
 class LSTMParams(GatedParams):
     """Weights for one LSTM cell: input/forget/output gates and candidate,

@@ -27,7 +27,7 @@ from .cycle import (check_conditional_independence, cycle_loss, cycle_loss_graph
 from .data import FeatureGrid, TripleRecord, make_batch
 from .models import (CaptionEncoder, ImageCaptioner, ImageProjection, ModelBundle, ModelDims,
                      unroll)
-from .tensor import HeadKeys, Parameter, Tape, Tensor, decoder_unroll
+from .tensor import HeadKeys, Parameter, Tape, Tensor, decoder_unroll, parameters
 from .training import nll_loss, stage2_loss_graph
 
 # the sizes every gradient check runs at
@@ -134,8 +134,8 @@ def _fused_cases(rng: np.random.Generator, p: dict):
     features[0, -1] = 0.0
     encoder = CaptionEncoder(rng, vocab, dims, "encoder")
     ids = rng.integers(0, vocab, size=(2, steps))
-    cases = [("project", lambda: proj.project(features), proj.named()),
-             ("encode", lambda: encoder.encode(ids, step_mask), encoder.named())]
+    cases = [("project", lambda: proj.project(features), parameters(proj)),
+             ("encode", lambda: encoder.encode(ids, step_mask), parameters(encoder))]
     for kind, key_dims in (("soft", [p["proj"]]), ("dual", [p["proj"], 2 * hidden])):
         table = _p(rng, (vocab, embed), "table")
         initial = [(_p(rng, (key_dims[0], hidden), f"w_{half}"), _p(rng, (hidden,), f"b_{half}"))
@@ -150,10 +150,8 @@ def _fused_cases(rng: np.random.Generator, p: dict):
         def unroll_loss(table=table, initial=initial, lstm=lstm, heads=heads):
             return decoder_unroll(table, ids, initial, *lstm, heads, step_mask)
 
-        params = {x.name: x for x in (table, *lstm, *sum(initial, ()))}
-        params.update((x.name, x) for head in heads for x in head
-                      if isinstance(x, Parameter))
-        cases.append((f"decoder_unroll-{kind}", unroll_loss, params))
+        cases.append((f"decoder_unroll-{kind}", unroll_loss,
+                      parameters(table, lstm, initial, heads)))
     states = _p(rng, (steps, 2, hidden), "states")
     w_out, b_out = _p(rng, (hidden, vocab), "w_out"), _p(rng, (vocab,), "b_out")
 
@@ -162,7 +160,7 @@ def _fused_cases(rng: np.random.Generator, p: dict):
                            np.random.default_rng(123))
         return loss
 
-    cases.append(("nll-dropout", nll, {x.name: x for x in (states, w_out, b_out)}))
+    cases.append(("nll-dropout", nll, parameters(states, w_out, b_out)))
     return cases
 
 
@@ -212,11 +210,11 @@ def gradient_suite(seed: int = 0) -> list[GradCheckResult]:
             return [loss, *region_rows]
 
         results.append(check_gradients(f"models/captioner-nll{tag}", captioner_loss,
-                                       captioner.named_parameters()))
+                                       parameters(captioner)))
         results.append(check_gradients(
             f"training/stage2-composed{tag}",
             lambda batch=batch: [out for out, _ in stage2_loss_graph(bundle, batch, 1.0)],
-            bundle.named_parameters()))
+            parameters(bundle)))
 
     for name, build, params in _fused_cases(rng, p):
         results.append(check_gradients(f"fused/{name}", build, params))

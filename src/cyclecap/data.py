@@ -274,13 +274,15 @@ def write_manifest(entries: Iterable[ManifestEntry], path: Path | str) -> None:
 
 def read_jsonl(path: Path | str) -> list[tuple[str, dict]]:
     """One (``path:line``, object) pair per non-blank line of a JSON-lines
-    file; a line that is not a JSON object is a FormatError naming it."""
+    file; a line that is not a JSON object is a FormatError naming it. Lines
+    end at ``\\n`` only: JSON text may hold other line breaks, such as U+0085
+    or U+2028, that ``str.splitlines`` would also break at."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 at offset {exc.start}") from exc
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"

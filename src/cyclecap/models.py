@@ -49,7 +49,9 @@ the losses that read them mask them.
 
 ``ImageCaptioner`` bundles projection + soft-attention decoder (the
 pretraining artifact); ``ModelBundle`` adds the caption encoder and the
-dual-attention decoder for the full two-stage pipeline.
+dual-attention decoder for the full two-stage pipeline. A checkpoint holds
+every Parameter its model holds (``tensor.parameters``), each named by the
+prefixes the constructors pass down, such as ``captioner/decoder/lstm/w``.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ from .cycle import AttentionRecord
 from .data import EOS_ID, Batch, TripleRecord, make_batch
 from .errors import DataError, DimensionError, FormatError, NumericError
 from .tensor import (Head, HeadKeys, Parameter, Tensor, decoder_unroll, finite,
-                     initial_state, log_softmax, pool, prepare, projection)
+                     initial_state, log_softmax, parameters, pool, prepare,
+                     projection)
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,6 @@ class ImageProjection:
                 f"got {features.shape}")
         return projection(features, self.w, self.b)
 
-    def named(self) -> dict[str, Parameter]:
-        return {self.w.name: self.w, self.b.name: self.b}
-
 
 Keys = tuple[Head, ...]         # one entry per attention head
 State = tuple[np.ndarray, np.ndarray]   # LSTM (hidden, memory), each (B, hidden)
@@ -124,7 +124,6 @@ class AttentionDecoder:
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
                  prefix: str):
-        self.vocab_size = vocab_size
         self.embedding = init.weight(rng, (vocab_size, dims.embed_dim),
                                      f"{prefix}/embedding")
         key_dims = [dims.proj_dim] + [2 * dims.hidden_dim] * (len(self.HEADS) - 1)
@@ -178,15 +177,6 @@ class AttentionDecoder:
         state = lstm_step(self.lstm, [*contexts, self.embedding.data[y_prev]], h, c)
         return self.emit(state[0]), state, weights
 
-    def named(self) -> dict[str, Parameter]:
-        out = {self.embedding.name: self.embedding}
-        for head in self.heads:
-            out.update(head.named())
-        out.update(self.lstm.named())
-        for p in (self.w_out, self.b_out) + sum(self.initial, ()):
-            out[p.name] = p
-        return out
-
 
 class SoftAttentionDecoder(AttentionDecoder):
     """One head over image regions: the English captioner, or with a German
@@ -210,7 +200,6 @@ class CaptionEncoder:
 
     def __init__(self, rng: np.random.Generator, vocab_size: int, dims: ModelDims,
                  prefix: str):
-        self.vocab_size = vocab_size
         self.hidden_dim = dims.hidden_dim
         self.embedding = init.weight(rng, (vocab_size, dims.embed_dim),
                                      f"{prefix}/embedding")
@@ -232,12 +221,6 @@ class CaptionEncoder:
             mask = np.ones(ids.shape, dtype=bool)
         return gru_step(self.embedding, ids, self.fwd, self.bwd, mask)
 
-    def named(self) -> dict[str, Parameter]:
-        out = {self.embedding.name: self.embedding}
-        out.update(self.fwd.named())
-        out.update(self.bwd.named())
-        return out
-
 
 class ImageCaptioner:
     """Stage-one model: image projection plus soft-attention decoder."""
@@ -255,11 +238,6 @@ class ImageCaptioner:
     def project(self, features: np.ndarray) -> Tensor:
         return self.image_proj.project(features)
 
-    def named_parameters(self) -> dict[str, Parameter]:
-        out = self.image_proj.named()
-        out.update(self.decoder.named())
-        return out
-
 
 class ModelBundle:
     """Full two-stage pipeline: captioner, caption encoder, dual decoder."""
@@ -274,20 +252,6 @@ class ModelBundle:
         rng = np.random.default_rng(seed)
         self.cap_encoder = CaptionEncoder(rng, dims.en_vocab, dims, "cap_encoder")
         self.de_decoder = DualAttentionDecoder(rng, de_vocab, dims, "de_decoder")
-
-    def named_parameters(self) -> dict[str, Parameter]:
-        out = self.captioner.named_parameters()
-        out.update(self.cap_encoder.named())
-        out.update(self.de_decoder.named())
-        return out
-
-    def part1_parameters(self) -> dict[str, Parameter]:
-        return self.captioner.named_parameters()
-
-    def part2_parameters(self) -> dict[str, Parameter]:
-        out = self.cap_encoder.named()
-        out.update(self.de_decoder.named())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +459,11 @@ def load_into(params: Mapping[str, Parameter], arrays: Mapping[str, np.ndarray])
 
 
 def save_captioner(captioner: ImageCaptioner, path: Path | str) -> None:
-    save_checkpoint(path, captioner.kind, captioner.dims, captioner.named_parameters())
+    save_checkpoint(path, captioner.kind, captioner.dims, parameters(captioner))
 
 
 def save_bundle(bundle: ModelBundle, path: Path | str) -> None:
-    save_checkpoint(path, bundle.kind, bundle.dims, bundle.named_parameters())
+    save_checkpoint(path, bundle.kind, bundle.dims, parameters(bundle))
 
 
 def load_model(path: Path | str) -> ImageCaptioner | ModelBundle:
@@ -511,7 +475,7 @@ def load_model(path: Path | str) -> ImageCaptioner | ModelBundle:
     model = ImageCaptioner(dims, seed=0)
     if kind == ModelBundle.kind:
         model = ModelBundle(model, dims.de_vocab, seed=0)
-    load_into(model.named_parameters(), arrays)
+    load_into(parameters(model), arrays)
     return model
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureGrid, ManifestEntry, save_features, write_manifest
+from .data import FeatureGrid, ManifestEntry, read_jsonl, save_features, write_manifest
 from .errors import ConfigError
 
 EN_OBJECT_WORDS = ("dog", "cat", "car", "tree", "bird", "house", "boat", "horse",
@@ -144,10 +144,7 @@ def write_corpus(images: list[SynthImage], out_dir: Path | str) -> None:
 
 def read_alignments(path: Path | str) -> dict[str, list[ObjectPlacement]]:
     out: dict[str, list[ObjectPlacement]] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
+    for _, obj in read_jsonl(path):
         out[obj["image_id"]] = [ObjectPlacement(
             object_type=o["object_type"], region=o["region"],
             en_word=o["en_word"], de_word=o["de_word"],

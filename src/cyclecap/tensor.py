@@ -103,6 +103,23 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
+def parameters(*owners) -> dict[str, Parameter]:
+    """Every Parameter reachable from ``owners`` through instance attributes
+    (``vars``), tuples and lists, keyed by name, in attribute order: a
+    network's parameters are the ones it holds, under the names its
+    constructor gave them. Anything else it holds (sizes, masks, arrays) is
+    not a parameter and is skipped."""
+    found: dict[str, Parameter] = {}
+    for owner in owners:
+        if isinstance(owner, Parameter):
+            found[owner.name] = owner
+        elif isinstance(owner, (tuple, list)):
+            found.update(parameters(*owner))
+        elif hasattr(owner, "__dict__"):
+            found.update(parameters(*vars(owner).values()))
+    return found
+
+
 BackwardRule = Callable[..., tuple[Array | None, ...]]
 Outputs = Tensor | tuple[Tensor, ...]
 

@@ -54,7 +54,7 @@ from .inference import beam_decode, caption_image
 from .models import (ImageCaptioner, ModelBundle, ModelDims, frozen_part1, load_into,
                      stage2_forward, unroll)
 from .optim import Adam
-from .tensor import Parameter, Tape, Tensor, output_nll
+from .tensor import Parameter, Tape, Tensor, output_nll, parameters
 
 
 @dataclass
@@ -338,7 +338,7 @@ def pretrain_part1(pairs: Sequence[PairRecord], vocab: Vocabulary,
         raise DataError("captioner needs a vocabulary (>= 4 reserved ids + 1)")
     val = _validation_set(pairs, val_pairs, feature_dim)
     model = ImageCaptioner(cfg.dims(feature_dim, len(vocab)), cfg.seed)
-    params = model.named_parameters()
+    params = parameters(model)
     drop_rng = np.random.default_rng(cfg.seed)
     batches = _batches(pairs, cfg.batch_size, lambda r: r.steps)
 
@@ -384,13 +384,11 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
     # work on a private copy so the caller's captioner is never mutated and
     # repeated runs from the same checkpoint stay bit-identical
     part1 = ImageCaptioner(captioner.dims, cfg.seed)
-    load_into(part1.named_parameters(),
-              {k: p.data for k, p in captioner.named_parameters().items()})
+    load_into(parameters(part1), {k: p.data for k, p in parameters(captioner).items()})
     bundle = ModelBundle(part1, len(de_vocab), cfg.seed)
 
-    trainable = dict(bundle.part2_parameters())
-    if not cfg.freeze_part1:
-        trainable.update(bundle.part1_parameters())
+    trainable = (parameters(bundle.cap_encoder, bundle.de_decoder) if cfg.freeze_part1
+                 else parameters(bundle))
     drop_rng = np.random.default_rng(cfg.seed)
     batches = _batches(triples, cfg.batch_size, lambda r: r.de_steps)
     english = cfg.cycle_weight > 0.0
@@ -401,7 +399,7 @@ def train_part2(triples: Sequence[TripleRecord], captioner: ImageCaptioner,
         return _stage2_loss(bundle, batches[k], cfg.cycle_weight, cfg.dropout, drop_rng,
                             part1_arrays[k])
 
-    report = _fit("part2", batches, batch_loss, trainable, bundle.named_parameters(),
+    report = _fit("part2", batches, batch_loss, trainable, parameters(bundle),
                   lambda: _validate_bundle(bundle, val, de_vocab), cfg)
     return bundle, report
 

@@ -47,7 +47,7 @@ import numpy as np
 from cyclecap import models
 from cyclecap.errors import DimensionError, NumericError
 from cyclecap.tensor import (Head, Tensor, _record, _record_many, _result, attention_arrays,
-                             finite, lstm_arrays)
+                             finite, lstm_arrays, parameters)
 
 
 def np_softmax(x):
@@ -609,7 +609,7 @@ def ref_captioner_sequence(captioner, grid_values, ids):
     """Teacher-forced log-likelihood and region-attention matrix of the
     soft-attention captioner, re-derived step by step."""
     dec = captioner.decoder
-    p = {name: w.data for name, w in dec.named().items()}
+    p = {name: w.data for name, w in parameters(dec).items()}
     keys = ref_project(captioner, grid_values)
     mean = keys.mean(axis=0)
     h = np.tanh(mean @ p["captioner/decoder/w_h0"] + p["captioner/decoder/b_h0"])
@@ -646,7 +646,7 @@ def ref_german_sequence(bundle, grid_values, en_ids, de_ids):
     """Teacher-forced log-likelihood plus both attention matrices of the
     dual-attention decoder, re-derived step by step."""
     dec = bundle.de_decoder
-    p = {name: w.data for name, w in dec.named().items()}
+    p = {name: w.data for name, w in parameters(dec).items()}
     keys = ref_project(bundle.captioner, grid_values)
     states = ref_encode_caption(bundle.cap_encoder, en_ids[1:])
     mean = keys.mean(axis=0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from cyclecap.attention import AttentionLayer, attend
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DataError, DimensionError
-from cyclecap.tensor import Parameter, Tensor, prepare
+from cyclecap.tensor import Parameter, Tensor, parameters, prepare
 
 from _reference import (add, composed_prepare, mul, pick, ref_attend,
                         step_additive_attention, sum_all)
@@ -43,7 +43,7 @@ def test_dominant_score_selects_its_key():
     layer.b.data = np.zeros_like(layer.b.data)
     keys = np.zeros((4, 5))
     keys[2] = 0.2  # only key 2 produces a positive score
-    layer.w_key.data[:, :] = np.eye(5, layer.attn_dim)
+    layer.w_key.data[:, :] = np.eye(5, layer.w_key.shape[1])
     rows = Tensor(keys[None])
     weights, context = attend(layer, prepared(layer, rows, all_real(rows)),
                               np.zeros((1, 4)))
@@ -126,5 +126,5 @@ def test_gradients_of_weights_and_context():
         return add(sum_all(pick(weights, [2])), sum_all(mul(context, probe)))
 
     result = check_gradients("attend", build,
-                             dict(layer.named(), keys=keys, query=query, probe=probe))
+                             dict(parameters(layer), keys=keys, query=query, probe=probe))
     assert result.max_error < 1e-3

@@ -11,7 +11,7 @@ import pytest
 
 from cyclecap.data import FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.models import ImageCaptioner, ModelBundle, frozen_part1
-from cyclecap.tensor import Tape
+from cyclecap.tensor import Tape, parameters
 from cyclecap.training import TrainConfig, _captioner_loss, _stage2_loss
 
 from conftest import random_ids
@@ -51,10 +51,10 @@ def stage_losses(model, cycle_weight, freeze_part1):
     if cycle_weight is None:
         captioner = model.captioner
         return (lambda b: _captioner_loss(captioner, b),
-                captioner.named_parameters())
-    params = dict(model.part2_parameters())
+                parameters(captioner))
+    params = parameters(model.cap_encoder, model.de_decoder)
     if not freeze_part1:
-        params.update(model.part1_parameters())
+        params.update(parameters(model.captioner))
         return lambda b: _stage2_loss(model, b, cycle_weight), params
     english = cycle_weight > 0.0
     return (lambda b: _stage2_loss(model, b, cycle_weight, part1=frozen_part1(
@@ -102,7 +102,7 @@ def test_batch_loss_and_gradients_equal_the_sum_of_its_records(cycle_weight,
     if cycle_weight:
         assert parts[3] == pytest.approx(sum(s[3] for s in single_parts), rel=1e-12)
     if freeze_part1:
-        for name, p in model.part1_parameters().items():
+        for name, p in parameters(model.captioner).items():
             assert not p.grad.any(), name
 
 
@@ -141,7 +141,7 @@ def test_padded_values_leave_loss_and_gradients_bit_identical(cycle_weight,
 def test_dropout_draws_are_one_mask_per_step_and_rerun_identically():
     model = bundle(seed=7)
     batch = make_batch(triples(seed=2))
-    params = model.named_parameters()
+    params = parameters(model)
 
     def run():
         rng = np.random.default_rng(11)

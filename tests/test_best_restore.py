@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 
 from cyclecap.data import pairs_from_triples
+from cyclecap.tensor import parameters
 from cyclecap.training import TrainConfig, pretrain_part1, train_part2
 
 
@@ -49,7 +50,7 @@ def test_pretrain_restores_best_epoch(small_corpus, stage_one):
     rerun, rerun_report = pretrain_part1(pairs, en_vocab, 32,
                                          capped(config, report.best_epoch))
     assert rerun_report.best_epoch == report.best_epoch
-    assert_same_parameters(model.named_parameters(), rerun.named_parameters())
+    assert_same_parameters(parameters(model), parameters(rerun))
 
 
 def test_train_part2_restores_best_epoch(small_corpus, stage_one):
@@ -63,4 +64,4 @@ def test_train_part2_restores_best_epoch(small_corpus, stage_one):
     rerun, rerun_report = train_part2(triples, captioner, en_vocab, de_vocab,
                                       capped(config, report.best_epoch))
     assert rerun_report.best_epoch == report.best_epoch
-    assert_same_parameters(bundle.named_parameters(), rerun.named_parameters())
+    assert_same_parameters(parameters(bundle), parameters(rerun))

@@ -5,13 +5,13 @@ from cyclecap import init
 from cyclecap.cells import GRUParams, LSTMParams, gru_step, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError
-from cyclecap.tensor import Parameter, Tensor
+from cyclecap.tensor import Parameter, Tensor, parameters
 
 from _reference import add, ref_gru, ref_lstm, step_lstm_cell, sum_all
 
 
 def zeroed(params):
-    for p in params.named().values():
+    for p in parameters(params).values():
         p.data = np.zeros_like(p.data)
     return params
 
@@ -26,7 +26,7 @@ def test_fused_gate_blocks_equal_per_gate_draws(cls, gates, shapes):
     # one, drawn in gate order: the rng order of one matrix per gate
     n_in, hidden = 3, 4
     p = cls(np.random.default_rng(9), n_in, hidden, "cell")
-    assert {k: v.shape for k, v in p.named().items()} == shapes
+    assert {k: v.shape for k, v in parameters(p).items()} == shapes
     w_in = p.w.data[:n_in] if cls is LSTMParams else p.w.data
     w_hid = p.w.data[n_in:] if cls is LSTMParams else p.u.data
     rng = np.random.default_rng(9)
@@ -83,7 +83,7 @@ def test_lstm_gradients_match_finite_differences():
         h, c = step_lstm_cell([x], h0, c0, p.w, p.b)
         return sum_all(add(h, c))
 
-    result = check_gradients("lstm", build, dict(p.named(), x=x, h0=h0, c0=c0))
+    result = check_gradients("lstm", build, dict(parameters(p), x=x, h0=h0, c0=c0))
     assert result.max_error < 1e-3
 
 
@@ -143,5 +143,5 @@ def test_gru_gradients_match_finite_differences():
     ids = np.array([[0, 3, 3], [4, 1, 0]])
     mask = np.array([[True] * 3, [True, True, False]])
     result = check_gradients("gru", lambda: gru_step(x, ids, p, q, mask),
-                             dict(p.named(), **q.named(), x=x))
+                             dict(parameters(p, q), x=x))
     assert result.max_error < 1e-3, result.errors

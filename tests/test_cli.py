@@ -17,6 +17,7 @@ from cyclecap import checks, cli, evaluation, synth
 from cyclecap.cli import SUBCOMMANDS, main, write_run_manifest
 from cyclecap.data import FeatureGrid, RESERVED_TOKENS, load_features, save_features
 from cyclecap.models import load_bundle, load_captioner, save_bundle
+from cyclecap.tensor import parameters
 from cyclecap.training import TrainConfig
 
 from conftest import FUZZ, bit_flips, truncations
@@ -994,7 +995,7 @@ def test_fuzzed_checkpoint_is_typed_error(pipeline, tmp_path, capsys, data):
     kind = data.draw(st.sampled_from(["truncate", "flip", "non-finite"]))
     if kind == "non-finite":
         bundle = load_bundle(bundle_dir / "bundle.ckpt")
-        params = bundle.named_parameters()
+        params = parameters(bundle)
         params[data.draw(st.sampled_from(sorted(params)))].data.flat[0] = \
             data.draw(NON_FINITE)
         save_bundle(bundle, bundle_dir / "bundle.ckpt")

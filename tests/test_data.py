@@ -162,6 +162,22 @@ def test_malformed_manifest_row_is_format_error_with_line(tmp_path, row, message
     assert f"{path}:3" in str(exc.value)
 
 
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029"])
+def test_manifest_lines_end_at_newline_only(tmp_path, brk):
+    """A caption may hold a character that ``str.splitlines`` breaks at; the
+    row stays one line, the character splits tokens like any whitespace,
+    and a later row's ``path:line`` counts newlines only."""
+    path = tmp_path / "manifest.jsonl"
+    rows = [json.dumps({"image_id": image_id, "features": "f", "en": f"a dog{brk}runs",
+                        "de": "ein hund"}, ensure_ascii=False) for image_id in "ab"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert [e.en_tokens for e in read_manifest(path)] == [("a", "dog", "runs")] * 2
+    path.write_text("\n".join(rows) + '\n{"image_id": "c",\n', encoding="utf-8")
+    with pytest.raises(FormatError, match="not JSON") as exc:
+        read_manifest(path)
+    assert f"{path}:3:" in str(exc.value)
+
+
 def test_encode_triples_skips_bad_records(tmp_path, caplog):
     grid = FeatureGrid(np.zeros((2, 2)))
     save_features(grid, tmp_path / "ok.feat")

@@ -23,7 +23,7 @@ from cyclecap.errors import DimensionError
 from cyclecap.cycle import cycle_loss_graph
 from cyclecap.data import PAD_ID
 from cyclecap.models import CaptionEncoder, ImageProjection, ModelDims
-from cyclecap.tensor import HeadKeys, Parameter, Tape, decoder_unroll
+from cyclecap.tensor import HeadKeys, Parameter, Tape, decoder_unroll, parameters
 from cyclecap.training import nll_loss
 
 from _reference import (composed_attend, composed_cycle, composed_decoder_unroll,
@@ -78,7 +78,7 @@ def test_lstm_step_matches_composed(batch):
     c = operand(rng, (batch, 4), "c", pad)
     assert_agree(lambda: step_lstm_cell([x1, x2], h, c, cell.w, cell.b),
                  lambda: composed_lstm_step(cell, [x1, x2], h, c),
-                 dict(cell.named(), x1=x1, x2=x2, h=h, c=c))
+                 dict(parameters(cell), x1=x1, x2=x2, h=h, c=c))
 
 
 def encoder(rng):
@@ -96,7 +96,7 @@ def test_project_matches_composed(batch):
     features = rng.standard_normal((batch, 5, 3))
     features[-1, -1] = 0.0
     assert_agree(lambda: (proj.project(features),),
-                 lambda: (composed_project(proj, features),), proj.named())
+                 lambda: (composed_project(proj, features),), parameters(proj))
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -111,7 +111,7 @@ def test_gru_step_matches_composed(batch):
         ids[-1, 2:] = PAD_ID
         mask[-1, 2:] = False
     assert_agree(lambda: (gru_step(enc.embedding, ids, enc.fwd, enc.bwd, mask),),
-                 lambda: (stepped_encode(enc, ids, mask),), enc.named())
+                 lambda: (stepped_encode(enc, ids, mask),), parameters(enc))
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -130,7 +130,7 @@ def test_attend_matches_composed(batch):
     def composed():
         return composed_attend(composed_prepare(layer.keys(rows, mask)), query)
 
-    assert_agree(fused, composed, dict(layer.named(), rows=rows, query=query))
+    assert_agree(fused, composed, dict(parameters(layer), rows=rows, query=query))
     weights, _ = fused()
     assert weights.data[0, -1] == 0.0
 
@@ -224,7 +224,7 @@ def unroll_case(kind, mask):
     rng, batch, steps = np.random.default_rng(40), 3, 4
     if kind == "gru":                  # the caption encoder, both directions
         enc, ids = encoder(rng), rng.integers(0, 7, size=(batch, steps))
-        return (lambda: [enc.encode(ids, mask)], enc.named(), [~mask])
+        return (lambda: [enc.encode(ids, mask)], parameters(enc), [~mask])
     *operands, params = decoder_operands(rng, batch, steps)
     states = kind == "decoder"
     return (lambda: list(decoder_unroll(*operands, mask, states=states)),

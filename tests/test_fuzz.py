@@ -14,6 +14,7 @@ from cyclecap.data import (FeatureGrid, ManifestEntry, Vocabulary, load_features
                            read_manifest, save_features, write_manifest)
 from cyclecap.errors import CycleCapError, NumericError
 from cyclecap.models import load_bundle, save_bundle
+from cyclecap.tensor import parameters
 
 from conftest import FUZZ, bit_flips, tiny_bundle, truncations
 
@@ -53,11 +54,11 @@ def test_fuzzed_checkpoint(tmp_path, data):
 
 
 @FUZZ
-@given(name=st.sampled_from(sorted(tiny_bundle().named_parameters())),
+@given(name=st.sampled_from(sorted(parameters(tiny_bundle()))),
        value=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_non_finite_checkpoint_entry_is_numeric_error(tmp_path, name, value):
     bundle = tiny_bundle(seed=3)
-    bundle.named_parameters()[name].data.flat[0] = value
+    parameters(bundle)[name].data.flat[0] = value
     path = tmp_path / "bundle.ckpt"
     save_bundle(bundle, path)
     with pytest.raises(NumericError, match=name):

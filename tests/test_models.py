@@ -13,7 +13,7 @@ from cyclecap.models import (CHECKPOINT_MAGIC, ImageCaptioner, ModelBundle,
                              ModelDims, load_bundle, load_captioner, load_checkpoint,
                              save_bundle, save_captioner, teacher_forced_records,
                              unroll)
-from cyclecap.tensor import Parameter, Tape, Tensor, initial_state, pool
+from cyclecap.tensor import Parameter, Tape, Tensor, initial_state, parameters, pool
 from cyclecap.training import _captioner_loss, nll_loss
 
 from _reference import (add, composed_init_state, mul, ref_captioner_sequence,
@@ -90,7 +90,7 @@ def test_bidirectional_symmetry_with_shared_directions():
 
 def test_zero_parameters_give_zero_states():
     bundle = tiny_bundle(seed=6)
-    for p in bundle.cap_encoder.named().values():
+    for p in parameters(bundle.cap_encoder).values():
         p.data = np.zeros_like(p.data)
     states = bundle.cap_encoder.encode(np.array([[4, 5, 6]]))
     np.testing.assert_array_equal(states.data, np.zeros((1, 3, 8)))
@@ -133,7 +133,7 @@ def test_encode_matches_the_per_step_graph(batch_size):
     ids = np.random.default_rng(30).integers(4, 8, size=(len(lengths), 5))
     mask = np.arange(5) < np.array(lengths)[:, None]
     ids[~mask] = PAD_ID
-    params = enc.named()
+    params = parameters(enc)
     runs = []
     for encode in (enc.encode, lambda ids, mask: stepped_encode(enc, ids, mask)):
         for p in params.values():
@@ -275,7 +275,7 @@ def test_unroll_then_emit_equals_stepping(which, batch_size):
     dec, rows, masks, ids = decoder_setup(bundle, batch, which)
     states, weights = unroll(dec, rows, masks, ids)
     log_probs = dec.emit(states.data)
-    assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.vocab_size)
+    assert log_probs.shape == (ids.shape[1] - 1, batch_size, dec.w_out.shape[1])
     keys, state = dec.start(rows, masks)
     # stepping runs through padding and the unroll does not: real steps only
     for t in range(ids.shape[1] - 1):
@@ -329,7 +329,7 @@ def taped_unroll(bundle, batch, which, run):
     """Outputs, parameter gradients and key-row gradients of one taped
     ``run(decoder, rows, masks, ids) -> outputs``, read through fixed
     probes."""
-    params = bundle.named_parameters()
+    params = parameters(bundle)
     for p in params.values():
         p.zero_grad()
     with Tape() as tape:
@@ -470,8 +470,8 @@ def test_captioner_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "part1.ckpt"
     save_captioner(model, path)
     loaded = load_captioner(path)
-    for name, p in model.named_parameters().items():
-        np.testing.assert_array_equal(loaded.named_parameters()[name].data, p.data)
+    for name, p in parameters(model).items():
+        np.testing.assert_array_equal(parameters(loaded)[name].data, p.data)
 
 
 def test_bundle_checkpoint_roundtrip_and_kind_check(tmp_path):
@@ -480,8 +480,8 @@ def test_bundle_checkpoint_roundtrip_and_kind_check(tmp_path):
     save_bundle(bundle, path)
     loaded = load_bundle(path)
     assert loaded.dims == bundle.dims
-    for name, p in bundle.named_parameters().items():
-        np.testing.assert_array_equal(loaded.named_parameters()[name].data, p.data)
+    for name, p in parameters(bundle).items():
+        np.testing.assert_array_equal(parameters(loaded)[name].data, p.data)
     with pytest.raises(FormatError, match="captioner"):
         load_captioner(path)
 
@@ -494,10 +494,10 @@ def test_checkpoint_rejects_architecture_mismatch(tmp_path):
     _, _, arrays = load_checkpoint(path)
     from cyclecap.models import load_into
     with pytest.raises(FormatError, match="shape"):
-        load_into(big.named_parameters(), arrays)
+        load_into(parameters(big), arrays)
     arrays.pop(sorted(arrays)[0])
     with pytest.raises(FormatError, match="missing"):
-        load_into(small.named_parameters(), arrays)
+        load_into(parameters(small), arrays)
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -515,6 +515,18 @@ def test_save_is_deterministic(tmp_path):
     save_captioner(model, tmp_path / "a.ckpt")
     save_captioner(model, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_a_bundle_holds_part_one_and_part_two_apart():
+    """A bundle's parameters are its captioner's (part 1) and its caption
+    encoder's and German decoder's (part 2), with no name in both."""
+    bundle = tiny_bundle()
+    part1 = parameters(bundle.captioner)
+    part2 = parameters(bundle.cap_encoder, bundle.de_decoder)
+    assert part1 and part2 and not set(part1) & set(part2)
+    assert parameters(bundle) == {**part1, **part2}
+    assert all(name.startswith("captioner/") for name in part1)
+    assert all(name.startswith(("cap_encoder/", "de_decoder/")) for name in part2)
 
 
 def test_fresh_checkpoints_keep_their_bytes(tmp_path):

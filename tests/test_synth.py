@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cyclecap import synth
 from cyclecap.data import TripleRecord, Vocabulary, read_manifest
-from cyclecap.errors import ConfigError
+from cyclecap.errors import ConfigError, FormatError
 
 
 def test_single_object_captions_mention_exactly_one_object_word():
@@ -69,3 +69,13 @@ def test_write_corpus_roundtrip(tmp_path):
     alignments = synth.read_alignments(tmp_path / "alignments.jsonl")
     assert alignments[images[2].image_id] == list(images[2].objects)
     assert (tmp_path / "features" / f"{images[0].image_id}.feat").is_file()
+
+
+def test_a_bad_alignments_line_is_a_format_error_naming_it(tmp_path):
+    images = synth.generate(synth.SynthSpec(seed=1, n_images=2))
+    synth.write_corpus(images, tmp_path)
+    path = tmp_path / "alignments.jsonl"
+    path.write_text(path.read_text(encoding="utf-8") + "[1]\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="JSON object") as exc:
+        synth.read_alignments(path)
+    assert f"{path}:3:" in str(exc.value)

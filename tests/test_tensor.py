@@ -7,7 +7,7 @@ from cyclecap.attention import AttentionLayer, attend
 from cyclecap.cells import LSTMParams, lstm_step
 from cyclecap.checks import check_gradients
 from cyclecap.errors import DimensionError, NumericError, StateError
-from cyclecap.tensor import Parameter, Tape, Tensor, _sigmoid, prepare
+from cyclecap.tensor import HeadKeys, Parameter, Tape, Tensor, _sigmoid, parameters, prepare
 
 from _reference import (add, composed_prepare, concat, dropout, embedding_lookup, frobenius,
                         log_softmax, masked_mean, masked_softmax, matmul, mul, pick, scale,
@@ -219,6 +219,36 @@ def test_unreachable_parameter_has_zero_grad():
     with Tape() as tape:
         tape.backward(sum_all(mul(x, x)))
     np.testing.assert_array_equal(unused.grad, [0.0])
+
+
+def test_parameters_are_the_ones_an_owner_holds_in_attribute_order():
+    """Every Parameter reachable through attributes, tuples and lists, once
+    by name, in attribute order; ints, arrays and plain Tensors are not
+    parameters."""
+    class Owner:
+        pass
+
+    def p(name):
+        return Parameter(np.zeros(2), name)
+
+    shared = p("shared")
+    owner = Owner()
+    owner.size = 3
+    owner.initial = ((p("w_h0"), p("b_h0")), (p("w_c0"), shared))
+    owner.head = HeadKeys(Tensor(np.ones((1, 2, 2))), np.ones((1, 2), dtype=bool),
+                          p("w_key"), p("b"), p("w_query"), p("combine"))
+    owner.table = np.ones((3, 2))
+    owner.inner = Owner()
+    owner.inner.layers = [p("w_out"), shared, 7]
+    found = parameters(owner)
+    assert list(found) == ["w_h0", "b_h0", "w_c0", "shared", "w_key", "b", "w_query",
+                           "combine", "w_out"]
+    assert all(found[name].name == name for name in found)
+    assert found["shared"] is shared
+    assert list(parameters(owner.inner, owner.head, owner.initial).items()) == [
+        (name, found[name]) for name in ["w_out", "shared", "w_key", "b", "w_query",
+                                         "combine", "w_h0", "b_h0", "w_c0"]]
+    assert parameters(3, np.ones(2), Tensor(np.ones(2)), owner.head.mask) == {}
 
 
 def test_grad_accumulates_over_shared_use():

@@ -17,7 +17,7 @@ from cyclecap.data import (PAD_ID, FeatureGrid, TripleRecord, Vocabulary, make_b
 from cyclecap.errors import ConfigError, DataError, DimensionError, NumericError
 from cyclecap.models import (ImageCaptioner, ModelBundle, SoftAttentionDecoder, load_bundle,
                              save_bundle)
-from cyclecap.tensor import Parameter, Tape, Tensor
+from cyclecap.tensor import Parameter, Tape, Tensor, parameters
 from cyclecap.training import (TrainConfig, _batches, _stage2_loss, nll_loss, pretrain_part1,
                                train_part2)
 
@@ -135,7 +135,7 @@ def test_frozen_part1_computed_once_trains_as_recomputing_it_each_step(
     def fit(name):
         bundle, report = train_part2(triples, captioner, en_vocab, de_vocab, cfg)
         report.write(tmp_path / name)
-        return ({k: p.data.tobytes() for k, p in bundle.named_parameters().items()},
+        return ({k: p.data.tobytes() for k, p in parameters(bundle).items()},
                 (tmp_path / name).read_bytes())
 
     cached = fit("cached.jsonl")
@@ -170,10 +170,10 @@ def test_fit_seeds_the_backward_with_the_loss_weights(cycle_weight):
         (nll, _), (cyc, _) = _stage2_loss(oracle, batch, cycle_weight, cfg.dropout,
                                           rng=np.random.default_rng(cfg.seed))[0]
         tape.backward(scale(add(nll, scale(cyc, cycle_weight)), 1.0 / len(batch)))
-    want = oracle.named_parameters()
+    want = parameters(oracle)
     for name in ("captioner/proj/w", "cap_encoder/embedding", "de_decoder/w_out"):
         assert want[name].grad.any(), name
-    for name, p in trained.named_parameters().items():
+    for name, p in parameters(trained).items():
         assert p.grad.tobytes() == want[name].grad.tobytes(), name
 
 
@@ -276,8 +276,8 @@ def test_pretrain_loss_decreases_and_is_deterministic(small_corpus):
     model_b, curve_b = run()
     assert curve_a == curve_b
     assert curve_a[-1] < curve_a[0]
-    params_a = {k: p.data for k, p in model_a.named_parameters().items()}
-    for k, p in model_b.named_parameters().items():
+    params_a = {k: p.data for k, p in parameters(model_a).items()}
+    for k, p in parameters(model_b).items():
         assert p.data.tobytes() == params_a[k].tobytes()
 
 
@@ -328,7 +328,7 @@ def test_lambda_zero_matches_dual_attention_baseline(small_corpus):
     def part2(cycle_weight):
         cfg2 = quick_cfg(max_epochs=3, patience=3, cycle_weight=cycle_weight)
         bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
-        return {k: p.data.copy() for k, p in bundle.named_parameters().items()}
+        return {k: p.data.copy() for k, p in parameters(bundle).items()}
 
     dual_attn = part2(0.0)
     again = part2(0.0)
@@ -345,11 +345,11 @@ def test_freeze_part1_keeps_stage_one_parameters_bit_identical(small_corpus, cyc
     pairs = pairs_from_triples(triples)
     cfg = quick_cfg(max_epochs=2, patience=2)
     captioner, _ = pretrain_part1(pairs, en_vocab, 32, cfg)
-    before = {k: p.data.copy() for k, p in captioner.named_parameters().items()}
+    before = {k: p.data.copy() for k, p in parameters(captioner).items()}
     cfg2 = quick_cfg(max_epochs=3, patience=3, cycle_weight=cycle_weight, dropout=0.3,
                      freeze_part1=True)
     bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
-    for k, p in bundle.part1_parameters().items():
+    for k, p in parameters(bundle.captioner).items():
         assert p.data.tobytes() == before[k].tobytes()
 
 
@@ -363,9 +363,9 @@ def test_frozen_part1_gets_no_gradient(small_corpus):
                     cycle_weight=1.0, freeze_part1=True)
     assert len(triples) == 16  # three batches
     bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg)
-    for name, p in bundle.part1_parameters().items():
+    for name, p in parameters(bundle.captioner).items():
         assert not p.grad.any(), name
-    assert any(p.grad.any() for p in bundle.part2_parameters().values())
+    assert any(p.grad.any() for p in parameters(bundle.cap_encoder, bundle.de_decoder).values())
 
 
 def test_unfrozen_part1_adapts_under_cycle_loss(small_corpus):
@@ -373,10 +373,10 @@ def test_unfrozen_part1_adapts_under_cycle_loss(small_corpus):
     pairs = pairs_from_triples(triples)
     captioner, _ = pretrain_part1(pairs, en_vocab, 32,
                                   quick_cfg(max_epochs=2, patience=2))
-    before = {k: p.data.copy() for k, p in captioner.named_parameters().items()}
+    before = {k: p.data.copy() for k, p in parameters(captioner).items()}
     cfg2 = quick_cfg(max_epochs=3, patience=3, cycle_weight=1.0)
     bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
-    changed = [k for k, p in bundle.part1_parameters().items()
+    changed = [k for k, p in parameters(bundle.captioner).items()
                if p.data.tobytes() != before[k].tobytes()]
     assert changed
 
@@ -390,8 +390,8 @@ def test_stage_two_takes_its_sizes_from_the_captioner(tmp_path, small_corpus):
     bundle, _ = train_part2(triples, captioner, en_vocab, de_vocab, cfg2)
     assert bundle.dims == replace(captioner.dims, de_vocab=len(de_vocab))
     save_bundle(bundle, tmp_path / "bundle.ckpt")
-    loaded = load_bundle(tmp_path / "bundle.ckpt").named_parameters()
-    for name, p in bundle.named_parameters().items():
+    loaded = parameters(load_bundle(tmp_path / "bundle.ckpt"))
+    for name, p in parameters(bundle).items():
         assert loaded[name].data.tobytes() == p.data.tobytes(), name
 
 
