@@ -3,13 +3,17 @@
 Both stages build one graph per batch over (B, ·) matrices. At dropout 0 the
 batch's loss must equal the sum of its records' losses at B = 1, with the
 same parameter gradients, and no value in a padded position (a token id past
-EOS, the features of a padded region) may reach the loss or a gradient.
+EOS, the features of a padded region) may reach the loss or a gradient, nor
+may the padding's width: PAD columns appended to the captions a batch's
+decoder reads leave the loss and every gradient bit-identical.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclecap.data import FeatureGrid, PairRecord, TripleRecord, make_batch
+from cyclecap.data import PAD_ID, Batch, FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.models import ImageCaptioner, ModelBundle, frozen_part1
 from cyclecap.tensor import Tape, parameters
 from cyclecap.training import TrainConfig, _captioner_loss, _stage2_loss
@@ -152,3 +156,28 @@ def test_dropout_draws_are_one_mask_per_step_and_rerun_identically():
     loss_b, grads_b = run()
     assert loss_a == loss_b
     assert all(grads_a[k].tobytes() == grads_b[k].tobytes() for k in grads_a)
+
+
+def with_pad_columns(batch: Batch, extra: int) -> Batch:
+    """``batch`` with ``extra`` all-PAD columns appended to the captions its
+    decoder reads: the German ones of triples, else the English ones."""
+    field = "en" if batch.de_ids is None else "de"
+    ids, mask = getattr(batch, f"{field}_ids"), getattr(batch, f"{field}_mask")
+    return type(batch)(**{**batch.__dict__,
+                          f"{field}_ids": np.pad(ids, ((0, 0), (0, extra)),
+                                                 constant_values=PAD_ID),
+                          f"{field}_mask": np.pad(mask, ((0, 0), (0, extra)))})
+
+
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(setup=st.sampled_from([(None, False), (1.0, False), (0.0, False), (1.0, True)]),
+       extra=st.integers(1, 3))
+def test_pad_columns_leave_loss_and_gradients_bit_identical(setup, extra):
+    # a batch whose decoded captions end in PAD columns is the same batch
+    loss_fn, params = stage_losses(bundle(seed=4), *setup)
+    batch = make_batch(records_for(setup[0]))
+    loss_a, grads_a = loss_and_grads(lambda: loss_fn(batch), params)
+    loss_b, grads_b = loss_and_grads(lambda: loss_fn(with_pad_columns(batch, extra)), params)
+    assert loss_a == loss_b
+    for name in grads_a:
+        assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
