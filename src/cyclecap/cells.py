@@ -9,10 +9,11 @@ bias belongs to gate ``GATES[k]``.
 
 * The caption encoder's GRU (``gru_step``, ``tensor.encoder_unroll``) goes
   one step further across time, as Appleyard et al. do: the lookup and both
-  directions over a whole (B, T) caption batch are one tape record, each
-  direction's inputs are projected through ``w`` in one product, and each
-  weight gradient is one product over all T * B rows. The caption encoder
-  calls it once.
+  directions over a whole (B, T) caption batch are one tape record, packed
+  as they pack padded sequences, each direction's real positions are
+  projected through ``w`` in one product, and each weight gradient is one
+  product over those real positions alone. The caption encoder calls it
+  once.
 * An LSTM step (``lstm_step``) serves decoding only, on arrays in and out.
   Training runs the decoder's LSTM inside ``tensor.decoder_unroll``, one
   record per unroll in the same way, on the same ``tensor.lstm_arrays``.

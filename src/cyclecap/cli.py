@@ -356,12 +356,22 @@ def _load_grid(manifest: Path, entry: ManifestEntry, feature_dim: int) -> Featur
     return grid
 
 
+def _one_per_image(entries: list[ManifestEntry]) -> list[ManifestEntry]:
+    """Each image's first manifest row, in first-appearance order: a
+    manifest may caption an image on several rows, and an image is decoded
+    or exported once."""
+    first: dict[str, ManifestEntry] = {}
+    for e in entries:
+        first.setdefault(e.image_id, e)
+    return list(first.values())
+
+
 def run_infer(settings: dict, out_dir: Path) -> None:
     field = _language(settings, "caption_field")
     ckpt = Path(settings["checkpoint"])
     model = load_model(ckpt)
     manifest = Path(settings["manifest"])
-    entries = read_manifest(manifest)
+    entries = _one_per_image(read_manifest(manifest))
     beam_size, max_len = settings["beam_size"], settings["max_len"]
 
     if isinstance(model, ModelBundle):
@@ -404,13 +414,17 @@ def run_eval(settings: dict, out_dir: Path) -> None:
     for e in read_manifest(Path(settings["manifest"])):
         if caption := getattr(e, f"{field}_tokens"):
             refs_by_id.setdefault(e.image_id, []).append(list(caption))
-    candidates, references = [], []
+    candidates, references, scored = [], [], set()
     for where, row in read_jsonl(settings["candidates"]):
         image_id = text_field(row, "image_id", where)
         if not refs_by_id.get(image_id):
             raise DataError(f"candidate {image_id!r} has no {field} reference "
                             f"caption in the manifest")
         candidates.append(text_field(row, field, where).split())
+        if image_id in scored:
+            raise DataError(f"{where}: a second candidate for image {image_id!r}; "
+                            f"each image is scored once")
+        scored.add(image_id)
         references.append(refs_by_id[image_id])
     if not candidates:
         raise DataError("no candidates to score")
@@ -434,7 +448,7 @@ def run_attn_export(settings: dict, out_dir: Path) -> None:
     en_vocab = _vocab_beside(ckpt, "en", bundle.dims.en_vocab)
     de_vocab = _vocab_beside(ckpt, "de", bundle.dims.de_vocab)
     manifest = Path(settings["manifest"])
-    entries = read_manifest(manifest)
+    entries = _one_per_image(read_manifest(manifest))
     if settings["limit"] is not None:
         entries = entries[:settings["limit"]]
     rows, cols = settings["grid_rows"], settings["grid_cols"]

@@ -30,8 +30,11 @@ its last state; ``output_nll`` the likelihood from a decoder's states;
 ``cycle_distance`` the cycle loss.
 
 The two unrolls pack their (B, T) mask of real steps, as cuDNN and PyTorch
-pack padded sequences: step t runs forward and backward on the rows still
-real at t, and outputs at padded steps are exactly 0. Decoding never runs
+pack padded sequences (``_packing``): step t runs forward and backward on
+the rows still real at t, the products outside the step loops (input
+projections, weight gradients, the embedding table's gradient) run on the
+real (step, row) pairs alone, packed step by step into one buffer, and
+outputs at padded steps are exactly 0. Decoding never runs
 backward, so it never enters the engine: ``attention.attend`` and
 ``cells.lstm_step`` run the step math, ``attention_arrays`` and
 ``lstm_arrays``, and the decoder's output layer runs ``log_softmax``, all on
@@ -256,19 +259,52 @@ def _bad_shapes(op: str, **shapes) -> DimensionError:
     return DimensionError(f"{op}: shapes do not fit together: {listed}")
 
 
-def _packing(op: str, mask: Array, steps: int, batch: int
-             ) -> tuple[Array, Array, list[int]]:
-    """A (B, T) boolean mask of real steps, real ones first, packed: the rows
-    in stable descending order of length, the inverse order, and the count
-    of real rows per step: step t runs on the prefix ``[:live[t]]``."""
+class Packing(NamedTuple):
+    """A batch's (B, T) mask of real steps, packed as cuDNN and PyTorch pack
+    padded sequences: the rows ordered by length, longest first, so that
+    step t runs on the prefix ``[:live[t]]`` of them, and the real (step,
+    row) pairs laid out step by step, step t's as rows ``offsets[t]:offsets[t
+    + 1]`` of a packed (sum of live, ·) buffer."""
+
+    order: Array            # (B,) the rows in stable descending order of length
+    restore: Array          # (B,) the inverse order
+    live: list[int]         # per step, its count of real rows
+    offsets: list[int]      # per step, its first row in a packed buffer; then the total
+    real: Array             # (T, B) boolean, the ordered rows' mask, time-major
+
+
+def _packing(op: str, mask: Array, steps: int, batch: int) -> Packing:
+    """``mask``, a (B, T) boolean mask of real steps, real ones first in each
+    row, packed. A batch without padding, as decoding's is, keeps its
+    order."""
     if np.shape(mask) != (batch, steps):
         raise DimensionError(f"{op}: step mask has shape {np.shape(mask)}, "
                              f"not {(batch, steps)}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.all():
+        order, live = np.arange(batch), [batch] * steps
+        return Packing(order, order, live, list(range(0, batch * steps + 1, batch)), mask.T)
     if (mask[:, 1:] > mask[:, :-1]).any():
         raise DimensionError(f"{op}: step mask is not a prefix: a real step "
                              f"follows a padded one")
     order = np.argsort(-mask.sum(axis=1), kind="stable")
-    return order, np.argsort(order), mask.sum(axis=0).tolist()
+    real = mask[order].T
+    live = real.sum(axis=1).tolist()
+    return Packing(order, np.argsort(order), live, list(accumulate(live, initial=0)), real)
+
+
+def _table_gradient(shape: tuple[int, ...], ids: Array, rows: Array) -> Array:
+    """The gradient of a (vocab, E) table from the (N, E) gradients of its
+    N lookups ``table[ids]``: each id's rows summed in their order, by one
+    stable sort of the ids and one segmented sum, so the cost grows as N log
+    N, never with the vocabulary."""
+    g = np.zeros(shape)
+    if ids.size:
+        by_id = np.argsort(ids, kind="stable")
+        sorted_ids = ids[by_id]
+        first = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        g[sorted_ids[first]] = np.add.reduceat(rows[by_id], first, axis=0)
+    return g
 
 
 def lstm_arrays(a: Array, c: Array) -> tuple[Array, ...]:
@@ -376,14 +412,16 @@ def projection(features: Array, w: Tensor, b: Tensor) -> Tensor:
     return _record(Tensor(y, _unchecked=True), (w, b), rule)
 
 
-def _gru_pass(xw: Array, u: Array, live: list[int], reverse: bool, taped: bool
+def _gru_pass(xw: Array, u: Array, packing: Packing, reverse: bool, taped: bool
               ) -> tuple[Array, Callable[[Array], tuple[Array, Array]]]:
     """One GRU direction of ``encoder_unroll`` from a zero state, over the
-    packed (T, B, 3H) input pre-activations ``xw = x @ w + b``, step t on the
-    prefix ``[:live[t]]``; returns the packed (T, B, H) states and, when
-    ``taped``, its BPTT: a function from their gradient to those of ``xw``
-    and of ``u``."""
-    steps, batch, size = xw.shape[0], xw.shape[1], u.shape[0]
+    packed (sum of live, 3H) input pre-activations ``xw = x @ w + b``, step t
+    on its rows of the ``packing``, the prefix ``[:live[t]]`` of the ordered
+    rows; returns the (T, B, H) states of the ordered rows, 0 at padded
+    steps, and, when ``taped``, its BPTT: a function from their gradient to
+    the packed gradient of ``xw`` and the gradient of ``u``."""
+    live, offsets, real = packing.live, packing.offsets, packing.real
+    (steps, batch), size = real.shape, u.shape[0]
     # step t reads slot t + read and writes slot t + write; the slot no step
     # writes is the zero initial state, and a row that joins the prefix late
     # reads the zeros of its padded positions
@@ -392,39 +430,39 @@ def _gru_pass(xw: Array, u: Array, live: list[int], reverse: bool, taped: bool
     order_t = range(steps - 1, -1, -1) if reverse else range(steps)
     kept = [None] * steps                             # each step's gates
     for t in order_t:
-        k = live[t]
+        k, x = live[t], xw[offsets[t]:offsets[t + 1]]
         h = slots[t + read, :k]
         a = np.matmul(h, u)
-        rz = _sigmoid(xw[t, :k, :2 * size] + a[:, :2 * size])
+        rz = _sigmoid(x[:, :2 * size] + a[:, :2 * size])
         an = a[:, 2 * size:]                          # (h @ u)[2H:]
-        n = np.tanh(xw[t, :k, 2 * size:] + rz[:, :size] * an)
+        n = np.tanh(x[:, 2 * size:] + rz[:, :size] * an)
         slots[t + write, :k] = n + rz[:, size:] * (h - n)
         if taped:
             kept[t] = rz, an.copy(), n                # a copy keeps not all of a
     prev = slots[read:read + steps]                   # the state step t reads
 
     def backward(g: Array) -> tuple[Array, Array]:
-        g_xw = np.zeros((steps, batch, 3 * size))
-        g_a = np.zeros((steps, batch, 3 * size))      # of h @ u
+        g_xw = np.empty(xw.shape)                     # every row written at its step
+        g_a = np.empty(xw.shape)                      # of h @ u
         g_h = np.zeros((batch, size))                 # carried to the step before
         u_t = np.ascontiguousarray(u.T)               # BLAS is faster on it than on u.T
         for t in reversed(order_t):
-            k = live[t]
+            k, rows = live[t], slice(offsets[t], offsets[t + 1])
             rz, an, n = kept[t]
             gh = g_h[:k] + g[:k, t]
             z = rz[:, size:]
             gn = (gh - gh * z) * (1.0 - n * n)
-            gx = g_xw[t, :k]
+            gx = g_xw[rows]
             gx[:, :size] = gn * an
             gx[:, size:2 * size] = gh * (prev[t, :k] - n)
             gx[:, :2 * size] *= rz
             gx[:, :2 * size] *= 1.0 - rz
             gx[:, 2 * size:] = gn
-            ga = g_a[t, :k]
+            ga = g_a[rows]
             ga[:] = gx
             ga[:, 2 * size:] *= rz[:, :size]
             g_h[:k] = gh * z + np.matmul(ga, u_t)
-        return g_xw, prev.reshape(-1, size).T @ g_a.reshape(-1, 3 * size)
+        return g_xw, prev[real].T @ g_a
 
     return slots[write:write + steps], backward
 
@@ -449,13 +487,15 @@ def encoder_unroll(table: Tensor, ids: Array,
     each record's pass starting from zero at its own last token. States at
     padded positions are exactly 0 and pass no gradient back.
 
-    The batch is packed once (``_packing``) for both directions, so each
-    step runs on the prefix of rows still real there (``_gru_pass``). The
-    forward projects every input in one product per direction, then loops
-    over the steps. The backward is BPTT per direction; the gradients of
-    ``w``, ``u`` and ``b`` are each one product over all T * B rows after
-    it, padded rows adding zeros, and the table's is one scatter of the real
-    positions' rows, summed over both directions.
+    The batch is packed once (``_packing``) for both directions: the real
+    positions' ids are gathered once, step by step, and every product
+    outside the step loops runs on those rows alone. The forward looks them
+    up and projects them in one product per direction, then loops over the
+    steps, each on the prefix of rows still real there (``_gru_pass``). The
+    backward is BPTT per direction; the gradients of ``w``, ``u`` and ``b``
+    are each one product over the real positions after it, and the table's
+    is one segmented sum of their rows, over both directions
+    (``_table_gradient``).
     """
     td, ids = table.data, np.asarray(ids)
     size = directions[0][1].shape[0] if len(directions) == 2 \
@@ -470,27 +510,25 @@ def encoder_unroll(table: Tensor, ids: Array,
     if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
         raise DimensionError(f"encoder_unroll: id out of range for table with "
                              f"{td.shape[0]} rows")
-    (batch, steps), emb_w = ids.shape, td.shape[1]
-    order, restore, live = _packing("encoder_unroll", mask, steps, batch)
-    embedded = td[ids.T][:, order]                    # (T, B, E), rows packed
+    batch, steps = ids.shape
+    packing = _packing("encoder_unroll", mask, steps, batch)
+    order, restore = packing.order, packing.restore
+    real_ids = ids[order].T[packing.real]             # (sum of live,), step by step
+    embedded = td[real_ids]
     taped = Tape._active is not None
-    passes = [_gru_pass(np.matmul(embedded, w.data) + b.data, u.data, live, reverse, taped)
+    passes = [_gru_pass(np.matmul(embedded, w.data) + b.data, u.data, packing, reverse, taped)
               for (w, u, b), reverse in zip(directions, (False, True))]
     out = _result("encoder_unroll", np.concatenate(
         [states for states, _ in passes], axis=-1).transpose(1, 0, 2)[restore])
 
     def rule(g: Array) -> tuple[Array, ...]:
         g = g[order]
-        g_x, g_params = [], []
+        g_x, g_params = 0.0, []
         for j, ((w, _, _), (_, backward)) in enumerate(zip(directions, passes)):
             g_xw, g_u = backward(g[:, :, j * size:(j + 1) * size])
-            flat = g_xw.reshape(-1, 3 * size)
-            g_x.append(np.matmul(g_xw, w.data.T))
-            g_params += [embedded.reshape(-1, emb_w).T @ flat, g_u, flat.sum(axis=0)]
-        real = np.asarray(mask, dtype=bool).T          # (T, B), the caller's order
-        g_table = np.zeros(td.shape)
-        np.add.at(g_table, ids.T[real], (g_x[0] + g_x[1])[:, restore][real])
-        return (g_table, *g_params)
+            g_x = g_x + np.matmul(g_xw, w.data.T)
+            g_params += [embedded.T @ g_xw, g_u, g_xw.sum(axis=0)]
+        return (_table_gradient(td.shape, real_ids, g_x), *g_params)
 
     return _record(out, (table, *(x for d in directions for x in d)), rule)
 
@@ -520,16 +558,25 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
     runs only on the rows that attend at step t + 1.
 
     The batch is packed (``_packing``), so each step runs on the prefix of
-    rows still real there. The forward projects every step's embedding
-    through its rows of ``w`` in one product, then loops over the steps,
-    keeping each step's activations. The backward is BPTT: its reverse loop
-    computes what recurs (gate, context and query gradients, and the (h, c)
-    gradient carried to the step before), adding each head's projected-key
-    and ``combine`` gradients while that step's tanh layer is at hand. After
-    the loop, the gradients of ``w``, ``b``, the key rows and each scorer's
-    weights are each one product over all T * B rows or K * B keys, the
-    initial state's go back through its two projections and the mean, and
-    the embedding's are one scatter of the real steps' rows into the table.
+    rows still real there, and every activation that a product outside the
+    step loops reads is one packed buffer of real (step, row) pairs, written
+    step by step at its offset: the LSTM's inputs and gate gradients on the
+    rows whose LSTM step ran, the queries and their gradients on the rows
+    that attended. The forward looks up and projects the real steps'
+    embeddings through their rows of ``w`` in one product, then loops over
+    the steps, keeping each step's activations. The backward is BPTT: its
+    reverse loop computes what recurs (gate, context and query gradients,
+    and the (h, c) gradient carried to the step before), adding each head's
+    projected-key and ``combine`` gradients while that step's tanh layer is
+    at hand. After the loop, the gradients of ``w``, ``b`` and each
+    ``w_query`` are each one product over the packed rows, the embedding's
+    one segmented sum of the real steps' rows (``_table_gradient``), so no
+    padded step enters a weight's gradient or the table's. Each head's key
+    side is one product over its K * B keys, the rows' share from the
+    contexts one batched product per record over its T steps, where padded
+    steps are zero rows: a ragged per-record product has no cheaper numpy
+    form. The initial state's gradients go back through its two projections
+    and the mean.
     """
     td, wd, ids = table.data, w.data, np.asarray(ids)
     size = b.shape[0] // 4 if b.data.ndim == 1 else 0
@@ -554,7 +601,7 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
     if ids.size and (ids.min() < 0 or ids.max() >= td.shape[0]):
         raise DimensionError(f"decoder_unroll: id out of range for table with "
                              f"{td.shape[0]} rows")
-    order, restore, live = _packing("decoder_unroll", mask, steps, batch)
+    order, restore, live, offsets, real = _packing("decoder_unroll", mask, steps, batch)
     rows0, mask0 = heads[0].rows.data, heads[0].mask
     mean = pool(rows0, mask0)
     init = initial_state(mean, initial)
@@ -563,30 +610,34 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
     # layer is, and the backward reads it as (K * k, A) rows without a copy
     arrays = [Head(np.ascontiguousarray(p[:, order]), r[order], m[order], wq, cb)
               for p, r, m, wq, cb in map(prepare, heads)]
-    # the rows whose LSTM step t runs: those whose h_t+1 is read
+    # the rows whose LSTM step t runs: those whose h_t+1 is read, packed on
+    # their own, since without the states fewer rows run it than attend
     cell_rows = live if states else live[1:] + [0]
-    offsets = list(accumulate(widths, initial=0))
+    cell_offsets = offsets if states else list(accumulate(cell_rows, initial=0))
+    cell_real = real if states else np.concatenate([real[1:], np.zeros((1, batch), bool)])
+    cols = list(accumulate(widths, initial=0))                  # each head's context
     w_emb = wd[ctx_w:ctx_w + emb_w]
     w_rec = np.concatenate([wd[:ctx_w], wd[ctx_w + emb_w:]])   # rows for [contexts; h]
-    prev_ids = ids[order].T                                     # (T, B), rows packed
-    embedded = td[prev_ids]
-    pre = np.matmul(embedded, w_emb) + b.data                   # (T, B, 4H)
-    xs = np.zeros((steps, batch, ctx_w + size))                 # [contexts; h_t]
+    cell_ids = ids[order].T[cell_real]                          # (sum of cell_rows,)
+    embedded = td[cell_ids]
+    pre = np.matmul(embedded, w_emb) + b.data                   # (sum of cell_rows, 4H)
+    xs = np.empty((offsets[-1], ctx_w + size))                  # [contexts; h_t], packed
     out = np.zeros((steps, batch, size))                        # h_t+1
     cells: list[tuple[Array, ...]] = []                 # per step: ifo, g, tanh c', c
     hiddens: list[list[Array]] = [[] for _ in arrays]          # per step (K, k, A)
     weights = [np.zeros((batch, steps, head.projected.shape[0])) for head in arrays]
     for t in range(steps):
         k, m = live[t], cell_rows[t]
-        x, query = xs[t, :k], query[:k]
+        x, query = xs[offsets[t]:offsets[t + 1]], query[:k]
         x[:, ctx_w:] = query
         for j, (p, r, msk, wq, cb) in enumerate(arrays):
-            hidden, weights[j][:k, t], x[:, offsets[j]:offsets[j + 1]] = attention_arrays(
+            hidden, weights[j][:k, t], x[:, cols[j]:cols[j + 1]] = attention_arrays(
                 Head(p[:, :k], r[:k], msk[:k], wq, cb), query)
             hiddens[j].append(hidden)
         if m:
             mem = mem[:m]
-            ifo, g, c_new, tc, query = lstm_arrays(pre[t, :m] + np.matmul(x[:m], w_rec), mem)
+            ifo, g, c_new, tc, query = lstm_arrays(
+                pre[cell_offsets[t]:cell_offsets[t + 1]] + np.matmul(x[:m], w_rec), mem)
             cells.append((ifo, g, tc, mem))
             out[t, :m], mem = query, c_new
     outs = tuple(Tensor(x, _unchecked=True) for x in finite(
@@ -595,9 +646,10 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
     def rule(*grads: Array) -> tuple[Array, ...]:
         g_out = grads[0][:, order] if states else None
         g_weights = [g[order] for g in (grads[1:] if states else grads)]
-        g_gates = np.zeros((steps, batch, 4 * size))
+        # packed as their activations are, every row written at its step
+        g_gates = np.empty(pre.shape)
         g_ctx = np.zeros((batch, steps, ctx_w))
-        g_query = [np.zeros((steps, batch, head.combine.shape[0])) for head in arrays]
+        g_query = [np.empty((offsets[-1], head.combine.shape[0])) for head in arrays]
         g_pre = [np.zeros(head.projected.shape) for head in arrays]   # summed over steps
         g_combine = [np.zeros(head.combine.shape) for head in arrays]
         g_h, g_c = np.zeros((batch, size)), np.zeros((batch, size))
@@ -610,7 +662,7 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
                 ifo, g, tc, c_prev = cells[t]
                 gh = g_h[:m] if g_out is None else g_h[:m] + g_out[t, :m]
                 gc = g_c[:m] + gh * ifo[:, 2 * size:] * (1.0 - tc * tc)
-                ga = g_gates[t, :m]
+                ga = g_gates[cell_offsets[t]:cell_offsets[t + 1]]
                 ga[:, :size] = gc * g
                 ga[:, size:2 * size] = gc * c_prev
                 ga[:, 2 * size:3 * size] = gh * tc
@@ -623,7 +675,7 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
             for j, (_, rows, _, _, combine) in enumerate(arrays):
                 wt = weights[j][:k, t]
                 gw = g_weights[j][:k, t] + np.matmul(
-                    rows[:k], g_ctx[:k, t, offsets[j]:offsets[j + 1], None])[:, :, 0]
+                    rows[:k], g_ctx[:k, t, cols[j]:cols[j + 1], None])[:, :, 0]
                 gs = (wt * (gw - (gw * wt).sum(axis=1, keepdims=True))).T
                 hid = hiddens[j][t]
                 g_combine[j] += gs.reshape(-1) @ hid.reshape(-1, hid.shape[-1])
@@ -633,15 +685,11 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
                 gpre *= gs[..., None]
                 g_pre[j][:, :k] += gpre
                 gq = gpre.sum(axis=0) * combine
-                g_query[j][t, :k] = gq
+                g_query[j][offsets[t]:offsets[t + 1]] = gq
                 g_h[:k] += np.matmul(gq, w_query[j])
-        flat = g_gates.reshape(-1, 4 * size)
-        g_rec = xs.reshape(-1, ctx_w + size).T @ flat
-        g_w = np.concatenate([g_rec[:ctx_w], embedded.reshape(-1, emb_w).T @ flat,
-                              g_rec[ctx_w:]])
-        real = mask[order].T                                   # (T, B), rows packed
-        g_table = np.zeros(td.shape)
-        np.add.at(g_table, prev_ids[real], np.matmul(g_gates[real], w_emb.T))
+        g_rec = (xs if states else xs[cell_real[real]]).T @ g_gates
+        g_w = np.concatenate([g_rec[:ctx_w], embedded.T @ g_gates, g_rec[ctx_w:]])
+        g_table = _table_gradient(td.shape, cell_ids, np.matmul(g_gates, w_emb.T))
         # the initial state: each half back through its tanh projection, both
         # into the one mean, and the mean into head 0's real rows
         g_init, g_mean = [], 0.0
@@ -649,20 +697,20 @@ def decoder_unroll(table: Tensor, ids: Array, initial: Sequence[tuple[Tensor, Te
             g_a = g * (1.0 - y * y)
             g_init += [mean.T @ g_a, g_a.sum(axis=0)]
             g_mean = g_mean + g_a @ iw.data.T
-        queries = xs[:, :, ctx_w:].reshape(-1, size)
+        queries = xs[:, ctx_w:]
         g_heads = []
         for j, (key, head) in enumerate(zip(heads, arrays)):
             g_keys = (g_pre[j] * head.combine).transpose(1, 0, 2)   # (k, K, A) packed
             g_rows = (np.matmul(g_keys, key.w_key.data.T) + np.matmul(
-                weights[j].transpose(0, 2, 1), g_ctx[:, :, offsets[j]:offsets[j + 1]]))[restore]
+                weights[j].transpose(0, 2, 1), g_ctx[:, :, cols[j]:cols[j + 1]]))[restore]
             if j == 0:
                 g_rows += g_mean[:, None, :] * (mask0 / mask0.sum(axis=1)[:, None])[..., None]
             attn_w = head.combine.shape[0]
             g_heads += [g_rows, head.rows.reshape(-1, key.rows.shape[2]).T
                         @ g_keys.reshape(-1, attn_w),
-                        g_keys.sum(axis=(0, 1)), g_query[j].reshape(-1, attn_w).T @ queries,
+                        g_keys.sum(axis=(0, 1)), g_query[j].T @ queries,
                         g_combine[j]]
-        return (g_table, *g_init, g_w, flat.sum(axis=0), *g_heads)
+        return (g_table, *g_init, g_w, g_gates.sum(axis=0), *g_heads)
 
     parents = (table, *(x for pair in initial for x in pair), w, b,
                *(x for k in heads for x in (k.rows, k.w_key, k.b, k.w_query, k.combine)))

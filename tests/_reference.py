@@ -31,7 +31,9 @@ The exceptions are three layers of taped oracles for the package's fused ops:
   package's decode ops carried before a teacher-forced unroll became one
   record. ``composed_decoder_unroll`` chains them, after the composed key
   projection, initial state and lookup, into the graph that
-  ``tensor.decoder_unroll`` is checked against.
+  ``tensor.decoder_unroll`` is checked against. ``composed_captioner_terms``
+  and ``composed_stage2_terms`` chain the composed graphs into whole
+  training losses.
 
 Last, ``recomputing_stage2_forward`` is the stage-two forward as it was
 before a frozen part 1 was computed once per fit: part 1 runs on the tape
@@ -598,6 +600,36 @@ def stepped_unroll(decoder, rows, masks, ids, mask):
     return composed_decoder_unroll(decoder.embedding, ids[:, :-1], decoder.initial,
                                    decoder.lstm.w, decoder.lstm.b,
                                    decoder.keys(rows, masks), mask)
+
+
+def composed_captioner_terms(captioner, batch, rate=0.0, rng=None):
+    """``training._captioner_loss``'s (record, weight) terms from the composed
+    graphs: ``composed_project``, ``stepped_unroll`` and ``composed_nll``,
+    its dropout drawn as ``training.nll_loss`` draws it."""
+    dec, mask = captioner.decoder, batch.en_mask[:, 1:]
+    regions = composed_project(captioner.image_proj, batch.features)
+    states, _ = stepped_unroll(dec, [regions], [batch.region_mask], batch.en_ids, mask)
+    return [(composed_nll(states, dec.w_out, dec.b_out, batch.en_ids[:, 1:], mask, rate,
+                          rng), 1.0)]
+
+
+def composed_stage2_terms(bundle, batch, cycle_weight, rate=0.0, rng=None):
+    """``training._stage2_loss``'s (record, weight) terms, part 1 unfrozen,
+    from the composed graphs: ``composed_project``, ``stepped_encode``, the
+    German and English ``stepped_unroll``, ``composed_nll`` and
+    ``composed_cycle``."""
+    captioner, dec = bundle.captioner, bundle.de_decoder
+    cap_mask, de_mask = batch.en_mask[:, 1:], batch.de_mask[:, 1:]
+    regions = composed_project(captioner.image_proj, batch.features)
+    cap_states = stepped_encode(bundle.cap_encoder, batch.en_ids[:, 1:], cap_mask)
+    de_states, (de_to_regions, de_to_en) = stepped_unroll(
+        dec, [regions, cap_states], [batch.region_mask, cap_mask], batch.de_ids, de_mask)
+    nll = composed_nll(de_states, dec.w_out, dec.b_out, batch.de_ids[:, 1:], de_mask, rate,
+                       rng)
+    _, (en_to_regions,) = stepped_unroll(captioner.decoder, [regions], [batch.region_mask],
+                                         batch.en_ids, cap_mask)
+    return [(nll, 1.0),
+            (composed_cycle(de_to_regions, de_to_en, en_to_regions, de_mask), cycle_weight)]
 
 
 def ref_project(captioner, grid_values):

@@ -103,6 +103,68 @@ def test_infer_and_eval(pipeline, tmp_path):
     assert metrics["count"] == 8
 
 
+def with_image_recaptioned(pipeline, to: Path, at: int) -> tuple[Path, list[str]]:
+    """The pipeline's manifest with a row that captions its first image again
+    inserted at row ``at``, beside the features; and the image ids in
+    first-appearance order."""
+    data = pipeline / "data"
+    rows = (data / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(rows[0])
+    rows.insert(at, json.dumps({**first, "en": "a red dog", "de": "ein roter hund"}))
+    manifest = data / to
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return manifest, [json.loads(r)["image_id"] for r in rows if r != rows[at]]
+
+
+def test_infer_decodes_each_image_once(pipeline, tmp_path, capsys):
+    # a ninth row re-captions image 0: still one decode and one candidate
+    # per image, in first-appearance order
+    manifest, ids = with_image_recaptioned(pipeline, "recaptioned.jsonl", at=3)
+    decoded = tmp_path / "decoded"
+    capsys.readouterr()
+    assert run("infer", "--checkpoint", str(pipeline / "part2" / "bundle.ckpt"),
+               "--manifest", str(manifest), "--out-dir", str(decoded),
+               "--beam-size", "1", "--max-len", "4") == 0
+    assert "decoded 8 images" in capsys.readouterr().out
+    rows = [json.loads(l) for l in (decoded / "captions.jsonl").read_text().splitlines()]
+    assert [r["image_id"] for r in rows] == ids and len(set(ids)) == 8
+    assert run("eval", "--candidates", str(decoded / "captions.jsonl"),
+               "--manifest", str(manifest), "--out-dir", str(tmp_path / "scored")) == 0
+    assert json.loads((tmp_path / "scored" / "metrics.json").read_text())["count"] == 8
+
+
+@pytest.mark.parametrize("gold", [True, False], ids=["gold", "decoded"])
+def test_attn_export_exports_each_image_once(pipeline, tmp_path, gold):
+    # image 0 captioned again on row 2: --limit 2 exports images 0 and 1,
+    # the files the manifest without that row gives, byte for byte
+    manifest, ids = with_image_recaptioned(pipeline, "recaptioned-2.jsonl", at=1)
+    flags = ["--checkpoint", str(pipeline / "part2" / "bundle.ckpt"), "--limit", "2",
+             "--beam-size", "1", "--max-len", "4", *(["--use-gold-captions"] if gold else [])]
+    for name, source in (("once", pipeline / "data" / "manifest.jsonl"), ("again", manifest)):
+        assert run("attn-export", "--manifest", str(source), "--out-dir",
+                   str(tmp_path / name), *flags) == 0
+    dumps = sorted(p.name for p in (tmp_path / "again" / "attn").glob("*.attn.txt"))
+    assert dumps == sorted(f"{i}.attn.txt" for i in ids[:2])
+    compare_trees(tmp_path / "once" / "attn", tmp_path / "again" / "attn")
+
+
+def test_eval_refuses_a_repeated_candidate(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps({"image_id": i, "features": f"{i}.feat",
+                                            "en": "x", "de": "ein hund"}) + "\n"
+                                for i in "ab"), encoding="utf-8")
+    candidates = tmp_path / "captions.jsonl"
+    candidates.write_text("".join(json.dumps({"image_id": i, "de": "ein hund"}) + "\n"
+                                  for i in "aba"), encoding="utf-8")
+    capsys.readouterr()
+    assert run("eval", "--candidates", str(candidates), "--manifest", str(manifest),
+               "--out-dir", str(tmp_path / "scored")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error[data]: ") and "Traceback" not in err
+    assert f"{candidates}:3: a second candidate for image 'a'" in err
+    assert not (tmp_path / "scored" / "metrics.json").exists()
+
+
 def test_eval_scores_against_every_reference_of_an_image(tmp_path, capsys):
     rows = [("a", "ein hund"), ("a", "der hund rennt"), ("b", "!!!"),
             ("c", "eine katze sitzt")]

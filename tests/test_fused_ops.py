@@ -4,8 +4,10 @@ caption encoder, lookup and both GRU directions, against its per-step
 graph; the per-step LSTM and attention records that ``tests/_reference.py``
 keeps as the oracle of the one-record decoder unroll; the decoder unroll
 from its raw key rows, initial-state projections and embedding table
-against its composed graph; and the two loss records, the likelihood under
-dropout and the cycle loss, against theirs. Forward values and the gradient
+against its composed graph; the two loss records, the likelihood under
+dropout and the cycle loss, against theirs; and whole stage-one and
+stage-two training steps, with no ``np.add.at`` to scatter with, against
+their composed losses. Forward values and the gradient
 of every parameter agree to 1e-12, at B = 1 and at B = 3, with a masked key
 or step and a padded (all-zero) row; at B = 3 the records take three
 distinct lengths.
@@ -21,14 +23,16 @@ from cyclecap.attention import AttentionLayer
 from cyclecap.cells import LSTMParams, gru_step
 from cyclecap.errors import DimensionError
 from cyclecap.cycle import cycle_loss_graph
-from cyclecap.data import PAD_ID
+from cyclecap.data import PAD_ID, FeatureGrid, PairRecord, TripleRecord, make_batch
 from cyclecap.models import CaptionEncoder, ImageProjection, ModelDims
 from cyclecap.tensor import HeadKeys, Parameter, Tape, decoder_unroll, parameters
-from cyclecap.training import nll_loss
+from cyclecap.training import _captioner_loss, _stage2_loss, nll_loss
 
-from _reference import (composed_attend, composed_cycle, composed_decoder_unroll,
-                        composed_lstm_step, composed_nll, composed_prepare, composed_project,
+from _reference import (composed_attend, composed_captioner_terms, composed_cycle,
+                        composed_decoder_unroll, composed_lstm_step, composed_nll,
+                        composed_prepare, composed_project, composed_stage2_terms,
                         step_additive_attention, step_lstm_cell, stepped_encode)
+from conftest import random_ids, tiny_bundle
 
 TOL = 1e-12
 
@@ -213,6 +217,62 @@ def test_cycle_record_matches_composed(batch):
     assert_agree(lambda: (cycle_loss_graph(*attention, mask),),
                  lambda: (composed_cycle(*attention, mask),),
                  {x.name: x for x in attention})
+
+
+class NoScatterAdd:
+    """``np.add`` without its ``at``: a gradient that scatters with it fails."""
+
+    def __init__(self, add):
+        self._add = add
+
+    def __call__(self, *args, **kwargs):
+        return self._add(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._add, name)
+
+    def at(self, *args, **kwargs):
+        raise AssertionError("np.add.at called")
+
+
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_training_steps_match_composed_without_add_at(stage, monkeypatch):
+    # a taped step at dropout 0.5 over three records of unequal lengths and
+    # region counts, part 1 unfrozen; each table's gradient is a segmented
+    # sum, never np.add.at; the composed oracle scatters with it, so it runs
+    # first
+    rng = np.random.default_rng(80)
+    bundle = tiny_bundle(seed=8)
+    triples = [TripleRecord(f"im{i}", FeatureGrid(rng.standard_normal((regions, 3))),
+                            random_ids(rng, 8, en), random_ids(rng, 9, de))
+               for i, (regions, en, de) in enumerate([(4, 5, 2), (3, 1, 4), (4, 3, 3)])]
+    if stage == "stage1":
+        model = bundle.captioner
+        batch = make_batch([PairRecord(t.image_id, t.features, t.en_ids) for t in triples])
+        fused = lambda rng: _captioner_loss(model, batch, 0.5, rng)[0]
+        composed = lambda rng: composed_captioner_terms(model, batch, 0.5, rng)
+    else:
+        model, batch = bundle, make_batch(triples)
+        fused = lambda rng: _stage2_loss(model, batch, 1.0, 0.5, rng)[0]
+        composed = lambda rng: composed_stage2_terms(model, batch, 1.0, 0.5, rng)
+    params = parameters(model)
+
+    def grads(terms):
+        for p in params.values():
+            p.zero_grad()
+        with Tape() as tape:
+            tape.backward(terms(np.random.default_rng(3)))
+        return {name: p.grad.copy() for name, p in params.items()}
+
+    expected = grads(composed)
+    monkeypatch.setattr(np, "add", NoScatterAdd(np.add))
+    got = grads(fused)
+    tables = [name for name in params if name.endswith("/embedding")]
+    assert len(tables) == (1 if stage == "stage1" else 3)
+    assert all(np.abs(expected[name]).sum() > 0 for name in tables)
+    for name in params:
+        np.testing.assert_allclose(got[name], expected[name], rtol=TOL, atol=TOL,
+                                   err_msg=name)
 
 
 # --- packed steps: padding is never computed ------------------------------------
